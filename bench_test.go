@@ -13,7 +13,8 @@
 //	                           counting
 //	BenchmarkSampling        — drawing uniform plans (rank + unrank)
 //	BenchmarkOptimize        — full optimization (memo + winners)
-//	BenchmarkExecuteOptimal  — the execution engine on the optimal plan
+//	BenchmarkExecute         — the execution engine on optimal and
+//	                           sampled plans
 //	BenchmarkVerifySampled   — E8: the multi-plan verification harness
 //	BenchmarkPruningAblation — E9: space retained by a pruning optimizer
 //
@@ -497,29 +498,32 @@ func BenchmarkFigure4(b *testing.B) {
 	}
 }
 
-// BenchmarkExecuteOptimal measures the Volcano engine on the optimizer's
-// plan for the two executable mid-size queries.
-func BenchmarkExecuteOptimal(b *testing.B) {
-	for _, q := range []string{"Q3", "Q10"} {
-		b.Run(q, func(b *testing.B) {
-			p := prepare(b, q, false)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := p.Execute(p.OptimalPlan()); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkExecute prices the governed execution path on Q5: the
-// optimizer's plan against the median-cost plan of a uniform sample —
-// the "optimal vs. typical sampled plan" latency gap that motivates
+// BenchmarkExecute prices the governed execution path: the optimizer's
+// plan of each query the execute-governed service workload runs (Q3,
+// Q5, Q9, Q10), and on Q5 also the median-cost plan of a uniform sample
+// — the "optimal vs. typical sampled plan" latency gap that motivates
 // sampling-based verification running under Governor budgets.
 func BenchmarkExecute(b *testing.B) {
-	p := prepare(b, "Q5", false)
 	opts := exec.Options{Timeout: 30 * time.Second, MaxIntermediateRows: 100_000_000}
+	run := func(b *testing.B, p *engine.Prepared, pl *plan.Node) {
+		b.Helper()
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			res, err := p.ExecuteWith(context.Background(), pl, opts)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if res.Stats.Truncated {
+				b.Fatalf("benchmark plan truncated: %+v", res.Stats)
+			}
+		}
+	}
+	for _, q := range []string{"Q3", "Q9", "Q10"} {
+		p := prepare(b, q, false)
+		b.Run(q+"/optimal", func(b *testing.B) { run(b, p, p.OptimalPlan()) })
+	}
+
+	p := prepare(b, "Q5", false)
 
 	// Median sampled plan by scaled cost among 101 seeded draws.
 	smp, err := p.Sampler(17)
@@ -550,22 +554,10 @@ func BenchmarkExecute(b *testing.B) {
 		b.Fatal(err)
 	}
 
-	run := func(b *testing.B, pl *plan.Node) {
-		b.Helper()
-		for i := 0; i < b.N; i++ {
-			res, err := p.ExecuteWith(context.Background(), pl, opts)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if res.Stats.Truncated {
-				b.Fatalf("benchmark plan truncated: %+v", res.Stats)
-			}
-		}
-	}
-	b.Run("Q5/optimal", func(b *testing.B) { run(b, p.OptimalPlan()) })
+	b.Run("Q5/optimal", func(b *testing.B) { run(b, p, p.OptimalPlan()) })
 	b.Run("Q5/median_sampled", func(b *testing.B) {
 		b.Logf("median sampled plan: rank %s, scaled cost %.2f", median.rank, median.cost)
-		run(b, medianPlan)
+		run(b, p, medianPlan)
 	})
 }
 

@@ -135,10 +135,3 @@ func (r Row) Clone() Row {
 	copy(out, r)
 	return out
 }
-
-// Concat returns a new row holding a followed by b.
-func Concat(a, b Row) Row {
-	out := make(Row, 0, len(a)+len(b))
-	out = append(out, a...)
-	return append(out, b...)
-}

@@ -87,21 +87,6 @@ func TestRowCloneIndependent(t *testing.T) {
 	}
 }
 
-func TestConcat(t *testing.T) {
-	a := Row{NewInt(1)}
-	b := Row{NewInt(2), NewInt(3)}
-	c := Concat(a, b)
-	if len(c) != 3 || c[0].Int() != 1 || c[2].Int() != 3 {
-		t.Errorf("Concat = %v", c)
-	}
-	// Concat must not alias its inputs' backing arrays in a way that
-	// mutating the output corrupts them.
-	c[0] = NewInt(9)
-	if a[0].Int() != 1 {
-		t.Error("Concat aliases input")
-	}
-}
-
 func TestCompareBasics(t *testing.T) {
 	cases := []struct {
 		a, b Value

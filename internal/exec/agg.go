@@ -103,8 +103,10 @@ type aggIter struct {
 	argFns  []evalFunc // nil entry = COUNT(*)
 	aggs    []*algebra.AggExpr
 	outCols int
+	keys    []data.Value // the current input row's group key
 
 	// hash state
+	enc      keyEncoder
 	groups   map[string]int
 	order    []data.Row // group key values per group, insertion order
 	accs     [][]aggAcc
@@ -154,6 +156,7 @@ func buildAgg(e *memo.Expr, q *algebra.Query, child Iterator, cs schema) (Iterat
 		argFns:  argFns,
 		aggs:    q.Aggs,
 		outCols: len(out),
+		keys:    make([]data.Value, len(keyFns)),
 		scalar:  len(q.GroupBy) == 0,
 	}
 	return it, out, nil
@@ -241,7 +244,7 @@ func (a *aggIter) nextScalar() (data.Row, bool, error) {
 func (a *aggIter) nextHash() (data.Row, bool, error) {
 	if !a.prepared {
 		a.groups = make(map[string]int)
-		keys := make([]data.Value, len(a.keyFns))
+		keys := a.keys
 		for {
 			row, ok, err := a.child.Next()
 			if err != nil {
@@ -257,11 +260,11 @@ func (a *aggIter) nextHash() (data.Row, bool, error) {
 				}
 				keys[i] = v
 			}
-			k := hashKey(keys)
-			gi, ok := a.groups[k]
+			k := a.enc.encode(keys)
+			gi, ok := a.groups[string(k)]
 			if !ok {
 				gi = len(a.order)
-				a.groups[k] = gi
+				a.groups[string(k)] = gi
 				a.order = append(a.order, append(data.Row(nil), keys...))
 				a.accs = append(a.accs, a.newAccs())
 			}
@@ -287,7 +290,7 @@ func (a *aggIter) nextStream() (data.Row, bool, error) {
 	if a.done {
 		return nil, false, nil
 	}
-	keys := make([]data.Value, len(a.keyFns))
+	keys := a.keys
 	for {
 		row, ok, err := a.child.Next()
 		if err != nil {

@@ -25,6 +25,11 @@ import (
 type Iterator interface {
 	Open(ctx context.Context) error
 	// Next returns the next row. ok is false at end of stream.
+	//
+	// The row is valid until the next Next or Close on the same
+	// iterator: joins write every output row into one reused buffer.
+	// A caller that keeps rows beyond that copies them (see rowStore);
+	// RunWithOptions copies every row it returns.
 	Next() (row data.Row, ok bool, err error)
 	Close() error
 }
@@ -105,29 +110,48 @@ func buildOp(n *plan.Node, db *storage.DB, q *algebra.Query, gov *Governor) (Ite
 	}
 }
 
-// hashKey renders a key tuple canonically: numerically equal integers and
-// floats map to the same bucket, so hash buckets are a superset of the
-// equality predicate (which is always re-verified on match).
-func hashKey(vals []data.Value) string {
-	out := make([]byte, 0, 16*len(vals))
-	for _, v := range vals {
-		switch v.K {
-		case data.KindNull:
-			out = append(out, 'n')
-		case data.KindInt, data.KindDate, data.KindBool:
-			out = appendCanonicalNum(out, float64(v.I))
-		case data.KindFloat:
-			out = appendCanonicalNum(out, v.F)
-		case data.KindString:
-			out = append(out, 's')
-			out = append(out, v.S...)
-		}
-		out = append(out, 0)
+// reusesRows reports whether it, as the child of another operator,
+// overwrites the row returned by one Next call on the next one. Joins
+// do; scans return stored table rows, and sorts and aggregates return
+// rows they never modify again. (The streaming Result reuses its row
+// too, but it is always the plan root.)
+func reusesRows(it Iterator) bool {
+	switch it.(type) {
+	case *nlJoinIter, *hashJoinIter, *mergeJoinIter, *lookupJoinIter:
+		return true
 	}
-	return string(out)
+	return false
 }
 
-func appendCanonicalNum(b []byte, f float64) []byte {
-	b = append(b, 'f')
-	return append(b, fmt.Sprintf("%g", f)...)
+// rowStore holds the rows a materializing operator keeps (a hash
+// join's build side, a merge join's right input, a sort buffer). Rows
+// whose producer reuses them are copied into slabs that grow with the
+// input, so keeping n rows costs O(log n) allocations, not n.
+type rowStore struct {
+	copy bool // the producer reuses its rows: keep copies
+	slab []data.Value
+	size int // values in the last slab allocated
+}
+
+func newRowStore(child Iterator) rowStore { return rowStore{copy: reusesRows(child)} }
+
+// keep returns r itself, or a copy of it when the producer reuses rows.
+func (s *rowStore) keep(r data.Row) data.Row {
+	if !s.copy {
+		return r
+	}
+	out := s.alloc(len(r))
+	copy(out, r)
+	return out
+}
+
+// alloc returns a fresh row of n values carved from the current slab.
+func (s *rowStore) alloc(n int) data.Row {
+	if len(s.slab) < n {
+		s.size = min(max(2*s.size, 16*n), 1024*n)
+		s.slab = make([]data.Value, s.size)
+	}
+	out := s.slab[:n:n]
+	s.slab = s.slab[n:]
+	return out
 }

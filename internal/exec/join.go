@@ -40,7 +40,7 @@ func buildJoin(e *memo.Expr, left Iterator, ls schema, right Iterator, rs schema
 
 	switch e.Op {
 	case memo.NestedLoopJoin:
-		return &nlJoinIter{left: left, right: right, pred: pred}, out, nil
+		return &nlJoinIter{left: left, right: right, pred: pred, out: newJoinRow(ls, rs)}, out, nil
 	case memo.HashJoin, memo.MergeJoin:
 		lKeys, rKeys := e.Join.Keys(e.Children[0].RelSet)
 		if len(lKeys) == 0 {
@@ -55,28 +55,48 @@ func buildJoin(e *memo.Expr, left Iterator, ls schema, right Iterator, rs schema
 				return nil, nil, fmt.Errorf("exec: join key missing from child schema in %s", e.Name())
 			}
 		}
+		keys := make([]data.Value, len(lKeys))
 		if e.Op == memo.HashJoin {
-			return &hashJoinIter{left: left, right: right, lPos: lPos, rPos: rPos, pred: pred}, out, nil
+			return &hashJoinIter{left: left, right: right, lPos: lPos, rPos: rPos, pred: pred,
+				keys: keys, enc: newJoinKeyEncoder(lKeys, rKeys), out: newJoinRow(ls, rs)}, out, nil
 		}
-		return &mergeJoinIter{left: left, right: right, lPos: lPos, rPos: rPos, pred: pred}, out, nil
+		return &mergeJoinIter{left: left, right: right, lPos: lPos, rPos: rPos, pred: pred,
+			lkey: keys, out: newJoinRow(ls, rs)}, out, nil
 	default:
 		return nil, nil, fmt.Errorf("exec: %s is not a join", e.Op)
 	}
 }
+
+// joinRow is a join's reused output row: the left input's columns
+// followed by the right input's. A join copies the side that stays fixed
+// across several output rows (the outer row of a nested loop, the probe
+// row of a hash join) once, and only the other side per candidate pair.
+type joinRow struct {
+	row   data.Row
+	split int // number of left columns
+}
+
+func newJoinRow(ls, rs schema) joinRow {
+	return joinRow{row: make(data.Row, len(ls)+len(rs)), split: len(ls)}
+}
+
+func (o joinRow) setLeft(r data.Row)  { copy(o.row[:o.split], r) }
+func (o joinRow) setRight(r data.Row) { copy(o.row[o.split:], r) }
 
 // nlJoinIter re-executes its inner (right) child once per outer row.
 type nlJoinIter struct {
 	opNode
 	left, right Iterator
 	pred        joinPred
+	out         joinRow
 
 	ctx     context.Context
-	leftRow data.Row
+	hasLeft bool
 }
 
 func (j *nlJoinIter) Open(ctx context.Context) error {
 	j.ctx = ctx
-	j.leftRow = nil
+	j.hasLeft = false
 	if err := j.enter(); err != nil {
 		return err
 	}
@@ -85,12 +105,13 @@ func (j *nlJoinIter) Open(ctx context.Context) error {
 
 func (j *nlJoinIter) Next() (data.Row, bool, error) {
 	for {
-		if j.leftRow == nil {
+		if !j.hasLeft {
 			lr, ok, err := j.left.Next()
 			if err != nil || !ok {
 				return nil, false, err
 			}
-			j.leftRow = lr
+			j.out.setLeft(lr)
+			j.hasLeft = true
 			if err := j.right.Open(j.ctx); err != nil {
 				return nil, false, err
 			}
@@ -100,12 +121,12 @@ func (j *nlJoinIter) Next() (data.Row, bool, error) {
 			return nil, false, err
 		}
 		if !ok {
-			j.leftRow = nil
+			j.hasLeft = false
 			continue
 		}
-		row := data.Concat(j.leftRow, rr)
+		j.out.setRight(rr)
 		if j.pred != nil {
-			keep, err := j.pred(row)
+			keep, err := j.pred(j.out.row)
 			if err != nil {
 				return nil, false, err
 			}
@@ -118,7 +139,7 @@ func (j *nlJoinIter) Next() (data.Row, bool, error) {
 		if err := j.emit(); err != nil {
 			return nil, false, err
 		}
-		return row, true, nil
+		return j.out.row, true, nil
 	}
 }
 
@@ -126,6 +147,49 @@ func (j *nlJoinIter) Close() error {
 	err := closeAll(j.left, j.right)
 	j.leave()
 	return err
+}
+
+// extractKey copies the key columns of r into keys and reports whether
+// any of them is NULL (NULL keys never join).
+func extractKey(keys []data.Value, r data.Row, pos []int) (null bool) {
+	for i, p := range pos {
+		keys[i] = r[p]
+		null = null || r[p].IsNull()
+	}
+	return null
+}
+
+// hashTable is a hash join's build side: rows chained per key in
+// insertion order, so probes emit matches in the order the build input
+// produced them.
+type hashTable struct {
+	chains     map[string]int32 // key -> chain
+	head, tail []int32          // per chain: first and last row
+	rows       []data.Row
+	next       []int32 // per row: the next row of its chain, or -1
+	store      rowStore
+}
+
+func (h *hashTable) insert(key []byte, r data.Row) {
+	ri := int32(len(h.rows))
+	h.rows = append(h.rows, h.store.keep(r))
+	h.next = append(h.next, -1)
+	if c, ok := h.chains[string(key)]; ok {
+		h.next[h.tail[c]] = ri
+		h.tail[c] = ri
+		return
+	}
+	h.chains[string(key)] = int32(len(h.head))
+	h.head = append(h.head, ri)
+	h.tail = append(h.tail, ri)
+}
+
+// first returns the first row of key's chain, or -1.
+func (h *hashTable) first(key []byte) int32 {
+	if c, ok := h.chains[string(key)]; ok {
+		return h.head[c]
+	}
+	return -1
 }
 
 // hashJoinIter builds a hash table on the left child (as the cost model
@@ -137,26 +201,24 @@ type hashJoinIter struct {
 	left, right Iterator
 	lPos, rPos  []int
 	pred        joinPred
+	keys        []data.Value
+	enc         keyEncoder
+	out         joinRow
 
-	built   bool
-	buckets map[string][]data.Row
-
-	probeRow data.Row
-	bucket   []data.Row
-	bucketIx int
+	table *hashTable
+	cand  int32 // next build row matching the current probe row, or -1
 }
 
 func (j *hashJoinIter) Open(ctx context.Context) error {
-	j.probeRow, j.bucket, j.bucketIx = nil, nil, 0
+	j.cand = -1
 	if err := j.enter(); err != nil {
 		return err
 	}
-	if !j.built {
+	if j.table == nil {
 		if err := j.left.Open(ctx); err != nil {
 			return err
 		}
-		j.buckets = make(map[string][]data.Row)
-		key := make([]data.Value, len(j.lPos))
+		h := &hashTable{chains: make(map[string]int32), store: newRowStore(j.left)}
 		for {
 			lr, ok, err := j.left.Next()
 			if err != nil {
@@ -165,34 +227,26 @@ func (j *hashJoinIter) Open(ctx context.Context) error {
 			if !ok {
 				break
 			}
-			null := false
-			for i, p := range j.lPos {
-				key[i] = lr[p]
-				null = null || lr[p].IsNull()
-			}
-			if null {
+			if extractKey(j.keys, lr, j.lPos) {
 				continue // NULL keys never join
 			}
-			k := hashKey(key)
-			j.buckets[k] = append(j.buckets[k], lr)
+			h.insert(j.enc.encode(j.keys), lr)
 		}
 		if err := j.left.Close(); err != nil {
 			return err
 		}
-		j.built = true
+		j.table = h
 	}
 	return j.right.Open(ctx)
 }
 
 func (j *hashJoinIter) Next() (data.Row, bool, error) {
-	key := make([]data.Value, len(j.rPos))
 	for {
-		if j.bucketIx < len(j.bucket) {
-			lr := j.bucket[j.bucketIx]
-			j.bucketIx++
-			row := data.Concat(lr, j.probeRow)
+		if j.cand >= 0 {
+			j.out.setLeft(j.table.rows[j.cand])
+			j.cand = j.table.next[j.cand]
 			if j.pred != nil {
-				keep, err := j.pred(row)
+				keep, err := j.pred(j.out.row)
 				if err != nil {
 					return nil, false, err
 				}
@@ -208,23 +262,18 @@ func (j *hashJoinIter) Next() (data.Row, bool, error) {
 			if err := j.emit(); err != nil {
 				return nil, false, err
 			}
-			return row, true, nil
+			return j.out.row, true, nil
 		}
 		rr, ok, err := j.right.Next()
 		if err != nil || !ok {
 			return nil, false, err
 		}
-		null := false
-		for i, p := range j.rPos {
-			key[i] = rr[p]
-			null = null || rr[p].IsNull()
-		}
-		if null {
+		if extractKey(j.keys, rr, j.rPos) {
 			continue
 		}
-		j.probeRow = rr
-		j.bucket = j.buckets[hashKey(key)]
-		j.bucketIx = 0
+		if j.cand = j.table.first(j.enc.encode(j.keys)); j.cand >= 0 {
+			j.out.setRight(rr)
+		}
 	}
 }
 
@@ -245,11 +294,13 @@ type mergeJoinIter struct {
 	left, right Iterator
 	lPos, rPos  []int
 	pred        joinPred
+	lkey        []data.Value
+	out         joinRow
 
 	rightRows []data.Row
 	loaded    bool
 
-	curLeft  data.Row
+	inBlock  bool
 	bstart   int
 	blockEnd int
 	blockPos int
@@ -263,6 +314,7 @@ func (j *mergeJoinIter) Open(ctx context.Context) error {
 		if err := j.right.Open(ctx); err != nil {
 			return err
 		}
+		store := newRowStore(j.right)
 		for {
 			rr, ok, err := j.right.Next()
 			if err != nil {
@@ -271,14 +323,14 @@ func (j *mergeJoinIter) Open(ctx context.Context) error {
 			if !ok {
 				break
 			}
-			j.rightRows = append(j.rightRows, rr)
+			j.rightRows = append(j.rightRows, store.keep(rr))
 		}
 		if err := j.right.Close(); err != nil {
 			return err
 		}
 		j.loaded = true
 	}
-	j.curLeft = nil
+	j.inBlock = false
 	j.bstart, j.blockEnd, j.blockPos = 0, 0, 0
 	return j.left.Open(ctx)
 }
@@ -298,19 +350,14 @@ func (j *mergeJoinIter) rightKeyCmp(idx int, lkey []data.Value) (int, error) {
 }
 
 func (j *mergeJoinIter) Next() (data.Row, bool, error) {
-	lkey := make([]data.Value, len(j.lPos))
+	lkey := j.lkey
 	for {
-		if j.curLeft == nil {
+		if !j.inBlock {
 			lr, ok, err := j.left.Next()
 			if err != nil || !ok {
 				return nil, false, err
 			}
-			null := false
-			for i, p := range j.lPos {
-				lkey[i] = lr[p]
-				null = null || lr[p].IsNull()
-			}
-			if null {
+			if extractKey(lkey, lr, j.lPos) {
 				continue
 			}
 			// Advance to the first right row with key >= left key; rows
@@ -344,15 +391,15 @@ func (j *mergeJoinIter) Next() (data.Row, bool, error) {
 			if j.blockEnd == j.bstart {
 				continue // no matches for this left row
 			}
-			j.curLeft = lr
+			j.out.setLeft(lr)
+			j.inBlock = true
 			j.blockPos = j.bstart
 		}
 		for j.blockPos < j.blockEnd {
-			rr := j.rightRows[j.blockPos]
+			j.out.setRight(j.rightRows[j.blockPos])
 			j.blockPos++
-			row := data.Concat(j.curLeft, rr)
 			if j.pred != nil {
-				keep, err := j.pred(row)
+				keep, err := j.pred(j.out.row)
 				if err != nil {
 					return nil, false, err
 				}
@@ -368,12 +415,11 @@ func (j *mergeJoinIter) Next() (data.Row, bool, error) {
 			if err := j.emit(); err != nil {
 				return nil, false, err
 			}
-			return row, true, nil
+			return j.out.row, true, nil
 		}
-		j.curLeft = nil
+		j.inBlock = false
 	}
 }
-
 func (j *mergeJoinIter) rightHasNullKey(idx int) bool {
 	rr := j.rightRows[idx]
 	for _, p := range j.rPos {

@@ -1,0 +1,90 @@
+package exec
+
+import (
+	"encoding/binary"
+	"math"
+
+	"repro/internal/algebra"
+	"repro/internal/data"
+)
+
+// keyEncoder renders key tuples for hash joins and hash aggregation as
+// fixed-width binary into one reused buffer: a kind tag, then 8 bytes
+// for a number or a 4-byte length and the bytes of a string. Looking a
+// key up with m[string(buf)] allocates nothing; only inserting a new
+// key does.
+//
+// Buckets must be a superset of data.Compare equality, which the join
+// predicate re-checks on every candidate pair:
+//   - integers (and dates and booleans) encode exactly, so distinct
+//     int64 keys above 2^53 never share a bucket;
+//   - floats encode their bits, with -0 normalized to 0;
+//   - a key position that equates an integer column with a float column
+//     encodes both sides through float64, because data.Compare compares
+//     such a pair as float64 values.
+type keyEncoder struct {
+	viaFloat []bool // per key position; nil = no mixed positions
+	buf      []byte
+}
+
+// newJoinKeyEncoder flags the key positions whose two sides have
+// different numeric kinds.
+func newJoinKeyEncoder(l, r []algebra.Column) keyEncoder {
+	var enc keyEncoder
+	for i := range l {
+		lk, rk := l[i].Kind, r[i].Kind
+		if lk != rk && lk.Numeric() && rk.Numeric() {
+			if enc.viaFloat == nil {
+				enc.viaFloat = make([]bool, len(l))
+			}
+			enc.viaFloat[i] = true
+		}
+	}
+	return enc
+}
+
+const (
+	tagNull   = 'n'
+	tagInt    = 'i'
+	tagFloat  = 'f'
+	tagString = 's'
+)
+
+// encode returns the key of vals. The bytes are valid until the next
+// encode call.
+func (e *keyEncoder) encode(vals []data.Value) []byte {
+	b := e.buf[:0]
+	for i, v := range vals {
+		switch v.K {
+		case data.KindNull:
+			b = append(b, tagNull)
+		case data.KindString:
+			b = append(b, tagString)
+			b = binary.LittleEndian.AppendUint32(b, uint32(len(v.S)))
+			b = append(b, v.S...)
+		case data.KindFloat:
+			b = appendFloatKey(b, v.F)
+		default: // KindInt, KindDate, KindBool
+			if e.viaFloat != nil && e.viaFloat[i] {
+				b = appendFloatKey(b, float64(v.I))
+			} else {
+				b = appendIntKey(b, v.I)
+			}
+		}
+	}
+	e.buf = b
+	return b
+}
+
+func appendIntKey(b []byte, i int64) []byte {
+	b = append(b, tagInt)
+	return binary.LittleEndian.AppendUint64(b, uint64(i))
+}
+
+func appendFloatKey(b []byte, f float64) []byte {
+	if f == 0 {
+		f = 0 // -0 == 0
+	}
+	b = append(b, tagFloat)
+	return binary.LittleEndian.AppendUint64(b, math.Float64bits(f))
+}

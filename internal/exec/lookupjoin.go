@@ -3,7 +3,6 @@ package exec
 import (
 	"context"
 	"fmt"
-	"sort"
 
 	"repro/internal/data"
 	"repro/internal/memo"
@@ -25,8 +24,10 @@ type lookupJoinIter struct {
 
 	innerFilter func(data.Row) (bool, error)
 	pred        joinPred
+	keys        []data.Value
+	out         joinRow
 
-	outerRow data.Row
+	hasOuter bool
 	lo, hi   int
 }
 
@@ -50,7 +51,8 @@ func buildLookupJoin(e *memo.Expr, db *storage.DB, outer Iterator, os schema) (I
 	}
 	out := os.concat(innerSchema)
 
-	it := &lookupJoinIter{outer: outer, table: table, perm: perm}
+	it := &lookupJoinIter{outer: outer, table: table, perm: perm,
+		keys: make([]data.Value, len(lk.OuterKeys)), out: newJoinRow(os, innerSchema)}
 	for i, oc := range lk.OuterKeys {
 		p := os.pos(oc.ID)
 		if p < 0 {
@@ -90,7 +92,7 @@ func buildLookupJoin(e *memo.Expr, db *storage.DB, outer Iterator, os schema) (I
 }
 
 func (j *lookupJoinIter) Open(ctx context.Context) error {
-	j.outerRow = nil
+	j.hasOuter = false
 	j.lo, j.hi = 0, 0
 	if err := j.enter(); err != nil {
 		return err
@@ -100,55 +102,66 @@ func (j *lookupJoinIter) Open(ctx context.Context) error {
 
 // seek positions [lo, hi) on the rows whose index prefix equals keys.
 // The permutation is sorted by the index key columns, so both bounds are
-// binary searches; keyCmp treats NULL as smallest, consistent with the
-// ordering used to build the permutation.
+// binary searches; data.Compare treats NULL as smallest, consistent with
+// the ordering used to build the permutation.
 func (j *lookupJoinIter) seek(keys []data.Value) (int, int, error) {
-	var seekErr error
-	cmpAt := func(i int) int {
-		row := j.table.Rows[j.perm[i]]
-		for k, kc := range j.keyCols {
-			c, err := data.Compare(row[kc], keys[k])
-			if err != nil && seekErr == nil {
-				seekErr = err
-			}
-			if c != 0 {
-				return c
-			}
+	lo, err := j.search(keys, 0)
+	if err != nil {
+		return 0, 0, err
+	}
+	hi, err := j.search(keys, 1)
+	return lo, hi, err
+}
+
+// search returns the first permutation position whose index prefix
+// compares >= atLeast against keys.
+func (j *lookupJoinIter) search(keys []data.Value, atLeast int) (int, error) {
+	lo, hi := 0, len(j.perm)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		c, err := j.cmpAt(mid, keys)
+		if err != nil {
+			return 0, err
 		}
-		return 0
+		if c >= atLeast {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
 	}
-	lo := sort.Search(len(j.perm), func(i int) bool { return cmpAt(i) >= 0 })
-	hi := sort.Search(len(j.perm), func(i int) bool { return cmpAt(i) > 0 })
-	if seekErr != nil {
-		return 0, 0, seekErr
+	return lo, nil
+}
+
+func (j *lookupJoinIter) cmpAt(i int, keys []data.Value) (int, error) {
+	row := j.table.Rows[j.perm[i]]
+	for k, kc := range j.keyCols {
+		c, err := data.Compare(row[kc], keys[k])
+		if err != nil || c != 0 {
+			return c, err
+		}
 	}
-	return lo, hi, nil
+	return 0, nil
 }
 
 func (j *lookupJoinIter) Next() (data.Row, bool, error) {
-	keys := make([]data.Value, len(j.outerPos))
 	for {
-		if j.outerRow == nil {
+		if !j.hasOuter {
 			or, ok, err := j.outer.Next()
 			if err != nil || !ok {
 				return nil, false, err
 			}
-			null := false
-			for i, p := range j.outerPos {
-				keys[i] = or[p]
-				null = null || or[p].IsNull()
-			}
-			if null {
+			if extractKey(j.keys, or, j.outerPos) {
 				continue // NULL keys never join
 			}
-			lo, hi, err := j.seek(keys)
+			lo, hi, err := j.seek(j.keys)
 			if err != nil {
 				return nil, false, err
 			}
 			if lo == hi {
 				continue
 			}
-			j.outerRow, j.lo, j.hi = or, lo, hi
+			j.out.setLeft(or)
+			j.hasOuter, j.lo, j.hi = true, lo, hi
 		}
 		for j.lo < j.hi {
 			inner := j.table.Rows[j.perm[j.lo]]
@@ -167,9 +180,9 @@ func (j *lookupJoinIter) Next() (data.Row, bool, error) {
 					continue
 				}
 			}
-			row := data.Concat(j.outerRow, inner)
+			j.out.setRight(inner)
 			if j.pred != nil {
-				keep, err := j.pred(row)
+				keep, err := j.pred(j.out.row)
 				if err != nil {
 					return nil, false, err
 				}
@@ -183,9 +196,9 @@ func (j *lookupJoinIter) Next() (data.Row, bool, error) {
 			if err := j.emit(); err != nil {
 				return nil, false, err
 			}
-			return row, true, nil
+			return j.out.row, true, nil
 		}
-		j.outerRow = nil
+		j.hasOuter = false
 	}
 }
 

@@ -26,6 +26,8 @@ type resultIter struct {
 	rows     []data.Row
 	loaded   bool
 	pos      int
+
+	out data.Row // reused projection row of the streaming variant
 }
 
 func buildResult(e *memo.Expr, q *algebra.Query, child Iterator, cs schema) (Iterator, schema, error) {
@@ -39,7 +41,7 @@ func buildResult(e *memo.Expr, q *algebra.Query, child Iterator, cs schema) (Ite
 		projFns[i] = f
 		out[i] = q.Projections[i].Out.ID
 	}
-	it := &resultIter{child: child, projFns: projFns, nProj: len(projFns)}
+	it := &resultIter{child: child, projFns: projFns, nProj: len(projFns), out: make(data.Row, len(projFns))}
 	if !e.SortOrder.IsNone() {
 		extended := cs.concat(out)
 		it.selfSort = true
@@ -65,16 +67,16 @@ func (e missingSortKeyError) Error() string {
 	return "exec: result sort key not found in output or input"
 }
 
-func (r *resultIter) project(row data.Row) (data.Row, error) {
-	out := make(data.Row, r.nProj)
+// project evaluates the projections of row into out.
+func (r *resultIter) project(out, row data.Row) error {
 	for i, f := range r.projFns {
 		v, err := f(row)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		out[i] = v
 	}
-	return out, nil
+	return nil
 }
 
 func (r *resultIter) Open(ctx context.Context) error {
@@ -91,6 +93,7 @@ func (r *resultIter) Open(ctx context.Context) error {
 	if !r.selfSort {
 		return nil
 	}
+	var store rowStore
 	for {
 		row, ok, err := r.child.Next()
 		if err != nil {
@@ -99,11 +102,12 @@ func (r *resultIter) Open(ctx context.Context) error {
 		if !ok {
 			break
 		}
-		proj, err := r.project(row)
-		if err != nil {
+		ext := store.alloc(len(row) + r.nProj)
+		copy(ext, row)
+		if err := r.project(ext[len(row):], row); err != nil {
 			return err
 		}
-		r.rows = append(r.rows, data.Concat(row, proj))
+		r.rows = append(r.rows, ext)
 	}
 	if err := r.child.Close(); err != nil {
 		return err
@@ -131,14 +135,13 @@ func (r *resultIter) Next() (data.Row, bool, error) {
 	if err != nil || !ok {
 		return nil, false, err
 	}
-	proj, err := r.project(row)
-	if err != nil {
+	if err := r.project(r.out, row); err != nil {
 		return nil, false, err
 	}
 	if err := r.emit(); err != nil {
 		return nil, false, err
 	}
-	return proj, true, nil
+	return r.out, true, nil
 }
 
 func (r *resultIter) Close() error {

@@ -49,6 +49,7 @@ func (s *sortIter) Open(ctx context.Context) error {
 	if err := s.child.Open(ctx); err != nil {
 		return err
 	}
+	store := newRowStore(s.child)
 	for {
 		row, ok, err := s.child.Next()
 		if err != nil {
@@ -57,7 +58,7 @@ func (s *sortIter) Open(ctx context.Context) error {
 		if !ok {
 			break
 		}
-		s.rows = append(s.rows, row)
+		s.rows = append(s.rows, store.keep(row))
 	}
 	if err := s.child.Close(); err != nil {
 		return err

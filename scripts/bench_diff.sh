@@ -10,24 +10,32 @@
 # promise, so the ratios are what the gate checks. Runs COUNT times and
 # compares medians to damp scheduler noise.
 #
-# Usage: scripts/bench_diff.sh   [BENCHTIME=300ms] [COUNT=3] [TOLERANCE=0.8]
+# It also gates allocations on the executor's optimal-plan rows
+# (BenchmarkExecute/*/optimal): allocs/op must stay within ALLOC_SLACK
+# (default 10%) of the value BENCH_core.json records. Allocation counts
+# do not depend on the host, so this gate is absolute.
+#
+# Usage: scripts/bench_diff.sh   [BENCHTIME=300ms] [COUNT=3] [TOLERANCE=0.8] [ALLOC_SLACK=0.1]
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 BENCHTIME="${BENCHTIME:-300ms}"
 COUNT="${COUNT:-3}"
 TOLERANCE="${TOLERANCE:-0.8}"
+ALLOC_SLACK="${ALLOC_SLACK:-0.1}"
 OUT="$(mktemp)"
 trap 'rm -f "$OUT"' EXIT
 
 echo "bench_diff: running benchmark matrix (benchtime=$BENCHTIME count=$COUNT)" >&2
 go test -run '^$' -bench '^(BenchmarkUnrank|BenchmarkSample|BenchmarkRecost)$' \
 	-benchtime "$BENCHTIME" -count "$COUNT" . | tee "$OUT"
+go test -run '^$' -bench '^BenchmarkExecute$/^Q[0-9]+$/^optimal$' \
+	-benchtime "$BENCHTIME" -count "$COUNT" . | tee -a "$OUT"
 
-python3 - "$OUT" "$TOLERANCE" <<'PYEOF'
+python3 - "$OUT" "$TOLERANCE" "$ALLOC_SLACK" <<'PYEOF'
 import json, re, statistics, sys
 
-out_path, tolerance = sys.argv[1], float(sys.argv[2])
+out_path, tolerance, alloc_slack = sys.argv[1], float(sys.argv[2]), float(sys.argv[3])
 rows = {}
 pat = re.compile(r'^(Benchmark(?:Unrank|Sample|Recost)/\S+?)-\d+\s+\d+\s+([\d.]+) ns/op')
 for line in open(out_path):
@@ -57,7 +65,15 @@ recost = med.get("BenchmarkRecost/Q9/recost")
 if cold is not None and recost:
     fresh["recost"]["Q9"] = cold / recost
 
-recorded = json.load(open("BENCH_core.json"))["speedup"]
+allocs = {}
+apat = re.compile(r'^(BenchmarkExecute/\S+/optimal)-\d+\s.*?\s(\d+) allocs/op')
+for line in open(out_path):
+    m = apat.match(line)
+    if m:
+        allocs.setdefault(m.group(1), []).append(int(m.group(2)))
+
+core = json.load(open("BENCH_core.json"))
+recorded = core["speedup"]
 failed = []
 print(f"\nbench_diff: speedup comparison (fail below {tolerance:.0%} of recorded)")
 print(f"{'row':28} {'recorded':>9} {'fresh':>9} {'ratio':>7}")
@@ -72,11 +88,27 @@ for kind in ("unrank", "sample", "recost"):
         print(f"{kind}/{q:22} {want:8.2f}x {got:8.2f}x {ratio:6.2f}{flag}")
         if ratio < tolerance:
             failed.append(f"{kind}/{q}: {want:.2f}x recorded, {got:.2f}x fresh")
+print(f"\nbench_diff: allocs/op ceilings (recorded + {alloc_slack:.0%})")
+print(f"{'row':28} {'recorded':>9} {'fresh':>9}")
+for row in core["results"]:
+    name = row["name"]
+    if not re.fullmatch(r'BenchmarkExecute/\S+/optimal', name):
+        continue
+    want = row["allocs_per_op"]
+    got = allocs.get(name)
+    if got is None:
+        failed.append(f"{name}: row missing from fresh run")
+        continue
+    ceiling = want * (1 + alloc_slack)
+    flag = "" if max(got) <= ceiling else "  << REGRESSION"
+    print(f"{name[len('Benchmark'):]:28} {want:9d} {max(got):9d}{flag}")
+    if max(got) > ceiling:
+        failed.append(f"{name}: {want} allocs/op recorded, {max(got)} fresh (ceiling {ceiling:.0f})")
 if failed:
     print("\nbench_diff: FAIL")
     for f in failed:
         print("  " + f)
     sys.exit(1)
 print("\nbench_diff: OK — no recorded speedup regressed by more than "
-      f"{1 - tolerance:.0%}")
+      f"{1 - tolerance:.0%}, no executor row above its allocs/op ceiling")
 PYEOF
