@@ -141,7 +141,9 @@ func TestHashJoinMatchesNegativeZero(t *testing.T) {
 // TestHashJoinIntFloatKeys: an int column equated with a float column is
 // compared as float64, so 2^53+1 equals 2^53.0 there. The hash join
 // hashes such a key position through float64 to find the same pairs as
-// the other joins.
+// the other joins; the 2^53 pair guards that encoding int keys exactly
+// does not split mixed-kind matches, and the 0 = -0 pair needs the -0
+// normalisation.
 func TestHashJoinIntFloatKeys(t *testing.T) {
 	const k = int64(1) << 53
 	db := keyDB(t,

@@ -420,6 +420,7 @@ func (j *mergeJoinIter) Next() (data.Row, bool, error) {
 		j.inBlock = false
 	}
 }
+
 func (j *mergeJoinIter) rightHasNullKey(idx int) bool {
 	rr := j.rightRows[idx]
 	for _, p := range j.rPos {

@@ -11,18 +11,17 @@
 # compares medians to damp scheduler noise.
 #
 # It also gates allocations on the executor's optimal-plan rows
-# (BenchmarkExecute/*/optimal): allocs/op must stay within ALLOC_SLACK
-# (default 10%) of the value BENCH_core.json records. Allocation counts
-# do not depend on the host, so this gate is absolute.
+# (BenchmarkExecute/*/optimal): allocs/op must stay within 10% of the
+# value BENCH_core.json records. Allocation counts do not depend on the
+# host, so this gate is absolute.
 #
-# Usage: scripts/bench_diff.sh   [BENCHTIME=300ms] [COUNT=3] [TOLERANCE=0.8] [ALLOC_SLACK=0.1]
+# Usage: scripts/bench_diff.sh   [BENCHTIME=300ms] [COUNT=3] [TOLERANCE=0.8]
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 BENCHTIME="${BENCHTIME:-300ms}"
 COUNT="${COUNT:-3}"
 TOLERANCE="${TOLERANCE:-0.8}"
-ALLOC_SLACK="${ALLOC_SLACK:-0.1}"
 OUT="$(mktemp)"
 trap 'rm -f "$OUT"' EXIT
 
@@ -32,10 +31,10 @@ go test -run '^$' -bench '^(BenchmarkUnrank|BenchmarkSample|BenchmarkRecost)$' \
 go test -run '^$' -bench '^BenchmarkExecute$/^Q[0-9]+$/^optimal$' \
 	-benchtime "$BENCHTIME" -count "$COUNT" . | tee -a "$OUT"
 
-python3 - "$OUT" "$TOLERANCE" "$ALLOC_SLACK" <<'PYEOF'
+python3 - "$OUT" "$TOLERANCE" <<'PYEOF'
 import json, re, statistics, sys
 
-out_path, tolerance, alloc_slack = sys.argv[1], float(sys.argv[2]), float(sys.argv[3])
+out_path, tolerance = sys.argv[1], float(sys.argv[2])
 rows = {}
 pat = re.compile(r'^(Benchmark(?:Unrank|Sample|Recost)/\S+?)-\d+\s+\d+\s+([\d.]+) ns/op')
 for line in open(out_path):
@@ -88,7 +87,7 @@ for kind in ("unrank", "sample", "recost"):
         print(f"{kind}/{q:22} {want:8.2f}x {got:8.2f}x {ratio:6.2f}{flag}")
         if ratio < tolerance:
             failed.append(f"{kind}/{q}: {want:.2f}x recorded, {got:.2f}x fresh")
-print(f"\nbench_diff: allocs/op ceilings (recorded + {alloc_slack:.0%})")
+print("\nbench_diff: allocs/op ceilings (recorded + 10%)")
 print(f"{'row':28} {'recorded':>9} {'fresh':>9}")
 for row in core["results"]:
     name = row["name"]
@@ -99,7 +98,7 @@ for row in core["results"]:
     if got is None:
         failed.append(f"{name}: row missing from fresh run")
         continue
-    ceiling = want * (1 + alloc_slack)
+    ceiling = want * 1.1
     flag = "" if max(got) <= ceiling else "  << REGRESSION"
     print(f"{name[len('Benchmark'):]:28} {want:9d} {max(got):9d}{flag}")
     if max(got) > ceiling:
