@@ -40,7 +40,6 @@ func main() {
 		seed       = flag.Int64("seed", 42, "data generator seed")
 		cacheCap   = flag.Int("cache", engine.DefaultCacheCapacity, "max counted structures kept in the fingerprint cache")
 		cacheBytes = flag.Int64("cache-bytes", engine.DefaultCacheBytes, "byte budget for cached structures (0 = unlimited)")
-		overlayCap = flag.Int("overlays", engine.DefaultOverlayCapacity, "max cost overlays kept in the overlay cache")
 		execTO     = flag.Duration("exec-timeout", lim.DefaultTimeout, "default per-plan execution timeout")
 		execRows   = flag.Int64("exec-maxrows", lim.DefaultMaxRows, "default output row cap per execution")
 		execWork   = flag.Int64("exec-maxwork", lim.DefaultMaxWork, "default intermediate-row budget per execution")
@@ -49,13 +48,13 @@ func main() {
 	lim.DefaultTimeout = *execTO
 	lim.DefaultMaxRows = *execRows
 	lim.DefaultMaxWork = *execWork
-	if err := run(*addr, *sf, *seed, *cacheCap, *cacheBytes, *overlayCap, lim); err != nil {
+	if err := run(*addr, *sf, *seed, *cacheCap, *cacheBytes, lim); err != nil {
 		fmt.Fprintln(os.Stderr, "planserved:", err)
 		os.Exit(1)
 	}
 }
 
-func run(addr string, sf float64, seed int64, cacheCap int, cacheBytes int64, overlayCap int, lim serve.ExecLimits) error {
+func run(addr string, sf float64, seed int64, cacheCap int, cacheBytes int64, lim serve.ExecLimits) error {
 	log.Printf("generating TPC-H sf=%g seed=%d ...", sf, seed)
 	start := time.Now()
 	db, err := tpch.NewDB(sf, seed)
@@ -65,9 +64,9 @@ func run(addr string, sf float64, seed int64, cacheCap int, cacheBytes int64, ov
 	log.Printf("database ready in %v", time.Since(start).Round(time.Millisecond))
 	cache := engine.NewSpaceCache(cacheCap)
 	cache.SetByteBudget(cacheBytes)
-	e := engine.New(db, engine.WithCache(cache), engine.WithOverlayCache(engine.NewOverlayCache(overlayCap)))
+	e := engine.New(db, engine.WithCache(cache))
 	srv := serve.New(e, serve.WithQueryResolver(tpch.Query), serve.WithExecLimits(lim))
-	log.Printf("serving plan spaces on %s (cache: %d structures / %d MB, %d overlays, exec: %v timeout, %d rows, %d work)",
-		addr, cacheCap, cacheBytes>>20, overlayCap, lim.DefaultTimeout, lim.DefaultMaxRows, lim.DefaultMaxWork)
+	log.Printf("serving plan spaces on %s (cache: %d structures / %d MB, exec: %v timeout, %d rows, %d work)",
+		addr, cacheCap, cacheBytes>>20, lim.DefaultTimeout, lim.DefaultMaxRows, lim.DefaultMaxWork)
 	return srv.ListenAndServe(addr)
 }

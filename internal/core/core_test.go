@@ -46,10 +46,16 @@ func prepared(t *testing.T, text string) (*Space, *opt.Result) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := opt.Optimize(q, opt.DefaultOptions())
+	opts := opt.DefaultOptions()
+	st, err := opt.BuildStructure(q, opts.Rules)
 	if err != nil {
 		t.Fatal(err)
 	}
+	c, err := st.Cost(opts.Params, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := opt.NewResult(st, c)
 	s, err := Prepare(res.Memo)
 	if err != nil {
 		t.Fatal(err)

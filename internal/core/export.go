@@ -44,27 +44,12 @@ type ExportOp struct {
 	Enforcer   bool       `json:"enforcer,omitempty"`
 }
 
-// ExportJSON serializes the counted space: every group, every physical
-// operator with its N(v), and the materialized candidate links. Cards
-// and local costs are read from the memo's annotation fields (filled by
-// the one-shot opt.Optimize path); spaces prepared through the engine's
-// two-tier cache carry costs in an overlay instead — use
-// ExportJSONAnnotated with the overlay's accessors there.
-func (s *Space) ExportJSON() ([]byte, error) {
-	return s.ExportJSONAnnotated(nil, nil)
-}
-
-// ExportJSONAnnotated is ExportJSON with cost annotations injected from
-// an overlay: cardOf maps a group to its estimated cardinality and
-// localOf an operator to its local cost. Either may be nil, falling
-// back to the memo's own annotation fields.
+// ExportJSONAnnotated serializes the counted space — every group, every
+// physical operator with its N(v), and the materialized candidate links
+// — annotated with costs from an overlay (the memo itself carries
+// none): cardOf maps a group to its estimated cardinality and localOf
+// an operator to its local cost.
 func (s *Space) ExportJSONAnnotated(cardOf func(*memo.Group) float64, localOf func(*memo.Expr) float64) ([]byte, error) {
-	if cardOf == nil {
-		cardOf = func(g *memo.Group) float64 { return g.Card }
-	}
-	if localOf == nil {
-		localOf = func(e *memo.Expr) float64 { return e.LocalCost }
-	}
 	out := Export{TotalPlans: s.total.String(), Arithmetic: s.Arithmetic()}
 	for _, g := range s.Memo.Groups {
 		eg := ExportGroup{

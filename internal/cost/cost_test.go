@@ -251,21 +251,26 @@ func TestCombineFormulas(t *testing.T) {
 		t.Fatal(err)
 	}
 	est := NewEstimator(q, Default())
-	model := NewModel(est)
 
 	// Build a minimal memo by hand: two scans and the three join kinds.
 	m := memo.New(q)
 	g1 := m.NewGroup(memo.GroupScan, algebra.SetOf(0))
 	g2 := m.NewGroup(memo.GroupScan, algebra.SetOf(1))
 	gj := m.NewGroup(memo.GroupJoin, algebra.SetOf(0, 1))
-	g1.Card, g2.Card = est.BaseCard(0), est.BaseCard(1)
-	gj.Card = est.SetCard(algebra.SetOf(0, 1))
 
 	scan1 := m.AddExpr(g1, memo.Expr{Op: memo.TableScan, Scan: &memo.ScanSpec{Rel: q.Rels[0]}})
 	spec := &memo.JoinSpec{Equi: q.Preds}
 	children := []*memo.Group{g1, g2}
 	hj := m.AddExpr(gj, memo.Expr{Op: memo.HashJoin, Children: children, Join: spec})
 	nl := m.AddExpr(gj, memo.Expr{Op: memo.NestedLoopJoin, Children: children, Join: spec})
+
+	tab := NewTables(m)
+	tab.Cards[g1.ID], tab.Cards[g2.ID] = est.BaseCard(0), est.BaseCard(1)
+	tab.Cards[gj.ID] = est.SetCard(algebra.SetOf(0, 1))
+	model := NewModelWith(est, tab)
+	if err := model.FillLocals(m); err != nil {
+		t.Fatal(err)
+	}
 
 	childCosts := []float64{100, 50}
 	hjCost, err := model.Combine(hj, childCosts)
@@ -278,8 +283,8 @@ func TestCombineFormulas(t *testing.T) {
 	}
 	// The NL join re-executes its inner child per outer row: its cost
 	// must include outerCard * innerCost, dominating the hash join.
-	if nlCost < g1.Card*childCosts[1] {
-		t.Errorf("NL cost %g misses the rescan term (outer %g x inner cost %g)", nlCost, g1.Card, childCosts[1])
+	if outer := tab.Cards[g1.ID]; nlCost < outer*childCosts[1] {
+		t.Errorf("NL cost %g misses the rescan term (outer %g x inner cost %g)", nlCost, outer, childCosts[1])
 	}
 	if nlCost <= hjCost {
 		t.Errorf("NL (%g) should dominate hash join (%g) here", nlCost, hjCost)
@@ -317,14 +322,11 @@ func TestLookupJoinCostCrossover(t *testing.T) {
 		t.Fatal(err)
 	}
 	est := NewEstimator(q, Default())
-	model := NewModel(est)
 
 	m := memo.New(q)
 	gOuter := m.NewGroup(memo.GroupScan, algebra.SetOf(0))
 	gInner := m.NewGroup(memo.GroupScan, algebra.SetOf(1))
 	gj := m.NewGroup(memo.GroupJoin, algebra.SetOf(0, 1))
-	gInner.Card = est.BaseCard(1)
-	gj.Card = est.SetCard(algebra.SetOf(0, 1))
 
 	spec := &memo.JoinSpec{Equi: q.Preds}
 	lk, rk := spec.Keys(algebra.SetOf(0))
@@ -334,8 +336,16 @@ func TestLookupJoinCostCrossover(t *testing.T) {
 	})
 	hj := m.AddExpr(gj, memo.Expr{Op: memo.HashJoin, Children: []*memo.Group{gOuter, gInner}, Join: spec})
 
+	tab := NewTables(m)
+	tab.Cards[gInner.ID] = est.BaseCard(1)
+	tab.Cards[gj.ID] = est.SetCard(algebra.SetOf(0, 1))
+	model := NewModelWith(est, tab)
+
 	costAt := func(outerCard float64) (lkC, hjC float64) {
-		gOuter.Card = outerCard
+		tab.Cards[gOuter.ID] = outerCard
+		if err := model.FillLocals(m); err != nil {
+			t.Fatal(err)
+		}
 		var err error
 		lkC, err = model.Combine(lookup, []float64{10})
 		if err != nil {
@@ -368,7 +378,6 @@ func TestSortSpillPenalty(t *testing.T) {
 		t.Fatal(err)
 	}
 	est := NewEstimator(q, Default())
-	model := NewModel(est)
 	m := memo.New(q)
 	g := m.NewGroup(memo.GroupScan, algebra.SetOf(0))
 	sortExpr := m.AddExpr(g, memo.Expr{
@@ -376,12 +385,14 @@ func TestSortSpillPenalty(t *testing.T) {
 		SortOrder: algebra.Ordering{{Col: q.Rels[0].Cols[0].ID}},
 		Delivered: algebra.Ordering{{Col: q.Rels[0].Cols[0].ID}},
 	})
-	g.Card = 1000
+	tab := NewTables(m)
+	model := NewModelWith(est, tab)
+	tab.Cards[g.ID] = 1000
 	small, err := model.Local(sortExpr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	g.Card = 10_000_000 // far past MemoryPages at 64B rows
+	tab.Cards[g.ID] = 10_000_000 // far past MemoryPages at 64B rows
 	big, err := model.Local(sortExpr)
 	if err != nil {
 		t.Fatal(err)

@@ -16,37 +16,37 @@ import (
 // that cost uniformly sampled plans.
 //
 // A Model reads cardinalities and memoized local costs from an overlay
-// (cost.Tables) when one is attached — the production path, where many
-// costings share one immutable memo — and falls back to the annotation
-// fields on the memo itself (memo.Group.Card, memo.Expr.LocalCost) when
-// built bare with NewModel, the path unit tests and ad-hoc costings use.
+// (cost.Tables), so many costings can share one immutable memo.
 type Model struct {
 	P   Params
 	Est *Estimator
 
-	tab *Tables // nil: read the memo's own annotation fields
+	tab *Tables
 }
 
-// NewModel returns a model bound to an estimator, reading cardinalities
-// from the memo's annotation fields.
-func NewModel(est *Estimator) *Model { return &Model{P: est.P, Est: est} }
-
 // NewModelWith returns a model reading cardinalities and local costs
-// from the given overlay instead of the memo's fields.
+// from the given overlay.
 func NewModelWith(est *Estimator, tab *Tables) *Model {
 	return &Model{P: est.P, Est: est, tab: tab}
 }
 
-// Tables returns the model's overlay (nil for a bare model).
-func (m *Model) Tables() *Tables { return m.tab }
+// CardOf returns the overlay's estimated output cardinality of a group.
+func (m *Model) CardOf(g *memo.Group) float64 { return m.tab.CardOf(g) }
 
-// CardOf returns the estimated output cardinality of a group — from the
-// overlay when present, else the group's annotation field.
-func (m *Model) CardOf(g *memo.Group) float64 {
-	if m.tab != nil {
-		return m.tab.CardOf(g)
+// FillLocals computes every physical operator's local cost in mem into
+// the overlay, from the overlay's cardinalities; Combine reads them
+// back instead of re-deriving them for every plan it costs.
+func (m *Model) FillLocals(mem *memo.Memo) error {
+	for _, g := range mem.Groups {
+		for _, e := range g.Physical {
+			lc, err := m.Local(e)
+			if err != nil {
+				return err
+			}
+			m.tab.Locals[e.ID] = lc
+		}
 	}
-	return g.Card
+	return nil
 }
 
 // Combine returns the full cost of the plan rooted at e given the full
@@ -59,19 +59,10 @@ func (m *Model) Combine(e *memo.Expr, childCosts []float64) (float64, error) {
 		return 0, fmt.Errorf("cost: operator %s has %d children, got %d child costs",
 			e.Name(), len(e.Children), len(childCosts))
 	}
-	var local float64
-	switch {
-	case m.tab != nil && e.ID < len(m.tab.Locals):
-		local = m.tab.Locals[e.ID]
-	case m.tab == nil && e.LocalCostValid:
-		local = e.LocalCost
-	default:
-		// Bare expressions (unit tests, ad-hoc costing) derive it live.
-		var err error
-		if local, err = m.Local(e); err != nil {
-			return 0, err
-		}
+	if e.ID >= len(m.tab.Locals) {
+		return 0, fmt.Errorf("cost: operator %s (expr %d) is outside the overlay's memo", e.Name(), e.ID)
 	}
+	local := m.tab.Locals[e.ID]
 	if e.Op == memo.NestedLoopJoin {
 		outer := m.CardOf(e.Children[0])
 		rescans := math.Max(1, outer)

@@ -3,9 +3,8 @@ package cost
 import "repro/internal/memo"
 
 // Tables is a cost overlay over a shared memo: the per-group estimated
-// cardinalities and per-operator local costs that used to be written
-// into the memo itself (memo.Group.Card, memo.Expr.LocalCost). Moving
-// them into an overlay lets any number of costings — different cost
+// cardinalities and per-operator local costs. Keeping them out of the
+// memo lets any number of costings — different cost
 // parameters, different statistics versions, different feedback epochs
 // — coexist over one immutable counted structure without mutating it.
 //

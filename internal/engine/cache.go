@@ -54,19 +54,71 @@ type CacheStats struct {
 	Shards []ShardStats `json:"shards,omitempty"`
 }
 
-// cacheEntry is one fingerprint's slot. It is inserted before the build
-// runs so that concurrent Prepare calls for the same fingerprint find it
-// and wait on ready instead of counting the space a second time
-// (singleflight semantics). After ready closes, space/err are immutable.
-type cacheEntry struct {
-	fp      Fingerprint
-	version uint64 // catalog schema version the space was built against
-	bytes   int64  // estimated size, set when the build completes
-	elem    *list.Element
-
+// flight is one singleflight build slot, the mechanism both cache tiers
+// share. It is published under the shard lock before its build runs, so
+// concurrent callers for the same fingerprint find it and wait on ready
+// instead of building a second time. After ready closes, val and err
+// are immutable.
+type flight[T any] struct {
 	ready chan struct{}
-	space *StructureSpace
+	val   T
 	err   error
+}
+
+func newFlight[T any]() flight[T] { return flight[T]{ready: make(chan struct{})} }
+
+// done reports whether the build has completed.
+func (f *flight[T]) done() bool {
+	select {
+	case <-f.ready:
+		return true
+	default:
+		return false
+	}
+}
+
+// wait blocks until the build completes and returns its result.
+func (f *flight[T]) wait() (T, error) {
+	<-f.ready
+	return f.val, f.err
+}
+
+// run executes build and completes the flight on success, error, and
+// panic alike, then calls settle with the shard lock held so the tier
+// can charge, keep, or drop the result. The completion must not be
+// skipped: a slot whose ready channel never closes would wedge every
+// current and future waiter on its fingerprint (net/http recovers
+// handler panics, so the server would otherwise keep running with a
+// poisoned slot). A panic fails the slot for every waiter and then
+// propagates to this caller.
+func (f *flight[T]) run(sh *cacheShard, fp Fingerprint, build func() (T, error), settle func(T, error)) (val T, err error) {
+	finished := false
+	defer func() {
+		if !finished {
+			err = fmt.Errorf("engine: build panicked for fingerprint %s", fp)
+		}
+		sh.mu.Lock()
+		f.val, f.err = val, err
+		close(f.ready)
+		settle(val, err)
+		sh.mu.Unlock()
+	}()
+	val, err = build()
+	finished = true
+	return val, err
+}
+
+// cacheEntry is one structure fingerprint's slot. Its overlays map
+// holds the cost overlays built over the structure, keyed by overlay
+// fingerprint and guarded by the shard lock; they live exactly as long
+// as the entry.
+type cacheEntry struct {
+	flight[*StructureSpace]
+	fp       Fingerprint
+	version  uint64 // catalog schema version the space was built against
+	bytes    int64  // estimated structure size, set when the build completes
+	elem     *list.Element
+	overlays map[Fingerprint]*overlayEntry
 }
 
 // cacheShard is one shared-nothing slice of the cache: its own mutex,
@@ -75,21 +127,15 @@ type cacheEntry struct {
 // lock.
 type cacheShard struct {
 	mu       sync.Mutex
-	owner    *SpaceCache
 	cap      int
 	maxBytes int64 // 0 = unlimited
-	bytes    int64 // estimated bytes of ready entries
+	bytes    int64 // estimated structure bytes of ready entries
 	entries  map[Fingerprint]*cacheEntry
 	lru      *list.List // front = most recently used; values are *cacheEntry
 	version  uint64     // newest catalog schema version observed
 
-	// removed accumulates fingerprints dropped while the shard lock is
-	// held; callers drain it after unlocking and notify the cache's
-	// removal listeners (the overlay cache couples overlay lifetime to
-	// structure lifetime through this).
-	removed []Fingerprint
-
 	hits, misses, evictions, invalidations uint64
+	ovHits, ovMisses, ovInvalidations      uint64 // overlay lookups in this shard's entries
 }
 
 // SpaceCache is a concurrency-safe LRU of counted plan spaces keyed by
@@ -100,30 +146,19 @@ type cacheShard struct {
 // least-recently-used spaces beyond its capacity and byte-budget slice,
 // and drops every stale space the moment it observes a newer catalog
 // schema version (table/column/index changes — a statistics refresh
-// only invalidates cost overlays, never structures). A single cache may
-// be shared by any number of Engines and Sessions.
+// only invalidates cost overlays, never structures). Each entry also
+// carries the cost overlays of its structure (see overlay.go), so an
+// overlay never outlives, and never pins, an evicted structure. A
+// single cache may be shared by any number of Engines and Sessions.
 type SpaceCache struct {
 	shards []*cacheShard
 
 	// version is the newest catalog schema version any caller has presented.
 	// A bump broadcasts invalidation to every shard immediately (see
-	// GetOrBuild) — stale spaces must release their memory promptly,
+	// entry) — stale spaces must release their memory promptly,
 	// not only when their own shard next sees traffic — while the
 	// steady state stays a single atomic load per lookup.
 	version atomic.Uint64
-
-	// listeners are notified (outside any shard lock) for every entry
-	// the cache drops — eviction, invalidation, or failed build. The
-	// engine registers its OverlayCache here so cost overlays never
-	// outlive the structure they were built over (an overlay pins its
-	// structure's memo; without the hook an evicted structure would
-	// stay resident, unaccounted, for as long as any overlay cached
-	// over it survived). Registration is keyed so that any number of
-	// engines sharing one (SpaceCache, OverlayCache) pair register a
-	// single listener — repeated engine.New over shared caches must not
-	// grow this map.
-	listenerMu sync.Mutex
-	listeners  map[any]func(Fingerprint)
 }
 
 // NewSpaceCache returns a cache holding at most capacity counted spaces
@@ -155,7 +190,6 @@ func NewSpaceCacheSharded(capacity, shards int) *SpaceCache {
 	perBytes := int64(DefaultCacheBytes) / int64(shards)
 	for i := range c.shards {
 		c.shards[i] = &cacheShard{
-			owner:    c,
 			cap:      per,
 			maxBytes: perBytes,
 			entries:  make(map[Fingerprint]*cacheEntry),
@@ -163,56 +197,6 @@ func NewSpaceCacheSharded(capacity, shards int) *SpaceCache {
 		}
 	}
 	return c
-}
-
-// AddRemoveListener registers fn under key to be called (outside the
-// shard locks) with the fingerprint of every entry the cache drops.
-// Re-registering an existing key replaces its listener instead of
-// accumulating — engine.New uses the engine's OverlayCache as the key,
-// so engine churn over shared caches keeps exactly one listener per
-// distinct overlay cache. RemoveListener drops a key (callers retiring
-// a shared cache's engine should pair the two).
-func (c *SpaceCache) AddRemoveListener(key any, fn func(Fingerprint)) {
-	c.listenerMu.Lock()
-	if c.listeners == nil {
-		c.listeners = make(map[any]func(Fingerprint))
-	}
-	c.listeners[key] = fn
-	c.listenerMu.Unlock()
-}
-
-// RemoveListener unregisters the listener stored under key.
-func (c *SpaceCache) RemoveListener(key any) {
-	c.listenerMu.Lock()
-	delete(c.listeners, key)
-	c.listenerMu.Unlock()
-}
-
-// notifyRemoved fans dropped fingerprints out to the listeners. Must
-// be called without any shard lock held.
-func (c *SpaceCache) notifyRemoved(fps []Fingerprint) {
-	if len(fps) == 0 {
-		return
-	}
-	c.listenerMu.Lock()
-	listeners := make([]func(Fingerprint), 0, len(c.listeners))
-	for _, fn := range c.listeners {
-		listeners = append(listeners, fn)
-	}
-	c.listenerMu.Unlock()
-	for _, fn := range listeners {
-		for _, fp := range fps {
-			fn(fp)
-		}
-	}
-}
-
-// drainRemovedLocked hands back the shard's pending removal
-// notifications (call while holding sh.mu; notify after unlocking).
-func (sh *cacheShard) drainRemovedLocked() []Fingerprint {
-	fps := sh.removed
-	sh.removed = nil
-	return fps
 }
 
 // shardFor routes a fingerprint to its shard by prefix. The fingerprint
@@ -240,9 +224,7 @@ func (c *SpaceCache) SetByteBudget(n int64) {
 		sh.mu.Lock()
 		sh.maxBytes = per
 		sh.evictLocked()
-		removed := sh.drainRemovedLocked()
 		sh.mu.Unlock()
-		c.notifyRemoved(removed)
 	}
 }
 
@@ -264,12 +246,9 @@ func (c *SpaceCache) Stats() CacheStats {
 			BytesCached:   sh.bytes,
 		}
 		for _, e := range sh.entries {
-			select {
-			case <-e.ready:
-				if e.err == nil && e.space != nil && e.space.Space != nil {
-					st.Arithmetic[e.space.Space.Arithmetic()]++
-				}
-			default: // still building; tier unknown
+			// An entry still building has no tier yet.
+			if e.done() && e.err == nil && e.val != nil && e.val.Space != nil {
+				st.Arithmetic[e.val.Space.Arithmetic()]++
 			}
 		}
 		sh.mu.Unlock()
@@ -307,51 +286,61 @@ func (c *SpaceCache) Invalidate(version uint64) {
 	for _, sh := range c.shards {
 		sh.mu.Lock()
 		sh.invalidateLocked(version)
-		removed := sh.drainRemovedLocked()
 		sh.mu.Unlock()
-		c.notifyRemoved(removed)
 	}
 }
 
-// GetOrBuild returns the space for fp, building it with build on a miss.
-// version is the current catalog schema version; observing a newer version than
-// any seen before broadcasts invalidation to every shard (an atomic
-// check keeps the no-bump steady state off the other shards' locks).
-// Exactly one caller runs build per miss — every other concurrent
-// caller for the same fingerprint blocks until that build finishes and
-// then shares the result (counted spaces are immutable and safe to
-// share). A failed build is not cached: the error is returned to
-// everyone waiting and the next call retries.
-func (c *SpaceCache) GetOrBuild(fp Fingerprint, version uint64, build func() (*StructureSpace, error)) (*StructureSpace, bool, error) {
+// entry returns the cache entry for fp, building its space with build
+// on a miss; the entry is the handle the structure's overlay lookups go
+// through. version is the current catalog schema version; observing a
+// newer version than any seen before broadcasts invalidation to every
+// shard (an atomic check keeps the no-bump steady state off the other
+// shards' locks). Exactly one caller runs build per miss — every other
+// concurrent caller for the same fingerprint blocks until that build
+// finishes and then shares the result (counted spaces are immutable
+// and safe to share). A failed build is not cached: the error is
+// returned to everyone waiting and the next call retries.
+func (c *SpaceCache) entry(fp Fingerprint, version uint64, build func() (*StructureSpace, error)) (*cacheEntry, bool, error) {
 	if version > c.version.Load() {
 		c.Invalidate(version)
 	}
-	return c.shardFor(fp).getOrBuild(fp, version, build)
-}
-
-func (sh *cacheShard) getOrBuild(fp Fingerprint, version uint64, build func() (*StructureSpace, error)) (*StructureSpace, bool, error) {
+	sh := c.shardFor(fp)
 	sh.mu.Lock()
 	sh.invalidateLocked(version)
 	if e, ok := sh.entries[fp]; ok {
 		sh.hits++
 		sh.lru.MoveToFront(e.elem)
-		removed := sh.drainRemovedLocked()
 		sh.mu.Unlock()
-		sh.owner.notifyRemoved(removed)
-		<-e.ready
-		return e.space, true, e.err
+		_, err := e.wait()
+		return e, true, err
 	}
-	e := &cacheEntry{fp: fp, version: version, ready: make(chan struct{})}
+	e := &cacheEntry{
+		flight:   newFlight[*StructureSpace](),
+		fp:       fp,
+		version:  version,
+		overlays: make(map[Fingerprint]*overlayEntry),
+	}
 	e.elem = sh.lru.PushFront(e)
 	sh.entries[fp] = e
 	sh.misses++
 	sh.evictLocked()
-	removed := sh.drainRemovedLocked()
 	sh.mu.Unlock()
-	sh.owner.notifyRemoved(removed)
 
-	space, err := sh.runBuild(e, build)
-	return space, false, err
+	_, err := e.run(sh, fp, build, func(space *StructureSpace, err error) {
+		switch {
+		case !sh.residentLocked(e):
+			// Evicted or invalidated while building; nothing to settle.
+		case err != nil:
+			sh.removeLocked(e) // failed builds are not cached
+		default:
+			// The size is only known now that the space exists: charge
+			// it and shed colder entries if the budget is blown.
+			e.bytes = space.SizeBytes()
+			sh.bytes += e.bytes
+			sh.evictLocked()
+		}
+	})
+	return e, false, err
 }
 
 func (sh *cacheShard) invalidateLocked(version uint64) {
@@ -363,9 +352,7 @@ func (sh *cacheShard) invalidateLocked(version uint64) {
 		if e.version >= version {
 			continue
 		}
-		select {
-		case <-e.ready:
-		default:
+		if !e.done() {
 			continue // still building; its builder removes it on error, LRU handles the rest
 		}
 		sh.removeLocked(e)
@@ -373,53 +360,23 @@ func (sh *cacheShard) invalidateLocked(version uint64) {
 	}
 }
 
+// residentLocked reports whether e still owns its fingerprint's slot
+// (it may have been evicted or invalidated since it was found).
+func (sh *cacheShard) residentLocked(e *cacheEntry) bool { return sh.entries[e.fp] == e }
+
 // removeLocked drops an entry from the map, the LRU, and the byte
-// accounting (in-flight entries carry zero bytes until they complete),
-// and queues the removal notification.
+// accounting (in-flight entries carry zero bytes until they complete).
+// Its completed overlays go with it and count as overlay
+// invalidations; overlays still building count when they complete.
 func (sh *cacheShard) removeLocked(e *cacheEntry) {
 	delete(sh.entries, e.fp)
 	sh.lru.Remove(e.elem)
 	sh.bytes -= e.bytes
-	sh.removed = append(sh.removed, e.fp)
-}
-
-// runBuild executes build and completes the entry — on success, on
-// error, and on panic alike. The completion must not be skipped: an
-// entry whose ready channel never closes would wedge every current and
-// future waiter on its fingerprint (net/http recovers handler panics,
-// so the server would otherwise keep running with a poisoned slot).
-func (sh *cacheShard) runBuild(e *cacheEntry, build func() (*StructureSpace, error)) (space *StructureSpace, err error) {
-	finished := false
-	defer func() {
-		if !finished {
-			// build panicked; fail the entry for everyone waiting and
-			// let the panic propagate to this caller.
-			err = fmt.Errorf("engine: space build panicked for fingerprint %s", e.fp)
+	for _, o := range e.overlays {
+		if o.done() {
+			sh.ovInvalidations++
 		}
-		sh.mu.Lock()
-		e.space, e.err = space, err
-		close(e.ready)
-		if err != nil {
-			// Failed builds are not cached — but only remove the entry
-			// if it still owns the slot (it may already have been
-			// LRU-evicted or invalidated).
-			if cur, ok := sh.entries[e.fp]; ok && cur == e {
-				sh.removeLocked(e)
-			}
-		} else if cur, ok := sh.entries[e.fp]; ok && cur == e {
-			// The size is only known now that the space exists: charge
-			// it and shed colder entries if the budget is blown.
-			e.bytes = space.SizeBytes()
-			sh.bytes += e.bytes
-			sh.evictLocked()
-		}
-		removed := sh.drainRemovedLocked()
-		sh.mu.Unlock()
-		sh.owner.notifyRemoved(removed)
-	}()
-	space, err = build()
-	finished = true
-	return space, err
+	}
 }
 
 // evictLocked trims the LRU while the shard exceeds its entry cap or
@@ -435,12 +392,9 @@ func (sh *cacheShard) evictLocked() {
 	}
 	for elem := sh.lru.Back(); elem != nil && elem != sh.lru.Front() && over(); {
 		prev := elem.Prev()
-		e := elem.Value.(*cacheEntry)
-		select {
-		case <-e.ready:
+		if e := elem.Value.(*cacheEntry); e.done() {
 			sh.removeLocked(e)
 			sh.evictions++
-		default:
 		}
 		elem = prev
 	}

@@ -17,45 +17,95 @@ func fp(b byte) Fingerprint {
 	return f
 }
 
-// TestCacheSingleflight: concurrent GetOrBuild calls for one fingerprint
-// run the builder exactly once and share the resulting space.
-func TestCacheSingleflight(t *testing.T) {
-	c := NewSpaceCache(4)
-	var builds atomic.Int64
-	want := &StructureSpace{}
-	const goroutines = 32
+// tier drives one of the cache's two singleflight tiers through a
+// common shape, so one test body covers both: get looks up slot b and
+// runs build on a miss; stats reads the tier's counters. The overlay
+// tier's slots live in the entry of one resident structure.
+type tier struct {
+	name  string
+	get   func(c *SpaceCache, b byte, build func() error) (any, bool, error)
+	stats func(c *SpaceCache) (hits, misses uint64, entries int)
+}
 
-	var wg sync.WaitGroup
-	spaces := make([]*StructureSpace, goroutines)
-	for i := 0; i < goroutines; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			ps, _, err := c.GetOrBuild(fp(1), 1, func() (*StructureSpace, error) {
-				builds.Add(1)
-				time.Sleep(20 * time.Millisecond) // widen the race window
-				return want, nil
+var tiers = []tier{
+	{
+		name: "structure",
+		get: func(c *SpaceCache, b byte, build func() error) (any, bool, error) {
+			e, cached, err := c.entry(fp(b), 1, func() (*StructureSpace, error) {
+				if err := build(); err != nil {
+					return nil, err
+				}
+				return &StructureSpace{}, nil
 			})
+			return e.val, cached, err
+		},
+		stats: func(c *SpaceCache) (uint64, uint64, int) {
+			st := c.Stats()
+			return st.Hits, st.Misses, st.Entries
+		},
+	},
+	{
+		name: "overlay",
+		get: func(c *SpaceCache, b byte, build func() error) (any, bool, error) {
+			e, _, err := c.entry(fp(0), 1, func() (*StructureSpace, error) { return &StructureSpace{}, nil })
 			if err != nil {
-				t.Error(err)
-				return
+				return nil, false, err
 			}
-			spaces[i] = ps
-		}(i)
-	}
-	wg.Wait()
+			return c.overlay(e, fp(b), overlayKey{}, func() (*CostOverlay, error) {
+				if err := build(); err != nil {
+					return nil, err
+				}
+				return &CostOverlay{}, nil
+			})
+		},
+		stats: func(c *SpaceCache) (uint64, uint64, int) {
+			st := OverlayView{c}.Stats()
+			return st.Hits, st.Misses, st.Entries
+		},
+	},
+}
 
-	if n := builds.Load(); n != 1 {
-		t.Fatalf("builder ran %d times for one fingerprint, want 1", n)
-	}
-	for i, ps := range spaces {
-		if ps != want {
-			t.Fatalf("goroutine %d got a different space", i)
-		}
-	}
-	st := c.Stats()
-	if st.Misses != 1 || st.Hits != goroutines-1 {
-		t.Errorf("stats = %+v, want 1 miss and %d hits", st, goroutines-1)
+// TestCacheSingleflight: concurrent lookups of one fingerprint run the
+// builder exactly once and share the result, in both tiers.
+func TestCacheSingleflight(t *testing.T) {
+	for _, tr := range tiers {
+		t.Run(tr.name, func(t *testing.T) {
+			c := NewSpaceCache(4)
+			var builds atomic.Int64
+			const goroutines = 32
+
+			var wg sync.WaitGroup
+			vals := make([]any, goroutines)
+			for i := 0; i < goroutines; i++ {
+				wg.Add(1)
+				go func(i int) {
+					defer wg.Done()
+					v, _, err := tr.get(c, 1, func() error {
+						builds.Add(1)
+						time.Sleep(20 * time.Millisecond) // widen the race window
+						return nil
+					})
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					vals[i] = v
+				}(i)
+			}
+			wg.Wait()
+
+			if n := builds.Load(); n != 1 {
+				t.Fatalf("builder ran %d times for one fingerprint, want 1", n)
+			}
+			for i, v := range vals {
+				if v != vals[0] {
+					t.Fatalf("goroutine %d got a different value", i)
+				}
+			}
+			if hits, misses, _ := tr.stats(c); misses != 1 || hits != goroutines-1 {
+				t.Errorf("hits/misses = %d/%d, want %d/1", hits, misses, goroutines-1)
+			}
+		})
 	}
 }
 
@@ -66,13 +116,13 @@ func TestCacheLRUEviction(t *testing.T) {
 	c := NewSpaceCacheSharded(2, 1)
 	get := func(b byte) (*StructureSpace, bool) {
 		t.Helper()
-		ps, cached, err := c.GetOrBuild(fp(b), 1, func() (*StructureSpace, error) {
+		e, cached, err := c.entry(fp(b), 1, func() (*StructureSpace, error) {
 			return &StructureSpace{}, nil
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return ps, cached
+		return e.val, cached
 	}
 
 	get(1)
@@ -97,30 +147,34 @@ func TestCacheLRUEviction(t *testing.T) {
 }
 
 // TestCacheErrorNotCached: a failed build is reported to the caller and
-// retried on the next request rather than cached.
+// retried on the next request rather than cached, in both tiers.
 func TestCacheErrorNotCached(t *testing.T) {
-	c := NewSpaceCache(2)
-	boom := errors.New("bind failed")
-	var builds int
-	_, _, err := c.GetOrBuild(fp(9), 1, func() (*StructureSpace, error) {
-		builds++
-		return nil, boom
-	})
-	if !errors.Is(err, boom) {
-		t.Fatalf("err = %v, want %v", err, boom)
-	}
-	if st := c.Stats(); st.Entries != 0 {
-		t.Fatalf("failed build left %d entries", st.Entries)
-	}
-	ps, _, err := c.GetOrBuild(fp(9), 1, func() (*StructureSpace, error) {
-		builds++
-		return &StructureSpace{}, nil
-	})
-	if err != nil || ps == nil {
-		t.Fatalf("retry failed: %v", err)
-	}
-	if builds != 2 {
-		t.Errorf("builds = %d, want 2 (error must not be cached)", builds)
+	for _, tr := range tiers {
+		t.Run(tr.name, func(t *testing.T) {
+			c := NewSpaceCache(2)
+			boom := errors.New("build failed")
+			var builds int
+			_, _, err := tr.get(c, 9, func() error {
+				builds++
+				return boom
+			})
+			if !errors.Is(err, boom) {
+				t.Fatalf("err = %v, want %v", err, boom)
+			}
+			if _, _, entries := tr.stats(c); entries != 0 {
+				t.Fatalf("failed build left %d entries", entries)
+			}
+			_, cached, err := tr.get(c, 9, func() error {
+				builds++
+				return nil
+			})
+			if err != nil || cached {
+				t.Fatalf("retry: cached=%v err=%v, want a fresh build", cached, err)
+			}
+			if builds != 2 {
+				t.Errorf("builds = %d, want 2 (error must not be cached)", builds)
+			}
+		})
 	}
 }
 
@@ -131,13 +185,13 @@ func TestCacheInvalidation(t *testing.T) {
 	// broadcast case is TestCacheShardedInvalidation.
 	c := NewSpaceCacheSharded(8, 1)
 	build := func() (*StructureSpace, error) { return &StructureSpace{}, nil }
-	if _, _, err := c.GetOrBuild(fp(1), 1, build); err != nil {
+	if _, _, err := c.entry(fp(1), 1, build); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := c.GetOrBuild(fp(2), 1, build); err != nil {
+	if _, _, err := c.entry(fp(2), 1, build); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := c.GetOrBuild(fp(3), 2, build); err != nil {
+	if _, _, err := c.entry(fp(3), 2, build); err != nil {
 		t.Fatal(err)
 	}
 	st := c.Stats()
@@ -159,51 +213,107 @@ func TestCacheInvalidation(t *testing.T) {
 	}
 }
 
-// TestCachePanicDoesNotWedge: a panicking build must fail the entry —
+// TestCachePanicDoesNotWedge: a panicking build must fail the slot —
 // closing ready for any waiters and freeing the slot — instead of
-// leaving every future caller of the fingerprint blocked forever.
+// leaving every future caller of the fingerprint blocked forever, in
+// both tiers.
 func TestCachePanicDoesNotWedge(t *testing.T) {
-	c := NewSpaceCache(2)
-	release := make(chan struct{})
-	waiterErr := make(chan error, 1)
-	go func() {
-		// Arrive once the panicking build is in flight. Almost always
-		// this call blocks on the in-flight entry and must receive its
-		// error; if scheduling delays it past the cleanup it builds
-		// fresh and succeeds — either way it must return promptly
-		// rather than wedge.
-		<-release
-		_, _, err := c.GetOrBuild(fp(5), 1, func() (*StructureSpace, error) {
-			return &StructureSpace{}, nil
-		})
-		waiterErr <- err
-	}()
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("panic did not propagate to the building caller")
+	for _, tr := range tiers {
+		t.Run(tr.name, func(t *testing.T) {
+			c := NewSpaceCache(2)
+			release := make(chan struct{})
+			waiterErr := make(chan error, 1)
+			go func() {
+				// Arrive once the panicking build is in flight. Almost
+				// always this call blocks on the in-flight slot and must
+				// receive its error; if scheduling delays it past the
+				// cleanup it builds fresh and succeeds — either way it
+				// must return promptly rather than wedge.
+				<-release
+				_, _, err := tr.get(c, 5, func() error { return nil })
+				waiterErr <- err
+			}()
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Error("panic did not propagate to the building caller")
+					}
+				}()
+				tr.get(c, 5, func() error {
+					close(release) // the waiter may now pile on
+					time.Sleep(50 * time.Millisecond)
+					panic("build exploded")
+				})
+			}()
+			select {
+			case <-waiterErr: // returned — with the build error or a fresh build
+			case <-time.After(5 * time.Second):
+				t.Fatal("waiter wedged on a panicked build")
 			}
-		}()
-		c.GetOrBuild(fp(5), 1, func() (*StructureSpace, error) {
-			close(release) // the waiter may now pile on
-			time.Sleep(50 * time.Millisecond)
-			panic("bind exploded")
+			// The slot is free: the next call rebuilds successfully.
+			if _, _, err := tr.get(c, 5, func() error { return nil }); err != nil {
+				t.Fatalf("rebuild after panic failed: %v", err)
+			}
+			if _, _, entries := tr.stats(c); entries != 1 {
+				t.Errorf("entries = %d after recovery, want 1", entries)
+			}
 		})
-	}()
-	select {
-	case <-waiterErr: // returned — with the build error or a fresh build
-	case <-time.After(5 * time.Second):
-		t.Fatal("waiter wedged on a panicked build")
 	}
-	// The slot is free: the next call rebuilds successfully.
-	ps, _, err := c.GetOrBuild(fp(5), 1, func() (*StructureSpace, error) {
-		return &StructureSpace{}, nil
+}
+
+// TestOverlayBuildOutlivesEvictedStructure: a structure evicted while
+// one of its overlays is being built hands the overlay to the build's
+// waiters, and neither the structure nor the overlay is put back in
+// the cache.
+func TestOverlayBuildOutlivesEvictedStructure(t *testing.T) {
+	c := NewSpaceCacheSharded(1, 1)
+	newStructure := func() (*StructureSpace, error) { return &StructureSpace{}, nil }
+	e, _, err := c.entry(fp(1), 1, newStructure)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := &CostOverlay{}
+	started, release := make(chan struct{}), make(chan struct{})
+	got := make(chan *CostOverlay, 2) // the builder and one waiter
+	lookup := func(build func() (*CostOverlay, error)) {
+		ov, _, err := c.overlay(e, fp(9), overlayKey{}, build)
+		if err != nil {
+			t.Error(err)
+		}
+		got <- ov
+	}
+	go lookup(func() (*CostOverlay, error) {
+		close(started)
+		<-release
+		return want, nil
 	})
-	if err != nil || ps == nil {
-		t.Fatalf("rebuild after panic failed: %v", err)
+	<-started
+	go lookup(func() (*CostOverlay, error) {
+		t.Error("a waiter rebuilt an overlay already in flight")
+		return nil, errors.New("second build")
+	})
+	overlays := OverlayView{c}
+	for deadline := time.Now().Add(5 * time.Second); overlays.Stats().Hits == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("waiter never joined the in-flight overlay build")
+		}
 	}
-	if st := c.Stats(); st.Entries != 1 {
-		t.Errorf("entries = %d after recovery, want 1", st.Entries)
+
+	// A second structure evicts the first (capacity one) mid-build.
+	if _, _, err := c.entry(fp(2), 1, newStructure); err != nil {
+		t.Fatal(err)
+	}
+	close(release)
+	for i := 0; i < 2; i++ {
+		if ov := <-got; ov != want {
+			t.Errorf("lookup %d got %p, want the built overlay %p", i, ov, want)
+		}
+	}
+	if st := overlays.Stats(); st.Entries != 0 || st.Invalidations != 1 {
+		t.Errorf("overlay stats = %+v, want 0 entries and 1 invalidation", st)
+	}
+	if _, cached, _ := c.entry(fp(1), 1, newStructure); cached {
+		t.Error("the evicted structure was put back in the cache")
 	}
 }
 
@@ -215,13 +325,13 @@ func TestCacheByteBudgetEviction(t *testing.T) {
 	c := NewSpaceCacheSharded(100, 1) // one shard: byte eviction order must be exact
 	entry := func(b byte, canonLen int) (*StructureSpace, bool) {
 		t.Helper()
-		ps, cached, err := c.GetOrBuild(fp(b), 1, func() (*StructureSpace, error) {
+		e, cached, err := c.entry(fp(b), 1, func() (*StructureSpace, error) {
 			return &StructureSpace{Canonical: string(make([]byte, canonLen))}, nil
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return ps, cached
+		return e.val, cached
 	}
 	one := (&StructureSpace{}).SizeBytes() // size of a zero-canonical entry
 	c.SetByteBudget(2*one + one/2)         // room for two, not three
@@ -267,7 +377,7 @@ func TestCacheByteBudgetEviction(t *testing.T) {
 func TestCacheBytesAccounting(t *testing.T) {
 	c := NewSpaceCache(8)
 	for b := byte(1); b <= 3; b++ {
-		c.GetOrBuild(fp(b), 1, func() (*StructureSpace, error) { return &StructureSpace{}, nil })
+		c.entry(fp(b), 1, func() (*StructureSpace, error) { return &StructureSpace{}, nil })
 	}
 	if st := c.Stats(); st.BytesCached <= 0 {
 		t.Fatalf("no bytes accounted: %+v", st)
@@ -276,7 +386,7 @@ func TestCacheBytesAccounting(t *testing.T) {
 	if st := c.Stats(); st.BytesCached != 0 {
 		t.Errorf("bytes not released on invalidation: %+v", st)
 	}
-	c.GetOrBuild(fp(9), 2, func() (*StructureSpace, error) { return nil, errors.New("boom") })
+	c.entry(fp(9), 2, func() (*StructureSpace, error) { return nil, errors.New("boom") })
 	if st := c.Stats(); st.BytesCached != 0 {
 		t.Errorf("failed build left bytes behind: %+v", st)
 	}
@@ -296,7 +406,7 @@ func TestCacheShardDistribution(t *testing.T) {
 		fps = append(fps, structureFingerprintOf(fmt.Sprintf("SELECT %d", i), opt.DefaultOptions().Rules, 1, 1))
 	}
 	for _, f := range fps {
-		if _, _, err := c.GetOrBuild(f, 1, func() (*StructureSpace, error) { return &StructureSpace{}, nil }); err != nil {
+		if _, _, err := c.entry(f, 1, func() (*StructureSpace, error) { return &StructureSpace{}, nil }); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -326,7 +436,7 @@ func TestCacheShardDistribution(t *testing.T) {
 	}
 	// Hits route to the same shard and aggregate.
 	for _, f := range fps {
-		if _, cached, _ := c.GetOrBuild(f, 1, func() (*StructureSpace, error) { return &StructureSpace{}, nil }); !cached {
+		if _, cached, _ := c.entry(f, 1, func() (*StructureSpace, error) { return &StructureSpace{}, nil }); !cached {
 			t.Fatal("expected a cache hit on reinsertion")
 		}
 	}
@@ -336,7 +446,7 @@ func TestCacheShardDistribution(t *testing.T) {
 }
 
 // TestCacheShardedInvalidation: explicit Invalidate broadcasts to every
-// shard, and a newer version observed through GetOrBuild cleans at
+// shard, and a newer version observed through entry cleans at
 // least the accessed shard while fingerprint-embedded versions keep
 // stale spaces unreachable everywhere.
 func TestCacheShardedInvalidation(t *testing.T) {
@@ -346,22 +456,22 @@ func TestCacheShardedInvalidation(t *testing.T) {
 		fps = append(fps, structureFingerprintOf(fmt.Sprintf("SELECT %d", i), opt.DefaultOptions().Rules, 1, 1))
 	}
 	for _, f := range fps {
-		c.GetOrBuild(f, 1, func() (*StructureSpace, error) { return &StructureSpace{}, nil })
+		c.entry(f, 1, func() (*StructureSpace, error) { return &StructureSpace{}, nil })
 	}
 	c.Invalidate(2)
 	st := c.Stats()
 	if st.Entries != 0 {
 		t.Fatalf("explicit Invalidate left %d entries across shards", st.Entries)
 	}
-	// A newer version observed through GetOrBuild broadcasts too: one
+	// A newer version observed through entry broadcasts too: one
 	// request must release stale spaces in every shard, not just the
 	// one its fingerprint hashes to.
 	for _, f := range fps {
-		c.GetOrBuild(f, 2, func() (*StructureSpace, error) { return &StructureSpace{}, nil })
+		c.entry(f, 2, func() (*StructureSpace, error) { return &StructureSpace{}, nil })
 	}
-	c.GetOrBuild(fps[0], 3, func() (*StructureSpace, error) { return &StructureSpace{}, nil })
+	c.entry(fps[0], 3, func() (*StructureSpace, error) { return &StructureSpace{}, nil })
 	if got := c.Stats().Entries; got != 1 {
-		t.Fatalf("version bump via GetOrBuild left %d stale entries resident, want 1", got)
+		t.Fatalf("version bump via entry left %d stale entries resident, want 1", got)
 	}
 	if st.Invalidations != uint64(len(fps)) {
 		t.Fatalf("invalidations = %d, want %d", st.Invalidations, len(fps))
@@ -383,7 +493,7 @@ func TestCacheShardedSingleflight(t *testing.T) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				_, _, err := c.GetOrBuild(f, 1, func() (*StructureSpace, error) {
+				_, _, err := c.entry(f, 1, func() (*StructureSpace, error) {
 					builds.Add(1)
 					time.Sleep(5 * time.Millisecond)
 					return &StructureSpace{}, nil
@@ -410,7 +520,7 @@ func TestCacheShardedByteBudget(t *testing.T) {
 	for i := 0; i < 40; i++ {
 		f := structureFingerprintOf(fmt.Sprintf("SELECT %d", i), opt.DefaultOptions().Rules, 1, 1)
 		fps = append(fps, f)
-		c.GetOrBuild(f, 1, func() (*StructureSpace, error) { return &StructureSpace{}, nil })
+		c.entry(f, 1, func() (*StructureSpace, error) { return &StructureSpace{}, nil })
 	}
 	st := c.Stats()
 	if st.Evictions == 0 {
@@ -424,7 +534,7 @@ func TestCacheShardedByteBudget(t *testing.T) {
 	c.SetByteBudget(0)
 	before := c.Stats().Evictions
 	for _, f := range fps[:8] {
-		c.GetOrBuild(f, 1, func() (*StructureSpace, error) { return &StructureSpace{}, nil })
+		c.entry(f, 1, func() (*StructureSpace, error) { return &StructureSpace{}, nil })
 	}
 	if after := c.Stats().Evictions; after != before {
 		t.Fatalf("byte eviction ran with budget disabled: %d -> %d", before, after)

@@ -4,10 +4,11 @@
 // OPTION (USEPLAN n) extension (Section 4), or plans drawn by uniform
 // sampling (Section 5).
 //
-// Preparation is a staged, cache-aware pipeline over TWO cached layers:
+// Preparation is a staged, cache-aware pipeline over two layers held in
+// ONE cache — each SpaceCache entry carries its structure's overlays:
 //
-//	parse → structure fingerprint → SpaceCache  → [bind → expand → count]
-//	      → overlay  fingerprint  → OverlayCache → [re-cost in place]
+//	parse → structure fingerprint → SpaceCache entry      → [bind → expand → count]
+//	      → overlay  fingerprint  → the entry's overlays → [re-cost in place]
 //
 // The structure layer — the bound query, the expanded MEMO, and the
 // counted space with its unrank tables — depends only on the canonical
@@ -15,9 +16,10 @@
 // every cost-side change. The overlay layer — per-group cardinalities,
 // per-operator costs, the optimal plan and its rank — depends
 // additionally on the cost parameters, the catalog statistics version,
-// and the feedback epoch. A statistics refresh or an applied feedback
-// round therefore re-costs a cached structure in place (milliseconds)
-// instead of re-preparing it (parse, bind, optimize, count).
+// and the feedback store and its epoch. A statistics refresh or an
+// applied feedback round therefore re-costs a cached structure in place
+// (milliseconds) instead of re-preparing it (parse, bind, optimize,
+// count).
 //
 // The feedback epoch is what closes the adaptive re-optimization loop:
 // executions record (operator, estimated vs. observed cardinality)
@@ -27,11 +29,11 @@
 // select a different optimal plan, and runs it, without ever
 // re-enumerating the space.
 //
-// Sessions are the unit of configuration: an Engine owns the database
-// and the shared caches, a Session owns one rule/cost configuration,
-// and Session.Prepare is the single preparation path in the codebase —
-// Engine.Prepare, the experiments, the CLIs, and the plan-space server
-// all go through it.
+// Sessions are the unit of configuration: an Engine owns the database,
+// the shared cache, and the feedback store, a Session owns one
+// rule/cost configuration, and Session.Prepare is the single
+// preparation path in the codebase — Engine.Prepare, the experiments,
+// the CLIs, and the plan-space server all go through it.
 package engine
 
 import (
@@ -55,10 +57,8 @@ import (
 
 // settings collects everything Options can configure.
 type settings struct {
-	opts     opt.Options
-	cache    *SpaceCache
-	overlays *OverlayCache
-	fb       *feedback.Store
+	opts  opt.Options
+	cache *SpaceCache
 }
 
 // Option configures an Engine (and, for the optimizer-facing options,
@@ -81,44 +81,30 @@ func WithCostParams(p cost.Params) Option {
 	return func(s *settings) { s.opts.Params = p }
 }
 
-// WithCache makes the engine serve prepared structures out of c instead
-// of a private cache — the way several engines over one database (or one
-// database under several rule configs) share counting work. Engines
-// sharing a structure cache should share an overlay cache too
-// (WithOverlayCache): the overlay-lifetime listener is registered per
-// overlay cache, and pairing the two keeps one listener per shared
-// cache regardless of engine churn. Ignored by Engine.Session, where
-// the engine's cache is already fixed.
+// WithCache makes the engine serve prepared structures and their cost
+// overlays out of c instead of a private cache — the way several engines
+// over one database (or one database under several rule configs) share
+// counting work. Overlays stay per engine where they must: each engine
+// has its own feedback store, and an overlay's fingerprint names the
+// store whose corrections it was costed with. Ignored by
+// Engine.Session, where the engine's cache is already fixed.
 func WithCache(c *SpaceCache) Option {
 	return func(s *settings) { s.cache = c }
 }
 
-// WithOverlayCache injects a shared cost-overlay cache.
-func WithOverlayCache(c *OverlayCache) Option {
-	return func(s *settings) { s.overlays = c }
-}
-
-// WithFeedbackStore injects a shared feedback store (engines over one
-// catalog should share one store; the default is a private store per
-// engine).
-func WithFeedbackStore(fb *feedback.Store) Option {
-	return func(s *settings) { s.fb = fb }
-}
-
 // Engine plans and executes queries over one database. It owns the
-// structure cache, the overlay cache, and the feedback store shared by
-// all sessions derived from it.
+// plan-space cache and the feedback store shared by all sessions
+// derived from it.
 type Engine struct {
-	db       *storage.DB
-	opts     opt.Options
-	cache    *SpaceCache
-	overlays *OverlayCache
-	fb       *feedback.Store
+	db    *storage.DB
+	opts  opt.Options
+	cache *SpaceCache
+	fb    *feedback.Store
 }
 
-// New returns an engine over db with the default full rule set and
-// private caches (inject shared ones with WithCache / WithOverlayCache /
-// WithFeedbackStore).
+// New returns an engine over db with the default full rule set, a
+// private cache (inject a shared one with WithCache), and a private
+// feedback store.
 func New(db *storage.DB, options ...Option) *Engine {
 	s := settings{opts: opt.DefaultOptions()}
 	for _, o := range options {
@@ -127,44 +113,33 @@ func New(db *storage.DB, options ...Option) *Engine {
 	if s.cache == nil {
 		s.cache = NewSpaceCache(DefaultCacheCapacity)
 	}
-	if s.overlays == nil {
-		s.overlays = NewOverlayCache(DefaultOverlayCapacity)
-	}
-	if s.fb == nil {
-		s.fb = feedback.NewStore()
-	}
-	// Overlays pin the memo of the structure they cost; dropping them
-	// whenever the structure cache drops the structure keeps the
-	// structure byte budget a real bound on resident memory. The
-	// registration is keyed by the overlay cache, so engines sharing
-	// both caches (the recommended sharing shape) register exactly one
-	// listener no matter how many are created.
-	s.cache.AddRemoveListener(s.overlays, s.overlays.DropStructure)
-	return &Engine{db: db, opts: s.opts, cache: s.cache, overlays: s.overlays, fb: s.fb}
+	return &Engine{db: db, opts: s.opts, cache: s.cache, fb: feedback.NewStore()}
 }
 
 // DB returns the engine's database.
 func (e *Engine) DB() *storage.DB { return e.db }
 
-// Cache returns the engine's structure cache (shared by all its
+// Cache returns the engine's plan-space cache (shared by all its
 // sessions).
 func (e *Engine) Cache() *SpaceCache { return e.cache }
 
-// Overlays returns the engine's cost-overlay cache.
-func (e *Engine) Overlays() *OverlayCache { return e.overlays }
+// Overlays returns a read-only view of the cost-overlay counters of the
+// engine's cache.
+func (e *Engine) Overlays() OverlayView { return OverlayView{e.cache} }
 
 // Feedback returns the engine's feedback store.
 func (e *Engine) Feedback() *feedback.Store { return e.fb }
 
 // ApplyFeedback folds all recorded execution observations into active
-// correction factors and bumps the feedback epoch, invalidating every
-// cached cost overlay (structures survive untouched). It returns the
+// correction factors and bumps the feedback epoch, dropping every cost
+// overlay costed under an older epoch of the engine's store (structures
+// survive untouched). It returns the
 // number of correction keys folded and the new epoch. The next Prepare
 // or Execute of any query re-costs its cached structure under the new
 // corrections and may select a different optimal plan.
 func (e *Engine) ApplyFeedback() (folded int, epoch uint64) {
 	folded, epoch = e.fb.Apply()
-	e.overlays.Invalidate(e.db.Catalog().StatsVersion(), epoch)
+	e.cache.dropStaleOverlays(overlayKey{store: e.fb.ID(), statsVersion: e.db.Catalog().StatsVersion(), epoch: epoch})
 	return folded, epoch
 }
 
@@ -277,9 +252,10 @@ func (s *Session) recost(ss *StructureSpace, ofp Fingerprint, epoch uint64, view
 // Prepare runs the staged pipeline. Parsing and fingerprinting always
 // run; binding, expansion, and counting run only when the structure
 // fingerprint misses the SpaceCache, and costing runs only when the
-// overlay fingerprint misses the OverlayCache. Concurrent calls for one
-// fingerprint share a single build at each layer, and all Prepared
-// statements for it share one StructureSpace and one CostOverlay.
+// overlay fingerprint misses the structure entry's overlays. Concurrent
+// calls for one fingerprint share a single build at each layer, and all
+// Prepared statements for it share one StructureSpace and one
+// CostOverlay.
 func (s *Session) Prepare(sqlText string) (*Prepared, error) {
 	stmt, err := sql.Parse(sqlText)
 	if err != nil {
@@ -293,22 +269,23 @@ func (s *Session) Prepare(sqlText string) (*Prepared, error) {
 	// dead space in the LRU (no future caller recomputes that key).
 	schemaV := cat.SchemaVersion()
 	sfp := structureFingerprintOf(canonical, s.opts.Rules, cat.ID(), schemaV)
-	ss, sCached, err := s.engine.cache.GetOrBuild(sfp, schemaV, func() (*StructureSpace, error) {
+	ent, sCached, err := s.engine.cache.entry(sfp, schemaV, func() (*StructureSpace, error) {
 		return s.buildStructure(canonical, stmt, sfp)
 	})
 	if err != nil {
 		return nil, err
 	}
+	ss := ent.val
 
 	// Same single-read discipline for the overlay's inputs. The epoch
 	// and its factor view come out of the store atomically: costing
 	// with the live factors instead would let an ApplyFeedback that
 	// lands mid-build cache a costing under a fingerprint whose epoch
 	// it does not match.
-	statsV := cat.StatsVersion()
 	epoch, view := s.engine.fb.EpochView()
-	ofp := overlayFingerprintOf(sfp, s.opts.Params, statsV, epoch)
-	ov, oCached, err := s.engine.overlays.GetOrBuild(ofp, sfp, statsV, epoch, func() (*CostOverlay, error) {
+	key := overlayKey{store: s.engine.fb.ID(), statsVersion: cat.StatsVersion(), epoch: epoch}
+	ofp := overlayFingerprintOf(sfp, s.opts.Params, key)
+	ov, oCached, err := s.engine.cache.overlay(ent, ofp, key, func() (*CostOverlay, error) {
 		return s.recost(ss, ofp, epoch, view)
 	})
 	if err != nil {
@@ -495,7 +472,7 @@ type ExecOptions struct {
 }
 
 // Execution is the product of Session.Execute: the prepared statement
-// (riding the two-tier fingerprint cache exactly like Prepare), the
+// (riding the fingerprint cache exactly like Prepare), the
 // plan that actually ran — identified by rank — and the governed
 // result.
 type Execution struct {
@@ -506,7 +483,7 @@ type Execution struct {
 	Result     *exec.Result
 }
 
-// Execute parses, prepares (through the structure and overlay caches —
+// Execute parses, prepares (through the structure and overlay tiers —
 // repeated executions of one query pay optimization and counting once,
 // and re-costing only when statistics or feedback moved), resolves the
 // plan the statement selects, and runs it under the given limits. The

@@ -283,15 +283,16 @@ func TestExportJSON(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	blob, err := p.Space.ExportJSON()
+	blob, err := p.ExportJSON()
 	if err != nil {
 		t.Fatal(err)
 	}
 	var decoded struct {
 		TotalPlans string `json:"total_plans"`
 		Groups     []struct {
-			ID   int  `json:"id"`
-			Root bool `json:"root"`
+			ID   int     `json:"id"`
+			Root bool    `json:"root"`
+			Card float64 `json:"card"`
 			Ops  []struct {
 				Name       string     `json:"name"`
 				Plans      string     `json:"plans"`
@@ -310,6 +311,9 @@ func TestExportJSON(t *testing.T) {
 	for _, g := range decoded.Groups {
 		rootSeen = rootSeen || g.Root
 		opCount += len(g.Ops)
+		if g.Card <= 0 {
+			t.Errorf("group %d exported card %g; the overlay's estimate is missing", g.ID, g.Card)
+		}
 	}
 	if !rootSeen {
 		t.Error("no root group in export")

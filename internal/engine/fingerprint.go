@@ -26,13 +26,13 @@ import (
 //   - The overlay fingerprint digests the structure fingerprint plus
 //     everything that determines costing over that structure — cost
 //     parameters, the catalog statistics version, and the feedback
-//     epoch. A statistics refresh or a feedback application changes
-//     only this layer; the structure (memo, counts, unrank tables)
-//     survives and is re-costed in place.
+//     store's identity and epoch. A statistics refresh or a feedback
+//     application changes only this layer; the structure (memo,
+//     counts, unrank tables) survives and is re-costed in place.
 //
 // Two Prepare calls with equal fingerprints at both layers are
 // guaranteed to produce the same space and the same costing, which is
-// what makes the two-tier cache sound.
+// what makes caching both layers sound.
 type Fingerprint [sha256.Size]byte
 
 // String renders the fingerprint as hex — the form served by the HTTP
@@ -106,15 +106,18 @@ func structureFingerprintOf(canonical string, r rules.Config, catalogID, schemaV
 }
 
 // overlayFingerprintOf digests the inputs of the costing layer on top
-// of a structure fingerprint ("fpo1").
-func overlayFingerprintOf(structure Fingerprint, p cost.Params, statsVersion, feedbackEpoch uint64) Fingerprint {
+// of a structure fingerprint ("fpo2"). The feedback store's ID takes
+// part because epochs are per-store counters: two engines sharing one
+// cache may both be at epoch 1 with different corrections.
+func overlayFingerprintOf(structure Fingerprint, p cost.Params, k overlayKey) Fingerprint {
 	h := sha256.New()
 	w := &hashWriter{h: h}
-	w.str("fpo1")
+	w.str("fpo2")
 	h.Write(structure[:])
 	w.str(reprOf(p))
-	w.u64(statsVersion)
-	w.u64(feedbackEpoch)
+	w.u64(k.statsVersion)
+	w.u64(k.store)
+	w.u64(k.epoch)
 	var f Fingerprint
 	h.Sum(f[:0])
 	return f

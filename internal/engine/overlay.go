@@ -1,26 +1,17 @@
 package engine
 
 import (
-	"container/list"
-	"fmt"
 	"math/big"
-	"sync"
 
 	"repro/internal/opt"
 )
-
-// DefaultOverlayCapacity is the entry cap of the overlay cache an
-// Engine creates when none is injected. Overlays are small (two float64
-// tables plus the winner memo) and cheap to rebuild (~ms), so the cap
-// is generous relative to the structure cache.
-const DefaultOverlayCapacity = 256
 
 // CostOverlay is the cheap, cost-bearing layer over a cached
 // StructureSpace: the per-group cardinalities and per-operator local
 // costs (opt.Costing wraps cost.Tables), the estimator/model bound to
 // them, the optimal plan, and its rank in the counted space. One
 // overlay is immutable after build and safe for any number of
-// concurrent readers; it is what the OverlayCache stores.
+// concurrent readers; it is cached in its structure's cache entry.
 //
 // A structure hit with a stale overlay re-costs in place: the memo,
 // counts, and unrank tables are reused and only this layer is rebuilt —
@@ -42,234 +33,124 @@ type CostOverlay struct {
 	OptimalRank *big.Int
 }
 
-// OverlayCacheStats is a point-in-time snapshot of the overlay cache's
-// counters.
+// OverlayCacheStats is a point-in-time snapshot of the overlay counters
+// of a SpaceCache, summed over its shards.
 type OverlayCacheStats struct {
 	Hits          uint64 `json:"hits"`
 	Misses        uint64 `json:"misses"`
-	Evictions     uint64 `json:"evictions"`
-	Invalidations uint64 `json:"invalidations"` // stats-version or feedback-epoch bumps
+	Invalidations uint64 `json:"invalidations"` // stale, or dropped with their structure
 	Entries       int    `json:"entries"`
-	Capacity      int    `json:"capacity"`
 	BytesCached   int64  `json:"bytes_cached"`
 }
 
-// overlayEntry is one overlay fingerprint's slot, with the same
-// singleflight contract as the structure cache: inserted before the
-// build runs, ready closed when it completes, failed builds never
-// cached.
-type overlayEntry struct {
-	fp           Fingerprint
-	structure    Fingerprint // fingerprint of the StructureSpace the overlay costs
+// overlayKey is what an overlay's staleness is judged by: the feedback
+// store that supplied its corrections, the catalog statistics version,
+// and the store's epoch. Epochs of different stores are unrelated
+// counters, so only overlays of the same store are compared.
+type overlayKey struct {
+	store        uint64
 	statsVersion uint64
 	epoch        uint64
-	bytes        int64
-	elem         *list.Element
-
-	ready   chan struct{}
-	overlay *CostOverlay
-	err     error
-
-	// doomed marks an in-flight build whose structure was dropped
-	// while it ran: the build's waiters still receive the overlay, but
-	// the completed entry is removed instead of cached, so it cannot
-	// pin the evicted structure's memo indefinitely.
-	doomed bool
 }
 
-// OverlayCache is a concurrency-safe LRU of cost overlays keyed by
-// overlay fingerprint. It is deliberately simpler than the sharded
-// SpaceCache: re-costing is milliseconds, entries are KBs, and the
-// common case is a handful of (cost params, stats version, feedback
-// epoch) combinations per structure. Entries older than the newest
-// observed statistics version or feedback epoch are dropped promptly —
-// their fingerprints embed both, so they could never be returned;
-// invalidation exists to release memory, exactly like the structure
-// cache's catalog invalidation.
-//
-// MAINTENANCE: this type intentionally mirrors cacheShard's
-// singleflight invariants (entry inserted before the build, ready
-// closed on success/error/panic alike, failed builds never cached,
-// in-flight and MRU entries never evicted, invalidation skips builds
-// in flight). A fix to either copy almost certainly applies to the
-// other — cache.go and this file must be changed together until the
-// machinery is extracted into one generic.
-type OverlayCache struct {
-	mu      sync.Mutex
-	cap     int
-	entries map[Fingerprint]*overlayEntry
-	lru     *list.List // front = most recently used; values are *overlayEntry
-	bytes   int64
-
-	statsVersion uint64 // newest observed
-	epoch        uint64 // newest observed
-
-	hits, misses, evictions, invalidations uint64
+// supersedes reports whether an overlay costed under old is outdated
+// by k.
+func (k overlayKey) supersedes(old overlayKey) bool {
+	return old.store == k.store && (old.statsVersion < k.statsVersion || old.epoch < k.epoch)
 }
 
-// NewOverlayCache returns a cache holding at most capacity overlays
-// (clamped to at least one).
-func NewOverlayCache(capacity int) *OverlayCache {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return &OverlayCache{
-		cap:     capacity,
-		entries: make(map[Fingerprint]*overlayEntry),
-		lru:     list.New(),
-	}
+// overlayEntry is one overlay fingerprint's slot in a structure entry.
+type overlayEntry struct {
+	flight[*CostOverlay]
+	key overlayKey
 }
 
-// Stats snapshots the counters.
-func (c *OverlayCache) Stats() OverlayCacheStats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return OverlayCacheStats{
-		Hits:          c.hits,
-		Misses:        c.misses,
-		Evictions:     c.evictions,
-		Invalidations: c.invalidations,
-		Entries:       len(c.entries),
-		Capacity:      c.cap,
-		BytesCached:   c.bytes,
+// overlay returns the cost overlay ofp over the structure of entry e,
+// building it on a miss with the same singleflight runner the structure
+// tier uses: exactly one caller runs build, concurrent callers share
+// its result, and a failed or panicking build is not cached. First it
+// drops the completed overlays of e that key supersedes. An entry that
+// was evicted or invalidated after the caller found it still serves its
+// overlays to the callers that hold it, and disappears with them.
+func (c *SpaceCache) overlay(e *cacheEntry, ofp Fingerprint, key overlayKey, build func() (*CostOverlay, error)) (*CostOverlay, bool, error) {
+	sh := c.shardFor(e.fp)
+	sh.mu.Lock()
+	if sh.residentLocked(e) {
+		sh.dropStaleLocked(e, key)
 	}
-}
+	if o, ok := e.overlays[ofp]; ok {
+		sh.ovHits++
+		sh.mu.Unlock()
+		ov, err := o.wait()
+		return ov, true, err
+	}
+	o := &overlayEntry{flight: newFlight[*CostOverlay](), key: key}
+	e.overlays[ofp] = o
+	sh.ovMisses++
+	sh.mu.Unlock()
 
-// Invalidate drops every overlay costed against an older statistics
-// version or feedback epoch than given.
-func (c *OverlayCache) Invalidate(statsVersion, epoch uint64) {
-	c.mu.Lock()
-	c.invalidateLocked(statsVersion, epoch)
-	c.mu.Unlock()
-}
-
-func (c *OverlayCache) invalidateLocked(statsVersion, epoch uint64) {
-	if statsVersion <= c.statsVersion && epoch <= c.epoch {
-		return
-	}
-	if statsVersion > c.statsVersion {
-		c.statsVersion = statsVersion
-	}
-	if epoch > c.epoch {
-		c.epoch = epoch
-	}
-	for _, e := range c.entries {
-		if e.statsVersion >= c.statsVersion && e.epoch >= c.epoch {
-			continue
+	ov, err := o.run(sh, ofp, build, func(_ *CostOverlay, err error) {
+		switch {
+		case err != nil:
+			delete(e.overlays, ofp) // failed builds are not cached
+		case !sh.residentLocked(e):
+			// The structure was dropped mid-build: the waiters have the
+			// overlay, and it goes with the orphaned entry.
+			sh.ovInvalidations++
 		}
-		select {
-		case <-e.ready:
-		default:
-			continue // still building; its builder removes it on error
-		}
-		c.removeLocked(e)
-		c.invalidations++
-	}
-}
-
-func (c *OverlayCache) removeLocked(e *overlayEntry) {
-	delete(c.entries, e.fp)
-	c.lru.Remove(e.elem)
-	c.bytes -= e.bytes
-}
-
-// DropStructure removes every completed overlay costed over the given
-// structure fingerprint. The engine registers it as a SpaceCache
-// removal listener, so overlays never outlive their structure — the
-// structure byte budget stays a real memory bound. In-flight builds
-// are doomed instead of removed: their waiters still get the overlay,
-// but runBuild drops the entry on completion rather than caching it.
-func (c *OverlayCache) DropStructure(structure Fingerprint) {
-	c.mu.Lock()
-	for _, e := range c.entries {
-		if e.structure != structure {
-			continue
-		}
-		select {
-		case <-e.ready:
-			c.removeLocked(e)
-			c.invalidations++
-		default:
-			e.doomed = true
-		}
-	}
-	c.mu.Unlock()
-}
-
-// GetOrBuild returns the overlay for fp (costing the structure
-// identified by structure), building it on a miss with singleflight
-// semantics: exactly one caller runs build per miss, every other
-// concurrent caller for the same fingerprint blocks until that build
-// finishes and shares the result. A failed build is not cached.
-func (c *OverlayCache) GetOrBuild(fp, structure Fingerprint, statsVersion, epoch uint64, build func() (*CostOverlay, error)) (*CostOverlay, bool, error) {
-	c.mu.Lock()
-	c.invalidateLocked(statsVersion, epoch)
-	if e, ok := c.entries[fp]; ok {
-		c.hits++
-		c.lru.MoveToFront(e.elem)
-		c.mu.Unlock()
-		<-e.ready
-		return e.overlay, true, e.err
-	}
-	e := &overlayEntry{fp: fp, structure: structure, statsVersion: statsVersion, epoch: epoch, ready: make(chan struct{})}
-	e.elem = c.lru.PushFront(e)
-	c.entries[fp] = e
-	c.misses++
-	c.evictLocked()
-	c.mu.Unlock()
-
-	ov, err := c.runBuild(e, build)
+	})
 	return ov, false, err
 }
 
-// runBuild executes build and completes the entry on success, error,
-// and panic alike (a never-closed ready channel would wedge every
-// waiter on this fingerprint).
-func (c *OverlayCache) runBuild(e *overlayEntry, build func() (*CostOverlay, error)) (ov *CostOverlay, err error) {
-	finished := false
-	defer func() {
-		if !finished {
-			err = fmt.Errorf("engine: overlay build panicked for fingerprint %s", e.fp)
+// dropStaleLocked deletes the completed overlays of e that key
+// supersedes. Builds still in flight are left to finish for their
+// waiters.
+func (sh *cacheShard) dropStaleLocked(e *cacheEntry, key overlayKey) {
+	for fp, o := range e.overlays {
+		if o.done() && key.supersedes(o.key) {
+			delete(e.overlays, fp)
+			sh.ovInvalidations++
 		}
-		c.mu.Lock()
-		e.overlay, e.err = ov, err
-		close(e.ready)
-		switch {
-		case err != nil || e.doomed:
-			// Failed builds are never cached; doomed builds (structure
-			// dropped mid-build) complete for their waiters but must
-			// not pin the evicted structure from the cache.
-			if cur, ok := c.entries[e.fp]; ok && cur == e {
-				c.removeLocked(e)
-				if err == nil {
-					c.invalidations++
-				}
-			}
-		default:
-			if cur, ok := c.entries[e.fp]; ok && cur == e {
-				e.bytes = ov.SizeBytes()
-				c.bytes += e.bytes
-			}
-		}
-		c.mu.Unlock()
-	}()
-	ov, err = build()
-	finished = true
-	return ov, err
+	}
 }
 
-// evictLocked trims the LRU beyond the entry cap, skipping in-flight
-// builds and never evicting the most-recently-used entry.
-func (c *OverlayCache) evictLocked() {
-	for elem := c.lru.Back(); elem != nil && elem != c.lru.Front() && len(c.entries) > c.cap; {
-		prev := elem.Prev()
-		e := elem.Value.(*overlayEntry)
-		select {
-		case <-e.ready:
-			c.removeLocked(e)
-			c.evictions++
-		default:
+// dropStaleOverlays drops, in every resident entry, the completed
+// overlays that key supersedes — ApplyFeedback's prompt release of the
+// costings its new epoch makes unreachable.
+func (c *SpaceCache) dropStaleOverlays(key overlayKey) {
+	for _, sh := range c.shards {
+		sh.mu.Lock()
+		for _, e := range sh.entries {
+			sh.dropStaleLocked(e, key)
 		}
-		elem = prev
+		sh.mu.Unlock()
 	}
+}
+
+// OverlayView is a read-only view of the overlay counters a SpaceCache
+// keeps per shard.
+type OverlayView struct{ cache *SpaceCache }
+
+// Stats sums the overlay counters over all shards. Entries and
+// BytesCached cover the overlays of resident structures only; overlay
+// bytes are reported apart from, and never charged to, the structure
+// byte budget.
+func (v OverlayView) Stats() OverlayCacheStats {
+	var st OverlayCacheStats
+	for _, sh := range v.cache.shards {
+		sh.mu.Lock()
+		st.Hits += sh.ovHits
+		st.Misses += sh.ovMisses
+		st.Invalidations += sh.ovInvalidations
+		for _, e := range sh.entries {
+			for _, o := range e.overlays {
+				st.Entries++
+				if o.done() {
+					st.BytesCached += o.val.SizeBytes()
+				}
+			}
+		}
+		sh.mu.Unlock()
+	}
+	return st
 }

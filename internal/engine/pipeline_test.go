@@ -73,36 +73,54 @@ func TestPreparedSharesCachedSpace(t *testing.T) {
 }
 
 // TestConcurrentPrepareSingleCount: many goroutines preparing one query
-// against a cold cache trigger exactly one bind+optimize+count.
+// against a cold cache trigger exactly one bind+optimize+count, and
+// after a feedback round exactly one re-cost.
 func TestConcurrentPrepareSingleCount(t *testing.T) {
 	e := engine.New(tinyTPCH(t))
 	const goroutines = 16
-	prepared := make([]*engine.Prepared, goroutines)
-	var wg sync.WaitGroup
-	for i := 0; i < goroutines; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			p, err := e.Prepare(smallJoin)
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			prepared[i] = p
-		}(i)
-	}
-	wg.Wait()
-	for i := 1; i < goroutines; i++ {
-		if prepared[i] == nil || prepared[i].Space != prepared[0].Space {
-			t.Fatalf("goroutine %d does not share the space", i)
+	prepareAll := func() []*engine.Prepared {
+		prepared := make([]*engine.Prepared, goroutines)
+		var wg sync.WaitGroup
+		for i := 0; i < goroutines; i++ {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				p, err := e.Prepare(smallJoin)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				prepared[i] = p
+			}(i)
 		}
+		wg.Wait()
+		for i := 1; i < goroutines; i++ {
+			if prepared[i] == nil || prepared[i].Space != prepared[0].Space || prepared[i].Overlay != prepared[0].Overlay {
+				t.Fatalf("goroutine %d does not share the space and its overlay", i)
+			}
+		}
+		return prepared
 	}
+	prepareAll()
 	st := e.Cache().Stats()
 	if st.Misses != 1 {
 		t.Errorf("%d misses for one fingerprint, want 1 (duplicate counting)", st.Misses)
 	}
 	if st.Hits != goroutines-1 {
 		t.Errorf("hits = %d, want %d", st.Hits, goroutines-1)
+	}
+
+	before := e.Overlays().Stats()
+	e.ApplyFeedback()
+	if p := prepareAll()[0]; !p.Cached {
+		t.Error("feedback round rebuilt the structure")
+	}
+	after := e.Overlays().Stats()
+	if after.Misses != before.Misses+1 {
+		t.Errorf("overlay misses %d -> %d after feedback, want exactly one re-cost", before.Misses, after.Misses)
+	}
+	if after.Hits != before.Hits+goroutines-1 {
+		t.Errorf("overlay hits %d -> %d, want +%d", before.Hits, after.Hits, goroutines-1)
 	}
 }
 

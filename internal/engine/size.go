@@ -1,7 +1,7 @@
 package engine
 
 // Per-layer fixed overheads. Exact sizeofs are not the point — the
-// caches' byte accounting needs consistent, monotone estimates, and
+// cache's byte accounting needs consistent, monotone estimates, and
 // crucially the two layers must not double-count: the structure prices
 // the memo and the counted space, the overlay prices only its own cost
 // tables and winner memo.
@@ -15,9 +15,9 @@ const (
 // cached: the counted space's link structure and MEMO (the dominant
 // term — see core.Space.MemoryFootprint) plus the canonical SQL and a
 // fixed overhead for the query object. The SpaceCache's byte-budget
-// eviction runs on this estimate; overlay bytes are accounted
-// separately by the OverlayCache (the /stats endpoint reports
-// structure_bytes and overlay_bytes side by side).
+// eviction runs on this estimate; overlay bytes are reported apart
+// (the /stats endpoint shows structure_bytes and overlay_bytes side by
+// side).
 func (ss *StructureSpace) SizeBytes() int64 {
 	if ss == nil {
 		return 0
@@ -33,8 +33,8 @@ func (ss *StructureSpace) SizeBytes() int64 {
 // SizeBytes estimates the resident bytes of a cost overlay: the
 // cardinality and local-cost tables plus the optimal plan's rank. It
 // deliberately excludes the structure it points to — that is priced by
-// StructureSpace.SizeBytes in the structure cache — so the two caches'
-// byte counters add up without double-counting.
+// StructureSpace.SizeBytes — so the structure and overlay byte counters
+// add up without double-counting.
 func (ov *CostOverlay) SizeBytes() int64 {
 	if ov == nil {
 		return 0

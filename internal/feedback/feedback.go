@@ -18,14 +18,16 @@
 // Apply folds pending observations into the active factors — each new
 // ratio is measured against estimates that already included the old
 // factor, so factors compose multiplicatively — and bumps the feedback
-// epoch. Cost overlays embed the epoch in their fingerprint: a bump
-// makes every cached costing stale while leaving structures untouched.
+// epoch. Cost overlays embed the store's ID and epoch in their
+// fingerprint: a bump makes every costing cached under this store stale
+// while leaving structures untouched.
 package feedback
 
 import (
 	"math"
 	"sort"
 	"sync"
+	"sync/atomic"
 )
 
 // Factor clamps: a single feedback round never scales an estimate by
@@ -62,8 +64,15 @@ type Stats struct {
 	TotalApplied uint64 `json:"total_applied"`
 }
 
+// nextStoreID hands every Store a process-unique identity. Epochs are
+// per-store counters, so two stores both at epoch 1 hold different
+// corrections; cost overlays key on (store ID, epoch), never on the
+// epoch alone.
+var nextStoreID atomic.Uint64
+
 // Store is a concurrency-safe feedback store for one catalog.
 type Store struct {
+	id      uint64
 	mu      sync.Mutex
 	epoch   uint64
 	pending map[string]*pendingAgg
@@ -85,10 +94,14 @@ type Store struct {
 // NewStore returns an empty store at epoch 0.
 func NewStore() *Store {
 	return &Store{
+		id:      nextStoreID.Add(1),
 		pending: make(map[string]*pendingAgg),
 		active:  make(map[string]*Correction),
 	}
 }
+
+// ID returns the store's process-unique identity.
+func (s *Store) ID() uint64 { return s.id }
 
 // Epoch returns the current feedback epoch. It advances only on Apply,
 // so recording observations never invalidates anything by itself.

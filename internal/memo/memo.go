@@ -153,14 +153,6 @@ type Expr struct {
 	Join      *JoinSpec
 	Lookup    *LookupSpec
 	SortOrder algebra.Ordering // Sort enforcer
-
-	// LocalCost is the operator's own cost contribution, excluding
-	// children; filled in by the cost package after construction.
-	// LocalCostValid marks it as filled: costing a plan then reuses the
-	// memoized value instead of re-deriving it per plan — the hot
-	// sampling loops cost thousands of plans over the same operators.
-	LocalCost      float64
-	LocalCostValid bool
 }
 
 // IsEnforcer reports whether the expression is a property enforcer.
@@ -199,10 +191,6 @@ type Group struct {
 
 	Exprs    []*Expr // all operators in creation order
 	Physical []*Expr // physical operators only, in creation order
-
-	// Card is the estimated output cardinality (rows), set by the cost
-	// package; it is a property of the group, not of any operator.
-	Card float64
 
 	// InterestingOrders collects the orderings some parent operator
 	// requires of this group; the optimizer adds one Sort enforcer per
@@ -372,17 +360,17 @@ func (m *Memo) Stats() Stats {
 // group, operators named group.local with child group references.
 func (m *Memo) Dump() string { return m.DumpAnnotated(nil) }
 
-// DumpAnnotated is Dump with cardinalities injected from a cost
-// overlay (spaces prepared through the engine's two-tier cache carry
-// cards in the overlay, not in the memo). A nil cardOf falls back to
-// the memo's own annotation field.
+// DumpAnnotated is Dump with each group's estimated cardinality taken
+// from a cost overlay (the memo itself carries no costs); Dump passes
+// nil and prints the structure alone.
 func (m *Memo) DumpAnnotated(cardOf func(*Group) float64) string {
-	if cardOf == nil {
-		cardOf = func(g *Group) float64 { return g.Card }
-	}
 	var sb strings.Builder
 	for _, g := range m.Groups {
-		fmt.Fprintf(&sb, "Group %d (%s, rels=%s, card=%.0f):\n", g.ID, g.Kind, g.RelSet, cardOf(g))
+		fmt.Fprintf(&sb, "Group %d (%s, rels=%s", g.ID, g.Kind, g.RelSet)
+		if cardOf != nil {
+			fmt.Fprintf(&sb, ", card=%.0f", cardOf(g))
+		}
+		sb.WriteString("):\n")
 		for _, e := range g.Exprs {
 			fmt.Fprintf(&sb, "  %-6s %-28s", e.Name(), e.Describe())
 			if len(e.Children) > 0 {

@@ -5,16 +5,11 @@
 // per-operator costs, and the winner computation — "for every group we
 // keep track of the best physical operator for each set of physical
 // properties") depends additionally on cost parameters, statistics, and
-// feedback corrections. BuildStructure produces the former; CostMemo
-// attaches the latter as an immutable overlay (cost.Tables) without
-// mutating the shared memo, so any number of costings — different
-// parameters, different statistics, different feedback epochs — can
-// coexist over one counted structure.
-//
-// Optimize remains the one-shot compatibility path: it builds a private
-// structure, costs it, and additionally writes the classic annotation
-// fields (memo.Group.Card, memo.Expr.LocalCost) into its own memo —
-// safe only because that memo is not shared.
+// feedback corrections. BuildStructure produces the former;
+// Structure.Cost attaches the latter as an immutable overlay
+// (cost.Tables) without mutating the shared memo, so any number of
+// costings — different parameters, different statistics, different
+// feedback epochs — can coexist over one counted structure.
 package opt
 
 import (
@@ -73,7 +68,7 @@ func (s *Structure) skeletonOf() *skeleton {
 // Costing is the cost overlay over one structure: per-group estimated
 // cardinalities and per-operator local costs (cost.Tables), the
 // estimator and model bound to them, and the optimal plan. A Costing is
-// immutable after CostMemo returns and safe for concurrent readers.
+// immutable after Structure.Cost returns and safe for concurrent readers.
 type Costing struct {
 	Params cost.Params
 	Est    *cost.Estimator
@@ -88,31 +83,21 @@ type Costing struct {
 }
 
 // Cost computes an overlay for the structure under the given parameters
-// and (optionally nil) feedback correction factors, reusing the
-// structure's shared skeleton.
-func (s *Structure) Cost(params cost.Params, corr cost.Correction) (*Costing, error) {
-	return costMemo(s.Query, s.Memo, s.skeletonOf(), params, corr)
-}
-
-// CostMemo computes a cost overlay for an already-expanded memo: fill
-// the cardinality table, fill the local-cost table, then solve for the
+// and (optionally nil) feedback correction factors: fill the
+// cardinality table, fill the local-cost table, then solve for the
 // cheapest plan per (group, ordering context) and extract the optimum
-// from the root group. The shared memo is only read, never written.
-// Callers costing one memo repeatedly should go through Structure.Cost,
-// which reuses the context skeleton across costings.
-func CostMemo(q *algebra.Query, m *memo.Memo, params cost.Params, corr cost.Correction) (*Costing, error) {
-	return costMemo(q, m, buildSkeleton(m), params, corr)
-}
-
-func costMemo(q *algebra.Query, m *memo.Memo, sk *skeleton, params cost.Params, corr cost.Correction) (*Costing, error) {
-	est := cost.NewEstimator(q, params)
+// from the root group. The shared memo is only read, never written, and
+// the structure's context skeleton is reused across costings.
+func (s *Structure) Cost(params cost.Params, corr cost.Correction) (*Costing, error) {
+	m, sk := s.Memo, s.skeletonOf()
+	est := cost.NewEstimator(s.Query, params)
 	if corr != nil {
 		est.SetCorrection(corr)
 	}
 	tab := cost.NewTables(m)
 	fillCards(m, est, tab)
 	model := cost.NewModelWith(est, tab)
-	if err := fillLocalCosts(m, model, tab); err != nil {
+	if err := model.FillLocals(m); err != nil {
 		return nil, err
 	}
 
@@ -176,25 +161,9 @@ func fillCards(m *memo.Memo, est *cost.Estimator, tab *cost.Tables) {
 	}
 }
 
-// fillLocalCosts fills each physical operator's local cost in the
-// overlay; plan costs are computed recursively by the model, not by
-// summing these.
-func fillLocalCosts(m *memo.Memo, model *cost.Model, tab *cost.Tables) error {
-	for _, g := range m.Groups {
-		for _, e := range g.Physical {
-			lc, err := model.Local(e)
-			if err != nil {
-				return err
-			}
-			tab.Locals[e.ID] = lc
-		}
-	}
-	return nil
-}
-
-// Result is the outcome of the one-shot Optimize path: the expanded
-// MEMO, the cost overlay's estimator/model, and the optimal plan —
-// the classic façade tests and tools program against. The Costing field
+// Result presents a structure and one of its costings together: the
+// expanded MEMO, the cost overlay's estimator/model, and the optimal
+// plan — the façade tests and tools program against. The Costing field
 // exposes the overlay itself.
 type Result struct {
 	Query *algebra.Query
@@ -209,8 +178,7 @@ type Result struct {
 }
 
 // NewResult assembles the façade over a structure and a costing (the
-// engine's two-tier cache uses it to present cached layers through the
-// classic Result surface).
+// engine uses it to present its cached layers through one surface).
 func NewResult(st *Structure, c *Costing) *Result {
 	return &Result{
 		Query: st.Query, Memo: st.Memo,
@@ -218,30 +186,6 @@ func NewResult(st *Structure, c *Costing) *Result {
 		Best: c.Best, BestCost: c.BestCost,
 		Costing: c,
 	}
-}
-
-// Optimize expands, costs, and solves the search space for q in one
-// shot over a private memo. For compatibility with annotation readers
-// (memo dumps, bare cost models) it also writes the classic Card and
-// LocalCost fields into its memo — which is safe here and only here,
-// because the memo is freshly built and unshared.
-func Optimize(q *algebra.Query, opts Options) (*Result, error) {
-	st, err := BuildStructure(q, opts.Rules)
-	if err != nil {
-		return nil, err
-	}
-	c, err := st.Cost(opts.Params, nil)
-	if err != nil {
-		return nil, err
-	}
-	for _, g := range st.Memo.Groups {
-		g.Card = c.Tables.CardOf(g)
-		for _, e := range g.Physical {
-			e.LocalCost = c.Tables.Locals[e.ID]
-			e.LocalCostValid = true
-		}
-	}
-	return NewResult(st, c), nil
 }
 
 // PlanCost costs an arbitrary plan from this result's space.

@@ -49,11 +49,15 @@ func optimize(t *testing.T, text string, opts Options) *Result {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Optimize(q, opts)
+	st, err := BuildStructure(q, opts.Rules)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return res
+	c, err := st.Cost(opts.Params, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return NewResult(st, c)
 }
 
 const joinQuery = "SELECT ak FROM a, b, c WHERE ab = bk AND bc = ck"
@@ -125,14 +129,14 @@ func TestOptimalWithOrderByAndAgg(t *testing.T) {
 func TestCardsAnnotatedOnAllGroups(t *testing.T) {
 	res := optimize(t, joinQuery, DefaultOptions())
 	for _, g := range res.Memo.Groups {
-		if g.Card <= 0 {
-			t.Errorf("group %d has card %g", g.ID, g.Card)
+		if card := res.Costing.CardOf(g); card <= 0 {
+			t.Errorf("group %d has card %g", g.ID, card)
 		}
 	}
 	// Local costs set on all physical operators.
 	for _, g := range res.Memo.Groups {
 		for _, e := range g.Physical {
-			if e.LocalCost < 0 {
+			if res.Costing.Tables.Locals[e.ID] < 0 {
 				t.Errorf("operator %s has negative local cost", e.Name())
 			}
 		}
@@ -200,7 +204,7 @@ func TestDeterministicOptimization(t *testing.T) {
 	if a.Best.Digest() != b.Best.Digest() {
 		t.Error("optimal plan digests differ across runs")
 	}
-	if a.Memo.Dump() != b.Memo.Dump() {
+	if a.Memo.DumpAnnotated(a.Costing.CardOf) != b.Memo.DumpAnnotated(b.Costing.CardOf) {
 		t.Error("memo dumps differ across runs")
 	}
 }

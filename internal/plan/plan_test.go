@@ -152,10 +152,14 @@ func TestCostMonotoneInChildren(t *testing.T) {
 	// variant, which must never be cheaper.
 	q := p.Query
 	est := cost.NewEstimator(q, cost.Default())
+	tab := cost.NewTables(p.Memo)
 	for _, g := range p.Memo.Groups {
-		g.Card = 100
+		tab.Cards[g.ID] = 100
 	}
-	model := cost.NewModel(est)
+	model := cost.NewModelWith(est, tab)
+	if err := model.FillLocals(p.Memo); err != nil {
+		t.Fatal(err)
+	}
 	base, err := n.Cost(model)
 	if err != nil {
 		t.Fatal(err)

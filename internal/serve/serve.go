@@ -23,10 +23,11 @@
 //	GET  /stats         — both cache tiers' counters (structure_bytes / overlay_bytes),
 //	                      feedback-loop state, uptime, request counts
 //
-// The server fronts a two-tier cache: the structure tier (counted
-// spaces, keyed by canonical SQL + rules + schema) and the overlay tier
-// (costings, keyed additionally by cost params + statistics version +
-// feedback epoch). Executions record per-operator observed vs.
+// The server fronts one plan-space cache with two tiers: the structure
+// tier (counted spaces, keyed by canonical SQL + rules + schema) and,
+// inside each structure's entry, the overlay tier (costings, keyed
+// additionally by cost params + statistics version + feedback store
+// and epoch). Executions record per-operator observed vs.
 // estimated cardinalities; POST /feedback/apply folds them and bumps
 // the feedback epoch, after which the same query may execute a
 // different, better-informed plan — the adaptive re-optimization loop
@@ -625,7 +626,7 @@ type FeedbackApplyResponse struct {
 	Epoch       uint64                `json:"epoch"`       // new feedback epoch
 	Folded      int                   `json:"folded"`      // correction keys updated by this fold
 	Corrections []feedback.Correction `json:"corrections"` // all active factors, sorted by key
-	Invalidated uint64                `json:"invalidated"` // overlay-cache entries dropped so far
+	Invalidated uint64                `json:"invalidated"` // cost overlays dropped so far
 }
 
 // handleFeedbackApply folds all observations recorded by /execute and

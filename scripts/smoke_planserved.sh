@@ -78,6 +78,22 @@ assert ex2["digest"] == ex1["digest"], "re-optimized plan changed the result"
 print("smoke: feedback round-trip ok: epoch", fb["epoch"], "with", fb["folded"], "corrections folded")
 PY
 
+# The round-trip dropped the stale overlays. This run is sequential,
+# over one engine with one feedback store and one set of cost
+# parameters, so each resident structure holds at most one current
+# overlay and overlays cannot outnumber structures. That bound is
+# specific to this sequence: in general one entry can hold several
+# overlays (one per cost-parameter set or feedback store sharing the
+# cache, or a re-cost that finished after ApplyFeedback's sweep).
+python3 - "$(curl -sf "http://$ADDR/stats")" <<'PY'
+import json, sys
+st = json.loads(sys.argv[1])
+ov, cache = st["overlays"], st["cache"]
+assert ov["invalidations"] >= 1, f"feedback apply dropped no stale overlays: {ov}"
+assert ov["entries"] <= cache["entries"], f"{ov['entries']} overlays outlive {cache['entries']} cached structures"
+print("smoke: overlay stats ok:", ov["invalidations"], "invalidated,", ov["entries"], "resident over", cache["entries"], "structures")
+PY
+
 killed=$(post /execute '{"sql":"SELECT COUNT(l_orderkey) AS n FROM lineitem, orders, customer","cross":true,"max_intermediate_rows":50000}')
 python3 - "$killed" <<'PY'
 import json, sys
