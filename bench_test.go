@@ -9,9 +9,6 @@
 //	                           of the lower 50% of sampled scaled costs
 //	BenchmarkCounting        — E3: the paper's "counting never exceeded
 //	                           one second" claim
-//	BenchmarkUnranking       — E4: unranking is a small fraction of
-//	                           counting
-//	BenchmarkSampling        — drawing uniform plans (rank + unrank)
 //	BenchmarkOptimize        — full optimization (memo + winners)
 //	BenchmarkExecute         — the execution engine on optimal and
 //	                           sampled plans
@@ -110,51 +107,6 @@ func BenchmarkCounting(b *testing.B) {
 	}
 }
 
-// BenchmarkUnranking measures Section 3.3 (E4): extracting one plan by
-// number. The paper: "unranking takes only a small fraction of the time
-// needed for counting".
-func BenchmarkUnranking(b *testing.B) {
-	for _, q := range tpch.PaperQueries() {
-		b.Run(q, func(b *testing.B) {
-			p := prepare(b, q, false)
-			smp, err := p.Sampler(1)
-			if err != nil {
-				b.Fatal(err)
-			}
-			// Pre-draw ranks so only Unrank is measured.
-			ranks := make([]*big.Int, 1024)
-			for i := range ranks {
-				ranks[i] = smp.NextRank()
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := p.Unrank(ranks[i%len(ranks)]); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkSampling draws uniform plans (rank generation + unranking).
-func BenchmarkSampling(b *testing.B) {
-	for _, q := range []string{"Q5", "Q8"} {
-		b.Run(q, func(b *testing.B) {
-			p := prepare(b, q, false)
-			smp, err := p.Sampler(1)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, _, err := smp.Next(); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // limbsToBigInt converts a little-endian limb rank to a big.Int for the
 // oracle rows.
 func limbsToBigInt(x []uint64) *big.Int {
@@ -172,7 +124,7 @@ func limbsToBigInt(x []uint64) *big.Int {
 func dualSpaces(tb testing.TB, q string) (fast, bigPath *core.Space) {
 	tb.Helper()
 	p := prepare(tb, q, false)
-	if !p.FitsUint64() {
+	if !p.Space.FitsUint64() {
 		tb.Fatalf("%s space %s exceeds uint64; benchmark fixture invalid", q, p.Count())
 	}
 	bigPath, err := core.Prepare(p.Opt.Memo, core.WithBigArithmetic())
@@ -228,7 +180,7 @@ func BenchmarkUnrank(b *testing.B) {
 	// the math/big row — now a forced oracle, exactly like the per-query
 	// /big rows above — prices what the wide tier saves.
 	p8 := prepare(b, "Q8", true)
-	if p8.FitsUint64() {
+	if p8.Space.FitsUint64() {
 		b.Fatalf("Q8+cross space %s fits uint64; fixture invalid", p8.Count())
 	}
 	if !p8.Space.Wide() {

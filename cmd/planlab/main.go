@@ -129,8 +129,8 @@ func run(sf float64, seed int64, query, sqlText string, cross, count, dump, expl
 		fmt.Printf("plan %s (scaled cost %.3f):\n%s", r, sc, pl)
 	}
 	if enum > 0 {
-		// EnumerateRange dispatches to the uint64 fast path internally
-		// and slices huge spaces on the big.Int path.
+		// EnumerateRange clamps the range to the space and unranks
+		// through the one tier dispatch.
 		var printErr error
 		err := p.Space.EnumerateRange(big.NewInt(0), big.NewInt(int64(enum)), func(r *big.Int, pl *plan.Node) bool {
 			sc, cerr := p.ScaledCost(pl)

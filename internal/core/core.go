@@ -167,8 +167,9 @@ type Space struct {
 	cands   candArena   // backing store for every candidate list
 	rootOps []*memo.Expr
 
-	tier  arithTier
-	total *big.Int // N, synthesized on every tier for the API surface
+	tier   arithTier
+	total  *big.Int // N, synthesized on every tier for the API surface
+	totalW []uint64 // N as canonical limbs on every tier: the sampler's and unranker's range bound
 
 	// big tier (WithBigArithmetic only).
 	prefix []*big.Int // prefix sums of N over rootOps
@@ -181,7 +182,6 @@ type Space struct {
 	prefix64 []uint64
 
 	// wide tier: canonical limb slices carved from tab.
-	totalW  []uint64
 	prefixW [][]uint64
 	tab     WideArena // backing store for every wide count table
 }
@@ -257,6 +257,7 @@ func Prepare(m *memo.Memo, opts ...Option) (*Space, error) {
 			s.total = new(big.Int).Add(s.total, info.n)
 			s.prefix = append(s.prefix, new(big.Int).Set(s.total))
 		}
+		s.totalW = s.tab.put(bigToLimbs(s.total, nil))
 		return s, nil
 	}
 
@@ -286,6 +287,7 @@ func Prepare(m *memo.Memo, opts ...Option) (*Space, error) {
 		totalW = wideAdd(totalW, info.wideCount(&scratch))
 		prefixW = append(prefixW, totalW)
 	}
+	s.totalW = s.tab.put(totalW)
 	if fits {
 		s.tier = tierUint64
 		s.fits = true
@@ -294,7 +296,6 @@ func Prepare(m *memo.Memo, opts ...Option) (*Space, error) {
 		return s, nil
 	}
 	s.tier = tierWide
-	s.totalW = s.tab.put(totalW)
 	s.prefixW = make([][]uint64, len(prefixW))
 	for i, p := range prefixW {
 		s.prefixW[i] = s.tab.put(p)
@@ -526,11 +527,11 @@ func (s *Space) countBig(e *memo.Expr, cfg *config) (*big.Int, error) {
 // encodes. The returned value must not be mutated.
 func (s *Space) Count() *big.Int { return s.total }
 
-// FitsUint64 reports whether the uint64 fast path is active: the total
-// N (and with it every base and prefix sum reachable during unranking)
-// fits in 64 bits and no forcing option was given. When true, Unrank64,
-// Rank64, UnrankInto, SampleRanks, and the pull iterator are available
-// and Unrank/Rank/Sampler dispatch to uint64 arithmetic internally.
+// FitsUint64 reports whether the uint64 tier is active: the total N
+// (and with it every base and prefix sum reachable during unranking)
+// fits in 64 bits and no forcing option was given. When true, Rank64,
+// UnrankInto, NextRank64, and SampleRanks are available and
+// Unrank/Rank/Sampler dispatch to uint64 arithmetic internally.
 func (s *Space) FitsUint64() bool { return s.fits }
 
 // Wide reports whether the wide limb tier serves the space — the
@@ -548,20 +549,8 @@ func (s *Space) Arithmetic() string { return s.tier.String() }
 
 // RankLimbs returns the number of 64-bit limbs a rank of this space
 // occupies — the buffer size for NextRankInto and UnrankWideInto
-// callers.
-func (s *Space) RankLimbs() int {
-	switch s.tier {
-	case tierWide:
-		if len(s.totalW) == 0 {
-			return 1
-		}
-		return len(s.totalW)
-	case tierBig:
-		return (s.total.BitLen() + 63) / 64
-	default:
-		return 1
-	}
-}
+// callers (1 on the uint64 tier).
+func (s *Space) RankLimbs() int { return max(len(s.totalW), 1) }
 
 // CountFor returns N(v) for a specific operator — the number of plans
 // rooted in it (Figure 3's per-operator annotations). Zero for operators

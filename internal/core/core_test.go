@@ -8,6 +8,7 @@ import (
 	"repro/internal/algebra"
 	"repro/internal/catalog"
 	"repro/internal/data"
+	"repro/internal/fixture"
 	"repro/internal/memo"
 	"repro/internal/opt"
 	"repro/internal/plan"
@@ -152,6 +153,53 @@ func TestEnumerateRange(t *testing.T) {
 	}
 	if count != 3 {
 		t.Errorf("yield-false did not stop enumeration: %d", count)
+	}
+}
+
+// TestEnumerateRangeClamps: a range reaching below 0 or past N is
+// clamped to [0, N) on every tier — the same way on each.
+func TestEnumerateRangeClamps(t *testing.T) {
+	tiers := []struct {
+		name string
+		opts []Option
+	}{
+		{"uint64", nil},
+		{"wide", []Option{WithWideArithmetic()}},
+		{"big", []Option{WithBigArithmetic()}},
+	}
+	cases := []struct {
+		lo, hi int64
+		want   []int64 // first and last rank visited; nil = none
+		n      int
+	}{
+		{lo: -1, hi: 3, want: []int64{0, 2}, n: 3},
+		{lo: -5, hi: 0, n: 0},
+		{lo: 22, hi: 1000, want: []int64{22, 24}, n: 3},
+		{lo: -3, hi: -1, n: 0},
+		{lo: 4, hi: 4, n: 0},
+	}
+	for _, tier := range tiers {
+		s, err := Prepare(fixture.New().Memo, tier.opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s.Arithmetic() != tier.name || s.Count().Int64() != 25 {
+			t.Fatalf("%s: fixture is %s with %s plans, want %s with 25", tier.name, s.Arithmetic(), s.Count(), tier.name)
+		}
+		for _, tc := range cases {
+			var ranks []int64
+			err := s.EnumerateRange(big.NewInt(tc.lo), big.NewInt(tc.hi), func(r *big.Int, _ *plan.Node) bool {
+				ranks = append(ranks, r.Int64())
+				return true
+			})
+			if err != nil {
+				t.Errorf("%s [%d, %d): %v", tier.name, tc.lo, tc.hi, err)
+				continue
+			}
+			if len(ranks) != tc.n || (tc.n > 0 && (ranks[0] != tc.want[0] || ranks[tc.n-1] != tc.want[1])) {
+				t.Errorf("%s [%d, %d): visited %v, want %d ranks spanning %v", tier.name, tc.lo, tc.hi, ranks, tc.n, tc.want)
+			}
+		}
 	}
 }
 

@@ -49,9 +49,9 @@ func TestDualPathDifferentialFixture(t *testing.T) {
 	// and all four unranking entry points agree.
 	var arena Arena
 	for r := uint64(0); r < 25; r++ {
-		pf, err := fast.Unrank64(r)
+		pf, err := fast.UnrankInto(r, nil)
 		if err != nil {
-			t.Fatalf("Unrank64(%d): %v", r, err)
+			t.Fatalf("UnrankInto(%d): %v", r, err)
 		}
 		pb, err := forced.Unrank(new(big.Int).SetUint64(r))
 		if err != nil {
@@ -69,7 +69,7 @@ func TestDualPathDifferentialFixture(t *testing.T) {
 		}
 		back, err := fast.Rank64(pf)
 		if err != nil || back != r {
-			t.Fatalf("Rank64(Unrank64(%d)) = %d, %v", r, back, err)
+			t.Fatalf("Rank64(UnrankInto(%d)) = %d, %v", r, back, err)
 		}
 		bigBack, err := forced.Rank(pb)
 		if err != nil || !bigBack.IsUint64() || bigBack.Uint64() != r {
@@ -226,13 +226,13 @@ func TestOverflowBoundary(t *testing.T) {
 	}
 	// Round-trip the extremes of the uint64 regime.
 	for _, r := range []uint64{0, 1<<63 - 1, 1 << 62} {
-		p, err := fits.Unrank64(r)
+		p, err := fits.UnrankInto(r, nil)
 		if err != nil {
-			t.Fatalf("Unrank64(%d): %v", r, err)
+			t.Fatalf("UnrankInto(%d): %v", r, err)
 		}
 		back, err := fits.Rank64(p)
 		if err != nil || back != r {
-			t.Fatalf("Rank64(Unrank64(%d)) = %d, %v", r, back, err)
+			t.Fatalf("Rank64(UnrankInto(%d)) = %d, %v", r, back, err)
 		}
 	}
 
@@ -253,11 +253,8 @@ func TestOverflowBoundary(t *testing.T) {
 	if _, ok := over.CountUint64(); ok {
 		t.Fatal("CountUint64 ok on an overflowing space")
 	}
-	if _, err := over.Unrank64(0); err == nil {
-		t.Fatal("Unrank64 succeeded on the big.Int path")
-	}
-	if _, err := over.UnrankBatch([]uint64{0}); err == nil {
-		t.Fatal("UnrankBatch succeeded on the big.Int path")
+	if _, err := over.UnrankInto(0, nil); err == nil {
+		t.Fatal("UnrankInto succeeded on the big.Int path")
 	}
 	if _, err := over.NewIter(); err == nil {
 		t.Fatal("NewIter succeeded on the big.Int path")
@@ -364,19 +361,27 @@ func TestSampleRanksMatchesNextRank(t *testing.T) {
 			t.Fatalf("batch draw %d = %d, single draw = %d", i, r, single)
 		}
 	}
-	// UnrankBatch materializes the same plans as one-by-one unranking.
-	plans, err := s.UnrankBatch(dst[:32])
+	// Each draws the same stream and materializes the same plans as
+	// one-by-one unranking.
+	c, err := s.NewSampler(31)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, p := range plans {
-		q, err := s.Unrank64(dst[i])
+	err = c.Each(32, nil, func(i int, rank []uint64, p *plan.Node) error {
+		if r, _ := wideToU64(rank); r != dst[i] {
+			t.Fatalf("Each draw %d = %d, batch draw = %d", i, r, dst[i])
+		}
+		q, err := s.UnrankInto(dst[i], nil)
 		if err != nil {
-			t.Fatal(err)
+			return err
 		}
 		if p.Digest() != q.Digest() {
-			t.Fatalf("UnrankBatch plan %d differs", i)
+			t.Fatalf("Each plan %d differs", i)
 		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -478,7 +483,7 @@ func TestPropertyRoundTripFixtureBothPaths(t *testing.T) {
 	}
 	for i := 0; i < 1000; i++ {
 		r := fs.NextRank64()
-		p, err := fast.Unrank64(r)
+		p, err := fast.UnrankInto(r, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -17,66 +17,33 @@ func (s *Space) Enumerate(yield func(r *big.Int, p *plan.Node) bool) error {
 }
 
 // EnumerateRange visits plans with ranks in [lo, hi) in order, for
-// slicing very large spaces into testable chunks.
+// slicing very large spaces into testable chunks. The range is clamped
+// to [0, N) on every tier. One limb counter drives the scan, with one
+// reused scratch arena for the decompositions; yielded plans are
+// freshly allocated and may be retained.
 func (s *Space) EnumerateRange(lo, hi *big.Int, yield func(r *big.Int, p *plan.Node) bool) error {
-	if s.fits && lo.Sign() >= 0 && lo.IsUint64() {
-		if hi.Sign() <= 0 {
-			return nil
-		}
-		h := s.total64
-		if hi.IsUint64() && hi.Uint64() < h {
-			h = hi.Uint64()
-		}
-		for r := lo.Uint64(); r < h; r++ {
-			p, err := s.unrank64(r, nil)
-			if err != nil {
-				return err
-			}
-			if !yield(new(big.Int).SetUint64(r), p) {
-				return nil
-			}
-		}
+	if hi.Sign() <= 0 {
 		return nil
 	}
-	if s.tier == tierWide {
-		// Wide tier: iterate the rank as limbs with one reused scratch
-		// arena for the decompositions; yielded plans are freshly
-		// allocated (and so retainable), the rank arithmetic is not.
-		if lo.Sign() < 0 {
-			lo = new(big.Int)
-		}
-		cur := bigToLimbs(lo, nil)
-		hiW := s.totalW
-		if hi.Sign() < 0 {
-			return nil
-		}
-		if hi.Cmp(s.total) < 0 {
-			hiW = bigToLimbs(hi, nil)
-		}
-		var wa WideArena
-		for wideCmp(cur, hiW) < 0 {
-			wa.Reset()
-			p, err := s.unrankWide(cur, nil, &wa)
-			if err != nil {
-				return err
-			}
-			if !yield(limbsToBig(cur), p) {
-				return nil
-			}
-			cur = wideIncInPlace(cur)
-		}
-		return nil
+	hiW := s.totalW
+	if hi.Cmp(s.total) < 0 {
+		hiW = bigToLimbs(hi, nil)
 	}
-	r := new(big.Int).Set(lo)
-	for r.Cmp(hi) < 0 && r.Cmp(s.total) < 0 {
-		p, err := s.Unrank(r)
+	var cur []uint64
+	if lo.Sign() > 0 {
+		cur = bigToLimbs(lo, nil)
+	}
+	var wa WideArena
+	for wideCmp(cur, hiW) < 0 {
+		wa.Reset()
+		p, err := s.unrankLimbs(cur, nil, &wa)
 		if err != nil {
 			return err
 		}
-		if !yield(new(big.Int).Set(r), p) {
+		if !yield(limbsToBig(cur), p) {
 			return nil
 		}
-		r.Add(r, bigOne)
+		cur = wideIncInPlace(cur)
 	}
 	return nil
 }
@@ -93,10 +60,11 @@ func wideIncInPlace(x []uint64) []uint64 {
 	return append(x, 1)
 }
 
-// PlanIter is a pull-based enumerator over a rank range on the uint64
-// fast path. It reuses one scratch Arena for the mixed-radix
-// decomposition, so a full scan performs no per-plan heap allocation;
-// the plan returned by Plan is valid only until the next call to Next.
+// PlanIter is a pull-based enumerator over a rank range. It reuses one
+// scratch Arena for the mixed-radix decomposition, so a full scan
+// performs no per-plan heap allocation; the plan returned by Plan is
+// valid only until the next call to Next. Ranks are uint64, which any
+// exhaustive scan satisfies.
 //
 //	it, err := space.NewIter()
 //	for it.Next() {
@@ -110,42 +78,26 @@ type PlanIter struct {
 	rank  uint64
 	plan  *plan.Node
 	arena Arena
-	limb  [1]uint64 // rank buffer on the wide tier
+	limb  [1]uint64 // the current rank as one limb
 	err   error
 }
 
 // NewIter returns a pull iterator over the whole space in rank order.
 // It requires the total to fit uint64 (a larger space cannot be
-// exhaustively scanned anyway), which admits the uint64 tier and any
-// force-wide space of enumerable size.
+// exhaustively scanned anyway).
 func (s *Space) NewIter() (*PlanIter, error) {
-	if s.fits {
-		return &PlanIter{s: s, hi: s.total64}, nil
+	t, ok := wideToU64(s.totalW)
+	if !ok {
+		return nil, errTooLarge(s.total)
 	}
-	if s.tier == tierWide {
-		if t, ok := wideToU64(s.totalW); ok {
-			return &PlanIter{s: s, hi: t}, nil
-		}
-	}
-	return nil, errTooLarge(s.total)
+	return &PlanIter{s: s, hi: t}, nil
 }
 
-// NewRangeIter returns a pull iterator over ranks [lo, hi) (hi clamped
-// to N). It works on the uint64 and wide tiers — on a wide space the
-// ranks themselves are limited to uint64, which any practical scan
-// satisfies.
+// NewRangeIter returns a pull iterator over ranks [lo, hi), with hi
+// clamped to N.
 func (s *Space) NewRangeIter(lo, hi uint64) (*PlanIter, error) {
-	switch s.tier {
-	case tierUint64:
-		if hi > s.total64 {
-			hi = s.total64
-		}
-	case tierWide:
-		if t, ok := wideToU64(s.totalW); ok && hi > t {
-			hi = t
-		}
-	default:
-		return nil, errTooLarge(s.total)
+	if t, ok := wideToU64(s.totalW); ok && hi > t {
+		hi = t
 	}
 	return &PlanIter{s: s, next: lo, hi: hi}, nil
 }
@@ -156,16 +108,8 @@ func (it *PlanIter) Next() bool {
 	if it.err != nil || it.next >= it.hi {
 		return false
 	}
-	var (
-		p   *plan.Node
-		err error
-	)
-	if it.s.fits {
-		p, err = it.s.UnrankInto(it.next, &it.arena)
-	} else {
-		it.limb[0] = it.next
-		p, err = it.s.UnrankWideInto(wideNorm(it.limb[:]), &it.arena)
-	}
+	it.limb[0] = it.next
+	p, err := it.s.UnrankWideInto(it.limb[:], &it.arena)
 	if err != nil {
 		it.err = err
 		return false

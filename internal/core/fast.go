@@ -9,25 +9,29 @@ import (
 
 // This file is the uint64 arithmetic path: the same bijection as
 // unrank.go, but with every base, prefix sum, and rank a native uint64.
-// It is only reachable when Space.FitsUint64() is true, which Prepare
+// It serves spaces for which Space.FitsUint64() is true, which Prepare
 // establishes with overflow-checked counting; within that regime the
 // mixed-radix decomposition cannot overflow (every intermediate value
-// is bounded by the total).
+// is bounded by the total). The wide tier also hands it every subtree
+// whose count fits uint64.
 
-// Arena is a reusable allocation buffer for the fast unranking path.
-// Plan nodes and child-pointer slices are carved out of backing arrays
-// that are truncated — not freed — between calls, so steady-state
-// UnrankInto performs zero heap allocations. Plans built from an Arena
-// are valid only until the next call that resets it; callers that
-// retain plans must use Unrank64 (fresh allocations) instead. The zero
-// value is ready to use. An Arena must not be shared across goroutines.
+// Arena is a reusable allocation buffer for unranking. Plan nodes and
+// child-pointer slices are carved out of backing arrays that are
+// truncated — not freed — between calls, so steady-state UnrankInto,
+// UnrankWideInto, and Sampler.Each perform zero heap allocations.
+// Plans built from an Arena are valid only until the next call that
+// resets it; callers that retain plans pass a nil arena (fresh
+// allocations) instead. The zero value is ready to use. An Arena must
+// not be shared across goroutines.
 type Arena struct {
 	nodes []plan.Node
 	kids  []*plan.Node
 
 	// wide holds the limb scratch of the wide tier's decomposer, so one
-	// Arena serves UnrankInto and UnrankWideInto alike.
+	// Arena serves every tier alike.
 	wide WideArena
+	// rank is UnrankBigInto's big.Int-to-limbs conversion buffer.
+	rank []uint64
 }
 
 // Reset recycles the arena, invalidating all plans previously built
@@ -57,18 +61,12 @@ func (s *Space) errBigOnly() error {
 	return fmt.Errorf("core: space holds %s plans, beyond the uint64 fast path (tier %s); use the wide or big.Int API", s.total, s.tier)
 }
 
-// Unrank64 constructs the plan with rank r on the uint64 fast path,
-// allocating fresh nodes (the returned plan is independent of the
-// space and of any arena). It fails when the space exceeds uint64 or
-// was forced onto the big.Int path.
-func (s *Space) Unrank64(r uint64) (*plan.Node, error) {
-	return s.unrank64(r, nil)
-}
-
-// UnrankInto is Unrank64 building the plan inside a, reusing its
-// buffers: after the arena has warmed up, the call performs no heap
-// allocation. The returned plan is valid until the next UnrankInto or
-// Reset on the same arena.
+// UnrankInto constructs the plan with rank r on the uint64 tier, inside
+// a, reusing its buffers: after the arena has warmed up, the call
+// performs no heap allocation. The returned plan is valid until the
+// next UnrankInto or Reset on the same arena; a == nil allocates fresh,
+// retainable nodes. It fails when the space exceeds uint64 or was
+// forced onto another tier.
 func (s *Space) UnrankInto(r uint64, a *Arena) (*plan.Node, error) {
 	if a == nil {
 		return s.unrank64(r, nil)
@@ -172,8 +170,8 @@ func selectByPrefix64(prefix []uint64, r uint64) int {
 	return base
 }
 
-// Rank64 computes the rank of a plan on the uint64 fast path — the
-// inverse of Unrank64.
+// Rank64 computes the rank of a plan on the uint64 tier — the inverse
+// of UnrankInto.
 func (s *Space) Rank64(n *plan.Node) (uint64, error) {
 	if !s.fits {
 		return 0, s.errBigOnly()
@@ -221,22 +219,4 @@ func (s *Space) rankExpr64(n *plan.Node) (uint64, error) {
 		base *= info.b64[i]
 	}
 	return rl, nil
-}
-
-// UnrankBatch unranks every rank into a freshly allocated plan. It is
-// the bulk companion of Sampler.SampleRanks: draw a batch of ranks,
-// then materialize the plans that must outlive any arena.
-func (s *Space) UnrankBatch(ranks []uint64) ([]*plan.Node, error) {
-	if !s.fits {
-		return nil, s.errBigOnly()
-	}
-	out := make([]*plan.Node, len(ranks))
-	for i, r := range ranks {
-		p, err := s.unrank64(r, nil)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = p
-	}
-	return out, nil
 }

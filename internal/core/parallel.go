@@ -41,52 +41,10 @@ func (s *Space) SampleParallel(seed int64, k, workers int) ([]*plan.Node, error)
 				errs[w] = err
 				return
 			}
-			if smp.Fast() {
-				// Batched fast path: draw all ranks, then unrank
-				// straight into the worker's output region. The rank
-				// stream is identical to the Next loop below (one
-				// generator word per accepted draw), so results do not
-				// depend on which path ran.
-				ranks := make([]uint64, hi-lo)
-				if err := smp.SampleRanks(ranks); err != nil {
-					errs[w] = err
-					return
-				}
-				for i, r := range ranks {
-					p, err := s.Unrank64(r)
-					if err != nil {
-						errs[w] = err
-						return
-					}
-					out[lo+i] = p
-				}
-				return
-			}
-			if smp.Wide() {
-				// Wide tier: one reused limb buffer and one reused
-				// scratch arena per worker; plans are freshly allocated
-				// because the output retains them.
-				buf := make([]uint64, s.RankLimbs())
-				var wa WideArena
-				for i := lo; i < hi; i++ {
-					wa.Reset()
-					p, err := s.unrankWide(smp.NextRankInto(buf), nil, &wa)
-					if err != nil {
-						errs[w] = err
-						return
-					}
-					out[i] = p
-				}
-				return
-			}
-			for i := lo; i < hi; i++ {
-				_, p, err := smp.Next()
-				if err != nil {
-					errs[w] = err
-					return
-				}
-				out[i] = p
-			}
+			errs[w] = smp.Each(hi-lo, nil, func(i int, _ []uint64, p *plan.Node) error {
+				out[lo+i] = p
+				return nil
+			})
 		}(w, lo, hi)
 	}
 	wg.Wait()

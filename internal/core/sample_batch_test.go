@@ -1,10 +1,13 @@
 package core
 
 import (
+	"errors"
+	"math/big"
 	"testing"
 
 	"repro/internal/fixture"
 	"repro/internal/memo"
+	"repro/internal/plan"
 )
 
 // TestSampleRanksWideIntoMatchesStream: the flat batch API must consume
@@ -98,5 +101,106 @@ func TestSampleRanksWideIntoErrors(t *testing.T) {
 	}
 	if err := ws.SampleRanksWideInto(make([]uint64, wide.RankLimbs()*3), 4); err == nil {
 		t.Error("short buffer accepted (3 ranks of room, 4 requested)")
+	}
+}
+
+// TestEachMatchesNextRankUnrank: the one sampling loop yields exactly
+// the (rank, plan) sequence of plan-by-plan NextRank + Unrank for one
+// seed, on every tier and across chunk boundaries — into a reused
+// arena, and into fresh plans (a == nil) that stay valid after later
+// yields.
+func TestEachMatchesNextRankUnrank(t *testing.T) {
+	cases := []struct {
+		name  string
+		m     *memo.Memo
+		opts  []Option
+		arith string
+	}{
+		{"fixture-uint64", fixture.New().Memo, nil, "uint64"},
+		{"fixture-wide", fixture.New().Memo, []Option{WithWideArithmetic()}, "wide"},
+		{"fixture-big", fixture.New().Memo, []Option{WithBigArithmetic()}, "big"},
+		{"chain-2^128", chainMemo(128), nil, "wide"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			s, err := Prepare(tc.m, tc.opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if s.Arithmetic() != tc.arith {
+				t.Fatalf("tier %s, want %s", s.Arithmetic(), tc.arith)
+			}
+			const k = eachChunk + 45 // crosses a chunk boundary
+			ref, err := s.NewSampler(42)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantRanks := make([]*big.Int, k)
+			wantPlans := make([]string, k)
+			for i := range wantRanks {
+				wantRanks[i] = ref.NextRank()
+				p, err := s.Unrank(wantRanks[i])
+				if err != nil {
+					t.Fatal(err)
+				}
+				wantPlans[i] = p.Digest()
+			}
+
+			for _, arena := range []*Arena{new(Arena), nil} {
+				smp, err := s.NewSampler(42)
+				if err != nil {
+					t.Fatal(err)
+				}
+				kept := make([]*plan.Node, 0, k)
+				err = smp.Each(k, arena, func(i int, rank []uint64, p *plan.Node) error {
+					if got := bigFromLimbs(rank); got.Cmp(wantRanks[i]) != 0 {
+						t.Fatalf("arena=%v draw %d: rank %s, want %s", arena != nil, i, got, wantRanks[i])
+					}
+					if p.Digest() != wantPlans[i] {
+						t.Fatalf("arena=%v draw %d: plan differs from Unrank", arena != nil, i)
+					}
+					kept = append(kept, p)
+					return nil
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(kept) != k {
+					t.Fatalf("arena=%v: %d yields, want %d", arena != nil, len(kept), k)
+				}
+				if arena == nil {
+					for i, p := range kept {
+						if p.Digest() != wantPlans[i] {
+							t.Fatalf("fresh plan %d changed after later yields", i)
+						}
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestEachStopsOnYieldError: a yield error ends the loop and is
+// returned unchanged.
+func TestEachStopsOnYieldError(t *testing.T) {
+	s, err := Prepare(fixture.New().Memo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	smp, err := s.NewSampler(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stop := errors.New("stop")
+	calls := 0
+	err = smp.Each(10, nil, func(i int, _ []uint64, _ *plan.Node) error {
+		calls++
+		if i == 3 {
+			return stop
+		}
+		return nil
+	})
+	if err != stop || calls != 4 {
+		t.Fatalf("Each returned %v after %d calls, want stop after 4", err, calls)
 	}
 }

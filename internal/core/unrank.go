@@ -13,24 +13,73 @@ import (
 // counts, its local rank is decomposed into per-child sub-ranks in the
 // mixed-radix system with bases b_v(i), and each sub-rank is unranked
 // recursively in the child's candidate list. Unranking is O(m)
-// arithmetic operations for a plan of m operators — native uint64 when
-// the space fits (see fast.go), big-int otherwise.
+// arithmetic operations for a plan of m operators, on whichever tier
+// serves the space (see UnrankWideInto). The plan is freshly allocated.
 func (s *Space) Unrank(r *big.Int) (*plan.Node, error) {
-	if s.fits && r.IsUint64() {
-		return s.unrank64(r.Uint64(), nil)
-	}
-	if r.Sign() < 0 || r.Cmp(s.total) >= 0 {
+	return s.UnrankBigInto(r, nil)
+}
+
+// UnrankBigInto is Unrank reusing an arena: the rank converts to limbs
+// in a's buffer and unranks through UnrankWideInto, so on the uint64
+// and wide tiers a warmed arena performs no steady-state allocation
+// (the big tier allocates fresh — it is the oracle, not a production
+// path). The returned plan is valid until the next unranking call on
+// the same arena; a == nil allocates fresh, retainable nodes.
+func (s *Space) UnrankBigInto(r *big.Int, a *Arena) (*plan.Node, error) {
+	if r.Sign() < 0 {
 		return nil, fmt.Errorf("core: rank %s out of range [0, %s)", r, s.total)
 	}
-	if s.tier == tierWide {
-		return s.UnrankWide(bigToLimbs(r, nil))
+	if a == nil {
+		return s.UnrankWideInto(bigToLimbs(r, nil), nil)
 	}
+	a.rank = bigToLimbs(r, a.rank)
+	return s.UnrankWideInto(a.rank, a)
+}
+
+// UnrankWideInto constructs the plan with little-endian limb rank r on
+// every tier; r need not be canonical and is not modified. With a
+// non-nil arena the plan is built inside a, reusing its node and limb
+// buffers — after warm-up the uint64 and wide tiers perform no heap
+// allocation, and the plan is valid until the next unranking call or
+// Reset on a. With a == nil the plan is freshly allocated and
+// independent of the space.
+func (s *Space) UnrankWideInto(r []uint64, a *Arena) (*plan.Node, error) {
+	if a == nil {
+		var wa WideArena
+		return s.unrankLimbs(r, nil, &wa)
+	}
+	a.Reset()
+	return s.unrankLimbs(r, a, &a.wide)
+}
+
+// unrankLimbs is the one tier dispatch behind every unranking entry
+// point: native uint64 when the space fits, the wide limb decomposer
+// beyond 2^64, and math/big only under WithBigArithmetic. Nodes come
+// from a (nil: heap), limb scratch from wa.
+func (s *Space) unrankLimbs(r []uint64, a *Arena, wa *WideArena) (*plan.Node, error) {
+	r = wideNorm(r)
+	if wideCmp(r, s.totalW) >= 0 {
+		return nil, fmt.Errorf("core: rank %s out of range [0, %s)", limbsToBig(r), s.total)
+	}
+	switch s.tier {
+	case tierUint64:
+		v, _ := wideToU64(r)
+		return s.unrank64(v, a)
+	case tierWide:
+		return s.unrankWide(r, a, wa)
+	default:
+		return s.unrankBig(limbsToBig(r))
+	}
+}
+
+// unrankBig is the math/big oracle's unranking, reached only through
+// unrankLimbs on a WithBigArithmetic space; r is in range.
+func (s *Space) unrankBig(r *big.Int) (*plan.Node, error) {
 	// Select the root operator: the first covers ranks 0..N(v1)-1, the
 	// second N(v1)..N(v1)+N(v2)-1, and so on.
 	k := selectByPrefix(s.prefix, r)
-	e := s.rootOps[k]
 	local := new(big.Int).Sub(r, s.prefix[k])
-	return s.unrankExpr(e, local)
+	return s.unrankExpr(s.rootOps[k], local)
 }
 
 // unrankExpr builds the plan rooted at e with local rank rl in [0, N(e)).
@@ -80,30 +129,6 @@ func selectByPrefix(prefix []*big.Int, r *big.Int) int {
 		k++
 	}
 	return k
-}
-
-// UnrankBigInto is Unrank reusing an arena: ranks within the uint64 or
-// wide tier decompose into a's node and limb buffers with no
-// steady-state allocation (the big tier falls back to fresh
-// allocation — it is the oracle, not a production path). The returned
-// plan is valid until the next unranking call on the same arena.
-func (s *Space) UnrankBigInto(r *big.Int, a *Arena) (*plan.Node, error) {
-	if r.Sign() < 0 || r.Cmp(s.total) >= 0 {
-		return nil, fmt.Errorf("core: rank %s out of range [0, %s)", r, s.total)
-	}
-	switch {
-	case s.fits:
-		return s.UnrankInto(r.Uint64(), a)
-	case s.tier == tierWide:
-		if a == nil {
-			return s.UnrankWide(bigToLimbs(r, nil))
-		}
-		a.Reset()
-		limbs := bigToLimbs(r, a.wide.Alloc(s.RankLimbs()))
-		return s.unrankWide(limbs, a, &a.wide)
-	default:
-		return s.Unrank(r)
-	}
 }
 
 // Rank computes the integer the given plan maps to — the inverse of

@@ -3,6 +3,7 @@ package core
 import (
 	"math/big"
 	"math/bits"
+	"strconv"
 )
 
 // This file is the wide-integer arithmetic tier: fixed-allocation
@@ -320,12 +321,16 @@ func bigToLimbs(x *big.Int, buf []uint64) []uint64 {
 }
 
 // AppendWideDecimal renders a canonical limb slice in base 10 into dst
-// without any big.Int allocation: repeated division by 1e19 peels 19
-// digits at a time off a scratch copy carved from a. It is how the
-// plan-space service serializes wide ranks.
+// without any big.Int allocation: a one-limb value goes straight to
+// strconv, and a wider one has 19 digits at a time peeled off by
+// repeated division by 1e19 on a scratch copy carved from a. It is how
+// the plan-space service serializes ranks on every tier.
 func AppendWideDecimal(dst []byte, x []uint64, a *WideArena) []byte {
-	if len(x) == 0 {
+	switch len(x) {
+	case 0:
 		return append(dst, '0')
+	case 1:
+		return strconv.AppendUint(dst, x[0], 10)
 	}
 	const chunk = 1e19 // largest power of ten in a uint64
 	work := a.put(x)

@@ -235,9 +235,9 @@ func TestTriPathDifferentialFixture(t *testing.T) {
 	var arena Arena
 	rankBuf := make([]uint64, 1)
 	for r := uint64(0); r < 25; r++ {
-		pf, err := fast.Unrank64(r)
+		pf, err := fast.UnrankInto(r, nil)
 		if err != nil {
-			t.Fatalf("Unrank64(%d): %v", r, err)
+			t.Fatalf("UnrankInto(%d): %v", r, err)
 		}
 		rankBuf[0] = r
 		pw, err := wide.UnrankWideInto(wideNorm(rankBuf), &arena)

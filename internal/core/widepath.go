@@ -15,40 +15,9 @@ import (
 // to the native decomposer in fast.go. Every temporary is carved from a
 // WideArena, so a warmed UnrankWideInto performs zero heap allocations.
 
-// errNotWide reports use of a wide-only entry point off the wide tier.
-func (s *Space) errNotWide() error {
-	return fmt.Errorf("core: space runs on the %s tier, not wide; use the matching API", s.tier)
-}
-
-// UnrankWide constructs the plan with canonical little-endian rank r on
-// the wide tier, allocating fresh nodes (the returned plan is
-// independent of the space and of any arena). r is not modified.
-func (s *Space) UnrankWide(r []uint64) (*plan.Node, error) {
-	var wa WideArena
-	return s.unrankWide(r, nil, &wa)
-}
-
-// UnrankWideInto is UnrankWide building the plan inside a, reusing its
-// node and limb buffers: after the arena has warmed up, the call
-// performs no heap allocation. The returned plan is valid until the
-// next unranking call or Reset on the same arena. r may point into a
-// caller-owned buffer; it is copied before decomposition.
-func (s *Space) UnrankWideInto(r []uint64, a *Arena) (*plan.Node, error) {
-	if a == nil {
-		return s.UnrankWide(r)
-	}
-	a.Reset()
-	return s.unrankWide(r, a, &a.wide)
-}
-
+// unrankWide decomposes a canonical in-range rank on the wide tier
+// (unrankLimbs has checked both).
 func (s *Space) unrankWide(r []uint64, a *Arena, wa *WideArena) (*plan.Node, error) {
-	if s.tier != tierWide {
-		return nil, s.errNotWide()
-	}
-	r = wideNorm(r)
-	if wideCmp(r, s.totalW) >= 0 {
-		return nil, fmt.Errorf("core: rank %s out of range [0, %s)", limbsToBig(r), s.total)
-	}
 	k := selectByPrefixWide(s.prefixW, r)
 	local := wideSubInPlace(wa.put(r), s.prefixW[k])
 	e := s.rootOps[k]
@@ -161,12 +130,9 @@ func (s *Space) unrankExprWide(e *memo.Expr, rl []uint64, a *Arena, wa *WideAren
 }
 
 // rankWide computes the rank of a plan on the wide tier — the inverse
-// of UnrankWide. It allocates (ranking is an API operation, not the
+// of UnrankWideInto. It allocates (ranking is an API operation, not the
 // sampling hot loop).
 func (s *Space) rankWide(n *plan.Node) (*big.Int, error) {
-	if s.tier != tierWide {
-		return nil, s.errNotWide()
-	}
 	var scratch [1]uint64
 	for k, e := range s.rootOps {
 		if e != n.Expr {

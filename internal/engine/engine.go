@@ -360,20 +360,9 @@ func (p *Prepared) OverlayFingerprint() Fingerprint { return p.Overlay.Fingerpri
 // Count returns the number of execution plans in the space.
 func (p *Prepared) Count() *big.Int { return p.Space.Count() }
 
-// FitsUint64 reports whether the space runs on the uint64 fast path
-// (see core.Space.FitsUint64).
-func (p *Prepared) FitsUint64() bool { return p.Space.FitsUint64() }
-
 // Arithmetic names the tier serving the space — "uint64", "wide", or
 // "big" (see core.Space.Arithmetic).
 func (p *Prepared) Arithmetic() string { return p.Space.Arithmetic() }
-
-// CountUint64 returns the plan count as a native uint64 when the fast
-// path is active.
-func (p *Prepared) CountUint64() (uint64, bool) { return p.Space.CountUint64() }
-
-// Unrank64 returns plan number r on the uint64 fast path.
-func (p *Prepared) Unrank64(r uint64) (*plan.Node, error) { return p.Space.Unrank64(r) }
 
 // OptimalPlan returns the optimizer's chosen plan under the current
 // costing.
@@ -390,11 +379,6 @@ func (p *Prepared) OptimalRank() (*big.Int, error) { return p.Overlay.OptimalRan
 
 // Unrank returns plan number r.
 func (p *Prepared) Unrank(r *big.Int) (*plan.Node, error) { return p.Space.Unrank(r) }
-
-// UnrankInt is Unrank for small plan numbers.
-func (p *Prepared) UnrankInt(r int64) (*plan.Node, error) {
-	return p.Space.Unrank(big.NewInt(r))
-}
 
 // Sampler returns a deterministic uniform plan sampler.
 func (p *Prepared) Sampler(seed int64) (*core.Sampler, error) {

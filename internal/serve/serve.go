@@ -13,7 +13,7 @@
 //	POST /prepare       — parse, optimize, count; returns fingerprint + space parameters
 //	POST /count         — plan count only
 //	POST /unrank        — batch of plan numbers → plan trees with scaled costs
-//	POST /sample        — k uniform plans; rides the uint64 batched fast path
+//	POST /sample        — k uniform plans through one batched sampling loop
 //	                      (or the allocation-free wide limb tier past 2^64 plans)
 //	POST /explain       — EXPLAIN tree of the optimal plan or a numbered plan
 //	POST /execute       — run one plan (by rank / USEPLAN / optimal) under Governor limits
@@ -51,7 +51,6 @@ import (
 	"fmt"
 	"math/big"
 	"net/http"
-	"strconv"
 	"sync/atomic"
 	"time"
 
@@ -412,22 +411,7 @@ func (s *Server) handleSample(w http.ResponseWriter, r *http.Request) {
 		s.writeErr(w, http.StatusUnprocessableEntity, "sampler: %v", err)
 		return
 	}
-	switch {
-	case smp.Fast():
-		// The uint64 fast path: batched rank generation, arena-reused
-		// unranking, stack-reused costing. Beyond the response slices
-		// above, the loop allocates nothing per plan (the rank's decimal
-		// string is response encoding).
-		err = sampleFast(p, smp, ranks, costs, plans)
-	case smp.Wide():
-		// The wide limb tier — spaces beyond 2^64 plans: reused limb
-		// buffer, arena-reused wide unranking, allocation-free decimal
-		// rendering. Same steady-state profile as the fast path.
-		err = sampleWide(p, smp, ranks, costs, plans)
-	default:
-		err = sampleBig(p, smp, ranks, costs, plans)
-	}
-	if err != nil {
+	if err := sampleLoop(p, smp, ranks, costs, plans); err != nil {
 		s.writeErr(w, http.StatusInternalServerError, "sampling: %v", err)
 		return
 	}
@@ -447,108 +431,31 @@ func (s *Server) handleSample(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// sampleFast draws len(ranks) plans on the uint64 path in chunks:
-// batched rank generation (Sampler.SampleRanks), one reused arena for
-// unranking, one reused cost stack. ranks and costs are the response
-// payload; when plans is non-nil (same length as ranks) each plan's
-// tree is rendered too (which allocates, and is priced accordingly by
-// the API contract).
-func sampleFast(p *engine.Prepared, smp *core.Sampler, ranks []string, costs []float64, plans []string) error {
-	const chunk = 1024
-	var raw [chunk]uint64
-	var arena core.Arena
-	var costBuf plan.CostBuf
-	var numBuf [20]byte // fits any uint64 decimal
-	for off := 0; off < len(ranks); off += chunk {
-		n := len(ranks) - off
-		if n > chunk {
-			n = chunk
-		}
-		if err := smp.SampleRanks(raw[:n]); err != nil {
-			return err
-		}
-		for i, rk := range raw[:n] {
-			pl, err := p.Space.UnrankInto(rk, &arena)
-			if err != nil {
-				return err
-			}
-			sc, err := p.ScaledCostWith(pl, &costBuf)
-			if err != nil {
-				return err
-			}
-			costs[off+i] = sc
-			ranks[off+i] = string(strconv.AppendUint(numBuf[:0], rk, 10))
-			if plans != nil {
-				plans[off+i] = pl.String()
-			}
-		}
-	}
-	return nil
-}
-
-// sampleWide draws plans on the wide limb tier in flat batches: one
-// SampleRanksWideInto call fills a chunk × RankLimbs limb buffer, then
-// each row unranks through one reused arena and renders its decimal
-// string through the arena's limb scratch — no math/big anywhere, no
-// per-plan allocation beyond the response strings, and one sampler
-// call per chunk instead of per plan.
-func sampleWide(p *engine.Prepared, smp *core.Sampler, ranks []string, costs []float64, plans []string) error {
-	const chunk = 256
-	stride := p.Space.RankLimbs()
-	raw := make([]uint64, chunk*stride)
+// sampleLoop draws len(ranks) plans through Sampler.Each on whichever
+// tier serves the space: one reused arena for unranking, one reused
+// cost stack, and allocation-free decimal rendering of each rank.
+// ranks and costs are the response payload; beyond them the loop
+// allocates nothing per plan after warm-up. When plans is non-nil
+// (same length as ranks) each plan's tree is rendered too (which
+// allocates, and is priced accordingly by the API contract).
+func sampleLoop(p *engine.Prepared, smp *core.Sampler, ranks []string, costs []float64, plans []string) error {
 	var arena core.Arena
 	var dec core.WideArena
 	var costBuf plan.CostBuf
-	decBuf := make([]byte, 0, 64)
-	for off := 0; off < len(ranks); off += chunk {
-		n := len(ranks) - off
-		if n > chunk {
-			n = chunk
-		}
-		if err := smp.SampleRanksWideInto(raw, n); err != nil {
-			return err
-		}
-		for i := 0; i < n; i++ {
-			rk := core.WideNorm(raw[i*stride : (i+1)*stride])
-			pl, err := p.Space.UnrankWideInto(rk, &arena)
-			if err != nil {
-				return err
-			}
-			sc, err := p.ScaledCostWith(pl, &costBuf)
-			if err != nil {
-				return err
-			}
-			costs[off+i] = sc
-			dec.Reset()
-			ranks[off+i] = string(core.AppendWideDecimal(decBuf[:0], rk, &dec))
-			if plans != nil {
-				plans[off+i] = pl.String()
-			}
-		}
-	}
-	return nil
-}
-
-// sampleBig is the oracle fallback (spaces forced onto math/big):
-// plan-by-plan sampling through big.Int.
-func sampleBig(p *engine.Prepared, smp *core.Sampler, ranks []string, costs []float64, plans []string) error {
-	var costBuf plan.CostBuf
-	for i := range ranks {
-		rk, pl, err := smp.Next()
-		if err != nil {
-			return err
-		}
+	var numBuf [64]byte // any rank of a space a process can count
+	return smp.Each(len(ranks), &arena, func(i int, rk []uint64, pl *plan.Node) error {
 		sc, err := p.ScaledCostWith(pl, &costBuf)
 		if err != nil {
 			return err
 		}
-		ranks[i] = rk.String()
 		costs[i] = sc
+		dec.Reset()
+		ranks[i] = string(core.AppendWideDecimal(numBuf[:0], rk, &dec))
 		if plans != nil {
 			plans[i] = pl.String()
 		}
-	}
-	return nil
+		return nil
+	})
 }
 
 // ExplainRequest asks for the EXPLAIN tree of the optimal plan (rank

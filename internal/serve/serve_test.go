@@ -278,8 +278,8 @@ func TestSampleWideTier(t *testing.T) {
 	}
 }
 
-// TestSampleWideLoopAllocationFree: the wide-tier sampling loop behind
-// /sample — limb rank draws, arena-reused wide unranking, stack
+// TestSampleWideLoopAllocationFree: the /sample loop on the wide tier
+// — limb rank draws, arena-reused wide unranking, stack
 // costing, arena-backed decimal rendering — must not allocate per plan
 // beyond the response strings, exactly like the uint64 loop.
 func TestSampleWideLoopAllocationFree(t *testing.T) {
@@ -302,11 +302,11 @@ func TestSampleWideLoopAllocationFree(t *testing.T) {
 	if !smp.Wide() {
 		t.Fatal("Q8+cross sampler should run the wide tier")
 	}
-	if err := sampleWide(p, smp, ranks, costs, nil); err != nil {
+	if err := sampleLoop(p, smp, ranks, costs, nil); err != nil {
 		t.Fatal(err)
 	}
 	avg := testing.AllocsPerRun(5, func() {
-		if err := sampleWide(p, smp, ranks, costs, nil); err != nil {
+		if err := sampleLoop(p, smp, ranks, costs, nil); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -447,8 +447,8 @@ func TestConcurrentClients(t *testing.T) {
 	}
 }
 
-// TestSampleLoopAllocationFree: the uint64 sampling loop behind /sample
-// — batched rank draws, arena unranking, stack costing — must not
+// TestSampleLoopAllocationFree: the /sample loop on the uint64 tier —
+// batched rank draws, arena unranking, stack costing — must not
 // allocate per plan. Response-payload slices (ranks, costs) are
 // preallocated by the handler and excluded here; the rank's decimal
 // string is the one allocation the loop makes, and it IS response
@@ -471,11 +471,11 @@ func TestSampleLoopAllocationFree(t *testing.T) {
 		t.Fatal("Q9 should run the uint64 path")
 	}
 	// Warm-up run grows the arena and cost stack to steady state.
-	if err := sampleFast(p, smp, ranks, costs, nil); err != nil {
+	if err := sampleLoop(p, smp, ranks, costs, nil); err != nil {
 		t.Fatal(err)
 	}
 	avg := testing.AllocsPerRun(5, func() {
-		if err := sampleFast(p, smp, ranks, costs, nil); err != nil {
+		if err := sampleLoop(p, smp, ranks, costs, nil); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -485,5 +485,67 @@ func TestSampleLoopAllocationFree(t *testing.T) {
 	if perPlan > 0.05 {
 		t.Errorf("sampling loop allocates %.2f times per plan beyond response encoding (%.0f allocs for %d plans)",
 			perPlan, avg, k)
+	}
+}
+
+// TestSampleGoldenStream pins the exact /sample output of two seeded
+// requests, one per production tier: the rank stream and every scaled
+// cost must not move when the sampling loop is restructured.
+func TestSampleGoldenStream(t *testing.T) {
+	srv, _ := newTestServer(t)
+	cases := []struct {
+		req   SampleRequest
+		arith string
+		ranks []string
+		costs []float64
+	}{
+		{
+			req:   SampleRequest{QueryRequest: QueryRequest{Query: "Q9"}, K: 16, Seed: 7},
+			arith: "uint64",
+			ranks: []string{
+				"8082660910164", "2036358638241", "10919360516518", "8018185681300",
+				"1285601316043", "3115705434124", "3014263203267", "195825469217",
+				"4035863628766", "1275037985044", "7465807588516", "1284938102597",
+				"10379557961847", "7684081508499", "7496172625398", "9940479829330",
+			},
+			costs: []float64{
+				11107.088577592183, 150.47861993864007, 7829.779989264849, 14.229506878154913,
+				243.12134426577902, 20927.811870080262, 3059.236917284203, 6952.5798959286885,
+				134085.37837178112, 13958.571069273234, 24774.99717783032, 23268.430167610153,
+				43866.28140354258, 13.382738478320448, 24906.91440664827, 201.0576689993861,
+			},
+		},
+		{
+			req:   SampleRequest{QueryRequest: QueryRequest{Query: "Q8", Cross: true}, K: 16, Seed: 1},
+			arith: "wide",
+			ranks: []string{
+				"11427209246849294603855", "8012221752714494568664", "20136064791771307365012", "1838226457374580665241",
+				"9728938630909197370919", "22932813826496387117524", "24888982500918023312857", "24232501728292406631707",
+				"12831726299378846502259", "3840251218666724886084", "24426229256600788570693", "14205898325503548575970",
+				"9887715873375624450619", "21883439395813116205035", "11243835804688100748859", "13063075860050835931908",
+			},
+			costs: []float64{
+				704814.7773065642, 609747.8557463252, 4.55952964363526e+07, 662047.1114010318,
+				1488.220493910566, 198311.67653284848, 4.0254186685775266e+09, 383461.33625974524,
+				104315.56529441042, 113442.84703025763, 11715.125596281874, 6.802868264058164e+08,
+				727618.6955203796, 2.542268542539598e+06, 1843.2823888683681, 2.9899839139053337e+06,
+			},
+		},
+	}
+	for _, tc := range cases {
+		var resp SampleResponse
+		post(t, srv.Handler(), "/sample", tc.req, http.StatusOK, &resp)
+		if resp.Arithmetic != tc.arith {
+			t.Fatalf("%s: arithmetic %q, want %q", tc.req.Query, resp.Arithmetic, tc.arith)
+		}
+		if len(resp.Ranks) != len(tc.ranks) || len(resp.ScaledCosts) != len(tc.costs) {
+			t.Fatalf("%s: %d ranks, %d costs; want %d", tc.req.Query, len(resp.Ranks), len(resp.ScaledCosts), len(tc.ranks))
+		}
+		for i := range tc.ranks {
+			if resp.Ranks[i] != tc.ranks[i] || resp.ScaledCosts[i] != tc.costs[i] {
+				t.Errorf("%s draw %d: rank %s cost %v, want rank %s cost %v",
+					tc.req.Query, i, resp.Ranks[i], resp.ScaledCosts[i], tc.ranks[i], tc.costs[i])
+			}
+		}
 	}
 }
