@@ -1,113 +1,134 @@
 #!/usr/bin/env bash
 # bench_diff.sh — regression gate for the counting engine's recorded
-# speedups.
+# speedups and allocation counts.
 #
-# Re-runs the arithmetic-tier benchmark matrix (BenchmarkUnrank and
-# BenchmarkSample: uint64 vs big on Q5/Q8/Q9, wide vs big on Q8+cross),
-# computes the same production-tier-vs-oracle speedups BENCH_core.json
-# records, and fails when any of them has regressed by more than 20%.
-# Absolute ns/op shift with the host; the ratios are what the tiers
-# promise, so the ratios are what the gate checks. Runs COUNT times and
-# compares medians to damp scheduler noise.
+# Three gates, all against BENCH_core.json:
 #
-# It also gates allocations on the executor's optimal-plan rows
-# (BenchmarkExecute/*/optimal): allocs/op must stay within 10% of the
-# value BENCH_core.json records. Allocation counts do not depend on the
-# host, so this gate is absolute.
+#  1. Zero allocations. Every production-tier row of BenchmarkUnrank
+#     and BenchmarkSample (the /uint64 and /wide rows) and
+#     BenchmarkSampleRanks must report exactly 0 allocs/op on every
+#     run. Allocation counts do not depend on the host, so this gate is
+#     absolute.
+#  2. Executor allocations. BenchmarkExecute/*/optimal allocs/op must
+#     stay within 10% of the value BENCH_core.json records.
+#  3. Speedups. The production tiers are timed against the /big rows
+#     (the reference oracle) and the recorded speedups must not regress
+#     by more than 20%. Absolute ns/op shift with the host; the ratios
+#     are what the tiers promise. The test binary is built once and run
+#     COUNT times with -count 1, so inside one run each production row
+#     executes back to back with its /big row; the gate takes the
+#     median of those per-run paired ratios, which cancels most of the
+#     drift a shared host adds between runs.
 #
-# Usage: scripts/bench_diff.sh   [BENCHTIME=300ms] [COUNT=3] [TOLERANCE=0.8]
+# Usage: scripts/bench_diff.sh   [BENCHTIME=300ms] [COUNT=7] [TOLERANCE=0.8]
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 BENCHTIME="${BENCHTIME:-300ms}"
-COUNT="${COUNT:-3}"
+COUNT="${COUNT:-7}"
 TOLERANCE="${TOLERANCE:-0.8}"
-OUT="$(mktemp)"
-trap 'rm -f "$OUT"' EXIT
+TMP="$(mktemp -d)"
+trap 'rm -rf "$TMP"' EXIT
 
-echo "bench_diff: running benchmark matrix (benchtime=$BENCHTIME count=$COUNT)" >&2
-go test -run '^$' -bench '^(BenchmarkUnrank|BenchmarkSample|BenchmarkRecost)$' \
-	-benchtime "$BENCHTIME" -count "$COUNT" . | tee "$OUT"
-go test -run '^$' -bench '^BenchmarkExecute$/^Q[0-9]+$/^optimal$' \
-	-benchtime "$BENCHTIME" -count "$COUNT" . | tee -a "$OUT"
+go test -c -o "$TMP/repro.test" .
+echo "bench_diff: running benchmark matrix (benchtime=$BENCHTIME runs=$COUNT)" >&2
+for i in $(seq 1 "$COUNT"); do
+	echo "bench_diff: run $i/$COUNT" >&2
+	{
+		"$TMP/repro.test" -test.run '^$' -test.benchmem -test.count 1 -test.benchtime "$BENCHTIME" \
+			-test.bench '^(BenchmarkUnrank|BenchmarkSample|BenchmarkSampleRanks|BenchmarkRecost)$'
+		"$TMP/repro.test" -test.run '^$' -test.benchmem -test.count 1 -test.benchtime "$BENCHTIME" \
+			-test.bench '^BenchmarkExecute$/^Q[0-9]+$/^optimal$'
+	} | tee "$TMP/run$i.txt"
+done
 
-python3 - "$OUT" "$TOLERANCE" <<'PYEOF'
-import json, re, statistics, sys
+python3 - "$TMP" "$COUNT" "$TOLERANCE" <<'PYEOF'
+import json, os, re, statistics, sys
 
-out_path, tolerance = sys.argv[1], float(sys.argv[2])
-rows = {}
-pat = re.compile(r'^(Benchmark(?:Unrank|Sample|Recost)/\S+?)-\d+\s+\d+\s+([\d.]+) ns/op')
-for line in open(out_path):
-    m = pat.match(line)
-    if m:
-        rows.setdefault(m.group(1), []).append(float(m.group(2)))
-if not rows:
+tmp, count, tolerance = sys.argv[1], int(sys.argv[2]), float(sys.argv[3])
+pat = re.compile(r'^(Benchmark\S+?)-\d+\s+\d+\s+([\d.]+) ns/op.*?\s(\d+) allocs/op')
+runs = []  # one {row: (ns/op, allocs/op)} per run
+for i in range(1, count + 1):
+    rows = {}
+    for line in open(os.path.join(tmp, f"run{i}.txt")):
+        m = pat.match(line)
+        if m:
+            rows[m.group(1)] = (float(m.group(2)), int(m.group(3)))
+    runs.append(rows)
+if not any(runs):
     sys.exit("bench_diff: no benchmark rows parsed")
-med = {k: statistics.median(v) for k, v in rows.items()}
 
-def speedup(kind, query, fast_tier):
-    slow = med.get(f"Benchmark{kind}/{query}/big")
-    fast = med.get(f"Benchmark{kind}/{query}/{fast_tier}")
-    if slow is None or fast is None or fast == 0:
-        return None
-    return slow / fast
+def paired(slow_row, fast_row):
+    """Per-run slow/fast ratios for runs holding both rows."""
+    out = []
+    for rows in runs:
+        slow, fast = rows.get(slow_row), rows.get(fast_row)
+        if slow and fast and fast[0] > 0:
+            out.append(slow[0] / fast[0])
+    return out
 
-fresh = {"unrank": {}, "sample": {}, "recost": {}}
-for q in ("Q5", "Q8", "Q9"):
-    fresh["unrank"][q] = speedup("Unrank", q, "uint64")
-    fresh["sample"][q] = speedup("Sample", q, "uint64")
-fresh["unrank"]["Q8cross"] = speedup("Unrank", "Q8cross", "wide")
-fresh["sample"]["Q8cross"] = speedup("Sample", "Q8cross", "wide")
+pairs = {"unrank": {}, "sample": {}, "recost": {}}
+for q, tier in (("Q5", "uint64"), ("Q8", "uint64"), ("Q9", "uint64"), ("Q8cross", "wide")):
+    pairs["unrank"][q] = paired(f"BenchmarkUnrank/{q}/big", f"BenchmarkUnrank/{q}/{tier}")
+    pairs["sample"][q] = paired(f"BenchmarkSample/{q}/big", f"BenchmarkSample/{q}/{tier}")
 # Overlay re-cost vs cold Prepare (the two-tier cache's promise).
-cold = med.get("BenchmarkRecost/Q9/coldprepare")
-recost = med.get("BenchmarkRecost/Q9/recost")
-if cold is not None and recost:
-    fresh["recost"]["Q9"] = cold / recost
-
-allocs = {}
-apat = re.compile(r'^(BenchmarkExecute/\S+/optimal)-\d+\s.*?\s(\d+) allocs/op')
-for line in open(out_path):
-    m = apat.match(line)
-    if m:
-        allocs.setdefault(m.group(1), []).append(int(m.group(2)))
+pairs["recost"]["Q9"] = paired("BenchmarkRecost/Q9/coldprepare", "BenchmarkRecost/Q9/recost")
 
 core = json.load(open("BENCH_core.json"))
-recorded = core["speedup"]
 failed = []
-print(f"\nbench_diff: speedup comparison (fail below {tolerance:.0%} of recorded)")
-print(f"{'row':28} {'recorded':>9} {'fresh':>9} {'ratio':>7}")
-for kind in ("unrank", "sample", "recost"):
-    for q, want in sorted(recorded.get(kind, {}).items()):
-        got = fresh.get(kind, {}).get(q)
-        if got is None:
-            failed.append(f"{kind}/{q}: row missing from fresh run")
-            continue
-        ratio = got / want
-        flag = "" if ratio >= tolerance else "  << REGRESSION"
-        print(f"{kind}/{q:22} {want:8.2f}x {got:8.2f}x {ratio:6.2f}{flag}")
-        if ratio < tolerance:
-            failed.append(f"{kind}/{q}: {want:.2f}x recorded, {got:.2f}x fresh")
-print("\nbench_diff: allocs/op ceilings (recorded + 10%)")
+
+print(f"\nbench_diff: zero-allocation rows ({count} runs)")
+print(f"{'row':28} {'max allocs/op':>14}")
+zero = [r["name"] for r in core["results"]
+        if re.fullmatch(r'Benchmark(Unrank|Sample)/\S+/(uint64|wide)|BenchmarkSampleRanks', r["name"])]
+for name in zero:
+    got = [rows[name][1] for rows in runs if name in rows]
+    if len(got) != count:
+        failed.append(f"{name}: present in {len(got)} of {count} runs")
+        continue
+    flag = "" if max(got) == 0 else "  << ALLOCATES"
+    print(f"{name[len('Benchmark'):]:28} {max(got):14d}{flag}")
+    if max(got) != 0:
+        failed.append(f"{name}: {max(got)} allocs/op, want 0")
+
+print(f"\nbench_diff: allocs/op ceilings (recorded + 10%)")
 print(f"{'row':28} {'recorded':>9} {'fresh':>9}")
 for row in core["results"]:
     name = row["name"]
     if not re.fullmatch(r'BenchmarkExecute/\S+/optimal', name):
         continue
     want = row["allocs_per_op"]
-    got = allocs.get(name)
-    if got is None:
-        failed.append(f"{name}: row missing from fresh run")
+    got = [rows[name][1] for rows in runs if name in rows]
+    if len(got) != count:
+        failed.append(f"{name}: present in {len(got)} of {count} runs")
         continue
     ceiling = want * 1.1
     flag = "" if max(got) <= ceiling else "  << REGRESSION"
     print(f"{name[len('Benchmark'):]:28} {want:9d} {max(got):9d}{flag}")
     if max(got) > ceiling:
         failed.append(f"{name}: {want} allocs/op recorded, {max(got)} fresh (ceiling {ceiling:.0f})")
+
+recorded = core["speedup"]
+print(f"\nbench_diff: speedups, median of per-run paired ratios (fail below {tolerance:.0%} of recorded)")
+print(f"{'row':28} {'recorded':>9} {'fresh':>9} {'ratio':>7}  per-run")
+for kind in ("unrank", "sample", "recost"):
+    for q, want in sorted(recorded.get(kind, {}).items()):
+        ratios = pairs.get(kind, {}).get(q)
+        if not ratios:
+            failed.append(f"{kind}/{q}: row missing from fresh runs")
+            continue
+        got = statistics.median(ratios)
+        ratio = got / want
+        flag = "" if ratio >= tolerance else "  << REGRESSION"
+        spread = " ".join(f"{r:.2f}" for r in ratios)
+        print(f"{kind}/{q:22} {want:8.2f}x {got:8.2f}x {ratio:6.2f}  [{spread}]{flag}")
+        if ratio < tolerance:
+            failed.append(f"{kind}/{q}: {want:.2f}x recorded, {got:.2f}x fresh")
 if failed:
     print("\nbench_diff: FAIL")
     for f in failed:
         print("  " + f)
     sys.exit(1)
-print("\nbench_diff: OK — no recorded speedup regressed by more than "
-      f"{1 - tolerance:.0%}, no executor row above its allocs/op ceiling")
+print("\nbench_diff: OK — production rows allocate nothing, no executor row above its "
+      f"allocs/op ceiling, no recorded speedup regressed by more than {1 - tolerance:.0%}")
 PYEOF
