@@ -23,6 +23,7 @@ import (
 	"context"
 	"fmt"
 	"math/big"
+	"math/rand"
 	"os"
 	"sort"
 	"strconv"
@@ -35,6 +36,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/exec"
 	"repro/internal/experiments"
+	"repro/internal/oracle"
 	"repro/internal/plan"
 	"repro/internal/rules"
 	"repro/internal/storage"
@@ -118,30 +120,27 @@ func limbsToBigInt(x []uint64) *big.Int {
 	return out
 }
 
-// dualSpaces prepares one TPC-H query twice over the same memo: the
-// uint64 fast path and the big.Int path forced via the test hook, so
-// the dual-path benchmarks compare identical spaces.
-func dualSpaces(tb testing.TB, q string) (fast, bigPath *core.Space) {
+// dualSpaces prepares one TPC-H query's uint64-tier space and builds
+// the math/big reference oracle over the same memo, so the speedup
+// benchmarks compare identical spaces.
+func dualSpaces(tb testing.TB, q string) (*core.Space, *oracle.Oracle) {
 	tb.Helper()
 	p := prepare(tb, q, false)
 	if !p.Space.FitsUint64() {
 		tb.Fatalf("%s space %s exceeds uint64; benchmark fixture invalid", q, p.Count())
 	}
-	bigPath, err := core.Prepare(p.Opt.Memo, core.WithBigArithmetic())
-	if err != nil {
-		tb.Fatal(err)
-	}
-	return p.Space, bigPath
+	return p.Space, oracle.New(p.Opt.Memo)
 }
 
-// BenchmarkUnrank compares the two arithmetic paths of the tentpole
-// refactor on TPC-H-scale spaces: mixed-radix decomposition of
-// pre-drawn ranks into plans. The uint64 path reuses one arena and must
-// run with ~0 allocs/op; the big.Int path is the former implementation.
-// Results are recorded in BENCH_core.json.
+// BenchmarkUnrank compares the production arithmetic tiers with the
+// math/big reference oracle (internal/oracle) on TPC-H-scale spaces:
+// mixed-radix decomposition of pre-drawn ranks into plans. The uint64
+// and wide rows reuse one arena and must run at 0 allocs/op; the /big
+// rows time the oracle. Results are recorded in BENCH_core.json and
+// gated by scripts/bench_diff.sh.
 func BenchmarkUnrank(b *testing.B) {
 	for _, q := range []string{"Q5", "Q8", "Q9"} {
-		fast, bigPath := dualSpaces(b, q)
+		fast, ref := dualSpaces(b, q)
 		smp, err := fast.NewSampler(1)
 		if err != nil {
 			b.Fatal(err)
@@ -168,7 +167,7 @@ func BenchmarkUnrank(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := bigPath.Unrank(bigRanks[i%len(bigRanks)]); err != nil {
+				if _, err := ref.Unrank(bigRanks[i%len(bigRanks)]); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -177,8 +176,8 @@ func BenchmarkUnrank(b *testing.B) {
 
 	// Q8 with Cartesian products (~2.7·10^22 plans, 75-bit ranks)
 	// overflows uint64: the wide limb tier is its production path, and
-	// the math/big row — now a forced oracle, exactly like the per-query
-	// /big rows above — prices what the wide tier saves.
+	// the oracle row, exactly like the per-query /big rows above, prices
+	// what the wide tier saves.
 	p8 := prepare(b, "Q8", true)
 	if p8.Space.FitsUint64() {
 		b.Fatalf("Q8+cross space %s fits uint64; fixture invalid", p8.Count())
@@ -209,27 +208,38 @@ func BenchmarkUnrank(b *testing.B) {
 		}
 	})
 	b.Run("Q8cross/big", func(b *testing.B) {
-		forced, err := core.Prepare(p8.Opt.Memo, core.WithBigArithmetic())
-		if err != nil {
-			b.Fatal(err)
-		}
+		ref := oracle.New(p8.Opt.Memo)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := forced.Unrank(bigRanks8[i%len(bigRanks8)]); err != nil {
+			if _, err := ref.Unrank(bigRanks8[i%len(bigRanks8)]); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 }
 
+// benchOracleSample times the oracle's uniform sampling: a math/big
+// rank draw in [0, N) plus oracle unranking.
+func benchOracleSample(b *testing.B, ref *oracle.Oracle) {
+	rng := rand.New(rand.NewSource(2))
+	n, r := ref.Count(), new(big.Int)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := ref.Unrank(r.Rand(rng, n)); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkSample compares full uniform sampling (rank generation +
-// unranking) across the two arithmetic paths. The uint64 path draws
-// native ranks and decomposes into a reused arena — the steady-state
-// sampling loop of the experiments pipeline.
+// unranking) on the production tiers with the oracle. The uint64 path
+// draws native ranks and decomposes into a reused arena — the
+// steady-state sampling loop of the experiments pipeline.
 func BenchmarkSample(b *testing.B) {
 	for _, q := range []string{"Q5", "Q8", "Q9"} {
-		fast, bigPath := dualSpaces(b, q)
+		fast, ref := dualSpaces(b, q)
 		b.Run(q+"/uint64", func(b *testing.B) {
 			smp, err := fast.NewSampler(2)
 			if err != nil {
@@ -244,24 +254,11 @@ func BenchmarkSample(b *testing.B) {
 				}
 			}
 		})
-		b.Run(q+"/big", func(b *testing.B) {
-			smp, err := bigPath.NewSampler(2)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, _, err := smp.Next(); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+		b.Run(q+"/big", func(b *testing.B) { benchOracleSample(b, ref) })
 	}
 
 	// The beyond-uint64 space: wide limb sampling (the production tier)
-	// vs the forced math/big oracle. Both draw bit-identical rank
-	// streams for the same seed.
+	// vs the oracle.
 	b.Run("Q8cross/wide", func(b *testing.B) {
 		p := prepare(b, "Q8", true)
 		if !p.Space.Wide() {
@@ -282,22 +279,7 @@ func BenchmarkSample(b *testing.B) {
 		}
 	})
 	b.Run("Q8cross/big", func(b *testing.B) {
-		p := prepare(b, "Q8", true)
-		forced, err := core.Prepare(p.Opt.Memo, core.WithBigArithmetic())
-		if err != nil {
-			b.Fatal(err)
-		}
-		smp, err := forced.NewSampler(2)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, _, err := smp.Next(); err != nil {
-				b.Fatal(err)
-			}
-		}
+		benchOracleSample(b, oracle.New(prepare(b, "Q8", true).Opt.Memo))
 	})
 }
 
@@ -305,8 +287,7 @@ func BenchmarkSample(b *testing.B) {
 // uint64 API — the number a sampling service would quote as raw
 // rank throughput.
 func BenchmarkSampleRanks(b *testing.B) {
-	fast, _ := dualSpaces(b, "Q9")
-	smp, err := fast.NewSampler(3)
+	smp, err := prepare(b, "Q9", false).Space.NewSampler(3)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -29,9 +29,9 @@
 // little-endian []uint64 limb arithmetic (wide.go, widepath.go) whose
 // unrank/sample loops are likewise allocation-free after warm-up, and
 // which hands any subtree whose count fits uint64 straight back to the
-// native path. math/big survives only behind WithBigArithmetic — the
-// always-correct oracle the differential tests compare both production
-// tiers against.
+// native path. math/big appears only at the API boundary (Count,
+// Unrank, Rank); the differential tests compare both tiers against the
+// independent reference in internal/oracle.
 package core
 
 import (
@@ -43,34 +43,11 @@ import (
 	"repro/internal/plan"
 )
 
-var bigOne = big.NewInt(1)
-
-// arithTier names the arithmetic engine serving a space.
-type arithTier uint8
-
-const (
-	tierUint64 arithTier = iota // native uint64, allocation-free
-	tierWide                    // []uint64 limb arithmetic, allocation-free after warm-up
-	tierBig                     // math/big oracle (WithBigArithmetic only)
-)
-
-func (t arithTier) String() string {
-	switch t {
-	case tierUint64:
-		return "uint64"
-	case tierWide:
-		return "wide"
-	default:
-		return "big"
-	}
-}
-
 // Option configures Prepare.
 type Option func(*config)
 
 type config struct {
 	keep      func(*memo.Expr) bool
-	forceBig  bool
 	forceWide bool
 }
 
@@ -79,15 +56,6 @@ type config struct {
 // optimizer would retain; tests use it to carve sub-spaces.
 func WithFilter(keep func(*memo.Expr) bool) Option {
 	return func(c *config) { c.keep = keep }
-}
-
-// WithBigArithmetic disables both production tiers even when the space
-// fits, forcing every Unrank/Rank/sampler call through math/big. It is
-// the test hook behind the differential and property tests: the big
-// path is the reference oracle both the uint64 and the wide engines
-// must agree with bit for bit.
-func WithBigArithmetic() Option {
-	return func(c *config) { c.forceBig = true }
 }
 
 // WithWideArithmetic forces the wide limb tier even when the space fits
@@ -104,11 +72,6 @@ func WithWideArithmetic() Option {
 type exprInfo struct {
 	expr  *memo.Expr
 	cands [][]*memo.Expr
-
-	// big.Int tables — built only under WithBigArithmetic (the oracle).
-	n      *big.Int     // N(expr)
-	b      []*big.Int   // b[i] = Σ N over cands[i]
-	prefix [][]*big.Int // prefix[i][j] = Σ_{k<j} N(cands[i][k])
 
 	// uint64 tables, computed by the overflow-checked bottom-up pass.
 	// fits means the node's own count and its entire subtree fit in 64
@@ -134,9 +97,6 @@ type exprInfo struct {
 
 // isZero reports N(v) == 0 in whichever representation the node carries.
 func (info *exprInfo) isZero() bool {
-	if info.n != nil {
-		return info.n.Sign() == 0
-	}
 	if info.fits {
 		return info.n64 == 0
 	}
@@ -167,16 +127,13 @@ type Space struct {
 	cands   candArena   // backing store for every candidate list
 	rootOps []*memo.Expr
 
-	tier   arithTier
 	total  *big.Int // N, synthesized on every tier for the API surface
 	totalW []uint64 // N as canonical limbs on every tier: the sampler's and unranker's range bound
 
-	// big tier (WithBigArithmetic only).
-	prefix []*big.Int // prefix sums of N over rootOps
-
-	// uint64 fast path: valid only when fits is true, i.e. the total
-	// count (and therefore every reachable base and prefix sum) fits in
-	// uint64 and no forcing option was given.
+	// uint64 tier: selected when fits is true, i.e. the total count
+	// (and therefore every reachable base and prefix sum) fits in
+	// uint64 and WithWideArithmetic was not given; the wide tier serves
+	// every other space.
 	fits     bool
 	total64  uint64
 	prefix64 []uint64
@@ -226,13 +183,7 @@ func Prepare(m *memo.Memo, opts ...Option) (*Space, error) {
 			if !cfg.keep(e) {
 				continue
 			}
-			var err error
-			if cfg.forceBig {
-				_, err = s.countBig(e, &cfg)
-			} else {
-				err = s.countFast(e, &cfg)
-			}
-			if err != nil {
+			if err := s.countFast(e, &cfg); err != nil {
 				return nil, err
 			}
 		}
@@ -241,26 +192,6 @@ func Prepare(m *memo.Memo, opts ...Option) (*Space, error) {
 	// Root layout: each root operator covers a contiguous rank range in
 	// declaration order; the prefix sums drive rank-to-operator
 	// selection on every tier.
-	if cfg.forceBig {
-		s.tier = tierBig
-		s.total = new(big.Int)
-		s.prefix = []*big.Int{new(big.Int)} // prefix[0] = 0
-		for _, e := range m.Root.Physical {
-			if !cfg.keep(e) {
-				continue
-			}
-			info := s.info[e.ID]
-			if info.isZero() {
-				continue // cannot form a complete plan; covers no ranks
-			}
-			s.rootOps = append(s.rootOps, e)
-			s.total = new(big.Int).Add(s.total, info.n)
-			s.prefix = append(s.prefix, new(big.Int).Set(s.total))
-		}
-		s.totalW = s.tab.put(bigToLimbs(s.total, nil))
-		return s, nil
-	}
-
 	fits := !cfg.forceWide
 	var total64 uint64
 	prefix64 := []uint64{0}
@@ -273,7 +204,7 @@ func Prepare(m *memo.Memo, opts ...Option) (*Space, error) {
 		}
 		info := s.info[e.ID]
 		if info.isZero() {
-			continue
+			continue // cannot form a complete plan; covers no ranks
 		}
 		s.rootOps = append(s.rootOps, e)
 		if fits && info.fits {
@@ -289,13 +220,11 @@ func Prepare(m *memo.Memo, opts ...Option) (*Space, error) {
 	}
 	s.totalW = s.tab.put(totalW)
 	if fits {
-		s.tier = tierUint64
 		s.fits = true
 		s.total64, s.prefix64 = total64, prefix64
 		s.total = new(big.Int).SetUint64(total64)
 		return s, nil
 	}
-	s.tier = tierWide
 	s.prefixW = make([][]uint64, len(prefixW))
 	for i, p := range prefixW {
 		s.prefixW[i] = s.tab.put(p)
@@ -492,60 +421,30 @@ func wideFromU64(v uint64) []uint64 {
 	return []uint64{v}
 }
 
-// countBig is the math/big counting pass, kept verbatim as the oracle
-// behind WithBigArithmetic.
-func (s *Space) countBig(e *memo.Expr, cfg *config) (*big.Int, error) {
-	if info := s.info[e.ID]; info != nil {
-		return info.n, nil
-	}
-	info := s.newInfo(e)
-	info.cands = s.slots(e, cfg)
-
-	info.n = new(big.Int).Set(bigOne)
-	info.b = make([]*big.Int, len(info.cands))
-	info.prefix = make([][]*big.Int, len(info.cands))
-	for i, cands := range info.cands {
-		b := new(big.Int)
-		prefix := make([]*big.Int, 0, len(cands)+1)
-		prefix = append(prefix, new(big.Int))
-		for _, c := range cands {
-			nc, err := s.countBig(c, cfg)
-			if err != nil {
-				return nil, err
-			}
-			b = new(big.Int).Add(b, nc)
-			prefix = append(prefix, new(big.Int).Set(b))
-		}
-		info.b[i] = b
-		info.prefix[i] = prefix
-		info.n.Mul(info.n, b)
-	}
-	return info.n, nil
-}
-
 // Count returns N, the number of complete execution plans the space
 // encodes. The returned value must not be mutated.
 func (s *Space) Count() *big.Int { return s.total }
 
 // FitsUint64 reports whether the uint64 tier is active: the total N
 // (and with it every base and prefix sum reachable during unranking)
-// fits in 64 bits and no forcing option was given. When true, Rank64,
-// UnrankInto, NextRank64, and SampleRanks are available and
+// fits in 64 bits and WithWideArithmetic was not given. When true,
+// Rank64, UnrankInto, NextRank64, and SampleRanks are available and
 // Unrank/Rank/Sampler dispatch to uint64 arithmetic internally.
 func (s *Space) FitsUint64() bool { return s.fits }
 
 // Wide reports whether the wide limb tier serves the space — the
 // production path for every space beyond uint64 (and any space forced
 // with WithWideArithmetic).
-func (s *Space) Wide() bool { return s.tier == tierWide }
+func (s *Space) Wide() bool { return !s.fits }
 
-// CountUint64 returns N as a native uint64 when the fast path is
-// active; ok is false on the wide and big tiers.
-func (s *Space) CountUint64() (n uint64, ok bool) { return s.total64, s.fits }
-
-// Arithmetic names the tier serving the space — "uint64", "wide", or
-// "big" — the canonical label for exports, reports, and CLIs.
-func (s *Space) Arithmetic() string { return s.tier.String() }
+// Arithmetic names the tier serving the space — "uint64" or "wide" —
+// the canonical label for exports, reports, and CLIs.
+func (s *Space) Arithmetic() string {
+	if s.fits {
+		return "uint64"
+	}
+	return "wide"
+}
 
 // RankLimbs returns the number of 64-bit limbs a rank of this space
 // occupies — the buffer size for NextRankInto and UnrankWideInto
@@ -560,14 +459,10 @@ func (s *Space) CountFor(e *memo.Expr) *big.Int {
 		return new(big.Int)
 	}
 	info := s.info[e.ID]
-	switch {
-	case info.n != nil:
-		return info.n
-	case info.fits:
+	if info.fits {
 		return new(big.Int).SetUint64(info.n64)
-	default:
-		return limbsToBig(info.nW)
 	}
+	return limbsToBig(info.nW)
 }
 
 // RootOperators returns the root-group operators that contribute plans,

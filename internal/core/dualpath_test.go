@@ -8,57 +8,67 @@ import (
 	"repro/internal/algebra"
 	"repro/internal/fixture"
 	"repro/internal/memo"
+	"repro/internal/oracle"
 	"repro/internal/plan"
 )
 
-// bothPaths prepares the same memo twice: once normally (uint64 fast
-// path when it fits) and once forced onto big.Int arithmetic.
-func bothPaths(t *testing.T, m *memo.Memo) (fast, forced *Space) {
+// bothPaths prepares m on its production tier (uint64 when the space
+// fits) and builds the independent reference oracle over the same memo;
+// the two must count the same space.
+func bothPaths(t *testing.T, m *memo.Memo) (*Space, *oracle.Oracle) {
 	t.Helper()
-	fast, err := Prepare(m)
+	s, err := Prepare(m)
 	if err != nil {
 		t.Fatal(err)
 	}
-	forced, err = Prepare(m, WithBigArithmetic())
-	if err != nil {
-		t.Fatal(err)
+	ref := oracle.New(m)
+	if s.Count().Cmp(ref.Count()) != 0 {
+		t.Fatalf("counts differ: core %s, oracle %s", s.Count(), ref.Count())
 	}
-	if forced.FitsUint64() {
-		t.Fatal("WithBigArithmetic space claims the uint64 path")
-	}
-	return fast, forced
+	return s, ref
 }
 
-// TestDualPathDifferentialFixture runs the full differential suite on
-// the paper fixture: identical counts, bit-identical exhaustive
-// enumeration, bit-identical sample sequences, and agreeing ranks on
-// both arithmetic paths.
+// agreeWithOracle unranks r on s (into a; nil: fresh nodes) and on the
+// oracle, requires the same plan from both, and ranks each side's plan
+// back on the other side.
+func agreeWithOracle(t testing.TB, s *Space, ref *oracle.Oracle, r *big.Int, a *Arena) {
+	t.Helper()
+	p, err := s.UnrankBigInto(r, a)
+	if err != nil {
+		t.Fatalf("core Unrank(%s): %v", r, err)
+	}
+	q, err := ref.Unrank(r)
+	if err != nil {
+		t.Fatalf("oracle Unrank(%s): %v", r, err)
+	}
+	if !plan.Equal(p, q) {
+		t.Fatalf("rank %s: core plan %s, oracle plan %s", r, p.Digest(), q.Digest())
+	}
+	if back, err := s.Rank(q); err != nil || back.Cmp(r) != 0 {
+		t.Fatalf("core Rank(Unrank(%s)) = %v, %v", r, back, err)
+	}
+	if back, err := ref.Rank(p); err != nil || back.Cmp(r) != 0 {
+		t.Fatalf("oracle Rank(Unrank(%s)) = %v, %v", r, back, err)
+	}
+}
+
+// TestDualPathDifferentialFixture runs the differential suite on the
+// paper fixture: the same count as the oracle, and for every rank and
+// for production-sampled ranks the same plan and the same rank back,
+// through every uint64 entry point.
 func TestDualPathDifferentialFixture(t *testing.T) {
-	fast, forced := bothPaths(t, fixture.New().Memo)
-	if !fast.FitsUint64() {
-		t.Fatal("25-plan fixture space should fit uint64")
-	}
-	if n, ok := fast.CountUint64(); !ok || n != 25 {
-		t.Fatalf("CountUint64 = %d, %v; want 25, true", n, ok)
-	}
-	if fast.Count().Cmp(forced.Count()) != 0 {
-		t.Fatalf("counts differ: %s vs %s", fast.Count(), forced.Count())
+	fast, ref := bothPaths(t, fixture.New().Memo)
+	if !fast.FitsUint64() || !fast.Count().IsUint64() || fast.Count().Uint64() != 25 {
+		t.Fatalf("fixture space: FitsUint64 %v, count %s; want uint64 with 25", fast.FitsUint64(), fast.Count())
 	}
 
-	// Exhaustive: every rank unranks to the same plan on both paths,
-	// and all four unranking entry points agree.
+	// Exhaustive: every rank unranks to the oracle's plan, and the
+	// fresh and arena entry points agree.
 	var arena Arena
 	for r := uint64(0); r < 25; r++ {
 		pf, err := fast.UnrankInto(r, nil)
 		if err != nil {
 			t.Fatalf("UnrankInto(%d): %v", r, err)
-		}
-		pb, err := forced.Unrank(new(big.Int).SetUint64(r))
-		if err != nil {
-			t.Fatalf("big Unrank(%d): %v", r, err)
-		}
-		if pf.Digest() != pb.Digest() {
-			t.Fatalf("rank %d: fast plan %s, big plan %s", r, pf.Digest(), pb.Digest())
 		}
 		pa, err := fast.UnrankInto(r, &arena)
 		if err != nil {
@@ -71,71 +81,34 @@ func TestDualPathDifferentialFixture(t *testing.T) {
 		if err != nil || back != r {
 			t.Fatalf("Rank64(UnrankInto(%d)) = %d, %v", r, back, err)
 		}
-		bigBack, err := forced.Rank(pb)
-		if err != nil || !bigBack.IsUint64() || bigBack.Uint64() != r {
-			t.Fatalf("big Rank(Unrank(%d)) = %s, %v", r, bigBack, err)
-		}
+		agreeWithOracle(t, fast, ref, new(big.Int).SetUint64(r), nil)
 	}
 
-	// Sample sequences: same seed, bit-identical ranks on both paths.
 	fs, err := fast.NewSampler(99)
 	if err != nil {
 		t.Fatal(err)
 	}
-	bs, err := forced.NewSampler(99)
-	if err != nil {
-		t.Fatal(err)
+	if !fs.Fast() {
+		t.Fatal("fixture sampler is not on the uint64 tier")
 	}
-	if !fs.Fast() || bs.Fast() {
-		t.Fatalf("sampler paths wrong: fast=%v forced=%v", fs.Fast(), bs.Fast())
-	}
-	for i := 0; i < 500; i++ {
-		rf := fs.NextRank64()
-		rb := bs.NextRank()
-		if !rb.IsUint64() || rb.Uint64() != rf {
-			t.Fatalf("draw %d: fast rank %d, big rank %s", i, rf, rb)
-		}
-	}
-
-	// SampleParallel must agree across paths too (worker streams are
-	// seed-derived, not path-derived).
-	pf, err := fast.SampleParallel(7, 40, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pb, err := forced.SampleParallel(7, 40, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range pf {
-		if pf[i].Digest() != pb[i].Digest() {
-			t.Fatalf("SampleParallel diverges at %d", i)
-		}
+	for i := 0; i < 100; i++ {
+		agreeWithOracle(t, fast, ref, new(big.Int).SetUint64(fs.NextRank64()), &arena)
 	}
 }
 
 // TestDualPathDifferentialStar repeats the differential checks on the
 // optimizer-built star-join spaces, including one far too large to
-// enumerate: counts, sampled plans, and round-trip ranks must be
-// identical on both paths for ~1k random ranks.
+// enumerate: counts, sampled plans, and round-trip ranks must agree
+// with the oracle for ~1k production-sampled ranks.
 func TestDualPathDifferentialStar(t *testing.T) {
 	for _, query := range []string{
 		"SELECT v1 FROM fact, d1 WHERE f1 = k1",
 		starQuery,
 	} {
-		s, _ := prepared(t, query)
-		forced, err := Prepare(s.Memo, WithBigArithmetic())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !s.FitsUint64() {
+		prep, _ := prepared(t, query)
+		s, ref := bothPaths(t, prep.Memo)
+		if !s.FitsUint64() || !s.Count().IsUint64() {
 			t.Fatalf("star space %s should fit uint64", s.Count())
-		}
-		if n, ok := s.CountUint64(); !ok || new(big.Int).SetUint64(n).Cmp(s.Count()) != 0 {
-			t.Fatalf("CountUint64 = %d, %v; want %s", n, ok, s.Count())
-		}
-		if s.Count().Cmp(forced.Count()) != 0 {
-			t.Fatalf("counts differ: %s vs %s", s.Count(), forced.Count())
 		}
 
 		iters := 1000
@@ -146,36 +119,9 @@ func TestDualPathDifferentialStar(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		bs, err := forced.NewSampler(4242)
-		if err != nil {
-			t.Fatal(err)
-		}
 		var arena Arena
 		for i := 0; i < iters; i++ {
-			r := fs.NextRank64()
-			rb := bs.NextRank()
-			if !rb.IsUint64() || rb.Uint64() != r {
-				t.Fatalf("draw %d: fast %d, big %s", i, r, rb)
-			}
-			pf, err := s.UnrankInto(r, &arena)
-			if err != nil {
-				t.Fatalf("UnrankInto(%d): %v", r, err)
-			}
-			pb, err := forced.Unrank(rb)
-			if err != nil {
-				t.Fatalf("big Unrank(%s): %v", rb, err)
-			}
-			if pf.Digest() != pb.Digest() {
-				t.Fatalf("rank %d: plans differ across paths", r)
-			}
-			back, err := s.Rank64(pf)
-			if err != nil || back != r {
-				t.Fatalf("Rank64 round trip: %d -> %d, %v", r, back, err)
-			}
-			bigBack, err := forced.Rank(pb)
-			if err != nil || !bigBack.IsUint64() || bigBack.Uint64() != r {
-				t.Fatalf("big Rank round trip: %d -> %s, %v", r, bigBack, err)
-			}
+			agreeWithOracle(t, s, ref, new(big.Int).SetUint64(fs.NextRank64()), &arena)
 		}
 	}
 }
@@ -203,26 +149,26 @@ func chainMemo(joinLevels int) *memo.Memo {
 	return m
 }
 
-// TestOverflowBoundary proves the uint64/big.Int fallback triggers at
-// exactly the right size: a 2^63-plan chain runs on uint64, the
-// 2^64-plan chain one level deeper overflows the checked counting and
-// falls back to big.Int — where counting, sampling, and rank round
-// trips still work.
+// TestOverflowBoundary proves the uint64/wide switch happens at exactly
+// the right size: a 2^63-plan chain runs on uint64, the 2^64-plan chain
+// one level deeper overflows the checked counting and moves to the wide
+// tier — where counting, sampling, and rank round trips still work.
 func TestOverflowBoundary(t *testing.T) {
 	// 62 join levels: N = 2^63, the largest power of two below 2^64.
 	fits, err := Prepare(chainMemo(62))
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := new(big.Int).Lsh(bigOne, 63)
+	one := big.NewInt(1)
+	want := new(big.Int).Lsh(one, 63)
 	if fits.Count().Cmp(want) != 0 {
 		t.Fatalf("chain count = %s, want 2^63", fits.Count())
 	}
 	if !fits.FitsUint64() {
 		t.Fatal("2^63-plan space should fit uint64")
 	}
-	if n, ok := fits.CountUint64(); !ok || n != 1<<63 {
-		t.Fatalf("CountUint64 = %d, %v; want 2^63", n, ok)
+	if !fits.Count().IsUint64() || fits.Count().Uint64() != 1<<63 {
+		t.Fatalf("Count = %s; want 2^63 as a uint64", fits.Count())
 	}
 	// Round-trip the extremes of the uint64 regime.
 	for _, r := range []uint64{0, 1<<63 - 1, 1 << 62} {
@@ -236,28 +182,28 @@ func TestOverflowBoundary(t *testing.T) {
 		}
 	}
 
-	// 63 join levels: N = 2^64, one past uint64. Counting must fall
-	// back, the fast entry points must refuse, and the big.Int path
-	// must keep the bijection working across the boundary.
+	// 63 join levels: N = 2^64, one past uint64. Counting must move to
+	// the wide tier, the uint64 entry points must refuse, and the wide
+	// tier must keep the bijection working across the boundary.
 	over, err := Prepare(chainMemo(63))
 	if err != nil {
 		t.Fatal(err)
 	}
-	want = new(big.Int).Lsh(bigOne, 64)
+	want = new(big.Int).Lsh(one, 64)
 	if over.Count().Cmp(want) != 0 {
 		t.Fatalf("chain count = %s, want 2^64", over.Count())
 	}
 	if over.FitsUint64() {
 		t.Fatal("2^64-plan space claims to fit uint64")
 	}
-	if _, ok := over.CountUint64(); ok {
-		t.Fatal("CountUint64 ok on an overflowing space")
+	if over.Count().IsUint64() || !over.Wide() {
+		t.Fatalf("2^64-plan space: count fits uint64 or tier %s is not wide", over.Arithmetic())
 	}
 	if _, err := over.UnrankInto(0, nil); err == nil {
-		t.Fatal("UnrankInto succeeded on the big.Int path")
+		t.Fatal("UnrankInto succeeded on the wide tier")
 	}
 	if _, err := over.NewIter(); err == nil {
-		t.Fatal("NewIter succeeded on the big.Int path")
+		t.Fatal("NewIter succeeded on a space beyond uint64")
 	}
 	smp, err := over.NewSampler(5)
 	if err != nil {
@@ -267,30 +213,30 @@ func TestOverflowBoundary(t *testing.T) {
 		t.Fatal("sampler claims fast path on an overflowing space")
 	}
 	if err := smp.SampleRanks(make([]uint64, 1)); err == nil {
-		t.Fatal("SampleRanks succeeded on the big.Int path")
+		t.Fatal("SampleRanks succeeded on the wide tier")
 	}
 	// Ranks straddling 2^64-1: the largest uint64 rank and the first
-	// rank beyond uint64 must both unrank and round-trip on big.Int.
+	// rank beyond uint64 must both unrank and round-trip.
 	for _, r := range []*big.Int{
 		big.NewInt(0),
 		new(big.Int).SetUint64(math.MaxUint64),
-		new(big.Int).Lsh(bigOne, 63),
-		new(big.Int).Sub(want, bigOne), // 2^64 - 1 ... the last rank
+		new(big.Int).Lsh(one, 63),
+		new(big.Int).Sub(want, one), // 2^64 - 1 ... the last rank
 	} {
 		p, err := over.Unrank(r)
 		if err != nil {
-			t.Fatalf("big Unrank(%s): %v", r, err)
+			t.Fatalf("wide Unrank(%s): %v", r, err)
 		}
 		back, err := over.Rank(p)
 		if err != nil || back.Cmp(r) != 0 {
-			t.Fatalf("big Rank(Unrank(%s)) = %s, %v", r, back, err)
+			t.Fatalf("wide Rank(Unrank(%s)) = %s, %v", r, back, err)
 		}
 	}
 	// Sampling draws two words per attempt; ranks stay in range.
 	for i := 0; i < 50; i++ {
 		r := smp.NextRank()
 		if r.Sign() < 0 || r.Cmp(over.Count()) >= 0 {
-			t.Fatalf("big-path sample %s out of range", r)
+			t.Fatalf("wide-tier sample %s out of range", r)
 		}
 	}
 }
@@ -421,11 +367,10 @@ func TestSamplerUniformityAgainstEnumeration(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			n64, ok := tc.s.CountUint64()
-			if !ok {
+			if !tc.s.FitsUint64() || !tc.s.Count().IsUint64() {
 				t.Fatal("uniformity test needs the uint64 path")
 			}
-			n := int(n64)
+			n := int(tc.s.Count().Uint64())
 			// Ground truth: the digest of every plan, by rank, from
 			// exhaustive enumeration through the pull iterator.
 			digestOf := make([]string, n)
@@ -469,15 +414,12 @@ func TestSamplerUniformityAgainstEnumeration(t *testing.T) {
 }
 
 // TestPropertyRoundTripFixtureBothPaths is the fixture half of the
-// property-test satellite: ~1k random ranks must round-trip
-// Rank(Unrank(r)) == r on each arithmetic path independently.
+// property-test satellite: ~1k production-sampled ranks must round-trip
+// Rank(Unrank(r)) == r on the uint64 tier and on the oracle, with the
+// same plan on both sides.
 func TestPropertyRoundTripFixtureBothPaths(t *testing.T) {
-	fast, forced := bothPaths(t, fixture.New().Memo)
+	fast, ref := bothPaths(t, fixture.New().Memo)
 	fs, err := fast.NewSampler(8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bs, err := forced.NewSampler(1009)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -494,15 +436,6 @@ func TestPropertyRoundTripFixtureBothPaths(t *testing.T) {
 		if err != nil || back != r {
 			t.Fatalf("fast round trip %d -> %d, %v", r, back, err)
 		}
-
-		rb := bs.NextRank()
-		pb, err := forced.Unrank(rb)
-		if err != nil {
-			t.Fatal(err)
-		}
-		bigBack, err := forced.Rank(pb)
-		if err != nil || bigBack.Cmp(rb) != 0 {
-			t.Fatalf("big round trip %s -> %s, %v", rb, bigBack, err)
-		}
+		agreeWithOracle(t, fast, ref, new(big.Int).SetUint64(r), nil)
 	}
 }

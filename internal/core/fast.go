@@ -7,8 +7,8 @@ import (
 	"repro/internal/plan"
 )
 
-// This file is the uint64 arithmetic path: the same bijection as
-// unrank.go, but with every base, prefix sum, and rank a native uint64.
+// This file is the uint64 arithmetic tier: the bijection of unrank.go
+// with every base, prefix sum, and rank a native uint64.
 // It serves spaces for which Space.FitsUint64() is true, which Prepare
 // establishes with overflow-checked counting; within that regime the
 // mixed-radix decomposition cannot overflow (every intermediate value
@@ -55,10 +55,10 @@ func (a *Arena) newChildren(k int) []*plan.Node {
 	return a.kids[start : start+k : start+k]
 }
 
-// errBigOnly reports use of a uint64-only entry point on a space served
-// by the wide or big tier.
-func (s *Space) errBigOnly() error {
-	return fmt.Errorf("core: space holds %s plans, beyond the uint64 fast path (tier %s); use the wide or big.Int API", s.total, s.tier)
+// errNotUint64 reports use of a uint64-only entry point on a space
+// served by the wide tier.
+func (s *Space) errNotUint64() error {
+	return fmt.Errorf("core: space holds %s plans, beyond uint64; the wide tier serves it (see Space.Wide)", s.total)
 }
 
 // UnrankInto constructs the plan with rank r on the uint64 tier, inside
@@ -66,7 +66,7 @@ func (s *Space) errBigOnly() error {
 // performs no heap allocation. The returned plan is valid until the
 // next UnrankInto or Reset on the same arena; a == nil allocates fresh,
 // retainable nodes. It fails when the space exceeds uint64 or was
-// forced onto another tier.
+// forced onto the wide tier.
 func (s *Space) UnrankInto(r uint64, a *Arena) (*plan.Node, error) {
 	if a == nil {
 		return s.unrank64(r, nil)
@@ -77,7 +77,7 @@ func (s *Space) UnrankInto(r uint64, a *Arena) (*plan.Node, error) {
 
 func (s *Space) unrank64(r uint64, a *Arena) (*plan.Node, error) {
 	if !s.fits {
-		return nil, s.errBigOnly()
+		return nil, s.errNotUint64()
 	}
 	if r >= s.total64 {
 		return nil, fmt.Errorf("core: rank %d out of range [0, %d)", r, s.total64)
@@ -86,8 +86,11 @@ func (s *Space) unrank64(r uint64, a *Arena) (*plan.Node, error) {
 	return s.unrankExpr64(s.rootOps[k], r-s.prefix64[k], a)
 }
 
-// unrankExpr64 mirrors unrankExpr with native arithmetic; a == nil
-// means heap-allocate each node.
+// unrankExpr64 builds the plan rooted at e with local rank rl in
+// [0, N(e)): a little-endian mixed-radix decomposition,
+// rl = Σ_i s(i)·B_v(i-1) with B_v(0) = 1, which is exactly the paper's
+// s(i) = ⌊R(i)/B(i-1)⌋, R(i) = R(i+1) mod B(i) computed iteratively.
+// a == nil means heap-allocate each node.
 func (s *Space) unrankExpr64(e *memo.Expr, rl uint64, a *Arena) (*plan.Node, error) {
 	info := s.info[e.ID]
 	if info == nil {
@@ -135,8 +138,8 @@ func (s *Space) unrankExpr64(e *memo.Expr, rl uint64, a *Arena) (*plan.Node, err
 	return node, nil
 }
 
-// selectByPrefix64 is selectByPrefix on native integers: the index k
-// with prefix[k] <= r < prefix[k+1]. Short candidate lists take a
+// selectByPrefix64 returns the index k with prefix[k] <= r <
+// prefix[k+1] (prefix[0] = 0, the last entry is the total). Short candidate lists take a
 // linear scan; wide lists take a galloping probe (rank mass is often
 // front-loaded) that brackets the answer, then a branch-free binary
 // search inside the bracket — the compiler turns the conditional
@@ -174,7 +177,7 @@ func selectByPrefix64(prefix []uint64, r uint64) int {
 // of UnrankInto.
 func (s *Space) Rank64(n *plan.Node) (uint64, error) {
 	if !s.fits {
-		return 0, s.errBigOnly()
+		return 0, s.errNotUint64()
 	}
 	for k, e := range s.rootOps {
 		if e == n.Expr {

@@ -18,9 +18,9 @@ import (
 // keeps the top bits(N) bits, succeeding with probability > 1/2. The
 // draw is one limb loop on every arithmetic tier — same word count,
 // same order, same top-word shift, compared against N's limbs in place
-// — so a space forced onto the wide tier (WithWideArithmetic) or onto
-// math/big (WithBigArithmetic) yields bit-identical rank sequences to
-// the uint64 tier for the same seed; the draw itself allocates nothing.
+// — so a space forced onto the wide tier (WithWideArithmetic) yields
+// bit-identical rank sequences to the uint64 tier for the same seed;
+// the draw itself allocates nothing.
 type Sampler struct {
 	space *Space
 	rng   *rand.Rand
@@ -47,11 +47,11 @@ func (s *Space) NewSampler(seed int64) (*Sampler, error) {
 
 // Fast reports whether the sampler runs on the uint64 tier; NextRank64
 // and SampleRanks require it.
-func (smp *Sampler) Fast() bool { return smp.space.tier == tierUint64 }
+func (smp *Sampler) Fast() bool { return smp.space.fits }
 
 // Wide reports whether the sampler runs on the wide limb tier;
 // NextRankInto and SampleRanksWideInto require it.
-func (smp *Sampler) Wide() bool { return smp.space.tier == tierWide }
+func (smp *Sampler) Wide() bool { return !smp.space.fits }
 
 // draw fills dst[:limbs] with one uniform rank in [0, N) as canonical
 // little-endian limbs and returns it truncated to canonical length.
@@ -83,10 +83,10 @@ func (smp *Sampler) fill(dst []uint64, k int) {
 
 // NextRank64 returns a uniform rank in [0, N) on the uint64 tier with
 // no heap allocation; it consumes the generator exactly like draw. It
-// panics when the space is served by another tier — check Fast (or
+// panics when the space is served by the wide tier — check Fast (or
 // Space.FitsUint64) first.
 func (smp *Sampler) NextRank64() uint64 {
-	if smp.space.tier != tierUint64 {
+	if !smp.space.fits {
 		panic("core: NextRank64 on a non-uint64-tier sampler; check Fast()")
 	}
 	limit := smp.space.total64
@@ -101,8 +101,8 @@ func (smp *Sampler) NextRank64() uint64 {
 // allocation-free form of NextRank64. Pair with UnrankInto under one
 // arena to materialize the plans, or use Each, which does both.
 func (smp *Sampler) SampleRanks(dst []uint64) error {
-	if smp.space.tier != tierUint64 {
-		return smp.space.errBigOnly()
+	if !smp.space.fits {
+		return smp.space.errNotUint64()
 	}
 	for i := range dst {
 		dst[i] = smp.NextRank64()
@@ -116,7 +116,7 @@ func (smp *Sampler) SampleRanks(dst []uint64) error {
 // truncated to canonical length. It panics off the wide tier — check
 // Wide() first.
 func (smp *Sampler) NextRankInto(dst []uint64) []uint64 {
-	if smp.space.tier != tierWide {
+	if smp.space.fits {
 		panic("core: NextRankInto on a non-wide-tier sampler; check Wide()")
 	}
 	if len(dst) < smp.limbs {
@@ -135,7 +135,7 @@ func (smp *Sampler) NextRankInto(dst []uint64) []uint64 {
 // successive NextRankInto calls, so batch and plan-by-plan sampling
 // yield identical rank streams for one seed.
 func (smp *Sampler) SampleRanksWideInto(dst []uint64, k int) error {
-	if smp.space.tier != tierWide {
+	if smp.space.fits {
 		return fmt.Errorf("core: SampleRanksWideInto on a non-wide-tier sampler; check Wide()")
 	}
 	if len(dst) < k*smp.limbs {
@@ -221,4 +221,16 @@ func (smp *Sampler) Sample(k int) ([]*plan.Node, error) {
 		return nil, err
 	}
 	return out, nil
+}
+
+// DeriveSeed mixes a worker index into the base seed (splitmix64 step) so
+// workers draw independent streams. It is the canonical derivation for
+// any caller that shards sampling across workers (e.g. the experiments
+// pipeline): using the same derivation keeps parallel runs
+// deterministic for a given (seed, k, workers) triple.
+func DeriveSeed(seed int64, worker int) int64 {
+	z := uint64(seed) + uint64(worker+1)*0x9e3779b97f4a7c15
+	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
+	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
+	return int64(z ^ (z >> 31))
 }

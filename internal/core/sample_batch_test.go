@@ -118,7 +118,6 @@ func TestEachMatchesNextRankUnrank(t *testing.T) {
 	}{
 		{"fixture-uint64", fixture.New().Memo, nil, "uint64"},
 		{"fixture-wide", fixture.New().Memo, []Option{WithWideArithmetic()}, "wide"},
-		{"fixture-big", fixture.New().Memo, []Option{WithBigArithmetic()}, "big"},
 		{"chain-2^128", chainMemo(128), nil, "wide"},
 	}
 	for _, tc := range cases {

@@ -1,7 +1,5 @@
 package core
 
-import "math/big"
-
 // Rough per-object overheads used by MemoryFootprint. Exact sizeofs
 // are not the point — the cache's byte accounting needs a consistent,
 // monotone estimate of how much a counted space pins, dominated by the
@@ -14,22 +12,14 @@ const (
 	exprInfoBytes  = 144 // exprInfo struct itself
 )
 
-func bigIntBytes(x *big.Int) int64 {
-	if x == nil {
-		return 0
-	}
-	return bigIntOverhead + int64(len(x.Bits()))*8
-}
-
 // MemoryFootprint estimates the resident bytes of the counted space:
 // the MEMO it pins (groups and operators) plus the link structure the
 // counting pass materialized in whichever tier serves it — candidate
-// lists, uint64 base/prefix tables, the wide tier's limb arena (which
-// backs every wide count, base, and prefix-sum table), and the big.Int
-// tables when the oracle was forced. Non-uint64 spaces charge their
-// full prefix-sum storage, so the SpaceCache's byte-budget eviction
-// prices a wide Q8+cross space honestly instead of assuming the uint64
-// layout.
+// lists, uint64 base/prefix tables, and the wide tier's limb arena
+// (which backs every wide count, base, and prefix-sum table). Wide
+// spaces charge their full prefix-sum storage, so the SpaceCache's
+// byte-budget eviction prices a wide Q8+cross space honestly instead of
+// assuming the uint64 layout.
 func (s *Space) MemoryFootprint() int64 {
 	var n int64
 	for _, info := range s.info {
@@ -57,31 +47,13 @@ func (s *Space) MemoryFootprint() int64 {
 				n += int64(len(pw)) * sliceOverhead
 			}
 		}
-
-		// big.Int tables (oracle only).
-		n += bigIntBytes(info.n)
-		if info.b != nil {
-			n += sliceOverhead + int64(len(info.b))*8
-			for _, b := range info.b {
-				n += bigIntBytes(b)
-			}
-			for _, p := range info.prefix {
-				n += sliceOverhead + int64(len(p))*8
-				for _, x := range p {
-					n += bigIntBytes(x)
-				}
-			}
-		}
 	}
 	n += sliceOverhead + int64(len(s.info))*8
 	n += int64(len(s.slab)) * exprInfoBytes
 	n += s.cands.memoryBytes()
 	n += sliceOverhead + int64(len(s.rootOps))*8
-	n += bigIntBytes(s.total)
+	n += bigIntOverhead + int64(len(s.total.Bits()))*8
 	n += sliceOverhead + int64(len(s.prefix64))*8
-	for _, x := range s.prefix {
-		n += bigIntBytes(x)
-	}
 	n += int64(len(s.prefixW)) * sliceOverhead
 	n += s.tab.MemoryBytes() // every wide limb: counts, bases, prefix sums
 

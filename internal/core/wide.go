@@ -19,8 +19,8 @@ import (
 // comparison (rank-range selection), add/sub (prefix sums), mul
 // (product-of-sums counting, rank reconstruction), and divmod (the
 // mixed-radix decomposition of Section 3.3) with a single-limb fast
-// lane and a Knuth Algorithm D general case. math/big survives only
-// behind WithBigArithmetic as the differential-test oracle.
+// lane and a Knuth Algorithm D general case. math/big appears only in
+// the API-boundary conversions limbsToBig and bigToLimbs.
 
 // WideArena is a reusable allocation buffer for limb slices: Alloc
 // carves zeroed slices out of chunked backing arrays whose memory is

@@ -101,7 +101,7 @@ func TestWideHelpersAgainstBig(t *testing.T) {
 			}
 		}
 		work := append([]uint64(nil), x...)
-		if got, want := bigFromLimbs(wideIncInPlace(work)), new(big.Int).Add(bx, bigOne); got.Cmp(want) != 0 {
+		if got, want := bigFromLimbs(wideIncInPlace(work)), new(big.Int).Add(bx, big.NewInt(1)); got.Cmp(want) != 0 {
 			t.Fatalf("inc(%s) = %s, want %s", bx, got, want)
 		}
 		a.Reset()
@@ -194,23 +194,16 @@ func TestSelectByPrefix64Hybrid(t *testing.T) {
 	}
 }
 
-// TestTriPathDifferentialFixture runs the full differential suite on
-// the paper fixture across all three tiers: identical counts, identical
-// plans for every rank, bit-identical sampler streams, and agreeing
-// round-trip ranks. The uint64 tier is the PR-3 behavior (golden), the
-// big tier is the oracle, and the wide tier is the new production path
-// for large spaces.
+// TestTriPathDifferentialFixture runs the differential suite on the
+// paper fixture across both tiers and the oracle: identical counts,
+// identical plans for every rank, bit-identical sampler streams, and
+// agreeing round-trip ranks. The uint64 tier is the PR-3 behavior
+// (golden), the wide tier is the production path for large spaces,
+// and internal/oracle is the independent reference.
 func TestTriPathDifferentialFixture(t *testing.T) {
 	m := fixture.New().Memo
-	fast, err := Prepare(m)
-	if err != nil {
-		t.Fatal(err)
-	}
+	fast, ref := bothPaths(t, m)
 	wide, err := Prepare(m, WithWideArithmetic())
-	if err != nil {
-		t.Fatal(err)
-	}
-	forced, err := Prepare(m, WithBigArithmetic())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,11 +213,8 @@ func TestTriPathDifferentialFixture(t *testing.T) {
 	if wide.FitsUint64() || !wide.Wide() || wide.Arithmetic() != "wide" {
 		t.Fatalf("forced wide tier = %s", wide.Arithmetic())
 	}
-	if forced.Arithmetic() != "big" {
-		t.Fatalf("forced big tier = %s", forced.Arithmetic())
-	}
-	if fast.Count().Cmp(wide.Count()) != 0 || fast.Count().Cmp(forced.Count()) != 0 {
-		t.Fatalf("counts differ: %s / %s / %s", fast.Count(), wide.Count(), forced.Count())
+	if fast.Count().Cmp(wide.Count()) != 0 {
+		t.Fatalf("counts differ: %s / %s", fast.Count(), wide.Count())
 	}
 	if wide.RankLimbs() != 1 {
 		t.Fatalf("RankLimbs = %d for a 25-plan space", wide.RankLimbs())
@@ -244,119 +234,76 @@ func TestTriPathDifferentialFixture(t *testing.T) {
 		if err != nil {
 			t.Fatalf("UnrankWideInto(%d): %v", r, err)
 		}
-		pb, err := forced.Unrank(new(big.Int).SetUint64(r))
-		if err != nil {
-			t.Fatalf("big Unrank(%d): %v", r, err)
-		}
-		if pw.Digest() != pf.Digest() || pw.Digest() != pb.Digest() {
+		if pw.Digest() != pf.Digest() {
 			t.Fatalf("rank %d: digests differ across tiers", r)
 		}
-		// Fresh-allocation wide path and the big.Int front door agree.
-		pw2, err := wide.Unrank(new(big.Int).SetUint64(r))
-		if err != nil || pw2.Digest() != pf.Digest() {
-			t.Fatalf("wide Unrank(%d) = %v, %v", r, pw2, err)
-		}
-		back, err := wide.Rank(pw2)
-		if err != nil || !back.IsUint64() || back.Uint64() != r {
-			t.Fatalf("wide Rank(Unrank(%d)) = %s, %v", r, back, err)
-		}
+		agreeWithOracle(t, wide, ref, new(big.Int).SetUint64(r), nil)
+		agreeWithOracle(t, fast, ref, new(big.Int).SetUint64(r), nil)
 	}
 
-	// Sampler streams: bit-identical across all three tiers.
+	// Sampler streams: bit-identical across both tiers, and every
+	// wide-tier draw agrees with the oracle.
 	fs, _ := fast.NewSampler(99)
 	ws, _ := wide.NewSampler(99)
-	bs, _ := forced.NewSampler(99)
-	if !fs.Fast() || !ws.Wide() || bs.Fast() || bs.Wide() {
-		t.Fatalf("sampler tiers wrong: fast=%v wide=%v big fast=%v wide=%v", fs.Fast(), ws.Wide(), bs.Fast(), bs.Wide())
+	if !fs.Fast() || fs.Wide() || !ws.Wide() || ws.Fast() {
+		t.Fatalf("sampler tiers wrong: fast=%v/%v wide=%v/%v", fs.Fast(), fs.Wide(), ws.Fast(), ws.Wide())
 	}
 	buf := make([]uint64, wide.RankLimbs())
 	for i := 0; i < 500; i++ {
 		rf := fs.NextRank64()
 		rw := ws.NextRankInto(buf)
-		rb := bs.NextRank()
-		v, ok := wideToU64(rw)
-		if !ok || v != rf || !rb.IsUint64() || rb.Uint64() != rf {
-			t.Fatalf("draw %d: fast %d, wide %s, big %s", i, rf, bigFromLimbs(rw), rb)
+		if v, ok := wideToU64(rw); !ok || v != rf {
+			t.Fatalf("draw %d: fast %d, wide %s", i, rf, bigFromLimbs(rw))
 		}
-	}
-
-	// SampleParallel agrees across tiers (worker streams are
-	// seed-derived, not tier-derived).
-	pf, err := fast.SampleParallel(7, 40, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pw, err := wide.SampleParallel(7, 40, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range pf {
-		if pf[i].Digest() != pw[i].Digest() {
-			t.Fatalf("SampleParallel diverges at %d", i)
-		}
+		agreeWithOracle(t, wide, ref, bigFromLimbs(rw), &arena)
 	}
 }
 
-// TestWideBoundary64: the 2^64-plan chain memo sits exactly one past
-// uint64 — it must land on the wide tier and agree with the big oracle
-// on ranks straddling the boundary (2^64-1 is the last rank).
-func TestWideBoundary64(t *testing.T) {
-	m := chainMemo(63)
-	w, err := Prepare(m)
+// wideSampled draws k production ranks from s's wide sampler.
+func wideSampled(t *testing.T, s *Space, seed int64, k int) []*big.Int {
+	t.Helper()
+	smp, err := s.NewSampler(seed)
 	if err != nil {
 		t.Fatal(err)
 	}
+	buf := make([]uint64, s.RankLimbs())
+	out := make([]*big.Int, k)
+	for i := range out {
+		out[i] = bigFromLimbs(smp.NextRankInto(buf))
+	}
+	return out
+}
+
+// TestWideBoundary64: the 2^64-plan chain memo sits exactly one past
+// uint64 — it must land on the wide tier and agree with the oracle on
+// ranks straddling the boundary (2^64-1 is the last rank) and on
+// production-sampled ranks.
+func TestWideBoundary64(t *testing.T) {
+	w, ref := bothPaths(t, chainMemo(63))
 	if !w.Wide() {
 		t.Fatalf("2^64-plan space tier = %s, want wide", w.Arithmetic())
 	}
-	oracle, err := Prepare(m, WithBigArithmetic())
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := new(big.Int).Lsh(bigOne, 64)
-	if w.Count().Cmp(want) != 0 || oracle.Count().Cmp(want) != 0 {
-		t.Fatalf("counts: wide %s, big %s, want 2^64", w.Count(), oracle.Count())
+	one := big.NewInt(1)
+	want := new(big.Int).Lsh(one, 64)
+	if w.Count().Cmp(want) != 0 {
+		t.Fatalf("count %s, want 2^64", w.Count())
 	}
 	if w.RankLimbs() != 2 {
 		t.Fatalf("RankLimbs = %d, want 2", w.RankLimbs())
 	}
-	var arena Arena
-	for _, r := range []*big.Int{
+	ranks := append([]*big.Int{
 		big.NewInt(0),
 		big.NewInt(1),
 		new(big.Int).SetUint64(1<<64 - 1),
-		new(big.Int).Lsh(bigOne, 63),
-		new(big.Int).Sub(want, bigOne), // 2^64 - 1: the last rank, 2 limbs
-	} {
-		pw, err := w.UnrankBigInto(r, &arena)
-		if err != nil {
-			t.Fatalf("wide Unrank(%s): %v", r, err)
-		}
-		pb, err := oracle.Unrank(r)
-		if err != nil {
-			t.Fatalf("big Unrank(%s): %v", r, err)
-		}
-		if pw.Digest() != pb.Digest() {
-			t.Fatalf("rank %s: wide and big disagree", r)
-		}
-		back, err := w.Rank(pw)
-		if err != nil || back.Cmp(r) != 0 {
-			t.Fatalf("wide Rank round trip %s -> %s, %v", r, back, err)
-		}
+		new(big.Int).Lsh(one, 63),
+		new(big.Int).Sub(want, one), // 2^64 - 1: the last rank, 2 limbs
+	}, wideSampled(t, w, 5, 200)...)
+	var arena Arena
+	for _, r := range ranks {
+		agreeWithOracle(t, w, ref, r, &arena)
 	}
 	if _, err := w.Unrank(want); err == nil {
 		t.Fatal("rank N unranked; want out-of-range error")
-	}
-	// Identical seeded streams, wide vs big oracle.
-	ws, _ := w.NewSampler(5)
-	bs, _ := oracle.NewSampler(5)
-	buf := make([]uint64, w.RankLimbs())
-	for i := 0; i < 200; i++ {
-		rw := ws.NextRankInto(buf)
-		rb := bs.NextRank()
-		if bigFromLimbs(rw).Cmp(rb) != 0 {
-			t.Fatalf("draw %d: wide %s, big %s", i, bigFromLimbs(rw), rb)
-		}
 	}
 }
 
@@ -365,102 +312,49 @@ func TestWideBoundary64(t *testing.T) {
 // bases reach 2^127) and the 128-bit rank straddle both get exercised
 // against the oracle.
 func TestWideBoundary128(t *testing.T) {
-	m := chainMemo(127)
-	w, err := Prepare(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	oracle, err := Prepare(m, WithBigArithmetic())
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := new(big.Int).Lsh(bigOne, 128)
+	w, ref := bothPaths(t, chainMemo(127))
+	one := big.NewInt(1)
+	want := new(big.Int).Lsh(one, 128)
 	if w.Count().Cmp(want) != 0 {
 		t.Fatalf("count %s, want 2^128", w.Count())
 	}
-	ranks := []*big.Int{
+	ranks := append([]*big.Int{
 		big.NewInt(0),
 		new(big.Int).SetUint64(1<<64 - 1),
-		new(big.Int).Lsh(bigOne, 64),
-		new(big.Int).Lsh(bigOne, 127),
-		new(big.Int).Sub(want, bigOne),
-	}
-	// Plus seeded random ranks drawn from the oracle's own sampler.
-	bs, _ := oracle.NewSampler(23)
-	for i := 0; i < 50; i++ {
-		ranks = append(ranks, bs.NextRank())
-	}
+		new(big.Int).Lsh(one, 64),
+		new(big.Int).Lsh(one, 127),
+		new(big.Int).Sub(want, one),
+	}, wideSampled(t, w, 23, 50)...)
 	var arena Arena
 	for _, r := range ranks {
-		pw, err := w.UnrankBigInto(r, &arena)
-		if err != nil {
-			t.Fatalf("wide Unrank(%s): %v", r, err)
-		}
-		pb, err := oracle.Unrank(r)
-		if err != nil {
-			t.Fatalf("big Unrank(%s): %v", r, err)
-		}
-		if pw.Digest() != pb.Digest() {
-			t.Fatalf("rank %s: wide and big disagree", r)
-		}
-		back, err := w.Rank(pw)
-		if err != nil || back.Cmp(r) != 0 {
-			t.Fatalf("wide Rank round trip %s -> %s, %v", r, back, err)
-		}
+		agreeWithOracle(t, w, ref, r, &arena)
 	}
 }
 
 // TestWideDeepMemo is the 128-limb instrument: a 2^8191-plan chain
 // whose counts, bases, and ranks occupy 128 limbs. Counting must stay
-// exact (the count is a single bit at position 8191) and random oracle
-// ranks must round-trip through the wide decomposer.
+// exact (the count is a single bit at position 8191) and both extremes
+// plus production-sampled ranks must agree with the oracle.
 func TestWideDeepMemo(t *testing.T) {
 	if testing.Short() {
 		t.Skip("deep memo round trips are slow under -short")
 	}
-	m := chainMemo(8190)
-	w, err := Prepare(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := new(big.Int).Lsh(bigOne, 8191)
+	w, ref := bothPaths(t, chainMemo(8190))
+	one := big.NewInt(1)
+	want := new(big.Int).Lsh(one, 8191)
 	if w.Count().Cmp(want) != 0 {
 		t.Fatalf("count has bit length %d, want 8192", w.Count().BitLen())
 	}
 	if w.RankLimbs() != 128 {
 		t.Fatalf("RankLimbs = %d, want 128", w.RankLimbs())
 	}
-	// The oracle space doubles memory; build it once and compare a few
-	// ranks including both extremes.
-	oracle, err := Prepare(m, WithBigArithmetic())
-	if err != nil {
-		t.Fatal(err)
-	}
-	ranks := []*big.Int{
+	ranks := append([]*big.Int{
 		big.NewInt(0),
-		new(big.Int).Sub(want, bigOne),
-	}
-	bs, _ := oracle.NewSampler(41)
-	for i := 0; i < 3; i++ {
-		ranks = append(ranks, bs.NextRank())
-	}
+		new(big.Int).Sub(want, one),
+	}, wideSampled(t, w, 41, 3)...)
 	var arena Arena
 	for _, r := range ranks {
-		pw, err := w.UnrankBigInto(r, &arena)
-		if err != nil {
-			t.Fatalf("wide Unrank: %v", err)
-		}
-		pb, err := oracle.Unrank(r)
-		if err != nil {
-			t.Fatalf("big Unrank: %v", err)
-		}
-		if pw.Digest() != pb.Digest() {
-			t.Fatal("wide and big disagree on a 128-limb rank")
-		}
-		back, err := w.Rank(pw)
-		if err != nil || back.Cmp(r) != 0 {
-			t.Fatalf("round trip failed: %v", err)
-		}
+		agreeWithOracle(t, w, ref, r, &arena)
 	}
 }
 

@@ -46,7 +46,7 @@ type CacheStats struct {
 	ByteBudget    int64  `json:"byte_budget"`  // 0 = unlimited
 
 	// Arithmetic counts resident spaces by the tier serving them
-	// ("uint64", "wide", "big"), so /stats shows which engine each
+	// ("uint64", "wide"), so /stats shows which engine each
 	// cached query landed on.
 	Arithmetic map[string]int `json:"arithmetic,omitempty"`
 

@@ -360,8 +360,8 @@ func (p *Prepared) OverlayFingerprint() Fingerprint { return p.Overlay.Fingerpri
 // Count returns the number of execution plans in the space.
 func (p *Prepared) Count() *big.Int { return p.Space.Count() }
 
-// Arithmetic names the tier serving the space — "uint64", "wide", or
-// "big" (see core.Space.Arithmetic).
+// Arithmetic names the tier serving the space — "uint64" or "wide"
+// (see core.Space.Arithmetic).
 func (p *Prepared) Arithmetic() string { return p.Space.Arithmetic() }
 
 // OptimalPlan returns the optimizer's chosen plan under the current

@@ -30,7 +30,7 @@ type Table1Row struct {
 	Query     string
 	Cross     bool // Cartesian products allowed (second half of the table)
 	Plans     *big.Int
-	Arith     string // arithmetic tier serving the space: "uint64", "wide", or "big"
+	Arith     string // arithmetic tier serving the space: "uint64" or "wide"
 	Sample    int
 	Min       float64
 	Mean      float64
@@ -58,9 +58,8 @@ type Config struct {
 	// Workers shards sampling and plan costing. 0 picks GOMAXPROCS
 	// (capped); 1 forces the sequential path. For a fixed (Seed,
 	// SampleSize, Workers) the drawn sample is deterministic — worker w
-	// draws an independent stream seeded core.DeriveSeed(Seed, w), the
-	// same derivation core.SampleParallel uses — but changing Workers
-	// changes which plans are drawn.
+	// draws an independent stream seeded core.DeriveSeed(Seed, w) — but
+	// changing Workers changes which plans are drawn.
 	Workers int
 
 	// Rules overrides the rule configuration (nil: the full default

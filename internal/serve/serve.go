@@ -219,7 +219,7 @@ func (s *Server) prepare(w http.ResponseWriter, q QueryRequest) (*engine.Prepare
 type SpaceInfo struct {
 	Fingerprint   string `json:"fingerprint"`
 	Count         string `json:"count"`
-	Arithmetic    string `json:"arithmetic"` // "uint64", "wide", or "big"
+	Arithmetic    string `json:"arithmetic"` // "uint64" or "wide"
 	Cached        bool   `json:"cached"`
 	OverlayCached bool   `json:"overlay_cached"`
 }

@@ -5,17 +5,17 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/oracle"
 	"repro/internal/plan"
 	"repro/internal/tpch"
 )
 
 // TestTPCHDualPathRoundTrip is the TPC-H half of the property-test
-// satellite: for every named TPC-H query, ~1k uniformly random ranks
-// must round-trip Rank(Unrank(r)) == r on the uint64 fast path AND on
-// the big.Int path forced through the test hook — and the two paths
-// must produce bit-identical rank sequences and identical plans for the
-// same seed, which is the differential guarantee the dual-path engine
-// rests on.
+// satellite: for every named TPC-H query, ~1k ranks drawn by the
+// production sampler must unrank to the same plan on the uint64 tier
+// and on the independent reference in internal/oracle, and each side's
+// plan must rank back to r on the other side — the differential
+// guarantee the tiered engine rests on.
 func TestTPCHDualPathRoundTrip(t *testing.T) {
 	iters := 1000
 	if testing.Short() {
@@ -28,55 +28,37 @@ func TestTPCHDualPathRoundTrip(t *testing.T) {
 			if !fast.FitsUint64() {
 				t.Fatalf("%s space %s exceeds uint64 at this scale", q, p.Count())
 			}
-			forced, err := core.Prepare(p.Opt.Memo, core.WithBigArithmetic())
-			if err != nil {
-				t.Fatal(err)
-			}
-			if forced.FitsUint64() {
-				t.Fatal("forced big.Int space claims the uint64 path")
-			}
-
-			// Differential: counts agree across paths and across widths.
-			if fast.Count().Cmp(forced.Count()) != 0 {
-				t.Fatalf("counts differ: %s vs %s", fast.Count(), forced.Count())
-			}
-			if n, ok := fast.CountUint64(); !ok || new(big.Int).SetUint64(n).Cmp(fast.Count()) != 0 {
-				t.Fatalf("CountUint64 = %d, %v; want %s", n, ok, fast.Count())
+			ref := oracle.New(p.Opt.Memo)
+			if fast.Count().Cmp(ref.Count()) != 0 {
+				t.Fatalf("counts differ: core %s, oracle %s", fast.Count(), ref.Count())
 			}
 
 			fs, err := fast.NewSampler(77)
 			if err != nil {
 				t.Fatal(err)
 			}
-			bs, err := forced.NewSampler(77)
-			if err != nil {
-				t.Fatal(err)
-			}
 			var arena core.Arena
 			for i := 0; i < iters; i++ {
 				r := fs.NextRank64()
-				rb := bs.NextRank()
-				if !rb.IsUint64() || rb.Uint64() != r {
-					t.Fatalf("draw %d: fast rank %d, big rank %s", i, r, rb)
-				}
+				rb := new(big.Int).SetUint64(r)
 				pf, err := fast.UnrankInto(r, &arena)
 				if err != nil {
 					t.Fatalf("UnrankInto(%d): %v", r, err)
 				}
-				pb, err := forced.Unrank(rb)
+				pb, err := ref.Unrank(rb)
 				if err != nil {
-					t.Fatalf("big Unrank(%s): %v", rb, err)
+					t.Fatalf("oracle Unrank(%d): %v", r, err)
 				}
 				if !plan.Equal(pf, pb) {
-					t.Fatalf("rank %d: plans differ across arithmetic paths", r)
+					t.Fatalf("rank %d: core and oracle plans differ", r)
 				}
-				back, err := fast.Rank64(pf)
+				back, err := fast.Rank64(pb)
 				if err != nil || back != r {
 					t.Fatalf("fast round trip %d -> %d, %v", r, back, err)
 				}
-				bigBack, err := forced.Rank(pb)
-				if err != nil || bigBack.Cmp(rb) != 0 {
-					t.Fatalf("big round trip %s -> %s, %v", rb, bigBack, err)
+				refBack, err := ref.Rank(pf)
+				if err != nil || refBack.Cmp(rb) != 0 {
+					t.Fatalf("oracle round trip %d -> %s, %v", r, refBack, err)
 				}
 			}
 		})
@@ -84,24 +66,21 @@ func TestTPCHDualPathRoundTrip(t *testing.T) {
 }
 
 // TestTPCHOptimalPlanRankBothPaths: the optimizer's own plan carries
-// the same rank on both arithmetic paths for every TPC-H query.
+// the same rank in core and in the oracle for every TPC-H query.
 func TestTPCHOptimalPlanRankBothPaths(t *testing.T) {
 	for _, q := range tpch.QueryNames() {
 		p := prepare(t, q, false)
-		forced, err := core.Prepare(p.Opt.Memo, core.WithBigArithmetic())
-		if err != nil {
-			t.Fatal(err)
-		}
+		ref := oracle.New(p.Opt.Memo)
 		rFast, err := p.Space.Rank(p.OptimalPlan())
 		if err != nil {
 			t.Fatalf("%s fast Rank: %v", q, err)
 		}
-		rBig, err := forced.Rank(p.OptimalPlan())
+		rRef, err := ref.Rank(p.OptimalPlan())
 		if err != nil {
-			t.Fatalf("%s big Rank: %v", q, err)
+			t.Fatalf("%s oracle Rank: %v", q, err)
 		}
-		if rFast.Cmp(rBig) != 0 {
-			t.Fatalf("%s: optimal plan ranks differ, %s vs %s", q, rFast, rBig)
+		if rFast.Cmp(rRef) != 0 {
+			t.Fatalf("%s: optimal plan ranks differ, core %s vs oracle %s", q, rFast, rRef)
 		}
 		back, err := p.Unrank(rFast)
 		if err != nil {
