@@ -197,9 +197,9 @@ func TestSelectByPrefix64Hybrid(t *testing.T) {
 // TestTriPathDifferentialFixture runs the differential suite on the
 // paper fixture across both tiers and the oracle: identical counts,
 // identical plans for every rank, bit-identical sampler streams, and
-// agreeing round-trip ranks. The uint64 tier is the PR-3 behavior
-// (golden), the wide tier is the production path for large spaces,
-// and internal/oracle is the independent reference.
+// agreeing round-trip ranks. The uint64 tier is pinned by the golden
+// tests, the wide tier is the production path for large spaces, and
+// internal/oracle is the independent reference.
 func TestTriPathDifferentialFixture(t *testing.T) {
 	m := fixture.New().Memo
 	fast, ref := bothPaths(t, m)
