@@ -83,10 +83,6 @@ type BaseRel struct {
 	Filters []Scalar
 }
 
-// FilterExpr returns the conjunction of the pushed-down filters (nil when
-// unfiltered).
-func (b *BaseRel) FilterExpr() Scalar { return AndAll(b.Filters) }
-
 // ColByIdx returns the bound column at a storage position.
 func (b *BaseRel) ColByIdx(i int) Column { return b.Cols[i] }
 

@@ -305,19 +305,3 @@ func compileBinary(op algebra.BinOp, l, r evalFunc, kind data.Kind) (evalFunc, e
 		return data.Value{}, fmt.Errorf("exec: unsupported arithmetic operator %s", op)
 	}, nil
 }
-
-// compilePredicate compiles a boolean expression into a row filter that
-// is true only when the predicate evaluates to SQL TRUE.
-func compilePredicate(expr algebra.Scalar, in schema) (func(data.Row) (bool, error), error) {
-	f, err := compile(expr, in)
-	if err != nil {
-		return nil, err
-	}
-	return func(r data.Row) (bool, error) {
-		v, err := f(r)
-		if err != nil {
-			return false, err
-		}
-		return !v.IsNull() && v.Bool(), nil
-	}, nil
-}

@@ -8,34 +8,16 @@ import (
 	"repro/internal/memo"
 )
 
-type joinPred func(data.Row) (bool, error)
-
 // buildJoin compiles one of the three join implementations. All three
-// verify the full predicate conjunction on each candidate pair, so hash
-// buckets and merge blocks act purely as accelerators — semantics are
-// identical across implementations, which is exactly what multi-plan
-// verification checks.
+// re-check the full predicate conjunction on each candidate pair, through
+// the kernels compileConjunction chose for it, so hash buckets and merge
+// blocks act purely as accelerators — semantics are identical across
+// implementations, which is exactly what multi-plan verification checks.
 func buildJoin(e *memo.Expr, left Iterator, ls schema, right Iterator, rs schema) (Iterator, schema, error) {
 	out := ls.concat(rs)
-	var pred joinPred
-	if preds := e.Join.AllPreds(); len(preds) > 0 {
-		exprs := make([]joinPred, 0, len(preds))
-		for _, p := range preds {
-			f, err := compilePredicate(p.Expr, out)
-			if err != nil {
-				return nil, nil, err
-			}
-			exprs = append(exprs, f)
-		}
-		pred = func(r data.Row) (bool, error) {
-			for _, f := range exprs {
-				ok, err := f(r)
-				if err != nil || !ok {
-					return false, err
-				}
-			}
-			return true, nil
-		}
+	pred, err := compileJoinPreds(e.Join, out)
+	if err != nil {
+		return nil, nil, err
 	}
 
 	switch e.Op {
@@ -87,7 +69,7 @@ func (o joinRow) setRight(r data.Row) { copy(o.row[o.split:], r) }
 type nlJoinIter struct {
 	opNode
 	left, right Iterator
-	pred        joinPred
+	pred        conjunction
 	out         joinRow
 
 	ctx     context.Context
@@ -125,16 +107,14 @@ func (j *nlJoinIter) Next() (data.Row, bool, error) {
 			continue
 		}
 		j.out.setRight(rr)
-		if j.pred != nil {
-			keep, err := j.pred(j.out.row)
-			if err != nil {
-				return nil, false, err
-			}
-			if !keep {
-				// The candidate pair was already charged through the
-				// inner child's emission; no extra work tick here.
-				continue
-			}
+		keep, err := j.pred.keep(j.out.row)
+		if err != nil {
+			return nil, false, err
+		}
+		if !keep {
+			// The candidate pair was already charged through the
+			// inner child's emission; no extra work tick here.
+			continue
 		}
 		if err := j.emit(); err != nil {
 			return nil, false, err
@@ -200,7 +180,7 @@ type hashJoinIter struct {
 	opNode
 	left, right Iterator
 	lPos, rPos  []int
-	pred        joinPred
+	pred        conjunction
 	keys        []data.Value
 	enc         keyEncoder
 	out         joinRow
@@ -245,19 +225,17 @@ func (j *hashJoinIter) Next() (data.Row, bool, error) {
 		if j.cand >= 0 {
 			j.out.setLeft(j.table.rows[j.cand])
 			j.cand = j.table.next[j.cand]
-			if j.pred != nil {
-				keep, err := j.pred(j.out.row)
-				if err != nil {
+			keep, err := j.pred.keep(j.out.row)
+			if err != nil {
+				return nil, false, err
+			}
+			if !keep {
+				// Bucket candidates come from the materialized build
+				// side, so rejected pairs charge the work budget here.
+				if err := j.examine(); err != nil {
 					return nil, false, err
 				}
-				if !keep {
-					// Bucket candidates come from the materialized build
-					// side, so rejected pairs charge the work budget here.
-					if err := j.examine(); err != nil {
-						return nil, false, err
-					}
-					continue
-				}
+				continue
 			}
 			if err := j.emit(); err != nil {
 				return nil, false, err
@@ -293,7 +271,7 @@ type mergeJoinIter struct {
 	opNode
 	left, right Iterator
 	lPos, rPos  []int
-	pred        joinPred
+	pred        conjunction
 	lkey        []data.Value
 	out         joinRow
 
@@ -398,19 +376,17 @@ func (j *mergeJoinIter) Next() (data.Row, bool, error) {
 		for j.blockPos < j.blockEnd {
 			j.out.setRight(j.rightRows[j.blockPos])
 			j.blockPos++
-			if j.pred != nil {
-				keep, err := j.pred(j.out.row)
-				if err != nil {
+			keep, err := j.pred.keep(j.out.row)
+			if err != nil {
+				return nil, false, err
+			}
+			if !keep {
+				// Re-scanned block candidates are materialized rows;
+				// rejected pairs charge the work budget here.
+				if err := j.examine(); err != nil {
 					return nil, false, err
 				}
-				if !keep {
-					// Re-scanned block candidates are materialized rows;
-					// rejected pairs charge the work budget here.
-					if err := j.examine(); err != nil {
-						return nil, false, err
-					}
-					continue
-				}
+				continue
 			}
 			if err := j.emit(); err != nil {
 				return nil, false, err

@@ -22,8 +22,8 @@ type lookupJoinIter struct {
 	keyCols  []int // inner storage positions of the index prefix
 	outerPos []int // outer row positions of the lookup keys
 
-	innerFilter func(data.Row) (bool, error)
-	pred        joinPred
+	innerFilter conjunction
+	pred        conjunction
 	keys        []data.Value
 	out         joinRow
 
@@ -62,31 +62,11 @@ func buildLookupJoin(e *memo.Expr, db *storage.DB, outer Iterator, os schema) (I
 		it.keyCols = append(it.keyCols, lk.InnerKeys[i].ColIdx)
 	}
 
-	if f := lk.Rel.FilterExpr(); f != nil {
-		filter, err := compilePredicate(f, innerSchema)
-		if err != nil {
-			return nil, nil, err
-		}
-		it.innerFilter = filter
+	if it.innerFilter, err = compileConjunction(lk.Rel.Filters, innerSchema); err != nil {
+		return nil, nil, err
 	}
-	if preds := e.Join.AllPreds(); len(preds) > 0 {
-		fns := make([]func(data.Row) (bool, error), 0, len(preds))
-		for _, p := range preds {
-			f, err := compilePredicate(p.Expr, out)
-			if err != nil {
-				return nil, nil, err
-			}
-			fns = append(fns, f)
-		}
-		it.pred = func(r data.Row) (bool, error) {
-			for _, f := range fns {
-				ok, err := f(r)
-				if err != nil || !ok {
-					return false, err
-				}
-			}
-			return true, nil
-		}
+	if it.pred, err = compileJoinPreds(e.Join, out); err != nil {
+		return nil, nil, err
 	}
 	return it, out, nil
 }
@@ -166,32 +146,21 @@ func (j *lookupJoinIter) Next() (data.Row, bool, error) {
 		for j.lo < j.hi {
 			inner := j.table.Rows[j.perm[j.lo]]
 			j.lo++
-			if j.innerFilter != nil {
-				keep, err := j.innerFilter(inner)
-				if err != nil {
-					return nil, false, err
-				}
-				if !keep {
-					// Index-range candidates read straight from storage;
-					// filtered ones charge the work budget here.
-					if err := j.examine(); err != nil {
-						return nil, false, err
-					}
-					continue
-				}
+			keep, err := j.innerFilter.keep(inner)
+			if err == nil && keep {
+				j.out.setRight(inner)
+				keep, err = j.pred.keep(j.out.row)
 			}
-			j.out.setRight(inner)
-			if j.pred != nil {
-				keep, err := j.pred(j.out.row)
-				if err != nil {
+			if err != nil {
+				return nil, false, err
+			}
+			if !keep {
+				// Index-range candidates read straight from storage;
+				// rejected ones charge the work budget here.
+				if err := j.examine(); err != nil {
 					return nil, false, err
 				}
-				if !keep {
-					if err := j.examine(); err != nil {
-						return nil, false, err
-					}
-					continue
-				}
+				continue
 			}
 			if err := j.emit(); err != nil {
 				return nil, false, err

@@ -15,7 +15,7 @@ type scanIter struct {
 	opNode
 	table  *storage.Table
 	perm   []int32 // nil for heap order
-	filter func(data.Row) (bool, error)
+	filter conjunction
 	pos    int
 }
 
@@ -40,12 +40,8 @@ func buildScan(e *memo.Expr, db *storage.DB) (Iterator, schema, error) {
 		}
 		it.perm = perm
 	}
-	if f := rel.FilterExpr(); f != nil {
-		pred, err := compilePredicate(f, out)
-		if err != nil {
-			return nil, nil, err
-		}
-		it.filter = pred
+	if it.filter, err = compileConjunction(rel.Filters, out); err != nil {
+		return nil, nil, err
 	}
 	return it, out, nil
 }
@@ -65,20 +61,18 @@ func (s *scanIter) Next() (data.Row, bool, error) {
 			row = s.table.Rows[s.pos]
 		}
 		s.pos++
-		if s.filter != nil {
-			keep, err := s.filter(row)
-			if err != nil {
+		keep, err := s.filter.keep(row)
+		if err != nil {
+			return nil, false, err
+		}
+		if !keep {
+			// Filtered rows still charge the work budget: a scan
+			// grinding through a huge table emitting nothing must
+			// remain governable.
+			if err := s.examine(); err != nil {
 				return nil, false, err
 			}
-			if !keep {
-				// Filtered rows still charge the work budget: a scan
-				// grinding through a huge table emitting nothing must
-				// remain governable.
-				if err := s.examine(); err != nil {
-					return nil, false, err
-				}
-				continue
-			}
+			continue
 		}
 		if err := s.emit(); err != nil {
 			return nil, false, err
