@@ -25,10 +25,12 @@ import (
 	"math/big"
 	"math/rand"
 	"os"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -36,6 +38,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/exec"
 	"repro/internal/experiments"
+	"repro/internal/memo"
 	"repro/internal/oracle"
 	"repro/internal/plan"
 	"repro/internal/rules"
@@ -361,6 +364,38 @@ func BenchmarkPrepare(b *testing.B) {
 			}
 		}
 	})
+	// Cached Prepares of four queries from every P goroutine at once:
+	// the contention the space cache's one lock sees under concurrent
+	// repeated traffic (run with -cpu to vary P).
+	b.Run("cached_parallel", func(b *testing.B) {
+		e := engine.New(db(b))
+		var queries []string
+		for _, q := range []string{"Q3", "Q5", "Q9", "Q10"} {
+			sqlText, _ := tpch.Query(q)
+			if _, err := e.Prepare(sqlText); err != nil {
+				b.Fatal(err)
+			}
+			queries = append(queries, sqlText)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		var next atomic.Int64
+		b.RunParallel(func(pb *testing.PB) {
+			i := int(next.Add(1)) // stagger the goroutines' starting queries
+			for pb.Next() {
+				p, err := e.Prepare(queries[i%len(queries)])
+				if err != nil {
+					b.Error(err)
+					return
+				}
+				if !p.Cached {
+					b.Error("expected a cache hit")
+					return
+				}
+				i++
+			}
+		})
+	})
 }
 
 // BenchmarkRecost measures the overlay tier's payoff: re-costing a
@@ -487,10 +522,32 @@ func BenchmarkExecute(b *testing.B) {
 		b.Fatal(err)
 	}
 
+	// Cheapest of the same draws with a merge join: none of the other
+	// rows reaches mergeJoinIter.
+	var merge draw
+	var mergePlan *plan.Node
+	for _, d := range draws {
+		pl, err := p.Unrank(d.rank)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if slices.ContainsFunc(pl.Operators(), func(e *memo.Expr) bool { return e.Op == memo.MergeJoin }) {
+			merge, mergePlan = d, pl
+			break
+		}
+	}
+	if mergePlan == nil {
+		b.Fatal("no sampled Q5 plan has a merge join")
+	}
+
 	b.Run("Q5/optimal", func(b *testing.B) { run(b, p, p.OptimalPlan()) })
 	b.Run("Q5/median_sampled", func(b *testing.B) {
 		b.Logf("median sampled plan: rank %s, scaled cost %.2f", median.rank, median.cost)
 		run(b, p, medianPlan)
+	})
+	b.Run("Q5/merge_sampled", func(b *testing.B) {
+		b.Logf("merge-join sampled plan: rank %s, scaled cost %.2f", merge.rank, merge.cost)
+		run(b, p, mergePlan)
 	})
 }
 

@@ -23,9 +23,6 @@ type Column struct {
 	ColIdx int // position within the base relation, or -1
 }
 
-// Derived reports whether the column is computed rather than stored.
-func (c Column) Derived() bool { return c.Rel < 0 }
-
 // OrderCol is one sort key: a column and a direction.
 type OrderCol struct {
 	Col  ColID

@@ -66,12 +66,6 @@ type Projection struct {
 	Out  Column // equals the underlying column for pass-through projections
 }
 
-// Passthrough reports whether the projection just forwards a column.
-func (p *Projection) Passthrough() bool {
-	cr, ok := p.Expr.(*ColRefExpr)
-	return ok && cr.Col.ID == p.Out.ID
-}
-
 // BaseRel is one FROM-list entry after binding: the table, the alias it
 // is visible under, its bound columns (with fresh global IDs), and the
 // single-relation filters pushed down onto it.
@@ -82,9 +76,6 @@ type BaseRel struct {
 	Cols    []Column
 	Filters []Scalar
 }
-
-// ColByIdx returns the bound column at a storage position.
-func (b *BaseRel) ColByIdx(i int) Column { return b.Cols[i] }
 
 // PredInfo is a join predicate: a conjunct of the WHERE clause that
 // references two or more base relations. Equi-join conjuncts additionally

@@ -465,10 +465,6 @@ func (s *Space) CountFor(e *memo.Expr) *big.Int {
 	return limbsToBig(info.nW)
 }
 
-// RootOperators returns the root-group operators that contribute plans,
-// in the order their rank ranges are laid out.
-func (s *Space) RootOperators() []*memo.Expr { return s.rootOps }
-
 // OperatorCount reports how many operators were counted — the paper's
 // complexity claim is that counting visits each exactly once.
 func (s *Space) OperatorCount() int {

@@ -3,6 +3,7 @@ package engine
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -112,8 +113,7 @@ func TestCacheSingleflight(t *testing.T) {
 // TestCacheLRUEviction: beyond the capacity the least-recently-used
 // space is dropped; touching an entry protects it.
 func TestCacheLRUEviction(t *testing.T) {
-	// One shard: LRU order must be globally exact for this test.
-	c := NewSpaceCacheSharded(2, 1)
+	c := NewSpaceCache(2)
 	get := func(b byte) (*StructureSpace, bool) {
 		t.Helper()
 		e, cached, err := c.entry(fp(b), 1, func() (*StructureSpace, error) {
@@ -181,9 +181,7 @@ func TestCacheErrorNotCached(t *testing.T) {
 // TestCacheInvalidation: observing a newer catalog version drops every
 // space built against an older one.
 func TestCacheInvalidation(t *testing.T) {
-	// One shard for exact counter expectations; the cross-shard
-	// broadcast case is TestCacheShardedInvalidation.
-	c := NewSpaceCacheSharded(8, 1)
+	c := NewSpaceCache(8)
 	build := func() (*StructureSpace, error) { return &StructureSpace{}, nil }
 	if _, _, err := c.entry(fp(1), 1, build); err != nil {
 		t.Fatal(err)
@@ -266,7 +264,7 @@ func TestCachePanicDoesNotWedge(t *testing.T) {
 // waiters, and neither the structure nor the overlay is put back in
 // the cache.
 func TestOverlayBuildOutlivesEvictedStructure(t *testing.T) {
-	c := NewSpaceCacheSharded(1, 1)
+	c := NewSpaceCache(1)
 	newStructure := func() (*StructureSpace, error) { return &StructureSpace{}, nil }
 	e, _, err := c.entry(fp(1), 1, newStructure)
 	if err != nil {
@@ -322,7 +320,7 @@ func TestOverlayBuildOutlivesEvictedStructure(t *testing.T) {
 // canonical SQL length (SizeBytes = fixed overhead + len(Canonical) for
 // a space-less StructureSpace).
 func TestCacheByteBudgetEviction(t *testing.T) {
-	c := NewSpaceCacheSharded(100, 1) // one shard: byte eviction order must be exact
+	c := NewSpaceCache(100)
 	entry := func(b byte, canonLen int) (*StructureSpace, bool) {
 		t.Helper()
 		e, cached, err := c.entry(fp(b), 1, func() (*StructureSpace, error) {
@@ -392,65 +390,54 @@ func TestCacheBytesAccounting(t *testing.T) {
 	}
 }
 
-// TestCacheShardDistribution: a sharded cache spreads fingerprints
-// across shards (SHA-256 prefixes are uniform), aggregates counters
-// correctly, and splits capacity so the total never drops below the
-// requested one.
-func TestCacheShardDistribution(t *testing.T) {
-	c := NewSpaceCacheSharded(64, 4)
-	if c.Shards() != 4 {
-		t.Fatalf("Shards() = %d, want 4", c.Shards())
-	}
-	var fps []Fingerprint
-	for i := 0; i < 32; i++ {
-		fps = append(fps, structureFingerprintOf(fmt.Sprintf("SELECT %d", i), opt.DefaultOptions().Rules, 1, 1))
-	}
-	for _, f := range fps {
-		if _, _, err := c.entry(f, 1, func() (*StructureSpace, error) { return &StructureSpace{}, nil }); err != nil {
+// TestCacheExactLRUAtAnyGOMAXPROCS: the cache's capacity and eviction
+// order do not depend on the core count. At GOMAXPROCS 8 an 8-entry
+// cache holds 8 distinct fingerprints without evicting any, and the
+// reported capacity is the requested one for every GOMAXPROCS.
+func TestCacheExactLRUAtAnyGOMAXPROCS(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	runtime.GOMAXPROCS(8)
+	c := NewSpaceCache(8)
+	get := func(i int) bool {
+		t.Helper()
+		f := structureFingerprintOf(fmt.Sprintf("SELECT %d", i), opt.DefaultOptions().Rules, 1, 1)
+		_, cached, err := c.entry(f, 1, func() (*StructureSpace, error) { return &StructureSpace{}, nil })
+		if err != nil {
 			t.Fatal(err)
 		}
+		return cached
 	}
-	st := c.Stats()
-	if st.Entries != len(fps) || st.Misses != uint64(len(fps)) {
-		t.Fatalf("aggregate stats = %+v, want %d entries/misses", st, len(fps))
+	for i := 0; i < 8; i++ {
+		get(i)
 	}
-	if len(st.Shards) != 4 {
-		t.Fatalf("per-shard breakdown has %d rows", len(st.Shards))
+	if st := c.Stats(); st.Entries != 8 || st.Evictions != 0 {
+		t.Errorf("8 fingerprints in an 8-entry cache: %d entries, %d evictions; want 8, 0", st.Entries, st.Evictions)
 	}
-	if st.Capacity < 64 {
-		t.Fatalf("split capacity %d below requested 64", st.Capacity)
-	}
-	populated := 0
-	sum := 0
-	for _, sh := range st.Shards {
-		if sh.Entries > 0 {
-			populated++
-		}
-		sum += sh.Entries
-	}
-	if sum != st.Entries {
-		t.Fatalf("shard entries sum %d != aggregate %d", sum, st.Entries)
-	}
-	if populated < 2 {
-		t.Fatalf("32 uniform fingerprints landed in %d shard(s); routing looks degenerate", populated)
-	}
-	// Hits route to the same shard and aggregate.
-	for _, f := range fps {
-		if _, cached, _ := c.entry(f, 1, func() (*StructureSpace, error) { return &StructureSpace{}, nil }); !cached {
-			t.Fatal("expected a cache hit on reinsertion")
+	// A ninth evicts exactly the least recently used, fingerprint 0.
+	get(8)
+	for i := 1; i <= 8; i++ {
+		if !get(i) {
+			t.Errorf("fingerprint %d was evicted; only the LRU fingerprint 0 should be", i)
 		}
 	}
-	if st = c.Stats(); st.Hits != uint64(len(fps)) {
-		t.Fatalf("aggregate hits = %d, want %d", st.Hits, len(fps))
+	if get(0) {
+		t.Error("the LRU fingerprint 0 survived a ninth insert")
+	}
+	for _, capacity := range []int{1, 3, 8, 64} {
+		for procs := 1; procs <= 8; procs++ {
+			runtime.GOMAXPROCS(procs)
+			if got := NewSpaceCache(capacity).Stats().Capacity; got != capacity {
+				t.Errorf("GOMAXPROCS %d: NewSpaceCache(%d) capacity = %d", procs, capacity, got)
+			}
+		}
 	}
 }
 
-// TestCacheShardedInvalidation: explicit Invalidate broadcasts to every
-// shard, and a newer version observed through entry cleans at
-// least the accessed shard while fingerprint-embedded versions keep
-// stale spaces unreachable everywhere.
+// TestCacheShardedInvalidation: explicit Invalidate drops every stale
+// space, and a newer version observed through entry drops every stale
+// space too, not just the one it looks up.
 func TestCacheShardedInvalidation(t *testing.T) {
-	c := NewSpaceCacheSharded(64, 8)
+	c := NewSpaceCache(64)
 	var fps []Fingerprint
 	for i := 0; i < 24; i++ {
 		fps = append(fps, structureFingerprintOf(fmt.Sprintf("SELECT %d", i), opt.DefaultOptions().Rules, 1, 1))
@@ -461,11 +448,10 @@ func TestCacheShardedInvalidation(t *testing.T) {
 	c.Invalidate(2)
 	st := c.Stats()
 	if st.Entries != 0 {
-		t.Fatalf("explicit Invalidate left %d entries across shards", st.Entries)
+		t.Fatalf("explicit Invalidate left %d entries", st.Entries)
 	}
-	// A newer version observed through entry broadcasts too: one
-	// request must release stale spaces in every shard, not just the
-	// one its fingerprint hashes to.
+	// A newer version observed through entry must release every stale
+	// space, not just the one the request looks up.
 	for _, f := range fps {
 		c.entry(f, 2, func() (*StructureSpace, error) { return &StructureSpace{}, nil })
 	}
@@ -477,14 +463,14 @@ func TestCacheShardedInvalidation(t *testing.T) {
 		t.Fatalf("invalidations = %d, want %d", st.Invalidations, len(fps))
 	}
 	if st.BytesCached != 0 {
-		t.Fatalf("bytes not released across shards: %+v", st)
+		t.Fatalf("bytes not released: %+v", st)
 	}
 }
 
 // TestCacheShardedSingleflight: concurrent misses for many fingerprints
-// across shards still build each space exactly once.
+// still build each space exactly once.
 func TestCacheShardedSingleflight(t *testing.T) {
-	c := NewSpaceCacheSharded(64, 8)
+	c := NewSpaceCache(64)
 	var builds atomic.Int64
 	var wg sync.WaitGroup
 	for i := 0; i < 16; i++ {
@@ -510,12 +496,13 @@ func TestCacheShardedSingleflight(t *testing.T) {
 	}
 }
 
-// TestCacheShardedByteBudget: SetByteBudget splits across shards and
-// still evicts; zero disables byte eviction on every shard.
+// TestCacheShardedByteBudget: a byte budget smaller than the entry cap
+// bounds the resident entries over many fingerprints; zero disables
+// byte eviction.
 func TestCacheShardedByteBudget(t *testing.T) {
-	c := NewSpaceCacheSharded(100, 4)
+	c := NewSpaceCache(100)
 	one := (&StructureSpace{}).SizeBytes()
-	c.SetByteBudget(4 * (one + one/2)) // about 1.5 entries of budget per shard
+	c.SetByteBudget(6*one + one/2) // room for six entries, not seven
 	var fps []Fingerprint
 	for i := 0; i < 40; i++ {
 		f := structureFingerprintOf(fmt.Sprintf("SELECT %d", i), opt.DefaultOptions().Rules, 1, 1)
@@ -524,12 +511,10 @@ func TestCacheShardedByteBudget(t *testing.T) {
 	}
 	st := c.Stats()
 	if st.Evictions == 0 {
-		t.Fatalf("no byte evictions under a tight split budget: %+v", st)
+		t.Fatalf("no byte evictions under a tight budget: %+v", st)
 	}
-	for _, sh := range st.Shards {
-		if sh.Entries > 2 {
-			t.Fatalf("a shard holds %d entries beyond its budget slice: %+v", sh.Entries, st)
-		}
+	if st.Entries != 6 || st.BytesCached > st.ByteBudget {
+		t.Fatalf("%d entries, %d bytes resident under a %d-byte budget, want 6 within it", st.Entries, st.BytesCached, st.ByteBudget)
 	}
 	c.SetByteBudget(0)
 	before := c.Stats().Evictions

@@ -34,7 +34,7 @@ type CostOverlay struct {
 }
 
 // OverlayCacheStats is a point-in-time snapshot of the overlay counters
-// of a SpaceCache, summed over its shards.
+// of a SpaceCache.
 type OverlayCacheStats struct {
 	Hits          uint64 `json:"hits"`
 	Misses        uint64 `json:"misses"`
@@ -73,30 +73,29 @@ type overlayEntry struct {
 // was evicted or invalidated after the caller found it still serves its
 // overlays to the callers that hold it, and disappears with them.
 func (c *SpaceCache) overlay(e *cacheEntry, ofp Fingerprint, key overlayKey, build func() (*CostOverlay, error)) (*CostOverlay, bool, error) {
-	sh := c.shardFor(e.fp)
-	sh.mu.Lock()
-	if sh.residentLocked(e) {
-		sh.dropStaleLocked(e, key)
+	c.mu.Lock()
+	if c.residentLocked(e) {
+		c.dropStaleLocked(e, key)
 	}
 	if o, ok := e.overlays[ofp]; ok {
-		sh.ovHits++
-		sh.mu.Unlock()
+		c.ovHits++
+		c.mu.Unlock()
 		ov, err := o.wait()
 		return ov, true, err
 	}
 	o := &overlayEntry{flight: newFlight[*CostOverlay](), key: key}
 	e.overlays[ofp] = o
-	sh.ovMisses++
-	sh.mu.Unlock()
+	c.ovMisses++
+	c.mu.Unlock()
 
-	ov, err := o.run(sh, ofp, build, func(_ *CostOverlay, err error) {
+	ov, err := o.run(c, ofp, build, func(_ *CostOverlay, err error) {
 		switch {
 		case err != nil:
 			delete(e.overlays, ofp) // failed builds are not cached
-		case !sh.residentLocked(e):
+		case !c.residentLocked(e):
 			// The structure was dropped mid-build: the waiters have the
 			// overlay, and it goes with the orphaned entry.
-			sh.ovInvalidations++
+			c.ovInvalidations++
 		}
 	})
 	return ov, false, err
@@ -105,11 +104,11 @@ func (c *SpaceCache) overlay(e *cacheEntry, ofp Fingerprint, key overlayKey, bui
 // dropStaleLocked deletes the completed overlays of e that key
 // supersedes. Builds still in flight are left to finish for their
 // waiters.
-func (sh *cacheShard) dropStaleLocked(e *cacheEntry, key overlayKey) {
+func (c *SpaceCache) dropStaleLocked(e *cacheEntry, key overlayKey) {
 	for fp, o := range e.overlays {
 		if o.done() && key.supersedes(o.key) {
 			delete(e.overlays, fp)
-			sh.ovInvalidations++
+			c.ovInvalidations++
 		}
 	}
 }
@@ -118,39 +117,33 @@ func (sh *cacheShard) dropStaleLocked(e *cacheEntry, key overlayKey) {
 // overlays that key supersedes — ApplyFeedback's prompt release of the
 // costings its new epoch makes unreachable.
 func (c *SpaceCache) dropStaleOverlays(key overlayKey) {
-	for _, sh := range c.shards {
-		sh.mu.Lock()
-		for _, e := range sh.entries {
-			sh.dropStaleLocked(e, key)
-		}
-		sh.mu.Unlock()
+	c.mu.Lock()
+	for _, e := range c.entries {
+		c.dropStaleLocked(e, key)
 	}
+	c.mu.Unlock()
 }
 
 // OverlayView is a read-only view of the overlay counters a SpaceCache
-// keeps per shard.
+// keeps.
 type OverlayView struct{ cache *SpaceCache }
 
-// Stats sums the overlay counters over all shards. Entries and
+// Stats returns a snapshot of the overlay counters. Entries and
 // BytesCached cover the overlays of resident structures only; overlay
 // bytes are reported apart from, and never charged to, the structure
 // byte budget.
 func (v OverlayView) Stats() OverlayCacheStats {
-	var st OverlayCacheStats
-	for _, sh := range v.cache.shards {
-		sh.mu.Lock()
-		st.Hits += sh.ovHits
-		st.Misses += sh.ovMisses
-		st.Invalidations += sh.ovInvalidations
-		for _, e := range sh.entries {
-			for _, o := range e.overlays {
-				st.Entries++
-				if o.done() {
-					st.BytesCached += o.val.SizeBytes()
-				}
+	c := v.cache
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	st := OverlayCacheStats{Hits: c.ovHits, Misses: c.ovMisses, Invalidations: c.ovInvalidations}
+	for _, e := range c.entries {
+		for _, o := range e.overlays {
+			st.Entries++
+			if o.done() {
+				st.BytesCached += o.val.SizeBytes()
 			}
 		}
-		sh.mu.Unlock()
 	}
 	return st
 }

@@ -187,9 +187,9 @@ func TestCatalogBumpInvalidatesTiers(t *testing.T) {
 // structure its overlays must go too — otherwise the structure byte
 // budget would not bound resident memory.
 func TestStructureEvictionDropsOverlays(t *testing.T) {
-	// Single-entry, single-shard structure cache: the second query
+	// Single-entry structure cache: the second query
 	// evicts the first query's structure.
-	e := engine.New(tinyTPCH(t), engine.WithCache(engine.NewSpaceCacheSharded(1, 1)))
+	e := engine.New(tinyTPCH(t), engine.WithCache(engine.NewSpaceCache(1)))
 	if _, err := e.Prepare(smallJoin); err != nil {
 		t.Fatal(err)
 	}

@@ -114,14 +114,7 @@ func RunWithOptions(ctx context.Context, p *plan.Node, db *storage.DB, q *algebr
 func (r *Result) Digest() string {
 	lines := make([]string, len(r.Rows))
 	for i, row := range r.Rows {
-		var sb strings.Builder
-		for j, v := range row {
-			if j > 0 {
-				sb.WriteByte(0x1f)
-			}
-			sb.WriteString(digestValue(v))
-		}
-		lines[i] = sb.String()
+		lines[i] = rowKey(row)
 	}
 	sort.Strings(lines)
 	h := sha256.New()

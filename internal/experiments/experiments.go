@@ -119,9 +119,6 @@ func (c *Config) workers() int {
 	return w
 }
 
-// DefaultConfig matches the paper's sample size.
-func DefaultConfig() Config { return Config{SampleSize: 10000, Seed: 1} }
-
 // ScaledCosts prepares a query, samples cfg.SampleSize plans uniformly,
 // and returns their costs scaled to the optimum, plus the prepared query.
 func ScaledCosts(db *storage.DB, sqlText string, cross bool, cfg *Config) ([]float64, *engine.Prepared, error) {

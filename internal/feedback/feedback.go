@@ -214,15 +214,6 @@ func clamp(f, limit float64) float64 {
 	return f
 }
 
-// HasCorrections reports whether any non-unit factor is active — the
-// fast-path check costing layers use to skip key rendering entirely on
-// stores that have never folded feedback.
-func (s *Store) HasCorrections() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.active) > 0
-}
-
 // Factor returns the active correction for a key (1, false when none).
 func (s *Store) Factor(key string) (float64, bool) {
 	s.mu.Lock()

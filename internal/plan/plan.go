@@ -27,15 +27,7 @@ type Node struct {
 // nested-loop join multiplies its inner child's cost by the outer
 // cardinality inside Model.Combine.
 func (n *Node) Cost(m *cost.Model) (float64, error) {
-	childCosts := make([]float64, len(n.Children))
-	for i, c := range n.Children {
-		cc, err := c.Cost(m)
-		if err != nil {
-			return 0, err
-		}
-		childCosts[i] = cc
-	}
-	return m.Combine(n.Expr, childCosts)
+	return n.CostWith(m, &CostBuf{})
 }
 
 // CostBuf is a reusable value stack for CostWith. The zero value is
@@ -46,10 +38,10 @@ type CostBuf struct {
 	stack []float64
 }
 
-// CostWith is Cost evaluating child costs on buf's shared stack instead
-// of allocating a slice per node — the costing path for hot sampling
+// CostWith evaluates child costs on buf's shared stack instead of
+// allocating a slice per node — the costing path for hot sampling
 // loops (experiments, the plan-space server) that cost and discard
-// thousands of plans.
+// thousands of plans; Cost is CostWith on a fresh buffer.
 func (n *Node) CostWith(m *cost.Model, buf *CostBuf) (float64, error) {
 	base := len(buf.stack)
 	for _, c := range n.Children {

@@ -108,8 +108,8 @@ func (e *ColRef) String() string {
 	return e.Name
 }
 func (e *NumberLit) String() string { return e.Text }
-func (e *StringLit) String() string { return "'" + e.Value + "'" }
-func (e *DateLit) String() string   { return "DATE '" + e.Value + "'" }
+func (e *StringLit) String() string { return quote(e.Value) }
+func (e *DateLit) String() string   { return "DATE " + quote(e.Value) }
 func (e *BoolLit) String() string {
 	if e.Value {
 		return "TRUE"
@@ -144,8 +144,13 @@ func (e *LikeExpr) String() string {
 	if e.Negate {
 		not = " NOT"
 	}
-	return "(" + e.X.String() + not + " LIKE '" + e.Pattern + "')"
+	return "(" + e.X.String() + not + " LIKE " + quote(e.Pattern) + ")"
 }
+
+// quote renders a string literal, doubling embedded quotes the way the
+// lexer reads them back.
+func quote(s string) string { return "'" + strings.ReplaceAll(s, "'", "''") + "'" }
+
 func (e *CaseExpr) String() string {
 	var sb strings.Builder
 	sb.WriteString("CASE")
@@ -188,12 +193,6 @@ func (t TableRef) Name() string {
 		return t.Alias
 	}
 	return t.Table
-}
-
-// JoinCond is an explicit INNER JOIN ... ON condition; the builder merges
-// these into the WHERE conjunction (inner joins only, so this is sound).
-type JoinCond struct {
-	Cond Expr
 }
 
 // OrderItem is one ORDER BY key.

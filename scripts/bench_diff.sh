@@ -9,11 +9,13 @@
 #     BenchmarkSampleRanks must report exactly 0 allocs/op on every
 #     run. Allocation counts do not depend on the host, so this gate is
 #     absolute.
-#  2. Executor allocations. BenchmarkExecute/*/optimal and
-#     BenchmarkExecute/Q5/median_sampled allocs/op must stay within 10%
-#     of the value BENCH_core.json records. The sampled plan runs three
-#     nested-loop joins that re-open their inner sides once per outer
-#     row, a path the optimal plans barely touch.
+#  2. Executor allocations. BenchmarkExecute/*/optimal,
+#     BenchmarkExecute/Q5/median_sampled and
+#     BenchmarkExecute/Q5/merge_sampled allocs/op must stay within 10%
+#     of the value BENCH_core.json records. The median sampled plan runs
+#     three nested-loop joins that re-open their inner sides once per
+#     outer row, a path the optimal plans barely touch; the merge
+#     sampled plan is the only row with a merge join.
 #  3. Speedups. The production tiers are timed against the /big rows
 #     (the reference oracle) and the recorded speedups must not regress
 #     by more than 20%. Absolute ns/op shift with the host; the ratios
@@ -41,7 +43,7 @@ for i in $(seq 1 "$COUNT"); do
 		"$TMP/repro.test" -test.run '^$' -test.benchmem -test.count 1 -test.benchtime "$BENCHTIME" \
 			-test.bench '^(BenchmarkUnrank|BenchmarkSample|BenchmarkSampleRanks|BenchmarkRecost)$'
 		"$TMP/repro.test" -test.run '^$' -test.benchmem -test.count 1 -test.benchtime "$BENCHTIME" \
-			-test.bench '^BenchmarkExecute$/^Q[0-9]+$/^(optimal|median_sampled)$'
+			-test.bench '^BenchmarkExecute$/^Q[0-9]+$/^(optimal|median_sampled|merge_sampled)$'
 	} | tee "$TMP/run$i.txt"
 done
 
@@ -98,7 +100,7 @@ print(f"\nbench_diff: allocs/op ceilings (recorded + 10%)")
 print(f"{'row':28} {'recorded':>9} {'fresh':>9}")
 for row in core["results"]:
     name = row["name"]
-    if not re.fullmatch(r'BenchmarkExecute/(\S+/optimal|Q5/median_sampled)', name):
+    if not re.fullmatch(r'BenchmarkExecute/(\S+/optimal|Q5/(median|merge)_sampled)', name):
         continue
     want = row["allocs_per_op"]
     got = [rows[name][1] for rows in runs if name in rows]
