@@ -129,7 +129,7 @@ func limbsToBigInt(x []uint64) *big.Int {
 func dualSpaces(tb testing.TB, q string) (*core.Space, *oracle.Oracle) {
 	tb.Helper()
 	p := prepare(tb, q, false)
-	if !p.Space.FitsUint64() {
+	if p.Space.Arithmetic() != "uint64" {
 		tb.Fatalf("%s space %s exceeds uint64; benchmark fixture invalid", q, p.Count())
 	}
 	return p.Space, oracle.New(p.Opt.Memo)
@@ -182,11 +182,8 @@ func BenchmarkUnrank(b *testing.B) {
 	// the oracle row, exactly like the per-query /big rows above, prices
 	// what the wide tier saves.
 	p8 := prepare(b, "Q8", true)
-	if p8.Space.FitsUint64() {
-		b.Fatalf("Q8+cross space %s fits uint64; fixture invalid", p8.Count())
-	}
-	if !p8.Space.Wide() {
-		b.Fatalf("Q8+cross tier = %s; want wide", p8.Space.Arithmetic())
+	if p8.Space.Arithmetic() != "wide" {
+		b.Fatalf("Q8+cross space %s on tier %s; want wide", p8.Count(), p8.Space.Arithmetic())
 	}
 	smp8, err := p8.Sampler(1)
 	if err != nil {
@@ -194,11 +191,14 @@ func BenchmarkUnrank(b *testing.B) {
 	}
 	wideRanks := make([][]uint64, 1024)
 	bigRanks8 := make([]*big.Int, len(wideRanks))
-	buf := make([]uint64, p8.Space.RankLimbs())
+	stride := p8.Space.RankLimbs()
+	flat := make([]uint64, len(wideRanks)*stride)
+	if err := smp8.SampleRanksWideInto(flat, len(wideRanks)); err != nil {
+		b.Fatal(err)
+	}
 	for i := range wideRanks {
-		r := smp8.NextRankInto(buf)
-		wideRanks[i] = append([]uint64(nil), r...)
-		bigRanks8[i] = limbsToBigInt(r)
+		wideRanks[i] = core.WideNorm(flat[i*stride : (i+1)*stride])
+		bigRanks8[i] = limbsToBigInt(wideRanks[i])
 	}
 	b.Run("Q8cross/wide", func(b *testing.B) {
 		var arena core.Arena
@@ -237,10 +237,20 @@ func benchOracleSample(b *testing.B, ref *oracle.Oracle) {
 }
 
 // BenchmarkSample compares full uniform sampling (rank generation +
-// unranking) on the production tiers with the oracle. The uint64 path
-// draws native ranks and decomposes into a reused arena — the
-// steady-state sampling loop of the experiments pipeline.
+// unranking) on the production tiers with the oracle. The production
+// rows run Sampler.Each into a reused arena — the one sampling loop
+// /sample and the experiments pipeline run — so one op is one drawn
+// and unranked plan.
 func BenchmarkSample(b *testing.B) {
+	each := func(b *testing.B, smp *core.Sampler) {
+		var arena core.Arena
+		b.ReportAllocs()
+		b.ResetTimer()
+		err := smp.Each(b.N, &arena, func(int, []uint64, *plan.Node) error { return nil })
+		if err != nil {
+			b.Fatal(err)
+		}
+	}
 	for _, q := range []string{"Q5", "Q8", "Q9"} {
 		fast, ref := dualSpaces(b, q)
 		b.Run(q+"/uint64", func(b *testing.B) {
@@ -248,14 +258,7 @@ func BenchmarkSample(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			var arena core.Arena
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := fast.UnrankInto(smp.NextRank64(), &arena); err != nil {
-					b.Fatal(err)
-				}
-			}
+			each(b, smp)
 		})
 		b.Run(q+"/big", func(b *testing.B) { benchOracleSample(b, ref) })
 	}
@@ -264,22 +267,14 @@ func BenchmarkSample(b *testing.B) {
 	// vs the oracle.
 	b.Run("Q8cross/wide", func(b *testing.B) {
 		p := prepare(b, "Q8", true)
-		if !p.Space.Wide() {
+		if p.Space.Arithmetic() != "wide" {
 			b.Fatalf("Q8+cross tier = %s; want wide", p.Space.Arithmetic())
 		}
 		smp, err := p.Sampler(2)
 		if err != nil {
 			b.Fatal(err)
 		}
-		buf := make([]uint64, p.Space.RankLimbs())
-		var arena core.Arena
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := p.Space.UnrankWideInto(smp.NextRankInto(buf), &arena); err != nil {
-				b.Fatal(err)
-			}
-		}
+		each(b, smp)
 	})
 	b.Run("Q8cross/big", func(b *testing.B) {
 		benchOracleSample(b, oracle.New(prepare(b, "Q8", true).Opt.Memo))

@@ -7,7 +7,10 @@
 //	costdist -prune             the E9 pruning ablation
 //
 // The sample size defaults to the paper's 10,000; lower it for quick
-// runs. All output is deterministic for a given (sf, seed, sample-seed).
+// runs. Each query's sample is the one seeded stream /sample returns
+// for -sample-seed, so apart from the timing lines all output is
+// deterministic for a given (sf, seed, samples, sample-seed), whatever
+// the host's core count.
 package main
 
 import (
@@ -26,7 +29,6 @@ func main() {
 		sf       = flag.Float64("sf", 0.001, "TPC-H scale factor")
 		seed     = flag.Int64("seed", 42, "data generator seed")
 		samples  = flag.Int("samples", 10000, "plans sampled per query (paper: 10000)")
-		workers  = flag.Int("workers", 4, "sampling/costing workers (the drawn sample is deterministic per (seed, samples, workers))")
 		sseed    = flag.Int64("sample-seed", 1, "sampling seed")
 		table1   = flag.Bool("table1", false, "regenerate Table 1")
 		figure4  = flag.Bool("figure4", false, "regenerate Figure 4")
@@ -40,19 +42,19 @@ func main() {
 	if !*table1 && !*figure4 && !*prune {
 		*table1, *figure4 = true, true
 	}
-	if err := run(*sf, *seed, *samples, *workers, *sseed, *table1, *figure4, *prune, *buckets, *queries, *cross, *noLookup); err != nil {
+	if err := run(*sf, *seed, *samples, *sseed, *table1, *figure4, *prune, *buckets, *queries, *cross, *noLookup); err != nil {
 		fmt.Fprintln(os.Stderr, "costdist:", err)
 		os.Exit(1)
 	}
 }
 
-func run(sf float64, seed int64, samples, workers int, sseed int64, table1, figure4, prune bool, buckets int, queries string, cross, noLookup bool) error {
+func run(sf float64, seed int64, samples int, sseed int64, table1, figure4, prune bool, buckets int, queries string, cross, noLookup bool) error {
 	fmt.Printf("generating TPC-H sf=%g seed=%d ...\n", sf, seed)
 	db, err := tpch.NewDB(sf, seed)
 	if err != nil {
 		return err
 	}
-	cfg := experiments.Config{SampleSize: samples, Seed: sseed, Workers: workers}
+	cfg := experiments.Config{SampleSize: samples, Seed: sseed}
 	if noLookup {
 		rc := rules.Default()
 		rc.EnableIndexNLJoin = false

@@ -19,17 +19,24 @@
 // sub-rank per child slot in the mixed-radix system with digit bases
 // b_v(i) (Section 3.3).
 //
-// Arithmetic is tiered. Counting runs bottom-up in overflow-checked
-// uint64; when the total N and every reachable base fit in 64 bits —
-// true for all of Table 1, which tops out at 4.4·10^12 — rank
-// selection, mixed-radix decomposition, ranking, and the sampler's
-// rejection loop run on native uint64 with no heap allocations (see
-// fast.go). Spaces beyond 2^64 (Q8 with Cartesian products holds
-// ~2.7·10^22 plans) route to the wide tier: fixed-allocation
-// little-endian []uint64 limb arithmetic (wide.go, widepath.go) whose
-// unrank/sample loops are likewise allocation-free after warm-up, and
-// which hands any subtree whose count fits uint64 straight back to the
-// native path. math/big appears only at the API boundary (Count,
+// Each operation has one path: Count; Unrank (UnrankWideInto for limb
+// ranks into a reused Arena); Rank; Enumerate/EnumerateRange; and
+// Sampler.Each for sampling, over one rejection loop that NextRank,
+// Next and the batch rank draws share. UnrankBigInto (Unrank into an
+// arena), UnrankInto, SampleRanks and SampleRanksWideInto are thin
+// wrappers over those paths.
+//
+// Arithmetic is tiered underneath. Counting runs bottom-up in
+// overflow-checked uint64, and every node whose subtree count fits 64
+// bits keeps native tables: decomposing and ranking such a subtree
+// runs on native uint64 with no heap allocation (fast.go). When the
+// total N fits as well — true for all of Table 1, which tops out at
+// 4.4·10^12 — the unranker's root selection is native too. Spaces
+// beyond 2^64 (Q8 with Cartesian products holds ~2.7·10^22 plans)
+// select the root and decompose the upper nodes with fixed-allocation
+// little-endian []uint64 limb arithmetic (wide.go, widepath.go), which
+// hands any subtree whose count fits uint64 straight back to the
+// native lane. math/big appears only at the API boundary (Count,
 // Unrank, Rank); the differential tests compare both tiers against the
 // independent reference in internal/oracle.
 package core
@@ -130,17 +137,19 @@ type Space struct {
 	total  *big.Int // N, synthesized on every tier for the API surface
 	totalW []uint64 // N as canonical limbs on every tier: the sampler's and unranker's range bound
 
-	// uint64 tier: selected when fits is true, i.e. the total count
-	// (and therefore every reachable base and prefix sum) fits in
+	// prefixW is the root's rank-range layout as canonical limbs, built
+	// on every tier: Rank and the wide unranker select root operators
+	// through it.
+	prefixW [][]uint64
+	tab     WideArena // backing store for every count table
+
+	// uint64 unrank root: selected when fits is true, i.e. the total
+	// count (and therefore every reachable base and prefix sum) fits in
 	// uint64 and WithWideArithmetic was not given; the wide tier serves
 	// every other space.
 	fits     bool
 	total64  uint64
 	prefix64 []uint64
-
-	// wide tier: canonical limb slices carved from tab.
-	prefixW [][]uint64
-	tab     WideArena // backing store for every wide count table
 }
 
 // Prepare materializes links and counts the space. It is the
@@ -219,17 +228,15 @@ func Prepare(m *memo.Memo, opts ...Option) (*Space, error) {
 		prefixW = append(prefixW, totalW)
 	}
 	s.totalW = s.tab.put(totalW)
-	if fits {
-		s.fits = true
-		s.total64, s.prefix64 = total64, prefix64
-		s.total = new(big.Int).SetUint64(total64)
-		return s, nil
-	}
 	s.prefixW = make([][]uint64, len(prefixW))
 	for i, p := range prefixW {
 		s.prefixW[i] = s.tab.put(p)
 	}
 	s.total = limbsToBig(s.totalW)
+	if fits {
+		s.fits = true
+		s.total64, s.prefix64 = total64, prefix64
+	}
 	return s, nil
 }
 
@@ -425,20 +432,13 @@ func wideFromU64(v uint64) []uint64 {
 // encodes. The returned value must not be mutated.
 func (s *Space) Count() *big.Int { return s.total }
 
-// FitsUint64 reports whether the uint64 tier is active: the total N
-// (and with it every base and prefix sum reachable during unranking)
-// fits in 64 bits and WithWideArithmetic was not given. When true,
-// Rank64, UnrankInto, NextRank64, and SampleRanks are available and
-// Unrank/Rank/Sampler dispatch to uint64 arithmetic internally.
-func (s *Space) FitsUint64() bool { return s.fits }
-
-// Wide reports whether the wide limb tier serves the space — the
-// production path for every space beyond uint64 (and any space forced
-// with WithWideArithmetic).
-func (s *Space) Wide() bool { return !s.fits }
-
 // Arithmetic names the tier serving the space — "uint64" or "wide" —
-// the canonical label for exports, reports, and CLIs.
+// the canonical label for exports, reports, and CLIs. On "uint64" the
+// total N (and with it every base and prefix sum reachable during
+// unranking) fits in 64 bits and WithWideArithmetic was not given, so
+// UnrankInto and SampleRanks are available and the unranker's root
+// runs on native uint64; "wide" is the limb tier that serves every
+// space beyond 2^64 (and any space forced with WithWideArithmetic).
 func (s *Space) Arithmetic() string {
 	if s.fits {
 		return "uint64"
@@ -447,8 +447,8 @@ func (s *Space) Arithmetic() string {
 }
 
 // RankLimbs returns the number of 64-bit limbs a rank of this space
-// occupies — the buffer size for NextRankInto and UnrankWideInto
-// callers (1 on the uint64 tier).
+// occupies — the row stride of SampleRanksWideInto and the buffer size
+// for UnrankWideInto callers (1 on the uint64 tier).
 func (s *Space) RankLimbs() int { return max(len(s.totalW), 1) }
 
 // CountFor returns N(v) for a specific operator — the number of plans

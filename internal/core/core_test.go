@@ -37,7 +37,7 @@ func starSchema() *catalog.Catalog {
 	return c
 }
 
-func prepared(t *testing.T, text string) (*Space, *opt.Result) {
+func prepared(t *testing.T, text string) (*Space, *opt.Costing) {
 	t.Helper()
 	stmt, err := sql.Parse(text)
 	if err != nil {
@@ -56,12 +56,11 @@ func prepared(t *testing.T, text string) (*Space, *opt.Result) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := opt.NewResult(st, c)
-	s, err := Prepare(res.Memo)
+	s, err := Prepare(c.Memo)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return s, res
+	return s, c
 }
 
 const starQuery = "SELECT v1 FROM fact, d1, d2, d3 WHERE f1 = k1 AND f2 = k2 AND f3 = k3"
@@ -283,12 +282,16 @@ func TestSampleBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plans, err := smp.Sample(25)
+	var plans []*plan.Node
+	err = smp.Each(25, nil, func(_ int, _ []uint64, p *plan.Node) error {
+		plans = append(plans, p)
+		return nil
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(plans) != 25 {
-		t.Fatalf("Sample returned %d plans", len(plans))
+		t.Fatalf("Each yielded %d plans", len(plans))
 	}
 	for _, p := range plans {
 		if err := p.Validate(); err != nil {

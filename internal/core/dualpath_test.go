@@ -58,8 +58,8 @@ func agreeWithOracle(t testing.TB, s *Space, ref *oracle.Oracle, r *big.Int, a *
 // through every uint64 entry point.
 func TestDualPathDifferentialFixture(t *testing.T) {
 	fast, ref := bothPaths(t, fixture.New().Memo)
-	if !fast.FitsUint64() || !fast.Count().IsUint64() || fast.Count().Uint64() != 25 {
-		t.Fatalf("fixture space: FitsUint64 %v, count %s; want uint64 with 25", fast.FitsUint64(), fast.Count())
+	if fast.Arithmetic() != "uint64" || !fast.Count().IsUint64() || fast.Count().Uint64() != 25 {
+		t.Fatalf("fixture space: tier %s, count %s; want uint64 with 25", fast.Arithmetic(), fast.Count())
 	}
 
 	// Exhaustive: every rank unranks to the oracle's plan, and the
@@ -77,9 +77,9 @@ func TestDualPathDifferentialFixture(t *testing.T) {
 		if pa.Digest() != pf.Digest() {
 			t.Fatalf("rank %d: arena plan differs from fresh plan", r)
 		}
-		back, err := fast.Rank64(pf)
-		if err != nil || back != r {
-			t.Fatalf("Rank64(UnrankInto(%d)) = %d, %v", r, back, err)
+		back, err := fast.Rank(pf)
+		if err != nil || !back.IsUint64() || back.Uint64() != r {
+			t.Fatalf("Rank(UnrankInto(%d)) = %v, %v", r, back, err)
 		}
 		agreeWithOracle(t, fast, ref, new(big.Int).SetUint64(r), nil)
 	}
@@ -92,7 +92,7 @@ func TestDualPathDifferentialFixture(t *testing.T) {
 		t.Fatal("fixture sampler is not on the uint64 tier")
 	}
 	for i := 0; i < 100; i++ {
-		agreeWithOracle(t, fast, ref, new(big.Int).SetUint64(fs.NextRank64()), &arena)
+		agreeWithOracle(t, fast, ref, fs.NextRank(), &arena)
 	}
 }
 
@@ -107,7 +107,7 @@ func TestDualPathDifferentialStar(t *testing.T) {
 	} {
 		prep, _ := prepared(t, query)
 		s, ref := bothPaths(t, prep.Memo)
-		if !s.FitsUint64() || !s.Count().IsUint64() {
+		if s.Arithmetic() != "uint64" || !s.Count().IsUint64() {
 			t.Fatalf("star space %s should fit uint64", s.Count())
 		}
 
@@ -121,7 +121,7 @@ func TestDualPathDifferentialStar(t *testing.T) {
 		}
 		var arena Arena
 		for i := 0; i < iters; i++ {
-			agreeWithOracle(t, s, ref, new(big.Int).SetUint64(fs.NextRank64()), &arena)
+			agreeWithOracle(t, s, ref, fs.NextRank(), &arena)
 		}
 	}
 }
@@ -164,7 +164,7 @@ func TestOverflowBoundary(t *testing.T) {
 	if fits.Count().Cmp(want) != 0 {
 		t.Fatalf("chain count = %s, want 2^63", fits.Count())
 	}
-	if !fits.FitsUint64() {
+	if fits.Arithmetic() != "uint64" {
 		t.Fatal("2^63-plan space should fit uint64")
 	}
 	if !fits.Count().IsUint64() || fits.Count().Uint64() != 1<<63 {
@@ -176,9 +176,9 @@ func TestOverflowBoundary(t *testing.T) {
 		if err != nil {
 			t.Fatalf("UnrankInto(%d): %v", r, err)
 		}
-		back, err := fits.Rank64(p)
-		if err != nil || back != r {
-			t.Fatalf("Rank64(UnrankInto(%d)) = %d, %v", r, back, err)
+		back, err := fits.Rank(p)
+		if err != nil || !back.IsUint64() || back.Uint64() != r {
+			t.Fatalf("Rank(UnrankInto(%d)) = %v, %v", r, back, err)
 		}
 	}
 
@@ -193,17 +193,11 @@ func TestOverflowBoundary(t *testing.T) {
 	if over.Count().Cmp(want) != 0 {
 		t.Fatalf("chain count = %s, want 2^64", over.Count())
 	}
-	if over.FitsUint64() {
-		t.Fatal("2^64-plan space claims to fit uint64")
-	}
-	if over.Count().IsUint64() || !over.Wide() {
+	if over.Count().IsUint64() || over.Arithmetic() != "wide" {
 		t.Fatalf("2^64-plan space: count fits uint64 or tier %s is not wide", over.Arithmetic())
 	}
 	if _, err := over.UnrankInto(0, nil); err == nil {
 		t.Fatal("UnrankInto succeeded on the wide tier")
-	}
-	if _, err := over.NewIter(); err == nil {
-		t.Fatal("NewIter succeeded on a space beyond uint64")
 	}
 	smp, err := over.NewSampler(5)
 	if err != nil {
@@ -214,6 +208,9 @@ func TestOverflowBoundary(t *testing.T) {
 	}
 	if err := smp.SampleRanks(make([]uint64, 1)); err == nil {
 		t.Fatal("SampleRanks succeeded on the wide tier")
+	}
+	if _, err := over.All(); err == nil {
+		t.Fatal("All succeeded on a space beyond uint64")
 	}
 	// Ranks straddling 2^64-1: the largest uint64 rank and the first
 	// rank beyond uint64 must both unrank and round-trip.
@@ -241,51 +238,6 @@ func TestOverflowBoundary(t *testing.T) {
 	}
 }
 
-// TestIterMatchesEnumerate checks the pull iterator against Enumerate
-// on a small optimizer-built space: same ranks, same plans, and the
-// arena reuse does not corrupt earlier decompositions.
-func TestIterMatchesEnumerate(t *testing.T) {
-	s, _ := prepared(t, "SELECT v1 FROM fact, d1 WHERE f1 = k1")
-	want := make(map[uint64]string)
-	err := s.Enumerate(func(r *big.Int, p *plan.Node) bool {
-		want[r.Uint64()] = p.Digest()
-		return true
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	it, err := s.NewIter()
-	if err != nil {
-		t.Fatal(err)
-	}
-	seen := 0
-	for it.Next() {
-		if d := it.Plan().Digest(); d != want[it.Rank()] {
-			t.Fatalf("iterator rank %d: digest %s, want %s", it.Rank(), d, want[it.Rank()])
-		}
-		seen++
-	}
-	if err := it.Err(); err != nil {
-		t.Fatal(err)
-	}
-	if seen != len(want) {
-		t.Fatalf("iterator yielded %d plans, Enumerate %d", seen, len(want))
-	}
-
-	// Range iterator slices the same sequence.
-	rit, err := s.NewRangeIter(3, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var ranks []uint64
-	for rit.Next() {
-		ranks = append(ranks, rit.Rank())
-	}
-	if len(ranks) != 4 || ranks[0] != 3 || ranks[3] != 6 {
-		t.Fatalf("range iterator ranks = %v", ranks)
-	}
-}
-
 // TestSampleRanksMatchesNextRank: the batched draw is the same stream
 // as repeated single draws.
 func TestSampleRanksMatchesNextRank(t *testing.T) {
@@ -303,8 +255,8 @@ func TestSampleRanksMatchesNextRank(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, r := range dst {
-		if single := b.NextRank64(); single != r {
-			t.Fatalf("batch draw %d = %d, single draw = %d", i, r, single)
+		if single := b.NextRank(); !single.IsUint64() || single.Uint64() != r {
+			t.Fatalf("batch draw %d = %d, single draw = %s", i, r, single)
 		}
 	}
 	// Each draws the same stream and materializes the same plans as
@@ -341,6 +293,24 @@ func chiSquaredThreshold(dof float64) float64 {
 	return dof * x * x * x
 }
 
+// enumerateDigests returns the digest of every plan of an enumerable
+// space, indexed by rank.
+func enumerateDigests(t *testing.T, s *Space) []string {
+	t.Helper()
+	var digestOf []string
+	err := s.Enumerate(func(r *big.Int, p *plan.Node) bool {
+		if r.Int64() != int64(len(digestOf)) {
+			t.Fatalf("Enumerate yielded rank %s at position %d", r, len(digestOf))
+		}
+		digestOf = append(digestOf, p.Digest())
+		return true
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return digestOf
+}
+
 // TestSamplerUniformityAgainstEnumeration is the statistical
 // goodness-of-fit satellite: on spaces small enough to enumerate, the
 // frequency of each exhaustively enumerated plan among sampler draws
@@ -367,23 +337,13 @@ func TestSamplerUniformityAgainstEnumeration(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if !tc.s.FitsUint64() || !tc.s.Count().IsUint64() {
+			if tc.s.Arithmetic() != "uint64" || !tc.s.Count().IsUint64() {
 				t.Fatal("uniformity test needs the uint64 path")
 			}
 			n := int(tc.s.Count().Uint64())
 			// Ground truth: the digest of every plan, by rank, from
-			// exhaustive enumeration through the pull iterator.
-			digestOf := make([]string, n)
-			it, err := tc.s.NewIter()
-			if err != nil {
-				t.Fatal(err)
-			}
-			for it.Next() {
-				digestOf[it.Rank()] = it.Plan().Digest()
-			}
-			if err := it.Err(); err != nil {
-				t.Fatal(err)
-			}
+			// exhaustive enumeration.
+			digestOf := enumerateDigests(t, tc.s)
 
 			draws := 40 * n
 			if draws < 20000 {
@@ -394,8 +354,12 @@ func TestSamplerUniformityAgainstEnumeration(t *testing.T) {
 				t.Fatal(err)
 			}
 			counts := make(map[string]int, n)
-			for i := 0; i < draws; i++ {
-				counts[digestOf[smp.NextRank64()]]++
+			ranks := make([]uint64, draws)
+			if err := smp.SampleRanks(ranks); err != nil {
+				t.Fatal(err)
+			}
+			for _, r := range ranks {
+				counts[digestOf[r]]++
 			}
 			if len(counts) != n {
 				t.Fatalf("observed %d distinct plans, space holds %d", len(counts), n)
@@ -424,18 +388,18 @@ func TestPropertyRoundTripFixtureBothPaths(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 1000; i++ {
-		r := fs.NextRank64()
-		p, err := fast.UnrankInto(r, nil)
+		r := fs.NextRank()
+		p, err := fast.Unrank(r)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if err := p.Validate(); err != nil {
-			t.Fatalf("plan %d invalid: %v", r, err)
+			t.Fatalf("plan %s invalid: %v", r, err)
 		}
-		back, err := fast.Rank64(p)
-		if err != nil || back != r {
-			t.Fatalf("fast round trip %d -> %d, %v", r, back, err)
+		back, err := fast.Rank(p)
+		if err != nil || back.Cmp(r) != 0 {
+			t.Fatalf("fast round trip %s -> %v, %v", r, back, err)
 		}
-		agreeWithOracle(t, fast, ref, new(big.Int).SetUint64(r), nil)
+		agreeWithOracle(t, fast, ref, r, nil)
 	}
 }

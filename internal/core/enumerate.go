@@ -10,8 +10,7 @@ import (
 // with each (rank, plan) until yield returns false or the space is
 // exhausted. This is the paper's exhaustive generation mode, used "when
 // the space of alternatives is small enough for exhaustive testing".
-// Yielded plans are freshly allocated and may be retained; for a
-// zero-allocation scan use the pull-based iterator (NewIter).
+// Yielded plans are freshly allocated and may be retained.
 func (s *Space) Enumerate(yield func(r *big.Int, p *plan.Node) bool) error {
 	return s.EnumerateRange(new(big.Int), s.total, yield)
 }
@@ -59,75 +58,6 @@ func wideIncInPlace(x []uint64) []uint64 {
 	}
 	return append(x, 1)
 }
-
-// PlanIter is a pull-based enumerator over a rank range. It reuses one
-// scratch Arena for the mixed-radix decomposition, so a full scan
-// performs no per-plan heap allocation; the plan returned by Plan is
-// valid only until the next call to Next. Ranks are uint64, which any
-// exhaustive scan satisfies.
-//
-//	it, err := space.NewIter()
-//	for it.Next() {
-//		use(it.Rank(), it.Plan()) // do not retain it.Plan()
-//	}
-//	err = it.Err()
-type PlanIter struct {
-	s     *Space
-	next  uint64
-	hi    uint64
-	rank  uint64
-	plan  *plan.Node
-	arena Arena
-	limb  [1]uint64 // the current rank as one limb
-	err   error
-}
-
-// NewIter returns a pull iterator over the whole space in rank order.
-// It requires the total to fit uint64 (a larger space cannot be
-// exhaustively scanned anyway).
-func (s *Space) NewIter() (*PlanIter, error) {
-	t, ok := wideToU64(s.totalW)
-	if !ok {
-		return nil, errTooLarge(s.total)
-	}
-	return &PlanIter{s: s, hi: t}, nil
-}
-
-// NewRangeIter returns a pull iterator over ranks [lo, hi), with hi
-// clamped to N.
-func (s *Space) NewRangeIter(lo, hi uint64) (*PlanIter, error) {
-	if t, ok := wideToU64(s.totalW); ok && hi > t {
-		hi = t
-	}
-	return &PlanIter{s: s, next: lo, hi: hi}, nil
-}
-
-// Next advances to the next plan, reporting false when the range is
-// exhausted or unranking failed (see Err).
-func (it *PlanIter) Next() bool {
-	if it.err != nil || it.next >= it.hi {
-		return false
-	}
-	it.limb[0] = it.next
-	p, err := it.s.UnrankWideInto(it.limb[:], &it.arena)
-	if err != nil {
-		it.err = err
-		return false
-	}
-	it.rank, it.plan = it.next, p
-	it.next++
-	return true
-}
-
-// Rank returns the rank of the current plan.
-func (it *PlanIter) Rank() uint64 { return it.rank }
-
-// Plan returns the current plan. It lives in the iterator's arena and
-// is overwritten by the next call to Next; copy it to retain it.
-func (it *PlanIter) Plan() *plan.Node { return it.plan }
-
-// Err returns the first unranking error, if any.
-func (it *PlanIter) Err() error { return it.err }
 
 // All collects every plan of the space; callers must check Count first —
 // this is intended for the small spaces of unit tests and exhaustive

@@ -7,13 +7,14 @@ import (
 	"repro/internal/plan"
 )
 
-// This file is the uint64 arithmetic tier: the bijection of unrank.go
-// with every base, prefix sum, and rank a native uint64.
-// It serves spaces for which Space.FitsUint64() is true, which Prepare
-// establishes with overflow-checked counting; within that regime the
-// mixed-radix decomposition cannot overflow (every intermediate value
-// is bounded by the total). The wide tier also hands it every subtree
-// whose count fits uint64.
+// This file is the uint64 arithmetic lane: the bijection of unrank.go
+// with every base, prefix sum, and rank a native uint64. Its root
+// (unrank64) serves spaces whose Arithmetic() is "uint64", which
+// Prepare establishes with overflow-checked counting; within that
+// regime the mixed-radix decomposition cannot overflow (every
+// intermediate value is bounded by the total). Below the root, the
+// per-node lanes unrankExpr64 and rankExpr64 serve every subtree whose
+// count fits uint64, on either tier.
 
 // Arena is a reusable allocation buffer for unranking. Plan nodes and
 // child-pointer slices are carved out of backing arrays that are
@@ -58,7 +59,7 @@ func (a *Arena) newChildren(k int) []*plan.Node {
 // errNotUint64 reports use of a uint64-only entry point on a space
 // served by the wide tier.
 func (s *Space) errNotUint64() error {
-	return fmt.Errorf("core: space holds %s plans, beyond uint64; the wide tier serves it (see Space.Wide)", s.total)
+	return fmt.Errorf("core: space holds %s plans, beyond uint64; the wide tier serves it (see Space.Arithmetic)", s.total)
 }
 
 // UnrankInto constructs the plan with rank r on the uint64 tier, inside
@@ -173,24 +174,8 @@ func selectByPrefix64(prefix []uint64, r uint64) int {
 	return base
 }
 
-// Rank64 computes the rank of a plan on the uint64 tier — the inverse
-// of UnrankInto.
-func (s *Space) Rank64(n *plan.Node) (uint64, error) {
-	if !s.fits {
-		return 0, s.errNotUint64()
-	}
-	for k, e := range s.rootOps {
-		if e == n.Expr {
-			local, err := s.rankExpr64(n)
-			if err != nil {
-				return 0, err
-			}
-			return local + s.prefix64[k], nil
-		}
-	}
-	return 0, fmt.Errorf("core: plan root %s is not a root-group operator of this space", n.Expr.Name())
-}
-
+// rankExpr64 is the inverse of unrankExpr64: the local rank of the
+// plan rooted at n, for an operator whose subtree count fits uint64.
 func (s *Space) rankExpr64(n *plan.Node) (uint64, error) {
 	info := s.info[n.Expr.ID]
 	if info == nil {

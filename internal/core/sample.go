@@ -45,84 +45,58 @@ func (s *Space) NewSampler(seed int64) (*Sampler, error) {
 	}, nil
 }
 
-// Fast reports whether the sampler runs on the uint64 tier; NextRank64
-// and SampleRanks require it.
+// Fast reports whether the sampler runs on the uint64 tier;
+// SampleRanks requires it.
 func (smp *Sampler) Fast() bool { return smp.space.fits }
 
 // Wide reports whether the sampler runs on the wide limb tier;
-// NextRankInto and SampleRanksWideInto require it.
+// SampleRanksWideInto requires it.
 func (smp *Sampler) Wide() bool { return !smp.space.fits }
 
-// draw fills dst[:limbs] with one uniform rank in [0, N) as canonical
-// little-endian limbs and returns it truncated to canonical length.
-// The first generator word is the most significant, as in the
-// historical big.Int draw order, so every tier consumes the generator
-// identically.
-func (smp *Sampler) draw(dst []uint64) []uint64 {
-	n := smp.limbs
-	for {
-		for i := n - 1; i >= 0; i-- {
-			dst[i] = smp.rng.Uint64()
-		}
-		dst[n-1] >>= smp.shift
-		if r := wideNorm(dst[:n]); wideCmp(r, smp.space.totalW) < 0 {
-			return r
-		}
-	}
-}
-
-// fill draws k ranks into the fixed-stride rows of dst (limbs per
-// row). draw writes every limb of its row, so each row is a canonical
-// rank followed by zero padding.
+// fill draws k uniform ranks in [0, N) into the fixed-stride rows of
+// dst (limbs per row) — the one rejection loop behind every sampling
+// entry point. Each attempt draws one generator word per limb, most
+// significant first, and shifts the first word so the row has exactly
+// bitlen(N) bits; so every tier consumes the generator identically.
+// Every limb of a row is written, so each row is a canonical rank
+// followed by zero padding.
 func (smp *Sampler) fill(dst []uint64, k int) {
-	stride := smp.limbs
-	for i := 0; i < k; i++ {
-		smp.draw(dst[i*stride : (i+1)*stride])
-	}
-}
-
-// NextRank64 returns a uniform rank in [0, N) on the uint64 tier with
-// no heap allocation; it consumes the generator exactly like draw. It
-// panics when the space is served by the wide tier — check Fast (or
-// Space.FitsUint64) first.
-func (smp *Sampler) NextRank64() uint64 {
-	if !smp.space.fits {
-		panic("core: NextRank64 on a non-uint64-tier sampler; check Fast()")
-	}
-	limit := smp.space.total64
-	for {
-		if v := smp.rng.Uint64() >> smp.shift; v < limit {
-			return v
+	rng, shift := smp.rng, smp.shift
+	n, total := smp.limbs, smp.space.totalW // len(total) == n: N > 0
+	nTop := total[n-1]
+	for row := 0; row < k; row++ {
+		r := dst[row*n : (row+1)*n]
+		for {
+			top := rng.Uint64() >> shift
+			for i := n - 2; i >= 0; i-- {
+				r[i] = rng.Uint64()
+			}
+			r[n-1] = top
+			if top < nTop || top == nTop && wideCmp(wideNorm(r[:n-1]), wideNorm(total[:n-1])) < 0 {
+				break
+			}
 		}
 	}
 }
 
-// SampleRanks fills dst with uniform ranks in [0, N) — the batched,
-// allocation-free form of NextRank64. Pair with UnrankInto under one
-// arena to materialize the plans, or use Each, which does both.
+// draw fills dst[:limbs] with one uniform rank and returns it
+// truncated to canonical length.
+func (smp *Sampler) draw(dst []uint64) []uint64 {
+	smp.fill(dst, 1)
+	return wideNorm(dst[:smp.limbs])
+}
+
+// SampleRanks fills dst with uniform ranks in [0, N) on the uint64
+// tier, with no heap allocation: the one-limb rows of the shared
+// rejection loop, so it consumes the generator exactly like Each. Pair
+// with UnrankInto under one arena to materialize the plans, or use
+// Each, which does both.
 func (smp *Sampler) SampleRanks(dst []uint64) error {
 	if !smp.space.fits {
 		return smp.space.errNotUint64()
 	}
-	for i := range dst {
-		dst[i] = smp.NextRank64()
-	}
+	smp.fill(dst, len(dst))
 	return nil
-}
-
-// NextRankInto fills dst with a uniform rank in [0, N) as canonical
-// little-endian limbs on the wide tier, with no heap allocation; dst
-// must have length Space.RankLimbs(). The returned slice is dst
-// truncated to canonical length. It panics off the wide tier — check
-// Wide() first.
-func (smp *Sampler) NextRankInto(dst []uint64) []uint64 {
-	if smp.space.fits {
-		panic("core: NextRankInto on a non-wide-tier sampler; check Wide()")
-	}
-	if len(dst) < smp.limbs {
-		panic(fmt.Sprintf("core: NextRankInto buffer holds %d limbs, rank needs %d (Space.RankLimbs)", len(dst), smp.limbs))
-	}
-	return smp.draw(dst)
 }
 
 // SampleRanksWideInto fills dst with k uniform ranks in [0, N) as
@@ -131,9 +105,9 @@ func (smp *Sampler) NextRankInto(dst []uint64) []uint64 {
 // must hold at least k × Space.RankLimbs() limbs; row i occupies
 // dst[i*stride : (i+1)*stride], zero-padded above the rank's canonical
 // length (a flat buffer needs a fixed stride; WideNorm recovers the
-// canonical slice). The draws consume the generator exactly like k
-// successive NextRankInto calls, so batch and plan-by-plan sampling
-// yield identical rank streams for one seed.
+// canonical slice). The draws run the shared rejection loop, so batch
+// and plan-by-plan sampling (Each, NextRank) yield identical rank
+// streams for one seed.
 func (smp *Sampler) SampleRanksWideInto(dst []uint64, k int) error {
 	if smp.space.fits {
 		return fmt.Errorf("core: SampleRanksWideInto on a non-wide-tier sampler; check Wide()")
@@ -207,30 +181,4 @@ func (smp *Sampler) Each(k int, a *Arena, yield func(i int, rank []uint64, p *pl
 		}
 	}
 	return nil
-}
-
-// Sample draws k plans (with replacement, as in the paper's 10,000-plan
-// experiments).
-func (smp *Sampler) Sample(k int) ([]*plan.Node, error) {
-	out := make([]*plan.Node, k)
-	err := smp.Each(k, nil, func(i int, _ []uint64, p *plan.Node) error {
-		out[i] = p
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// DeriveSeed mixes a worker index into the base seed (splitmix64 step) so
-// workers draw independent streams. It is the canonical derivation for
-// any caller that shards sampling across workers (e.g. the experiments
-// pipeline): using the same derivation keeps parallel runs
-// deterministic for a given (seed, k, workers) triple.
-func DeriveSeed(seed int64, worker int) int64 {
-	z := uint64(seed) + uint64(worker+1)*0x9e3779b97f4a7c15
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return int64(z ^ (z >> 31))
 }

@@ -67,13 +67,20 @@ func (s *Space) unrankLimbs(r []uint64, a *Arena, wa *WideArena) (*plan.Node, er
 // Rank computes the integer the given plan maps to — the inverse of
 // Unrank. It is used by property tests (Rank(Unrank(r)) == r) and to
 // answer the paper's "what number did the optimizer's own choice get?".
+// One path serves every tier: the root operator's rank range comes
+// from the limb prefix sums, and every subtree whose count fits uint64
+// ranks on the native lane (rankExpr64), as unranking does. It
+// allocates (ranking is an API operation, not the sampling hot loop).
 func (s *Space) Rank(n *plan.Node) (*big.Int, error) {
-	if !s.fits {
-		return s.rankWide(n)
+	for k, e := range s.rootOps {
+		if e != n.Expr {
+			continue
+		}
+		local, err := s.rankExprWide(n)
+		if err != nil {
+			return nil, err
+		}
+		return limbsToBig(wideAdd(local, s.prefixW[k])), nil
 	}
-	r, err := s.Rank64(n)
-	if err != nil {
-		return nil, err
-	}
-	return new(big.Int).SetUint64(r), nil
+	return nil, fmt.Errorf("core: plan root %s is not a root-group operator of this space", n.Expr.Name())
 }

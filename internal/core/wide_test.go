@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/fixture"
+	"repro/internal/plan"
 )
 
 // bigFromLimbs is the test-side reference conversion.
@@ -207,10 +208,10 @@ func TestTriPathDifferentialFixture(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !fast.FitsUint64() || fast.Arithmetic() != "uint64" {
+	if fast.Arithmetic() != "uint64" {
 		t.Fatalf("fast tier = %s", fast.Arithmetic())
 	}
-	if wide.FitsUint64() || !wide.Wide() || wide.Arithmetic() != "wide" {
+	if wide.Arithmetic() != "wide" {
 		t.Fatalf("forced wide tier = %s", wide.Arithmetic())
 	}
 	if fast.Count().Cmp(wide.Count()) != 0 {
@@ -248,14 +249,20 @@ func TestTriPathDifferentialFixture(t *testing.T) {
 	if !fs.Fast() || fs.Wide() || !ws.Wide() || ws.Fast() {
 		t.Fatalf("sampler tiers wrong: fast=%v/%v wide=%v/%v", fs.Fast(), fs.Wide(), ws.Fast(), ws.Wide())
 	}
-	buf := make([]uint64, wide.RankLimbs())
-	for i := 0; i < 500; i++ {
-		rf := fs.NextRank64()
-		rw := ws.NextRankInto(buf)
-		if v, ok := wideToU64(rw); !ok || v != rf {
-			t.Fatalf("draw %d: fast %d, wide %s", i, rf, bigFromLimbs(rw))
+	const draws = 500
+	rf := make([]uint64, draws)
+	if err := fs.SampleRanks(rf); err != nil {
+		t.Fatal(err)
+	}
+	rw := make([]uint64, draws*wide.RankLimbs())
+	if err := ws.SampleRanksWideInto(rw, draws); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < draws; i++ {
+		if rw[i] != rf[i] {
+			t.Fatalf("draw %d: fast %d, wide %d", i, rf[i], rw[i])
 		}
-		agreeWithOracle(t, wide, ref, bigFromLimbs(rw), &arena)
+		agreeWithOracle(t, wide, ref, new(big.Int).SetUint64(rw[i]), &arena)
 	}
 }
 
@@ -266,10 +273,14 @@ func wideSampled(t *testing.T, s *Space, seed int64, k int) []*big.Int {
 	if err != nil {
 		t.Fatal(err)
 	}
-	buf := make([]uint64, s.RankLimbs())
+	stride := s.RankLimbs()
+	buf := make([]uint64, k*stride)
+	if err := smp.SampleRanksWideInto(buf, k); err != nil {
+		t.Fatal(err)
+	}
 	out := make([]*big.Int, k)
 	for i := range out {
-		out[i] = bigFromLimbs(smp.NextRankInto(buf))
+		out[i] = bigFromLimbs(WideNorm(buf[i*stride : (i+1)*stride]))
 	}
 	return out
 }
@@ -280,7 +291,7 @@ func wideSampled(t *testing.T, s *Space, seed int64, k int) []*big.Int {
 // production-sampled ranks.
 func TestWideBoundary64(t *testing.T) {
 	w, ref := bothPaths(t, chainMemo(63))
-	if !w.Wide() {
+	if w.Arithmetic() != "wide" {
 		t.Fatalf("2^64-plan space tier = %s, want wide", w.Arithmetic())
 	}
 	one := big.NewInt(1)
@@ -373,17 +384,7 @@ func TestWideSamplerUniformity(t *testing.T) {
 		t.Fatal("fixture space should be enumerable")
 	}
 	n := int(n64)
-	digestOf := make([]string, n)
-	it, err := s.NewIter()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for it.Next() {
-		digestOf[it.Rank()] = it.Plan().Digest()
-	}
-	if err := it.Err(); err != nil {
-		t.Fatal(err)
-	}
+	digestOf := enumerateDigests(t, s)
 
 	draws := 40 * n
 	if draws < 20000 {
@@ -393,16 +394,14 @@ func TestWideSamplerUniformity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	buf := make([]uint64, s.RankLimbs())
 	var arena Arena
 	counts := make(map[string]int, n)
-	for i := 0; i < draws; i++ {
-		r := smp.NextRankInto(buf)
-		p, err := s.UnrankWideInto(r, &arena)
-		if err != nil {
-			t.Fatal(err)
-		}
+	err = smp.Each(draws, &arena, func(_ int, _ []uint64, p *plan.Node) error {
 		counts[p.Digest()]++
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 	if len(counts) != n {
 		t.Fatalf("observed %d distinct plans, space holds %d", len(counts), n)

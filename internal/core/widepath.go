@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math/big"
 
 	"repro/internal/memo"
 	"repro/internal/plan"
@@ -12,7 +11,7 @@ import (
 // bijection: rank-range selection over wide prefix sums, mixed-radix
 // decomposition with wide (or single-limb) bases, rank reconstruction,
 // and the glue that hands any subtree whose count fits uint64 straight
-// to the native decomposer in fast.go. Every temporary is carved from a
+// to the native lanes in fast.go. Every temporary is carved from a
 // WideArena, so a warmed UnrankWideInto performs zero heap allocations.
 
 // unrankWide decomposes a canonical in-range rank on the wide tier
@@ -129,25 +128,10 @@ func (s *Space) unrankExprWide(e *memo.Expr, rl []uint64, a *Arena, wa *WideAren
 	return node, nil
 }
 
-// rankWide computes the rank of a plan on the wide tier — the inverse
-// of UnrankWideInto. It allocates (ranking is an API operation, not the
-// sampling hot loop).
-func (s *Space) rankWide(n *plan.Node) (*big.Int, error) {
-	var scratch [1]uint64
-	for k, e := range s.rootOps {
-		if e != n.Expr {
-			continue
-		}
-		local, err := s.rankExprWide(n, &scratch)
-		if err != nil {
-			return nil, err
-		}
-		return limbsToBig(wideAdd(local, s.prefixW[k])), nil
-	}
-	return nil, fmt.Errorf("core: plan root %s is not a root-group operator of this space", n.Expr.Name())
-}
-
-func (s *Space) rankExprWide(n *plan.Node, scratch *[1]uint64) ([]uint64, error) {
+// rankExprWide is the inverse of unrankExprWide: the local rank of the
+// plan rooted at n as canonical limbs, dropping to rankExpr64 on any
+// operator whose subtree fits uint64.
+func (s *Space) rankExprWide(n *plan.Node) ([]uint64, error) {
 	info := s.info[n.Expr.ID]
 	if info == nil {
 		return nil, fmt.Errorf("core: operator %s is not part of this space", n.Expr.Name())
@@ -177,7 +161,7 @@ func (s *Space) rankExprWide(n *plan.Node, scratch *[1]uint64) ([]uint64, error)
 			return nil, fmt.Errorf("core: %s is not a valid child %d of %s in this space",
 				child.Expr.Name(), i, n.Expr.Name())
 		}
-		childLocal, err := s.rankExprWide(child, scratch)
+		childLocal, err := s.rankExprWide(child)
 		if err != nil {
 			return nil, err
 		}

@@ -296,7 +296,7 @@ func (s *Session) Prepare(sqlText string) (*Prepared, error) {
 		SQL:           sqlText,
 		Stmt:          stmt,
 		Query:         ss.Query,
-		Opt:           opt.NewResult(ss.Struct, ov.Costing),
+		Opt:           ov.Costing,
 		Space:         ss.Space,
 		Shared:        ss,
 		Overlay:       ov,
@@ -320,14 +320,14 @@ func (s *Session) Prepare(sqlText string) (*Prepared, error) {
 // Prepared is a parsed, optimized, and counted query: the frozen search
 // space plus the optimal plan, ready for counting, unranking, sampling,
 // and execution. Query and Space alias the shared StructureSpace; Opt
-// presents the shared CostOverlay through the classic opt.Result
-// surface — both layers are immutable and may be shared with every
-// other Prepared of the same fingerprints.
+// is the shared CostOverlay's costing (its Memo is the structure's) —
+// both layers are immutable and may be shared with every other
+// Prepared of the same fingerprints.
 type Prepared struct {
 	SQL   string
 	Stmt  *sql.SelectStmt
 	Query *algebra.Query
-	Opt   *opt.Result
+	Opt   *opt.Costing
 	Space *core.Space
 
 	// Shared is the cached StructureSpace this statement runs against;

@@ -8,7 +8,6 @@ package experiments
 import (
 	"fmt"
 	"math/big"
-	"runtime"
 	"strings"
 	"sync"
 	"time"
@@ -52,15 +51,12 @@ type Table1Row struct {
 // Figure4 calls over the same query reuse the counted space instead of
 // re-optimizing.
 type Config struct {
-	SampleSize int   // paper: 10,000
-	Seed       int64 // sampling seed (experiments are deterministic)
+	SampleSize int // paper: 10,000
 
-	// Workers shards sampling and plan costing. 0 picks GOMAXPROCS
-	// (capped); 1 forces the sequential path. For a fixed (Seed,
-	// SampleSize, Workers) the drawn sample is deterministic — worker w
-	// draws an independent stream seeded core.DeriveSeed(Seed, w) — but
-	// changing Workers changes which plans are drawn.
-	Workers int
+	// Seed seeds the one sampler stream an experiment draws: the same
+	// stream /sample returns for that seed, so the drawn sample
+	// depends on (Seed, SampleSize) only, never on the host.
+	Seed int64
 
 	// Rules overrides the rule configuration (nil: the full default
 	// set). The Cartesian flag of each experiment is applied on top.
@@ -107,18 +103,6 @@ func (c *Config) sessionFor(db *storage.DB, cross bool) *engine.Session {
 	return eng.Session(engine.WithCartesian(cross))
 }
 
-// workers resolves the sharding width.
-func (c *Config) workers() int {
-	if c.Workers > 0 {
-		return c.Workers
-	}
-	w := runtime.GOMAXPROCS(0)
-	if w > 8 {
-		w = 8
-	}
-	return w
-}
-
 // ScaledCosts prepares a query, samples cfg.SampleSize plans uniformly,
 // and returns their costs scaled to the optimum, plus the prepared query.
 func ScaledCosts(db *storage.DB, sqlText string, cross bool, cfg *Config) ([]float64, *engine.Prepared, error) {
@@ -133,60 +117,30 @@ func ScaledCosts(db *storage.DB, sqlText string, cross bool, cfg *Config) ([]flo
 	return costs, p, nil
 }
 
-// sampleScaledCosts draws cfg.SampleSize uniform plans and costs them,
-// sharded across cfg.workers() workers. Each worker owns a sampler
-// seeded by core.DeriveSeed, an arena, and a cost stack, and fills a
-// fixed region of the output, so the result is reproducible for a given
-// (seed, size, workers) regardless of scheduling — and no per-plan
-// allocation survives any worker's loop.
+// sampleScaledCosts draws cfg.SampleSize uniform plans under cfg.Seed —
+// the stream /sample returns for that seed — and returns their scaled
+// costs in draw order. It runs the one sampling loop (Sampler.Each)
+// with one reused arena and cost stack: each sampled plan is costed
+// and discarded, so on the uint64 and wide tiers the loop is
+// allocation-free after warm-up. All tiers see the same plans for the
+// same seed.
 func sampleScaledCosts(p *engine.Prepared, cfg *Config) ([]float64, error) {
-	k := cfg.SampleSize
-	w := cfg.workers()
-	if w > k {
-		w = k
-	}
-	if w <= 1 {
-		costs := make([]float64, k)
-		return costs, sampleRegion(p, cfg.Seed, costs)
-	}
-	costs := make([]float64, k)
-	errs := make([]error, w)
-	var wg sync.WaitGroup
-	for i := 0; i < w; i++ {
-		lo := i * k / w
-		hi := (i + 1) * k / w
-		wg.Add(1)
-		go func(i, lo, hi int) {
-			defer wg.Done()
-			errs[i] = sampleRegion(p, core.DeriveSeed(cfg.Seed, i), costs[lo:hi])
-		}(i, lo, hi)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return costs, nil
-}
-
-// sampleRegion fills out with scaled costs of uniform plans drawn under
-// seed, through the one sampling loop (Sampler.Each) with one reused
-// arena and cost stack: each sampled plan is costed and discarded, so
-// on the uint64 and wide tiers the loop is allocation-free after
-// warm-up. All tiers see the same plans for the same seed.
-func sampleRegion(p *engine.Prepared, seed int64, out []float64) error {
-	smp, err := p.Sampler(seed)
+	smp, err := p.Sampler(cfg.Seed)
 	if err != nil {
-		return err
+		return nil, err
 	}
+	costs := make([]float64, cfg.SampleSize)
 	var arena core.Arena
 	var costBuf plan.CostBuf
-	return smp.Each(len(out), &arena, func(i int, _ []uint64, pl *plan.Node) error {
+	err = smp.Each(len(costs), &arena, func(i int, _ []uint64, pl *plan.Node) error {
 		sc, err := p.ScaledCostWith(pl, &costBuf)
-		out[i] = sc
+		costs[i] = sc
 		return err
 	})
+	if err != nil {
+		return nil, err
+	}
+	return costs, nil
 }
 
 // Table1 computes one row of Table 1 for a named TPC-H query.

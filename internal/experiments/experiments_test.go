@@ -1,11 +1,13 @@
 package experiments
 
 import (
+	"math"
 	"math/big"
+	"runtime"
 	"strings"
 	"testing"
 
-	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/storage"
 	"repro/internal/tpch"
 )
@@ -34,7 +36,7 @@ func expDB(t *testing.T) *storage.DB {
 
 // quickCfg keeps test runtime low; the full 10k-sample runs live in the
 // benchmark harness and cmd/costdist.
-var quickCfg = Config{SampleSize: 400, Seed: 1, Workers: 2}
+var quickCfg = Config{SampleSize: 400, Seed: 1}
 
 // TestTable1Shape verifies the qualitative claims of Table 1 (E1) at a
 // reduced sample size: enormous plan counts, sampled minimum close to the
@@ -215,43 +217,48 @@ func TestFormatTable1(t *testing.T) {
 	}
 }
 
-// TestParallelSamplingDeterministic: sharded sampling is reproducible
-// for a fixed (seed, size, workers), each worker's region matches an
-// independent sampler seeded by core.DeriveSeed, and Workers=1 matches
-// the sequential path.
-func TestParallelSamplingDeterministic(t *testing.T) {
+// TestScaledCostsIndependentOfGOMAXPROCS: an experiment samples one
+// seeded stream — the one the space's Sampler yields for that seed — so
+// its scaled costs are bit-identical whatever GOMAXPROCS is.
+func TestScaledCostsIndependentOfGOMAXPROCS(t *testing.T) {
 	q5, _ := tpch.Query("Q5")
-	run := func(workers int) []float64 {
+	run := func(procs int) ([]float64, *engine.Prepared) {
 		t.Helper()
-		cfg := Config{SampleSize: 300, Seed: 9, Workers: workers}
-		costs, _, err := ScaledCosts(expDB(t), q5, false, &cfg)
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		cfg := Config{SampleSize: 300, Seed: 9}
+		costs, p, err := ScaledCosts(expDB(t), q5, false, &cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return costs
+		return costs, p
 	}
-	a, b := run(3), run(3)
+	a, p := run(1)
+	b, _ := run(4)
+	if len(a) != 300 || len(b) != 300 {
+		t.Fatalf("sample sizes %d and %d, want 300", len(a), len(b))
+	}
 	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("draw %d differs across identical parallel runs", i)
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			t.Fatalf("draw %d: %g at GOMAXPROCS 1, %g at GOMAXPROCS 4", i, a[i], b[i])
 		}
 	}
 
-	// Worker 1's region equals a sequential draw under the derived seed.
-	cfg := Config{SampleSize: 300, Seed: 9, Workers: 1}
-	p, err := cfg.sessionFor(expDB(t), false).Prepare(q5)
+	// The stream is the sampler's own for seed 9, draw by draw.
+	smp, err := p.Sampler(9)
 	if err != nil {
 		t.Fatal(err)
 	}
-	k, w := 300, 3
-	lo, hi := 1*k/w, 2*k/w
-	region := make([]float64, hi-lo)
-	if err := sampleRegion(p, core.DeriveSeed(9, 1), region); err != nil {
-		t.Fatal(err)
-	}
-	for i, c := range region {
-		if a[lo+i] != c {
-			t.Fatalf("worker 1 draw %d: %g != independently derived %g", i, a[lo+i], c)
+	for i := 0; i < 16; i++ {
+		_, pl, err := smp.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		sc, err := p.ScaledCost(pl)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Float64bits(sc) != math.Float64bits(a[i]) {
+			t.Fatalf("draw %d: experiment cost %g, sampler stream %g", i, a[i], sc)
 		}
 	}
 }
@@ -260,7 +267,7 @@ func TestParallelSamplingDeterministic(t *testing.T) {
 // one config share a single engine and space cache — the second call
 // for a (query, cross) pair must be served from the cache.
 func TestConfigReusesEngineAndCache(t *testing.T) {
-	cfg := Config{SampleSize: 50, Seed: 1, Workers: 2}
+	cfg := Config{SampleSize: 50, Seed: 1}
 	first, err := Table1(expDB(t), "Q7", false, &cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -278,7 +285,7 @@ func TestConfigReusesEngineAndCache(t *testing.T) {
 	if first.Plans.Cmp(second.Plans) != 0 {
 		t.Errorf("counts differ across cache hit: %s vs %s", first.Plans, second.Plans)
 	}
-	// Same config, same seed, same workers: identical sampled summary.
+	// Same config, same seed: identical sampled summary.
 	if first.Mean != second.Mean || first.Max != second.Max {
 		t.Errorf("sampled summary differs across cache hit: %+v vs %+v", first, second)
 	}

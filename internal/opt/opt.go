@@ -78,7 +78,7 @@ type Costing struct {
 	Best     *plan.Node
 	BestCost float64
 
-	memo *memo.Memo
+	Memo *memo.Memo // the structure's memo, shared and never written
 	sol  *solution
 }
 
@@ -103,7 +103,7 @@ func (s *Structure) Cost(params cost.Params, corr cost.Correction) (*Costing, er
 
 	c := &Costing{
 		Params: params, Est: est, Model: model, Tables: tab,
-		memo: m,
+		Memo: m,
 		sol: &solution{
 			sk:     sk,
 			cost:   make([]float64, sk.maxExpr+1),
@@ -159,42 +159,4 @@ func fillCards(m *memo.Memo, est *cost.Estimator, tab *cost.Tables) {
 		}
 		tab.Cards[g.ID] = card
 	}
-}
-
-// Result presents a structure and one of its costings together: the
-// expanded MEMO, the cost overlay's estimator/model, and the optimal
-// plan — the façade tests and tools program against. The Costing field
-// exposes the overlay itself.
-type Result struct {
-	Query *algebra.Query
-	Memo  *memo.Memo
-	Est   *cost.Estimator
-	Model *cost.Model
-
-	Best     *plan.Node
-	BestCost float64
-
-	Costing *Costing
-}
-
-// NewResult assembles the façade over a structure and a costing (the
-// engine uses it to present its cached layers through one surface).
-func NewResult(st *Structure, c *Costing) *Result {
-	return &Result{
-		Query: st.Query, Memo: st.Memo,
-		Est: c.Est, Model: c.Model,
-		Best: c.Best, BestCost: c.BestCost,
-		Costing: c,
-	}
-}
-
-// PlanCost costs an arbitrary plan from this result's space.
-func (r *Result) PlanCost(n *plan.Node) (float64, error) {
-	return n.Cost(r.Model)
-}
-
-// RetainedExprs simulates the paper's remark that "some optimizers by
-// default discard suboptimal expressions" (see Costing.RetainedExprs).
-func (r *Result) RetainedExprs() map[*memo.Expr]bool {
-	return r.Costing.RetainedExprs()
 }

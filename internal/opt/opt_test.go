@@ -39,7 +39,7 @@ func optSchema() *catalog.Catalog {
 	return c
 }
 
-func optimize(t *testing.T, text string, opts Options) *Result {
+func optimize(t *testing.T, text string, opts Options) *Costing {
 	t.Helper()
 	stmt, err := sql.Parse(text)
 	if err != nil {
@@ -57,7 +57,7 @@ func optimize(t *testing.T, text string, opts Options) *Result {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return NewResult(st, c)
+	return c
 }
 
 const joinQuery = "SELECT ak FROM a, b, c WHERE ab = bk AND bc = ck"
@@ -129,14 +129,14 @@ func TestOptimalWithOrderByAndAgg(t *testing.T) {
 func TestCardsAnnotatedOnAllGroups(t *testing.T) {
 	res := optimize(t, joinQuery, DefaultOptions())
 	for _, g := range res.Memo.Groups {
-		if card := res.Costing.CardOf(g); card <= 0 {
+		if card := res.CardOf(g); card <= 0 {
 			t.Errorf("group %d has card %g", g.ID, card)
 		}
 	}
 	// Local costs set on all physical operators.
 	for _, g := range res.Memo.Groups {
 		for _, e := range g.Physical {
-			if res.Costing.Tables.Locals[e.ID] < 0 {
+			if res.Tables.Locals[e.ID] < 0 {
 				t.Errorf("operator %s has negative local cost", e.Name())
 			}
 		}
@@ -204,7 +204,7 @@ func TestDeterministicOptimization(t *testing.T) {
 	if a.Best.Digest() != b.Best.Digest() {
 		t.Error("optimal plan digests differ across runs")
 	}
-	if a.Memo.DumpAnnotated(a.Costing.CardOf) != b.Memo.DumpAnnotated(b.Costing.CardOf) {
+	if a.Memo.DumpAnnotated(a.CardOf) != b.Memo.DumpAnnotated(b.CardOf) {
 		t.Error("memo dumps differ across runs")
 	}
 }

@@ -136,7 +136,7 @@ type solution struct {
 // (children are created before the operators that reference them);
 // a violation is reported as an error rather than silently miscosted.
 func (c *Costing) solve() error {
-	m := c.memo
+	m := c.Memo
 	sk := c.sol.sk
 	sol := c.sol
 	var cc [8]float64
@@ -316,6 +316,6 @@ func (c *Costing) RetainedExprs() map[*memo.Expr]bool {
 			visit(cg, k, false)
 		}
 	}
-	visit(c.memo.Root, 0, false)
+	visit(c.Memo.Root, 0, false)
 	return retained
 }

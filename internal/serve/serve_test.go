@@ -285,7 +285,7 @@ func TestSampleWideLoopAllocationFree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !p.Space.Wide() {
+	if p.Space.Arithmetic() != "wide" {
 		t.Fatalf("Q8+cross tier = %s, want wide", p.Space.Arithmetic())
 	}
 	const k = 512
