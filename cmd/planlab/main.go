@@ -113,11 +113,13 @@ func run(sf float64, seed int64, query, sqlText string, cross, count, dump, expl
 		}
 		fmt.Printf("optimal plan (cost %.2f, rank %s):\n%s", p.OptimalCost(), rank, tree)
 	}
+	var rank *big.Int // nil: Select falls back to USEPLAN, then the optimum
 	if useplan != "" {
 		r, ok := new(big.Int).SetString(useplan, 10)
 		if !ok {
 			return fmt.Errorf("invalid plan number %q", useplan)
 		}
+		rank = r
 		pl, err := p.Unrank(r)
 		if err != nil {
 			return err
@@ -166,16 +168,9 @@ func run(sf float64, seed int64, query, sqlText string, cross, count, dump, expl
 		}
 	}
 	if execute {
-		chosen, err := p.ChosenPlan()
+		_, chosen, err := p.Select(rank)
 		if err != nil {
 			return err
-		}
-		if useplan != "" {
-			r, _ := new(big.Int).SetString(useplan, 10)
-			chosen, err = p.Unrank(r)
-			if err != nil {
-				return err
-			}
 		}
 		start := time.Now()
 		res, err := p.ExecuteWith(context.Background(), chosen, lim)

@@ -6,10 +6,12 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
 	"repro/internal/engine"
+	"repro/internal/exec"
 	"repro/internal/tpch"
 )
 
@@ -24,8 +26,6 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	e := engine.New(db)
-
 	// The query from the paper's Section 4, transposed onto TPC-H: which
 	// nations did customer 13's purchases ship from?
 	base := `
@@ -39,35 +39,33 @@ func run() error {
 		GROUP BY n_name
 		ORDER BY n_name`
 
-	p, err := e.Prepare(base)
+	ctx := context.Background()
+	sess := engine.New(db).Session()
+	reference, err := sess.Execute(ctx, base, nil, exec.Options{})
 	if err != nil {
 		return err
 	}
-	fmt.Printf("query has %s plans\n\n", p.Count())
-
-	reference, err := e.Run(base)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("optimizer's plan:\n%s\n", reference)
+	fmt.Printf("query has %s plans\n\n", reference.Prepared.Count())
+	fmt.Printf("optimizer's plan (number %s):\n%s\n", reference.Rank, reference.Result)
 
 	// Iterate a deterministic selection of plan numbers through the SQL
-	// interface itself, comparing all results against the optimizer's.
+	// interface itself, checking every result against the optimizer's:
+	// the same rows, in the ORDER BY order.
 	for _, n := range []int64{0, 7, 8, 1000, 999999} {
 		stmt := fmt.Sprintf("%s OPTION (USEPLAN %d)", base, n)
-		res, err := e.Run(stmt)
+		exe, err := sess.Execute(ctx, stmt, nil, exec.Options{})
 		if err != nil {
 			return fmt.Errorf("USEPLAN %d: %w", n, err)
 		}
 		status := "OK (same result)"
-		if !res.Equivalent(reference, 1e-9) {
-			status = "MISMATCH — optimizer or executor bug!"
+		if err := exe.Prepared.Check(exe.Result, reference.Result); err != nil {
+			status = fmt.Sprintf("MISMATCH (%v) — optimizer or executor bug!", err)
 		}
-		fmt.Printf("OPTION (USEPLAN %7d): %d rows, %s\n", n, len(res.Rows), status)
+		fmt.Printf("OPTION (USEPLAN %7d): %d rows, %s\n", n, len(exe.Result.Rows), status)
 	}
 
 	// Out-of-range plan numbers are rejected with the space size.
-	_, err = e.Run(base + " OPTION (USEPLAN 99999999999999999999999999)")
+	_, err = sess.Execute(ctx, base+" OPTION (USEPLAN 99999999999999999999999999)", nil, exec.Options{})
 	fmt.Printf("\nout-of-range USEPLAN is rejected: %v\n", err)
 	return nil
 }

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/engine"
+	"repro/internal/exec"
 	"repro/internal/storage"
 	"repro/internal/tpch"
 )
@@ -101,7 +102,7 @@ var goldenCounters = map[string][]countersRun{
 
 func executeCounters(t *testing.T, sess *engine.Session, sqlText string, rank *big.Int) countersRun {
 	t.Helper()
-	exe, err := sess.Execute(context.Background(), sqlText, engine.ExecOptions{Rank: rank, MaxIntermediateRows: countersBudget})
+	exe, err := sess.Execute(context.Background(), sqlText, rank, exec.Options{MaxIntermediateRows: countersBudget})
 	if err != nil {
 		t.Fatal(err)
 	}

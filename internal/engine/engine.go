@@ -33,14 +33,15 @@
 // the shared cache, and the feedback store, a Session owns one
 // rule/cost configuration, and Session.Prepare is the single
 // preparation path in the codebase — Engine.Prepare, the experiments,
-// the CLIs, and the plan-space server all go through it.
+// the CLIs, and the plan-space server all go through it; Prepared.Select
+// and Prepared.Check are likewise the one plan selection and result check.
 package engine
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/big"
-	"time"
 
 	"repro/internal/algebra"
 	"repro/internal/core"
@@ -160,22 +161,6 @@ func (e *Engine) Session(options ...Option) *Session {
 // It is shorthand for e.Session().Prepare(sqlText).
 func (e *Engine) Prepare(sqlText string) (*Prepared, error) {
 	return e.Session().Prepare(sqlText)
-}
-
-// Run parses, optimizes, and executes a statement end to end, honoring
-// OPTION (USEPLAN n) exactly as Section 4 describes: the optimizer builds
-// the MEMO, the space is counted, and the requested plan is extracted and
-// executed instead of the optimizer's choice.
-func (e *Engine) Run(sqlText string) (*exec.Result, error) {
-	p, err := e.Prepare(sqlText)
-	if err != nil {
-		return nil, err
-	}
-	chosen, err := p.ChosenPlan()
-	if err != nil {
-		return nil, err
-	}
-	return p.Execute(chosen)
 }
 
 // Session is one rule/cost configuration over an engine's database and
@@ -385,17 +370,10 @@ func (p *Prepared) Sampler(seed int64) (*core.Sampler, error) {
 	return p.Space.NewSampler(seed)
 }
 
-// PlanCost returns the modeled cost of an arbitrary plan from the space.
-func (p *Prepared) PlanCost(n *plan.Node) (float64, error) { return p.Opt.PlanCost(n) }
-
 // ScaledCost returns a plan's cost as a factor of the optimal plan's cost
 // (1.0 = the optimum), the normalization used in Table 1 and Figure 4.
 func (p *Prepared) ScaledCost(n *plan.Node) (float64, error) {
-	c, err := p.Opt.PlanCost(n)
-	if err != nil {
-		return 0, err
-	}
-	return c / p.Opt.BestCost, nil
+	return p.ScaledCostWith(n, &plan.CostBuf{})
 }
 
 // ScaledCostWith is ScaledCost evaluating on a reused cost stack — with
@@ -411,8 +389,8 @@ func (p *Prepared) ScaledCostWith(n *plan.Node, buf *plan.CostBuf) (float64, err
 }
 
 // Execute runs a specific plan from this query's space to completion
-// with no resource limits (the trusted-caller path). Governed execution
-// goes through ExecuteWith or Session.Execute.
+// with no resource limits (the trusted-caller path): ExecuteWith with
+// zero limits.
 func (p *Prepared) Execute(n *plan.Node) (*exec.Result, error) {
 	return p.ExecuteWith(context.Background(), n, exec.Options{})
 }
@@ -431,28 +409,44 @@ func (p *Prepared) ExecuteWith(ctx context.Context, n *plan.Node, opts exec.Opti
 	return res, err
 }
 
-// ChosenPlan returns the plan the statement selects: plan UsePlan when
-// OPTION (USEPLAN n) was given, the optimizer's choice otherwise.
-func (p *Prepared) ChosenPlan() (*plan.Node, error) {
-	if p.UsePlan != nil {
-		return p.Space.Unrank(p.UsePlan)
+// Select resolves the plan a statement runs: rank when non-nil, else
+// the statement's OPTION (USEPLAN n), else the optimizer's choice with
+// its precomputed rank. It is the one resolution order — Session.Execute,
+// /explain and planlab all go through it. The returned rank must not be
+// mutated.
+func (p *Prepared) Select(rank *big.Int) (*big.Int, *plan.Node, error) {
+	if rank == nil {
+		if p.UsePlan == nil {
+			return p.Overlay.OptimalRank, p.Opt.Best, nil
+		}
+		rank = p.UsePlan
 	}
-	return p.Opt.Best, nil
+	if rank.Sign() < 0 || rank.Cmp(p.Count()) >= 0 {
+		return nil, nil, fmt.Errorf("engine: plan %s out of range: query has %s plans", rank, p.Count())
+	}
+	pl, err := p.Space.Unrank(rank)
+	if err != nil {
+		return nil, nil, err
+	}
+	return rank, pl, nil
 }
 
-// ExecOptions configures Session.Execute: which plan to run (Rank
-// overrides the statement's OPTION (USEPLAN n), which overrides the
-// optimizer's choice) and the Governor limits to run it under. Zero
-// limit fields mean unlimited — HTTP-facing callers apply their own
-// server-side defaults before calling.
-type ExecOptions struct {
-	// Rank selects a specific plan number from the space, overriding
-	// both USEPLAN and the optimizer's choice. Nil = no override.
-	Rank *big.Int
-
-	Timeout             time.Duration
-	MaxRows             int64
-	MaxIntermediateRows int64
+// Check is the paper's Section 4 test of one complete (untruncated)
+// result against the optimizer plan's: the same multiset of rows, floats
+// within relative tolerance 1e-9, and — when the ORDER BY keys are
+// projected columns — that order, however the plan delivers it. The
+// error reads as a predicate of the plan ("produced different rows",
+// "order violation: …"), for callers that prefix the plan's rank.
+func (p *Prepared) Check(res, reference *exec.Result) error {
+	if !res.Equivalent(reference, 1e-9) {
+		return errors.New("produced different rows")
+	}
+	if keyPos, desc, ok := p.outputOrdering(); ok {
+		if err := res.CheckOrdered(keyPos, desc); err != nil {
+			return fmt.Errorf("order violation: %w", err)
+		}
+	}
+	return nil
 }
 
 // Execution is the product of Session.Execute: the prepared statement
@@ -470,61 +464,36 @@ type Execution struct {
 // Execute parses, prepares (through the structure and overlay tiers —
 // repeated executions of one query pay optimization and counting once,
 // and re-costing only when statistics or feedback moved), resolves the
-// plan the statement selects, and runs it under the given limits. The
-// resolution order is ExecOptions.Rank, then OPTION (USEPLAN n) in the
-// SQL, then the optimizer's (possibly re-optimized) choice. Completed
-// executions feed observed cardinalities back into the engine's
-// feedback store. Limit terminations return an Execution whose Result
-// is truncated (Result.Stats.Truncated) with a nil error; a nil ctx is
-// treated as context.Background().
-func (s *Session) Execute(ctx context.Context, sqlText string, opts ExecOptions) (*Execution, error) {
+// plan with Prepared.Select(rank), and runs it under opts (zero limits
+// mean unlimited). Completed executions feed observed cardinalities
+// back into the engine's feedback store.
+// Limit terminations return an Execution whose Result is truncated
+// (Result.Stats.Truncated) with a nil error; a nil ctx is treated as
+// context.Background().
+func (s *Session) Execute(ctx context.Context, sqlText string, rank *big.Int, opts exec.Options) (*Execution, error) {
 	p, err := s.Prepare(sqlText)
 	if err != nil {
 		return nil, err
 	}
-	var (
-		pl   *plan.Node
-		rank *big.Int
-	)
-	switch {
-	case opts.Rank != nil:
-		rank = opts.Rank
-		if rank.Sign() < 0 || rank.Cmp(p.Count()) >= 0 {
-			return nil, fmt.Errorf("engine: plan %s out of range: query has %s plans", rank, p.Count())
-		}
-		if pl, err = p.Unrank(rank); err != nil {
-			return nil, err
-		}
-	case p.UsePlan != nil:
-		rank = p.UsePlan
-		if pl, err = p.Unrank(rank); err != nil {
-			return nil, err
-		}
-	default:
-		pl = p.OptimalPlan()
-		if rank, err = p.OptimalRank(); err != nil {
-			return nil, err
-		}
+	rank, pl, err := p.Select(rank)
+	if err != nil {
+		return nil, err
 	}
 	sc, err := p.ScaledCost(pl)
 	if err != nil {
 		return nil, err
 	}
-	res, err := p.ExecuteWith(ctx, pl, exec.Options{
-		Timeout:             opts.Timeout,
-		MaxRows:             opts.MaxRows,
-		MaxIntermediateRows: opts.MaxIntermediateRows,
-	})
+	res, err := p.ExecuteWith(ctx, pl, opts)
 	if err != nil {
 		return nil, err
 	}
 	return &Execution{Prepared: p, Rank: rank, Plan: pl, ScaledCost: sc, Result: res}, nil
 }
 
-// OutputOrdering maps the query's ORDER BY onto result column positions.
+// outputOrdering maps the query's ORDER BY onto result column positions.
 // ok is false when the query has no ORDER BY or a key is not a projected
 // column (then order checking is not applicable).
-func (p *Prepared) OutputOrdering() (keyPos []int, desc []bool, ok bool) {
+func (p *Prepared) outputOrdering() (keyPos []int, desc []bool, ok bool) {
 	if p.Query.OrderBy.IsNone() {
 		return nil, nil, false
 	}

@@ -1,12 +1,14 @@
 package engine_test
 
 import (
+	"context"
 	"encoding/json"
 	"math/big"
 	"strings"
 	"testing"
 
 	"repro/internal/engine"
+	"repro/internal/exec"
 	"repro/internal/plan"
 	"repro/internal/rules"
 	"repro/internal/storage"
@@ -66,7 +68,7 @@ func TestUsePlanSelectsSpecificPlan(t *testing.T) {
 	if p.UsePlan == nil || p.UsePlan.Int64() != 12345 {
 		t.Fatalf("UsePlan = %v", p.UsePlan)
 	}
-	chosen, err := p.ChosenPlan()
+	_, chosen, err := p.Select(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +77,7 @@ func TestUsePlanSelectsSpecificPlan(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !plan.Equal(chosen, direct) {
-		t.Error("ChosenPlan != Unrank(12345)")
+		t.Error("Select(nil) != Unrank(12345)")
 	}
 	// Executing the selected plan gives the same rows as the optimizer's.
 	res, err := p.Execute(chosen)
@@ -101,10 +103,14 @@ func TestUsePlanOutOfRange(t *testing.T) {
 
 func TestRunWithoutOptionUsesOptimal(t *testing.T) {
 	e := engine.New(tinyTPCH(t))
-	res, err := e.Run("SELECT r_name FROM region ORDER BY r_name")
+	exe, err := e.Session().Execute(context.Background(), "SELECT r_name FROM region ORDER BY r_name", nil, exec.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	if exe.Rank.Cmp(exe.Prepared.Overlay.OptimalRank) != 0 {
+		t.Errorf("ran plan %s, want the optimal %s", exe.Rank, exe.Prepared.Overlay.OptimalRank)
+	}
+	res := exe.Result
 	if len(res.Rows) != 5 || res.Rows[0][0].Str() != "AFRICA" {
 		t.Errorf("rows = %v", res.Rows)
 	}
@@ -254,7 +260,7 @@ func TestExplainRendersCostsAndCards(t *testing.T) {
 		}
 	}
 	// The root line's cumulative cost equals the plan cost.
-	cost, err := p.PlanCost(p.OptimalPlan())
+	cost, err := p.OptimalPlan().Cost(p.Opt.Model)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,11 +3,14 @@ package engine_test
 import (
 	"context"
 	"math/big"
+	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/data"
 	"repro/internal/engine"
 	"repro/internal/exec"
+	"repro/internal/plan"
 	"repro/internal/tpch"
 )
 
@@ -28,7 +31,7 @@ func TestExecuteGoldenTable1(t *testing.T) {
 			if !ok {
 				t.Fatalf("unknown query %s", q)
 			}
-			optimal, err := sess.Execute(context.Background(), sqlText, engine.ExecOptions{})
+			optimal, err := sess.Execute(context.Background(), sqlText, nil, exec.Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -44,7 +47,7 @@ func TestExecuteGoldenTable1(t *testing.T) {
 			}
 			for i := 0; i < 5; i++ {
 				rank := smp.NextRank()
-				exe, err := sess.Execute(context.Background(), sqlText, engine.ExecOptions{Rank: rank})
+				exe, err := sess.Execute(context.Background(), sqlText, rank, exec.Options{})
 				if err != nil {
 					t.Fatalf("sampled plan %s: %v", rank, err)
 				}
@@ -71,47 +74,123 @@ func TestExecuteGoldenTable1(t *testing.T) {
 	}
 }
 
-// TestExecuteResolvesUseplan: OPTION (USEPLAN n) in the SQL selects the
-// numbered plan through Session.Execute, and an explicit Rank overrides
-// it.
+// TestExecuteResolvesUseplan is the table test of Prepared.Select, the
+// one resolution order: an explicit rank, else OPTION (USEPLAN n), else
+// the optimizer's plan with its precomputed rank; ranks outside [0, N)
+// are rejected. Session.Execute must run exactly the plan Select
+// resolves.
 func TestExecuteResolvesUseplan(t *testing.T) {
 	db := tinyTPCH(t)
 	sess := engine.New(db).Session()
-	exe, err := sess.Execute(context.Background(), smallJoin+" OPTION (USEPLAN 12345)", engine.ExecOptions{})
+	const useplan = smallJoin + " OPTION (USEPLAN 12345)"
+	base, err := sess.Prepare(smallJoin)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if exe.Rank.Int64() != 12345 {
-		t.Errorf("executed rank %s, want 12345", exe.Rank)
-	}
-	direct, err := exe.Prepared.Unrank(big.NewInt(12345))
+	optimal, err := base.OptimalRank()
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := exe.Prepared.Execute(direct)
-	if err != nil {
-		t.Fatal(err)
+	for _, tc := range []struct {
+		name     string
+		sql      string
+		rank     *big.Int
+		wantRank *big.Int // nil: Select must fail
+	}{
+		{"nil is optimal", smallJoin, nil, optimal},
+		{"USEPLAN", useplan, nil, big.NewInt(12345)},
+		{"rank overrides USEPLAN", useplan, big.NewInt(7), big.NewInt(7)},
+		{"negative rank", smallJoin, big.NewInt(-1), nil},
+		{"rank = N", smallJoin, base.Count(), nil},
+		{"rank beyond N", smallJoin, new(big.Int).Lsh(big.NewInt(1), 80), nil},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			p, err := sess.Prepare(tc.sql)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rank, pl, err := p.Select(tc.rank)
+			exe, execErr := sess.Execute(context.Background(), tc.sql, tc.rank, exec.Options{})
+			if tc.wantRank == nil {
+				if err == nil || !strings.Contains(err.Error(), "out of range") {
+					t.Errorf("Select(%s) = %v, want an out-of-range error", tc.rank, err)
+				}
+				if execErr == nil {
+					t.Errorf("Execute ran out-of-range rank %s", tc.rank)
+				}
+				return
+			}
+			if err != nil || execErr != nil {
+				t.Fatalf("Select: %v; Execute: %v", err, execErr)
+			}
+			if rank.Cmp(tc.wantRank) != 0 || exe.Rank.Cmp(tc.wantRank) != 0 {
+				t.Errorf("Select rank %s, Execute rank %s, want %s", rank, exe.Rank, tc.wantRank)
+			}
+			direct, err := p.Unrank(tc.wantRank)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !plan.Equal(pl, direct) || !plan.Equal(exe.Plan, direct) {
+				t.Errorf("selected plan differs from Unrank(%s)", tc.wantRank)
+			}
+			res, err := p.Execute(direct)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Digest() != exe.Result.Digest() {
+				t.Error("Session.Execute differs from direct unrank+execute")
+			}
+		})
 	}
-	if res.Digest() != exe.Result.Digest() {
-		t.Error("USEPLAN execution differs from direct unrank+execute")
+}
+
+// TestCheckRowsAndOrder: Prepared.Check accepts a reordered result when
+// the query has no ORDER BY, and rejects a result in the wrong ORDER BY
+// order or with a float off by more than its 1e-9 relative tolerance.
+func TestCheckRowsAndOrder(t *testing.T) {
+	sess := engine.New(tinyTPCH(t)).Session()
+	run := func(sqlText string) (*engine.Prepared, *exec.Result) {
+		t.Helper()
+		exe, err := sess.Execute(context.Background(), sqlText, nil, exec.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return exe.Prepared, exe.Result
+	}
+	// reordered copies rows in the order of idx.
+	reordered := func(res *exec.Result, idx func(i, n int) int) *exec.Result {
+		out := &exec.Result{Columns: res.Columns, Rows: make([]data.Row, len(res.Rows))}
+		for i := range res.Rows {
+			out.Rows[i] = res.Rows[idx(i, len(res.Rows))].Clone()
+		}
+		return out
+	}
+	reverse := func(i, n int) int { return n - 1 - i }
+
+	p, ref := run("SELECT r_regionkey, r_name FROM region")
+	shuffled := reordered(ref, func(i, n int) int { return (i + 2) % n })
+	if err := p.Check(shuffled, ref); err != nil {
+		t.Errorf("same rows shuffled, no ORDER BY: %v", err)
 	}
 
-	override, err := sess.Execute(context.Background(), smallJoin+" OPTION (USEPLAN 12345)",
-		engine.ExecOptions{Rank: big.NewInt(7)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if override.Rank.Int64() != 7 {
-		t.Errorf("rank override executed %s, want 7", override.Rank)
+	p, ref = run("SELECT r_name FROM region ORDER BY r_name")
+	err := p.Check(reordered(ref, reverse), ref)
+	if err == nil || !strings.Contains(err.Error(), "order violation") {
+		t.Errorf("rows reversed under ORDER BY r_name: %v, want an order violation", err)
 	}
 
-	if _, err := sess.Execute(context.Background(), smallJoin,
-		engine.ExecOptions{Rank: new(big.Int).Neg(big.NewInt(1))}); err == nil {
-		t.Error("negative rank accepted")
+	p, ref = run("SELECT COUNT(l_orderkey) AS n, SUM(l_extendedprice) AS s FROM lineitem")
+	scaled := func(factor float64) *exec.Result {
+		out := reordered(ref, func(i, _ int) int { return i })
+		out.Rows[0][1] = data.NewFloat(out.Rows[0][1].Float() * factor)
+		return out
 	}
-	huge := new(big.Int).Lsh(big.NewInt(1), 80)
-	if _, err := sess.Execute(context.Background(), smallJoin, engine.ExecOptions{Rank: huge}); err == nil {
-		t.Error("out-of-range rank accepted")
+	if err := p.Check(scaled(1+1e-12), ref); err != nil {
+		t.Errorf("float within tolerance rejected: %v", err)
+	}
+	err = p.Check(scaled(1+1e-6), ref)
+	if err == nil || !strings.Contains(err.Error(), "different rows") {
+		t.Errorf("float off by 1e-6 relative: %v, want different rows", err)
 	}
 }
 
@@ -130,7 +209,7 @@ func TestGovernorKillsCrossProduct(t *testing.T) {
 	t.Run("deadline", func(t *testing.T) {
 		start := time.Now()
 		exe, err := sess.Execute(context.Background(), crossProduct,
-			engine.ExecOptions{Timeout: 100 * time.Millisecond})
+			nil, exec.Options{Timeout: 100 * time.Millisecond})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -145,7 +224,7 @@ func TestGovernorKillsCrossProduct(t *testing.T) {
 
 	t.Run("work_budget", func(t *testing.T) {
 		exe, err := sess.Execute(context.Background(), crossProduct,
-			engine.ExecOptions{MaxIntermediateRows: 100_000})
+			nil, exec.Options{MaxIntermediateRows: 100_000})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -165,7 +244,7 @@ func TestGovernorKillsCrossProduct(t *testing.T) {
 			cancel()
 		}()
 		start := time.Now()
-		exe, err := sess.Execute(ctx, crossProduct, engine.ExecOptions{})
+		exe, err := sess.Execute(ctx, crossProduct, nil, exec.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

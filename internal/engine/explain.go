@@ -28,7 +28,7 @@ func (p *Prepared) ExportJSON() ([]byte, error) {
 // with the operator's paper-style name, its estimated output rows (a
 // property of its group), the cost of the subtree rooted there, and the
 // operator's own cost contribution. The cumulative cost of the root line
-// equals PlanCost.
+// equals the plan's Cost under the overlay's model.
 func (p *Prepared) Explain(n *plan.Node) (string, error) {
 	var sb strings.Builder
 	if err := p.explainNode(&sb, n, 0); err != nil {

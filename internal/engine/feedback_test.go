@@ -8,6 +8,7 @@ import (
 	"repro/internal/cost"
 	"repro/internal/data"
 	"repro/internal/engine"
+	"repro/internal/exec"
 	"repro/internal/rules"
 	"repro/internal/storage"
 )
@@ -153,7 +154,7 @@ func TestAdaptiveFeedbackImprovesPlan(t *testing.T) {
 	sess := e.Session()
 	const q = "SELECT u_name FROM events, users WHERE ev_user = u_id AND ev_kind = 1"
 
-	before, err := sess.Execute(context.Background(), q, engine.ExecOptions{})
+	before, err := sess.Execute(context.Background(), q, nil, exec.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +167,7 @@ func TestAdaptiveFeedbackImprovesPlan(t *testing.T) {
 		t.Fatalf("ApplyFeedback folded %d corrections at epoch %d, want >0 at 1", folded, epoch)
 	}
 
-	after, err := sess.Execute(context.Background(), q, engine.ExecOptions{})
+	after, err := sess.Execute(context.Background(), q, nil, exec.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +210,7 @@ func TestFeedbackRecordingSkipsTruncated(t *testing.T) {
 	e := engine.New(db)
 	sess := e.Session()
 	const q = "SELECT u_name FROM events, users WHERE ev_user = u_id AND ev_kind = 1"
-	exe, err := sess.Execute(context.Background(), q, engine.ExecOptions{MaxIntermediateRows: 500})
+	exe, err := sess.Execute(context.Background(), q, nil, exec.Options{MaxIntermediateRows: 500})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +237,7 @@ func TestFeedbackStoresDoNotShareOverlays(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e1.Session().Execute(context.Background(), q, engine.ExecOptions{}); err != nil {
+	if _, err := e1.Session().Execute(context.Background(), q, nil, exec.Options{}); err != nil {
 		t.Fatal(err)
 	}
 	if folded, epoch := e1.ApplyFeedback(); folded == 0 || epoch != 1 {

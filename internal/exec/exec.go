@@ -37,13 +37,6 @@ type Result struct {
 	Stats   ExecStats
 }
 
-// Run executes a physical plan to completion with no limits — the
-// library-internal path for trusted plans (tests, experiments, the
-// verification harness). Governed callers use RunWithOptions.
-func Run(p *plan.Node, db *storage.DB, q *algebra.Query) (*Result, error) {
-	return RunWithOptions(context.Background(), p, db, q, Options{})
-}
-
 // RunWithOptions executes a physical plan under ctx and the given
 // resource limits. Limit terminations (deadline, row cap, work budget,
 // cancellation) return the partial Result with Stats.Truncated set and
@@ -109,7 +102,7 @@ func RunWithOptions(ctx context.Context, p *plan.Node, db *storage.DB, q *algebr
 // multiset of rows. Two semantically equivalent plans must produce equal
 // digests — this is the comparison the paper's verification methodology
 // performs across plans of one query. Floating-point values are rounded
-// to 9 significant digits so that aggregation order (which legitimately
+// to 6 significant digits so that aggregation order (which legitimately
 // differs between plans) does not flip the digest.
 func (r *Result) Digest() string {
 	lines := make([]string, len(r.Rows))
@@ -207,23 +200,6 @@ func abs(x float64) float64 {
 		return -x
 	}
 	return x
-}
-
-// OrderedDigest fingerprints the result respecting row order, for
-// checking ORDER BY agreement between plans (keys only would be fairer
-// for ties; callers compare key columns when ties are possible).
-func (r *Result) OrderedDigest() string {
-	h := sha256.New()
-	for _, row := range r.Rows {
-		for j, v := range row {
-			if j > 0 {
-				h.Write([]byte{0x1f})
-			}
-			h.Write([]byte(digestValue(v)))
-		}
-		h.Write([]byte{0x1e})
-	}
-	return hex.EncodeToString(h.Sum(nil))
 }
 
 // String renders the result as an aligned text table (for the CLI tools

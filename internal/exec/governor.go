@@ -14,8 +14,8 @@ import (
 // call while the HTTP layer enforces its own server-side defaults.
 type Options struct {
 	// Timeout is the wall-clock budget for the whole execution, enforced
-	// cooperatively by the Governor (checked every CheckEvery rows).
-	// Zero means no deadline beyond what ctx carries.
+	// cooperatively by the Governor (checked every DefaultCheckEvery
+	// rows). Zero means no deadline beyond what ctx carries.
 	Timeout time.Duration
 
 	// MaxRows caps the number of output rows materialized into the
@@ -29,17 +29,13 @@ type Options struct {
 	// results explode long before any output row appears. Zero =
 	// unlimited.
 	MaxIntermediateRows int64
-
-	// CheckEvery is the cooperative cancellation interval: the Governor
-	// consults the clock and ctx.Err() once per this many intermediate
-	// rows. Zero means DefaultCheckEvery.
-	CheckEvery int
 }
 
-// DefaultCheckEvery is the cancellation-check interval used when
-// Options.CheckEvery is zero: frequent enough that a runaway cross
-// product dies within microseconds of its deadline, rare enough that
-// time.Now is invisible in the per-row cost.
+// DefaultCheckEvery is the cooperative cancellation interval: the
+// Governor consults the clock and ctx.Err() once per this many
+// intermediate rows — frequent enough that a runaway cross product dies
+// within microseconds of its deadline, rare enough that time.Now is
+// invisible in the per-row cost.
 const DefaultCheckEvery = 1024
 
 // Truncation reasons recorded in ExecStats.Reason and returned verbatim
@@ -93,8 +89,8 @@ func (s *OpStats) ObservedRows() float64 {
 // Governor is the shared resource arbiter of one plan execution. Every
 // iterator in the tree holds the same Governor and reports each
 // intermediate row to it; the Governor charges the row against the work
-// budget and, every CheckEvery rows, against the wall clock and the
-// context. Once any limit trips the error is sticky, so the abort
+// budget and, every DefaultCheckEvery rows, against the wall clock and
+// the context. Once any limit trips the error is sticky, so the abort
 // propagates out of deeply nested operators at every subsequent call.
 //
 // It also audits the iterator lifecycle: Build registers every operator,
@@ -106,7 +102,6 @@ type Governor struct {
 	deadline    time.Time
 	hasDeadline bool
 	maxWork     int64
-	checkEvery  int64
 
 	work       int64
 	sinceCheck int64
@@ -122,14 +117,7 @@ func NewGovernor(ctx context.Context, opts Options) *Governor {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	g := &Governor{
-		ctx:        ctx,
-		maxWork:    opts.MaxIntermediateRows,
-		checkEvery: int64(opts.CheckEvery),
-	}
-	if g.checkEvery <= 0 {
-		g.checkEvery = DefaultCheckEvery
-	}
+	g := &Governor{ctx: ctx, maxWork: opts.MaxIntermediateRows}
 	if opts.Timeout > 0 {
 		g.deadline = time.Now().Add(opts.Timeout)
 		g.hasDeadline = true
@@ -138,13 +126,13 @@ func NewGovernor(ctx context.Context, opts Options) *Governor {
 		g.deadline = d
 		g.hasDeadline = true
 	}
-	g.sinceCheck = g.checkEvery
+	g.sinceCheck = DefaultCheckEvery
 	return g
 }
 
 // tick charges one intermediate row. It is the single hot call on the
 // execution path: an increment, a budget compare, and — every
-// checkEvery rows — a clock read and a context poll.
+// DefaultCheckEvery rows — a clock read and a context poll.
 func (g *Governor) tick() error {
 	if g.stopErr != nil {
 		return g.stopErr
@@ -158,14 +146,14 @@ func (g *Governor) tick() error {
 	if g.sinceCheck > 0 {
 		return nil
 	}
-	g.sinceCheck = g.checkEvery
+	g.sinceCheck = DefaultCheckEvery
 	return g.checkpoint()
 }
 
-// checkpoint polls the clock and the context. It runs every CheckEvery
-// ticks and once per iterator Open, so even a plan that produces no
-// rows at all (a build phase grinding inside Open) observes
-// cancellation.
+// checkpoint polls the clock and the context. It runs every
+// DefaultCheckEvery ticks and once per iterator Open, so even a plan
+// that produces no rows at all (a build phase grinding inside Open)
+// observes cancellation.
 func (g *Governor) checkpoint() error {
 	if g.stopErr != nil {
 		return g.stopErr

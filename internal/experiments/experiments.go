@@ -275,8 +275,9 @@ type VerifyReport struct {
 }
 
 // Verify executes either the whole space (when it has at most maxExhaustive
-// plans) or sampleSize uniformly sampled plans, and compares every result
-// to the optimal plan's result with a float tolerance.
+// plans) or sampleSize uniformly sampled plans, and checks every result
+// against the optimal plan's result with Prepared.Check (same rows
+// within a float tolerance, and the ORDER BY order).
 func Verify(db *storage.DB, sqlText string, maxExhaustive int, sampleSize int, seed int64) (*VerifyReport, error) {
 	e := engine.New(db)
 	p, err := e.Prepare(sqlText)
@@ -288,7 +289,6 @@ func Verify(db *storage.DB, sqlText string, maxExhaustive int, sampleSize int, s
 		return nil, fmt.Errorf("experiments: executing optimal plan: %w", err)
 	}
 	report := &VerifyReport{Query: sqlText, Plans: p.Count()}
-	keyPos, desc, checkOrder := p.OutputOrdering()
 
 	check := func(r *big.Int, pl *plan.Node) error {
 		if err := pl.Validate(); err != nil {
@@ -300,16 +300,8 @@ func Verify(db *storage.DB, sqlText string, maxExhaustive int, sampleSize int, s
 			report.Mismatches = append(report.Mismatches, fmt.Sprintf("plan %s failed: %v", r, err))
 			return nil
 		}
-		if !res.Equivalent(reference, 1e-9) {
-			report.Mismatches = append(report.Mismatches, fmt.Sprintf("plan %s produced different rows", r))
-		}
-		// Every plan of an ORDER BY query must also deliver the order —
-		// regardless of whether it sorts at the root or relies on an
-		// index, merge join, or enforcer below.
-		if checkOrder {
-			if err := res.CheckOrdered(keyPos, desc); err != nil {
-				report.Mismatches = append(report.Mismatches, fmt.Sprintf("plan %s order violation: %v", r, err))
-			}
+		if err := p.Check(res, reference); err != nil {
+			report.Mismatches = append(report.Mismatches, fmt.Sprintf("plan %s %v", r, err))
 		}
 		report.Executed++
 		return nil

@@ -128,13 +128,6 @@ func (s *Structure) Cost(params cost.Params, corr cost.Correction) (*Costing, er
 // CardOf returns the overlay's estimated output cardinality for a group.
 func (c *Costing) CardOf(g *memo.Group) float64 { return c.Tables.CardOf(g) }
 
-// PlanCost costs an arbitrary plan from this overlay's space — the
-// primitive the cost-distribution experiments apply to every sampled
-// plan, normalizing by BestCost.
-func (c *Costing) PlanCost(n *plan.Node) (float64, error) {
-	return n.Cost(c.Model)
-}
-
 // fillCards sets every group's estimated output cardinality in the
 // overlay table. Cards are properties of the group (relation subset plus
 // operator layer), so every alternative in a group shares them — the

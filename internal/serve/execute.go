@@ -51,8 +51,8 @@ func WithExecLimits(l ExecLimits) Option {
 
 // clamp resolves a client's requested budgets against the server's
 // defaults and ceilings.
-func (l ExecLimits) clamp(timeoutMs, maxRows, maxWork int64) engine.ExecOptions {
-	opts := engine.ExecOptions{
+func (l ExecLimits) clamp(timeoutMs, maxRows, maxWork int64) exec.Options {
+	opts := exec.Options{
 		Timeout:             l.DefaultTimeout,
 		MaxRows:             l.DefaultMaxRows,
 		MaxIntermediateRows: l.DefaultMaxWork,
@@ -129,16 +129,12 @@ func (s *Server) handleExecute(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	opts := s.execLimits.clamp(req.TimeoutMs, req.MaxRows, req.MaxIntermediateRows)
-	if req.Rank != "" {
-		rank, okRank := new(big.Int).SetString(req.Rank, 10)
-		if !okRank || rank.Sign() < 0 {
-			s.writeErr(w, http.StatusBadRequest, "invalid plan number %q", req.Rank)
-			return
-		}
-		opts.Rank = rank
+	rank, ok := s.parseRank(w, req.Rank)
+	if !ok {
+		return
 	}
-	exe, err := s.engine.Session(engine.WithCartesian(req.Cross)).Execute(r.Context(), sqlText, opts)
+	opts := s.execLimits.clamp(req.TimeoutMs, req.MaxRows, req.MaxIntermediateRows)
+	exe, err := s.engine.Session(engine.WithCartesian(req.Cross)).Execute(r.Context(), sqlText, rank, opts)
 	if err != nil {
 		s.writeErr(w, http.StatusUnprocessableEntity, "execute: %v", err)
 		return
@@ -196,8 +192,9 @@ type ExecuteBatchRequest struct {
 
 // BatchPlanResult is one executed plan of the batch. matches_optimal is
 // meaningful only when neither this plan nor the reference was
-// truncated and error is empty: it reports whether the plan produced
-// the same multiset of rows as the optimizer's plan (the paper's
+// truncated and error is empty: it reports whether the plan passed
+// Prepared.Check against the optimizer's plan — the same multiset of
+// rows and, for an ORDER BY query, the requested row order (the paper's
 // verification invariant).
 type BatchPlanResult struct {
 	Rank           string  `json:"rank"`
@@ -238,11 +235,6 @@ func (s *Server) handleExecuteBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	opts := s.execLimits.clamp(req.TimeoutMs, req.MaxRows, req.MaxIntermediateRows)
-	execOpts := exec.Options{
-		Timeout:             opts.Timeout,
-		MaxRows:             opts.MaxRows,
-		MaxIntermediateRows: opts.MaxIntermediateRows,
-	}
 	start := time.Now()
 	// Per-plan budgets alone would let k × MaxTimeout hold this handler
 	// for many minutes; the whole batch gets one wall-clock ceiling, and
@@ -254,12 +246,7 @@ func (s *Server) handleExecuteBatch(w http.ResponseWriter, r *http.Request) {
 		defer cancel()
 	}
 
-	optimalRank, err := p.OptimalRank()
-	if err != nil {
-		s.writeErr(w, http.StatusInternalServerError, "ranking optimal plan: %v", err)
-		return
-	}
-	reference, optimal := s.executeOne(ctx, p, optimalRank, execOpts)
+	reference, optimal := s.executeOne(ctx, p, p.Overlay.OptimalRank, opts)
 	optimal.MatchesOptimal = reference != nil && !optimal.Truncated // trivially true when it completed
 	resp := ExecuteBatchResponse{
 		SpaceInfo: spaceInfo(p),
@@ -276,9 +263,9 @@ func (s *Server) handleExecuteBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	for i := 0; i < req.K; i++ {
 		rank := smp.NextRank()
-		res, one := s.executeOne(ctx, p, rank, execOpts)
+		res, one := s.executeOne(ctx, p, rank, opts)
 		if reference != nil && res != nil && !reference.Stats.Truncated && !res.Stats.Truncated {
-			one.MatchesOptimal = res.Equivalent(reference, 1e-9)
+			one.MatchesOptimal = p.Check(res, reference) == nil
 		}
 		resp.Plans = append(resp.Plans, one)
 		if r.Context().Err() != nil {

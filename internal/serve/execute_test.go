@@ -12,7 +12,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/engine"
 	"repro/internal/exec"
 	"repro/internal/tpch"
 )
@@ -57,7 +56,7 @@ func TestExecuteEndpointMatchesEngine(t *testing.T) {
 	// Reference: the same rank through Session.Execute directly.
 	sqlQ3, _ := tpch.Query("Q3")
 	r, _ := new(big.Int).SetString(rank, 10)
-	ref, err := e.Session().Execute(context.Background(), sqlQ3, engine.ExecOptions{Rank: r})
+	ref, err := e.Session().Execute(context.Background(), sqlQ3, r, exec.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,7 +15,7 @@
 //	POST /unrank        — batch of plan numbers → plan trees with scaled costs
 //	POST /sample        — k uniform plans through one batched sampling loop
 //	                      (or the allocation-free wide limb tier past 2^64 plans)
-//	POST /explain       — EXPLAIN tree of the optimal plan or a numbered plan
+//	POST /explain       — EXPLAIN tree of the plan /execute would run (rank / USEPLAN / optimal)
 //	POST /execute       — run one plan (by rank / USEPLAN / optimal) under Governor limits
 //	POST /execute_batch — sample k plans and execute each under a per-plan budget
 //	POST /feedback/apply — fold observed execution cardinalities into correction
@@ -210,6 +210,20 @@ func (s *Server) prepare(w http.ResponseWriter, q QueryRequest) (*engine.Prepare
 	return p, true
 }
 
+// parseRank parses a request's decimal plan number; the empty string is
+// no number (nil). A malformed or negative number answers 400.
+func (s *Server) parseRank(w http.ResponseWriter, text string) (*big.Int, bool) {
+	if text == "" {
+		return nil, true
+	}
+	rank, ok := new(big.Int).SetString(text, 10)
+	if !ok || rank.Sign() < 0 {
+		s.writeErr(w, http.StatusBadRequest, "invalid plan number %q", text)
+		return nil, false
+	}
+	return rank, true
+}
+
 // SpaceInfo describes a prepared space; every space-touching response
 // embeds it. cached reports a structure-cache hit (the counted space
 // was reused); overlay_cached a costing-cache hit — a cached=true,
@@ -257,11 +271,6 @@ func (s *Server) handlePrepare(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	rank, err := p.OptimalRank()
-	if err != nil {
-		s.writeErr(w, http.StatusInternalServerError, "ranking optimal plan: %v", err)
-		return
-	}
 	st := p.Opt.Memo.Stats()
 	writeJSON(w, PrepareResponse{
 		SpaceInfo:   spaceInfo(p),
@@ -270,7 +279,7 @@ func (s *Server) handlePrepare(w http.ResponseWriter, r *http.Request) {
 		PhysicalOps: st.PhysicalOps,
 		EnforcerOps: st.EnforcerOps,
 		OptimalCost: p.OptimalCost(),
-		OptimalRank: rank.String(),
+		OptimalRank: p.Overlay.OptimalRank.String(),
 		PrepareMs:   float64(time.Since(start).Microseconds()) / 1000,
 	})
 }
@@ -329,8 +338,11 @@ func (s *Server) handleUnrank(w http.ResponseWriter, r *http.Request) {
 	var costBuf plan.CostBuf
 	var arena core.Arena
 	for _, text := range req.Ranks {
-		rank, okRank := new(big.Int).SetString(text, 10)
-		if !okRank || rank.Sign() < 0 {
+		rank, ok := s.parseRank(w, text)
+		if !ok {
+			return
+		}
+		if rank == nil {
 			s.writeErr(w, http.StatusBadRequest, "invalid plan number %q", text)
 			return
 		}
@@ -458,14 +470,16 @@ func sampleLoop(p *engine.Prepared, smp *core.Sampler, ranks []string, costs []f
 	})
 }
 
-// ExplainRequest asks for the EXPLAIN tree of the optimal plan (rank
-// omitted) or of a specific plan number.
+// ExplainRequest asks for the EXPLAIN tree of the plan Prepared.Select
+// resolves — the one /execute would run: the given plan number, else
+// the SQL's OPTION (USEPLAN n), else the optimizer's choice.
 type ExplainRequest struct {
 	QueryRequest
 	Rank string `json:"rank,omitempty"`
 }
 
-// ExplainResponse is the rendered tree with its cost and rank.
+// ExplainResponse is the rendered tree with its cost and rank; optimal
+// reports whether the rank is the optimizer's.
 type ExplainResponse struct {
 	SpaceInfo
 	Rank       string  `json:"rank"`
@@ -481,33 +495,20 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 	if !s.decode(w, r, &req) {
 		return
 	}
+	rank, ok := s.parseRank(w, req.Rank)
+	if !ok {
+		return
+	}
 	p, ok := s.prepare(w, req.QueryRequest)
 	if !ok {
 		return
 	}
-	var (
-		pl   *plan.Node
-		rank *big.Int
-		err  error
-	)
-	if req.Rank == "" {
-		pl = p.OptimalPlan()
-		if rank, err = p.OptimalRank(); err != nil {
-			s.writeErr(w, http.StatusInternalServerError, "ranking optimal plan: %v", err)
-			return
-		}
-	} else {
-		var okRank bool
-		if rank, okRank = new(big.Int).SetString(req.Rank, 10); !okRank || rank.Sign() < 0 {
-			s.writeErr(w, http.StatusBadRequest, "invalid plan number %q", req.Rank)
-			return
-		}
-		if pl, err = p.Unrank(rank); err != nil {
-			s.writeErr(w, http.StatusUnprocessableEntity, "unrank %s: %v", rank, err)
-			return
-		}
+	rank, pl, err := p.Select(rank)
+	if err != nil {
+		s.writeErr(w, http.StatusUnprocessableEntity, "explain: %v", err)
+		return
 	}
-	cost, err := p.PlanCost(pl)
+	cost, err := pl.Cost(p.Opt.Model)
 	if err != nil {
 		s.writeErr(w, http.StatusInternalServerError, "costing: %v", err)
 		return
@@ -522,7 +523,7 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 		Rank:       rank.String(),
 		Cost:       cost,
 		ScaledCost: cost / p.OptimalCost(),
-		Optimal:    req.Rank == "",
+		Optimal:    rank.Cmp(p.Overlay.OptimalRank) == 0,
 		Tree:       tree,
 	})
 }

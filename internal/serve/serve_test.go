@@ -337,6 +337,40 @@ func TestExplainEndpoint(t *testing.T) {
 	}
 }
 
+// TestExplainFollowsUseplan: /explain resolves the plan the way
+// /execute does, so OPTION (USEPLAN n) in the SQL explains plan n — not
+// the optimizer's plan — and optimal reports whether that is the
+// optimizer's rank. A malformed rank is a 400, an out-of-range one a 422.
+func TestExplainFollowsUseplan(t *testing.T) {
+	srv, _ := newTestServer(t)
+	h := srv.Handler()
+	sqlQ3, _ := tpch.Query("Q3")
+	q := QueryRequest{SQL: sqlQ3 + " OPTION (USEPLAN 7)"}
+
+	var ex ExplainResponse
+	post(t, h, "/explain", ExplainRequest{QueryRequest: q}, http.StatusOK, &ex)
+	if ex.Rank != "7" || ex.Optimal {
+		t.Errorf("explain of USEPLAN 7: rank %s optimal %v, want rank 7 optimal false", ex.Rank, ex.Optimal)
+	}
+	var run ExecuteResponse
+	post(t, h, "/execute", ExecuteRequest{QueryRequest: q}, http.StatusOK, &run)
+	if run.Rank != ex.Rank {
+		t.Errorf("/execute ran plan %s, /explain explained plan %s", run.Rank, ex.Rank)
+	}
+
+	var opt PrepareResponse
+	post(t, h, "/prepare", QueryRequest{SQL: sqlQ3}, http.StatusOK, &opt)
+	var byRank ExplainResponse
+	post(t, h, "/explain", ExplainRequest{QueryRequest: q, Rank: opt.OptimalRank}, http.StatusOK, &byRank)
+	if byRank.Rank != opt.OptimalRank || !byRank.Optimal {
+		t.Errorf("explain of the optimal rank %s over USEPLAN 7: rank %s optimal %v",
+			opt.OptimalRank, byRank.Rank, byRank.Optimal)
+	}
+
+	post(t, h, "/explain", ExplainRequest{QueryRequest: q, Rank: "x"}, http.StatusBadRequest, nil)
+	post(t, h, "/explain", ExplainRequest{QueryRequest: q, Rank: opt.Count}, http.StatusUnprocessableEntity, nil)
+}
+
 // TestStatsAndValidation: stats counters move, and malformed requests
 // are rejected with client errors.
 func TestStatsAndValidation(t *testing.T) {
