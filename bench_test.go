@@ -434,7 +434,7 @@ func BenchmarkTable1(b *testing.B) {
 	cfg := experiments.Config{SampleSize: benchSamples(), Seed: 1}
 	var rendered string
 	for i := 0; i < b.N; i++ {
-		rows, err := experiments.Table1All(db(b), &cfg)
+		rows, err := experiments.Table1All(db(b), tpch.PaperQueries(), &cfg)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -60,25 +60,21 @@ func run(sf float64, seed int64, samples int, sseed int64, table1, figure4, prun
 		rc.EnableIndexNLJoin = false
 		cfg.Rules = &rc
 	}
-	names := strings.Split(queries, ",")
+	names := strings.Split(strings.ReplaceAll(queries, " ", ""), ",")
 
 	if table1 {
 		fmt.Println("\n=== Table 1: parameters of search spaces of TPC-H join queries ===")
-		var rows []experiments.Table1Row
-		for _, cr := range []bool{false, true} {
-			for _, q := range names {
-				row, err := experiments.Table1(db, strings.TrimSpace(q), cr, &cfg)
-				if err != nil {
-					return err
-				}
-				rows = append(rows, row)
-				from := "cold"
-				if row.Cached {
-					from = "cache hit"
-				}
-				fmt.Printf("  %s cross=%v: count in %v (%s), %d samples in %v (%s arithmetic)\n",
-					row.Query, row.Cross, row.CountTime, from, row.Sample, row.SampleTime, row.Arith)
+		rows, err := experiments.Table1All(db, names, &cfg)
+		if err != nil {
+			return err
+		}
+		for _, row := range rows {
+			from := "cold"
+			if row.Cached {
+				from = "cache hit"
 			}
+			fmt.Printf("  %s cross=%v: count in %v (%s), %d samples in %v (%s arithmetic)\n",
+				row.Query, row.Cross, row.CountTime, from, row.Sample, row.SampleTime, row.Arith)
 		}
 		fmt.Println()
 		fmt.Print(experiments.FormatTable1(rows))
@@ -87,7 +83,7 @@ func run(sf float64, seed int64, samples int, sseed int64, table1, figure4, prun
 	if figure4 {
 		fmt.Println("\n=== Figure 4: cost distributions (lower 50% of sampled costs) ===")
 		for _, q := range names {
-			plot, err := experiments.Figure4(db, strings.TrimSpace(q), cross, buckets, &cfg)
+			plot, err := experiments.Figure4(db, q, cross, buckets, &cfg)
 			if err != nil {
 				return err
 			}
@@ -99,7 +95,7 @@ func run(sf float64, seed int64, samples int, sseed int64, table1, figure4, prun
 	if prune {
 		fmt.Println("\n=== E9: retained plans under cost-bound pruning ===")
 		for _, q := range names {
-			sqlText, ok := tpch.Query(strings.TrimSpace(q))
+			sqlText, ok := tpch.Query(q)
 			if !ok {
 				return fmt.Errorf("unknown query %q", q)
 			}
@@ -108,7 +104,7 @@ func run(sf float64, seed int64, samples int, sseed int64, table1, figure4, prun
 				return err
 			}
 			fmt.Printf("  %s: full space %s plans; pruning optimizer retains %s\n",
-				strings.TrimSpace(q), ab.Full, ab.Retained)
+				q, ab.Full, ab.Retained)
 		}
 	}
 	return nil

@@ -93,7 +93,7 @@ func run(sf float64, seed int64, query, sqlText string, cross, count, dump, expl
 		fmt.Printf("N = %s\n", p.Count())
 	}
 	if dump {
-		fmt.Print(p.Opt.Memo.DumpAnnotated(p.Opt.CardOf))
+		fmt.Print(p.Opt.Memo.DumpAnnotated(p.Opt.Tables.CardOf))
 	}
 	if jsonOut {
 		blob, err := p.ExportJSON()

@@ -1,6 +1,7 @@
 // Quickstart: build a tiny database, optimize a 3-way join, count the
 // execution plans the optimizer considered, enumerate a few by number,
-// and execute them — all plans must return the same rows.
+// and execute them — all plans must return the same rows, in ORDER BY
+// order.
 package main
 
 import (
@@ -112,7 +113,8 @@ func run() error {
 	fmt.Printf("Optimal plan is number %s (cost %.2f):\n%s\n", rank, p.OptimalCost(), p.OptimalPlan())
 
 	// Unrank a few plan numbers and execute them: every plan must return
-	// the same rows (the paper's testing methodology).
+	// the same rows in the ORDER BY order (the paper's testing
+	// methodology).
 	reference, err := p.Execute(p.OptimalPlan())
 	if err != nil {
 		return err
@@ -130,8 +132,8 @@ func run() error {
 			return err
 		}
 		match := "MATCHES"
-		if !res.Equivalent(reference, 1e-9) {
-			match = "DIFFERS (bug!)"
+		if err := p.Check(res, reference); err != nil {
+			match = fmt.Sprintf("DIFFERS (bug: %v) from", err)
 		}
 		sc, err := p.ScaledCost(pl)
 		if err != nil {

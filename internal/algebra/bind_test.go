@@ -245,8 +245,13 @@ func TestBindOrderByBareColumnNotProjected(t *testing.T) {
 	if len(q.OrderBy) != 1 {
 		t.Fatal("order by missing")
 	}
-	col, ok := q.Column(q.OrderBy[0].Col)
-	if !ok || col.Name != "eid" {
+	var col Column
+	for _, c := range q.Rels[0].Cols {
+		if c.ID == q.OrderBy[0].Col {
+			col = c
+		}
+	}
+	if col.Name != "eid" {
 		t.Errorf("ORDER BY eid resolved to %+v", col)
 	}
 }

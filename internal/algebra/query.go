@@ -106,19 +106,15 @@ type Query struct {
 	AllRels RelSet
 
 	nextCol ColID
-	colByID map[ColID]Column
 }
 
 // NewQuery returns an empty query ready for binding.
-func NewQuery() *Query {
-	return &Query{colByID: make(map[ColID]Column)}
-}
+func NewQuery() *Query { return &Query{} }
 
 // NewColumn allocates a derived column with a fresh ID.
 func (q *Query) NewColumn(name string, kind data.Kind) Column {
 	c := Column{ID: q.nextCol, Name: name, Kind: kind, Rel: -1, ColIdx: -1}
 	q.nextCol++
-	q.colByID[c.ID] = c
 	return c
 }
 
@@ -126,21 +122,11 @@ func (q *Query) NewColumn(name string, kind data.Kind) Column {
 func (q *Query) NewBaseColumn(name string, kind data.Kind, rel, colIdx int) Column {
 	c := Column{ID: q.nextCol, Name: name, Kind: kind, Rel: rel, ColIdx: colIdx}
 	q.nextCol++
-	q.colByID[c.ID] = c
 	return c
-}
-
-// Column resolves a column ID.
-func (q *Query) Column(id ColID) (Column, bool) {
-	c, ok := q.colByID[id]
-	return c, ok
 }
 
 // HasAgg reports whether the query aggregates.
 func (q *Query) HasAgg() bool { return len(q.Aggs) > 0 || len(q.GroupBy) > 0 }
-
-// Rel returns the base relation at index i.
-func (q *Query) Rel(i int) *BaseRel { return q.Rels[i] }
 
 // PredsFor returns, among predicates applicable at subset s (refs ⊆ s),
 // those that are not applicable at either side of the partition (l, r) —

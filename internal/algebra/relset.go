@@ -34,9 +34,6 @@ func (s RelSet) Has(i int) bool { return s&(1<<uint(i)) != 0 }
 // Union returns the union of two sets.
 func (s RelSet) Union(o RelSet) RelSet { return s | o }
 
-// Intersects reports whether the sets share a relation.
-func (s RelSet) Intersects(o RelSet) bool { return s&o != 0 }
-
 // SubsetOf reports whether s is contained in o.
 func (s RelSet) SubsetOf(o RelSet) bool { return s&^o == 0 }
 

@@ -185,10 +185,6 @@ func (c *Catalog) BumpSchema() uint64 {
 	return c.version.Add(1)
 }
 
-// BumpVersion is the legacy combined bump: statistics changed (the
-// common out-of-band case). Kept as an alias for BumpStats.
-func (c *Catalog) BumpVersion() uint64 { return c.BumpStats() }
-
 // Add registers a table. It returns an error on duplicate names or
 // malformed index definitions rather than panicking, so schema bugs in
 // callers surface as errors.

@@ -136,8 +136,8 @@ func TestVersionAndIdentity(t *testing.T) {
 	if a.Version() != 1 {
 		t.Errorf("version after Add = %d, want 1", a.Version())
 	}
-	if v := a.BumpVersion(); v != 2 || a.Version() != 2 {
-		t.Errorf("BumpVersion = %d, Version = %d, want 2, 2", v, a.Version())
+	if v := a.BumpStats(); v != 2 || a.Version() != 2 {
+		t.Errorf("BumpStats = %d, Version = %d, want 2, 2", v, a.Version())
 	}
 	if b.Version() != 0 {
 		t.Errorf("bumping one catalog moved another: %d", b.Version())

@@ -55,7 +55,7 @@ type Option func(*config)
 
 type config struct {
 	keep      func(*memo.Expr) bool
-	forceWide bool
+	forceWide bool // wide tier even when the space fits uint64 (tests only)
 }
 
 // WithFilter restricts the space to operators for which keep returns
@@ -63,13 +63,6 @@ type config struct {
 // optimizer would retain; tests use it to carve sub-spaces.
 func WithFilter(keep func(*memo.Expr) bool) Option {
 	return func(c *config) { c.keep = keep }
-}
-
-// WithWideArithmetic forces the wide limb tier even when the space fits
-// uint64, so tests can exercise the wide decomposer, sampler, and
-// selection machinery on spaces small enough to enumerate exhaustively.
-func WithWideArithmetic() Option {
-	return func(c *config) { c.forceWide = true }
 }
 
 // exprInfo is the materialized link structure of one operator: the
@@ -93,8 +86,8 @@ type exprInfo struct {
 	prefix64 [][]uint64
 
 	// wide tables — present on nodes whose subtree overflows uint64
-	// (and on every node under WithWideArithmetic). Per slot i,
-	// bW[i] == nil means the slot fits uint64 and is served by
+	// (and on every node of a space forced onto the wide tier). Per
+	// slot i, bW[i] == nil means the slot fits uint64 and is served by
 	// b64[i]/prefix64[i]; otherwise bW[i]/prefixW[i] hold canonical
 	// little-endian limbs carved from the space's WideArena.
 	nW      []uint64
@@ -145,8 +138,8 @@ type Space struct {
 
 	// uint64 unrank root: selected when fits is true, i.e. the total
 	// count (and therefore every reachable base and prefix sum) fits in
-	// uint64 and WithWideArithmetic was not given; the wide tier serves
-	// every other space.
+	// uint64 and the space was not forced onto the wide tier; the wide
+	// tier serves every other space.
 	fits     bool
 	total64  uint64
 	prefix64 []uint64
@@ -435,10 +428,10 @@ func (s *Space) Count() *big.Int { return s.total }
 // Arithmetic names the tier serving the space — "uint64" or "wide" —
 // the canonical label for exports, reports, and CLIs. On "uint64" the
 // total N (and with it every base and prefix sum reachable during
-// unranking) fits in 64 bits and WithWideArithmetic was not given, so
-// UnrankInto and SampleRanks are available and the unranker's root
-// runs on native uint64; "wide" is the limb tier that serves every
-// space beyond 2^64 (and any space forced with WithWideArithmetic).
+// unranking) fits in 64 bits and the space was not forced onto the wide
+// tier, so UnrankInto and SampleRanks are available and the unranker's
+// root runs on native uint64; "wide" is the limb tier that serves every
+// space beyond 2^64 (and any space a test forces onto it).
 func (s *Space) Arithmetic() string {
 	if s.fits {
 		return "uint64"
@@ -463,16 +456,4 @@ func (s *Space) CountFor(e *memo.Expr) *big.Int {
 		return new(big.Int).SetUint64(info.n64)
 	}
 	return limbsToBig(info.nW)
-}
-
-// OperatorCount reports how many operators were counted — the paper's
-// complexity claim is that counting visits each exactly once.
-func (s *Space) OperatorCount() int {
-	n := 0
-	for _, info := range s.info {
-		if info != nil {
-			n++
-		}
-	}
-	return n
 }

@@ -13,7 +13,7 @@ type Export struct {
 	TotalPlans string `json:"total_plans"`
 	// Arithmetic records which engine serves the space: "uint64" when
 	// the overflow-checked count fits 64 bits, "wide" (limb arithmetic)
-	// past that or when forced with WithWideArithmetic.
+	// past that or when a test forces the wide tier.
 	Arithmetic string        `json:"arithmetic"`
 	Groups     []ExportGroup `json:"groups"`
 }

@@ -18,7 +18,7 @@ import (
 // keeps the top bits(N) bits, succeeding with probability > 1/2. The
 // draw is one limb loop on every arithmetic tier — same word count,
 // same order, same top-word shift, compared against N's limbs in place
-// — so a space forced onto the wide tier (WithWideArithmetic) yields
+// — so a space a test forces onto the wide tier yields
 // bit-identical rank sequences to the uint64 tier for the same seed;
 // the draw itself allocates nothing.
 type Sampler struct {

@@ -9,6 +9,13 @@ import (
 	"repro/internal/plan"
 )
 
+// WithWideArithmetic forces the wide limb tier even when the space fits
+// uint64, so tests can exercise the wide decomposer, sampler, and
+// selection machinery on spaces small enough to enumerate exhaustively.
+func WithWideArithmetic() Option {
+	return func(c *config) { c.forceWide = true }
+}
+
 // bigFromLimbs is the test-side reference conversion.
 func bigFromLimbs(x []uint64) *big.Int { return limbsToBig(x) }
 

@@ -42,41 +42,12 @@ func Compare(a, b Value) (int, error) {
 	}
 }
 
-// MustCompare is Compare for callers that have already type-checked the
-// operands (the executor binds expressions once per plan); it panics on a
-// kind mismatch, which would indicate a binder bug.
-func MustCompare(a, b Value) int {
-	c, err := Compare(a, b)
-	if err != nil {
-		panic(err)
-	}
-	return c
-}
-
 // Equal reports whether two values compare equal. NULL equals NULL here;
 // SQL tri-state logic is applied by the expression evaluator, not by the
 // raw comparator.
 func Equal(a, b Value) bool {
 	c, err := Compare(a, b)
 	return err == nil && c == 0
-}
-
-// CompareRows orders two rows lexicographically position by position.
-func CompareRows(a, b Row) (int, error) {
-	n := len(a)
-	if len(b) < n {
-		n = len(b)
-	}
-	for i := 0; i < n; i++ {
-		c, err := Compare(a[i], b[i])
-		if err != nil {
-			return 0, err
-		}
-		if c != 0 {
-			return c, nil
-		}
-	}
-	return cmpInt(int64(len(a)), int64(len(b))), nil
 }
 
 func cmpInt(a, b int64) int {

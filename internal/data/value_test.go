@@ -125,15 +125,6 @@ func TestCompareKindMismatch(t *testing.T) {
 	}
 }
 
-func TestMustComparePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("MustCompare did not panic on kind mismatch")
-		}
-	}()
-	MustCompare(NewString("a"), NewInt(1))
-}
-
 // TestCompareIntTotalOrder property: Compare over ints is antisymmetric
 // and transitive at sampled triples.
 func TestCompareIntTotalOrder(t *testing.T) {
@@ -144,21 +135,6 @@ func TestCompareIntTotalOrder(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestCompareRows(t *testing.T) {
-	a := Row{NewInt(1), NewString("b")}
-	b := Row{NewInt(1), NewString("c")}
-	if c, _ := CompareRows(a, b); c != -1 {
-		t.Errorf("CompareRows = %d, want -1", c)
-	}
-	if c, _ := CompareRows(a, a); c != 0 {
-		t.Errorf("CompareRows equal = %d", c)
-	}
-	short := Row{NewInt(1)}
-	if c, _ := CompareRows(short, a); c != -1 {
-		t.Errorf("shorter row should order first, got %d", c)
 	}
 }
 

@@ -176,16 +176,6 @@ func (c *SpaceCache) Stats() CacheStats {
 	return st
 }
 
-// Invalidate removes every cached space built against a catalog version
-// older than version. The fingerprint already embeds the version, so
-// stale entries could never be returned — invalidation exists to
-// release their memory promptly instead of waiting for LRU pressure.
-func (c *SpaceCache) Invalidate(version uint64) {
-	c.mu.Lock()
-	c.invalidateLocked(version)
-	c.mu.Unlock()
-}
-
 // entry returns the cache entry for fp, building its space with build
 // on a miss; the entry is the handle the structure's overlay lookups go
 // through. version is the current catalog schema version; observing a
@@ -234,6 +224,11 @@ func (c *SpaceCache) entry(fp Fingerprint, version uint64, build func() (*Struct
 	return e, false, err
 }
 
+// invalidateLocked removes every cached space built against a catalog
+// version older than version. The fingerprint already embeds the
+// version, so stale entries could never be returned — invalidation
+// exists to release their memory promptly instead of waiting for LRU
+// pressure.
 func (c *SpaceCache) invalidateLocked(version uint64) {
 	if version <= c.version {
 		return

@@ -199,15 +199,17 @@ func TestCacheInvalidation(t *testing.T) {
 	if st.Entries != 1 {
 		t.Errorf("entries = %d, want only the version-2 space", st.Entries)
 	}
-	// Explicit Invalidate behaves the same.
-	c.Invalidate(3)
+	// A lookup invalidates before it builds, so one whose build fails
+	// still drops every older space and leaves nothing behind.
+	fail := func() (*StructureSpace, error) { return nil, errors.New("boom") }
+	c.entry(fp(4), 3, fail)
 	if st := c.Stats(); st.Entries != 0 || st.Invalidations != 3 {
-		t.Errorf("after Invalidate(3): %+v", st)
+		t.Errorf("after a version-3 lookup: %+v", st)
 	}
 	// Stale versions are a no-op.
-	c.Invalidate(1)
+	c.entry(fp(5), 1, fail)
 	if st := c.Stats(); st.Invalidations != 3 {
-		t.Errorf("stale Invalidate bumped counters: %+v", st)
+		t.Errorf("stale version bumped counters: %+v", st)
 	}
 }
 
@@ -380,7 +382,9 @@ func TestCacheBytesAccounting(t *testing.T) {
 	if st := c.Stats(); st.BytesCached <= 0 {
 		t.Fatalf("no bytes accounted: %+v", st)
 	}
-	c.Invalidate(2)
+	// A newer schema version releases the stale entries' bytes (the
+	// lookup's own build fails, so it adds none).
+	c.entry(fp(4), 2, func() (*StructureSpace, error) { return nil, errors.New("boom") })
 	if st := c.Stats(); st.BytesCached != 0 {
 		t.Errorf("bytes not released on invalidation: %+v", st)
 	}
@@ -433,10 +437,10 @@ func TestCacheExactLRUAtAnyGOMAXPROCS(t *testing.T) {
 	}
 }
 
-// TestCacheShardedInvalidation: explicit Invalidate drops every stale
-// space, and a newer version observed through entry drops every stale
-// space too, not just the one it looks up.
-func TestCacheShardedInvalidation(t *testing.T) {
+// TestCacheInvalidationDropsEveryStaleSpace: a newer version observed
+// through entry drops every stale space, not just the one it looks up —
+// even when that lookup's own build fails.
+func TestCacheInvalidationDropsEveryStaleSpace(t *testing.T) {
 	c := NewSpaceCache(64)
 	var fps []Fingerprint
 	for i := 0; i < 24; i++ {
@@ -445,13 +449,13 @@ func TestCacheShardedInvalidation(t *testing.T) {
 	for _, f := range fps {
 		c.entry(f, 1, func() (*StructureSpace, error) { return &StructureSpace{}, nil })
 	}
-	c.Invalidate(2)
+	c.entry(fps[0], 2, func() (*StructureSpace, error) { return nil, errors.New("boom") })
 	st := c.Stats()
 	if st.Entries != 0 {
-		t.Fatalf("explicit Invalidate left %d entries", st.Entries)
+		t.Fatalf("version bump left %d entries", st.Entries)
 	}
-	// A newer version observed through entry must release every stale
-	// space, not just the one the request looks up.
+	// A newer version observed through a successful lookup must
+	// release every stale space too, not just the one it looks up.
 	for _, f := range fps {
 		c.entry(f, 2, func() (*StructureSpace, error) { return &StructureSpace{}, nil })
 	}
@@ -467,9 +471,9 @@ func TestCacheShardedInvalidation(t *testing.T) {
 	}
 }
 
-// TestCacheShardedSingleflight: concurrent misses for many fingerprints
-// still build each space exactly once.
-func TestCacheShardedSingleflight(t *testing.T) {
+// TestCacheSingleflightManyFingerprints: concurrent misses for many
+// fingerprints still build each space exactly once.
+func TestCacheSingleflightManyFingerprints(t *testing.T) {
 	c := NewSpaceCache(64)
 	var builds atomic.Int64
 	var wg sync.WaitGroup

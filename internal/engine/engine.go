@@ -48,7 +48,6 @@ import (
 	"repro/internal/cost"
 	"repro/internal/exec"
 	"repro/internal/feedback"
-	"repro/internal/memo"
 	"repro/internal/opt"
 	"repro/internal/plan"
 	"repro/internal/rules"
@@ -177,8 +176,10 @@ func (s *Session) Engine() *Engine { return s.engine }
 func (s *Session) Options() opt.Options { return s.opts }
 
 // StructureSpace is the shared, immutable product of the expensive
-// pipeline stages: the bound query, the expanded MEMO, and the counted
-// space with its unrank tables — everything that depends only on the
+// pipeline stages: the opt-layer structure (the bound query, the
+// expanded MEMO, and the shared costing skeleton, so every re-cost over
+// this space skips the ordering-context analysis) and the counted space
+// with its unrank tables — everything that depends only on the
 // canonical SQL, the rules, and the catalog schema. One StructureSpace
 // is safe for any number of concurrent readers (counting, unranking,
 // ranking, enumerating); it carries NO costs — those live in the
@@ -186,16 +187,10 @@ func (s *Session) Options() opt.Options { return s.opts }
 // it. It is what the SpaceCache stores and what every Prepared
 // statement for the same structure fingerprint shares.
 type StructureSpace struct {
+	*opt.Structure
 	Fingerprint Fingerprint
 	Canonical   string // normalized SQL the fingerprint was computed from
-	Query       *algebra.Query
-	Memo        *memo.Memo
 	Space       *core.Space
-
-	// Struct is the opt-layer view of the same structure; it carries
-	// the shared costing skeleton, so every re-cost over this space
-	// skips the ordering-context analysis.
-	Struct *opt.Structure
 }
 
 // buildStructure runs the structure-miss stages: bind, expand, count.
@@ -212,7 +207,7 @@ func (s *Session) buildStructure(canonical string, stmt *sql.SelectStmt, fp Fing
 	if err != nil {
 		return nil, err
 	}
-	return &StructureSpace{Fingerprint: fp, Canonical: canonical, Query: q, Memo: st.Memo, Space: space, Struct: st}, nil
+	return &StructureSpace{Structure: st, Fingerprint: fp, Canonical: canonical, Space: space}, nil
 }
 
 // recost runs the overlay-miss stage over an existing structure:
@@ -223,7 +218,7 @@ func (s *Session) buildStructure(canonical string, stmt *sql.SelectStmt, fp Fing
 // path a statistics refresh, cost-parameter change, or feedback
 // application pays instead of a full Prepare.
 func (s *Session) recost(ss *StructureSpace, ofp Fingerprint, epoch uint64, view map[string]float64) (*CostOverlay, error) {
-	costing, err := ss.Struct.Cost(s.opts.Params, corrector(ss.Query, view))
+	costing, err := ss.Cost(s.opts.Params, corrector(ss.Query, view))
 	if err != nil {
 		return nil, err
 	}
@@ -231,7 +226,7 @@ func (s *Session) recost(ss *StructureSpace, ofp Fingerprint, epoch uint64, view
 	if err != nil {
 		return nil, err
 	}
-	return &CostOverlay{Fingerprint: ofp, Structure: ss, Costing: costing, Epoch: epoch, OptimalRank: rank}, nil
+	return &CostOverlay{Fingerprint: ofp, Costing: costing, Epoch: epoch, OptimalRank: rank}, nil
 }
 
 // Prepare runs the staged pipeline. Parsing and fingerprinting always
@@ -278,9 +273,6 @@ func (s *Session) Prepare(sqlText string) (*Prepared, error) {
 	}
 
 	p := &Prepared{
-		SQL:           sqlText,
-		Stmt:          stmt,
-		Query:         ss.Query,
 		Opt:           ov.Costing,
 		Space:         ss.Space,
 		Shared:        ss,
@@ -304,14 +296,11 @@ func (s *Session) Prepare(sqlText string) (*Prepared, error) {
 
 // Prepared is a parsed, optimized, and counted query: the frozen search
 // space plus the optimal plan, ready for counting, unranking, sampling,
-// and execution. Query and Space alias the shared StructureSpace; Opt
-// is the shared CostOverlay's costing (its Memo is the structure's) —
-// both layers are immutable and may be shared with every other
-// Prepared of the same fingerprints.
+// and execution. Space aliases the shared StructureSpace's; Opt is the
+// shared CostOverlay's costing (its Memo is the structure's) — both
+// layers are immutable and may be shared with every other Prepared of
+// the same fingerprints.
 type Prepared struct {
-	SQL   string
-	Stmt  *sql.SelectStmt
-	Query *algebra.Query
 	Opt   *opt.Costing
 	Space *core.Space
 
@@ -339,15 +328,8 @@ func (p *Prepared) Engine() *Engine { return p.engine }
 // structure (the counted space).
 func (p *Prepared) Fingerprint() Fingerprint { return p.Shared.Fingerprint }
 
-// OverlayFingerprint returns the identity of the statement's costing.
-func (p *Prepared) OverlayFingerprint() Fingerprint { return p.Overlay.Fingerprint }
-
 // Count returns the number of execution plans in the space.
 func (p *Prepared) Count() *big.Int { return p.Space.Count() }
-
-// Arithmetic names the tier serving the space — "uint64" or "wide"
-// (see core.Space.Arithmetic).
-func (p *Prepared) Arithmetic() string { return p.Space.Arithmetic() }
 
 // OptimalPlan returns the optimizer's chosen plan under the current
 // costing.
@@ -402,7 +384,7 @@ func (p *Prepared) Execute(n *plan.Node) (*exec.Result, error) {
 // cardinalities into the engine's feedback store; the corrections take
 // effect only when ApplyFeedback folds them.
 func (p *Prepared) ExecuteWith(ctx context.Context, n *plan.Node, opts exec.Options) (*exec.Result, error) {
-	res, err := exec.RunWithOptions(ctx, n, p.engine.db, p.Query, opts)
+	res, err := exec.RunWithOptions(ctx, n, p.engine.db, p.Shared.Query, opts)
 	if err == nil {
 		p.engine.recordExecution(p, res)
 	}
@@ -494,13 +476,14 @@ func (s *Session) Execute(ctx context.Context, sqlText string, rank *big.Int, op
 // ok is false when the query has no ORDER BY or a key is not a projected
 // column (then order checking is not applicable).
 func (p *Prepared) outputOrdering() (keyPos []int, desc []bool, ok bool) {
-	if p.Query.OrderBy.IsNone() {
+	q := p.Shared.Query
+	if q.OrderBy.IsNone() {
 		return nil, nil, false
 	}
-	for _, oc := range p.Query.OrderBy {
+	for _, oc := range q.OrderBy {
 		found := -1
-		for i := range p.Query.Projections {
-			if p.Query.Projections[i].Out.ID == oc.Col {
+		for i := range q.Projections {
+			if q.Projections[i].Out.ID == oc.Col {
 				found = i
 				break
 			}

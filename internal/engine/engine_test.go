@@ -324,7 +324,7 @@ func TestExportJSON(t *testing.T) {
 	if !rootSeen {
 		t.Error("no root group in export")
 	}
-	if opCount != p.Space.OperatorCount() {
-		t.Errorf("exported %d operators, space counted %d", opCount, p.Space.OperatorCount())
+	if want := p.Shared.Memo.Stats().PhysicalOps; opCount != want {
+		t.Errorf("exported %d operators, memo has %d physical", opCount, want)
 	}
 }

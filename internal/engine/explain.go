@@ -14,7 +14,7 @@ import (
 func (p *Prepared) ExportJSON() ([]byte, error) {
 	c := p.Overlay.Costing
 	return p.Space.ExportJSONAnnotated(
-		c.CardOf,
+		c.Tables.CardOf,
 		func(e *memo.Expr) float64 {
 			if e.ID < len(c.Tables.Locals) {
 				return c.Tables.Locals[e.ID]

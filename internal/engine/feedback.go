@@ -134,14 +134,14 @@ func (e *Engine) recordExecution(p *Prepared, res *exec.Result) {
 	// Pass 1: base-scan ratios per relation (relations accessed without
 	// a scan operator — an index-lookup join's inner side — simply
 	// contribute no ratio and no scan observation this round).
-	scanRatio := make(map[int]float64, len(p.Query.Rels))
+	scanRatio := make(map[int]float64, len(p.Shared.Query.Rels))
 	for i := range res.Stats.Operators {
 		op := &res.Stats.Operators[i]
 		g := groupOf(op)
 		if g == nil || g.Kind != memo.GroupScan {
 			continue
 		}
-		est := p.Overlay.Costing.CardOf(g)
+		est := p.Overlay.Costing.Tables.CardOf(g)
 		if est <= 0 {
 			continue
 		}
@@ -156,7 +156,7 @@ func (e *Engine) recordExecution(p *Prepared, res *exec.Result) {
 		if g == nil {
 			continue
 		}
-		est := p.Overlay.Costing.CardOf(g)
+		est := p.Overlay.Costing.Tables.CardOf(g)
 		obs := observed(op)
 		// Observations carry the overlay's epoch: the store drops them
 		// if a fold landed while this execution was in flight (their
@@ -164,7 +164,7 @@ func (e *Engine) recordExecution(p *Prepared, res *exec.Result) {
 		// the new factors).
 		switch g.Kind {
 		case memo.GroupScan:
-			e.fb.Record(feedbackKey(p.Query, g.RelSet), est, obs, p.Overlay.Epoch)
+			e.fb.Record(feedbackKey(p.Shared.Query, g.RelSet), est, obs, p.Overlay.Epoch)
 		case memo.GroupJoin:
 			baseline := est
 			for _, rel := range g.RelSet.Indices() {
@@ -172,7 +172,7 @@ func (e *Engine) recordExecution(p *Prepared, res *exec.Result) {
 					baseline *= r
 				}
 			}
-			e.fb.Record(feedbackKey(p.Query, g.RelSet), baseline, obs, p.Overlay.Epoch)
+			e.fb.Record(feedbackKey(p.Shared.Query, g.RelSet), baseline, obs, p.Overlay.Epoch)
 		}
 	}
 }

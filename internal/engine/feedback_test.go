@@ -41,7 +41,7 @@ func TestOverlayInvalidationTiers(t *testing.T) {
 		if pp.Fingerprint() != base.Fingerprint() {
 			t.Error("structure fingerprint depends on cost params")
 		}
-		if pp.OverlayFingerprint() == base.OverlayFingerprint() {
+		if pp.Overlay.Fingerprint == base.Overlay.Fingerprint {
 			t.Error("overlay fingerprint ignores cost params")
 		}
 	})

@@ -18,7 +18,6 @@ import (
 // the operation BenchmarkRecost measures against a cold Prepare.
 type CostOverlay struct {
 	Fingerprint Fingerprint
-	Structure   *StructureSpace
 	Costing     *opt.Costing
 
 	// Epoch is the feedback epoch whose correction view this overlay

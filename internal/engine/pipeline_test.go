@@ -125,8 +125,8 @@ func TestConcurrentPrepareSingleCount(t *testing.T) {
 }
 
 // TestCatalogBumpInvalidatesTiers: the two cache tiers split what a
-// catalog change invalidates. A statistics bump (BumpVersion /
-// BumpStats — what storage.ComputeStats issues) leaves the counted
+// catalog change invalidates. A statistics bump (BumpStats — what
+// storage.ComputeStats issues) leaves the counted
 // structure cached and only forces a re-cost; a schema bump rebuilds
 // the structure itself.
 func TestCatalogBumpInvalidatesTiers(t *testing.T) {
@@ -140,7 +140,7 @@ func TestCatalogBumpInvalidatesTiers(t *testing.T) {
 	}
 
 	// Statistics refresh: structure survives, overlay is re-costed.
-	db.Catalog().BumpVersion()
+	db.Catalog().BumpStats()
 	p2, err := e.Prepare(smallJoin)
 	if err != nil {
 		t.Fatal(err)
@@ -151,7 +151,7 @@ func TestCatalogBumpInvalidatesTiers(t *testing.T) {
 	if p2.OverlayCached || p1.Overlay == p2.Overlay {
 		t.Error("stats bump served the stale cost overlay")
 	}
-	if p1.OverlayFingerprint() == p2.OverlayFingerprint() {
+	if p1.Overlay.Fingerprint == p2.Overlay.Fingerprint {
 		t.Error("overlay fingerprint ignores the statistics version")
 	}
 	if st := e.Overlays().Stats(); st.Invalidations != 1 {

@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -135,8 +136,8 @@ func (r *Result) Equivalent(o *Result, relTol float64) bool {
 	if len(r.Rows) != len(o.Rows) {
 		return false
 	}
-	a := sortedRows(r.Rows)
-	b := sortedRows(o.Rows)
+	order := pairingOrder(r.Rows, o.Rows)
+	a, b := sortedRows(r.Rows, order), sortedRows(o.Rows, order)
 	for i := range a {
 		if len(a[i]) != len(b[i]) {
 			return false
@@ -150,10 +151,48 @@ func (r *Result) Equivalent(o *Result, relTol float64) bool {
 	return true
 }
 
-func sortedRows(rows []data.Row) []data.Row {
-	out := append([]data.Row(nil), rows...)
-	sort.SliceStable(out, func(i, j int) bool {
-		return rowKey(out[i]) < rowKey(out[j])
+// pairingOrder lists the column positions Equivalent sorts rows by to
+// pair them up: the columns holding no float in either result, then the
+// float columns. The exact columns decide the pairing and the floats,
+// at full precision, only break ties; floats rounded to fixed digits
+// would pair rows with the wrong partner whenever two values within
+// tolerance straddle a rounding boundary.
+func pairingOrder(a, b []data.Row) []int {
+	var isFloat []bool
+	for _, row := range slices.Concat(a, b) {
+		for j, v := range row {
+			if j == len(isFloat) {
+				isFloat = append(isFloat, false)
+			}
+			isFloat[j] = isFloat[j] || v.K == data.KindFloat
+		}
+	}
+	var order []int
+	for _, float := range []bool{false, true} {
+		for j, f := range isFloat {
+			if f == float {
+				order = append(order, j)
+			}
+		}
+	}
+	return order
+}
+
+// sortedRows returns a copy of rows sorted by their values at the order
+// positions. A pair that fails to compare stays unordered; the value
+// comparison after sorting reports the mismatch.
+func sortedRows(rows []data.Row, order []int) []data.Row {
+	out := slices.Clone(rows)
+	slices.SortFunc(out, func(x, y data.Row) int {
+		for _, j := range order {
+			if j >= len(x) || j >= len(y) {
+				return len(x) - len(y)
+			}
+			if c, _ := data.Compare(x[j], y[j]); c != 0 {
+				return c
+			}
+		}
+		return 0
 	})
 	return out
 }

@@ -314,6 +314,18 @@ func TestEquivalentTolerance(t *testing.T) {
 	if !null1.Equivalent(null2, 1e-9) {
 		t.Error("NULL rows should be equivalent")
 	}
+	// 1.0000049999999 and 1.0000050000001 differ by 2e-13 relative but
+	// round to different 6-digit strings; the rows must still pair up
+	// by their exact columns.
+	boundary := func(x float64) *exec.Result {
+		return &exec.Result{Columns: []string{"x", "s"}, Rows: []data.Row{
+			{data.NewFloat(x), data.NewString("a")},
+			{data.NewFloat(1.000001), data.NewString("b")},
+		}}
+	}
+	if !boundary(1.0000049999999).Equivalent(boundary(1.0000050000001), 1e-9) {
+		t.Error("rows differing within tolerance across a rounding boundary reported different")
+	}
 }
 
 func TestResultStringRendersTable(t *testing.T) {

@@ -172,9 +172,6 @@ func (g *Governor) checkpoint() error {
 // RowsExamined returns the total intermediate rows charged so far.
 func (g *Governor) RowsExamined() int64 { return g.work }
 
-// Err returns the sticky limit error, if any tripped.
-func (g *Governor) Err() error { return g.stopErr }
-
 // OpenIterators reports how many registered iterators are currently
 // open — it must be zero after the root Close, on success and on every
 // error path alike. The leak-check harness asserts exactly that.

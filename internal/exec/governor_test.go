@@ -20,7 +20,7 @@ func govern(t *testing.T, p *engine.Prepared, pl *plan.Node, opts exec.Options) 
 	t.Helper()
 	ctx := context.Background()
 	gov := exec.NewGovernor(ctx, opts)
-	it, err := exec.Build(pl, p.Engine().DB(), p.Query, gov)
+	it, err := exec.Build(pl, p.Engine().DB(), p.Shared.Query, gov)
 	if err != nil {
 		t.Fatalf("build: %v", err)
 	}

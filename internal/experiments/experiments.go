@@ -182,12 +182,12 @@ func Table1(db *storage.DB, query string, cross bool, cfg *Config) (Table1Row, e
 	}, nil
 }
 
-// Table1All computes the full table: the paper's four queries without and
-// then with Cartesian products.
-func Table1All(db *storage.DB, cfg *Config) ([]Table1Row, error) {
+// Table1All computes the full table: the named queries (the paper's are
+// tpch.PaperQueries) without and then with Cartesian products.
+func Table1All(db *storage.DB, names []string, cfg *Config) ([]Table1Row, error) {
 	var rows []Table1Row
 	for _, cross := range []bool{false, true} {
-		for _, q := range tpch.PaperQueries() {
+		for _, q := range names {
 			row, err := Table1(db, q, cross, cfg)
 			if err != nil {
 				return nil, fmt.Errorf("experiments: %s (cross=%v): %w", q, cross, err)
@@ -332,18 +332,6 @@ func Verify(db *storage.DB, sqlText string, maxExhaustive int, sampleSize int, s
 		}
 	}
 	return report, nil
-}
-
-// CountOnly prepares a query and reports just the space size and the
-// counting time (experiment E3: "counting never exceeded 1 second").
-func CountOnly(db *storage.DB, sqlText string, cross bool) (*big.Int, time.Duration, error) {
-	e := engine.New(db, engine.WithCartesian(cross))
-	start := time.Now()
-	p, err := e.Prepare(sqlText)
-	if err != nil {
-		return nil, 0, err
-	}
-	return p.Count(), time.Since(start), nil
 }
 
 // PruningAblation compares the full space against the space a pruning

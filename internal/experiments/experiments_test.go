@@ -189,21 +189,6 @@ func TestPruneAblation(t *testing.T) {
 	}
 }
 
-// TestCountOnly (E3): counting completes and is fast.
-func TestCountOnly(t *testing.T) {
-	q7, _ := tpch.Query("Q7")
-	n, d, err := CountOnly(expDB(t), q7, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n.Sign() <= 0 {
-		t.Error("count is zero")
-	}
-	if d.Seconds() > 5 {
-		t.Errorf("counting took %v", d)
-	}
-}
-
 func TestFormatTable1(t *testing.T) {
 	rows := []Table1Row{
 		{Query: "Q5", Plans: bigInt(123456), Min: 1.1, Mean: 17098, Max: 4034135, WithinTwo: 0.0047, WithinTen: 0.1215},

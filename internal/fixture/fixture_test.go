@@ -89,7 +89,10 @@ func TestAppendixExample(t *testing.T) {
 	if !plan.Equal(got, want) {
 		t.Errorf("Unrank(17) =\n%swant\n%s", got, want)
 	}
-	gotNames := got.OperatorNames()
+	var gotNames []string
+	for _, op := range got.Operators() {
+		gotNames = append(gotNames, op.Name())
+	}
 	wantNames := []string{"7.7", "4.3", "3.4", "1.3", "2.3"}
 	if len(gotNames) != len(wantNames) {
 		t.Fatalf("operators %v, want %v", gotNames, wantNames)

@@ -85,16 +85,6 @@ func (h *Histogram) Render(barWidth int) string {
 	return sb.String()
 }
 
-// CSV renders "bucket_low,count" lines for external plotting.
-func (h *Histogram) CSV() string {
-	var sb strings.Builder
-	sb.WriteString("bucket_low,count\n")
-	for i, c := range h.Buckets {
-		fmt.Fprintf(&sb, "%g,%d\n", h.BucketLow(i), c)
-	}
-	return sb.String()
-}
-
 // Summary holds the distribution statistics Table 1 reports per query.
 type Summary struct {
 	N         int

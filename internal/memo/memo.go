@@ -356,13 +356,11 @@ func (m *Memo) Stats() Stats {
 	return s
 }
 
-// Dump renders the memo in a Figure 2-like textual form: one line per
-// group, operators named group.local with child group references.
-func (m *Memo) Dump() string { return m.DumpAnnotated(nil) }
-
-// DumpAnnotated is Dump with each group's estimated cardinality taken
-// from a cost overlay (the memo itself carries no costs); Dump passes
-// nil and prints the structure alone.
+// DumpAnnotated renders the memo in a Figure 2-like textual form: one
+// line per group, operators named group.local with child group
+// references. Each group's estimated cardinality is taken from cardOf,
+// a cost overlay's (the memo itself carries no costs); a nil cardOf
+// prints the structure alone.
 func (m *Memo) DumpAnnotated(cardOf func(*Group) float64) string {
 	var sb strings.Builder
 	for _, g := range m.Groups {

@@ -145,10 +145,10 @@ func TestStatsAndDump(t *testing.T) {
 	if st.Groups != 1 || st.LogicalOps != 1 || st.PhysicalOps != 2 || st.EnforcerOps != 1 {
 		t.Errorf("Stats = %+v", st)
 	}
-	dump := m.Dump()
+	dump := m.DumpAnnotated(nil)
 	for _, want := range []string{"Group 1", "1.1", "TableScan(t)", "Sort(#0)"} {
 		if !strings.Contains(dump, want) {
-			t.Errorf("Dump missing %q:\n%s", want, dump)
+			t.Errorf("DumpAnnotated(nil) missing %q:\n%s", want, dump)
 		}
 	}
 }

@@ -67,11 +67,10 @@ func (s *Structure) skeletonOf() *skeleton {
 
 // Costing is the cost overlay over one structure: per-group estimated
 // cardinalities and per-operator local costs (cost.Tables), the
-// estimator and model bound to them, and the optimal plan. A Costing is
-// immutable after Structure.Cost returns and safe for concurrent readers.
+// model bound to them (which carries the estimator and its parameters),
+// and the optimal plan. A Costing is immutable after Structure.Cost
+// returns and safe for concurrent readers.
 type Costing struct {
-	Params cost.Params
-	Est    *cost.Estimator
 	Model  *cost.Model
 	Tables *cost.Tables
 
@@ -102,7 +101,7 @@ func (s *Structure) Cost(params cost.Params, corr cost.Correction) (*Costing, er
 	}
 
 	c := &Costing{
-		Params: params, Est: est, Model: model, Tables: tab,
+		Model: model, Tables: tab,
 		Memo: m,
 		sol: &solution{
 			sk:     sk,
@@ -124,9 +123,6 @@ func (s *Structure) Cost(params cost.Params, corr cost.Correction) (*Costing, er
 	c.BestCost = c.sol.cost[best.ID]
 	return c, nil
 }
-
-// CardOf returns the overlay's estimated output cardinality for a group.
-func (c *Costing) CardOf(g *memo.Group) float64 { return c.Tables.CardOf(g) }
 
 // fillCards sets every group's estimated output cardinality in the
 // overlay table. Cards are properties of the group (relation subset plus

@@ -129,7 +129,7 @@ func TestOptimalWithOrderByAndAgg(t *testing.T) {
 func TestCardsAnnotatedOnAllGroups(t *testing.T) {
 	res := optimize(t, joinQuery, DefaultOptions())
 	for _, g := range res.Memo.Groups {
-		if card := res.CardOf(g); card <= 0 {
+		if card := res.Tables.CardOf(g); card <= 0 {
 			t.Errorf("group %d has card %g", g.ID, card)
 		}
 	}
@@ -204,7 +204,7 @@ func TestDeterministicOptimization(t *testing.T) {
 	if a.Best.Digest() != b.Best.Digest() {
 		t.Error("optimal plan digests differ across runs")
 	}
-	if a.Memo.DumpAnnotated(a.CardOf) != b.Memo.DumpAnnotated(b.CardOf) {
+	if a.Memo.DumpAnnotated(a.Tables.CardOf) != b.Memo.DumpAnnotated(b.Tables.CardOf) {
 		t.Error("memo dumps differ across runs")
 	}
 }

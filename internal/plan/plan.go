@@ -68,16 +68,6 @@ func (n *Node) Operators() []*memo.Expr {
 	return out
 }
 
-// OperatorNames returns the preorder "group.local" names.
-func (n *Node) OperatorNames() []string {
-	ops := n.Operators()
-	names := make([]string, len(ops))
-	for i, op := range ops {
-		names[i] = op.Name()
-	}
-	return names
-}
-
 // Digest returns a canonical encoding of the plan's shape, used to check
 // that distinct ranks unrank to distinct plans.
 func (n *Node) Digest() string {

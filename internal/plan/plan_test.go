@@ -19,7 +19,10 @@ func appendix(t *testing.T) (*fixture.Paper, *plan.Node) {
 
 func TestOperatorsPreorder(t *testing.T) {
 	_, n := appendix(t)
-	names := n.OperatorNames()
+	var names []string
+	for _, op := range n.Operators() {
+		names = append(names, op.Name())
+	}
 	want := []string{"7.7", "4.3", "3.4", "1.3", "2.3"}
 	if strings.Join(names, ",") != strings.Join(want, ",") {
 		t.Errorf("preorder = %v, want %v", names, want)

@@ -215,7 +215,7 @@ func TestDeterministicConstruction(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return m.Dump()
+		return m.DumpAnnotated(nil)
 	}
 	if build() != build() {
 		t.Error("memo construction is not deterministic")
