@@ -1,8 +1,7 @@
 package algebra
 
 import (
-	"fmt"
-	"strings"
+	"strconv"
 
 	"repro/internal/data"
 )
@@ -30,11 +29,15 @@ type OrderCol struct {
 }
 
 // String renders the key as "#id" or "#id DESC".
-func (o OrderCol) String() string {
+func (o OrderCol) String() string { return string(o.AppendTo(nil)) }
+
+// AppendTo appends String's rendering to b.
+func (o OrderCol) AppendTo(b []byte) []byte {
+	b = strconv.AppendInt(append(b, '#'), int64(o.Col), 10)
 	if o.Desc {
-		return fmt.Sprintf("#%d DESC", o.Col)
+		b = append(b, " DESC"...)
 	}
-	return fmt.Sprintf("#%d", o.Col)
+	return b
 }
 
 // Ordering is a sort order: a sequence of keys, major first. A nil or
@@ -79,29 +82,36 @@ func (o Ordering) Key() string {
 	if len(o) == 0 {
 		return ""
 	}
-	var sb strings.Builder
+	var b []byte
 	for i, c := range o {
 		if i > 0 {
-			sb.WriteByte(',')
+			b = append(b, ',')
 		}
-		fmt.Fprintf(&sb, "%d", c.Col)
+		b = strconv.AppendInt(b, int64(c.Col), 10)
 		if c.Desc {
-			sb.WriteByte('-')
+			b = append(b, '-')
 		}
 	}
-	return sb.String()
+	return string(b)
 }
 
 // String renders the ordering for plan display.
-func (o Ordering) String() string {
+func (o Ordering) String() string { return string(o.AppendTo(nil)) }
+
+// AppendTo appends String's rendering to b: "(#3,#5 DESC)", or "(any)"
+// for the empty ordering.
+func (o Ordering) AppendTo(b []byte) []byte {
 	if len(o) == 0 {
-		return "(any)"
+		return append(b, "(any)"...)
 	}
-	parts := make([]string, len(o))
+	b = append(b, '(')
 	for i, c := range o {
-		parts[i] = c.String()
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = c.AppendTo(b)
 	}
-	return "(" + strings.Join(parts, ",") + ")"
+	return append(b, ')')
 }
 
 // Clone returns an independent copy.

@@ -404,7 +404,7 @@ func TestCacheExactLRUAtAnyGOMAXPROCS(t *testing.T) {
 	c := NewSpaceCache(8)
 	get := func(i int) bool {
 		t.Helper()
-		f := structureFingerprintOf(fmt.Sprintf("SELECT %d", i), opt.DefaultOptions().Rules, 1, 1)
+		f := structureFingerprintOf(fmt.Appendf(nil, "SELECT %d", i), opt.DefaultOptions().Rules, 1, 1)
 		_, cached, err := c.entry(f, 1, func() (*StructureSpace, error) { return &StructureSpace{}, nil })
 		if err != nil {
 			t.Fatal(err)
@@ -444,7 +444,7 @@ func TestCacheInvalidationDropsEveryStaleSpace(t *testing.T) {
 	c := NewSpaceCache(64)
 	var fps []Fingerprint
 	for i := 0; i < 24; i++ {
-		fps = append(fps, structureFingerprintOf(fmt.Sprintf("SELECT %d", i), opt.DefaultOptions().Rules, 1, 1))
+		fps = append(fps, structureFingerprintOf(fmt.Appendf(nil, "SELECT %d", i), opt.DefaultOptions().Rules, 1, 1))
 	}
 	for _, f := range fps {
 		c.entry(f, 1, func() (*StructureSpace, error) { return &StructureSpace{}, nil })
@@ -478,7 +478,7 @@ func TestCacheSingleflightManyFingerprints(t *testing.T) {
 	var builds atomic.Int64
 	var wg sync.WaitGroup
 	for i := 0; i < 16; i++ {
-		f := structureFingerprintOf(fmt.Sprintf("SELECT %d", i), opt.DefaultOptions().Rules, 1, 1)
+		f := structureFingerprintOf(fmt.Appendf(nil, "SELECT %d", i), opt.DefaultOptions().Rules, 1, 1)
 		for g := 0; g < 8; g++ {
 			wg.Add(1)
 			go func() {
@@ -509,7 +509,7 @@ func TestCacheShardedByteBudget(t *testing.T) {
 	c.SetByteBudget(6*one + one/2) // room for six entries, not seven
 	var fps []Fingerprint
 	for i := 0; i < 40; i++ {
-		f := structureFingerprintOf(fmt.Sprintf("SELECT %d", i), opt.DefaultOptions().Rules, 1, 1)
+		f := structureFingerprintOf(fmt.Appendf(nil, "SELECT %d", i), opt.DefaultOptions().Rules, 1, 1)
 		fps = append(fps, f)
 		c.entry(f, 1, func() (*StructureSpace, error) { return &StructureSpace{}, nil })
 	}

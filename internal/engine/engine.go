@@ -241,7 +241,10 @@ func (s *Session) Prepare(sqlText string) (*Prepared, error) {
 	if err != nil {
 		return nil, err
 	}
-	canonical := canonicalSQL(stmt)
+	// The canonical text goes into one buffer sized from the SQL text.
+	// The fingerprint hashes its bytes; only a structure miss copies
+	// them into a string.
+	canonical := stmt.AppendCanonical(make([]byte, 0, canonicalSizeHint(sqlText)), false)
 	cat := s.engine.db.Catalog()
 	// One version read serves both the fingerprint and the cache entry:
 	// reading twice could race a concurrent bump and record the entry
@@ -250,7 +253,7 @@ func (s *Session) Prepare(sqlText string) (*Prepared, error) {
 	schemaV := cat.SchemaVersion()
 	sfp := structureFingerprintOf(canonical, s.opts.Rules, cat.ID(), schemaV)
 	ent, sCached, err := s.engine.cache.entry(sfp, schemaV, func() (*StructureSpace, error) {
-		return s.buildStructure(canonical, stmt, sfp)
+		return s.buildStructure(string(canonical), stmt, sfp)
 	})
 	if err != nil {
 		return nil, err
@@ -293,6 +296,12 @@ func (s *Session) Prepare(sqlText string) (*Prepared, error) {
 	}
 	return p, nil
 }
+
+// canonicalSizeHint is the capacity Prepare reserves for a query's
+// canonical text: the rendering drops indentation but parenthesizes
+// every operator application, so it is rarely much longer than the
+// SQL it came from.
+func canonicalSizeHint(sqlText string) int { return len(sqlText) + len(sqlText)/4 + 16 }
 
 // Prepared is a parsed, optimized, and counted query: the frozen search
 // space plus the optimal plan, ready for counting, unranking, sampling,

@@ -1,8 +1,8 @@
 package engine
 
 import (
-	"fmt"
-	"strings"
+	"strconv"
+	"unicode/utf8"
 
 	"repro/internal/memo"
 	"repro/internal/plan"
@@ -30,33 +30,70 @@ func (p *Prepared) ExportJSON() ([]byte, error) {
 // operator's own cost contribution. The cumulative cost of the root line
 // equals the plan's Cost under the overlay's model.
 func (p *Prepared) Explain(n *plan.Node) (string, error) {
-	var sb strings.Builder
-	if err := p.explainNode(&sb, n, 0); err != nil {
+	costs, err := p.subtreeCosts(nil, n)
+	if err != nil {
 		return "", err
 	}
-	return sb.String(), nil
+	next := 0
+	return string(p.appendExplain(nil, n, 0, costs, &next)), nil
 }
 
-func (p *Prepared) explainNode(sb *strings.Builder, n *plan.Node, depth int) error {
-	subtree, err := n.Cost(p.Opt.Model)
-	if err != nil {
-		return err
-	}
-	local, err := p.Opt.Model.Local(n.Expr)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(sb, "%s%-6s %-32s rows=%-10.0f cost=%-12.2f self=%.2f",
-		strings.Repeat("  ", depth), n.Expr.Name(), n.Expr.Describe(),
-		p.Opt.Model.CardOf(n.Expr.Group), subtree, local)
-	if !n.Expr.Delivered.IsNone() {
-		fmt.Fprintf(sb, " delivers=%s", n.Expr.Delivered)
-	}
-	sb.WriteByte('\n')
+// subtreeCosts appends the cost of every subtree of n to costs in
+// preorder, so costs[i] belongs to the tree's i-th line. One post-order
+// pass combines each node's cost from its children's.
+func (p *Prepared) subtreeCosts(costs []float64, n *plan.Node) ([]float64, error) {
+	at := len(costs)
+	costs = append(costs, 0)
+	var buf [2]float64
+	children := buf[:0]
 	for _, c := range n.Children {
-		if err := p.explainNode(sb, c, depth+1); err != nil {
-			return err
+		ci := len(costs)
+		var err error
+		if costs, err = p.subtreeCosts(costs, c); err != nil {
+			return nil, err
 		}
+		children = append(children, costs[ci])
 	}
-	return nil
+	total, err := p.Opt.Model.Combine(n.Expr, children)
+	if err != nil {
+		return nil, err
+	}
+	costs[at] = total
+	return costs, nil
+}
+
+// appendExplain appends the lines of the subtree rooted at n; *next is
+// the preorder index of n's line in costs.
+func (p *Prepared) appendExplain(b []byte, n *plan.Node, depth int, costs []float64, next *int) []byte {
+	e := n.Expr
+	for i := 0; i < depth; i++ {
+		b = append(b, "  "...)
+	}
+	start := len(b)
+	b = padRight(e.AppendName(b), start, 6)
+	start = len(b) + 1
+	b = padRight(e.AppendDescribe(append(b, ' ')), start, 32)
+	start = len(b) + len(" rows=")
+	b = padRight(strconv.AppendFloat(append(b, " rows="...), p.Opt.Model.CardOf(e.Group), 'f', 0, 64), start, 10)
+	start = len(b) + len(" cost=")
+	b = padRight(strconv.AppendFloat(append(b, " cost="...), costs[*next], 'f', 2, 64), start, 12)
+	b = strconv.AppendFloat(append(b, " self="...), p.Opt.Tables.Locals[e.ID], 'f', 2, 64)
+	if !e.Delivered.IsNone() {
+		b = e.Delivered.AppendTo(append(b, " delivers="...))
+	}
+	b = append(b, '\n')
+	*next++
+	for _, c := range n.Children {
+		b = p.appendExplain(b, c, depth+1, costs, next)
+	}
+	return b
+}
+
+// padRight left-justifies b[start:] in a field of width characters, as
+// fmt's %-*s does.
+func padRight(b []byte, start, width int) []byte {
+	for n := utf8.RuneCount(b[start:]); n < width; n++ {
+		b = append(b, ' ')
+	}
+	return b
 }

@@ -5,11 +5,11 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
+	"hash"
 	"sync"
 
 	"repro/internal/cost"
 	"repro/internal/rules"
-	"repro/internal/sql"
 )
 
 // Fingerprint is a canonical SHA-256 identity. The engine uses two
@@ -39,70 +39,83 @@ type Fingerprint [sha256.Size]byte
 // endpoints and accepted in logs and bug reports.
 func (f Fingerprint) String() string { return hex.EncodeToString(f[:]) }
 
-// canonicalSQL normalizes a parsed statement back to one canonical text:
-// whitespace, keyword case, and comment differences disappear because
-// the AST renders itself, and the OPTION (USEPLAN n) suffix is stripped
-// because the requested plan number selects within the space without
-// changing it — every USEPLAN variant of a query shares one cached
-// space.
-func canonicalSQL(stmt *sql.SelectStmt) string {
-	if stmt.Option == nil {
-		return stmt.String()
-	}
-	bare := *stmt
-	bare.Option = nil
-	return bare.String()
-}
-
 // hashWriter accumulates length-prefixed fields into a SHA-256 digest;
-// the length prefixes keep the encoding injective.
+// the length prefixes keep the encoding injective. Its scratch array
+// holds each prefix and finally receives the sum, so a digest allocates
+// only the writer and the hash state.
 type hashWriter struct {
-	h   interface{ Write([]byte) (int, error) }
-	num [8]byte
+	h       hash.Hash
+	scratch [sha256.Size]byte
 }
 
-func (w *hashWriter) str(s string) {
-	binary.LittleEndian.PutUint64(w.num[:], uint64(len(s)))
-	w.h.Write(w.num[:])
-	w.h.Write([]byte(s))
+func newHashWriter() *hashWriter { return &hashWriter{h: sha256.New()} }
+
+func (w *hashWriter) bytes(b []byte) {
+	w.u64(uint64(len(b)))
+	w.h.Write(b)
 }
 
 func (w *hashWriter) u64(v uint64) {
-	binary.LittleEndian.PutUint64(w.num[:], v)
-	w.h.Write(w.num[:])
+	binary.LittleEndian.PutUint64(w.scratch[:8], v)
+	w.h.Write(w.scratch[:8])
 }
 
-// reprCache memoizes the %#v renderings of the flat, comparable config
-// structs that enter fingerprints. Rendering them with fmt on every
-// Prepare was a visible slice of the re-cost path; the distinct config
-// count in a process is tiny, so an unbounded map is safe.
-var reprCache sync.Map // comparable config value → string
+func (w *hashWriter) sum() Fingerprint {
+	return Fingerprint(w.h.Sum(w.scratch[:0]))
+}
 
-func reprOf(v any) string {
-	if s, ok := reprCache.Load(v); ok {
-		return s.(string)
+// reprCache memoizes the %#v renderings of a flat, comparable config
+// struct that enters fingerprints. Rendering with fmt on every Prepare
+// was a visible slice of the re-cost path; the distinct config count in
+// a process is tiny, so an unbounded map is safe. Keying by the typed
+// value, not an interface, keeps the lookup allocation-free.
+type reprCache[K comparable] struct {
+	mu sync.RWMutex
+	m  map[K][]byte
+}
+
+func (c *reprCache[K]) of(v K) []byte {
+	c.mu.RLock()
+	b, ok := c.m[v]
+	c.mu.RUnlock()
+	if ok {
+		return b
 	}
-	s := fmt.Sprintf("%#v", v)
-	reprCache.Store(v, s)
-	return s
+	b = fmt.Appendf(nil, "%#v", v)
+	c.mu.Lock()
+	if c.m == nil {
+		c.m = make(map[K][]byte)
+	}
+	c.m[v] = b
+	c.mu.Unlock()
+	return b
 }
 
-// structureFingerprintOf digests the inputs of the structure layer. The
-// encoding is versioned ("fps1") so a change to the scheme cannot
-// collide with digests from an older layout. The rule configuration is
-// a flat scalar struct, so its %#v rendering is deterministic and
-// automatically picks up any field added later.
-func structureFingerprintOf(canonical string, r rules.Config, catalogID, schemaVersion uint64) Fingerprint {
-	h := sha256.New()
-	w := &hashWriter{h: h}
-	w.str("fps1")
-	w.str(canonical)
-	w.str(reprOf(r))
+var (
+	rulesRepr  reprCache[rules.Config]
+	paramsRepr reprCache[cost.Params]
+
+	structureTag = []byte("fps1")
+	overlayTag   = []byte("fpo2")
+)
+
+// structureFingerprintOf digests the inputs of the structure layer:
+// the canonical SQL (sql.SelectStmt.AppendCanonical without the OPTION
+// clause — whitespace, keyword case and comments are gone, and every
+// USEPLAN variant of a query shares one space), the rules, and the
+// catalog identity and schema version. The encoding is versioned
+// ("fps1") so a change to the scheme cannot collide with digests from
+// an older layout. The rule configuration is a flat scalar struct, so
+// its %#v rendering is deterministic and automatically picks up any
+// field added later.
+func structureFingerprintOf(canonical []byte, r rules.Config, catalogID, schemaVersion uint64) Fingerprint {
+	w := newHashWriter()
+	w.bytes(structureTag)
+	w.bytes(canonical)
+	w.bytes(rulesRepr.of(r))
 	w.u64(catalogID)
 	w.u64(schemaVersion)
-	var f Fingerprint
-	h.Sum(f[:0])
-	return f
+	return w.sum()
 }
 
 // overlayFingerprintOf digests the inputs of the costing layer on top
@@ -110,15 +123,12 @@ func structureFingerprintOf(canonical string, r rules.Config, catalogID, schemaV
 // part because epochs are per-store counters: two engines sharing one
 // cache may both be at epoch 1 with different corrections.
 func overlayFingerprintOf(structure Fingerprint, p cost.Params, k overlayKey) Fingerprint {
-	h := sha256.New()
-	w := &hashWriter{h: h}
-	w.str("fpo2")
-	h.Write(structure[:])
-	w.str(reprOf(p))
+	w := newHashWriter()
+	w.bytes(overlayTag)
+	w.h.Write(structure[:])
+	w.bytes(paramsRepr.of(p))
 	w.u64(k.statsVersion)
 	w.u64(k.store)
 	w.u64(k.epoch)
-	var f Fingerprint
-	h.Sum(f[:0])
-	return f
+	return w.sum()
 }

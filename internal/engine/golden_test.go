@@ -60,7 +60,7 @@ func canonicalOf(t *testing.T, sqlText string) (string, string) {
 	bare := *stmt
 	bare.Option = nil
 	canonical := bare.String()
-	return canonical, structureFingerprintOf(canonical, rules.Default(), 1, 1).String()
+	return canonical, structureFingerprintOf([]byte(canonical), rules.Default(), 1, 1).String()
 }
 
 // caseVariant lower-cases the SQL outside string literals and spreads

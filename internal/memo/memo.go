@@ -9,6 +9,7 @@ package memo
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"repro/internal/algebra"
@@ -159,27 +160,38 @@ type Expr struct {
 func (e *Expr) IsEnforcer() bool { return e.Op.Enforcer() }
 
 // Name returns the paper-style "group.local" operator name, e.g. "7.7".
-func (e *Expr) Name() string { return fmt.Sprintf("%d.%d", e.Group.ID, e.Local) }
+func (e *Expr) Name() string { return string(e.AppendName(nil)) }
+
+// AppendName appends Name's rendering to b.
+func (e *Expr) AppendName(b []byte) []byte {
+	b = strconv.AppendInt(b, int64(e.Group.ID), 10)
+	return strconv.AppendInt(append(b, '.'), int64(e.Local), 10)
+}
 
 // Describe renders the operator with its payload for plan display.
-func (e *Expr) Describe() string {
-	var sb strings.Builder
-	sb.WriteString(e.Op.String())
+func (e *Expr) Describe() string { return string(e.AppendDescribe(nil)) }
+
+// AppendDescribe appends Describe's rendering to b.
+func (e *Expr) AppendDescribe(b []byte) []byte {
+	b = append(b, opNames[e.Op]...)
 	switch {
 	case e.Scan != nil && e.Scan.Index != nil:
-		fmt.Fprintf(&sb, "(%s.%s)", e.Scan.Rel.Name, e.Scan.Index.Name)
+		b = append(append(append(append(b, '('), e.Scan.Rel.Name...), '.'), e.Scan.Index.Name...)
+		b = append(b, ')')
 	case e.Scan != nil:
-		fmt.Fprintf(&sb, "(%s)", e.Scan.Rel.Name)
+		b = append(append(append(b, '('), e.Scan.Rel.Name...), ')')
 	case e.Op == Sort:
-		sb.WriteString(e.SortOrder.String())
+		b = e.SortOrder.AppendTo(b)
 	case e.Op == IndexNLJoin && e.Lookup != nil:
-		fmt.Fprintf(&sb, "(lookup %s.%s)", e.Lookup.Rel.Name, e.Lookup.Index.Name)
+		b = append(append(append(append(b, "(lookup "...), e.Lookup.Rel.Name...), '.'), e.Lookup.Index.Name...)
+		b = append(b, ')')
 	case e.Op == MergeJoin || e.Op == HashJoin || e.Op == NestedLoopJoin || e.Op == LogicalJoin:
 		if e.Join != nil {
-			fmt.Fprintf(&sb, "[%d preds]", len(e.Join.Equi)+len(e.Join.Residual))
+			b = strconv.AppendInt(append(b, '['), int64(len(e.Join.Equi)+len(e.Join.Residual)), 10)
+			b = append(b, " preds]"...)
 		}
 	}
-	return sb.String()
+	return b
 }
 
 // Group is a set of equivalent operators: every operator rooted here

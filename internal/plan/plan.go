@@ -103,22 +103,27 @@ func Equal(a, b *Node) bool {
 }
 
 // String renders the plan as an indented tree.
-func (n *Node) String() string {
-	var sb strings.Builder
-	n.render(&sb, 0)
-	return sb.String()
-}
+func (n *Node) String() string { return string(n.AppendTo(nil)) }
 
-func (n *Node) render(sb *strings.Builder, depth int) {
-	sb.WriteString(strings.Repeat("  ", depth))
-	fmt.Fprintf(sb, "%s %s", n.Expr.Name(), n.Expr.Describe())
+// AppendTo appends String's rendering to b: one line per operator in
+// preorder, indented two spaces per level, with its name, description
+// and delivered ordering. Rendering into a reused buffer allocates
+// nothing.
+func (n *Node) AppendTo(b []byte) []byte { return n.appendTo(b, 0) }
+
+func (n *Node) appendTo(b []byte, depth int) []byte {
+	for i := 0; i < depth; i++ {
+		b = append(b, "  "...)
+	}
+	b = n.Expr.AppendDescribe(append(n.Expr.AppendName(b), ' '))
 	if !n.Expr.Delivered.IsNone() {
-		fmt.Fprintf(sb, " delivers=%s", n.Expr.Delivered)
+		b = n.Expr.Delivered.AppendTo(append(b, " delivers="...))
 	}
-	sb.WriteByte('\n')
+	b = append(b, '\n')
 	for _, c := range n.Children {
-		c.render(sb, depth+1)
+		b = c.appendTo(b, depth+1)
 	}
+	return b
 }
 
 // Validate checks the structural invariants the paper's testing

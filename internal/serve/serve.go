@@ -337,6 +337,7 @@ func (s *Server) handleUnrank(w http.ResponseWriter, r *http.Request) {
 	resp := UnrankResponse{SpaceInfo: spaceInfo(p), Plans: make([]PlanResponse, 0, len(req.Ranks))}
 	var costBuf plan.CostBuf
 	var arena core.Arena
+	var tree []byte // each plan renders here before its string is taken
 	for _, text := range req.Ranks {
 		rank, ok := s.parseRank(w, text)
 		if !ok {
@@ -359,7 +360,8 @@ func (s *Server) handleUnrank(w http.ResponseWriter, r *http.Request) {
 			s.writeErr(w, http.StatusInternalServerError, "costing plan %s: %v", rank, err)
 			return
 		}
-		resp.Plans = append(resp.Plans, PlanResponse{Rank: rank.String(), ScaledCost: sc, Tree: pl.String()})
+		tree = pl.AppendTo(tree[:0])
+		resp.Plans = append(resp.Plans, PlanResponse{Rank: rank.String(), ScaledCost: sc, Tree: string(tree)})
 	}
 	writeJSON(w, resp)
 }
@@ -369,7 +371,7 @@ type SampleRequest struct {
 	QueryRequest
 	K            int   `json:"k"`
 	Seed         int64 `json:"seed"`
-	IncludePlans bool  `json:"include_plans,omitempty"` // also render plan trees (allocates per plan)
+	IncludePlans bool  `json:"include_plans,omitempty"` // also render plan trees (one string per plan)
 }
 
 // SampleSummary aggregates the sampled scaled costs the way Table 1
@@ -448,13 +450,14 @@ func (s *Server) handleSample(w http.ResponseWriter, r *http.Request) {
 // cost stack, and allocation-free decimal rendering of each rank.
 // ranks and costs are the response payload; beyond them the loop
 // allocates nothing per plan after warm-up. When plans is non-nil
-// (same length as ranks) each plan's tree is rendered too (which
-// allocates, and is priced accordingly by the API contract).
+// (same length as ranks) each plan's tree is rendered too, into one
+// reused buffer, which costs one string per plan.
 func sampleLoop(p *engine.Prepared, smp *core.Sampler, ranks []string, costs []float64, plans []string) error {
 	var arena core.Arena
 	var dec core.WideArena
 	var costBuf plan.CostBuf
 	var numBuf [64]byte // any rank of a space a process can count
+	var tree []byte
 	return smp.Each(len(ranks), &arena, func(i int, rk []uint64, pl *plan.Node) error {
 		sc, err := p.ScaledCostWith(pl, &costBuf)
 		if err != nil {
@@ -464,7 +467,8 @@ func sampleLoop(p *engine.Prepared, smp *core.Sampler, ranks []string, costs []f
 		dec.Reset()
 		ranks[i] = string(core.AppendWideDecimal(numBuf[:0], rk, &dec))
 		if plans != nil {
-			plans[i] = pl.String()
+			tree = pl.AppendTo(tree[:0])
+			plans[i] = string(tree)
 		}
 		return nil
 	})

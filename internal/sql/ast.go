@@ -101,77 +101,117 @@ func (*LikeExpr) exprNode()    {}
 func (*CaseExpr) exprNode()    {}
 func (*FuncExpr) exprNode()    {}
 
-func (e *ColRef) String() string {
-	if e.Qualifier != "" {
-		return e.Qualifier + "." + e.Name
+// String renders the expression the way AppendCanonical does.
+func (e *ColRef) String() string      { return exprString(e) }
+func (e *NumberLit) String() string   { return exprString(e) }
+func (e *StringLit) String() string   { return exprString(e) }
+func (e *DateLit) String() string     { return exprString(e) }
+func (e *BoolLit) String() string     { return exprString(e) }
+func (e *NullLit) String() string     { return exprString(e) }
+func (e *BinaryExpr) String() string  { return exprString(e) }
+func (e *UnaryExpr) String() string   { return exprString(e) }
+func (e *BetweenExpr) String() string { return exprString(e) }
+func (e *InExpr) String() string      { return exprString(e) }
+func (e *LikeExpr) String() string    { return exprString(e) }
+func (e *CaseExpr) String() string    { return exprString(e) }
+func (e *FuncExpr) String() string    { return exprString(e) }
+
+func exprString(e Expr) string { return string(appendExpr(nil, e)) }
+
+// appendExpr appends the canonical rendering of e: every operator
+// application parenthesized, keywords upper-cased, literals quoted so
+// the lexer reads them back.
+func appendExpr(b []byte, e Expr) []byte {
+	switch e := e.(type) {
+	case *ColRef:
+		if e.Qualifier != "" {
+			b = append(b, e.Qualifier...)
+			b = append(b, '.')
+		}
+		return append(b, e.Name...)
+	case *NumberLit:
+		return append(b, e.Text...)
+	case *StringLit:
+		return appendQuoted(b, e.Value)
+	case *DateLit:
+		return appendQuoted(append(b, "DATE "...), e.Value)
+	case *BoolLit:
+		if e.Value {
+			return append(b, "TRUE"...)
+		}
+		return append(b, "FALSE"...)
+	case *NullLit:
+		return append(b, "NULL"...)
+	case *BinaryExpr:
+		b = appendExpr(append(b, '('), e.L)
+		b = append(append(append(b, ' '), e.Op...), ' ')
+		return append(appendExpr(b, e.R), ')')
+	case *UnaryExpr:
+		b = append(append(append(b, '('), e.Op...), ' ')
+		return append(appendExpr(b, e.X), ')')
+	case *BetweenExpr:
+		b = appendNot(appendExpr(append(b, '('), e.X), e.Negate)
+		b = appendExpr(append(b, " BETWEEN "...), e.Lo)
+		return append(appendExpr(append(b, " AND "...), e.Hi), ')')
+	case *InExpr:
+		b = appendNot(appendExpr(append(b, '('), e.X), e.Negate)
+		b = appendList(append(b, " IN ("...), e.Items)
+		return append(b, "))"...)
+	case *LikeExpr:
+		b = appendNot(appendExpr(append(b, '('), e.X), e.Negate)
+		return append(appendQuoted(append(b, " LIKE "...), e.Pattern), ')')
+	case *CaseExpr:
+		b = append(b, "CASE"...)
+		for _, w := range e.Whens {
+			b = appendExpr(append(b, " WHEN "...), w.Cond)
+			b = appendExpr(append(b, " THEN "...), w.Then)
+		}
+		if e.Else != nil {
+			b = appendExpr(append(b, " ELSE "...), e.Else)
+		}
+		return append(b, " END"...)
+	case *FuncExpr:
+		b = append(b, e.Name...)
+		if e.Star {
+			return append(b, "(*)"...)
+		}
+		return append(appendList(append(b, '('), e.Args), ')')
 	}
-	return e.Name
-}
-func (e *NumberLit) String() string { return e.Text }
-func (e *StringLit) String() string { return quote(e.Value) }
-func (e *DateLit) String() string   { return "DATE " + quote(e.Value) }
-func (e *BoolLit) String() string {
-	if e.Value {
-		return "TRUE"
-	}
-	return "FALSE"
-}
-func (e *NullLit) String() string { return "NULL" }
-func (e *BinaryExpr) String() string {
-	return "(" + e.L.String() + " " + e.Op + " " + e.R.String() + ")"
-}
-func (e *UnaryExpr) String() string { return "(" + e.Op + " " + e.X.String() + ")" }
-func (e *BetweenExpr) String() string {
-	not := ""
-	if e.Negate {
-		not = " NOT"
-	}
-	return "(" + e.X.String() + not + " BETWEEN " + e.Lo.String() + " AND " + e.Hi.String() + ")"
-}
-func (e *InExpr) String() string {
-	items := make([]string, len(e.Items))
-	for i, it := range e.Items {
-		items[i] = it.String()
-	}
-	not := ""
-	if e.Negate {
-		not = " NOT"
-	}
-	return "(" + e.X.String() + not + " IN (" + strings.Join(items, ", ") + "))"
-}
-func (e *LikeExpr) String() string {
-	not := ""
-	if e.Negate {
-		not = " NOT"
-	}
-	return "(" + e.X.String() + not + " LIKE " + quote(e.Pattern) + ")"
+	panic(fmt.Sprintf("sql: cannot render %T", e))
 }
 
-// quote renders a string literal, doubling embedded quotes the way the
-// lexer reads them back.
-func quote(s string) string { return "'" + strings.ReplaceAll(s, "'", "''") + "'" }
-
-func (e *CaseExpr) String() string {
-	var sb strings.Builder
-	sb.WriteString("CASE")
-	for _, w := range e.Whens {
-		sb.WriteString(" WHEN " + w.Cond.String() + " THEN " + w.Then.String())
+func appendNot(b []byte, negate bool) []byte {
+	if negate {
+		return append(b, " NOT"...)
 	}
-	if e.Else != nil {
-		sb.WriteString(" ELSE " + e.Else.String())
-	}
-	sb.WriteString(" END")
-	return sb.String()
+	return b
 }
-func (e *FuncExpr) String() string {
-	if e.Star {
-		return e.Name + "(*)"
+
+// appendList appends comma-separated renderings of es.
+func appendList(b []byte, es []Expr) []byte {
+	for i, x := range es {
+		if i > 0 {
+			b = append(b, ", "...)
+		}
+		b = appendExpr(b, x)
 	}
-	args := make([]string, len(e.Args))
-	for i, a := range e.Args {
-		args[i] = a.String()
+	return b
+}
+
+// appendQuoted appends a string literal, doubling embedded quotes the
+// way the lexer reads them back.
+func appendQuoted(b []byte, s string) []byte {
+	b = append(b, '\'')
+	for {
+		i := strings.IndexByte(s, '\'')
+		if i < 0 {
+			break
+		}
+		b = append(b, s[:i+1]...)
+		b = append(b, '\'')
+		s = s[i+1:]
 	}
-	return e.Name + "(" + strings.Join(args, ", ") + ")"
+	return append(append(b, s...), '\'')
 }
 
 // SelectItem is one projection in the SELECT list.
@@ -220,66 +260,81 @@ type SelectStmt struct {
 	Option   *Option
 }
 
-// String reconstructs a canonical SQL rendering (used in logs and tests).
-func (s *SelectStmt) String() string {
-	var sb strings.Builder
-	sb.WriteString("SELECT ")
+// String renders the statement canonically, OPTION clause included.
+func (s *SelectStmt) String() string { return string(s.AppendCanonical(nil, true)) }
+
+// AppendCanonical appends the statement's canonical SQL to b and returns
+// the extended slice. Whitespace, keyword case and comments do not
+// survive, inner-join ON conditions are folded into WHERE, and the
+// OPTION (USEPLAN n) suffix is rendered only when withOption is set:
+// query fingerprints hash the rendering without it, so every plan
+// number of a query selects within one cached space. It is the one
+// renderer of the AST; String methods wrap it.
+func (s *SelectStmt) AppendCanonical(b []byte, withOption bool) []byte {
+	b = append(b, "SELECT "...)
 	if s.Distinct {
-		sb.WriteString("DISTINCT ")
+		b = append(b, "DISTINCT "...)
 	}
 	for i, it := range s.Select {
 		if i > 0 {
-			sb.WriteString(", ")
+			b = append(b, ", "...)
 		}
-		sb.WriteString(it.Expr.String())
+		b = appendExpr(b, it.Expr)
 		if it.Alias != "" {
-			sb.WriteString(" AS " + it.Alias)
+			b = append(append(b, " AS "...), it.Alias...)
 		}
 	}
-	sb.WriteString(" FROM ")
+	b = append(b, " FROM "...)
 	for i, t := range s.From {
 		if i > 0 {
-			sb.WriteString(", ")
+			b = append(b, ", "...)
 		}
-		sb.WriteString(t.Table)
+		b = append(b, t.Table...)
 		if t.Alias != "" {
-			sb.WriteString(" " + t.Alias)
+			b = append(append(b, ' '), t.Alias...)
 		}
 	}
-	where := s.Where
-	for _, on := range s.JoinOns {
-		if where == nil {
-			where = on
-		} else {
-			where = &BinaryExpr{Op: "AND", L: where, R: on}
-		}
-	}
-	if where != nil {
-		sb.WriteString(" WHERE " + where.String())
-	}
+	b = s.appendWhere(b)
 	if len(s.GroupBy) > 0 {
-		sb.WriteString(" GROUP BY ")
-		for i, g := range s.GroupBy {
-			if i > 0 {
-				sb.WriteString(", ")
-			}
-			sb.WriteString(g.String())
-		}
+		b = appendList(append(b, " GROUP BY "...), s.GroupBy)
 	}
 	if len(s.OrderBy) > 0 {
-		sb.WriteString(" ORDER BY ")
+		b = append(b, " ORDER BY "...)
 		for i, o := range s.OrderBy {
 			if i > 0 {
-				sb.WriteString(", ")
+				b = append(b, ", "...)
 			}
-			sb.WriteString(o.Expr.String())
+			b = appendExpr(b, o.Expr)
 			if o.Desc {
-				sb.WriteString(" DESC")
+				b = append(b, " DESC"...)
 			}
 		}
 	}
-	if s.Option != nil {
-		fmt.Fprintf(&sb, " OPTION (USEPLAN %s)", s.Option.UsePlan)
+	if withOption && s.Option != nil {
+		b = append(append(append(b, " OPTION (USEPLAN "...), s.Option.UsePlan...), ')')
 	}
-	return sb.String()
+	return b
+}
+
+// appendWhere renders WHERE and the JOIN ... ON conditions as one
+// left-deep conjunction, ((where AND on1) AND on2) ..., without
+// building the AND nodes.
+func (s *SelectStmt) appendWhere(b []byte) []byte {
+	ons := s.JoinOns
+	first := s.Where
+	if first == nil {
+		if len(ons) == 0 {
+			return b
+		}
+		first, ons = ons[0], ons[1:]
+	}
+	b = append(b, " WHERE "...)
+	for range ons {
+		b = append(b, '(')
+	}
+	b = appendExpr(b, first)
+	for _, on := range ons {
+		b = append(appendExpr(append(b, " AND "...), on), ')')
+	}
+	return b
 }

@@ -32,17 +32,31 @@ type Token struct {
 	Pos  int // byte offset in the input
 }
 
-var keywords = map[string]bool{
-	"SELECT": true, "FROM": true, "WHERE": true, "GROUP": true, "BY": true,
-	"ORDER": true, "HAVING": true, "AS": true, "AND": true, "OR": true,
-	"NOT": true, "BETWEEN": true, "IN": true, "LIKE": true, "CASE": true,
-	"WHEN": true, "THEN": true, "ELSE": true, "END": true, "ASC": true,
-	"DESC": true, "DATE": true, "OPTION": true, "USEPLAN": true,
-	"INNER": true, "JOIN": true, "ON": true, "NULL": true, "TRUE": true,
-	"FALSE": true, "DISTINCT": true,
+// keywords maps each upper-cased keyword to itself, so a lookup hands
+// back the interned constant instead of a fresh string.
+var keywords = map[string]string{}
+
+// maxKeywordLen bounds the stack buffer words are upper-cased into for
+// the keyword lookup; longer words are identifiers.
+const maxKeywordLen = 8
+
+func init() {
+	for _, kw := range []string{
+		"SELECT", "FROM", "WHERE", "GROUP", "BY", "ORDER", "HAVING", "AS",
+		"AND", "OR", "NOT", "BETWEEN", "IN", "LIKE", "CASE", "WHEN", "THEN",
+		"ELSE", "END", "ASC", "DESC", "DATE", "OPTION", "USEPLAN", "INNER",
+		"JOIN", "ON", "NULL", "TRUE", "FALSE", "DISTINCT",
+	} {
+		if len(kw) > maxKeywordLen {
+			panic("sql: keyword longer than maxKeywordLen: " + kw)
+		}
+		keywords[kw] = kw
+	}
 }
 
-// Lexer splits SQL text into tokens.
+// Lexer splits SQL text into tokens. Every token's Text is a substring
+// of the input or an interned constant, except a string literal with an
+// escaped quote, so lexing allocates nothing per token.
 type Lexer struct {
 	src string
 	pos int
@@ -70,20 +84,19 @@ func (l *Lexer) Next() (Token, error) {
 	}
 	// Two-character operators first.
 	if l.pos+1 < len(l.src) {
-		two := l.src[l.pos : l.pos+2]
-		switch two {
-		case "<=", ">=", "<>", "!=":
+		switch two := l.src[l.pos : l.pos+2]; two {
+		case "<=", ">=", "<>":
 			l.pos += 2
-			if two == "!=" {
-				two = "<>"
-			}
 			return Token{Kind: TokSymbol, Text: two, Pos: start}, nil
+		case "!=":
+			l.pos += 2
+			return Token{Kind: TokSymbol, Text: "<>", Pos: start}, nil
 		}
 	}
 	switch c {
 	case '(', ')', ',', '*', '+', '-', '/', '=', '<', '>', '.', ';', '%':
 		l.pos++
-		return Token{Kind: TokSymbol, Text: string(c), Pos: start}, nil
+		return Token{Kind: TokSymbol, Text: l.src[start:l.pos], Pos: start}, nil
 	}
 	return Token{}, fmt.Errorf("sql: unexpected character %q at offset %d", c, start)
 }
@@ -111,9 +124,18 @@ func (l *Lexer) lexWord(start int) Token {
 		l.pos++
 	}
 	word := l.src[start:l.pos]
-	upper := strings.ToUpper(word)
-	if keywords[upper] {
-		return Token{Kind: TokKeyword, Text: upper, Pos: start}
+	if len(word) <= maxKeywordLen {
+		var upper [maxKeywordLen]byte
+		for i := 0; i < len(word); i++ {
+			c := word[i]
+			if c >= 'a' && c <= 'z' {
+				c -= 'a' - 'A'
+			}
+			upper[i] = c
+		}
+		if kw, ok := keywords[string(upper[:len(word)])]; ok {
+			return Token{Kind: TokKeyword, Text: kw, Pos: start}
+		}
 	}
 	return Token{Kind: TokIdent, Text: word, Pos: start}
 }
@@ -136,13 +158,32 @@ func (l *Lexer) lexNumber(start int) Token {
 	return Token{Kind: TokNumber, Text: l.src[start:l.pos], Pos: start}
 }
 
+// lexString reads a quoted literal. Its text is a substring of the
+// input unless it contains a doubled quote, which unescapes into a
+// fresh string.
 func (l *Lexer) lexString(start int) (Token, error) {
 	l.pos++ // opening quote
+	for i := l.pos; i < len(l.src); i++ {
+		if l.src[i] != '\'' {
+			continue
+		}
+		if i+1 < len(l.src) && l.src[i+1] == '\'' {
+			return l.lexEscapedString(start)
+		}
+		text := l.src[l.pos:i]
+		l.pos = i + 1
+		return Token{Kind: TokString, Text: text, Pos: start}, nil
+	}
+	return Token{}, fmt.Errorf("sql: unterminated string literal at offset %d", start)
+}
+
+// lexEscapedString is lexString for a literal holding a doubled quote,
+// which unescapes to one quote.
+func (l *Lexer) lexEscapedString(start int) (Token, error) {
 	var sb strings.Builder
 	for l.pos < len(l.src) {
 		c := l.src[l.pos]
 		if c == '\'' {
-			// '' escapes a quote.
 			if l.pos+1 < len(l.src) && l.src[l.pos+1] == '\'' {
 				sb.WriteByte('\'')
 				l.pos += 2
@@ -163,21 +204,4 @@ func isIdentStart(c byte) bool {
 
 func isIdentPart(c byte) bool {
 	return isIdentStart(c) || (c >= '0' && c <= '9')
-}
-
-// Tokenize runs the lexer to completion, returning all tokens including
-// the trailing EOF token.
-func Tokenize(src string) ([]Token, error) {
-	l := NewLexer(src)
-	var out []Token
-	for {
-		t, err := l.Next()
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, t)
-		if t.Kind == TokEOF {
-			return out, nil
-		}
-	}
 }

@@ -36,18 +36,42 @@ var parseSeeds = []string{
 	"INSERT INTO t VALUES (1)",
 }
 
-// FuzzParse checks two properties of the parser on arbitrary input:
-// Parse never panics, and a statement it accepts renders (String) to
-// SQL that parses again to the same rendering. The second property is
-// what keeps query fingerprints, which hash the rendered SQL, stable.
+// lexErrorSeeds hold a lexer error after a complete statement, or where
+// only the lookahead reaches it: the parser lexes on demand, and must
+// still reach the bad byte and reject the input.
+var lexErrorSeeds = []string{
+	"SELECT a FROM t; @",
+	"SELECT a FROM t '",
+	"SELECT a FROM t WHERE b = 1 ORDER BY a #",
+	"SELECT a FROM t WHERE b NOT !",
+	"SELECT a FROM t WHERE b NOT 'open",
+}
+
+func TestParseRejectsLexerErrors(t *testing.T) {
+	for _, src := range lexErrorSeeds {
+		if _, err := Parse(src); err == nil {
+			t.Errorf("accepted %q", src)
+		}
+	}
+}
+
+// FuzzParse checks three properties of the parser on arbitrary input:
+// Parse never panics; it accepts only input the lexer reads to EOF
+// without error, as it did when the whole input was tokenized before
+// parsing; and a statement it accepts renders (String) to SQL that
+// parses again to the same rendering. The last property is what keeps
+// query fingerprints, which hash the rendered SQL, stable.
 func FuzzParse(f *testing.F) {
-	for _, s := range parseSeeds {
+	for _, s := range append(parseSeeds, lexErrorSeeds...) {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, src string) {
 		stmt, err := Parse(src)
 		if err != nil {
 			return
+		}
+		if _, err := lexAll(src); err != nil {
+			t.Fatalf("Parse(%q) succeeded, but lexing it fails: %v", src, err)
 		}
 		rendered := stmt.String()
 		again, err := Parse(rendered)

@@ -5,41 +5,100 @@ import (
 	"strings"
 )
 
-// Parser is a recursive-descent parser over the token stream.
+// Parser is a recursive-descent parser that pulls tokens from its lexer
+// on demand. It holds the current token and at most one lookahead
+// (NOT BETWEEN/IN/LIKE needs it).
 type Parser struct {
-	toks []Token
-	pos  int
-	src  string
+	lex     Lexer
+	tok     Token // current token
+	next    Token // lookahead, valid when hasNext
+	hasNext bool
+	err     error // first lexer error; the token stream ends there
+
+	// Per-parse slabs for the most common AST nodes.
+	cols []ColRef
+	bins []BinaryExpr
 }
 
 // Parse parses a single SELECT statement (an optional trailing semicolon
-// is accepted).
+// is accepted). A lexer error anywhere in src fails the parse, as if src
+// had been tokenized up front.
 func Parse(src string) (*SelectStmt, error) {
-	toks, err := Tokenize(src)
-	if err != nil {
-		return nil, err
-	}
-	p := &Parser{toks: toks, src: src}
+	p := &Parser{lex: Lexer{src: src}}
+	p.tok = p.lexNext()
 	stmt, err := p.parseSelect()
+	if err == nil {
+		p.acceptSymbol(";")
+		if !p.atEOF() {
+			err = p.errorf("trailing input after statement")
+		}
+	}
+	if p.err != nil {
+		return nil, p.err
+	}
 	if err != nil {
 		return nil, err
-	}
-	p.acceptSymbol(";")
-	if !p.atEOF() {
-		return nil, p.errorf("trailing input after statement")
 	}
 	return stmt, nil
 }
 
-func (p *Parser) cur() Token  { return p.toks[p.pos] }
-func (p *Parser) atEOF() bool { return p.cur().Kind == TokEOF }
-
-func (p *Parser) advance() Token {
-	t := p.cur()
-	if t.Kind != TokEOF {
-		p.pos++
+// lexNext pulls the next token from the lexer. After a lexer error it
+// records the error and returns EOF from then on, so the parse stops
+// and Parse reports the lexer error.
+func (p *Parser) lexNext() Token {
+	if p.err != nil {
+		return Token{Kind: TokEOF, Pos: p.lex.pos}
+	}
+	t, err := p.lex.Next()
+	if err != nil {
+		p.err = err
+		return Token{Kind: TokEOF, Pos: p.lex.pos}
 	}
 	return t
+}
+
+func (p *Parser) cur() Token  { return p.tok }
+func (p *Parser) atEOF() bool { return p.tok.Kind == TokEOF }
+
+// peek returns the token after the current one without consuming it.
+func (p *Parser) peek() Token {
+	if !p.hasNext {
+		p.next, p.hasNext = p.lexNext(), true
+	}
+	return p.next
+}
+
+// advance consumes the current token and returns it.
+func (p *Parser) advance() Token {
+	t := p.tok
+	if t.Kind == TokEOF {
+		return t
+	}
+	if p.hasNext {
+		p.tok, p.hasNext = p.next, false
+	} else {
+		p.tok = p.lexNext()
+	}
+	return t
+}
+
+// slabSize is how many nodes one slab of a per-parse node pool holds.
+const slabSize = 32
+
+func (p *Parser) newColRef(qualifier, name string) *ColRef {
+	if len(p.cols) == cap(p.cols) {
+		p.cols = make([]ColRef, 0, slabSize)
+	}
+	p.cols = append(p.cols, ColRef{Qualifier: qualifier, Name: name})
+	return &p.cols[len(p.cols)-1]
+}
+
+func (p *Parser) newBinary(op string, l, r Expr) *BinaryExpr {
+	if len(p.bins) == cap(p.bins) {
+		p.bins = make([]BinaryExpr, 0, slabSize)
+	}
+	p.bins = append(p.bins, BinaryExpr{Op: op, L: l, R: r})
+	return &p.bins[len(p.bins)-1]
 }
 
 func (p *Parser) errorf(format string, args ...interface{}) error {
@@ -59,7 +118,7 @@ func (p *Parser) isKeyword(kw string) bool {
 
 func (p *Parser) acceptKeyword(kw string) bool {
 	if p.isKeyword(kw) {
-		p.pos++
+		p.advance()
 		return true
 	}
 	return false
@@ -79,7 +138,7 @@ func (p *Parser) isSymbol(s string) bool {
 
 func (p *Parser) acceptSymbol(s string) bool {
 	if p.isSymbol(s) {
-		p.pos++
+		p.advance()
 		return true
 	}
 	return false
@@ -97,7 +156,7 @@ func (p *Parser) expectIdent() (string, error) {
 	if t.Kind != TokIdent {
 		return "", p.errorf("expected identifier")
 	}
-	p.pos++
+	p.advance()
 	return t.Text, nil
 }
 
@@ -266,7 +325,7 @@ func (p *Parser) parseOption() (*Option, error) {
 	if t.Kind != TokNumber || strings.Contains(t.Text, ".") {
 		return nil, p.errorf("USEPLAN expects a non-negative integer plan number")
 	}
-	p.pos++
+	p.advance()
 	if err := p.expectSymbol(")"); err != nil {
 		return nil, err
 	}
@@ -295,7 +354,7 @@ func (p *Parser) parseOr() (Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		l = &BinaryExpr{Op: "OR", L: l, R: r}
+		l = p.newBinary("OR", l, r)
 	}
 	return l, nil
 }
@@ -310,7 +369,7 @@ func (p *Parser) parseAnd() (Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		l = &BinaryExpr{Op: "AND", L: l, R: r}
+		l = p.newBinary("AND", l, r)
 	}
 	return l, nil
 }
@@ -334,14 +393,11 @@ func (p *Parser) parsePredicate() (Expr, error) {
 	negate := false
 	if p.isKeyword("NOT") {
 		// Lookahead for NOT BETWEEN / NOT IN / NOT LIKE.
-		save := p.pos
-		p.pos++
-		if p.isKeyword("BETWEEN") || p.isKeyword("IN") || p.isKeyword("LIKE") {
-			negate = true
-		} else {
-			p.pos = save
+		if t := p.peek(); t.Kind != TokKeyword || (t.Text != "BETWEEN" && t.Text != "IN" && t.Text != "LIKE") {
 			return l, nil
 		}
+		p.advance()
+		negate = true
 	}
 	switch {
 	case p.acceptKeyword("BETWEEN"):
@@ -381,17 +437,18 @@ func (p *Parser) parsePredicate() (Expr, error) {
 		if t.Kind != TokString {
 			return nil, p.errorf("LIKE expects a string pattern")
 		}
-		p.pos++
+		p.advance()
 		return &LikeExpr{X: l, Pattern: t.Text, Negate: negate}, nil
 	}
-	for _, op := range []string{"=", "<>", "<=", ">=", "<", ">"} {
-		if p.isSymbol(op) {
-			p.pos++
+	if t := p.cur(); t.Kind == TokSymbol {
+		switch t.Text {
+		case "=", "<>", "<=", ">=", "<", ">":
+			p.advance()
 			r, err := p.parseAdditive()
 			if err != nil {
 				return nil, err
 			}
-			return &BinaryExpr{Op: op, L: l, R: r}, nil
+			return p.newBinary(t.Text, l, r), nil
 		}
 	}
 	return l, nil
@@ -409,13 +466,13 @@ func (p *Parser) parseAdditive() (Expr, error) {
 			if err != nil {
 				return nil, err
 			}
-			l = &BinaryExpr{Op: "+", L: l, R: r}
+			l = p.newBinary("+", l, r)
 		case p.acceptSymbol("-"):
 			r, err := p.parseMultiplicative()
 			if err != nil {
 				return nil, err
 			}
-			l = &BinaryExpr{Op: "-", L: l, R: r}
+			l = p.newBinary("-", l, r)
 		default:
 			return l, nil
 		}
@@ -434,13 +491,13 @@ func (p *Parser) parseMultiplicative() (Expr, error) {
 			if err != nil {
 				return nil, err
 			}
-			l = &BinaryExpr{Op: "*", L: l, R: r}
+			l = p.newBinary("*", l, r)
 		case p.acceptSymbol("/"):
 			r, err := p.parseUnary()
 			if err != nil {
 				return nil, err
 			}
-			l = &BinaryExpr{Op: "/", L: l, R: r}
+			l = p.newBinary("/", l, r)
 		default:
 			return l, nil
 		}
@@ -462,36 +519,36 @@ func (p *Parser) parsePrimary() (Expr, error) {
 	t := p.cur()
 	switch t.Kind {
 	case TokNumber:
-		p.pos++
+		p.advance()
 		return &NumberLit{Text: t.Text}, nil
 	case TokString:
-		p.pos++
+		p.advance()
 		return &StringLit{Value: t.Text}, nil
 	case TokKeyword:
 		switch t.Text {
 		case "DATE":
-			p.pos++
+			p.advance()
 			s := p.cur()
 			if s.Kind != TokString {
 				return nil, p.errorf("DATE expects a 'YYYY-MM-DD' string literal")
 			}
-			p.pos++
+			p.advance()
 			return &DateLit{Value: s.Text}, nil
 		case "TRUE":
-			p.pos++
+			p.advance()
 			return &BoolLit{Value: true}, nil
 		case "FALSE":
-			p.pos++
+			p.advance()
 			return &BoolLit{Value: false}, nil
 		case "NULL":
-			p.pos++
+			p.advance()
 			return &NullLit{}, nil
 		case "CASE":
 			return p.parseCase()
 		}
 		return nil, p.errorf("unexpected keyword %s in expression", t.Text)
 	case TokIdent:
-		p.pos++
+		p.advance()
 		// Function call?
 		if p.isSymbol("(") {
 			return p.parseFuncCall(t.Text)
@@ -502,12 +559,12 @@ func (p *Parser) parsePrimary() (Expr, error) {
 			if err != nil {
 				return nil, err
 			}
-			return &ColRef{Qualifier: t.Text, Name: col}, nil
+			return p.newColRef(t.Text, col), nil
 		}
-		return &ColRef{Name: t.Text}, nil
+		return p.newColRef("", t.Text), nil
 	case TokSymbol:
 		if t.Text == "(" {
-			p.pos++
+			p.advance()
 			e, err := p.parseExpr()
 			if err != nil {
 				return nil, err

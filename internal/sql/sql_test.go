@@ -5,8 +5,25 @@ import (
 	"testing"
 )
 
+// lexAll drives NewLexer(src).Next to EOF, returning every token
+// including the trailing EOF token.
+func lexAll(src string) ([]Token, error) {
+	l := NewLexer(src)
+	var out []Token
+	for {
+		t, err := l.Next()
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, t)
+		if t.Kind == TokEOF {
+			return out, nil
+		}
+	}
+}
+
 func TestTokenizeBasics(t *testing.T) {
-	toks, err := Tokenize("SELECT a, b FROM t WHERE a >= 1.5 AND b <> 'x''y' -- comment\n OPTION (USEPLAN 8)")
+	toks, err := lexAll("SELECT a, b FROM t WHERE a >= 1.5 AND b <> 'x''y' -- comment\n OPTION (USEPLAN 8)")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,16 +55,16 @@ func TestTokenizeBasics(t *testing.T) {
 }
 
 func TestTokenizeErrors(t *testing.T) {
-	if _, err := Tokenize("SELECT 'unterminated"); err == nil {
+	if _, err := lexAll("SELECT 'unterminated"); err == nil {
 		t.Error("unterminated string accepted")
 	}
-	if _, err := Tokenize("SELECT @"); err == nil {
+	if _, err := lexAll("SELECT @"); err == nil {
 		t.Error("stray byte accepted")
 	}
 }
 
 func TestNotEqualsAliases(t *testing.T) {
-	toks, err := Tokenize("a != b")
+	toks, err := lexAll("a != b")
 	if err != nil {
 		t.Fatal(err)
 	}
