@@ -10,6 +10,7 @@
 //	BenchmarkCounting        — E3: the paper's "counting never exceeded
 //	                           one second" claim
 //	BenchmarkOptimize        — full optimization (memo + winners)
+//	BenchmarkRender          — plan-tree rendering (/unrank, /sample)
 //	BenchmarkExecute         — the execution engine on optimal and
 //	                           sampled plans
 //	BenchmarkVerifySampled   — E8: the multi-plan verification harness
@@ -299,6 +300,40 @@ func BenchmarkSampleRanks(b *testing.B) {
 	}
 	b.SetBytes(int64(len(dst) * 8))
 }
+
+// BenchmarkRender prices plan-tree rendering, what /unrank and /sample
+// with include_plans pay per plan: one op renders one of 256 seeded
+// Q8+cross plans (~28 operators each), through AppendTo into a reused
+// buffer (allocation-free) and through String.
+func BenchmarkRender(b *testing.B) {
+	smp, err := prepare(b, "Q8", true).Sampler(11)
+	if err != nil {
+		b.Fatal(err)
+	}
+	plans := make([]*plan.Node, 256)
+	for i := range plans {
+		if _, plans[i], err = smp.Next(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.Run("AppendTo", func(b *testing.B) {
+		var buf []byte
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			buf = plans[i%len(plans)].AppendTo(buf[:0])
+		}
+	})
+	b.Run("String", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			renderSink = plans[i%len(plans)].String()
+		}
+	})
+}
+
+// renderSink keeps BenchmarkRender's String calls observable.
+var renderSink string
 
 // BenchmarkOptimize measures the substrate: memo expansion, cardinality
 // annotation, and winner computation.

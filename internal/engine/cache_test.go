@@ -500,10 +500,10 @@ func TestCacheSingleflightManyFingerprints(t *testing.T) {
 	}
 }
 
-// TestCacheShardedByteBudget: a byte budget smaller than the entry cap
-// bounds the resident entries over many fingerprints; zero disables
-// byte eviction.
-func TestCacheShardedByteBudget(t *testing.T) {
+// TestCacheByteBudgetManyFingerprints: over 40 fingerprints, a byte
+// budget smaller than the entry cap holds exactly the six entries that
+// fit; zero disables byte eviction.
+func TestCacheByteBudgetManyFingerprints(t *testing.T) {
 	c := NewSpaceCache(100)
 	one := (&StructureSpace{}).SizeBytes()
 	c.SetByteBudget(6*one + one/2) // room for six entries, not seven

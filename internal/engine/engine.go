@@ -241,10 +241,11 @@ func (s *Session) Prepare(sqlText string) (*Prepared, error) {
 	if err != nil {
 		return nil, err
 	}
-	// The canonical text goes into one buffer sized from the SQL text.
-	// The fingerprint hashes its bytes; only a structure miss copies
-	// them into a string.
-	canonical := stmt.AppendCanonical(make([]byte, 0, canonicalSizeHint(sqlText)), false)
+	// The canonical text goes into one buffer sized from the SQL text:
+	// the rendering drops indentation but parenthesizes every operator
+	// application, so it is rarely much longer. The fingerprint hashes
+	// its bytes; only a structure miss copies them into a string.
+	canonical := stmt.AppendCanonical(make([]byte, 0, len(sqlText)+len(sqlText)/4+16), false)
 	cat := s.engine.db.Catalog()
 	// One version read serves both the fingerprint and the cache entry:
 	// reading twice could race a concurrent bump and record the entry
@@ -296,12 +297,6 @@ func (s *Session) Prepare(sqlText string) (*Prepared, error) {
 	}
 	return p, nil
 }
-
-// canonicalSizeHint is the capacity Prepare reserves for a query's
-// canonical text: the rendering drops indentation but parenthesizes
-// every operator application, so it is rarely much longer than the
-// SQL it came from.
-func canonicalSizeHint(sqlText string) int { return len(sqlText) + len(sqlText)/4 + 16 }
 
 // Prepared is a parsed, optimized, and counted query: the frozen search
 // space plus the optimal plan, ready for counting, unranking, sampling,

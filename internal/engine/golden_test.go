@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/plan"
 	"repro/internal/rules"
 	"repro/internal/sql"
 	"repro/internal/storage"
@@ -15,14 +16,12 @@ import (
 var update = flag.Bool("update", false, "rewrite the golden files under testdata")
 
 // checkGolden compares got with the named file under testdata, or
-// rewrites the file when the test runs with -update.
+// rewrites the file when the test runs with -update (then git diff
+// shows what changed).
 func checkGolden(t *testing.T, name, got string) {
 	t.Helper()
 	path := "testdata/" + name
 	if *update {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
 		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
 			t.Fatal(err)
 		}
@@ -33,19 +32,7 @@ func checkGolden(t *testing.T, name, got string) {
 		t.Fatal(err)
 	}
 	if got != string(want) {
-		gl, wl := strings.Split(got, "\n"), strings.Split(string(want), "\n")
-		for i := 0; i < len(gl) || i < len(wl); i++ {
-			var g, w string
-			if i < len(gl) {
-				g = gl[i]
-			}
-			if i < len(wl) {
-				w = wl[i]
-			}
-			if g != w {
-				t.Fatalf("%s differs at line %d:\n got %q\nwant %q", path, i+1, g, w)
-			}
-		}
+		t.Errorf("output differs from %s; run the test with -update and inspect git diff", path)
 	}
 }
 
@@ -139,27 +126,19 @@ func renderGolden(t *testing.T, sb *strings.Builder, db *storage.DB, name, query
 	if err != nil {
 		t.Fatal(err)
 	}
-	emit := func(label string, pl interface{ String() string }) {
-		sb.WriteString("== " + name + " " + label + "\n-- String\n" + pl.String())
-	}
-	explain := func(label string) func(tree string, err error) {
-		return func(tree string, err error) {
-			if err != nil {
-				t.Fatalf("%s %s: explain: %v", name, label, err)
-			}
-			sb.WriteString("-- Explain\n" + tree)
+	render := func(label string, pl *plan.Node) {
+		tree, err := p.Explain(pl)
+		if err != nil {
+			t.Fatalf("%s %s: explain: %v", name, label, err)
 		}
+		sb.WriteString("== " + name + " " + label + "\n-- String\n" + pl.String() + "-- Explain\n" + tree)
 	}
-	label := "optimal rank " + p.Overlay.OptimalRank.String()
-	emit(label, p.OptimalPlan())
-	explain(label)(p.Explain(p.OptimalPlan()))
+	render("optimal rank "+p.Overlay.OptimalRank.String(), p.OptimalPlan())
 	for i := 0; i < 8; i++ {
 		rank, pl, err := smp.Next()
 		if err != nil {
 			t.Fatal(err)
 		}
-		label := "rank " + rank.String()
-		emit(label, pl)
-		explain(label)(p.Explain(pl))
+		render("rank "+rank.String(), pl)
 	}
 }

@@ -77,7 +77,7 @@ func TestHistogramNeverDropsInRangeValues(t *testing.T) {
 	}
 }
 
-func TestRenderAndCSV(t *testing.T) {
+func TestRender(t *testing.T) {
 	h, _ := New(0, 4, 2)
 	h.Add(1)
 	h.Add(1)

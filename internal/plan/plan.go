@@ -103,7 +103,10 @@ func Equal(a, b *Node) bool {
 }
 
 // String renders the plan as an indented tree.
-func (n *Node) String() string { return string(n.AppendTo(nil)) }
+func (n *Node) String() string {
+	var buf [2048]byte // holds most plans' trees without growing
+	return string(n.AppendTo(buf[:0]))
+}
 
 // AppendTo appends String's rendering to b: one line per operator in
 // preorder, indented two spaces per level, with its name, description

@@ -10,14 +10,12 @@ import (
 var update = flag.Bool("update", false, "rewrite the golden files under testdata")
 
 // checkGolden compares got with the named file under testdata, or
-// rewrites the file when the test runs with -update.
+// rewrites the file when the test runs with -update (then git diff
+// shows what changed).
 func checkGolden(t *testing.T, name, got string) {
 	t.Helper()
 	path := "testdata/" + name
 	if *update {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
 		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
 			t.Fatal(err)
 		}
@@ -28,19 +26,7 @@ func checkGolden(t *testing.T, name, got string) {
 		t.Fatal(err)
 	}
 	if got != string(want) {
-		gl, wl := strings.Split(got, "\n"), strings.Split(string(want), "\n")
-		for i := 0; i < len(gl) || i < len(wl); i++ {
-			var g, w string
-			if i < len(gl) {
-				g = gl[i]
-			}
-			if i < len(wl) {
-				w = wl[i]
-			}
-			if g != w {
-				t.Fatalf("%s differs at line %d:\n got %q\nwant %q", path, i+1, g, w)
-			}
-		}
+		t.Errorf("output differs from %s; run the test with -update and inspect git diff", path)
 	}
 }
 

@@ -34,7 +34,7 @@ func Parse(src string) (*SelectStmt, error) {
 		}
 	}
 	if p.err != nil {
-		return nil, p.err
+		err = p.err // the lexer error is why the token stream ended
 	}
 	if err != nil {
 		return nil, err

@@ -5,17 +5,20 @@
 # Three gates, all against BENCH_core.json:
 #
 #  1. Zero allocations. Every production-tier row of BenchmarkUnrank
-#     and BenchmarkSample (the /uint64 and /wide rows) and
-#     BenchmarkSampleRanks must report exactly 0 allocs/op on every
-#     run. Allocation counts do not depend on the host, so this gate is
-#     absolute.
-#  2. Executor allocations. BenchmarkExecute/*/optimal,
-#     BenchmarkExecute/Q5/median_sampled and
-#     BenchmarkExecute/Q5/merge_sampled allocs/op must stay within 10%
-#     of the value BENCH_core.json records. The median sampled plan runs
-#     three nested-loop joins that re-open their inner sides once per
-#     outer row, a path the optimal plans barely touch; the merge
-#     sampled plan is the only row with a merge join.
+#     and BenchmarkSample (the /uint64 and /wide rows),
+#     BenchmarkSampleRanks and BenchmarkRender/AppendTo (plan trees
+#     rendered into a reused buffer) must report exactly 0 allocs/op on
+#     every run. Allocation counts do not depend on the host, so this
+#     gate is absolute.
+#  2. Allocation ceilings. BenchmarkExecute/*/optimal,
+#     BenchmarkExecute/Q5/median_sampled,
+#     BenchmarkExecute/Q5/merge_sampled and BenchmarkPrepare/Q9/cached
+#     allocs/op must stay within 10% of the value BENCH_core.json
+#     records. The median sampled plan runs three nested-loop joins that
+#     re-open their inner sides once per outer row, a path the optimal
+#     plans barely touch; the merge sampled plan is the only row with a
+#     merge join; the cached Prepare is the SQL front end (parse,
+#     canonical rendering, fingerprints) every request pays.
 #  3. Speedups. The production tiers are timed against the /big rows
 #     (the reference oracle) and the recorded speedups must not regress
 #     by more than 20%. Absolute ns/op shift with the host; the ratios
@@ -44,6 +47,10 @@ for i in $(seq 1 "$COUNT"); do
 			-test.bench '^(BenchmarkUnrank|BenchmarkSample|BenchmarkSampleRanks|BenchmarkRecost)$'
 		"$TMP/repro.test" -test.run '^$' -test.benchmem -test.count 1 -test.benchtime "$BENCHTIME" \
 			-test.bench '^BenchmarkExecute$/^Q[0-9]+$/^(optimal|median_sampled|merge_sampled)$'
+		"$TMP/repro.test" -test.run '^$' -test.benchmem -test.count 1 -test.benchtime "$BENCHTIME" \
+			-test.bench '^BenchmarkPrepare$/^Q9$/^cached$'
+		"$TMP/repro.test" -test.run '^$' -test.benchmem -test.count 1 -test.benchtime "$BENCHTIME" \
+			-test.bench '^BenchmarkRender$/^AppendTo$'
 	} | tee "$TMP/run$i.txt"
 done
 
@@ -85,7 +92,7 @@ failed = []
 print(f"\nbench_diff: zero-allocation rows ({count} runs)")
 print(f"{'row':28} {'max allocs/op':>14}")
 zero = [r["name"] for r in core["results"]
-        if re.fullmatch(r'Benchmark(Unrank|Sample)/\S+/(uint64|wide)|BenchmarkSampleRanks', r["name"])]
+        if re.fullmatch(r'Benchmark(Unrank|Sample)/\S+/(uint64|wide)|BenchmarkSampleRanks|BenchmarkRender/AppendTo', r["name"])]
 for name in zero:
     got = [rows[name][1] for rows in runs if name in rows]
     if len(got) != count:
@@ -100,7 +107,7 @@ print(f"\nbench_diff: allocs/op ceilings (recorded + 10%)")
 print(f"{'row':28} {'recorded':>9} {'fresh':>9}")
 for row in core["results"]:
     name = row["name"]
-    if not re.fullmatch(r'BenchmarkExecute/(\S+/optimal|Q5/(median|merge)_sampled)', name):
+    if not re.fullmatch(r'BenchmarkExecute/(\S+/optimal|Q5/(median|merge)_sampled)|BenchmarkPrepare/Q9/cached', name):
         continue
     want = row["allocs_per_op"]
     got = [rows[name][1] for rows in runs if name in rows]
@@ -134,6 +141,6 @@ if failed:
     for f in failed:
         print("  " + f)
     sys.exit(1)
-print("\nbench_diff: OK — production rows allocate nothing, no executor row above its "
+print("\nbench_diff: OK — production rows allocate nothing, no gated row above its "
       f"allocs/op ceiling, no recorded speedup regressed by more than {1 - tolerance:.0%}")
 PYEOF
