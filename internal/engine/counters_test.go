@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/big"
+	"slices"
 	"strings"
 	"testing"
 
@@ -46,7 +47,7 @@ type countersRun struct {
 }
 
 // goldenCounters pins, for the optimal plan and four seeded ranks of
-// each execute-governed query, exactly what the executor counted. Any
+// each query of countersQueries, exactly what the executor counted. Any
 // change in what an operator emits, in which order, how often it is
 // opened, or where the budget trips shows up here.
 var goldenCounters = map[string][]countersRun{
@@ -73,6 +74,30 @@ var goldenCounters = map[string][]countersRun{
 			"6.3:1/1 6.4:1/1 3.5:6032/1 3.8:6032/1 4.4:10/1 4.5:10/1 1.2:150/1 1.6:150/1 10.3:58/1 10.14:8/1 2.5:230/1 2.6:1814/8 11.4:17/1 15.42:7/1 5.2:25/1 5.5:175/7 22.38:7/1 30.38:0/1 30.72:0/1 31.2:0/1 31.4:0/1 32.2:0/1"},
 		{"189960779781143", "49eab3bbbf1dcd222cd62b4575a9fff27dd62bd767f4cf1baf6161021a0dd00f", 10223, "",
 			"1.3:150/1 6.2:1/1 5.2:25/1 5.6:25/1 23.2:5/1 23.11:5/1 4.4:10/1 4.5:10/1 24.3:2/1 24.19:300/150 25.26:7/1 25.29:7/1 2.3:230/1 2.7:230/1 3.3:6032/1 8.7:949/1 8.13:949/1 30.24:3/1 30.72:3/1 31.3:2/1 31.4:2/1 32.2:2/1"},
+	},
+	"Q7": {
+		{"17402621395752", "04f3305684e12c4d80c6c4defba2ae4560c61d14245efd0776778779ebdbde9f", 2710, "",
+			"4.2:150/1 1.2:10/1 5.2:25/1 13.7:10/1 6.2:250/10 22.9:1/1 23.5:164/1 3.2:1500/1 24.2:164/1 31.104:10/1 32.2:2/1 33.2:2/1"},
+		{"38402949255173", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 16001, "work_budget_exceeded",
+			"2.2:1710/1 2.7:5/1 3.3:1500/1 3.6:7034/5 8.9:5/1 4.4:750/5 11.13:5/1 1.3:10/1 6.4:25/1 5.4:625/25 21.2:2/1 21.7:2/1 22.11:1/1 22.16:5/5 31.98:0/1 32.2:0/1 32.3:0/1 33.2:0/1"},
+		{"28320939239956", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 16001, "work_budget_exceeded",
+			"1.2:10/1 1.6:6/1 2.4:1710/1 2.7:9109/6 7.9:844/1 7.12:0/1 3.3:0/0 3.7:0/0 4.2:0/0 4.7:0/0 10.8:0/0 10.11:0/0 12.22:0/1 12.27:0/1 6.3:0/0 6.5:0/0 20.21:0/1 20.35:0/1 5.3:0/0 5.5:0/0 31.50:0/1 32.2:0/1 32.3:0/1 33.2:0/1"},
+		{"63893796640325", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 16001, "work_budget_exceeded",
+			"2.2:1710/1 2.7:76/1 1.2:10/1 6.3:25/1 6.5:25/1 5.2:625/25 21.2:2/1 21.5:2/1 22.11:1/1 22.16:1/1 4.2:150/1 4.6:150/1 26.7:8/1 3.5:1500/1 3.7:1500/1 29.7:77/1 29.31:5817/76 31.126:0/1 32.2:0/1 32.3:0/1 33.3:0/1"},
+		{"20001194584561", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 16001, "work_budget_exceeded",
+			"2.4:1710/1 2.9:1710/1 1.3:10/1 1.5:10/1 7.2:1710/1 4.2:150/1 3.3:1500/1 3.7:1500/1 10.2:1500/1 10.13:383/1 6.3:25/1 6.5:25/1 5.3:25/1 5.5:625/25 21.2:2/1 21.6:764/382 28.17:30/1 28.24:0/1 31.120:0/1 32.2:0/1 33.2:0/1"},
+	},
+	"Q8": {
+		{"29552462553474576", "4dd60175c6ff1454610e53ab987704cac87a1700d0119fa18b767088c34489f8", 2033, "",
+			"8.2:1/1 6.2:25/1 36.4:5/1 1.2:2/1 9.10:60/1 4.2:428/1 13.11:17/1 5.2:150/1 18.15:17/1 40.15:5/1 2.2:10/1 42.7:5/1 7.2:25/1 44.7:5/1 45.2:2/1 46.2:2/1"},
+		{"629193920596754629", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 16001, "work_budget_exceeded",
+			"3.2:6032/1 3.9:831/1 2.4:8307/831 10.4:831/1 10.11:0/1 1.2:0/0 11.4:0/1 5.2:0/0 5.5:0/0 4.2:0/0 4.7:0/0 16.4:0/0 20.27:0/1 20.36:0/1 6.4:0/0 6.5:0/0 26.26:0/1 26.45:0/1 7.4:0/0 35.30:0/1 35.52:0/1 8.3:0/0 8.4:0/0 44.32:0/1 45.2:0/1 45.3:0/1 46.3:0/1"},
+		{"464010268507445211", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 16001, "work_budget_exceeded",
+			"7.2:25/1 7.5:1/1 1.3:2/1 1.4:1/1 2.3:0/0 2.5:0/0 8.3:1/1 4.4:2/1 3.6:6032/1 3.7:8517/2 12.4:7/1 5.2:150/1 5.5:1050/7 17.13:7/1 17.19:0/1 6.4:0/0 23.15:0/1 23.29:0/1 39.15:0/1 39.36:0/1 41.41:0/1 41.44:0/1 42.51:0/1 42.52:0/1 44.55:0/1 45.2:0/1 45.3:0/1 46.2:0/1"},
+		{"327699572073463349", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 16001, "work_budget_exceeded",
+			"8.2:1/1 8.4:1/1 6.2:25/1 6.5:25/1 36.2:5/1 36.11:1/1 7.4:0/0 7.5:0/0 1.2:2/1 2.2:10/1 2.6:2/1 3.4:6032/1 3.9:8788/2 10.9:907/1 10.13:0/1 11.16:0/1 4.3:0/0 4.7:0/0 5.4:0/0 5.5:0/0 16.7:0/0 16.12:0/0 20.27:0/1 20.37:0/1 33.21:0/1 44.26:0/1 45.2:0/1 45.3:0/1 46.2:0/1"},
+		{"389039676991781550", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 16001, "work_budget_exceeded",
+			"4.2:428/1 4.6:428/1 5.3:150/1 16.7:428/1 16.12:1/1 1.3:2/1 1.4:1/1 2.4:10/1 3.5:6032/1 3.7:3623/1 10.7:3622/1 10.11:0/1 11.18:0/1 20.14:0/1 20.37:0/1 7.2:0/0 33.24:0/1 6.2:0/0 35.9:0/1 35.52:0/1 8.3:1/1 8.4:1/1 44.33:0/1 45.2:0/1 45.3:0/1 46.2:0/1"},
 	},
 	"Q9": {
 		{"894276530276", "85ccc82c74a5accf8674be1abb0497461a442690ebaefff1cd4f12e8c7e27abf", 3273, "",
@@ -120,11 +145,24 @@ func executeCounters(t *testing.T, sess *engine.Session, sqlText string, rank *b
 	}
 }
 
+// countersQueries is the execute-governed benchmark's queries plus the
+// paper's: Q7 and Q8 filter on nation names, and Q8 aggregates a CASE
+// over a string comparison.
+func countersQueries() []string {
+	qs := []string{"Q3", "Q5", "Q9", "Q10"}
+	for _, q := range tpch.PaperQueries() {
+		if !slices.Contains(qs, q) {
+			qs = append(qs, q)
+		}
+	}
+	return qs
+}
+
 // TestExecutionCountersGolden runs every pinned plan and compares its
 // counters with the recorded ones.
 func TestExecutionCountersGolden(t *testing.T) {
 	sess := engine.New(benchTPCH(t)).Session()
-	for _, q := range []string{"Q3", "Q5", "Q9", "Q10"} {
+	for _, q := range countersQueries() {
 		t.Run(q, func(t *testing.T) {
 			sqlText, ok := tpch.Query(q)
 			if !ok {

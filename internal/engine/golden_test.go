@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/algebra"
 	"repro/internal/plan"
 	"repro/internal/rules"
 	"repro/internal/sql"
@@ -141,4 +142,34 @@ func renderGolden(t *testing.T, sb *strings.Builder, db *storage.DB, name, query
 		}
 		render("rank "+rank.String(), pl)
 	}
+}
+
+// TestFeedbackKeyGolden pins feedbackKey for every relation subset of
+// Q3, Q5, Q7 and Q10. The keys render filter constants (strings, dates
+// and numbers) and name the corrections feedback stores, so a change
+// in how a bound constant prints would orphan every stored correction.
+func TestFeedbackKeyGolden(t *testing.T) {
+	db, err := tpch.NewDB(0.0004, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sb strings.Builder
+	for _, name := range []string{"Q3", "Q5", "Q7", "Q10"} {
+		sqlText, _ := tpch.Query(name)
+		stmt, err := sql.Parse(sqlText)
+		if err != nil {
+			t.Fatal(err)
+		}
+		q, err := algebra.Build(stmt, db.Catalog())
+		if err != nil {
+			t.Fatal(err)
+		}
+		sb.WriteString("== " + name + "\n")
+		for s := algebra.RelSet(1); s <= q.AllRels; s++ {
+			if s.SubsetOf(q.AllRels) {
+				sb.WriteString(s.String() + " " + feedbackKey(q, s) + "\n")
+			}
+		}
+	}
+	checkGolden(t, "feedback_keys.golden", sb.String())
 }
