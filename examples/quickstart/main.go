@@ -61,7 +61,7 @@ func run() error {
 
 	names := []string{"Sam White", "Ada Lovelace", "Edgar Codd", "Grace Hopper"}
 	for i, n := range names {
-		if err := students.Insert(data.Row{data.NewInt(int64(i + 1)), data.NewString(n)}); err != nil {
+		if err := students.Insert(i+1, n); err != nil {
 			return err
 		}
 	}
@@ -70,7 +70,7 @@ func run() error {
 		credits int64
 	}{{"Databases", 6}, {"Compilers", 6}, {"Queueing Theory", 4}}
 	for _, c := range courseList {
-		if err := courses.Insert(data.Row{data.NewString(c.title), data.NewInt(c.credits)}); err != nil {
+		if err := courses.Insert(c.title, c.credits); err != nil {
 			return err
 		}
 	}
@@ -84,7 +84,7 @@ func run() error {
 		{3, "Databases", 1}, {4, "Compilers", 3},
 	}
 	for _, e := range enrollments {
-		if err := enrolled.Insert(data.Row{data.NewInt(e.sid), data.NewString(e.title), data.NewInt(e.grade)}); err != nil {
+		if err := enrolled.Insert(e.sid, e.title, e.grade); err != nil {
 			return err
 		}
 	}

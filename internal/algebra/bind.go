@@ -225,7 +225,7 @@ func (b *binder) bindExpr(e sql.Expr) (Scalar, error) {
 		}
 		return &ConstExpr{Val: data.NewInt(i)}, nil
 	case *sql.StringLit:
-		return &ConstExpr{Val: data.NewString(t.Value)}, nil
+		return NewStringConst(t.Value), nil
 	case *sql.DateLit:
 		d, err := data.ParseDate(t.Value)
 		if err != nil {

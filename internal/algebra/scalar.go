@@ -52,8 +52,19 @@ func (op BinOp) Comparison() bool { return op >= OpEq && op <= OpGe }
 // ColRefExpr references a column (base or derived) by its bound Column.
 type ColRefExpr struct{ Col Column }
 
-// ConstExpr is a literal value.
-type ConstExpr struct{ Val data.Value }
+// ConstExpr is a literal value. A string literal keeps its text in Text,
+// and Val carries only its kind: string codes belong to the database the
+// query runs against, so the executor resolves the text when it compiles
+// a plan, while binding, costing and rendering read the text.
+type ConstExpr struct {
+	Val  data.Value
+	Text string
+}
+
+// NewStringConst returns the constant of a string literal.
+func NewStringConst(text string) *ConstExpr {
+	return &ConstExpr{Val: data.Value{K: data.KindString}, Text: text}
+}
 
 // BinaryExpr applies a binary operator.
 type BinaryExpr struct {
@@ -146,7 +157,7 @@ func (e *ColRefExpr) String() string {
 }
 func (e *ConstExpr) String() string {
 	if e.Val.K == data.KindString {
-		return "'" + e.Val.S + "'"
+		return "'" + e.Text + "'"
 	}
 	return e.Val.String()
 }

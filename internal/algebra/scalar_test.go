@@ -17,12 +17,12 @@ func TestScalarKinds(t *testing.T) {
 		s    Scalar
 		want data.Kind
 	}{
-		{&ConstExpr{Val: data.NewString("x")}, data.KindString},
+		{NewStringConst("x"), data.KindString},
 		{&BinaryExpr{Op: OpAdd, L: a, R: b, K: data.KindInt}, data.KindInt},
 		{&BinaryExpr{Op: OpLt, L: a, R: b, K: data.KindBool}, data.KindBool},
 		{&NotExpr{X: &ConstExpr{Val: data.NewBool(true)}}, data.KindBool},
 		{&NegExpr{X: a}, data.KindInt},
-		{&LikeExpr{X: &ConstExpr{Val: data.NewString("s")}, Pattern: "%"}, data.KindBool},
+		{&LikeExpr{X: NewStringConst("s"), Pattern: "%"}, data.KindBool},
 		{&YearExpr{X: &ConstExpr{Val: data.NewDate(0)}}, data.KindInt},
 		{&CaseExpr{Whens: []CaseWhen{{Cond: &ConstExpr{Val: data.NewBool(true)}, Then: a}}, K: data.KindInt}, data.KindInt},
 	}

@@ -24,6 +24,10 @@ type ColumnStats struct {
 	// selectivity estimator prefers these over min/max interpolation,
 	// which matters for skewed columns.
 	HistBounds []data.Value
+
+	// Strings resolves the codes of a string column's Min, Max and
+	// HistBounds to their text; nil for other kinds.
+	Strings *data.Strings
 }
 
 // HistFractionBelow estimates the fraction of rows with value < v from
@@ -38,7 +42,7 @@ func (s *ColumnStats) HistFractionBelow(v data.Value, fn func(data.Value) float6
 	// Count buckets entirely below v.
 	j := 0
 	for j < b {
-		if c, err := data.Compare(s.HistBounds[j], v); err != nil {
+		if c, err := data.Compare(s.Strings, s.HistBounds[j], v); err != nil {
 			return 0, false
 		} else if c >= 0 {
 			break

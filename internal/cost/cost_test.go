@@ -15,12 +15,13 @@ import (
 // arithmetic is checkable exactly.
 func costSchema() *catalog.Catalog {
 	c := catalog.New()
+	strs := data.NewStrings()
 	c.MustAdd(&catalog.Table{
 		Name: "r",
 		Columns: []catalog.Column{
 			{Name: "rk", Kind: data.KindInt, Stats: catalog.ColumnStats{NDV: 1000, Min: data.NewInt(0), Max: data.NewInt(999)}},
 			{Name: "rv", Kind: data.KindInt, Stats: catalog.ColumnStats{NDV: 100, Min: data.NewInt(0), Max: data.NewInt(99)}},
-			{Name: "rs", Kind: data.KindString, Stats: catalog.ColumnStats{NDV: 50, Min: data.NewString("a"), Max: data.NewString("z")}},
+			{Name: "rs", Kind: data.KindString, Stats: catalog.ColumnStats{NDV: 50, Min: strs.Intern("a"), Max: strs.Intern("z"), Strings: strs}},
 			{Name: "rd", Kind: data.KindDate, Stats: catalog.ColumnStats{NDV: 2000, Min: data.NewDate(data.MustParseDate("1992-01-01")), Max: data.NewDate(data.MustParseDate("1998-12-31"))}},
 		},
 		RowCount:    1000,
@@ -84,6 +85,24 @@ func TestRangeSelectivityInterpolates(t *testing.T) {
 	sel2 := est.PredSelectivity(q2.Rels[0].Filters[0])
 	if sel2 != sel {
 		t.Errorf("flipped range selectivity %g != %g", sel2, sel)
+	}
+}
+
+// TestStringRangeSelectivityReadsText: a string range interpolates
+// between the text of the column's bounds; the constant, absent from
+// the column's table, is coded in an overlay and never enters it.
+func TestStringRangeSelectivityReadsText(t *testing.T) {
+	q := bindQuery(t, "SELECT rk FROM r WHERE rs < 'm'")
+	est := NewEstimator(q, Default())
+	st := q.Rels[0].Table.Columns[2].Stats
+	before := st.Strings.Len()
+	sel := est.PredSelectivity(q.Rels[0].Filters[0])
+	a, m, z := textNumeric("a"), textNumeric("m"), textNumeric("z")
+	if want := (m - a) / (z - a); sel != want {
+		t.Errorf("string range selectivity = %g, want %g", sel, want)
+	}
+	if st.Strings.Len() != before {
+		t.Errorf("estimating grew the column's string table from %d to %d", before, st.Strings.Len())
 	}
 }
 

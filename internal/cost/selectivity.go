@@ -324,12 +324,22 @@ func (e *Estimator) rangeSel(t *algebra.BinaryExpr) float64 {
 	if !ok || st.Min.IsNull() || st.Max.IsNull() {
 		return defaultRangeSel
 	}
+	v, num := cst.Val, numeric
+	if v.K == data.KindString {
+		// Statistics hold string codes and the constant holds text: the
+		// constant gets a code in an overlay of the column's table, so
+		// both compare and project by text and the DB's table stays as
+		// it is.
+		strs := st.Strings.Overlay()
+		st.Strings, v = strs, strs.Intern(cst.Text)
+		num = func(x data.Value) float64 { return textNumeric(strs.Text(x)) }
+	}
 	// Prefer the equi-depth histogram; fall back to min/max linear
 	// interpolation when none was collected.
-	fracBelow, haveHist := st.HistFractionBelow(cst.Val, numeric)
+	fracBelow, haveHist := st.HistFractionBelow(v, num)
 	if !haveHist {
-		lo, hi := numeric(st.Min), numeric(st.Max)
-		v := numeric(cst.Val)
+		lo, hi := num(st.Min), num(st.Max)
+		v := num(v)
 		if hi <= lo {
 			return defaultRangeSel
 		}
@@ -349,24 +359,28 @@ func (e *Estimator) rangeSel(t *algebra.BinaryExpr) float64 {
 	}
 }
 
+// numeric projects a non-string value onto the real line.
 func numeric(v data.Value) float64 {
 	switch v.K {
 	case data.KindInt, data.KindDate, data.KindBool:
-		return float64(v.I)
+		return float64(v.Int())
 	case data.KindFloat:
-		return v.F
-	case data.KindString:
-		// Order-preserving-ish projection of the first bytes.
-		var x float64
-		for i := 0; i < 6; i++ {
-			var b byte
-			if i < len(v.S) {
-				b = v.S[i]
-			}
-			x = x*256 + float64(b)
-		}
-		return x
+		return v.Float()
 	default:
 		return 0
 	}
+}
+
+// textNumeric is an order-preserving-ish projection of a string's first
+// bytes.
+func textNumeric(s string) float64 {
+	var x float64
+	for i := 0; i < 6; i++ {
+		var b byte
+		if i < len(s) {
+			b = s[i]
+		}
+		x = x*256 + float64(b)
+	}
+	return x
 }

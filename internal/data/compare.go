@@ -1,16 +1,17 @@
 package data
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 )
 
 // Compare orders two values. NULL sorts before every non-NULL value (the
 // convention used by the sort operator and result digests). Integers and
-// floats compare numerically across kinds; all other cross-kind
-// comparisons are reported as errors so that planner bugs surface instead
-// of silently mis-sorting.
-func Compare(a, b Value) (int, error) {
+// floats compare numerically across kinds, and strings by their text,
+// which s resolves; all other cross-kind comparisons are reported as
+// errors so that planner bugs surface instead of silently mis-sorting.
+func Compare(s *Strings, a, b Value) (int, error) {
 	if a.K == KindNull || b.K == KindNull {
 		switch {
 		case a.K == KindNull && b.K == KindNull:
@@ -23,7 +24,7 @@ func Compare(a, b Value) (int, error) {
 	}
 	if a.K.Numeric() && b.K.Numeric() {
 		if a.K == KindInt && b.K == KindInt {
-			return cmpInt(a.I, b.I), nil
+			return cmpInt(a.Int(), b.Int()), nil
 		}
 		return cmpFloat(a.Float(), b.Float()), nil
 	}
@@ -31,12 +32,16 @@ func Compare(a, b Value) (int, error) {
 		return 0, fmt.Errorf("data: cannot compare %s with %s", a.K, b.K)
 	}
 	switch a.K {
-	case KindBool:
-		return cmpInt(a.I, b.I), nil
+	case KindBool, KindDate:
+		return cmpInt(a.Int(), b.Int()), nil
 	case KindString:
-		return strings.Compare(a.S, b.S), nil
-	case KindDate:
-		return cmpInt(a.I, b.I), nil
+		if a.p == b.p {
+			return 0, nil
+		}
+		if s == nil {
+			return 0, errors.New("data: comparing strings needs the table that issued their codes")
+		}
+		return strings.Compare(s.Text(a), s.Text(b)), nil
 	default:
 		return 0, fmt.Errorf("data: cannot compare values of kind %s", a.K)
 	}
@@ -44,9 +49,13 @@ func Compare(a, b Value) (int, error) {
 
 // Equal reports whether two values compare equal. NULL equals NULL here;
 // SQL tri-state logic is applied by the expression evaluator, not by the
-// raw comparator.
+// raw comparator. Strings of one table are equal exactly when their codes
+// are, so Equal needs no text.
 func Equal(a, b Value) bool {
-	c, err := Compare(a, b)
+	if a.K == KindString && b.K == KindString {
+		return a.p == b.p
+	}
+	c, err := Compare(nil, a, b)
 	return err == nil && c == 0
 }
 

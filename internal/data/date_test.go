@@ -90,7 +90,7 @@ func TestDateOrderingMatchesCalendar(t *testing.T) {
 	if !(a < b) {
 		t.Error("1994 should precede 1995 as day numbers")
 	}
-	if c, _ := Compare(NewDate(a), NewDate(b)); c != -1 {
+	if c, _ := Compare(nil, NewDate(a), NewDate(b)); c != -1 {
 		t.Error("date Compare disagrees with day-number order")
 	}
 }

@@ -12,8 +12,9 @@ func TestValueConstructorsAndAccessors(t *testing.T) {
 	if v := NewFloat(2.5); v.K != KindFloat || v.Float() != 2.5 {
 		t.Errorf("NewFloat: %+v", v)
 	}
-	if v := NewString("x"); v.K != KindString || v.Str() != "x" {
-		t.Errorf("NewString: %+v", v)
+	strs := NewStrings()
+	if v := strs.Intern("x"); v.K != KindString || strs.Text(v) != "x" {
+		t.Errorf("Intern: %+v", v)
 	}
 	if v := NewBool(true); !v.Bool() {
 		t.Errorf("NewBool(true): %+v", v)
@@ -39,6 +40,7 @@ func TestIntCoercesToFloat(t *testing.T) {
 }
 
 func TestValueString(t *testing.T) {
+	strs := NewStrings()
 	cases := []struct {
 		v    Value
 		want string
@@ -47,11 +49,11 @@ func TestValueString(t *testing.T) {
 		{NewBool(true), "true"},
 		{NewBool(false), "false"},
 		{NewInt(-5), "-5"},
-		{NewString("hello"), "hello"},
+		{strs.Intern("hello"), "hello"},
 		{NewDate(MustParseDate("1994-01-01")), "1994-01-01"},
 	}
 	for _, c := range cases {
-		if got := c.v.String(); got != c.want {
+		if got := strs.Format(c.v); got != c.want {
 			t.Errorf("String(%+v) = %q, want %q", c.v, got, c.want)
 		}
 	}
@@ -79,7 +81,7 @@ func TestKindNumeric(t *testing.T) {
 }
 
 func TestRowCloneIndependent(t *testing.T) {
-	r := Row{NewInt(1), NewString("a")}
+	r := Row{NewInt(1), NewStrings().Intern("a")}
 	c := r.Clone()
 	c[0] = NewInt(99)
 	if r[0].Int() != 1 {
@@ -88,6 +90,8 @@ func TestRowCloneIndependent(t *testing.T) {
 }
 
 func TestCompareBasics(t *testing.T) {
+	strs := NewStrings()
+	strs.Intern("b") // codes in the opposite order to the texts
 	cases := []struct {
 		a, b Value
 		want int
@@ -97,7 +101,7 @@ func TestCompareBasics(t *testing.T) {
 		{NewInt(3), NewInt(2), 1},
 		{NewFloat(1.5), NewInt(2), -1},
 		{NewInt(2), NewFloat(1.5), 1},
-		{NewString("a"), NewString("b"), -1},
+		{strs.Intern("a"), strs.Intern("b"), -1},
 		{NewDate(10), NewDate(20), -1},
 		{NewBool(false), NewBool(true), -1},
 		{Null(), NewInt(0), -1},
@@ -105,7 +109,7 @@ func TestCompareBasics(t *testing.T) {
 		{Null(), Null(), 0},
 	}
 	for _, c := range cases {
-		got, err := Compare(c.a, c.b)
+		got, err := Compare(strs, c.a, c.b)
 		if err != nil {
 			t.Errorf("Compare(%v, %v): %v", c.a, c.b, err)
 			continue
@@ -117,10 +121,11 @@ func TestCompareBasics(t *testing.T) {
 }
 
 func TestCompareKindMismatch(t *testing.T) {
-	if _, err := Compare(NewString("a"), NewInt(1)); err == nil {
+	strs := NewStrings()
+	if _, err := Compare(strs, strs.Intern("a"), NewInt(1)); err == nil {
 		t.Error("string vs int comparison should error")
 	}
-	if _, err := Compare(NewDate(1), NewInt(1)); err == nil {
+	if _, err := Compare(strs, NewDate(1), NewInt(1)); err == nil {
 		t.Error("date vs int comparison should error")
 	}
 }
@@ -129,8 +134,8 @@ func TestCompareKindMismatch(t *testing.T) {
 // and transitive at sampled triples.
 func TestCompareIntTotalOrder(t *testing.T) {
 	f := func(a, b int64) bool {
-		x, _ := Compare(NewInt(a), NewInt(b))
-		y, _ := Compare(NewInt(b), NewInt(a))
+		x, _ := Compare(nil, NewInt(a), NewInt(b))
+		y, _ := Compare(nil, NewInt(b), NewInt(a))
 		return x == -y
 	}
 	if err := quick.Check(f, nil); err != nil {

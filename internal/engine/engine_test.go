@@ -111,7 +111,7 @@ func TestRunWithoutOptionUsesOptimal(t *testing.T) {
 		t.Errorf("ran plan %s, want the optimal %s", exe.Rank, exe.Prepared.Overlay.OptimalRank)
 	}
 	res := exe.Result
-	if len(res.Rows) != 5 || res.Rows[0][0].Str() != "AFRICA" {
+	if len(res.Rows) != 5 || res.Strings.Text(res.Rows[0][0]) != "AFRICA" {
 		t.Errorf("rows = %v", res.Rows)
 	}
 }

@@ -159,7 +159,7 @@ func TestCheckRowsAndOrder(t *testing.T) {
 	}
 	// reordered copies rows in the order of idx.
 	reordered := func(res *exec.Result, idx func(i, n int) int) *exec.Result {
-		out := &exec.Result{Columns: res.Columns, Rows: make([]data.Row, len(res.Rows))}
+		out := &exec.Result{Columns: res.Columns, Strings: res.Strings, Rows: make([]data.Row, len(res.Rows))}
 		for i := range res.Rows {
 			out.Rows[i] = res.Rows[idx(i, len(res.Rows))].Clone()
 		}

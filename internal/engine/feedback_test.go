@@ -120,14 +120,12 @@ func skewedDB(t *testing.T) *storage.DB {
 	events, _ := db.CreateTable("events")
 	users, _ := db.CreateTable("users")
 	for i := 0; i < nEvents; i++ {
-		row := data.Row{data.NewInt(int64(i)), data.NewInt(int64(i % 2)), data.NewInt(int64(i % nUsers))}
-		if err := events.Insert(row); err != nil {
+		if err := events.Insert(i, i%2, i%nUsers); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for i := 0; i < nUsers; i++ {
-		row := data.Row{data.NewInt(int64(i)), data.NewString("user")}
-		if err := users.Insert(row); err != nil {
+		if err := users.Insert(i, "user"); err != nil {
 			t.Fatal(err)
 		}
 	}

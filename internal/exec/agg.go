@@ -20,7 +20,7 @@ type aggAcc struct {
 	seen  bool
 }
 
-func (a *aggAcc) add(v data.Value) error {
+func (a *aggAcc) add(strs *data.Strings, v data.Value) error {
 	if v.IsNull() {
 		return nil // SQL aggregates ignore NULLs
 	}
@@ -28,8 +28,8 @@ func (a *aggAcc) add(v data.Value) error {
 	switch a.fn {
 	case algebra.AggSum, algebra.AggAvg:
 		if v.K == data.KindInt {
-			a.sumI += v.I
-			a.sumF += float64(v.I)
+			a.sumI += v.Int()
+			a.sumF += float64(v.Int())
 		} else {
 			a.sumF += v.Float()
 		}
@@ -39,14 +39,14 @@ func (a *aggAcc) add(v data.Value) error {
 			a.seen = true
 			return nil
 		}
-		c, err := data.Compare(v, a.minV)
+		c, err := data.Compare(strs, v, a.minV)
 		if err != nil {
 			return err
 		}
 		if c < 0 {
 			a.minV = v
 		}
-		c, err = data.Compare(v, a.maxV)
+		c, err = data.Compare(strs, v, a.maxV)
 		if err != nil {
 			return err
 		}
@@ -103,12 +103,18 @@ type aggIter struct {
 	argFns  []evalFunc // nil entry = COUNT(*)
 	aggs    []*algebra.AggExpr
 	outCols int
-	keys    []data.Value // the current input row's group key
+	keys    []data.Value  // the current input row's group key
+	strs    *data.Strings // orders MIN/MAX strings by text
 
-	// hash state
-	enc      keyEncoder
-	groups   map[string]int
-	order    []data.Row // group key values per group, insertion order
+	// hash state: a single key of declared kind wordKind groups by
+	// wordKey (NULL in nullGroup); other keys, and values of another
+	// kind, group by their encoding
+	wordKind  data.Kind // KindNull: no 8-byte path
+	words     map[uint64]int
+	nullGroup int
+	enc       keyEncoder
+	groups    map[string]int
+	order     []data.Row // group key values per group, insertion order
 	accs     [][]aggAcc
 	emitPos  int
 	prepared bool
@@ -125,11 +131,12 @@ type aggIter struct {
 	scalarEmpty bool
 }
 
-func buildAgg(e *memo.Expr, q *algebra.Query, child Iterator, cs schema) (Iterator, schema, error) {
+func (b *builder) buildAgg(e *memo.Expr, child Iterator, cs schema) (Iterator, schema, error) {
+	q := b.q
 	out := make(schema, 0, len(q.GroupBy)+len(q.Aggs))
 	keyFns := make([]evalFunc, 0, len(q.GroupBy))
 	for i := range q.GroupBy {
-		f, err := compile(q.GroupBy[i].Expr, cs)
+		f, err := compile(b.strs, q.GroupBy[i].Expr, cs)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -141,7 +148,7 @@ func buildAgg(e *memo.Expr, q *algebra.Query, child Iterator, cs schema) (Iterat
 		if a.Arg == nil {
 			argFns = append(argFns, nil)
 		} else {
-			f, err := compile(a.Arg, cs)
+			f, err := compile(b.strs, a.Arg, cs)
 			if err != nil {
 				return nil, nil, err
 			}
@@ -157,7 +164,11 @@ func buildAgg(e *memo.Expr, q *algebra.Query, child Iterator, cs schema) (Iterat
 		aggs:    q.Aggs,
 		outCols: len(out),
 		keys:    make([]data.Value, len(keyFns)),
+		strs:    b.strs,
 		scalar:  len(q.GroupBy) == 0,
+	}
+	if len(q.GroupBy) == 1 {
+		it.wordKind = q.GroupBy[0].Expr.Kind()
 	}
 	return it, out, nil
 }
@@ -180,7 +191,7 @@ func (a *aggIter) accumulate(accs []aggAcc, row data.Row) error {
 		if err != nil {
 			return err
 		}
-		if err := accs[i].add(v); err != nil {
+		if err := accs[i].add(a.strs, v); err != nil {
 			return err
 		}
 	}
@@ -197,7 +208,8 @@ func (a *aggIter) emitRow(keys []data.Value, accs []aggAcc) data.Row {
 }
 
 func (a *aggIter) Open(ctx context.Context) error {
-	a.groups, a.order, a.accs = nil, nil, nil
+	a.words, a.groups, a.order, a.accs = nil, nil, nil, nil
+	a.nullGroup = -1
 	a.emitPos, a.prepared = 0, false
 	a.curKey, a.curAccs, a.haveCur, a.done = nil, nil, false, false
 	a.scalarDone, a.scalarEmpty = false, false
@@ -243,7 +255,9 @@ func (a *aggIter) nextScalar() (data.Row, bool, error) {
 
 func (a *aggIter) nextHash() (data.Row, bool, error) {
 	if !a.prepared {
-		a.groups = make(map[string]int)
+		if a.wordKind != data.KindNull {
+			a.words = make(map[uint64]int)
+		}
 		keys := a.keys
 		for {
 			row, ok, err := a.child.Next()
@@ -260,15 +274,7 @@ func (a *aggIter) nextHash() (data.Row, bool, error) {
 				}
 				keys[i] = v
 			}
-			k := a.enc.encode(keys)
-			gi, ok := a.groups[string(k)]
-			if !ok {
-				gi = len(a.order)
-				a.groups[string(k)] = gi
-				a.order = append(a.order, append(data.Row(nil), keys...))
-				a.accs = append(a.accs, a.newAccs())
-			}
-			if err := a.accumulate(a.accs[gi], row); err != nil {
+			if err := a.accumulate(a.accs[a.groupOf(keys)], row); err != nil {
 				return nil, false, err
 			}
 		}
@@ -284,6 +290,41 @@ func (a *aggIter) nextHash() (data.Row, bool, error) {
 		return nil, false, err
 	}
 	return row, true, nil
+}
+
+// groupOf returns the hash group of keys, adding it when new.
+func (a *aggIter) groupOf(keys []data.Value) int {
+	if v := keys[0]; a.wordKind != data.KindNull && (v.K == a.wordKind || v.IsNull()) {
+		if v.IsNull() {
+			if a.nullGroup < 0 {
+				a.nullGroup = a.newGroup(keys)
+			}
+			return a.nullGroup
+		}
+		k := wordKey(v)
+		gi, ok := a.words[k]
+		if !ok {
+			gi = a.newGroup(keys)
+			a.words[k] = gi
+		}
+		return gi
+	}
+	if a.groups == nil {
+		a.groups = make(map[string]int)
+	}
+	k := a.enc.encode(keys)
+	gi, ok := a.groups[string(k)]
+	if !ok {
+		gi = a.newGroup(keys)
+		a.groups[string(k)] = gi
+	}
+	return gi
+}
+
+func (a *aggIter) newGroup(keys []data.Value) int {
+	a.order = append(a.order, append(data.Row(nil), keys...))
+	a.accs = append(a.accs, a.newAccs())
+	return len(a.order) - 1
 }
 
 func (a *aggIter) nextStream() (data.Row, bool, error) {
@@ -344,8 +385,7 @@ func sameKeys(a, b []data.Value) bool {
 			}
 			continue // grouping treats NULLs as equal
 		}
-		c, err := data.Compare(a[i], b[i])
-		if err != nil || c != 0 {
+		if !data.Equal(a[i], b[i]) {
 			return false
 		}
 	}

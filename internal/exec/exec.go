@@ -35,6 +35,9 @@ type ExecStats struct {
 type Result struct {
 	Columns []string
 	Rows    []data.Row
+	// Strings resolves the string codes in Rows: the DB's strings and
+	// the constants the plan materialized.
+	Strings *data.Strings
 	Stats   ExecStats
 }
 
@@ -49,12 +52,13 @@ func RunWithOptions(ctx context.Context, p *plan.Node, db *storage.DB, q *algebr
 		ctx = context.Background()
 	}
 	gov := NewGovernor(ctx, opts)
-	it, err := Build(p, db, q, gov)
+	b := newBuilder(db, q, gov)
+	it, _, err := b.build(p)
 	if err != nil {
 		return nil, err
 	}
 	start := time.Now()
-	res := &Result{Columns: q.OutputNames()}
+	res := &Result{Columns: q.OutputNames(), Strings: b.strs}
 	runErr := func() error {
 		if err := it.Open(ctx); err != nil {
 			return err
@@ -108,7 +112,7 @@ func RunWithOptions(ctx context.Context, p *plan.Node, db *storage.DB, q *algebr
 func (r *Result) Digest() string {
 	lines := make([]string, len(r.Rows))
 	for i, row := range r.Rows {
-		lines[i] = rowKey(row)
+		lines[i] = rowKey(row, r.Strings)
 	}
 	sort.Strings(lines)
 	h := sha256.New()
@@ -119,11 +123,11 @@ func (r *Result) Digest() string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-func digestValue(v data.Value) string {
+func digestValue(v data.Value, strs *data.Strings) string {
 	if v.K == data.KindFloat {
-		return strconv.FormatFloat(v.F, 'g', 6, 64)
+		return strconv.FormatFloat(v.Float(), 'g', 6, 64)
 	}
-	return v.String()
+	return strs.Format(v)
 }
 
 // Equivalent reports whether two results hold the same multiset of rows,
@@ -137,13 +141,21 @@ func (r *Result) Equivalent(o *Result, relTol float64) bool {
 		return false
 	}
 	order := pairingOrder(r.Rows, o.Rows)
-	a, b := sortedRows(r.Rows, order), sortedRows(o.Rows, order)
+	a, b := sortedRows(r.Rows, order, r.Strings), sortedRows(o.Rows, order, o.Strings)
 	for i := range a {
 		if len(a[i]) != len(b[i]) {
 			return false
 		}
 		for j := range a[i] {
-			if !valuesClose(a[i][j], b[i][j], relTol) {
+			x, y := a[i][j], b[i][j]
+			if x.K == data.KindString && y.K == data.KindString {
+				// Each result codes strings in its own table.
+				if r.Strings.Text(x) != o.Strings.Text(y) {
+					return false
+				}
+				continue
+			}
+			if !valuesClose(x, y, relTol) {
 				return false
 			}
 		}
@@ -179,16 +191,17 @@ func pairingOrder(a, b []data.Row) []int {
 }
 
 // sortedRows returns a copy of rows sorted by their values at the order
-// positions. A pair that fails to compare stays unordered; the value
-// comparison after sorting reports the mismatch.
-func sortedRows(rows []data.Row, order []int) []data.Row {
+// positions, strings by their text in strs. A pair that fails to compare
+// stays unordered; the value comparison after sorting reports the
+// mismatch.
+func sortedRows(rows []data.Row, order []int, strs *data.Strings) []data.Row {
 	out := slices.Clone(rows)
 	slices.SortFunc(out, func(x, y data.Row) int {
 		for _, j := range order {
 			if j >= len(x) || j >= len(y) {
 				return len(x) - len(y)
 			}
-			if c, _ := data.Compare(x[j], y[j]); c != 0 {
+			if c, _ := data.Compare(strs, x[j], y[j]); c != 0 {
 				return c
 			}
 		}
@@ -197,13 +210,13 @@ func sortedRows(rows []data.Row, order []int) []data.Row {
 	return out
 }
 
-func rowKey(row data.Row) string {
+func rowKey(row data.Row, strs *data.Strings) string {
 	var sb strings.Builder
 	for j, v := range row {
 		if j > 0 {
 			sb.WriteByte(0x1f)
 		}
-		sb.WriteString(digestValue(v))
+		sb.WriteString(digestValue(v, strs))
 	}
 	return sb.String()
 }
@@ -230,7 +243,7 @@ func valuesClose(a, b data.Value, relTol float64) bool {
 	if a.IsNull() || b.IsNull() {
 		return a.IsNull() == b.IsNull()
 	}
-	c, err := data.Compare(a, b)
+	c, err := data.Compare(nil, a, b)
 	return err == nil && c == 0
 }
 
@@ -252,7 +265,7 @@ func (r *Result) String() string {
 	for ri, row := range r.Rows {
 		cells := make([]string, len(row))
 		for ci, v := range row {
-			cells[ci] = v.String()
+			cells[ci] = r.Strings.Format(v)
 			if ci < len(widths) && len(cells[ci]) > widths[ci] {
 				widths[ci] = len(cells[ci])
 			}
@@ -301,7 +314,7 @@ func (r *Result) CheckOrdered(keyPos []int, desc []bool) error {
 			if p < 0 || p >= len(prev) || p >= len(cur) {
 				return fmt.Errorf("exec: sort key position %d out of range", p)
 			}
-			c, err := data.Compare(prev[p], cur[p])
+			c, err := data.Compare(r.Strings, prev[p], cur[p])
 			if err != nil {
 				return fmt.Errorf("exec: comparing sort keys in row %d: %w", i, err)
 			}

@@ -67,7 +67,7 @@ func buildDB(t *testing.T) *storage.DB {
 		{1, "alpha", "EU"}, {2, "beta", "US"}, {3, "gamma", "EU"}, {4, "delta", "APAC"},
 	}
 	for _, c := range customers {
-		if err := cust.Insert(data.Row{data.NewInt(c.id), data.NewString(c.name), data.NewString(c.region)}); err != nil {
+		if err := cust.Insert(data.NewInt(c.id), c.name, c.region); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -86,13 +86,13 @@ func buildDB(t *testing.T) *storage.DB {
 		{105, 9, data.NewFloat(3.0), d("1994-02-02")}, // dangling customer
 	}
 	for _, r := range ordersRows {
-		if err := ord.Insert(data.Row{data.NewInt(r.id), data.NewInt(r.cid), r.amt, r.date}); err != nil {
+		if err := ord.Insert(data.NewInt(r.id), data.NewInt(r.cid), r.amt, r.date); err != nil {
 			t.Fatal(err)
 		}
 	}
 	items := [][2]int64{{100, 2}, {100, 3}, {101, 1}, {102, 5}, {103, 4}, {104, 1}}
 	for _, it := range items {
-		if err := item.Insert(data.Row{data.NewInt(it[0]), data.NewInt(it[1])}); err != nil {
+		if err := item.Insert(data.NewInt(it[0]), data.NewInt(it[1])); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -116,7 +116,7 @@ func rowStrings(res *exec.Result) []string {
 	for i, r := range res.Rows {
 		parts := make([]string, len(r))
 		for j, v := range r {
-			parts[j] = v.String()
+			parts[j] = res.Strings.Format(v)
 		}
 		out[i] = strings.Join(parts, "|")
 	}
@@ -317,10 +317,11 @@ func TestEquivalentTolerance(t *testing.T) {
 	// 1.0000049999999 and 1.0000050000001 differ by 2e-13 relative but
 	// round to different 6-digit strings; the rows must still pair up
 	// by their exact columns.
+	strs := data.NewStrings()
 	boundary := func(x float64) *exec.Result {
-		return &exec.Result{Columns: []string{"x", "s"}, Rows: []data.Row{
-			{data.NewFloat(x), data.NewString("a")},
-			{data.NewFloat(1.000001), data.NewString("b")},
+		return &exec.Result{Columns: []string{"x", "s"}, Strings: strs, Rows: []data.Row{
+			{data.NewFloat(x), strs.Intern("a")},
+			{data.NewFloat(1.000001), strs.Intern("b")},
 		}}
 	}
 	if !boundary(1.0000049999999).Equivalent(boundary(1.0000050000001), 1e-9) {

@@ -45,8 +45,10 @@ type evalFunc func(data.Row) (data.Value, error)
 
 // compile resolves every column reference in expr to a position in the
 // input schema and returns an evaluator. Compilation happens once per
-// plan, so evaluation performs no name or ID lookups.
-func compile(expr algebra.Scalar, in schema) (evalFunc, error) {
+// plan, so evaluation performs no name or ID lookups. String constants
+// get their codes in strs, which also resolves text for ordering and
+// LIKE.
+func compile(strs *data.Strings, expr algebra.Scalar, in schema) (evalFunc, error) {
 	switch e := expr.(type) {
 	case *algebra.ColRefExpr:
 		p := in.pos(e.Col.ID)
@@ -57,21 +59,24 @@ func compile(expr algebra.Scalar, in schema) (evalFunc, error) {
 
 	case *algebra.ConstExpr:
 		v := e.Val
+		if v.K == data.KindString {
+			v = strs.Intern(e.Text)
+		}
 		return func(data.Row) (data.Value, error) { return v, nil }, nil
 
 	case *algebra.BinaryExpr:
-		l, err := compile(e.L, in)
+		l, err := compile(strs, e.L, in)
 		if err != nil {
 			return nil, err
 		}
-		r, err := compile(e.R, in)
+		r, err := compile(strs, e.R, in)
 		if err != nil {
 			return nil, err
 		}
-		return compileBinary(e.Op, l, r, e.Kind())
+		return compileBinary(strs, e.Op, l, r, e.Kind())
 
 	case *algebra.NotExpr:
-		x, err := compile(e.X, in)
+		x, err := compile(strs, e.X, in)
 		if err != nil {
 			return nil, err
 		}
@@ -84,7 +89,7 @@ func compile(expr algebra.Scalar, in schema) (evalFunc, error) {
 		}, nil
 
 	case *algebra.NegExpr:
-		x, err := compile(e.X, in)
+		x, err := compile(strs, e.X, in)
 		if err != nil {
 			return nil, err
 		}
@@ -94,13 +99,13 @@ func compile(expr algebra.Scalar, in schema) (evalFunc, error) {
 				return v, err
 			}
 			if v.K == data.KindInt {
-				return data.NewInt(-v.I), nil
+				return data.NewInt(-v.Int()), nil
 			}
 			return data.NewFloat(-v.Float()), nil
 		}, nil
 
 	case *algebra.LikeExpr:
-		x, err := compile(e.X, in)
+		x, err := compile(strs, e.X, in)
 		if err != nil {
 			return nil, err
 		}
@@ -110,7 +115,7 @@ func compile(expr algebra.Scalar, in schema) (evalFunc, error) {
 			if err != nil || v.IsNull() {
 				return v, err
 			}
-			m := algebra.MatchLike(v.Str(), pattern)
+			m := algebra.MatchLike(textOf(strs, v), pattern)
 			if negate {
 				m = !m
 			}
@@ -121,11 +126,11 @@ func compile(expr algebra.Scalar, in schema) (evalFunc, error) {
 		type arm struct{ cond, then evalFunc }
 		arms := make([]arm, len(e.Whens))
 		for i, w := range e.Whens {
-			c, err := compile(w.Cond, in)
+			c, err := compile(strs, w.Cond, in)
 			if err != nil {
 				return nil, err
 			}
-			t, err := compile(w.Then, in)
+			t, err := compile(strs, w.Then, in)
 			if err != nil {
 				return nil, err
 			}
@@ -133,7 +138,7 @@ func compile(expr algebra.Scalar, in schema) (evalFunc, error) {
 		}
 		var elseFn evalFunc
 		if e.Else != nil {
-			f, err := compile(e.Else, in)
+			f, err := compile(strs, e.Else, in)
 			if err != nil {
 				return nil, err
 			}
@@ -159,7 +164,7 @@ func compile(expr algebra.Scalar, in schema) (evalFunc, error) {
 		}, nil
 
 	case *algebra.YearExpr:
-		x, err := compile(e.X, in)
+		x, err := compile(strs, e.X, in)
 		if err != nil {
 			return nil, err
 		}
@@ -178,12 +183,21 @@ func compile(expr algebra.Scalar, in schema) (evalFunc, error) {
 
 func promote(v data.Value, wantFloat bool) data.Value {
 	if wantFloat && v.K == data.KindInt {
-		return data.NewFloat(float64(v.I))
+		return data.NewFloat(float64(v.Int()))
 	}
 	return v
 }
 
-func compileBinary(op algebra.BinOp, l, r evalFunc, kind data.Kind) (evalFunc, error) {
+// textOf is the text LIKE matches: a string's text, and "" for any other
+// kind.
+func textOf(strs *data.Strings, v data.Value) string {
+	if v.K != data.KindString {
+		return ""
+	}
+	return strs.Text(v)
+}
+
+func compileBinary(strs *data.Strings, op algebra.BinOp, l, r evalFunc, kind data.Kind) (evalFunc, error) {
 	switch op {
 	case algebra.OpAnd:
 		// Kleene three-valued AND with short circuit on FALSE.
@@ -242,7 +256,7 @@ func compileBinary(op algebra.BinOp, l, r evalFunc, kind data.Kind) (evalFunc, e
 			if lv.IsNull() || rv.IsNull() {
 				return data.Null(), nil // SQL: comparison with NULL is unknown
 			}
-			c, err := data.Compare(lv, rv)
+			c, err := data.Compare(strs, lv, rv)
 			if err != nil {
 				return data.Value{}, err
 			}
@@ -281,11 +295,11 @@ func compileBinary(op algebra.BinOp, l, r evalFunc, kind data.Kind) (evalFunc, e
 		if intOp && lv.K == data.KindInt && rv.K == data.KindInt {
 			switch op {
 			case algebra.OpAdd:
-				return data.NewInt(lv.I + rv.I), nil
+				return data.NewInt(lv.Int() + rv.Int()), nil
 			case algebra.OpSub:
-				return data.NewInt(lv.I - rv.I), nil
+				return data.NewInt(lv.Int() - rv.Int()), nil
 			case algebra.OpMul:
-				return data.NewInt(lv.I * rv.I), nil
+				return data.NewInt(lv.Int() * rv.Int()), nil
 			}
 		}
 		a, b := lv.Float(), rv.Float()

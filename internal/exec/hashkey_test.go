@@ -20,7 +20,7 @@ import (
 type keyTable struct {
 	name string
 	cols []catalog.Column
-	rows []data.Row
+	rows [][]any // cells as Table.Insert takes them
 }
 
 func keyDB(t *testing.T, tables ...keyTable) *storage.DB {
@@ -41,7 +41,7 @@ func keyDB(t *testing.T, tables ...keyTable) *storage.DB {
 			t.Fatal(err)
 		}
 		for _, r := range kt.rows {
-			if err := tb.Insert(r); err != nil {
+			if err := tb.Insert(r...); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -98,7 +98,7 @@ func TestHashAggKeepsLargeIntKeysApart(t *testing.T) {
 	db := keyDB(t, keyTable{
 		name: "big",
 		cols: []catalog.Column{{Name: "k", Kind: data.KindInt}, {Name: "v", Kind: data.KindInt}},
-		rows: []data.Row{
+		rows: [][]any{
 			{data.NewInt(k), data.NewInt(1)},
 			{data.NewInt(k + 1), data.NewInt(2)},
 			{data.NewInt(k), data.NewInt(10)},
@@ -122,7 +122,7 @@ func TestHashJoinMatchesNegativeZero(t *testing.T) {
 			{Name: name + "x", Kind: data.KindFloat}, {Name: name + "id", Kind: data.KindInt},
 		}}
 		for i, x := range xs {
-			kt.rows = append(kt.rows, data.Row{data.NewFloat(x), data.NewInt(int64(i))})
+			kt.rows = append(kt.rows, []any{x, i})
 		}
 		return kt
 	}
@@ -147,11 +147,11 @@ func TestHashJoinMatchesNegativeZero(t *testing.T) {
 func TestHashJoinIntFloatKeys(t *testing.T) {
 	const k = int64(1) << 53
 	db := keyDB(t,
-		keyTable{name: "i", cols: []catalog.Column{{Name: "ik", Kind: data.KindInt}}, rows: []data.Row{
-			{data.NewInt(k + 1)}, {data.NewInt(3)}, {data.NewInt(0)},
+		keyTable{name: "i", cols: []catalog.Column{{Name: "ik", Kind: data.KindInt}}, rows: [][]any{
+			{k + 1}, {int64(3)}, {int64(0)},
 		}},
-		keyTable{name: "f", cols: []catalog.Column{{Name: "fk", Kind: data.KindFloat}}, rows: []data.Row{
-			{data.NewFloat(float64(k))}, {data.NewFloat(3)}, {data.NewFloat(3.5)}, {data.NewFloat(math.Copysign(0, -1))},
+		keyTable{name: "f", cols: []catalog.Column{{Name: "fk", Kind: data.KindFloat}}, rows: [][]any{
+			{float64(k)}, {3.0}, {3.5}, {math.Copysign(0, -1)},
 		}},
 	)
 	used := allPlansReturn(t, db, "SELECT ik, fk FROM i, f WHERE ik = fk", []string{

@@ -38,72 +38,86 @@ type Iterator interface {
 // iterator in the tree shares gov, which charges each intermediate row
 // against the caller's budgets and audits Open/Close transitions.
 func Build(p *plan.Node, db *storage.DB, q *algebra.Query, gov *Governor) (Iterator, error) {
-	if gov == nil {
-		gov = NewGovernor(context.Background(), Options{})
-	}
-	it, _, err := build(p, db, q, gov)
+	it, _, err := newBuilder(db, q, gov).build(p)
 	return it, err
 }
 
-func build(n *plan.Node, db *storage.DB, q *algebra.Query, gov *Governor) (Iterator, schema, error) {
+// builder compiles one plan. Its iterators share the Governor and one
+// string table, strs: an overlay of the DB's table, so that string
+// constants the plan materializes get codes without growing the DB's.
+type builder struct {
+	db   *storage.DB
+	q    *algebra.Query
+	gov  *Governor
+	strs *data.Strings
+}
+
+func newBuilder(db *storage.DB, q *algebra.Query, gov *Governor) *builder {
+	if gov == nil {
+		gov = NewGovernor(context.Background(), Options{})
+	}
+	return &builder{db: db, q: q, gov: gov, strs: db.Strings().Overlay()}
+}
+
+func (b *builder) build(n *plan.Node) (Iterator, schema, error) {
 	e := n.Expr
-	it, sch, err := buildOp(n, db, q, gov)
+	it, sch, err := b.buildOp(n)
 	if err != nil {
 		return nil, nil, err
 	}
-	if b, ok := it.(binder); ok {
-		b.bind(gov, e)
+	if bi, ok := it.(binder); ok {
+		bi.bind(b.gov, e)
 	} else {
 		return nil, nil, fmt.Errorf("exec: iterator for %s does not embed opNode", e.Name())
 	}
 	return it, sch, nil
 }
 
-func buildOp(n *plan.Node, db *storage.DB, q *algebra.Query, gov *Governor) (Iterator, schema, error) {
+func (b *builder) buildOp(n *plan.Node) (Iterator, schema, error) {
 	e := n.Expr
 	switch e.Op {
 	case memo.TableScan, memo.IndexScan:
-		return buildScan(e, db)
+		return b.buildScan(e)
 
 	case memo.HashJoin, memo.MergeJoin, memo.NestedLoopJoin:
-		left, ls, err := build(n.Children[0], db, q, gov)
+		left, ls, err := b.build(n.Children[0])
 		if err != nil {
 			return nil, nil, err
 		}
-		right, rs, err := build(n.Children[1], db, q, gov)
+		right, rs, err := b.build(n.Children[1])
 		if err != nil {
 			return nil, nil, err
 		}
-		return buildJoin(e, left, ls, right, rs)
+		return b.buildJoin(e, left, ls, right, rs)
 
 	case memo.IndexNLJoin:
-		outer, os, err := build(n.Children[0], db, q, gov)
+		outer, os, err := b.build(n.Children[0])
 		if err != nil {
 			return nil, nil, err
 		}
-		return buildLookupJoin(e, db, outer, os)
+		return b.buildLookupJoin(e, outer, os)
 
 	case memo.HashAgg, memo.StreamAgg:
-		child, cs, err := build(n.Children[0], db, q, gov)
+		child, cs, err := b.build(n.Children[0])
 		if err != nil {
 			return nil, nil, err
 		}
-		return buildAgg(e, q, child, cs)
+		return b.buildAgg(e, child, cs)
 
 	case memo.Sort:
-		child, cs, err := build(n.Children[0], db, q, gov)
+		child, cs, err := b.build(n.Children[0])
 		if err != nil {
 			return nil, nil, err
 		}
-		it, err := newSortIter(child, cs, e.SortOrder)
+		it, err := newSortIter(child, cs, e.SortOrder, b.strs)
 		return it, cs, err
 
 	case memo.Result:
-		child, cs, err := build(n.Children[0], db, q, gov)
+		child, cs, err := b.build(n.Children[0])
 		if err != nil {
 			return nil, nil, err
 		}
-		return buildResult(e, q, child, cs)
+		return b.buildResult(e, child, cs)
 
 	default:
 		return nil, nil, fmt.Errorf("exec: cannot execute operator %s (%s)", e.Op, e.Name())

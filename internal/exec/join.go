@@ -13,9 +13,9 @@ import (
 // the kernels compileConjunction chose for it, so hash buckets and merge
 // blocks act purely as accelerators — semantics are identical across
 // implementations, which is exactly what multi-plan verification checks.
-func buildJoin(e *memo.Expr, left Iterator, ls schema, right Iterator, rs schema) (Iterator, schema, error) {
+func (b *builder) buildJoin(e *memo.Expr, left Iterator, ls schema, right Iterator, rs schema) (Iterator, schema, error) {
 	out := ls.concat(rs)
-	pred, err := compileJoinPreds(e.Join, out)
+	pred, err := compileJoinPreds(b.strs, e.Join, out)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -39,11 +39,15 @@ func buildJoin(e *memo.Expr, left Iterator, ls schema, right Iterator, rs schema
 		}
 		keys := make([]data.Value, len(lKeys))
 		if e.Op == memo.HashJoin {
+			// Join keys are base columns, whose stored values all have
+			// the declared kind (Table.Insert checks), so one kind on
+			// both sides keeps wordKey a superset of equality.
+			word := len(lKeys) == 1 && wordKeyed(lKeys[0].Kind, rKeys[0].Kind)
 			return &hashJoinIter{left: left, right: right, lPos: lPos, rPos: rPos, pred: pred,
-				keys: keys, enc: newJoinKeyEncoder(lKeys, rKeys), out: newJoinRow(ls, rs)}, out, nil
+				keys: keys, word: word, enc: newJoinKeyEncoder(lKeys, rKeys), out: newJoinRow(ls, rs)}, out, nil
 		}
 		return &mergeJoinIter{left: left, right: right, lPos: lPos, rPos: rPos, pred: pred,
-			lkey: keys, out: newJoinRow(ls, rs)}, out, nil
+			lkey: keys, strs: b.strs, out: newJoinRow(ls, rs)}, out, nil
 	default:
 		return nil, nil, fmt.Errorf("exec: %s is not a join", e.Op)
 	}
@@ -141,35 +145,39 @@ func extractKey(keys []data.Value, r data.Row, pos []int) (null bool) {
 
 // hashTable is a hash join's build side: rows chained per key in
 // insertion order, so probes emit matches in the order the build input
-// produced them.
+// produced them. A single-column key of one kind is chained by its
+// 8-byte wordKey in words, any other key by its encoding in chains.
 type hashTable struct {
-	chains     map[string]int32 // key -> chain
+	words      map[uint64]int32 // wordKey -> chain
+	chains     map[string]int32 // encoded key -> chain
 	head, tail []int32          // per chain: first and last row
 	rows       []data.Row
 	next       []int32 // per row: the next row of its chain, or -1
 	store      rowStore
 }
 
-func (h *hashTable) insert(key []byte, r data.Row) {
+// add appends r to chain c, or to a new chain when found is false, and
+// returns the chain.
+func (h *hashTable) add(c int32, found bool, r data.Row) int32 {
 	ri := int32(len(h.rows))
 	h.rows = append(h.rows, h.store.keep(r))
 	h.next = append(h.next, -1)
-	if c, ok := h.chains[string(key)]; ok {
+	if found {
 		h.next[h.tail[c]] = ri
 		h.tail[c] = ri
-		return
+		return c
 	}
-	h.chains[string(key)] = int32(len(h.head))
 	h.head = append(h.head, ri)
 	h.tail = append(h.tail, ri)
+	return int32(len(h.head) - 1)
 }
 
-// first returns the first row of key's chain, or -1.
-func (h *hashTable) first(key []byte) int32 {
-	if c, ok := h.chains[string(key)]; ok {
-		return h.head[c]
+// headOf returns the first row of chain c, or -1 when found is false.
+func (h *hashTable) headOf(c int32, found bool) int32 {
+	if !found {
+		return -1
 	}
-	return -1
+	return h.head[c]
 }
 
 // hashJoinIter builds a hash table on the left child (as the cost model
@@ -182,6 +190,7 @@ type hashJoinIter struct {
 	lPos, rPos  []int
 	pred        conjunction
 	keys        []data.Value
+	word        bool // single-column key of one kind: hash by wordKey
 	enc         keyEncoder
 	out         joinRow
 
@@ -198,7 +207,12 @@ func (j *hashJoinIter) Open(ctx context.Context) error {
 		if err := j.left.Open(ctx); err != nil {
 			return err
 		}
-		h := &hashTable{chains: make(map[string]int32), store: newRowStore(j.left)}
+		h := &hashTable{store: newRowStore(j.left)}
+		if j.word {
+			h.words = make(map[uint64]int32)
+		} else {
+			h.chains = make(map[string]int32)
+		}
 		for {
 			lr, ok, err := j.left.Next()
 			if err != nil {
@@ -207,10 +221,26 @@ func (j *hashJoinIter) Open(ctx context.Context) error {
 			if !ok {
 				break
 			}
-			if extractKey(j.keys, lr, j.lPos) {
-				continue // NULL keys never join
+			if j.word {
+				v := lr[j.lPos[0]]
+				if v.IsNull() {
+					continue // NULL keys never join
+				}
+				k := wordKey(v)
+				c, found := h.words[k]
+				if c = h.add(c, found, lr); !found {
+					h.words[k] = c
+				}
+				continue
 			}
-			h.insert(j.enc.encode(j.keys), lr)
+			if extractKey(j.keys, lr, j.lPos) {
+				continue
+			}
+			k := j.enc.encode(j.keys)
+			c, found := h.chains[string(k)]
+			if c = h.add(c, found, lr); !found {
+				h.chains[string(k)] = c
+			}
 		}
 		if err := j.left.Close(); err != nil {
 			return err
@@ -218,6 +248,23 @@ func (j *hashJoinIter) Open(ctx context.Context) error {
 		j.table = h
 	}
 	return j.right.Open(ctx)
+}
+
+// probe returns the first build row whose key matches rr's, or -1.
+func (j *hashJoinIter) probe(rr data.Row) int32 {
+	if j.word {
+		v := rr[j.rPos[0]]
+		if v.IsNull() {
+			return -1
+		}
+		c, found := j.table.words[wordKey(v)]
+		return j.table.headOf(c, found)
+	}
+	if extractKey(j.keys, rr, j.rPos) {
+		return -1
+	}
+	c, found := j.table.chains[string(j.enc.encode(j.keys))]
+	return j.table.headOf(c, found)
 }
 
 func (j *hashJoinIter) Next() (data.Row, bool, error) {
@@ -246,10 +293,7 @@ func (j *hashJoinIter) Next() (data.Row, bool, error) {
 		if err != nil || !ok {
 			return nil, false, err
 		}
-		if extractKey(j.keys, rr, j.rPos) {
-			continue
-		}
-		if j.cand = j.table.first(j.enc.encode(j.keys)); j.cand >= 0 {
+		if j.cand = j.probe(rr); j.cand >= 0 {
 			j.out.setRight(rr)
 		}
 	}
@@ -273,6 +317,7 @@ type mergeJoinIter struct {
 	lPos, rPos  []int
 	pred        conjunction
 	lkey        []data.Value
+	strs        *data.Strings // orders string keys by text
 	out         joinRow
 
 	rightRows []data.Row
@@ -316,7 +361,7 @@ func (j *mergeJoinIter) Open(ctx context.Context) error {
 func (j *mergeJoinIter) rightKeyCmp(idx int, lkey []data.Value) (int, error) {
 	rr := j.rightRows[idx]
 	for i, p := range j.rPos {
-		c, err := data.Compare(rr[p], lkey[i])
+		c, err := data.Compare(j.strs, rr[p], lkey[i])
 		if err != nil {
 			return 0, err
 		}

@@ -8,17 +8,19 @@ import (
 	"repro/internal/data"
 )
 
-// keyEncoder renders key tuples for hash joins and hash aggregation as
-// fixed-width binary into one reused buffer: a kind tag, then 8 bytes
-// for a number or a 4-byte length and the bytes of a string. Looking a
-// key up with m[string(buf)] allocates nothing; only inserting a new
-// key does.
+// keyEncoder renders multi-column key tuples, and single-column keys
+// that mix an int and a float side, for hash joins and hash aggregation
+// as fixed-width binary into one reused buffer: a kind tag, then 8 bytes
+// for a number or a string code. Looking a key up with m[string(buf)]
+// allocates nothing; only inserting a new key does. Every other
+// single-column key is its 8-byte payload (wordKey).
 //
 // Buckets must be a superset of data.Compare equality, which the join
 // predicate re-checks on every candidate pair:
 //   - integers (and dates and booleans) encode exactly, so distinct
 //     int64 keys above 2^53 never share a bucket;
 //   - floats encode their bits, with -0 normalized to 0;
+//   - strings encode their code: equal texts share one code;
 //   - a key position that equates an integer column with a float column
 //     encodes both sides through float64, because data.Compare compares
 //     such a pair as float64 values.
@@ -60,15 +62,14 @@ func (e *keyEncoder) encode(vals []data.Value) []byte {
 			b = append(b, tagNull)
 		case data.KindString:
 			b = append(b, tagString)
-			b = binary.LittleEndian.AppendUint32(b, uint32(len(v.S)))
-			b = append(b, v.S...)
+			b = binary.LittleEndian.AppendUint64(b, v.Code())
 		case data.KindFloat:
-			b = appendFloatKey(b, v.F)
+			b = appendFloatKey(b, v.Float())
 		default: // KindInt, KindDate, KindBool
 			if e.viaFloat != nil && e.viaFloat[i] {
-				b = appendFloatKey(b, float64(v.I))
+				b = appendFloatKey(b, float64(v.Int()))
 			} else {
-				b = appendIntKey(b, v.I)
+				b = appendIntKey(b, v.Int())
 			}
 		}
 	}
@@ -88,3 +89,19 @@ func appendFloatKey(b []byte, f float64) []byte {
 	b = append(b, tagFloat)
 	return binary.LittleEndian.AppendUint64(b, math.Float64bits(f))
 }
+
+// wordKey is the hash key of a non-NULL value of a single-column key
+// whose positions all hold one kind: its payload, with -0 folded into 0.
+// Payloads are equal exactly when data.Compare says the values are
+// (ints, dates and booleans exactly, strings by code), save NaN, which
+// the byte encoder keys by its bits too.
+func wordKey(v data.Value) uint64 {
+	if v.K == data.KindFloat && v.Float() == 0 {
+		return 0
+	}
+	return v.Bits()
+}
+
+// wordKeyed reports whether a single key position whose sides are
+// declared l and r takes the 8-byte path: one kind on both sides.
+func wordKeyed(l, r data.Kind) bool { return l == r && l != data.KindNull }

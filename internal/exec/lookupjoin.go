@@ -25,18 +25,19 @@ type lookupJoinIter struct {
 	innerFilter conjunction
 	pred        conjunction
 	keys        []data.Value
+	strs        *data.Strings // orders string keys by text, as the index is
 	out         joinRow
 
 	hasOuter bool
 	lo, hi   int
 }
 
-func buildLookupJoin(e *memo.Expr, db *storage.DB, outer Iterator, os schema) (Iterator, schema, error) {
+func (b *builder) buildLookupJoin(e *memo.Expr, outer Iterator, os schema) (Iterator, schema, error) {
 	lk := e.Lookup
 	if lk == nil {
 		return nil, nil, fmt.Errorf("exec: %s has no lookup payload", e.Name())
 	}
-	table, err := db.Table(lk.Rel.Table.Name)
+	table, err := b.db.Table(lk.Rel.Table.Name)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -52,7 +53,7 @@ func buildLookupJoin(e *memo.Expr, db *storage.DB, outer Iterator, os schema) (I
 	out := os.concat(innerSchema)
 
 	it := &lookupJoinIter{outer: outer, table: table, perm: perm,
-		keys: make([]data.Value, len(lk.OuterKeys)), out: newJoinRow(os, innerSchema)}
+		keys: make([]data.Value, len(lk.OuterKeys)), strs: b.strs, out: newJoinRow(os, innerSchema)}
 	for i, oc := range lk.OuterKeys {
 		p := os.pos(oc.ID)
 		if p < 0 {
@@ -62,10 +63,10 @@ func buildLookupJoin(e *memo.Expr, db *storage.DB, outer Iterator, os schema) (I
 		it.keyCols = append(it.keyCols, lk.InnerKeys[i].ColIdx)
 	}
 
-	if it.innerFilter, err = compileConjunction(lk.Rel.Filters, innerSchema); err != nil {
+	if it.innerFilter, err = compileConjunction(b.strs, lk.Rel.Filters, innerSchema); err != nil {
 		return nil, nil, err
 	}
-	if it.pred, err = compileJoinPreds(e.Join, out); err != nil {
+	if it.pred, err = compileJoinPreds(b.strs, e.Join, out); err != nil {
 		return nil, nil, err
 	}
 	return it, out, nil
@@ -115,7 +116,7 @@ func (j *lookupJoinIter) search(keys []data.Value, atLeast int) (int, error) {
 func (j *lookupJoinIter) cmpAt(i int, keys []data.Value) (int, error) {
 	row := j.table.Rows[j.perm[i]]
 	for k, kc := range j.keyCols {
-		c, err := data.Compare(row[kc], keys[k])
+		c, err := data.Compare(j.strs, row[kc], keys[k])
 		if err != nil || c != 0 {
 			return c, err
 		}

@@ -54,16 +54,17 @@ func (c conjunction) keep(r data.Row) (bool, error) {
 // compileConjunction is the one predicate compiler of scans, joins and
 // lookups. It flattens preds into conjuncts and compiles each to a typed
 // kernel where its shape has one, or else to the general compile closure.
-// Kernels are chosen here, once per plan.
-func compileConjunction(preds []algebra.Scalar, in schema) (conjunction, error) {
+// Kernels are chosen here, once per plan; strs is the plan's string
+// table.
+func compileConjunction(strs *data.Strings, preds []algebra.Scalar, in schema) (conjunction, error) {
 	c := make(conjunction, 0, len(preds))
 	for _, p := range preds {
 		for _, x := range algebra.SplitConjuncts(p) {
-			if k := compileKernel(x, in); k != nil {
+			if k := compileKernel(strs, x, in); k != nil {
 				c = append(c, k)
 				continue
 			}
-			f, err := compile(x, in)
+			f, err := compile(strs, x, in)
 			if err != nil {
 				return nil, err
 			}
@@ -82,7 +83,7 @@ func compileConjunction(preds []algebra.Scalar, in schema) (conjunction, error) 
 // compileKernel returns a typed kernel for x, or nil when x has no
 // kernel shape: `col op const`, `const op col` or `col op col` over
 // int, date, float, string or mixed int/float, and `col [NOT] LIKE`.
-func compileKernel(x algebra.Scalar, in schema) kernel {
+func compileKernel(strs *data.Strings, x algebra.Scalar, in schema) kernel {
 	switch e := x.(type) {
 	case *algebra.BinaryExpr:
 		if !e.Op.Comparison() {
@@ -94,16 +95,16 @@ func compileKernel(x algebra.Scalar, in schema) kernel {
 		rv, rConst := e.R.(*algebra.ConstExpr)
 		switch {
 		case lCol && rConst:
-			return colConstKernel(e.Op, lc, rv.Val, in)
+			return colConstKernel(strs, e.Op, lc, rv, in)
 		case lConst && rCol:
-			return colConstKernel(flip(e.Op), rc, lv.Val, in)
+			return colConstKernel(strs, flip(e.Op), rc, lv, in)
 		case lCol && rCol:
-			return colColKernel(e.Op, lc, rc, in)
+			return colColKernel(strs, e.Op, lc, rc, in)
 		}
 	case *algebra.LikeExpr:
 		if c, ok := e.X.(*algebra.ColRefExpr); ok && c.Col.Kind == data.KindString {
 			if p := in.pos(c.Col.ID); p >= 0 {
-				return likeKernel(p, e.Pattern, e.Negate)
+				return likeKernel(strs, p, e.Pattern, e.Negate)
 			}
 		}
 	}
@@ -111,7 +112,8 @@ func compileKernel(x algebra.Scalar, in schema) kernel {
 }
 
 // cmpClass is how a kernel compares two declared kinds, mirroring
-// data.Compare: on the integer payload, as float64, or as strings.
+// data.Compare: on the integer payload, as float64, or as strings (by
+// code for = and <>, by text otherwise).
 type cmpClass uint8
 
 const (
@@ -184,8 +186,8 @@ func threeWay[T int64 | float64](a, b T) int {
 }
 
 // eqOutcome is the three-way outcome of an equality test. For = and <>
-// only equal versus unequal matters, and == rejects strings of
-// different lengths without reading their bytes.
+// only equal versus unequal matters, and strings are equal exactly when
+// their codes are.
 func eqOutcome(eq bool) int {
 	if eq {
 		return 0
@@ -196,63 +198,75 @@ func eqOutcome(eq bool) int {
 // compareValues is the general comparison of one row's operands, for a
 // value whose kind is not the declared one: NULL is UNKNOWN, and any
 // other kind goes through data.Compare as the general closure does.
-func compareValues(a, b data.Value, o outcomes) (truth, error) {
+func compareValues(strs *data.Strings, a, b data.Value, o outcomes) (truth, error) {
 	if a.IsNull() || b.IsNull() {
 		return truthUnknown, nil
 	}
-	c, err := data.Compare(a, b)
+	c, err := data.Compare(strs, a, b)
 	if err != nil {
 		return truthFalse, err
 	}
 	return o.test(c), nil
 }
 
-// colConstKernel compiles `col op cv`. The constant is converted to the
+// colConstKernel compiles `col op cst`. The constant is converted to the
 // comparison's representation here; each row checks its value's kind
-// once against the column's declared kind.
-func colConstKernel(op algebra.BinOp, col *algebra.ColRefExpr, cv data.Value, in schema) kernel {
+// once against the column's declared kind. A string constant is looked
+// up, not interned: one absent from strs equals no value, so = keeps no
+// non-NULL row and <> keeps every one.
+func colConstKernel(strs *data.Strings, op algebra.BinOp, col *algebra.ColRefExpr, cst *algebra.ConstExpr, in schema) kernel {
 	p, k := in.pos(col.Col.ID), col.Col.Kind
 	if p < 0 {
 		return nil
 	}
-	o := outcomesOf(op)
+	cv, o := cst.Val, outcomesOf(op)
 	switch classOf(k, cv.K) {
 	case cmpInt:
-		c := cv.I
+		c := cv.Int()
 		return func(r data.Row) (truth, error) {
 			v := &r[p]
 			if v.K != k {
-				return compareValues(*v, cv, o)
+				return compareValues(strs, *v, cv, o)
 			}
-			return o.test(threeWay(v.I, c)), nil
+			return o.test(threeWay(v.Int(), c)), nil
 		}
 	case cmpFloat:
 		c := cv.Float()
 		return func(r data.Row) (truth, error) {
 			v := &r[p]
 			if v.K != k {
-				return compareValues(*v, cv, o)
+				return compareValues(strs, *v, cv, o)
 			}
 			return o.test(threeWay(v.Float(), c)), nil
 		}
 	case cmpString:
-		c, eqOnly := cv.S, op == algebra.OpEq || op == algebra.OpNe
+		text := cst.Text
+		if op == algebra.OpEq || op == algebra.OpNe {
+			c, present := strs.Lookup(text)
+			if !present {
+				c = cv // a string whose code no value may match
+			}
+			return func(r data.Row) (truth, error) {
+				v := &r[p]
+				if v.K != k {
+					return compareValues(strs, *v, c, o)
+				}
+				return o.test(eqOutcome(present && v.Code() == c.Code())), nil
+			}
+		}
 		return func(r data.Row) (truth, error) {
 			v := &r[p]
 			if v.K != k {
-				return compareValues(*v, cv, o)
+				return compareValues(strs, *v, cv, o)
 			}
-			if eqOnly {
-				return o.test(eqOutcome(v.S == c)), nil
-			}
-			return o.test(strings.Compare(v.S, c)), nil
+			return o.test(strings.Compare(strs.Text(*v), text)), nil
 		}
 	}
 	return nil
 }
 
 // colColKernel compiles `a op b` over two columns of the row.
-func colColKernel(op algebra.BinOp, a, b *algebra.ColRefExpr, in schema) kernel {
+func colColKernel(strs *data.Strings, op algebra.BinOp, a, b *algebra.ColRefExpr, in schema) kernel {
 	p, q := in.pos(a.Col.ID), in.pos(b.Col.ID)
 	if p < 0 || q < 0 {
 		return nil
@@ -264,15 +278,15 @@ func colColKernel(op algebra.BinOp, a, b *algebra.ColRefExpr, in schema) kernel 
 		return func(r data.Row) (truth, error) {
 			x, y := &r[p], &r[q]
 			if x.K != ak || y.K != bk {
-				return compareValues(*x, *y, o)
+				return compareValues(strs, *x, *y, o)
 			}
-			return o.test(threeWay(x.I, y.I)), nil
+			return o.test(threeWay(x.Int(), y.Int())), nil
 		}
 	case cmpFloat:
 		return func(r data.Row) (truth, error) {
 			x, y := &r[p], &r[q]
 			if x.K != ak || y.K != bk {
-				return compareValues(*x, *y, o)
+				return compareValues(strs, *x, *y, o)
 			}
 			return o.test(threeWay(x.Float(), y.Float())), nil
 		}
@@ -281,12 +295,12 @@ func colColKernel(op algebra.BinOp, a, b *algebra.ColRefExpr, in schema) kernel 
 		return func(r data.Row) (truth, error) {
 			x, y := &r[p], &r[q]
 			if x.K != ak || y.K != bk {
-				return compareValues(*x, *y, o)
+				return compareValues(strs, *x, *y, o)
 			}
 			if eqOnly {
-				return o.test(eqOutcome(x.S == y.S)), nil
+				return o.test(eqOutcome(x.Code() == y.Code())), nil
 			}
-			return o.test(strings.Compare(x.S, y.S)), nil
+			return o.test(strings.Compare(strs.Text(*x), strs.Text(*y))), nil
 		}
 	}
 	return nil
@@ -295,8 +309,8 @@ func colColKernel(op algebra.BinOp, a, b *algebra.ColRefExpr, in schema) kernel 
 // likeKernel compiles `col [NOT] LIKE pattern`. Patterns whose only
 // wildcards are a leading or trailing '%' become a string comparison;
 // every other pattern keeps algebra.MatchLike. A non-NULL value of any
-// kind matches on its string payload, as in the general closure.
-func likeKernel(p int, pattern string, negate bool) kernel {
+// kind matches on textOf, as in the general closure.
+func likeKernel(strs *data.Strings, p int, pattern string, negate bool) kernel {
 	shape, lit := algebra.ClassifyLike(pattern), pattern
 	switch shape {
 	case algebra.LikePrefix:
@@ -311,29 +325,30 @@ func likeKernel(p int, pattern string, negate bool) kernel {
 		if v.K == data.KindNull {
 			return truthUnknown, nil
 		}
+		s := textOf(strs, *v)
 		var m bool
 		switch shape {
 		case algebra.LikeExact:
-			m = v.S == lit
+			m = s == lit
 		case algebra.LikePrefix:
-			m = strings.HasPrefix(v.S, lit)
+			m = strings.HasPrefix(s, lit)
 		case algebra.LikeSuffix:
-			m = strings.HasSuffix(v.S, lit)
+			m = strings.HasSuffix(s, lit)
 		case algebra.LikeContains:
-			m = strings.Contains(v.S, lit)
+			m = strings.Contains(s, lit)
 		default:
-			m = algebra.MatchLike(v.S, pattern)
+			m = algebra.MatchLike(s, pattern)
 		}
 		return truthOf(m != negate), nil
 	}
 }
 
 // compileJoinPreds compiles every predicate a join applies, equi first.
-func compileJoinPreds(j *memo.JoinSpec, out schema) (conjunction, error) {
+func compileJoinPreds(strs *data.Strings, j *memo.JoinSpec, out schema) (conjunction, error) {
 	preds := j.AllPreds()
 	exprs := make([]algebra.Scalar, len(preds))
 	for i, p := range preds {
 		exprs[i] = p.Expr
 	}
-	return compileConjunction(exprs, out)
+	return compileConjunction(strs, exprs, out)
 }

@@ -15,7 +15,26 @@ func colRef(id algebra.ColID, k data.Kind) *algebra.ColRefExpr {
 	return &algebra.ColRefExpr{Col: algebra.Column{ID: id, Name: "c", Kind: k, Rel: 0, ColIdx: int(id) - 1}}
 }
 
-func lit(v data.Value) *algebra.ConstExpr { return &algebra.ConstExpr{Val: v} }
+// kernelStrings stands for a DB's table of strings: the string values of
+// the rows below are interned in it.
+var kernelStrings = data.NewStrings()
+
+func str(s string) data.Value { return kernelStrings.Intern(s) }
+
+// lit is the literal of v; a string literal carries the text of v.
+func lit(v data.Value) *algebra.ConstExpr {
+	if v.K == data.KindString {
+		return algebra.NewStringConst(kernelStrings.Text(v))
+	}
+	return &algebra.ConstExpr{Val: v}
+}
+
+// absentLits are string constants no row holds: they must equal nothing,
+// and still order by their text.
+var absentLits = []*algebra.ConstExpr{
+	algebra.NewStringConst("aa"), algebra.NewStringConst("0"),
+	algebra.NewStringConst("zzz"), algebra.NewStringConst("abcd "),
+}
 
 func cmpExpr(op algebra.BinOp, l, r algebra.Scalar) algebra.Scalar {
 	return &algebra.BinaryExpr{Op: op, L: l, R: r, K: data.KindBool}
@@ -25,14 +44,16 @@ var cmpOps = []algebra.BinOp{algebra.OpEq, algebra.OpNe, algebra.OpLt, algebra.O
 
 // checkAgainstGeneral compares the conjunction compiler with the general
 // compile closure over the AND of preds on every row: both must keep the
-// same rows and return the same error.
-func checkAgainstGeneral(t testing.TB, preds []algebra.Scalar, rows []data.Row) {
+// same rows and return the same error. Both compile into one overlay of
+// the rows' string table, as the predicates of one plan do.
+func checkAgainstGeneral(t testing.TB, base *data.Strings, preds []algebra.Scalar, rows []data.Row) {
 	t.Helper()
-	conj, err := compileConjunction(preds, kernelSchema)
+	strs := base.Overlay()
+	conj, err := compileConjunction(strs, preds, kernelSchema)
 	if err != nil {
 		t.Fatal(err)
 	}
-	general, err := compile(algebra.AndAll(preds), kernelSchema)
+	general, err := compile(strs, algebra.AndAll(preds), kernelSchema)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +79,7 @@ func errString(err error) string {
 // the general closure, so the differential checks test what they claim.
 func mustKernel(t testing.TB, x algebra.Scalar) {
 	t.Helper()
-	if compileKernel(x, kernelSchema) == nil {
+	if compileKernel(kernelStrings.Overlay(), x, kernelSchema) == nil {
 		t.Fatalf("%v: no kernel", x)
 	}
 }
@@ -80,8 +101,7 @@ var kernelValues = map[data.Kind][]data.Value{
 		data.NewFloat(math.Inf(1)), data.NewFloat(math.Inf(-1)),
 	},
 	data.KindString: {
-		data.NewString(""), data.NewString("a"), data.NewString("ab"),
-		data.NewString("abc"), data.NewString("abd"), data.NewString("b"),
+		str(""), str("a"), str("ab"), str("abc"), str("abd"), str("b"),
 	},
 }
 
@@ -124,7 +144,7 @@ func testComparisonKernels(t *testing.T) {
 					rows = append(rows, data.Row{a, b})
 				}
 			}
-			checkAgainstGeneral(t, []algebra.Scalar{x}, rows)
+			checkAgainstGeneral(t, kernelStrings, []algebra.Scalar{x}, rows)
 
 			// col op const and const op col: every value against every
 			// constant. A NULL literal has no kernel; it is still checked.
@@ -132,15 +152,22 @@ func testComparisonKernels(t *testing.T) {
 			for _, a := range lv {
 				rows = append(rows, data.Row{a, data.Null()})
 			}
+			var lits []*algebra.ConstExpr
 			for _, c := range rv {
+				lits = append(lits, lit(c))
+			}
+			if rk == data.KindString {
+				lits = append(lits, absentLits...)
+			}
+			for _, c := range lits {
 				for _, x := range []algebra.Scalar{
-					cmpExpr(op, colRef(1, lk), lit(c)),
-					cmpExpr(op, lit(c), colRef(1, lk)),
+					cmpExpr(op, colRef(1, lk), c),
+					cmpExpr(op, c, colRef(1, lk)),
 				} {
-					if !c.IsNull() {
+					if !c.Val.IsNull() {
 						mustKernel(t, x)
 					}
-					checkAgainstGeneral(t, []algebra.Scalar{x}, rows)
+					checkAgainstGeneral(t, kernelStrings, []algebra.Scalar{x}, rows)
 				}
 			}
 		}
@@ -150,7 +177,7 @@ func testComparisonKernels(t *testing.T) {
 // testUndeclaredKinds feeds values whose kind is not the column's
 // declared kind: kernels must fall back to data.Compare, errors included.
 func testUndeclaredKinds(t *testing.T) {
-	odd := []data.Value{data.NewInt(3), data.NewFloat(3), data.NewString("3"), data.NewDate(3), data.NewBool(true)}
+	odd := []data.Value{data.NewInt(3), data.NewFloat(3), str("3"), data.NewDate(3), data.NewBool(true)}
 	for _, kp := range kindPairs {
 		lk, rk := kp[0], kp[1]
 		for _, op := range cmpOps {
@@ -160,9 +187,14 @@ func testUndeclaredKinds(t *testing.T) {
 					rows = append(rows, data.Row{a, b})
 				}
 			}
-			checkAgainstGeneral(t, []algebra.Scalar{cmpExpr(op, colRef(1, lk), colRef(2, rk))}, rows)
+			checkAgainstGeneral(t, kernelStrings, []algebra.Scalar{cmpExpr(op, colRef(1, lk), colRef(2, rk))}, rows)
 			for _, c := range kernelValues[rk] {
-				checkAgainstGeneral(t, []algebra.Scalar{cmpExpr(op, colRef(1, lk), lit(c))}, rows)
+				checkAgainstGeneral(t, kernelStrings, []algebra.Scalar{cmpExpr(op, colRef(1, lk), lit(c))}, rows)
+			}
+			if rk == data.KindString {
+				for _, c := range absentLits {
+					checkAgainstGeneral(t, kernelStrings, []algebra.Scalar{cmpExpr(op, colRef(1, lk), c)}, rows)
+				}
 			}
 		}
 	}
@@ -176,7 +208,7 @@ func testLikeKernels(t *testing.T) {
 	}
 	var rows []data.Row
 	for _, s := range []string{"", "a", "ab", "abc", "abcd", "xabc", "xbx", "abcabc", "b", "%"} {
-		rows = append(rows, data.Row{data.NewString(s), data.Null()})
+		rows = append(rows, data.Row{str(s), data.Null()})
 	}
 	rows = append(rows, data.Row{data.Null(), data.Null()}, data.Row{data.NewInt(7), data.Null()})
 	for pattern, shape := range shapes {
@@ -186,7 +218,7 @@ func testLikeKernels(t *testing.T) {
 		for _, negate := range []bool{false, true} {
 			x := &algebra.LikeExpr{X: colRef(1, data.KindString), Pattern: pattern, Negate: negate}
 			mustKernel(t, x)
-			checkAgainstGeneral(t, []algebra.Scalar{x}, rows)
+			checkAgainstGeneral(t, kernelStrings, []algebra.Scalar{x}, rows)
 		}
 	}
 }
@@ -203,9 +235,9 @@ func testConjunctionKleeneOrder(t *testing.T) {
 	preds := []algebra.Scalar{eqOne, divByZero}
 	unknown := data.Row{data.Null(), data.NewFloat(2)}
 	falseRow := data.Row{data.NewInt(2), data.NewFloat(2)}
-	checkAgainstGeneral(t, preds, []data.Row{unknown, falseRow, {data.NewInt(1), data.NewFloat(2)}})
+	checkAgainstGeneral(t, kernelStrings, preds, []data.Row{unknown, falseRow, {data.NewInt(1), data.NewFloat(2)}})
 
-	conj, err := compileConjunction(preds, kernelSchema)
+	conj, err := compileConjunction(kernelStrings.Overlay(), preds, kernelSchema)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +248,7 @@ func testConjunctionKleeneOrder(t *testing.T) {
 		t.Errorf("FALSE conjunct: keep=%v err=%v, want false, nil", keep, err)
 	}
 	// A nested AND inside one predicate flattens into the same list.
-	nested, err := compileConjunction([]algebra.Scalar{algebra.AndAll(preds)}, kernelSchema)
+	nested, err := compileConjunction(kernelStrings.Overlay(), []algebra.Scalar{algebra.AndAll(preds)}, kernelSchema)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,10 +258,13 @@ func testConjunctionKleeneOrder(t *testing.T) {
 }
 
 // FuzzPredicateKernel checks one kernel shape per input against the
-// general closure. op 0-5 is a comparison and 6-7 is [NOT] LIKE with
-// constS as the pattern; kind picks a kindPairs entry. In nulls, bit 1
-// makes the column NULL, bit 2 the other column, and bit 16 gives the
-// column a value of the other side's kind instead of its declared one.
+// general closure. op 0-5 is a comparison, 6-7 is [NOT] LIKE with constS
+// as the pattern, 8 is BETWEEN the constant and the other column's
+// value, and 9 is IN (constant, other column's value); kind picks a
+// kindPairs entry. In nulls, bit 1 makes the column NULL, bit 2 the
+// other column, and bit 16 gives the column a value of the other side's
+// kind instead of its declared one. The rows' strings are the data: a
+// string constant that no row holds is absent from it.
 func FuzzPredicateKernel(f *testing.F) {
 	f.Add(uint8(0), uint8(0), int64(1<<53), 0.0, "", int64(1<<53+1), 0.0, "", uint8(0))
 	f.Add(uint8(2), uint8(4), int64(1<<53+1), 0.0, "", int64(0), float64(1<<53), "", uint8(0))
@@ -242,16 +277,26 @@ func FuzzPredicateKernel(f *testing.F) {
 	f.Add(uint8(6), uint8(3), int64(0), 0.0, "xgreeny", int64(0), 0.0, "%green%", uint8(0))
 	f.Add(uint8(7), uint8(3), int64(0), 0.0, "abc", int64(0), 0.0, "a_c", uint8(0))
 	f.Add(uint8(0), uint8(1), int64(9204), 0.0, "", int64(9205), 0.0, "", uint8(16))
+	// String constants absent from the data, under =, <>, <, >=,
+	// BETWEEN, IN and LIKE, with the other column NULL so that the
+	// constant is the only text beside the column's.
+	for _, op := range []uint8{0, 1, 2, 5, 8, 9, 6} {
+		f.Add(op, uint8(3), int64(0), 0.0, "BRAZIL", int64(0), 0.0, "MARS", uint8(2))
+		f.Add(op, uint8(3), int64(0), 0.0, "", int64(0), 0.0, "zz%", uint8(2))
+	}
+	f.Add(uint8(8), uint8(3), int64(0), 0.0, "b", int64(0), 0.0, "a", uint8(0))
+	f.Add(uint8(9), uint8(3), int64(0), 0.0, "b", int64(0), 0.0, "a", uint8(0))
 	f.Fuzz(func(t *testing.T, op, kind uint8, colI int64, colF float64, colS string,
 		constI int64, constF float64, constS string, nulls uint8) {
-		if op%8 >= 6 {
-			x := &algebra.LikeExpr{X: colRef(1, data.KindString), Pattern: constS, Negate: op%8 == 7}
-			v := data.NewString(colS)
+		db := data.NewStrings()
+		if op%10 == 6 || op%10 == 7 {
+			x := &algebra.LikeExpr{X: colRef(1, data.KindString), Pattern: constS, Negate: op%10 == 7}
+			v := db.Intern(colS)
 			if nulls&1 != 0 {
 				v = data.Null()
 			}
 			mustKernel(t, x)
-			checkAgainstGeneral(t, []algebra.Scalar{x}, []data.Row{{v, data.Null()}})
+			checkAgainstGeneral(t, db, []algebra.Scalar{x}, []data.Row{{v, data.Null()}})
 			return
 		}
 		kp := kindPairs[int(kind)%len(kindPairs)]
@@ -264,30 +309,47 @@ func FuzzPredicateKernel(f *testing.F) {
 			case data.KindFloat:
 				return data.NewFloat(f)
 			}
-			return data.NewString(s)
+			return db.Intern(s)
+		}
+		constant := &algebra.ConstExpr{Val: value(kp[1], constI, constF, "")}
+		if kp[1] == data.KindString {
+			constant = algebra.NewStringConst(constS)
 		}
 		colKind := kp[0]
 		if nulls&16 != 0 {
 			colKind = kp[1]
 		}
-		a, b := value(colKind, colI, colF, colS), value(kp[1], constI, constF, constS)
+		a := value(colKind, colI, colF, colS)
 		if nulls&1 != 0 {
 			a = data.Null()
 		}
-		bc := b
-		if nulls&2 != 0 {
-			bc = data.Null()
+		var b data.Value // the other column
+		if nulls&2 == 0 {
+			b = value(kp[1], constI, constF, constS)
 		}
-		bop := cmpOps[op%6]
-		rows := []data.Row{{a, bc}}
-		shapes := []algebra.Scalar{
-			cmpExpr(bop, colRef(1, kp[0]), lit(b)),
-			cmpExpr(bop, lit(b), colRef(1, kp[0])),
-			cmpExpr(bop, colRef(1, kp[0]), colRef(2, kp[1])),
+		rows := []data.Row{{a, b}}
+		col, other := colRef(1, kp[0]), colRef(2, kp[1])
+		var shapes [][]algebra.Scalar
+		switch op % 10 {
+		case 8: // col BETWEEN constant AND other, as the binder lowers it
+			shapes = [][]algebra.Scalar{{&algebra.BinaryExpr{Op: algebra.OpAnd, K: data.KindBool,
+				L: cmpExpr(algebra.OpGe, col, constant), R: cmpExpr(algebra.OpLe, col, other)}}}
+		case 9: // col IN (constant, other)
+			shapes = [][]algebra.Scalar{{&algebra.BinaryExpr{Op: algebra.OpOr, K: data.KindBool,
+				L: cmpExpr(algebra.OpEq, col, constant), R: cmpExpr(algebra.OpEq, col, other)}}}
+		default:
+			bop := cmpOps[op%10]
+			for _, x := range []algebra.Scalar{
+				cmpExpr(bop, col, constant),
+				cmpExpr(bop, constant, col),
+				cmpExpr(bop, col, other),
+			} {
+				mustKernel(t, x)
+				shapes = append(shapes, []algebra.Scalar{x})
+			}
 		}
-		for _, x := range shapes {
-			mustKernel(t, x)
-			checkAgainstGeneral(t, []algebra.Scalar{x}, rows)
+		for _, preds := range shapes {
+			checkAgainstGeneral(t, db, preds, rows)
 		}
 	})
 }

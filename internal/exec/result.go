@@ -17,6 +17,7 @@ type resultIter struct {
 	child   Iterator
 	projFns []evalFunc
 	nProj   int
+	strs    *data.Strings
 
 	// Self-sort state (sortKeyPos indexes the extended row: child row
 	// followed by projected values).
@@ -30,18 +31,19 @@ type resultIter struct {
 	out data.Row // reused projection row of the streaming variant
 }
 
-func buildResult(e *memo.Expr, q *algebra.Query, child Iterator, cs schema) (Iterator, schema, error) {
+func (b *builder) buildResult(e *memo.Expr, child Iterator, cs schema) (Iterator, schema, error) {
+	q := b.q
 	out := make(schema, len(q.Projections))
 	projFns := make([]evalFunc, len(q.Projections))
 	for i := range q.Projections {
-		f, err := compile(q.Projections[i].Expr, cs)
+		f, err := compile(b.strs, q.Projections[i].Expr, cs)
 		if err != nil {
 			return nil, nil, err
 		}
 		projFns[i] = f
 		out[i] = q.Projections[i].Out.ID
 	}
-	it := &resultIter{child: child, projFns: projFns, nProj: len(projFns), out: make(data.Row, len(projFns))}
+	it := &resultIter{child: child, projFns: projFns, nProj: len(projFns), strs: b.strs, out: make(data.Row, len(projFns))}
 	if !e.SortOrder.IsNone() {
 		extended := cs.concat(out)
 		it.selfSort = true
@@ -112,7 +114,7 @@ func (r *resultIter) Open(ctx context.Context) error {
 	if err := r.child.Close(); err != nil {
 		return err
 	}
-	if err := sortRows(r.rows, r.keyPos, r.desc); err != nil {
+	if err := sortRows(r.rows, r.keyPos, r.desc, r.strs); err != nil {
 		return err
 	}
 	r.loaded = true

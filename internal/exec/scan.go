@@ -19,9 +19,9 @@ type scanIter struct {
 	pos    int
 }
 
-func buildScan(e *memo.Expr, db *storage.DB) (Iterator, schema, error) {
+func (b *builder) buildScan(e *memo.Expr) (Iterator, schema, error) {
 	rel := e.Scan.Rel
-	t, err := db.Table(rel.Table.Name)
+	t, err := b.db.Table(rel.Table.Name)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -40,7 +40,7 @@ func buildScan(e *memo.Expr, db *storage.DB) (Iterator, schema, error) {
 		}
 		it.perm = perm
 	}
-	if it.filter, err = compileConjunction(rel.Filters, out); err != nil {
+	if it.filter, err = compileConjunction(b.strs, rel.Filters, out); err != nil {
 		return nil, nil, err
 	}
 	return it, out, nil

@@ -18,13 +18,14 @@ type sortIter struct {
 	child  Iterator
 	keyPos []int
 	desc   []bool
+	strs   *data.Strings
 
 	rows   []data.Row
 	loaded bool
 	pos    int
 }
 
-func newSortIter(child Iterator, in schema, order algebra.Ordering) (Iterator, error) {
+func newSortIter(child Iterator, in schema, order algebra.Ordering, strs *data.Strings) (Iterator, error) {
 	keyPos := make([]int, len(order))
 	desc := make([]bool, len(order))
 	for i, oc := range order {
@@ -35,7 +36,7 @@ func newSortIter(child Iterator, in schema, order algebra.Ordering) (Iterator, e
 		keyPos[i] = p
 		desc[i] = oc.Desc
 	}
-	return &sortIter{child: child, keyPos: keyPos, desc: desc}, nil
+	return &sortIter{child: child, keyPos: keyPos, desc: desc, strs: strs}, nil
 }
 
 func (s *sortIter) Open(ctx context.Context) error {
@@ -63,7 +64,7 @@ func (s *sortIter) Open(ctx context.Context) error {
 	if err := s.child.Close(); err != nil {
 		return err
 	}
-	if err := sortRows(s.rows, s.keyPos, s.desc); err != nil {
+	if err := sortRows(s.rows, s.keyPos, s.desc, s.strs); err != nil {
 		return err
 	}
 	s.loaded = true
@@ -91,15 +92,15 @@ func (s *sortIter) Close() error {
 	return err
 }
 
-// sortRows stably sorts rows by the given key positions and directions.
-// NULLs sort first on ascending keys (matching data.Compare), last on
-// descending ones.
-func sortRows(rows []data.Row, keyPos []int, desc []bool) error {
+// sortRows stably sorts rows by the given key positions and directions,
+// strings by their text in strs. NULLs sort first on ascending keys
+// (matching data.Compare), last on descending ones.
+func sortRows(rows []data.Row, keyPos []int, desc []bool, strs *data.Strings) error {
 	var sortErr error
 	sort.SliceStable(rows, func(i, j int) bool {
 		a, b := rows[i], rows[j]
 		for k, p := range keyPos {
-			c, err := data.Compare(a[p], b[p])
+			c, err := data.Compare(strs, a[p], b[p])
 			if err != nil && sortErr == nil {
 				sortErr = err
 			}

@@ -170,7 +170,7 @@ func renderRows(res *exec.Result, limit int) [][]string {
 		row := res.Rows[i]
 		cells := make([]string, len(row))
 		for j, v := range row {
-			cells[j] = v.String()
+			cells[j] = res.Strings.Format(v)
 		}
 		out[i] = cells
 	}

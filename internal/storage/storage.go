@@ -1,8 +1,10 @@
 // Package storage is the in-memory row store the execution engine runs
-// against. It is deliberately simple — rows are slices of typed values —
-// because the paper's experiments exercise the optimizer's search space,
-// not storage performance; what matters is that every sampled plan can be
-// executed and its result compared with every other plan's.
+// against. It is deliberately simple — rows are slices of 16-byte,
+// pointer-free values, and every stored string is interned in one
+// append-only table per DB, so a string cell is a code — because the
+// paper's experiments exercise the optimizer's search space, not storage
+// performance; what matters is that every sampled plan can be executed
+// and its result compared with every other plan's.
 package storage
 
 import (
@@ -19,6 +21,8 @@ type Table struct {
 	Def  *catalog.Table
 	Rows []data.Row
 
+	strs *data.Strings // the DB's interner
+
 	mu     sync.Mutex
 	orders map[string][]int32 // index name -> row permutation sorted by key
 }
@@ -27,15 +31,21 @@ type Table struct {
 type DB struct {
 	cat    *catalog.Catalog
 	tables map[string]*Table
+	strs   *data.Strings
 }
 
 // NewDB returns an empty database over the given catalog.
 func NewDB(cat *catalog.Catalog) *DB {
-	return &DB{cat: cat, tables: make(map[string]*Table)}
+	return &DB{cat: cat, tables: make(map[string]*Table), strs: data.NewStrings()}
 }
 
 // Catalog returns the catalog the database was created with.
 func (db *DB) Catalog() *catalog.Catalog { return db.cat }
+
+// Strings returns the table of every string stored in the database.
+// Only Table.Insert grows it; queries resolve constants against it and
+// intern any constant they must materialize in an overlay of their own.
+func (db *DB) Strings() *data.Strings { return db.strs }
 
 // CreateTable allocates storage for a catalog table.
 func (db *DB) CreateTable(name string) (*Table, error) {
@@ -46,7 +56,7 @@ func (db *DB) CreateTable(name string) (*Table, error) {
 	if _, dup := db.tables[name]; dup {
 		return nil, fmt.Errorf("storage: table %q already created", name)
 	}
-	t := &Table{Def: def, orders: make(map[string][]int32)}
+	t := &Table{Def: def, strs: db.strs, orders: make(map[string][]int32)}
 	db.tables[name] = t
 	return t, nil
 }
@@ -61,15 +71,40 @@ func (db *DB) Table(name string) (*Table, error) {
 }
 
 // Insert appends a row after checking arity and kinds, so generator bugs
-// fail fast instead of corrupting experiments.
-func (t *Table) Insert(row data.Row) error {
-	if len(row) != len(t.Def.Columns) {
-		return fmt.Errorf("storage: %s: row has %d values, table has %d columns", t.Def.Name, len(row), len(t.Def.Columns))
+// fail fast instead of corrupting experiments. Each cell is a Go string
+// (interned into the DB's table of strings), an int, int64, float64 or
+// bool, a data.Value of any kind but string, or nil for NULL.
+func (t *Table) Insert(cells ...any) error {
+	if len(cells) != len(t.Def.Columns) {
+		return fmt.Errorf("storage: %s: row has %d values, table has %d columns", t.Def.Name, len(cells), len(t.Def.Columns))
 	}
-	for i, v := range row {
+	row := make(data.Row, len(cells))
+	for i, c := range cells {
+		var v data.Value
+		switch c := c.(type) {
+		case nil:
+		case string:
+			v = t.strs.Intern(c)
+		case int:
+			v = data.NewInt(int64(c))
+		case int64:
+			v = data.NewInt(c)
+		case float64:
+			v = data.NewFloat(c)
+		case bool:
+			v = data.NewBool(c)
+		case data.Value:
+			if c.K == data.KindString {
+				return fmt.Errorf("storage: %s.%s: pass string cells as Go strings", t.Def.Name, t.Def.Columns[i].Name)
+			}
+			v = c
+		default:
+			return fmt.Errorf("storage: %s.%s: cannot store a %T", t.Def.Name, t.Def.Columns[i].Name, c)
+		}
 		if v.K != data.KindNull && v.K != t.Def.Columns[i].Kind {
 			return fmt.Errorf("storage: %s.%s: inserted %s into %s column", t.Def.Name, t.Def.Columns[i].Name, v.K, t.Def.Columns[i].Kind)
 		}
+		row[i] = v
 	}
 	t.Rows = append(t.Rows, row)
 	t.mu.Lock()
@@ -95,7 +130,7 @@ func (t *Table) IndexOrder(idx *catalog.Index) ([]int32, error) {
 	sort.SliceStable(perm, func(a, b int) bool {
 		ra, rb := t.Rows[perm[a]], t.Rows[perm[b]]
 		for _, kc := range idx.KeyCols {
-			c, err := data.Compare(ra[kc], rb[kc])
+			c, err := data.Compare(t.strs, ra[kc], rb[kc])
 			if err != nil && sortErr == nil {
 				sortErr = err
 			}
@@ -154,19 +189,19 @@ func columnStats(t *Table, ci int) (catalog.ColumnStats, error) {
 			st.NullCount++
 			continue
 		}
-		distinct[v.String()] = struct{}{}
+		distinct[t.strs.Format(v)] = struct{}{}
 		nonNull = append(nonNull, v)
 		if first {
 			st.Min, st.Max = v, v
 			first = false
 			continue
 		}
-		if c, err := data.Compare(v, st.Min); err != nil {
+		if c, err := data.Compare(t.strs, v, st.Min); err != nil {
 			return st, err
 		} else if c < 0 {
 			st.Min = v
 		}
-		if c, err := data.Compare(v, st.Max); err != nil {
+		if c, err := data.Compare(t.strs, v, st.Max); err != nil {
 			return st, err
 		} else if c > 0 {
 			st.Max = v
@@ -176,7 +211,10 @@ func columnStats(t *Table, ci int) (catalog.ColumnStats, error) {
 	if st.NDV == 0 {
 		st.NDV = 1
 	}
-	if bounds, err := equiDepthBounds(nonNull, histBuckets); err != nil {
+	if t.Def.Columns[ci].Kind == data.KindString {
+		st.Strings = t.strs
+	}
+	if bounds, err := equiDepthBounds(t.strs, nonNull, histBuckets); err != nil {
 		return st, err
 	} else {
 		st.HistBounds = bounds
@@ -186,14 +224,14 @@ func columnStats(t *Table, ci int) (catalog.ColumnStats, error) {
 
 // equiDepthBounds returns the upper bounds of an equi-depth histogram:
 // bounds[i] is the value at quantile (i+1)/buckets of the sorted values.
-func equiDepthBounds(vals []data.Value, buckets int) ([]data.Value, error) {
+func equiDepthBounds(strs *data.Strings, vals []data.Value, buckets int) ([]data.Value, error) {
 	if len(vals) < 2*buckets {
 		return nil, nil // too few rows for the histogram to add signal
 	}
 	sorted := append([]data.Value(nil), vals...)
 	var sortErr error
 	sort.SliceStable(sorted, func(i, j int) bool {
-		c, err := data.Compare(sorted[i], sorted[j])
+		c, err := data.Compare(strs, sorted[i], sorted[j])
 		if err != nil && sortErr == nil {
 			sortErr = err
 		}

@@ -42,17 +42,17 @@ func TestCreateTableErrors(t *testing.T) {
 
 func TestInsertChecksArityAndKinds(t *testing.T) {
 	_, tbl := testDB(t)
-	if err := tbl.Insert(data.Row{data.NewInt(1)}); err == nil {
+	if err := tbl.Insert(data.NewInt(1)); err == nil {
 		t.Error("short row accepted")
 	}
-	if err := tbl.Insert(data.Row{data.NewString("x"), data.NewString("y")}); err == nil {
+	if err := tbl.Insert("x", "y"); err == nil {
 		t.Error("wrong kind accepted")
 	}
-	if err := tbl.Insert(data.Row{data.NewInt(1), data.NewString("y")}); err != nil {
+	if err := tbl.Insert(data.NewInt(1), "y"); err != nil {
 		t.Errorf("valid row rejected: %v", err)
 	}
 	// NULLs are allowed in any column.
-	if err := tbl.Insert(data.Row{data.Null(), data.Null()}); err != nil {
+	if err := tbl.Insert(data.Null(), data.Null()); err != nil {
 		t.Errorf("NULL row rejected: %v", err)
 	}
 }
@@ -60,7 +60,7 @@ func TestInsertChecksArityAndKinds(t *testing.T) {
 func TestIndexOrder(t *testing.T) {
 	_, tbl := testDB(t)
 	for _, k := range []int64{5, 1, 4, 2, 3} {
-		if err := tbl.Insert(data.Row{data.NewInt(k), data.NewString("v")}); err != nil {
+		if err := tbl.Insert(data.NewInt(k), "v"); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -86,7 +86,7 @@ func TestIndexOrder(t *testing.T) {
 		t.Error("IndexOrder did not cache")
 	}
 	// Insert invalidates the cache.
-	if err := tbl.Insert(data.Row{data.NewInt(0), data.NewString("v")}); err != nil {
+	if err := tbl.Insert(data.NewInt(0), "v"); err != nil {
 		t.Fatal(err)
 	}
 	perm3, err := tbl.IndexOrder(idx)
@@ -101,7 +101,7 @@ func TestIndexOrder(t *testing.T) {
 func TestIndexOrderStableOnDuplicates(t *testing.T) {
 	_, tbl := testDB(t)
 	for i, k := range []int64{2, 1, 2, 1} {
-		if err := tbl.Insert(data.Row{data.NewInt(k), data.NewString(string(rune('a' + i)))}); err != nil {
+		if err := tbl.Insert(data.NewInt(k), string(rune('a' + i))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -123,11 +123,11 @@ func TestComputeStats(t *testing.T) {
 	db, tbl := testDB(t)
 	vals := []int64{3, 1, 4, 1, 5}
 	for _, k := range vals {
-		if err := tbl.Insert(data.Row{data.NewInt(k), data.NewString("s")}); err != nil {
+		if err := tbl.Insert(data.NewInt(k), "s"); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := tbl.Insert(data.Row{data.Null(), data.NewString("s")}); err != nil {
+	if err := tbl.Insert(data.Null(), "s"); err != nil {
 		t.Fatal(err)
 	}
 	if err := db.ComputeStats(); err != nil {
@@ -166,12 +166,12 @@ func TestEquiDepthHistogramBounds(t *testing.T) {
 	db, tbl := testDB(t)
 	// Skewed data: 90 ones and the values 1..10 once each.
 	for i := 0; i < 90; i++ {
-		if err := tbl.Insert(data.Row{data.NewInt(1), data.NewString("x")}); err != nil {
+		if err := tbl.Insert(data.NewInt(1), "x"); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for k := int64(1); k <= 10; k++ {
-		if err := tbl.Insert(data.Row{data.NewInt(k), data.NewString("x")}); err != nil {
+		if err := tbl.Insert(data.NewInt(k), "x"); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -184,7 +184,7 @@ func TestEquiDepthHistogramBounds(t *testing.T) {
 	}
 	// Bounds must be sorted and end at the max.
 	for i := 1; i < len(st.HistBounds); i++ {
-		c, err := data.Compare(st.HistBounds[i-1], st.HistBounds[i])
+		c, err := data.Compare(nil, st.HistBounds[i-1], st.HistBounds[i])
 		if err != nil || c > 0 {
 			t.Fatalf("bounds not sorted at %d: %v", i, err)
 		}
@@ -208,7 +208,7 @@ func TestEquiDepthHistogramBounds(t *testing.T) {
 func TestNoHistogramForTinyTables(t *testing.T) {
 	db, tbl := testDB(t)
 	for k := int64(0); k < 5; k++ {
-		if err := tbl.Insert(data.Row{data.NewInt(k), data.NewString("x")}); err != nil {
+		if err := tbl.Insert(data.NewInt(k), "x"); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -162,11 +162,11 @@ func genRegionNation(db *storage.DB, seed int64) error {
 	}
 	r := newRNG(uint64(seed) ^ 0x01)
 	for i, name := range regionNames {
-		err := region.Insert(data.Row{
-			data.NewInt(int64(i)),
-			data.NewString(name),
-			data.NewString(comment(r, "region")),
-		})
+		err := region.Insert(
+			int64(i),
+			name,
+			comment(r, "region"),
+		)
 		if err != nil {
 			return err
 		}
@@ -176,12 +176,12 @@ func genRegionNation(db *storage.DB, seed int64) error {
 		return err
 	}
 	for i, n := range nationTable {
-		err := nation.Insert(data.Row{
-			data.NewInt(int64(i)),
-			data.NewString(n.name),
-			data.NewInt(n.region),
-			data.NewString(comment(r, "nation")),
-		})
+		err := nation.Insert(
+			int64(i),
+			n.name,
+			n.region,
+			comment(r, "nation"),
+		)
 		if err != nil {
 			return err
 		}
@@ -196,15 +196,15 @@ func genSupplier(db *storage.DB, rows Rows, seed int64) error {
 	}
 	r := newRNG(uint64(seed) ^ 0x02)
 	for k := 1; k <= rows.Supplier; k++ {
-		err := t.Insert(data.Row{
-			data.NewInt(int64(k)),
-			data.NewString(fmt.Sprintf("Supplier#%09d", k)),
-			data.NewString(address(r)),
-			data.NewInt(int64(r.intn(len(nationTable)))),
-			data.NewString(phone(r)),
-			data.NewFloat(r.money(-999.99, 9999.99)),
-			data.NewString(comment(r, "supplier")),
-		})
+		err := t.Insert(
+			int64(k),
+			fmt.Sprintf("Supplier#%09d", k),
+			address(r),
+			int64(r.intn(len(nationTable))),
+			phone(r),
+			r.money(-999.99, 9999.99),
+			comment(r, "supplier"),
+		)
 		if err != nil {
 			return err
 		}
@@ -230,17 +230,17 @@ func genPartAndPartsupp(db *storage.DB, rows Rows, seed int64) error {
 		brand := fmt.Sprintf("Brand#%d%d", r.between(1, 5), r.between(1, 5))
 		ptype := r.pick(types1) + " " + r.pick(types2) + " " + r.pick(types3)
 		container := r.pick(containers1) + " " + r.pick(containers2)
-		err := part.Insert(data.Row{
-			data.NewInt(int64(k)),
-			data.NewString(name),
-			data.NewString(mfgr),
-			data.NewString(brand),
-			data.NewString(ptype),
-			data.NewInt(int64(r.between(1, 50))),
-			data.NewString(container),
-			data.NewFloat(math.Round((90000+float64(k%200001)/10+100*float64(k%1000))/10) / 100),
-			data.NewString(comment(r, "part")),
-		})
+		err := part.Insert(
+			int64(k),
+			name,
+			mfgr,
+			brand,
+			ptype,
+			int64(r.between(1, 50)),
+			container,
+			math.Round((90000+float64(k%200001)/10+100*float64(k%1000))/10)/100,
+			comment(r, "part"),
+		)
 		if err != nil {
 			return err
 		}
@@ -248,13 +248,13 @@ func genPartAndPartsupp(db *storage.DB, rows Rows, seed int64) error {
 		// supplier carries parts even at micro scales.
 		for i := 0; i < 4; i++ {
 			supp := (k+i*(s/4+(k-1)/s))%s + 1
-			err := ps.Insert(data.Row{
-				data.NewInt(int64(k)),
-				data.NewInt(int64(supp)),
-				data.NewInt(int64(r.between(1, 9999))),
-				data.NewFloat(r.money(1.00, 1000.00)),
-				data.NewString(comment(r, "partsupp")),
-			})
+			err := ps.Insert(
+				int64(k),
+				int64(supp),
+				int64(r.between(1, 9999)),
+				r.money(1.00, 1000.00),
+				comment(r, "partsupp"),
+			)
 			if err != nil {
 				return err
 			}
@@ -270,16 +270,16 @@ func genCustomer(db *storage.DB, rows Rows, seed int64) error {
 	}
 	r := newRNG(uint64(seed) ^ 0x04)
 	for k := 1; k <= rows.Customer; k++ {
-		err := t.Insert(data.Row{
-			data.NewInt(int64(k)),
-			data.NewString(fmt.Sprintf("Customer#%09d", k)),
-			data.NewString(address(r)),
-			data.NewInt(int64(r.intn(len(nationTable)))),
-			data.NewString(phone(r)),
-			data.NewFloat(r.money(-999.99, 9999.99)),
-			data.NewString(r.pick(mktSegments)),
-			data.NewString(comment(r, "customer")),
-		})
+		err := t.Insert(
+			int64(k),
+			fmt.Sprintf("Customer#%09d", k),
+			address(r),
+			int64(r.intn(len(nationTable))),
+			phone(r),
+			r.money(-999.99, 9999.99),
+			r.pick(mktSegments),
+			comment(r, "customer"),
+		)
 		if err != nil {
 			return err
 		}
@@ -319,7 +319,7 @@ func genOrdersAndLineitem(db *storage.DB, rows Rows, seed int64) error {
 		if r.intn(2) == 0 {
 			status = "F"
 		}
-		lines := make([]data.Row, 0, nLines)
+		lines := make([][]any, 0, nLines)
 		for ln := 1; ln <= nLines; ln++ {
 			partKey := r.between(1, nParts)
 			// A supplier that actually stocks the part (dbgen formula).
@@ -343,41 +343,41 @@ func genOrdersAndLineitem(db *storage.DB, rows Rows, seed int64) error {
 				lstatus = "F"
 			}
 			total += price * (1 + tax) * (1 - discount)
-			lines = append(lines, data.Row{
-				data.NewInt(int64(k)),
-				data.NewInt(int64(partKey)),
-				data.NewInt(int64(supp)),
-				data.NewInt(int64(ln)),
-				data.NewFloat(qty),
-				data.NewFloat(price),
-				data.NewFloat(discount),
-				data.NewFloat(tax),
-				data.NewString(flag),
-				data.NewString(lstatus),
+			lines = append(lines, []any{
+				int64(k),
+				int64(partKey),
+				int64(supp),
+				int64(ln),
+				qty,
+				price,
+				discount,
+				tax,
+				flag,
+				lstatus,
 				data.NewDate(ship),
 				data.NewDate(commit),
 				data.NewDate(receipt),
-				data.NewString(r.pick(instructs)),
-				data.NewString(r.pick(shipModes)),
-				data.NewString(comment(r, "lineitem")),
+				r.pick(instructs),
+				r.pick(shipModes),
+				comment(r, "lineitem"),
 			})
 		}
-		err := orders.Insert(data.Row{
-			data.NewInt(int64(k)),
-			data.NewInt(int64(cust)),
-			data.NewString(status),
-			data.NewFloat(math.Round(total*100) / 100),
+		err := orders.Insert(
+			int64(k),
+			int64(cust),
+			status,
+			math.Round(total*100)/100,
 			data.NewDate(odate),
-			data.NewString(r.pick(priorities)),
-			data.NewString(fmt.Sprintf("Clerk#%09d", r.between(1, 1000))),
-			data.NewInt(0),
-			data.NewString(comment(r, "orders")),
-		})
+			r.pick(priorities),
+			fmt.Sprintf("Clerk#%09d", r.between(1, 1000)),
+			0,
+			comment(r, "orders"),
+		)
 		if err != nil {
 			return err
 		}
 		for _, line := range lines {
-			if err := li.Insert(line); err != nil {
+			if err := li.Insert(line...); err != nil {
 				return err
 			}
 		}

@@ -109,7 +109,7 @@ func TestReferentialIntegrity(t *testing.T) {
 	for _, n := range nations.Rows {
 		rk := n[2].Int()
 		if rk < 0 || rk > 4 {
-			t.Errorf("nation %s has bad region %d", n[1].Str(), rk)
+			t.Errorf("nation %s has bad region %d", db.Strings().Text(n[1]), rk)
 		}
 	}
 	customers := get("customer")
@@ -157,7 +157,7 @@ func TestValueDomainsCoverQueryConstants(t *testing.T) {
 	nation, _ := db.Table("nation")
 	names := map[string]bool{}
 	for _, r := range nation.Rows {
-		names[r[1].Str()] = true
+		names[db.Strings().Text(r[1])] = true
 	}
 	for _, want := range []string{"FRANCE", "GERMANY", "BRAZIL"} {
 		if !names[want] {
@@ -167,7 +167,7 @@ func TestValueDomainsCoverQueryConstants(t *testing.T) {
 	region, _ := db.Table("region")
 	rnames := map[string]bool{}
 	for _, r := range region.Rows {
-		rnames[r[1].Str()] = true
+		rnames[db.Strings().Text(r[1])] = true
 	}
 	for _, want := range []string{"ASIA", "AMERICA"} {
 		if !rnames[want] {
@@ -179,7 +179,7 @@ func TestValueDomainsCoverQueryConstants(t *testing.T) {
 	part, _ := db.Table("part")
 	greens := 0
 	for _, r := range part.Rows {
-		if contains := r[1].Str(); len(contains) > 0 {
+		if contains := db.Strings().Text(r[1]); len(contains) > 0 {
 			if algebraLikeGreen(contains) {
 				greens++
 			}
