@@ -115,9 +115,9 @@ type aggIter struct {
 	enc       keyEncoder
 	groups    map[string]int
 	order     []data.Row // group key values per group, insertion order
-	accs     [][]aggAcc
-	emitPos  int
-	prepared bool
+	accs      [][]aggAcc
+	emitPos   int
+	prepared  bool
 
 	// stream state
 	curKey  []data.Value

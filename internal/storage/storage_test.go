@@ -101,7 +101,7 @@ func TestIndexOrder(t *testing.T) {
 func TestIndexOrderStableOnDuplicates(t *testing.T) {
 	_, tbl := testDB(t)
 	for i, k := range []int64{2, 1, 2, 1} {
-		if err := tbl.Insert(data.NewInt(k), string(rune('a' + i))); err != nil {
+		if err := tbl.Insert(data.NewInt(k), string(rune('a'+i))); err != nil {
 			t.Fatal(err)
 		}
 	}
