@@ -1,7 +1,7 @@
 package algebra
 
 import (
-	"fmt"
+	"strconv"
 	"strings"
 
 	"repro/internal/data"
@@ -150,10 +150,7 @@ func (e *YearExpr) Refs() RelSet { return e.X.Refs() }
 // n1 and n2, and both expose n_name), and these canonical strings are what
 // the binder uses to match SELECT expressions against GROUP BY keys.
 func (e *ColRefExpr) String() string {
-	if e.Col.Name != "" {
-		return fmt.Sprintf("%s#%d", e.Col.Name, e.Col.ID)
-	}
-	return fmt.Sprintf("#%d", e.Col.ID)
+	return e.Col.Name + "#" + strconv.Itoa(int(e.Col.ID))
 }
 func (e *ConstExpr) String() string {
 	if e.Val.K == data.KindString {

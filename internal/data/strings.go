@@ -1,9 +1,10 @@
 package data
 
 import (
-	"strings"
+	"hash/maphash"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 )
 
 // Strings is an append-only string interner: it gives each distinct text
@@ -16,34 +17,40 @@ import (
 // literal, a CASE arm) interns it in an Overlay: a table of its own,
 // coded above the root's range, so requests never grow the root.
 //
-// Text and Lookup take no lock, and may run while another goroutine
-// interns: text is stored in fixed chunks that never move once
-// published, and the text-to-code index is a sync.Map.
+// The table holds no pointer per string, so the garbage collector does
+// not trace it: texts are copied into byte arenas, a code's text is
+// located by a textRef, and the text-to-code index is open addressing
+// over codes. Text and Lookup take no lock and may run while another
+// goroutine interns: arenas and refs never move once written, and every
+// directory or index that grows is replaced whole and published
+// atomically.
 type Strings struct {
 	base *Strings // for an overlay, the table it extends; nil for a root
 
-	mu    sync.Mutex // serializes Intern
-	index sync.Map   // text -> code (uint64)
+	mu    sync.Mutex // serializes Intern; guards seed, fill
+	seed  maphash.Seed
+	fill  int // bytes used in the last arena
 	n     atomic.Uint64
-	dir   atomic.Pointer[[]*chunk]
+	refs  atomic.Pointer[[]textRef]       // per code; len is the capacity
+	arena atomic.Pointer[[][]byte]        // text bytes, never rewritten
+	index atomic.Pointer[[]atomic.Uint32] // code+1 per slot, 0 = empty
 }
 
+// textRef locates one code's text: arena, offset, length.
+type textRef struct{ arena, off, n uint32 }
+
 const (
-	chunkShift = 10
-	chunkMask  = 1<<chunkShift - 1
 	// overlayBase is the first code of an overlay, far above any root's
 	// range.
 	overlayBase = 1 << 48
+	maxArena    = 64 << 10
 )
-
-type chunk [1 << chunkShift]string
 
 // NewStrings returns an empty root table.
 func NewStrings() *Strings { return &Strings{} }
 
 // Overlay returns an empty table that resolves s's codes and interns
-// texts absent from s above s's range, leaving s unchanged. An overlay
-// serves one goroutine at a time.
+// texts absent from s above s's range, leaving s unchanged.
 func (s *Strings) Overlay() *Strings { return &Strings{base: s} }
 
 // Len returns the number of codes s itself has issued.
@@ -57,8 +64,8 @@ func (s *Strings) Lookup(text string) (Value, bool) {
 			return v, true
 		}
 	}
-	if c, ok := s.index.Load(text); ok {
-		return Value{K: KindString, p: c.(uint64)}, true
+	if c, ok := s.find(text); ok {
+		return s.value(c), true
 	}
 	return Value{}, false
 }
@@ -71,26 +78,14 @@ func (s *Strings) Intern(text string) Value {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if c, ok := s.index.Load(text); ok {
-		return Value{K: KindString, p: c.(uint64)}
+	if c, ok := s.find(text); ok {
+		return s.value(c)
 	}
-	n := s.n.Load()
-	var d []*chunk
-	if p := s.dir.Load(); p != nil {
-		d = *p
-	}
-	if int(n>>chunkShift) == len(d) {
-		d = append(d[:len(d):len(d)], new(chunk)) // readers keep the old directory
-		s.dir.Store(&d)
-	}
-	d[n>>chunkShift][n&chunkMask] = strings.Clone(text)
-	s.n.Store(n + 1)
-	code := n
-	if s.base != nil {
-		code += overlayBase
-	}
-	s.index.Store(text, code)
-	return Value{K: KindString, p: code}
+	c := s.n.Load()
+	s.store(c, text)
+	s.n.Store(c + 1)
+	s.addToIndex(c)
+	return s.value(c)
 }
 
 // Text returns the text of the string value v.
@@ -102,7 +97,7 @@ func (s *Strings) Text(v Value) string {
 		}
 		c -= overlayBase
 	}
-	return (*s.dir.Load())[c>>chunkShift][c&chunkMask]
+	return s.text(c)
 }
 
 // Format renders v for display and result digests; strings render as
@@ -111,3 +106,100 @@ func (s *Strings) Format(v Value) string { return string(v.append(nil, s)) }
 
 // Append appends Format(v) to b.
 func (s *Strings) Append(b []byte, v Value) []byte { return v.append(b, s) }
+
+func (s *Strings) value(c uint64) Value {
+	if s.base != nil {
+		c += overlayBase
+	}
+	return Value{K: KindString, p: c}
+}
+
+// text returns the text of s's own code c.
+func (s *Strings) text(c uint64) string {
+	r := (*s.refs.Load())[c]
+	if r.n == 0 {
+		return ""
+	}
+	return unsafe.String(&(*s.arena.Load())[r.arena][r.off], r.n)
+}
+
+// find returns s's own code of text.
+func (s *Strings) find(text string) (uint64, bool) {
+	p := s.index.Load()
+	if p == nil {
+		return 0, false
+	}
+	slots := *p
+	mask := uint64(len(slots) - 1)
+	for i := maphash.String(s.seed, text) & mask; ; i = (i + 1) & mask {
+		c := slots[i].Load()
+		if c == 0 {
+			return 0, false
+		}
+		if s.text(uint64(c-1)) == text {
+			return uint64(c - 1), true
+		}
+	}
+}
+
+// store copies text into the arenas and records it as code c. The
+// caller holds s.mu.
+func (s *Strings) store(c uint64, text string) {
+	var arenas [][]byte
+	if p := s.arena.Load(); p != nil {
+		arenas = *p
+	}
+	if len(arenas) == 0 || s.fill+len(text) > len(arenas[len(arenas)-1]) {
+		size := max(len(text), min(maxArena, 256<<min(len(arenas), 8)))
+		arenas = append(arenas[:len(arenas):len(arenas)], make([]byte, size))
+		s.arena.Store(&arenas)
+		s.fill = 0
+	}
+	a := len(arenas) - 1
+	copy(arenas[a][s.fill:], text)
+	r := textRef{arena: uint32(a), off: uint32(s.fill), n: uint32(len(text))}
+	s.fill += len(text)
+
+	var refs []textRef
+	if p := s.refs.Load(); p != nil {
+		refs = *p
+	}
+	if int(c) == len(refs) {
+		grown := make([]textRef, max(16, 2*len(refs)))
+		copy(grown, refs)
+		refs = grown
+		s.refs.Store(&refs)
+	}
+	refs[c] = r
+}
+
+// addToIndex enters code c in the index, rebuilding it twice as large
+// when it would pass half full. The caller holds s.mu.
+func (s *Strings) addToIndex(c uint64) {
+	p := s.index.Load()
+	if p != nil && 2*(c+1) <= uint64(len(*p)) {
+		insertCode(*p, s.seed, s.text(c), c)
+		return
+	}
+	if p == nil {
+		s.seed = maphash.MakeSeed()
+	}
+	size := 16
+	for uint64(size) < 2*(c+1) {
+		size *= 2
+	}
+	slots := make([]atomic.Uint32, size)
+	for i := uint64(0); i <= c; i++ {
+		insertCode(slots, s.seed, s.text(i), i)
+	}
+	s.index.Store(&slots)
+}
+
+func insertCode(slots []atomic.Uint32, seed maphash.Seed, text string, c uint64) {
+	mask := uint64(len(slots) - 1)
+	i := maphash.String(seed, text) & mask
+	for slots[i].Load() != 0 {
+		i = (i + 1) & mask
+	}
+	slots[i].Store(uint32(c + 1))
+}

@@ -69,11 +69,27 @@ func TestInternGivesEqualTextsEqualCodes(t *testing.T) {
 	if _, ok := s.Lookup("PERU"); ok {
 		t.Error("Lookup of an absent text succeeded")
 	}
-	for i := 0; i < 3000; i++ { // several chunks
+	long := string(make([]byte, 100<<10)) // longer than any arena
+	for i := 0; i < 3000; i++ { // several arenas and index rebuilds
 		text := fmt.Sprintf("s%d", i)
+		if i == 1500 {
+			text = long
+		}
 		if got := s.Text(s.Intern(text)); got != text {
 			t.Fatalf("Text(Intern(%q)) = %q", text, got)
 		}
+	}
+	n := s.Len()
+	for i := 0; i < 3000; i++ {
+		if _, ok := s.Lookup(fmt.Sprintf("s%d", i)); !ok && i != 1500 {
+			t.Fatalf("Lookup(s%d) failed", i)
+		}
+	}
+	if s.Intern(long); s.Len() != n {
+		t.Errorf("re-interning grew the table from %d to %d", n, s.Len())
+	}
+	if v := s.Intern(""); s.Text(v) != "" {
+		t.Error("empty text does not round-trip")
 	}
 }
 
