@@ -70,7 +70,7 @@ func TestInternGivesEqualTextsEqualCodes(t *testing.T) {
 		t.Error("Lookup of an absent text succeeded")
 	}
 	long := string(make([]byte, 100<<10)) // longer than any arena
-	for i := 0; i < 3000; i++ { // several arenas and index rebuilds
+	for i := 0; i < 3000; i++ {           // several arenas and index rebuilds
 		text := fmt.Sprintf("s%d", i)
 		if i == 1500 {
 			text = long
