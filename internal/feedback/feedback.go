@@ -24,6 +24,7 @@
 package feedback
 
 import (
+	"container/list"
 	"math"
 	"sort"
 	"sync"
@@ -39,10 +40,18 @@ const (
 	maxTotalFactor = 1e6
 )
 
+// MaxKeys caps the pending and the active keys each. Keys embed filter
+// constants, so a client executing ever new literals would otherwise
+// grow the store without bound; at the cap, the key observed longest
+// ago is evicted, as Ivanov & Bartunov's bounded knowledge base of past
+// observations does.
+const MaxKeys = 4096
+
 // pendingAgg accumulates log-ratios for one key since the last Apply:
 // the geometric mean of observed/estimated is robust to the order and
 // count of executions that observed the same sub-problem.
 type pendingAgg struct {
+	key    string
 	logSum float64
 	n      int64
 }
@@ -62,6 +71,8 @@ type Stats struct {
 	Recorded     uint64 `json:"recorded"`     // observations ever recorded
 	LastApplied  int    `json:"last_applied"` // keys folded by the last Apply
 	TotalApplied uint64 `json:"total_applied"`
+	MaxKeys      int    `json:"max_keys"` // cap on Active and on Pending
+	Evicted      uint64 `json:"evicted"`  // keys dropped at the cap, both maps
 }
 
 // nextStoreID hands every Store a process-unique identity. Epochs are
@@ -72,11 +83,14 @@ var nextStoreID atomic.Uint64
 
 // Store is a concurrency-safe feedback store for one catalog.
 type Store struct {
-	id      uint64
-	mu      sync.Mutex
-	epoch   uint64
-	pending map[string]*pendingAgg
-	active  map[string]*Correction
+	id    uint64
+	mu    sync.Mutex
+	epoch uint64
+	// pending and active index their lists, which run from the most to
+	// the least recently observed key: list values are *pendingAgg and
+	// *Correction.
+	pending, active         map[string]*list.Element
+	pendingList, activeList list.List
 
 	// view is the published, immutable key→factor map for the current
 	// epoch. Apply and Reset REPLACE it (copy-on-write, never mutate),
@@ -89,15 +103,42 @@ type Store struct {
 	recorded     uint64
 	lastApplied  int
 	totalApplied uint64
+	evicted      uint64
 }
 
 // NewStore returns an empty store at epoch 0.
 func NewStore() *Store {
 	return &Store{
 		id:      nextStoreID.Add(1),
-		pending: make(map[string]*pendingAgg),
-		active:  make(map[string]*Correction),
+		pending: make(map[string]*list.Element),
+		active:  make(map[string]*list.Element),
 	}
+}
+
+// observe returns key's element of m, marked most recently observed. A
+// missing key gets a fresh element holding mk(), after the least
+// recently observed key is evicted if m is at MaxKeys.
+func (s *Store) observe(m map[string]*list.Element, l *list.List, key string, mk func() any) *list.Element {
+	if e, ok := m[key]; ok {
+		l.MoveToFront(e)
+		return e
+	}
+	if len(m) >= MaxKeys {
+		oldest := l.Back()
+		delete(m, keyOf(oldest))
+		l.Remove(oldest)
+		s.evicted++
+	}
+	e := l.PushFront(mk())
+	m[key] = e
+	return e
+}
+
+func keyOf(e *list.Element) string {
+	if p, ok := e.Value.(*pendingAgg); ok {
+		return p.key
+	}
+	return e.Value.(*Correction).Key
 }
 
 // ID returns the store's process-unique identity.
@@ -134,10 +175,9 @@ func (s *Store) Record(key string, estimated, observed float64, epoch uint64) {
 		s.mu.Unlock()
 		return // measured against another epoch's estimates
 	}
-	agg, ok := s.pending[key]
-	if !ok {
-		agg = &pendingAgg{}
-		s.pending[key] = agg
+	agg := s.observe(s.pending, &s.pendingList, key, func() any { return &pendingAgg{key: key} }).Value.(*pendingAgg)
+	if e, ok := s.active[key]; ok {
+		s.activeList.MoveToFront(e)
 	}
 	agg.logSum += lr
 	agg.n++
@@ -156,19 +196,21 @@ func (s *Store) Record(key string, estimated, observed float64, epoch uint64) {
 func (s *Store) Apply() (folded int, epoch uint64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for key, agg := range s.pending {
+	// Fold from the least to the most recently observed key, so the
+	// active list keeps observation order.
+	for e := s.pendingList.Back(); e != nil; e = e.Prev() {
+		agg := e.Value.(*pendingAgg)
 		round := math.Exp(agg.logSum / float64(agg.n))
 		round = clamp(round, maxRoundFactor)
-		cur, ok := s.active[key]
-		if !ok {
-			cur = &Correction{Key: key, Factor: 1}
-			s.active[key] = cur
-		}
+		cur := s.observe(s.active, &s.activeList, agg.key, func() any {
+			return &Correction{Key: agg.key, Factor: 1}
+		}).Value.(*Correction)
 		cur.Factor = clamp(cur.Factor*round, maxTotalFactor)
 		cur.Observations += agg.n
 		folded++
 	}
-	s.pending = make(map[string]*pendingAgg)
+	s.pending = make(map[string]*list.Element)
+	s.pendingList.Init()
 	s.epoch++
 	s.publishViewLocked()
 	s.lastApplied = folded
@@ -185,8 +227,8 @@ func (s *Store) publishViewLocked() {
 		return
 	}
 	view := make(map[string]float64, len(s.active))
-	for key, c := range s.active {
-		view[key] = c.Factor
+	for key, e := range s.active {
+		view[key] = e.Value.(*Correction).Factor
 	}
 	s.view = view
 }
@@ -218,8 +260,8 @@ func clamp(f, limit float64) float64 {
 func (s *Store) Factor(key string) (float64, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if c, ok := s.active[key]; ok {
-		return c.Factor, true
+	if e, ok := s.active[key]; ok {
+		return e.Value.(*Correction).Factor, true
 	}
 	return 1, false
 }
@@ -229,8 +271,10 @@ func (s *Store) Factor(key string) (float64, bool) {
 func (s *Store) Reset() uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.pending = make(map[string]*pendingAgg)
-	s.active = make(map[string]*Correction)
+	s.pending = make(map[string]*list.Element)
+	s.active = make(map[string]*list.Element)
+	s.pendingList.Init()
+	s.activeList.Init()
 	s.epoch++
 	s.publishViewLocked()
 	s.lastApplied = 0
@@ -242,8 +286,8 @@ func (s *Store) Reset() uint64 {
 func (s *Store) Corrections() []Correction {
 	s.mu.Lock()
 	out := make([]Correction, 0, len(s.active))
-	for _, c := range s.active {
-		out = append(out, *c)
+	for _, e := range s.active {
+		out = append(out, *e.Value.(*Correction))
 	}
 	s.mu.Unlock()
 	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
@@ -261,5 +305,7 @@ func (s *Store) Snapshot() Stats {
 		Recorded:     s.recorded,
 		LastApplied:  s.lastApplied,
 		TotalApplied: s.totalApplied,
+		MaxKeys:      MaxKeys,
+		Evicted:      s.evicted,
 	}
 }

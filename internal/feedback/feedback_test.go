@@ -2,6 +2,7 @@ package feedback
 
 import (
 	"math"
+	"strconv"
 	"sync"
 	"testing"
 )
@@ -174,5 +175,49 @@ func TestRecordStaleEpochDropped(t *testing.T) {
 	s.Apply()
 	if f, _ := s.Factor("k"); math.Abs(f-100) > 1e-6 {
 		t.Errorf("stale observation moved the factor to %g, want 100", f)
+	}
+}
+
+// TestStoreCapEvictsLeastRecentlyObserved: neither map grows past
+// MaxKeys, and the key evicted at the cap is the one observed longest
+// ago, in pending and in active alike.
+func TestStoreCapEvictsLeastRecentlyObserved(t *testing.T) {
+	s := NewStore()
+	key := func(i int) string { return "k" + strconv.Itoa(i) }
+	for i := 0; i < MaxKeys; i++ {
+		s.Record(key(i), 1, 2, 0)
+	}
+	s.Record(key(0), 1, 2, 0)       // k0 observed again: k1 is now the oldest
+	s.Record(key(MaxKeys), 1, 2, 0) // one key too many
+	st := s.Snapshot()
+	if st.Pending != MaxKeys || st.Evicted != 1 || st.MaxKeys != MaxKeys {
+		t.Fatalf("pending %d, evicted %d, max %d; want %d, 1, %d", st.Pending, st.Evicted, st.MaxKeys, MaxKeys, MaxKeys)
+	}
+	if folded, _ := s.Apply(); folded != MaxKeys {
+		t.Fatalf("folded %d keys, want %d", folded, MaxKeys)
+	}
+	if _, ok := s.Factor(key(1)); ok {
+		t.Error("the least recently observed pending key survived")
+	}
+	if f, ok := s.Factor(key(0)); !ok || math.Abs(f-2) > 1e-9 {
+		t.Errorf("k0 factor = %g, %v; want 2", f, ok)
+	}
+
+	// Observing k2 keeps its correction; a new key then evicts k3, the
+	// oldest active one.
+	s.Record(key(2), 1, 1, s.Epoch())
+	s.Record("new", 1, 1, s.Epoch())
+	s.Apply()
+	st = s.Snapshot()
+	if st.Active != MaxKeys || st.Pending != 0 {
+		t.Fatalf("active %d, pending %d; want %d, 0", st.Active, st.Pending, MaxKeys)
+	}
+	if _, ok := s.Factor(key(3)); ok {
+		t.Error("the least recently observed active key survived")
+	}
+	for _, k := range []string{key(2), "new", key(MaxKeys)} {
+		if _, ok := s.Factor(k); !ok {
+			t.Errorf("%s lost its correction", k)
+		}
 	}
 }
