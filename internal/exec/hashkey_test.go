@@ -161,3 +161,69 @@ func TestHashJoinIntFloatKeys(t *testing.T) {
 		t.Errorf("plan space lacks a hash join: %v", used)
 	}
 }
+
+// TestHashKeysStringCodes: a string join key hashes by its 8-byte code
+// when it is the only key and through the byte encoder beside another
+// key; both must find every equal-text pair, never join NULL keys, and
+// group NULL keys together.
+func TestHashKeysStringCodes(t *testing.T) {
+	db := keyDB(t,
+		keyTable{name: "a", cols: []catalog.Column{
+			{Name: "sa", Kind: data.KindString}, {Name: "ai", Kind: data.KindInt},
+		}, rows: [][]any{
+			{"x", int64(1)}, {"y", int64(2)}, {nil, int64(3)}, {"x", int64(4)}, {"zz", int64(5)},
+		}},
+		keyTable{name: "b", cols: []catalog.Column{
+			{Name: "sb", Kind: data.KindString}, {Name: "bi", Kind: data.KindInt},
+		}, rows: [][]any{
+			{"x", int64(1)}, {nil, int64(3)}, {"y", int64(9)}, {"w", int64(2)},
+		}},
+	)
+	// One key: the word path.
+	used := allPlansReturn(t, db, "SELECT ai, bi FROM a, b WHERE sa = sb", []string{
+		"1|1", "4|1", "2|9",
+	})
+	if used[memo.HashJoin] == 0 {
+		t.Errorf("plan space lacks a hash join: %v", used)
+	}
+	// Two keys: the byte encoder.
+	used = allPlansReturn(t, db, "SELECT ai, bi FROM a, b WHERE sa = sb AND ai = bi", []string{
+		"1|1",
+	})
+	if used[memo.HashJoin] == 0 {
+		t.Errorf("plan space lacks a hash join: %v", used)
+	}
+	// Grouping by a string: NULL keys form one group on both paths.
+	allPlansReturn(t, db, "SELECT sa, COUNT(ai) AS n FROM a GROUP BY sa", []string{
+		"NULL|1", "x|2", "y|1", "zz|1",
+	})
+	allPlansReturn(t, db, "SELECT sa, ai, COUNT(ai) AS n FROM a GROUP BY sa, ai", []string{
+		"NULL|3|1", "x|1|1", "x|4|1", "y|2|1", "zz|5|1",
+	})
+}
+
+// TestMultiColumnKeysKeepIntAndZeroRules runs the 2^53 and -0 cases
+// through the byte encoder, next to the single-key tests above that take
+// the 8-byte path: 2^53 and 2^53+1 stay apart as int64 group and join
+// keys, and -0 joins 0 as a float key.
+func TestMultiColumnKeysKeepIntAndZeroRules(t *testing.T) {
+	const k = int64(1) << 53
+	db := keyDB(t,
+		keyTable{name: "p", cols: []catalog.Column{
+			{Name: "pk", Kind: data.KindInt}, {Name: "pf", Kind: data.KindFloat}, {Name: "pv", Kind: data.KindInt},
+		}, rows: [][]any{
+			{k, 0.0, int64(1)}, {k + 1, 0.0, int64(2)}, {k, 1.5, int64(4)}, {nil, 0.0, int64(8)},
+		}},
+		keyTable{name: "q", cols: []catalog.Column{
+			{Name: "qk", Kind: data.KindInt}, {Name: "qf", Kind: data.KindFloat}, {Name: "qv", Kind: data.KindInt},
+		}, rows: [][]any{
+			{k, math.Copysign(0, -1), int64(10)}, {k + 1, 0.0, int64(20)}, {k + 1, 1.5, int64(40)},
+		}},
+	)
+	allPlansReturn(t, db, "SELECT pv, qv FROM p, q WHERE pk = qk AND pf = qf", []string{
+		"1|10", "2|20",
+	})
+	allPlansReturn(t, db, "SELECT pk, pf, SUM(pv) AS s FROM p GROUP BY pk, pf", []string{
+		"9007199254740992|0|1", "9007199254740993|0|2", "9007199254740992|1.5|4", "NULL|0|8",
+	})
+}

@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/catalog"
@@ -217,5 +218,91 @@ func TestNoHistogramForTinyTables(t *testing.T) {
 	}
 	if len(tbl.Def.Columns[0].Stats.HistBounds) != 0 {
 		t.Error("histogram collected for a 5-row table")
+	}
+}
+
+// TestInsertInterns: string cells enter the DB's table of strings once
+// per distinct text, and other cell forms are checked.
+func TestInsertInterns(t *testing.T) {
+	db, tbl := testDB(t)
+	for _, s := range []string{"b", "a", "b"} {
+		if err := tbl.Insert(1, s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := db.Strings().Len(); n != 2 {
+		t.Errorf("%d codes for 2 distinct texts", n)
+	}
+	if tbl.Rows[0][1] != tbl.Rows[2][1] || tbl.Rows[0][1] == tbl.Rows[1][1] {
+		t.Error("equal texts must share a code, distinct ones not")
+	}
+	if got := db.Strings().Text(tbl.Rows[1][1]); got != "a" {
+		t.Errorf("stored %q, want a", got)
+	}
+	if err := tbl.Insert(1, db.Strings().Intern("c")); err == nil {
+		t.Error("a string value accepted; string cells are Go strings")
+	}
+	if err := tbl.Insert(int32(1), "x"); err == nil {
+		t.Error("an int32 cell accepted")
+	}
+}
+
+// TestStringStatsReadText: a string column's statistics order by text,
+// not code, and carry the table that resolves their codes.
+func TestStringStatsReadText(t *testing.T) {
+	db, tbl := testDB(t)
+	for i, s := range []string{"m", "z", "a", "q"} {
+		if err := tbl.Insert(i, s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := db.ComputeStats(); err != nil {
+		t.Fatal(err)
+	}
+	st := tbl.Def.Columns[1].Stats
+	if st.Strings != db.Strings() {
+		t.Fatal("string column statistics lack the DB's table")
+	}
+	if lo, hi := st.Strings.Text(st.Min), st.Strings.Text(st.Max); lo != "a" || hi != "z" {
+		t.Errorf("min/max = %q/%q, want a/z", lo, hi)
+	}
+	if tbl.Def.Columns[0].Stats.Strings != nil {
+		t.Error("an int column's statistics carry a string table")
+	}
+}
+
+// TestStringsReadableWhileInserting: resolving stored strings takes no
+// lock, so under -race it must not race with a goroutine inserting rows
+// that intern new texts.
+func TestStringsReadableWhileInserting(t *testing.T) {
+	db, tbl := testDB(t)
+	for i := 0; i < 50; i++ {
+		if err := tbl.Insert(i, fmt.Sprintf("old%d", i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	old := append([]data.Row(nil), tbl.Rows...)
+	done := make(chan error)
+	go func() {
+		for i := 0; i < 3000; i++ {
+			if err := tbl.Insert(i, fmt.Sprintf("new%d", i)); err != nil {
+				done <- err
+				return
+			}
+		}
+		done <- nil
+	}()
+	for round := 0; round < 20; round++ {
+		for i, row := range old {
+			if got := db.Strings().Text(row[1]); got != fmt.Sprintf("old%d", i) {
+				t.Fatalf("row %d reads %q", i, got)
+			}
+			if _, ok := db.Strings().Lookup(fmt.Sprintf("old%d", i)); !ok {
+				t.Fatalf("old%d not found", i)
+			}
+		}
+	}
+	if err := <-done; err != nil {
+		t.Fatal(err)
 	}
 }
