@@ -102,7 +102,27 @@ func MustParseDate(s string) int64 {
 }
 
 // FormatDate renders a day number as an ISO 'YYYY-MM-DD' string.
-func FormatDate(days int64) string {
+func FormatDate(days int64) string { return string(appendDate(nil, days)) }
+
+// appendDate appends FormatDate(days) to b.
+func appendDate(b []byte, days int64) []byte {
 	y, m, d := YMDFromDate(days)
-	return fmt.Sprintf("%04d-%02d-%02d", y, m, d)
+	b = appendPadded(b, y, 4)
+	b = appendPadded(append(b, '-'), m, 2)
+	return appendPadded(append(b, '-'), d, 2)
+}
+
+// appendPadded appends v zero-padded to width characters, sign included,
+// as fmt's %0*d does.
+func appendPadded(b []byte, v, width int) []byte {
+	var tmp [20]byte
+	digits := strconv.AppendInt(tmp[:0], int64(v), 10)
+	if digits[0] == '-' {
+		b = append(b, '-')
+		digits, width = digits[1:], width-1
+	}
+	for n := len(digits); n < width; n++ {
+		b = append(b, '0')
+	}
+	return append(b, digits...)
 }

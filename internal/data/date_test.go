@@ -1,6 +1,7 @@
 package data
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 )
@@ -92,5 +93,16 @@ func TestDateOrderingMatchesCalendar(t *testing.T) {
 	}
 	if c, _ := Compare(nil, NewDate(a), NewDate(b)); c != -1 {
 		t.Error("date Compare disagrees with day-number order")
+	}
+}
+
+// TestFormatDateMatchesSprintf: the append-style renderer prints what
+// fmt's "%04d-%02d-%02d" printed, negative and five-digit years included.
+func TestFormatDateMatchesSprintf(t *testing.T) {
+	for days := int64(-1_200_000); days <= 3_000_000; days += 997 {
+		y, m, d := YMDFromDate(days)
+		if got, want := FormatDate(days), fmt.Sprintf("%04d-%02d-%02d", y, m, d); got != want {
+			t.Fatalf("FormatDate(%d) = %q, want %q", days, got, want)
+		}
 	}
 }

@@ -131,7 +131,7 @@ func (v Value) append(b []byte, s *Strings) []byte {
 		}
 		return append(b, s.Text(v)...)
 	case KindDate:
-		return append(b, FormatDate(int64(v.p))...)
+		return appendDate(b, int64(v.p))
 	default:
 		return fmt.Appendf(b, "Value(kind=%d)", v.K)
 	}

@@ -119,6 +119,10 @@ type aggIter struct {
 	emitPos   int
 	prepared  bool
 
+	// rows holds group keys and output rows; accSlab the accumulators
+	rows    rowStore
+	accSlab []aggAcc
+
 	// stream state
 	curKey  []data.Value
 	curAccs []aggAcc
@@ -173,8 +177,14 @@ func (b *builder) buildAgg(e *memo.Expr, child Iterator, cs schema) (Iterator, s
 	return it, out, nil
 }
 
+// newAccs returns one group's accumulators, carved from a slab.
 func (a *aggIter) newAccs() []aggAcc {
-	accs := make([]aggAcc, len(a.aggs))
+	n := len(a.aggs)
+	if len(a.accSlab) < n {
+		a.accSlab = make([]aggAcc, 16*n)
+	}
+	accs := a.accSlab[:n:n]
+	a.accSlab = a.accSlab[n:]
 	for i, agg := range a.aggs {
 		accs[i] = aggAcc{fn: agg.Fn, kind: agg.Out.Kind}
 	}
@@ -199,12 +209,19 @@ func (a *aggIter) accumulate(accs []aggAcc, row data.Row) error {
 }
 
 func (a *aggIter) emitRow(keys []data.Value, accs []aggAcc) data.Row {
-	row := make(data.Row, 0, a.outCols)
-	row = append(row, keys...)
+	row := a.rows.alloc(a.outCols)
+	copy(row, keys)
 	for i := range accs {
-		row = append(row, accs[i].final())
+		row[len(keys)+i] = accs[i].final()
 	}
 	return row
+}
+
+// keepKeys returns a copy of keys that outlives the next input row.
+func (a *aggIter) keepKeys(keys []data.Value) data.Row {
+	k := a.rows.alloc(len(keys))
+	copy(k, keys)
+	return k
 }
 
 func (a *aggIter) Open(ctx context.Context) error {
@@ -322,7 +339,7 @@ func (a *aggIter) groupOf(keys []data.Value) int {
 }
 
 func (a *aggIter) newGroup(keys []data.Value) int {
-	a.order = append(a.order, append(data.Row(nil), keys...))
+	a.order = append(a.order, a.keepKeys(keys))
 	a.accs = append(a.accs, a.newAccs())
 	return len(a.order) - 1
 }
@@ -355,12 +372,12 @@ func (a *aggIter) nextStream() (data.Row, bool, error) {
 			keys[i] = v
 		}
 		if !a.haveCur {
-			a.curKey = append(data.Row(nil), keys...)
+			a.curKey = a.keepKeys(keys)
 			a.curAccs = a.newAccs()
 			a.haveCur = true
 		} else if !sameKeys(a.curKey, keys) {
 			out := a.emitRow(a.curKey, a.curAccs)
-			a.curKey = append(data.Row(nil), keys...)
+			a.curKey = a.keepKeys(keys)
 			a.curAccs = a.newAccs()
 			if err := a.accumulate(a.curAccs, row); err != nil {
 				return nil, false, err

@@ -59,6 +59,7 @@ func RunWithOptions(ctx context.Context, p *plan.Node, db *storage.DB, q *algebr
 	}
 	start := time.Now()
 	res := &Result{Columns: q.OutputNames(), Strings: b.strs}
+	var store rowStore
 	runErr := func() error {
 		if err := it.Open(ctx); err != nil {
 			return err
@@ -78,7 +79,9 @@ func RunWithOptions(ctx context.Context, p *plan.Node, db *storage.DB, q *algebr
 				res.Stats.Reason = ReasonRowLimit
 				return nil
 			}
-			res.Rows = append(res.Rows, row.Clone())
+			out := store.alloc(len(row))
+			copy(out, row)
+			res.Rows = append(res.Rows, out)
 		}
 	}()
 	closeErr := it.Close()
@@ -111,8 +114,10 @@ func RunWithOptions(ctx context.Context, p *plan.Node, db *storage.DB, q *algebr
 // differs between plans) does not flip the digest.
 func (r *Result) Digest() string {
 	lines := make([]string, len(r.Rows))
+	var buf []byte
 	for i, row := range r.Rows {
-		lines[i] = rowKey(row, r.Strings)
+		buf = appendRowKey(buf[:0], row, r.Strings)
+		lines[i] = string(buf)
 	}
 	sort.Strings(lines)
 	h := sha256.New()
@@ -123,11 +128,20 @@ func (r *Result) Digest() string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-func digestValue(v data.Value, strs *data.Strings) string {
-	if v.K == data.KindFloat {
-		return strconv.FormatFloat(v.Float(), 'g', 6, 64)
+// appendRowKey appends a row's digest line: its values separated by
+// 0x1f, floats rounded to 6 significant digits.
+func appendRowKey(b []byte, row data.Row, strs *data.Strings) []byte {
+	for j, v := range row {
+		if j > 0 {
+			b = append(b, 0x1f)
+		}
+		if v.K == data.KindFloat {
+			b = strconv.AppendFloat(b, v.Float(), 'g', 6, 64)
+		} else {
+			b = strs.Append(b, v)
+		}
 	}
-	return strs.Format(v)
+	return b
 }
 
 // Equivalent reports whether two results hold the same multiset of rows,
@@ -208,17 +222,6 @@ func sortedRows(rows []data.Row, order []int, strs *data.Strings) []data.Row {
 		return 0
 	})
 	return out
-}
-
-func rowKey(row data.Row, strs *data.Strings) string {
-	var sb strings.Builder
-	for j, v := range row {
-		if j > 0 {
-			sb.WriteByte(0x1f)
-		}
-		sb.WriteString(digestValue(v, strs))
-	}
-	return sb.String()
 }
 
 func valuesClose(a, b data.Value, relTol float64) bool {

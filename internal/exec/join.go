@@ -147,37 +147,45 @@ func extractKey(keys []data.Value, r data.Row, pos []int) (null bool) {
 // insertion order, so probes emit matches in the order the build input
 // produced them. A single-column key of one kind is chained by its
 // 8-byte wordKey in words, any other key by its encoding in chains.
+// Each chain is circular: its tail links back to its head.
 type hashTable struct {
-	words      map[uint64]int32 // wordKey -> chain
-	chains     map[string]int32 // encoded key -> chain
-	head, tail []int32          // per chain: first and last row
-	rows       []data.Row
-	next       []int32 // per row: the next row of its chain, or -1
-	store      rowStore
+	words  map[uint64]int32 // wordKey -> chain
+	chains map[string]int32 // encoded key -> chain
+	tails  []int32          // per chain: its last row
+	rows   []chainedRow
+	store  rowStore
+}
+
+type chainedRow struct {
+	row  data.Row
+	next int32 // the next row of its chain; the tail's is the head
 }
 
 // add appends r to chain c, or to a new chain when found is false, and
 // returns the chain.
 func (h *hashTable) add(c int32, found bool, r data.Row) int32 {
 	ri := int32(len(h.rows))
-	h.rows = append(h.rows, h.store.keep(r))
-	h.next = append(h.next, -1)
+	next := ri
 	if found {
-		h.next[h.tail[c]] = ri
-		h.tail[c] = ri
-		return c
+		t := h.tails[c]
+		next, h.rows[t].next = h.rows[t].next, ri
+		h.tails[c] = ri
+	} else {
+		c = int32(len(h.tails))
+		h.tails = append(h.tails, ri)
 	}
-	h.head = append(h.head, ri)
-	h.tail = append(h.tail, ri)
-	return int32(len(h.head) - 1)
+	h.rows = append(h.rows, chainedRow{row: h.store.keep(r), next: next})
+	return c
 }
 
-// headOf returns the first row of chain c, or -1 when found is false.
-func (h *hashTable) headOf(c int32, found bool) int32 {
+// span returns the first and last rows of chain c, or -1, -1 when found
+// is false.
+func (h *hashTable) span(c int32, found bool) (first, last int32) {
 	if !found {
-		return -1
+		return -1, -1
 	}
-	return h.head[c]
+	last = h.tails[c]
+	return h.rows[last].next, last
 }
 
 // hashJoinIter builds a hash table on the left child (as the cost model
@@ -196,6 +204,7 @@ type hashJoinIter struct {
 
 	table *hashTable
 	cand  int32 // next build row matching the current probe row, or -1
+	last  int32 // the last build row matching it
 }
 
 func (j *hashJoinIter) Open(ctx context.Context) error {
@@ -250,28 +259,34 @@ func (j *hashJoinIter) Open(ctx context.Context) error {
 	return j.right.Open(ctx)
 }
 
-// probe returns the first build row whose key matches rr's, or -1.
-func (j *hashJoinIter) probe(rr data.Row) int32 {
+// probe returns the first and last build rows whose key matches rr's,
+// or -1, -1.
+func (j *hashJoinIter) probe(rr data.Row) (int32, int32) {
 	if j.word {
 		v := rr[j.rPos[0]]
 		if v.IsNull() {
-			return -1
+			return -1, -1
 		}
 		c, found := j.table.words[wordKey(v)]
-		return j.table.headOf(c, found)
+		return j.table.span(c, found)
 	}
 	if extractKey(j.keys, rr, j.rPos) {
-		return -1
+		return -1, -1
 	}
 	c, found := j.table.chains[string(j.enc.encode(j.keys))]
-	return j.table.headOf(c, found)
+	return j.table.span(c, found)
 }
 
 func (j *hashJoinIter) Next() (data.Row, bool, error) {
 	for {
 		if j.cand >= 0 {
-			j.out.setLeft(j.table.rows[j.cand])
-			j.cand = j.table.next[j.cand]
+			cr := &j.table.rows[j.cand]
+			j.out.setLeft(cr.row)
+			if j.cand == j.last {
+				j.cand = -1
+			} else {
+				j.cand = cr.next
+			}
 			keep, err := j.pred.keep(j.out.row)
 			if err != nil {
 				return nil, false, err
@@ -293,7 +308,7 @@ func (j *hashJoinIter) Next() (data.Row, bool, error) {
 		if err != nil || !ok {
 			return nil, false, err
 		}
-		if j.cand = j.probe(rr); j.cand >= 0 {
+		if j.cand, j.last = j.probe(rr); j.cand >= 0 {
 			j.out.setRight(rr)
 		}
 	}

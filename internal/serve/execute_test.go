@@ -107,10 +107,14 @@ func TestExecutePathologicalPlanTruncated(t *testing.T) {
 		t.Errorf("examined %d rows against a 50k budget", byWork.RowsExamined)
 	}
 
+	// The work budget is raised to the server's ceiling so that the
+	// deadline, not the default budget, is what stops the run: the
+	// executor gets through the default 5e6 rows in under 100 ms.
 	start := time.Now()
 	var byTime ExecuteResponse
 	post(t, h, "/execute",
-		ExecuteRequest{QueryRequest: QueryRequest{SQL: crossSQL, Cross: true}, TimeoutMs: 100},
+		ExecuteRequest{QueryRequest: QueryRequest{SQL: crossSQL, Cross: true}, TimeoutMs: 100,
+			MaxIntermediateRows: DefaultExecLimits().MaxWork},
 		http.StatusOK, &byTime)
 	if !byTime.Truncated || byTime.Reason != exec.ReasonDeadline {
 		t.Fatalf("deadline kill: %+v", byTime)
