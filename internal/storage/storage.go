@@ -9,7 +9,8 @@ package storage
 
 import (
 	"fmt"
-	"sort"
+	"slices"
+	"strconv"
 	"sync"
 
 	"repro/internal/catalog"
@@ -127,18 +128,18 @@ func (t *Table) IndexOrder(idx *catalog.Index) ([]int32, error) {
 		perm[i] = int32(i)
 	}
 	var sortErr error
-	sort.SliceStable(perm, func(a, b int) bool {
-		ra, rb := t.Rows[perm[a]], t.Rows[perm[b]]
+	slices.SortStableFunc(perm, func(a, b int32) int {
+		ra, rb := t.Rows[a], t.Rows[b]
 		for _, kc := range idx.KeyCols {
 			c, err := data.Compare(t.strs, ra[kc], rb[kc])
 			if err != nil && sortErr == nil {
 				sortErr = err
 			}
 			if c != 0 {
-				return c < 0
+				return c
 			}
 		}
-		return false
+		return 0
 	})
 	if sortErr != nil {
 		return nil, fmt.Errorf("storage: ordering %s by %s: %w", t.Def.Name, idx.Name, sortErr)
@@ -180,7 +181,11 @@ const histBuckets = 16
 
 func columnStats(t *Table, ci int) (catalog.ColumnStats, error) {
 	var st catalog.ColumnStats
-	distinct := make(map[string]struct{})
+	// Distinct values are counted as they render: a string by its code,
+	// which is its text, and a float by its 12-digit rendering.
+	distinct := make(map[data.Value]struct{})
+	floats := make(map[string]struct{})
+	var buf []byte
 	var nonNull []data.Value
 	first := true
 	for _, row := range t.Rows {
@@ -189,7 +194,14 @@ func columnStats(t *Table, ci int) (catalog.ColumnStats, error) {
 			st.NullCount++
 			continue
 		}
-		distinct[t.strs.Format(v)] = struct{}{}
+		if v.K == data.KindFloat {
+			buf = strconv.AppendFloat(buf[:0], v.Float(), 'g', 12, 64)
+			if _, ok := floats[string(buf)]; !ok {
+				floats[string(buf)] = struct{}{}
+			}
+		} else {
+			distinct[v] = struct{}{}
+		}
 		nonNull = append(nonNull, v)
 		if first {
 			st.Min, st.Max = v, v
@@ -207,7 +219,7 @@ func columnStats(t *Table, ci int) (catalog.ColumnStats, error) {
 			st.Max = v
 		}
 	}
-	st.NDV = int64(len(distinct))
+	st.NDV = int64(len(distinct) + len(floats))
 	if st.NDV == 0 {
 		st.NDV = 1
 	}
@@ -230,12 +242,12 @@ func equiDepthBounds(strs *data.Strings, vals []data.Value, buckets int) ([]data
 	}
 	sorted := append([]data.Value(nil), vals...)
 	var sortErr error
-	sort.SliceStable(sorted, func(i, j int) bool {
-		c, err := data.Compare(strs, sorted[i], sorted[j])
+	slices.SortStableFunc(sorted, func(a, b data.Value) int {
+		c, err := data.Compare(strs, a, b)
 		if err != nil && sortErr == nil {
 			sortErr = err
 		}
-		return c < 0
+		return c
 	})
 	if sortErr != nil {
 		return nil, sortErr
