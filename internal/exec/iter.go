@@ -36,7 +36,9 @@ type Iterator interface {
 
 // Build compiles a physical plan into an iterator tree over db. Every
 // iterator in the tree shares gov, which charges each intermediate row
-// against the caller's budgets and audits Open/Close transitions.
+// against the caller's budgets and audits Open/Close transitions. The
+// string constants the plan materializes are coded in a table private
+// to the tree; RunWithOptions returns that table as Result.Strings.
 func Build(p *plan.Node, db *storage.DB, q *algebra.Query, gov *Governor) (Iterator, error) {
 	it, _, err := newBuilder(db, q, gov).build(p)
 	return it, err

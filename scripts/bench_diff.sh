@@ -14,11 +14,13 @@
 #     BenchmarkExecute/Q5/median_sampled,
 #     BenchmarkExecute/Q5/merge_sampled and BenchmarkPrepare/Q9/cached
 #     allocs/op must stay within 10% of the value BENCH_core.json
-#     records. The median sampled plan runs three nested-loop joins that
+#     records, and so must the B/op of those BenchmarkExecute rows. The
+#     median sampled plan runs three nested-loop joins that
 #     re-open their inner sides once per outer row, a path the optimal
 #     plans barely touch; the merge sampled plan is the only row with a
 #     merge join; the cached Prepare is the SQL front end (parse,
-#     canonical rendering, fingerprints) every request pays.
+#     canonical rendering, fingerprints) every request pays. Like
+#     allocation counts, bytes allocated do not depend on the host.
 #  3. Speedups. The production tiers are timed against the /big rows
 #     (the reference oracle) and the recorded speedups must not regress
 #     by more than 20%. Absolute ns/op shift with the host; the ratios
@@ -58,14 +60,14 @@ python3 - "$TMP" "$COUNT" "$TOLERANCE" <<'PYEOF'
 import json, os, re, statistics, sys
 
 tmp, count, tolerance = sys.argv[1], int(sys.argv[2]), float(sys.argv[3])
-pat = re.compile(r'^(Benchmark\S+?)-\d+\s+\d+\s+([\d.]+) ns/op.*?\s(\d+) allocs/op')
-runs = []  # one {row: (ns/op, allocs/op)} per run
+pat = re.compile(r'^(Benchmark\S+?)-\d+\s+\d+\s+([\d.]+) ns/op.*?\s(\d+) B/op\s+(\d+) allocs/op')
+runs = []  # one {row: (ns/op, allocs/op, B/op)} per run
 for i in range(1, count + 1):
     rows = {}
     for line in open(os.path.join(tmp, f"run{i}.txt")):
         m = pat.match(line)
         if m:
-            rows[m.group(1)] = (float(m.group(2)), int(m.group(3)))
+            rows[m.group(1)] = (float(m.group(2)), int(m.group(4)), int(m.group(3)))
     runs.append(rows)
 if not any(runs):
     sys.exit("bench_diff: no benchmark rows parsed")
@@ -120,6 +122,23 @@ for row in core["results"]:
     if max(got) > ceiling:
         failed.append(f"{name}: {want} allocs/op recorded, {max(got)} fresh (ceiling {ceiling:.0f})")
 
+print(f"\nbench_diff: B/op ceilings (recorded + 10%)")
+print(f"{'row':28} {'recorded':>9} {'fresh':>9}")
+for row in core["results"]:
+    name = row["name"]
+    if not re.fullmatch(r'BenchmarkExecute/(\S+/optimal|Q5/(median|merge)_sampled)', name):
+        continue
+    want = row["bytes_per_op"]
+    got = [rows[name][2] for rows in runs if name in rows]
+    if len(got) != count:
+        failed.append(f"{name}: present in {len(got)} of {count} runs")
+        continue
+    ceiling = want * 1.1
+    flag = "" if max(got) <= ceiling else "  << REGRESSION"
+    print(f"{name[len('Benchmark'):]:28} {want:9d} {max(got):9d}{flag}")
+    if max(got) > ceiling:
+        failed.append(f"{name}: {want} B/op recorded, {max(got)} fresh (ceiling {ceiling:.0f})")
+
 recorded = core["speedup"]
 print(f"\nbench_diff: speedups, median of per-run paired ratios (fail below {tolerance:.0%} of recorded)")
 print(f"{'row':28} {'recorded':>9} {'fresh':>9} {'ratio':>7}  per-run")
@@ -142,5 +161,5 @@ if failed:
         print("  " + f)
     sys.exit(1)
 print("\nbench_diff: OK — production rows allocate nothing, no gated row above its "
-      f"allocs/op ceiling, no recorded speedup regressed by more than {1 - tolerance:.0%}")
+      f"allocs/op or B/op ceiling, no recorded speedup regressed by more than {1 - tolerance:.0%}")
 PYEOF
