@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"reflect"
-	"sync"
 	"testing"
 	"unsafe"
 )
@@ -117,38 +116,5 @@ func TestOverlayLeavesBaseUnchanged(t *testing.T) {
 	}
 	if c, err := Compare(ov, mars, asia); err != nil || c != 1 {
 		t.Errorf("Compare(MARS, ASIA) = %d, %v", c, err)
-	}
-}
-
-// TestStringsReadWhileInterning: Text and Lookup take no lock; under
-// -race they must not race with a goroutine that keeps interning.
-func TestStringsReadWhileInterning(t *testing.T) {
-	s := NewStrings()
-	var known []Value
-	for i := 0; i < 100; i++ {
-		known = append(known, s.Intern(fmt.Sprintf("k%d", i)))
-	}
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i := 0; i < 5000; i++ {
-			s.Intern(fmt.Sprintf("w%d", i))
-		}
-	}()
-	for round := 0; round < 50; round++ {
-		for i, v := range known {
-			if got := s.Text(v); got != fmt.Sprintf("k%d", i) {
-				t.Fatalf("Text = %q", got)
-			}
-			if w, ok := s.Lookup(fmt.Sprintf("k%d", i)); !ok || w != v {
-				t.Fatalf("Lookup(k%d) = %v, %v", i, w, ok)
-			}
-		}
-		_ = s.Len()
-	}
-	wg.Wait()
-	if s.Len() != 5100 {
-		t.Errorf("Len = %d", s.Len())
 	}
 }

@@ -73,8 +73,8 @@ func (db *DB) Table(name string) (*Table, error) {
 
 // Insert appends a row after checking arity and kinds, so generator bugs
 // fail fast instead of corrupting experiments. Each cell is a Go string
-// (interned into the DB's table of strings), an int, int64, float64 or
-// bool, a data.Value of any kind but string, or nil for NULL.
+// (interned into the DB's table of strings), an int, int64 or float64, a
+// data.Value of any kind but string, or nil for NULL.
 func (t *Table) Insert(cells ...any) error {
 	if len(cells) != len(t.Def.Columns) {
 		return fmt.Errorf("storage: %s: row has %d values, table has %d columns", t.Def.Name, len(cells), len(t.Def.Columns))
@@ -92,8 +92,6 @@ func (t *Table) Insert(cells ...any) error {
 			v = data.NewInt(c)
 		case float64:
 			v = data.NewFloat(c)
-		case bool:
-			v = data.NewBool(c)
 		case data.Value:
 			if c.K == data.KindString {
 				return fmt.Errorf("storage: %s.%s: pass string cells as Go strings", t.Def.Name, t.Def.Columns[i].Name)
