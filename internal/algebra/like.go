@@ -9,12 +9,14 @@ func MatchLike(s, pattern string) bool {
 	star, mark := -1, 0
 	for si < len(s) {
 		switch {
-		case pi < len(pattern) && (pattern[pi] == '_' || pattern[pi] == s[si]):
-			si++
-			pi++
 		case pi < len(pattern) && pattern[pi] == '%':
+			// Tested first: a '%' in s is not a literal match for the
+			// wildcard.
 			star = pi
 			mark = si
+			pi++
+		case pi < len(pattern) && (pattern[pi] == '_' || pattern[pi] == s[si]):
+			si++
 			pi++
 		case star >= 0:
 			pi = star + 1

@@ -29,6 +29,11 @@ func TestMatchLikeBasics(t *testing.T) {
 		{"xy", "_", false},
 		{"aXbXc", "a%b%c", true},
 		{"abcb", "a%b", true}, // backtracking: % must not be greedy-only
+		// A '%' in the subject is an ordinary byte, never a literal
+		// match that consumes the pattern's wildcard.
+		{"gr%e", "%r%", true},
+		{"a%b", "a%", true},
+		{"%x", "%%x", true},
 	}
 	for _, c := range cases {
 		if got := MatchLike(c.s, c.p); got != c.want {

@@ -284,6 +284,7 @@ func FuzzPredicateKernel(f *testing.F) {
 		f.Add(op, uint8(3), int64(0), 0.0, "BRAZIL", int64(0), 0.0, "MARS", uint8(2))
 		f.Add(op, uint8(3), int64(0), 0.0, "", int64(0), 0.0, "zz%", uint8(2))
 	}
+	f.Add(uint8(6), uint8(2), int64(0), -41.0, "gr%e", int64(0), 59.0, "%r%", uint8(0))
 	f.Add(uint8(8), uint8(3), int64(0), 0.0, "b", int64(0), 0.0, "a", uint8(0))
 	f.Add(uint8(9), uint8(3), int64(0), 0.0, "b", int64(0), 0.0, "a", uint8(0))
 	f.Fuzz(func(t *testing.T, op, kind uint8, colI int64, colF float64, colS string,
