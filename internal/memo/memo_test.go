@@ -152,3 +152,114 @@ func TestStatsAndDump(t *testing.T) {
 		}
 	}
 }
+
+// TestAddExprDedupContract pins what makes two operators the same: each
+// field of the dedup key, changed alone, yields a new operator, and an
+// operator equal in every field (orderings compared by content, scan and
+// lookup specs by relation, index and key count, join specs by identity)
+// returns the existing one.
+func TestAddExprDedupContract(t *testing.T) {
+	cat := catalog.New()
+	for _, name := range []string{"r", "s"} {
+		cat.MustAdd(&catalog.Table{
+			Name:    name,
+			Columns: []catalog.Column{{Name: "k", Kind: data.KindInt}, {Name: "v", Kind: data.KindInt}},
+			Indexes: []catalog.Index{{Name: name + "_k", KeyCols: []int{0}}, {Name: name + "_v", KeyCols: []int{1}}},
+		})
+	}
+	q := algebra.NewQuery()
+	for i, name := range []string{"r", "s"} {
+		tbl, _ := cat.Table(name)
+		rel := &algebra.BaseRel{Idx: i, Name: name, Table: tbl}
+		rel.Cols = []algebra.Column{
+			q.NewBaseColumn("k", data.KindInt, i, 0),
+			q.NewBaseColumn("v", data.KindInt, i, 1),
+		}
+		q.Rels = append(q.Rels, rel)
+		q.AllRels = q.AllRels.Add(i)
+	}
+	r, s := q.Rels[0], q.Rels[1]
+	rk, rv, sk := &r.Table.Indexes[0], &r.Table.Indexes[1], &s.Table.Indexes[0]
+	o1 := algebra.Ordering{{Col: r.Cols[0].ID}}
+	o2 := algebra.Ordering{{Col: s.Cols[0].ID}}
+	o1desc := algebra.Ordering{{Col: r.Cols[0].ID, Desc: true}}
+
+	m := New(q)
+	gr := m.NewGroup(GroupScan, algebra.SetOf(0))
+	gs := m.NewGroup(GroupScan, algebra.SetOf(1))
+	g := m.NewGroup(GroupJoin, algebra.SetOf(0, 1))
+	spec, spec2 := &JoinSpec{}, &JoinSpec{}
+
+	// base sets every field the key covers; the orderings and specs are
+	// rebuilt on each call so only content (or identity, for the join
+	// spec) can match.
+	base := func() Expr {
+		return Expr{
+			Op:        MergeJoin,
+			Children:  []*Group{gr, gs},
+			Scan:      &ScanSpec{Rel: r, Index: rk},
+			Join:      spec,
+			Lookup:    &LookupSpec{Rel: s, Index: sk, OuterKeys: []algebra.Column{r.Cols[0]}},
+			SortOrder: o1.Clone(),
+			Delivered: o1.Clone(),
+			Required:  []algebra.Ordering{o1.Clone(), nil},
+		}
+	}
+	orig := m.AddExpr(g, base())
+	if again := m.AddExpr(g, base()); again != orig {
+		t.Fatalf("identical operator not deduplicated: got %s, want %s", again.Name(), orig.Name())
+	}
+
+	cases := []struct {
+		field  string
+		mutate func(*Expr)
+	}{
+		{"op", func(e *Expr) { e.Op = HashJoin }},
+		{"child 0", func(e *Expr) { e.Children = []*Group{gs, gs} }},
+		{"child 1", func(e *Expr) { e.Children = []*Group{gr, gr} }},
+		{"child count", func(e *Expr) { e.Children = []*Group{gr} }},
+		{"scan rel", func(e *Expr) { e.Scan.Rel = s }},
+		{"scan index", func(e *Expr) { e.Scan.Index = rv }},
+		{"scan without index", func(e *Expr) { e.Scan.Index = nil }},
+		{"no scan", func(e *Expr) { e.Scan = nil }},
+		{"join spec identity", func(e *Expr) { e.Join = spec2 }},
+		{"no join spec", func(e *Expr) { e.Join = nil }},
+		{"lookup rel", func(e *Expr) { e.Lookup.Rel = r }},
+		{"lookup index", func(e *Expr) { e.Lookup.Index = rv }},
+		{"lookup key count", func(e *Expr) { e.Lookup.OuterKeys = append(e.Lookup.OuterKeys, r.Cols[1]) }},
+		{"no lookup", func(e *Expr) { e.Lookup = nil }},
+		{"sort order", func(e *Expr) { e.SortOrder = o2.Clone() }},
+		{"sort order direction", func(e *Expr) { e.SortOrder = o1desc.Clone() }},
+		{"no sort order", func(e *Expr) { e.SortOrder = nil }},
+		{"delivered", func(e *Expr) { e.Delivered = o2.Clone() }},
+		{"delivered longer", func(e *Expr) { e.Delivered = append(o1.Clone(), o2...) }},
+		{"no delivered", func(e *Expr) { e.Delivered = nil }},
+		{"required 0", func(e *Expr) { e.Required[0] = o2.Clone() }},
+		{"required 1", func(e *Expr) { e.Required[1] = o2.Clone() }},
+		{"required count", func(e *Expr) { e.Required = e.Required[:1] }},
+		{"no required", func(e *Expr) { e.Required = nil }},
+	}
+	seen := map[*Expr]string{orig: "base"}
+	for _, tc := range cases {
+		e := base()
+		tc.mutate(&e)
+		got := m.AddExpr(g, e)
+		if prev, dup := seen[got]; dup {
+			t.Errorf("changing %s: deduplicated into the %s operator %s", tc.field, prev, got.Name())
+			continue
+		}
+		seen[got] = tc.field
+		e = base()
+		tc.mutate(&e)
+		if again := m.AddExpr(g, e); again != got {
+			t.Errorf("changing %s: identical operator not deduplicated (%s, then %s)", tc.field, got.Name(), again.Name())
+		}
+	}
+	if want := len(cases) + 1; len(g.Exprs) != want {
+		t.Errorf("group holds %d operators, want %d", len(g.Exprs), want)
+	}
+	// The same operator in another group is another operator.
+	if other := m.AddExpr(gr, base()); other == orig {
+		t.Error("operators of different groups deduplicated")
+	}
+}
