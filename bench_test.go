@@ -366,16 +366,26 @@ func BenchmarkOptimize(b *testing.B) {
 // cached hits the fingerprint cache and pays only parse + digest + map
 // lookup. The ratio is the repeated-query speedup the plan-space
 // service is built around (acceptance: >= 50x on a TPC-H query).
+// cross10/cold is the structure-build stress row: a 10-way Cartesian
+// self-join of region, whose memo holds 2^10 groups (skipped under
+// -short).
 func BenchmarkPrepare(b *testing.B) {
 	sqlText, _ := tpch.Query("Q9")
-	b.Run("Q9/cold", func(b *testing.B) {
+	cold := func(b *testing.B, sqlText string, opts ...engine.Option) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			e := engine.New(db(b), engine.WithCache(engine.NewSpaceCache(1)))
+			e := engine.New(db(b), append(opts, engine.WithCache(engine.NewSpaceCache(1)))...)
 			if _, err := e.Prepare(sqlText); err != nil {
 				b.Fatal(err)
 			}
 		}
+	}
+	b.Run("Q9/cold", func(b *testing.B) { cold(b, sqlText) })
+	b.Run("cross10/cold", func(b *testing.B) {
+		if testing.Short() {
+			b.Skip("10-way Cartesian join: ~0.3 s per cold Prepare")
+		}
+		cold(b, crossJoinSQL(10), engine.WithCartesian(true))
 	})
 	b.Run("Q9/cached", func(b *testing.B) {
 		e := engine.New(db(b))
@@ -426,6 +436,19 @@ func BenchmarkPrepare(b *testing.B) {
 			}
 		})
 	})
+}
+
+// crossJoinSQL is an n-way Cartesian self-join of region.
+func crossJoinSQL(n int) string {
+	var sb strings.Builder
+	sb.WriteString("SELECT r1.r_name FROM ")
+	for i := 1; i <= n; i++ {
+		if i > 1 {
+			sb.WriteString(", ")
+		}
+		fmt.Fprintf(&sb, "region r%d", i)
+	}
+	return sb.String()
 }
 
 // BenchmarkRecost measures the overlay tier's payoff: re-costing a

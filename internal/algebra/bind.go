@@ -73,7 +73,7 @@ func Build(stmt *sql.SelectStmt, cat *catalog.Catalog) (*Query, error) {
 			// still evaluated (rare, mostly from tests).
 			b.q.Rels[0].Filters = append(b.q.Rels[0].Filters, s)
 		case 1:
-			rel := refs.Indices()[0]
+			rel := refs.First()
 			b.q.Rels[rel].Filters = append(b.q.Rels[rel].Filters, s)
 		default:
 			pi := &PredInfo{Expr: s, Refs: refs}

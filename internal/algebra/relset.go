@@ -6,9 +6,9 @@
 package algebra
 
 import (
-	"fmt"
+	"iter"
 	"math/bits"
-	"strings"
+	"strconv"
 )
 
 // RelSet is a bitmask over the base relations of a query (at most 64,
@@ -46,25 +46,28 @@ func (s RelSet) Empty() bool { return s == 0 }
 // Single reports whether the set holds exactly one relation.
 func (s RelSet) Single() bool { return s != 0 && s&(s-1) == 0 }
 
-// Indices returns the member indices in increasing order.
-func (s RelSet) Indices() []int {
-	out := make([]int, 0, s.Count())
-	for v := uint64(s); v != 0; v &= v - 1 {
-		out = append(out, bits.TrailingZeros64(v))
+// First returns the smallest member index (64 for the empty set).
+func (s RelSet) First() int { return bits.TrailingZeros64(uint64(s)) }
+
+// All yields the member indices in increasing order, without allocating.
+func (s RelSet) All() iter.Seq[int] {
+	return func(yield func(int) bool) {
+		for v := uint64(s); v != 0; v &= v - 1 {
+			if !yield(bits.TrailingZeros64(v)) {
+				return
+			}
+		}
 	}
-	return out
 }
 
 // String renders the set as {i,j,...} for debugging.
 func (s RelSet) String() string {
-	var sb strings.Builder
-	sb.WriteByte('{')
-	for n, i := range s.Indices() {
-		if n > 0 {
-			sb.WriteByte(',')
+	b := []byte{'{'}
+	for i := range s.All() {
+		if len(b) > 1 {
+			b = append(b, ',')
 		}
-		fmt.Fprintf(&sb, "%d", i)
+		b = strconv.AppendInt(b, int64(i), 10)
 	}
-	sb.WriteByte('}')
-	return sb.String()
+	return string(append(b, '}'))
 }

@@ -1,6 +1,7 @@
 package algebra
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -13,8 +14,11 @@ func TestRelSetBasics(t *testing.T) {
 	if s.Count() != 3 {
 		t.Errorf("Count = %d", s.Count())
 	}
-	if got := s.Indices(); len(got) != 3 || got[0] != 0 || got[1] != 2 || got[2] != 5 {
-		t.Errorf("Indices = %v", got)
+	if got := slices.Collect(s.All()); len(got) != 3 || got[0] != 0 || got[1] != 2 || got[2] != 5 {
+		t.Errorf("All = %v", got)
+	}
+	if s.First() != 0 || SetOf(5, 9).First() != 5 {
+		t.Errorf("First = %d, %d", s.First(), SetOf(5, 9).First())
 	}
 	if s.String() != "{0,2,5}" {
 		t.Errorf("String = %s", s.String())
@@ -49,9 +53,28 @@ func TestRelSetAlgebraProperties(t *testing.T) {
 func TestRelSetIndicesRoundTrip(t *testing.T) {
 	f := func(a uint32) bool {
 		s := RelSet(a)
-		return SetOf(s.Indices()...) == s
+		return SetOf(slices.Collect(s.All())...) == s
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestRelSetIterationAllocFree pins that ranging over a set allocates
+// nothing: cost and cardinality code iterates sets once per operator.
+func TestRelSetIterationAllocFree(t *testing.T) {
+	s := SetOf(1, 4, 7, 63)
+	sum := 0
+	allocs := testing.AllocsPerRun(100, func() {
+		for i := range s.All() {
+			sum += i
+		}
+		sum += s.First()
+	})
+	if allocs != 0 {
+		t.Errorf("iterating a RelSet allocates %.0f times", allocs)
+	}
+	if sum == 0 {
+		t.Fatal("iteration yielded nothing")
 	}
 }

@@ -124,6 +124,7 @@ type Space struct {
 
 	info    []*exprInfo // indexed by memo.Expr.ID
 	slab    []exprInfo  // backing store: one contiguous block, no per-node allocation
+	slots   slotSlabs   // backing store for every node's per-slot tables
 	cands   candArena   // backing store for every candidate list
 	rootOps []*memo.Expr
 
@@ -157,7 +158,7 @@ func Prepare(m *memo.Memo, opts ...Option) (*Space, error) {
 		return nil, fmt.Errorf("core: memo has no root group")
 	}
 	maxID := 0
-	kept := 0
+	kept, slots := 0, 0
 	for _, g := range m.Groups {
 		for _, e := range g.Exprs {
 			if e.ID > maxID {
@@ -167,14 +168,16 @@ func Prepare(m *memo.Memo, opts ...Option) (*Space, error) {
 		for _, e := range g.Physical {
 			if cfg.keep(e) {
 				kept++
+				slots += slotCount(e)
 			}
 		}
 	}
 	// One contiguous slab for every node's link structure: the unrank
 	// hot loop chases info pointers once per operator, and packing them
 	// (like the limb arena packs the count tables) is worth real
-	// latency on memos with tens of thousands of operators.
-	s := &Space{Memo: m, info: make([]*exprInfo, maxID+1), slab: make([]exprInfo, 0, kept)}
+	// latency on memos with tens of thousands of operators. The per-slot
+	// tables come from slabs sized the same way.
+	s := &Space{Memo: m, info: make([]*exprInfo, maxID+1), slab: make([]exprInfo, 0, kept), slots: newSlotSlabs(slots)}
 
 	// Count every kept physical operator (bottom-up via memoized
 	// recursion; the structure is acyclic because enforcers take only
@@ -245,23 +248,66 @@ func (a *candArena) put(xs []*memo.Expr) []*memo.Expr { return a.a.put(xs, 512) 
 
 func (a *candArena) memoryBytes() int64 { return int64(a.a.elems()) * 8 }
 
-// slots materializes the candidate lists of one operator (Section 3.1)
-// into the space's candidate arena. Enforcers draw from the
-// non-enforcer operators of their own group with no ordering demand;
-// everything else draws from each child group's operators filtered by
-// the prefix-satisfaction test on delivered vs required orderings.
-func (s *Space) slots(e *memo.Expr, cfg *config) [][]*memo.Expr {
+// slotCount is the number of child slots an operator's tables have: one
+// for an enforcer (its own group's non-enforcers), else one per child.
+func slotCount(e *memo.Expr) int {
+	if e.IsEnforcer() {
+		return 1
+	}
+	return len(e.Children)
+}
+
+// slotSlabs backs the per-slot tables of every kept operator: candidate
+// list headers, prefix-sum row headers and base reciprocals. Prepare
+// sizes each slab to the kept operators' total slot count, so counting
+// carves every operator's tables from three allocations in all.
+type slotSlabs struct {
+	cands  [][]*memo.Expr
+	prefix [][]uint64
+	div    []magicDiv
+	n      int // total slots, for MemoryFootprint
+}
+
+func newSlotSlabs(n int) slotSlabs {
+	return slotSlabs{
+		cands:  make([][]*memo.Expr, n),
+		prefix: make([][]uint64, n),
+		div:    make([]magicDiv, n),
+		n:      n,
+	}
+}
+
+// take carves the next n slots' tables. The slabs were sized to the
+// kept operators' slot count, so they never run short; should they
+// anyway, take falls back to fresh allocations.
+func (sl *slotSlabs) take(n int) (cands [][]*memo.Expr, prefix [][]uint64, div []magicDiv) {
+	if len(sl.cands) < n {
+		return make([][]*memo.Expr, n), make([][]uint64, n), make([]magicDiv, n)
+	}
+	cands, sl.cands = sl.cands[:n:n], sl.cands[n:]
+	prefix, sl.prefix = sl.prefix[:n:n], sl.prefix[n:]
+	div, sl.div = sl.div[:n:n], sl.div[n:]
+	return cands, prefix, div
+}
+
+// fillSlots materializes the candidate lists of one operator (Section
+// 3.1) into out, backed by the space's candidate arena. Enforcers draw
+// from the non-enforcer operators of their own group with no ordering
+// demand; everything else draws from each child group's operators
+// filtered by the prefix-satisfaction test on delivered vs required
+// orderings.
+func (s *Space) fillSlots(e *memo.Expr, cfg *config, out [][]*memo.Expr) {
 	var scratch [64]*memo.Expr
 	if e.IsEnforcer() {
 		cands := scratch[:0]
-		for _, c := range e.Group.NonEnforcers() {
-			if cfg.keep(c) {
+		for _, c := range e.Group.Physical {
+			if !c.IsEnforcer() && cfg.keep(c) {
 				cands = append(cands, c)
 			}
 		}
-		return [][]*memo.Expr{s.cands.put(cands)}
+		out[0] = s.cands.put(cands)
+		return
 	}
-	out := make([][]*memo.Expr, len(e.Children))
 	for i, cg := range e.Children {
 		req := plan.RequiredOf(e, i)
 		cands := scratch[:0]
@@ -272,7 +318,6 @@ func (s *Space) slots(e *memo.Expr, cfg *config) [][]*memo.Expr {
 		}
 		out[i] = s.cands.put(cands)
 	}
-	return out
 }
 
 // countFast is the production counting pass: N(v) = Π b_v(i) with
@@ -286,7 +331,8 @@ func (s *Space) countFast(e *memo.Expr, cfg *config) error {
 		return nil
 	}
 	info := s.newInfo(e) // leaves have N=1 set below; set early is safe (acyclic)
-	info.cands = s.slots(e, cfg)
+	info.cands, info.prefix64, info.div64 = s.slots.take(slotCount(e))
+	s.fillSlots(e, cfg, info.cands)
 
 	info.fits = true
 	info.n64 = 1
@@ -295,7 +341,6 @@ func (s *Space) countFast(e *memo.Expr, cfg *config) error {
 	// contiguous chunks, which is worth real latency on large memos
 	// whose tables would otherwise scatter across the heap.
 	info.b64 = s.tab.Alloc(len(info.cands))
-	info.prefix64 = make([][]uint64, len(info.cands))
 	var nW []uint64 // product accumulator once the node overflows
 	var scratch [1]uint64
 	for i, cands := range info.cands {
@@ -363,14 +408,11 @@ func (s *Space) countFast(e *memo.Expr, cfg *config) error {
 		}
 		nW = wideMul(nW, baseW)
 	}
-	if n := len(info.cands); n > 0 {
-		// Freeze the per-slot reciprocals: the decomposition divides by
-		// these bases on every unrank.
-		info.div64 = make([]magicDiv, n)
-		for i, b := range info.b64 {
-			if b > 0 {
-				info.div64[i] = newMagicDiv(b)
-			}
+	// Freeze the per-slot reciprocals: the decomposition divides by
+	// these bases on every unrank.
+	for i, b := range info.b64 {
+		if b > 0 {
+			info.div64[i] = newMagicDiv(b)
 		}
 	}
 	if !info.fits {

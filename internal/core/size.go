@@ -1,5 +1,7 @@
 package core
 
+import "unsafe"
+
 // Rough per-object overheads used by MemoryFootprint. Exact sizeofs
 // are not the point — the cache's byte accounting needs a consistent,
 // monotone estimate of how much a counted space pins, dominated by the
@@ -9,7 +11,11 @@ const (
 	sliceOverhead  = 24  // slice header
 	memoExprBytes  = 256 // memo.Expr with typical payload
 	memoGroupBytes = 192 // memo.Group sans Exprs slices
-	exprInfoBytes  = 144 // exprInfo struct itself
+
+	exprInfoBytes = int64(unsafe.Sizeof(exprInfo{}))
+	// slotBytes is one slot's share of the slot slabs: a candidate list
+	// header, a prefix-sum row header and a base reciprocal.
+	slotBytes = 2*sliceOverhead + int64(unsafe.Sizeof(magicDiv{}))
 )
 
 // MemoryFootprint estimates the resident bytes of the counted space:
@@ -23,33 +29,21 @@ const (
 func (s *Space) MemoryFootprint() int64 {
 	var n int64
 	for _, info := range s.info {
-		if info == nil {
-			continue
-		}
-		// Candidate lists: the pointers live in s.cands (counted once
-		// below); charge the per-slot slice headers.
-		n += sliceOverhead + int64(len(info.cands))*sliceOverhead
-		n += int64(len(info.div64)) * 16
-
-		// uint64 tables: the limb data lives in s.tab (counted once
-		// below); charge the slice headers that reference it.
-		n += sliceOverhead
-		n += sliceOverhead + int64(len(info.prefix64))*sliceOverhead
-
-		// Wide tables: the limbs live in s.tab (counted once below);
-		// charge the slice headers that reference them.
-		if info.nW != nil {
-			n += sliceOverhead
-		}
-		if info.bW != nil {
-			n += 2 * (sliceOverhead + int64(len(info.bW))*sliceOverhead)
+		// Wide slot tables are the only per-node allocations: their
+		// limbs live in s.tab (counted once below); charge the slice
+		// headers that reference them.
+		if info != nil && info.bW != nil {
+			n += 2 * int64(len(info.bW)) * sliceOverhead
 			for _, pw := range info.prefixW {
 				n += int64(len(pw)) * sliceOverhead
 			}
 		}
 	}
 	n += sliceOverhead + int64(len(s.info))*8
-	n += int64(len(s.slab)) * exprInfoBytes
+	// Every node's own slice headers live in its slab entry; its
+	// per-slot headers and reciprocals in the slot slabs.
+	n += int64(cap(s.slab)) * exprInfoBytes
+	n += int64(s.slots.n) * slotBytes
 	n += s.cands.memoryBytes()
 	n += sliceOverhead + int64(len(s.rootOps))*8
 	n += bigIntOverhead + int64(len(s.total.Bits()))*8

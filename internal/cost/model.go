@@ -182,7 +182,7 @@ func (m *Model) pages(g *memo.Group) float64 { return m.pagesFor(m.CardOf(g), g)
 
 func (m *Model) pagesFor(card float64, g *memo.Group) float64 {
 	width := 0.0
-	for _, i := range g.RelSet.Indices() {
+	for i := range g.RelSet.All() {
 		w := m.Est.Q.Rels[i].Table.AvgRowBytes
 		if w <= 0 {
 			w = 64

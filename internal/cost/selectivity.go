@@ -99,7 +99,7 @@ func (e *Estimator) SetCard(s algebra.RelSet) float64 {
 		return c
 	}
 	card := 1.0
-	for _, i := range s.Indices() {
+	for i := range s.All() {
 		card *= e.BaseCard(i)
 	}
 	for _, p := range e.Q.Preds {

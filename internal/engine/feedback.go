@@ -21,7 +21,7 @@ import (
 func feedbackKey(q *algebra.Query, s algebra.RelSet) string {
 	var sb strings.Builder
 	parts := make([]string, 0, 4)
-	for _, i := range s.Indices() {
+	for i := range s.All() {
 		rel := q.Rels[i]
 		var p strings.Builder
 		p.WriteString(rel.Table.Name)
@@ -145,7 +145,7 @@ func (e *Engine) recordExecution(p *Prepared, res *exec.Result) {
 		if est <= 0 {
 			continue
 		}
-		rel := g.RelSet.Indices()[0]
+		rel := g.RelSet.First()
 		if _, seen := scanRatio[rel]; !seen { // enforcers in the group repeat the cardinality
 			scanRatio[rel] = observed(op) / est
 		}
@@ -167,7 +167,7 @@ func (e *Engine) recordExecution(p *Prepared, res *exec.Result) {
 			e.fb.Record(feedbackKey(p.Shared.Query, g.RelSet), est, obs, p.Overlay.Epoch)
 		case memo.GroupJoin:
 			baseline := est
-			for _, rel := range g.RelSet.Indices() {
+			for rel := range g.RelSet.All() {
 				if r, ok := scanRatio[rel]; ok {
 					baseline *= r
 				}

@@ -133,7 +133,7 @@ func fillCards(m *memo.Memo, est *cost.Estimator, tab *cost.Tables) {
 		var card float64
 		switch g.Kind {
 		case memo.GroupScan:
-			card = est.BaseCard(g.RelSet.Indices()[0])
+			card = est.BaseCard(g.RelSet.First())
 		case memo.GroupJoin:
 			card = est.SetCard(g.RelSet)
 		case memo.GroupAgg:

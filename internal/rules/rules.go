@@ -51,7 +51,8 @@ func Default() Config {
 	}
 }
 
-// BuildMemo expands the complete search space for q into a fresh MEMO.
+// BuildMemo expands the complete search space for q into a fresh MEMO,
+// sealed: its dedup index is dropped and no operator can be added.
 func BuildMemo(q *algebra.Query, cfg Config) (*memo.Memo, error) {
 	if len(q.Rels) == 0 {
 		return nil, fmt.Errorf("rules: query has no relations")
@@ -74,6 +75,7 @@ func BuildMemo(q *algebra.Query, cfg Config) (*memo.Memo, error) {
 	}
 
 	addEnforcers(m)
+	m.Seal()
 	return m, nil
 }
 
@@ -119,7 +121,7 @@ func buildJoinGroups(m *memo.Memo, cfg Config) (*memo.Group, error) {
 
 	groupFor := func(s algebra.RelSet) *memo.Group {
 		if s.Single() {
-			return m.ScanGroup(s.Indices()[0])
+			return m.ScanGroup(s.First())
 		}
 		g, ok := m.JoinGroup(s)
 		if !ok {
@@ -173,8 +175,8 @@ func addJoinExprs(m *memo.Memo, cfg Config, g *memo.Group, l, r algebra.RelSet, 
 	if cfg.EnableHashJoin && len(equi) > 0 {
 		m.AddExpr(g, memo.Expr{Op: memo.HashJoin, Children: children, Join: spec})
 	}
+	lKeys, rKeys := spec.Keys(l) // oriented once for merge and index joins
 	if cfg.EnableMergeJoin && len(equi) > 0 {
-		lKeys, rKeys := spec.Keys(l)
 		lOrd := make(algebra.Ordering, len(lKeys))
 		rOrd := make(algebra.Ordering, len(rKeys))
 		for i := range lKeys {
@@ -193,7 +195,7 @@ func addJoinExprs(m *memo.Memo, cfg Config, g *memo.Group, l, r algebra.RelSet, 
 		m.AddExpr(g, memo.Expr{Op: memo.NestedLoopJoin, Children: children, Join: spec})
 	}
 	if cfg.EnableIndexNLJoin && r.Single() && len(equi) > 0 {
-		addIndexNLJoins(m, g, l, lg, spec)
+		addIndexNLJoins(m, g, lg, spec, lKeys, rKeys)
 	}
 }
 
@@ -202,9 +204,9 @@ func addJoinExprs(m *memo.Memo, cfg Config, g *memo.Group, l, r algebra.RelSet, 
 // columns are all bound by equi-join predicates. The inner access path is
 // part of the operator (single child slot: the outer), so plans can use
 // "operator implementations that the optimizer would not choose" — here,
-// correlated index lookups, the paper's "index utilization" axis.
-func addIndexNLJoins(m *memo.Memo, g *memo.Group, l algebra.RelSet, lg *memo.Group, spec *memo.JoinSpec) {
-	lKeys, rKeys := spec.Keys(l)
+// correlated index lookups, the paper's "index utilization" axis. lKeys
+// and rKeys are spec's keys oriented to the partition (JoinSpec.Keys).
+func addIndexNLJoins(m *memo.Memo, g *memo.Group, lg *memo.Group, spec *memo.JoinSpec, lKeys, rKeys []algebra.Column) {
 	rel := m.Query.Rels[rKeys[0].Rel]
 	for ii := range rel.Table.Indexes {
 		idx := &rel.Table.Indexes[ii]

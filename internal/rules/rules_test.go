@@ -67,6 +67,21 @@ func TestMemoShapeChain(t *testing.T) {
 	}
 }
 
+// TestBuildMemoSeals pins that construction state does not outlive
+// BuildMemo: the returned memo refuses new operators.
+func TestBuildMemoSeals(t *testing.T) {
+	m, err := BuildMemo(buildQuery(t, chainQuery), Default())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("AddExpr on a memo returned by BuildMemo did not panic")
+		}
+	}()
+	m.AddExpr(m.Root, memo.Expr{Op: memo.Result, Children: []*memo.Group{m.Root}})
+}
+
 func TestCartesianExpandsSpace(t *testing.T) {
 	q := buildQuery(t, chainQuery)
 	noCross, err := BuildMemo(q, Default())
