@@ -77,24 +77,6 @@ func (o Ordering) Satisfies(req Ordering) bool {
 	return true
 }
 
-// Key returns a canonical map key for the ordering.
-func (o Ordering) Key() string {
-	if len(o) == 0 {
-		return ""
-	}
-	var b []byte
-	for i, c := range o {
-		if i > 0 {
-			b = append(b, ',')
-		}
-		b = strconv.AppendInt(b, int64(c.Col), 10)
-		if c.Desc {
-			b = append(b, '-')
-		}
-	}
-	return string(b)
-}
-
 // String renders the ordering for plan display.
 func (o Ordering) String() string { return string(o.AppendTo(nil)) }
 

@@ -277,13 +277,9 @@ func newSlotSlabs(n int) slotSlabs {
 	}
 }
 
-// take carves the next n slots' tables. The slabs were sized to the
-// kept operators' slot count, so they never run short; should they
-// anyway, take falls back to fresh allocations.
+// take carves the next n slots' tables. Prepare sized the slabs from
+// the same kept operators counting visits, so they never run short.
 func (sl *slotSlabs) take(n int) (cands [][]*memo.Expr, prefix [][]uint64, div []magicDiv) {
-	if len(sl.cands) < n {
-		return make([][]*memo.Expr, n), make([][]uint64, n), make([]magicDiv, n)
-	}
 	cands, sl.cands = sl.cands[:n:n], sl.cands[n:]
 	prefix, sl.prefix = sl.prefix[:n:n], sl.prefix[n:]
 	div, sl.div = sl.div[:n:n], sl.div[n:]

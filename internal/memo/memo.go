@@ -210,18 +210,6 @@ type Group struct {
 	InterestingOrders []algebra.Ordering
 }
 
-// NonEnforcers returns the group's physical operators that are not
-// enforcers — the candidate inputs for this group's enforcers.
-func (g *Group) NonEnforcers() []*Expr {
-	out := make([]*Expr, 0, len(g.Physical))
-	for _, e := range g.Physical {
-		if !e.IsEnforcer() {
-			out = append(out, e)
-		}
-	}
-	return out
-}
-
 // RegisterInterestingOrder records a required ordering, deduplicated.
 // It returns true when the ordering was new.
 func (g *Group) RegisterInterestingOrder(o algebra.Ordering) bool {
@@ -238,9 +226,10 @@ func (g *Group) RegisterInterestingOrder(o algebra.Ordering) bool {
 }
 
 // Memo is the full structure: groups in creation order plus lookup
-// indexes used during construction and, until Seal, the dedup index. Construction is deterministic, so
-// plan numbering (Section 3) is stable across runs — a requirement for
-// the USEPLAN interface to be usable in regression scripts.
+// indexes used during construction and, until Seal, the dedup index.
+// Construction is deterministic, so plan numbering (Section 3) is stable
+// across runs — a requirement for the USEPLAN interface to be usable in
+// regression scripts.
 type Memo struct {
 	Query  *algebra.Query
 	Groups []*Group

@@ -71,9 +71,8 @@ func TestPhysicalListExcludesLogical(t *testing.T) {
 	if len(g.Physical) != 2 {
 		t.Errorf("Physical = %d, want 2", len(g.Physical))
 	}
-	ne := g.NonEnforcers()
-	if len(ne) != 1 || ne[0].Op != TableScan {
-		t.Errorf("NonEnforcers = %v", ne)
+	if g.Physical[0].Op != TableScan || g.Physical[1] != sort {
+		t.Errorf("Physical = %s, %s; want the TableScan, then the Sort", g.Physical[0].Describe(), g.Physical[1].Describe())
 	}
 	if !sort.IsEnforcer() {
 		t.Error("Sort not an enforcer")

@@ -264,9 +264,8 @@ func TestAggAndResultGroups(t *testing.T) {
 	// ORDER BY n DESC references an aggregate output: the streaming root
 	// variant requires it of the agg group, whose enforcer list must
 	// include it.
-	rootPhys := m.Root.NonEnforcers()
 	selfSort, streaming := false, false
-	for _, e := range rootPhys {
+	for _, e := range m.Root.Physical {
 		if e.Op != memo.Result {
 			continue
 		}
