@@ -1,12 +1,16 @@
 package engine
 
 import (
+	"context"
 	"flag"
+	"fmt"
 	"os"
+	"strconv"
 	"strings"
 	"testing"
 
 	"repro/internal/algebra"
+	"repro/internal/exec"
 	"repro/internal/plan"
 	"repro/internal/rules"
 	"repro/internal/sql"
@@ -172,4 +176,38 @@ func TestFeedbackKeyGolden(t *testing.T) {
 		}
 	}
 	checkGolden(t, "feedback_keys.golden", sb.String())
+}
+
+// TestCorrectedOverlayGolden pins what one feedback round does to the
+// estimates: for Q3, Q5, Q7 and Q10 it executes the optimal plan,
+// folds the observations with ApplyFeedback and re-prepares, then
+// records every group's corrected cardinality, the new optimal rank and
+// the new optimal cost.
+func TestCorrectedOverlayGolden(t *testing.T) {
+	db, err := tpch.NewDB(0.0004, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sb strings.Builder
+	for _, name := range []string{"Q3", "Q5", "Q7", "Q10"} {
+		sqlText, _ := tpch.Query(name)
+		e := New(db)
+		if _, err := e.Session().Execute(context.Background(), sqlText, nil, exec.Options{}); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		folded, epoch := e.ApplyFeedback()
+		p, err := e.Prepare(sqlText)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !p.Cached || p.OverlayCached {
+			t.Fatalf("%s: re-prepare after feedback: cached=%v overlay_cached=%v, want a re-cost", name, p.Cached, p.OverlayCached)
+		}
+		fmt.Fprintf(&sb, "== %s folded=%d epoch=%d rank=%s cost=%s\n", name, folded, epoch,
+			p.Overlay.OptimalRank, strconv.FormatFloat(p.OptimalCost(), 'g', -1, 64))
+		for _, g := range p.Shared.Memo.Groups {
+			fmt.Fprintf(&sb, "g%d %s %s\n", g.ID, g.RelSet, strconv.FormatFloat(p.Opt.Tables.CardOf(g), 'g', -1, 64))
+		}
+	}
+	checkGolden(t, "corrected_overlay.golden", sb.String())
 }
