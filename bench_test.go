@@ -476,6 +476,30 @@ func BenchmarkRecost(b *testing.B) {
 			}
 		}
 	})
+	// The same re-cost under live corrections: one execution and fold
+	// leave active factors, so every re-cost turns the epoch's view into
+	// relation-subset factors through the structure's feedback keys.
+	b.Run("Q9/recost_feedback", func(b *testing.B) {
+		e := engine.New(db(b))
+		if _, err := e.Session().Execute(context.Background(), sqlText, nil, exec.Options{}); err != nil {
+			b.Fatal(err)
+		}
+		if folded, _ := e.ApplyFeedback(); folded == 0 {
+			b.Fatal("executing Q9 recorded no feedback")
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			e.ApplyFeedback()
+			p, err := e.Prepare(sqlText)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if !p.Cached || p.OverlayCached {
+				b.Fatalf("want structure hit + overlay rebuild, got cached=%v overlay_cached=%v", p.Cached, p.OverlayCached)
+			}
+		}
+	})
 	b.Run("Q9/coldprepare", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {

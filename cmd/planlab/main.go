@@ -107,7 +107,7 @@ func run(sf float64, seed int64, query, sqlText string, cross, count, dump, expl
 		if err != nil {
 			return err
 		}
-		tree, err := p.Explain(p.OptimalPlan())
+		tree, _, err := p.Explain(p.OptimalPlan())
 		if err != nil {
 			return err
 		}

@@ -53,8 +53,8 @@ func bindQuery(t *testing.T, text string) *algebra.Query {
 
 func TestEqualityselectivity(t *testing.T) {
 	q := bindQuery(t, "SELECT rk FROM r WHERE rv = 5")
-	est := NewEstimator(q, Default())
-	sel := est.PredSelectivity(q.Rels[0].Filters[0])
+	est := &estimator{q: q}
+	sel := est.predSelectivity(q.Rels[0].Filters[0])
 	if sel != 0.01 {
 		t.Errorf("col=const selectivity = %g, want 1/NDV = 0.01", sel)
 	}
@@ -62,27 +62,27 @@ func TestEqualityselectivity(t *testing.T) {
 
 func TestJoinSelectivity(t *testing.T) {
 	q := bindQuery(t, "SELECT rk FROM r, s WHERE rk = sk")
-	est := NewEstimator(q, Default())
-	sel := est.PredSelectivity(q.Preds[0].Expr)
+	est := &estimator{q: q}
+	sel := est.predSelectivity(q.Preds[0].Expr)
 	if sel != 0.001 {
 		t.Errorf("join selectivity = %g, want 1/max(1000,500)", sel)
 	}
 	// Join cardinality: 1000 * 500 / 1000 = 500.
-	if card := est.SetCard(algebra.SetOf(0, 1)); card != 500 {
+	if card := est.setCard(algebra.SetOf(0, 1)); card != 500 {
 		t.Errorf("join card = %g, want 500", card)
 	}
 }
 
 func TestRangeSelectivityInterpolates(t *testing.T) {
 	q := bindQuery(t, "SELECT rk FROM r WHERE rv < 25")
-	est := NewEstimator(q, Default())
-	sel := est.PredSelectivity(q.Rels[0].Filters[0])
+	est := &estimator{q: q}
+	sel := est.predSelectivity(q.Rels[0].Filters[0])
 	if sel < 0.2 || sel > 0.3 {
 		t.Errorf("range selectivity = %g, want ~0.25", sel)
 	}
 	// Flipped constant side: 25 > rv is the same predicate.
 	q2 := bindQuery(t, "SELECT rk FROM r WHERE 25 > rv")
-	sel2 := est.PredSelectivity(q2.Rels[0].Filters[0])
+	sel2 := est.predSelectivity(q2.Rels[0].Filters[0])
 	if sel2 != sel {
 		t.Errorf("flipped range selectivity %g != %g", sel2, sel)
 	}
@@ -93,10 +93,10 @@ func TestRangeSelectivityInterpolates(t *testing.T) {
 // the column's table, is coded in an overlay and never enters it.
 func TestStringRangeSelectivityReadsText(t *testing.T) {
 	q := bindQuery(t, "SELECT rk FROM r WHERE rs < 'm'")
-	est := NewEstimator(q, Default())
+	est := &estimator{q: q}
 	st := q.Rels[0].Table.Columns[2].Stats
 	before := st.Strings.Len()
-	sel := est.PredSelectivity(q.Rels[0].Filters[0])
+	sel := est.predSelectivity(q.Rels[0].Filters[0])
 	a, m, z := textNumeric("a"), textNumeric("m"), textNumeric("z")
 	if want := (m - a) / (z - a); sel != want {
 		t.Errorf("string range selectivity = %g, want %g", sel, want)
@@ -108,27 +108,27 @@ func TestStringRangeSelectivityReadsText(t *testing.T) {
 
 func TestBooleanCombinators(t *testing.T) {
 	q := bindQuery(t, "SELECT rk FROM r WHERE rv = 5 OR rv = 6")
-	est := NewEstimator(q, Default())
-	sel := est.PredSelectivity(q.Rels[0].Filters[0])
+	est := &estimator{q: q}
+	sel := est.predSelectivity(q.Rels[0].Filters[0])
 	want := 0.01 + 0.01 - 0.01*0.01
 	if diff := sel - want; diff > 1e-12 || diff < -1e-12 {
 		t.Errorf("OR selectivity = %g, want %g", sel, want)
 	}
 	q2 := bindQuery(t, "SELECT rk FROM r WHERE NOT rv = 5")
-	if got := est.PredSelectivity(q2.Rels[0].Filters[0]); got != 0.99 {
+	if got := est.predSelectivity(q2.Rels[0].Filters[0]); got != 0.99 {
 		t.Errorf("NOT selectivity = %g, want 0.99", got)
 	}
 }
 
 func TestLikeSelectivityByShape(t *testing.T) {
-	est := NewEstimator(bindQuery(t, "SELECT rk FROM r"), Default())
+	est := &estimator{q: bindQuery(t, "SELECT rk FROM r")}
 	mk := func(pattern string) algebra.Scalar {
 		q := bindQuery(t, "SELECT rk FROM r WHERE rs LIKE '"+pattern+"'")
 		return q.Rels[0].Filters[0]
 	}
-	contains := est.PredSelectivity(mk("%x%"))
-	prefix := est.PredSelectivity(mk("x%"))
-	exact := est.PredSelectivity(mk("xyz"))
+	contains := est.predSelectivity(mk("%x%"))
+	prefix := est.predSelectivity(mk("x%"))
+	exact := est.predSelectivity(mk("xyz"))
 	if !(exact < prefix && prefix < contains) {
 		t.Errorf("LIKE selectivities not ordered: exact %g, prefix %g, contains %g", exact, prefix, contains)
 	}
@@ -136,8 +136,8 @@ func TestLikeSelectivityByShape(t *testing.T) {
 
 func TestYearEqSelectivity(t *testing.T) {
 	q := bindQuery(t, "SELECT rk FROM r WHERE YEAR(rd) = 1995")
-	est := NewEstimator(q, Default())
-	sel := est.PredSelectivity(q.Rels[0].Filters[0])
+	est := &estimator{q: q}
+	sel := est.predSelectivity(q.Rels[0].Filters[0])
 	// 1992..1998 spans 7 years.
 	want := 1.0 / 7.0
 	if diff := sel - want; diff > 1e-9 || diff < -1e-9 {
@@ -148,10 +148,10 @@ func TestYearEqSelectivity(t *testing.T) {
 func TestSelectivityBoundsProperty(t *testing.T) {
 	// Every estimate stays in (0, 1].
 	q := bindQuery(t, "SELECT rk FROM r WHERE rv = 1 AND rv < 5 AND rs LIKE '%q%' AND NOT rv = 2")
-	est := NewEstimator(q, Default())
+	est := &estimator{q: q}
 	f := func(x uint8) bool {
 		for _, p := range q.Rels[0].Filters {
-			s := est.PredSelectivity(p)
+			s := est.predSelectivity(p)
 			if s <= 0 || s > 1 {
 				return false
 			}
@@ -165,17 +165,17 @@ func TestSelectivityBoundsProperty(t *testing.T) {
 
 func TestBaseCardAppliesFilters(t *testing.T) {
 	q := bindQuery(t, "SELECT rk FROM r WHERE rv = 5")
-	est := NewEstimator(q, Default())
-	if card := est.BaseCard(0); card != 10 {
+	est := &estimator{q: q}
+	if card := est.baseCard(0); card != 10 {
 		t.Errorf("filtered base card = %g, want 1000 * 0.01 = 10", card)
 	}
 }
 
 func TestSetCardMemoizedAndOrderIndependent(t *testing.T) {
 	q := bindQuery(t, "SELECT rk FROM r, s WHERE rk = sk AND rv = 3")
-	est := NewEstimator(q, Default())
-	a := est.SetCard(algebra.SetOf(0, 1))
-	b := est.SetCard(algebra.SetOf(0, 1))
+	est := &estimator{q: q}
+	a := est.setCard(algebra.SetOf(0, 1))
+	b := est.setCard(algebra.SetOf(0, 1))
 	if a != b {
 		t.Error("SetCard not deterministic")
 	}
@@ -188,16 +188,16 @@ func TestSetCardMemoizedAndOrderIndependent(t *testing.T) {
 
 func TestAggCard(t *testing.T) {
 	q := bindQuery(t, "SELECT rv, COUNT(*) AS c FROM r GROUP BY rv")
-	est := NewEstimator(q, Default())
-	if got := est.AggCard(1000); got != 100 {
+	est := &estimator{q: q}
+	if got := est.aggCard(1000); got != 100 {
 		t.Errorf("AggCard = %g, want NDV(rv) = 100", got)
 	}
-	if got := est.AggCard(40); got != 40 {
+	if got := est.aggCard(40); got != 40 {
 		t.Errorf("AggCard capped = %g, want input card 40", got)
 	}
 	scalar := bindQuery(t, "SELECT COUNT(*) AS c FROM r")
-	est2 := NewEstimator(scalar, Default())
-	if got := est2.AggCard(1000); got != 1 {
+	est2 := &estimator{q: scalar}
+	if got := est2.aggCard(1000); got != 1 {
 		t.Errorf("scalar AggCard = %g, want 1", got)
 	}
 }
@@ -226,8 +226,8 @@ func TestHistogramRangeSelectivity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	est := NewEstimator(q, Default())
-	sel := est.PredSelectivity(q.Rels[0].Filters[0])
+	est := &estimator{q: q}
+	sel := est.predSelectivity(q.Rels[0].Filters[0])
 	// Min/max interpolation would say ~0.10; the histogram knows ~14/16
 	// of the mass is below 10.
 	if sel < 0.5 {
@@ -269,7 +269,7 @@ func TestCombineFormulas(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	est := NewEstimator(q, Default())
+	est := &estimator{q: q}
 
 	// Build a minimal memo by hand: two scans and the three join kinds.
 	m := memo.New(q)
@@ -283,20 +283,20 @@ func TestCombineFormulas(t *testing.T) {
 	hj := m.AddExpr(gj, memo.Expr{Op: memo.HashJoin, Children: children, Join: spec})
 	nl := m.AddExpr(gj, memo.Expr{Op: memo.NestedLoopJoin, Children: children, Join: spec})
 
-	tab := NewTables(m)
-	tab.Cards[g1.ID], tab.Cards[g2.ID] = est.BaseCard(0), est.BaseCard(1)
-	tab.Cards[gj.ID] = est.SetCard(algebra.SetOf(0, 1))
-	model := NewModelWith(est, tab)
-	if err := model.FillLocals(m); err != nil {
-		t.Fatal(err)
-	}
-
-	childCosts := []float64{100, 50}
-	hjCost, err := model.Combine(hj, childCosts)
+	tab, err := Fill(m, q, Default(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	nlCost, err := model.Combine(nl, childCosts)
+	if tab.Cards[g1.ID] != est.baseCard(0) || tab.Cards[gj.ID] != est.setCard(algebra.SetOf(0, 1)) {
+		t.Errorf("Fill cards %v disagree with the estimator", tab.Cards)
+	}
+
+	childCosts := []float64{100, 50}
+	hjCost, err := tab.Combine(hj, childCosts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nlCost, err := tab.Combine(nl, childCosts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,17 +310,15 @@ func TestCombineFormulas(t *testing.T) {
 	}
 
 	// Scan cost charges pages + per-row CPU.
-	sc, err := model.Local(scan1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantMin := q.Rels[0].Table.Pages(model.P.PageBytes) * model.P.SeqPageCost
+	sc := tab.Locals[scan1.ID]
+	p := Default()
+	wantMin := q.Rels[0].Table.Pages(p.PageBytes) * p.SeqPageCost
 	if sc < wantMin {
 		t.Errorf("scan cost %g below its I/O floor %g", sc, wantMin)
 	}
 
 	// Combine must reject arity mismatches.
-	if _, err := model.Combine(hj, []float64{1}); err == nil {
+	if _, err := tab.Combine(hj, []float64{1}); err == nil {
 		t.Error("arity mismatch accepted")
 	}
 }
@@ -340,7 +338,7 @@ func TestLookupJoinCostCrossover(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	est := NewEstimator(q, Default())
+	est := &estimator{q: q}
 
 	m := memo.New(q)
 	gOuter := m.NewGroup(memo.GroupScan, algebra.SetOf(0))
@@ -355,22 +353,22 @@ func TestLookupJoinCostCrossover(t *testing.T) {
 	})
 	hj := m.AddExpr(gj, memo.Expr{Op: memo.HashJoin, Children: []*memo.Group{gOuter, gInner}, Join: spec})
 
-	tab := NewTables(m)
-	tab.Cards[gInner.ID] = est.BaseCard(1)
-	tab.Cards[gj.ID] = est.SetCard(algebra.SetOf(0, 1))
-	model := NewModelWith(est, tab)
+	tab := newTables(m)
+	tab.Cards[gInner.ID] = est.baseCard(1)
+	tab.Cards[gj.ID] = est.setCard(algebra.SetOf(0, 1))
+	md := &model{p: Default(), est: est, tab: tab}
 
 	costAt := func(outerCard float64) (lkC, hjC float64) {
 		tab.Cards[gOuter.ID] = outerCard
-		if err := model.FillLocals(m); err != nil {
+		if err := md.fillLocals(m); err != nil {
 			t.Fatal(err)
 		}
 		var err error
-		lkC, err = model.Combine(lookup, []float64{10})
+		lkC, err = tab.Combine(lookup, []float64{10})
 		if err != nil {
 			t.Fatal(err)
 		}
-		hjC, err = model.Combine(hj, []float64{10, 50})
+		hjC, err = tab.Combine(hj, []float64{10, 50})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -396,7 +394,7 @@ func TestSortSpillPenalty(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	est := NewEstimator(q, Default())
+	est := &estimator{q: q}
 	m := memo.New(q)
 	g := m.NewGroup(memo.GroupScan, algebra.SetOf(0))
 	sortExpr := m.AddExpr(g, memo.Expr{
@@ -404,15 +402,15 @@ func TestSortSpillPenalty(t *testing.T) {
 		SortOrder: algebra.Ordering{{Col: q.Rels[0].Cols[0].ID}},
 		Delivered: algebra.Ordering{{Col: q.Rels[0].Cols[0].ID}},
 	})
-	tab := NewTables(m)
-	model := NewModelWith(est, tab)
+	tab := newTables(m)
+	md := &model{p: Default(), est: est, tab: tab}
 	tab.Cards[g.ID] = 1000
-	small, err := model.Local(sortExpr)
+	small, err := md.local(sortExpr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	tab.Cards[g.ID] = 10_000_000 // far past MemoryPages at 64B rows
-	big, err := model.Local(sortExpr)
+	big, err := md.local(sortExpr)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,37 +9,40 @@ import (
 	"repro/internal/memo"
 )
 
-// Model turns memo expressions into costs. Combine computes the total
-// cost of a plan rooted at an operator from the total costs of its chosen
-// child sub-plans; it is the single costing entry point used both by the
-// optimizer's winner computation and by the cost-distribution experiments
-// that cost uniformly sampled plans.
-//
-// A Model reads cardinalities and memoized local costs from an overlay
-// (cost.Tables), so many costings can share one immutable memo.
-type Model struct {
-	P   Params
-	Est *Estimator
+// Fill computes the cost overlay of query q's memo m under params p and
+// the feedback correction factors (relation subset → multiplicative
+// factor, nil for none): every group's estimated cardinality, then every
+// physical operator's local cost from those cardinalities. The estimator
+// and model that derive them live only for the call; the returned Tables
+// are all a costing keeps.
+func Fill(m *memo.Memo, q *algebra.Query, p Params, factors map[algebra.RelSet]float64) (*Tables, error) {
+	est := estimator{q: q, factors: factors}
+	tab := newTables(m)
+	for _, g := range m.Groups {
+		tab.Cards[g.ID] = est.groupCard(g)
+	}
+	md := model{p: p, est: &est, tab: tab}
+	if err := md.fillLocals(m); err != nil {
+		return nil, err
+	}
+	return tab, nil
+}
 
+// model turns memo operators into local costs, reading cardinalities
+// from the overlay it fills.
+type model struct {
+	p   Params
+	est *estimator
 	tab *Tables
 }
 
-// NewModelWith returns a model reading cardinalities and local costs
-// from the given overlay.
-func NewModelWith(est *Estimator, tab *Tables) *Model {
-	return &Model{P: est.P, Est: est, tab: tab}
-}
-
-// CardOf returns the overlay's estimated output cardinality of a group.
-func (m *Model) CardOf(g *memo.Group) float64 { return m.tab.CardOf(g) }
-
-// FillLocals computes every physical operator's local cost in mem into
-// the overlay, from the overlay's cardinalities; Combine reads them
-// back instead of re-deriving them for every plan it costs.
-func (m *Model) FillLocals(mem *memo.Memo) error {
+// fillLocals computes every physical operator's local cost in mem into
+// the overlay, from the overlay's cardinalities; Tables.Combine reads
+// them back instead of re-deriving them for every plan it costs.
+func (m *model) fillLocals(mem *memo.Memo) error {
 	for _, g := range mem.Groups {
 		for _, e := range g.Physical {
-			lc, err := m.Local(e)
+			lc, err := m.local(e)
 			if err != nil {
 				return err
 			}
@@ -49,37 +52,11 @@ func (m *Model) FillLocals(mem *memo.Memo) error {
 	return nil
 }
 
-// Combine returns the full cost of the plan rooted at e given the full
-// costs of its child sub-plans. For most operators this is local cost
-// plus the sum of child costs; the nested-loop join instead re-executes
-// its inner child once per outer row, which is the structural source of
-// the enormous worst-case plans in Table 1.
-func (m *Model) Combine(e *memo.Expr, childCosts []float64) (float64, error) {
-	if len(childCosts) != len(e.Children) {
-		return 0, fmt.Errorf("cost: operator %s has %d children, got %d child costs",
-			e.Name(), len(e.Children), len(childCosts))
-	}
-	if e.ID >= len(m.tab.Locals) {
-		return 0, fmt.Errorf("cost: operator %s (expr %d) is outside the overlay's memo", e.Name(), e.ID)
-	}
-	local := m.tab.Locals[e.ID]
-	if e.Op == memo.NestedLoopJoin {
-		outer := m.CardOf(e.Children[0])
-		rescans := math.Max(1, outer)
-		return local + childCosts[0] + rescans*childCosts[1], nil
-	}
-	total := local
-	for _, c := range childCosts {
-		total += c
-	}
-	return total, nil
-}
-
-// Local returns the operator's own cost contribution assuming each child
+// local returns the operator's own cost contribution assuming each child
 // executes once (the nested-loop rescan multiplier lives in Combine).
-func (m *Model) Local(e *memo.Expr) (float64, error) {
-	p := m.P
-	out := m.CardOf(e.Group)
+func (m *model) local(e *memo.Expr) (float64, error) {
+	p := m.p
+	out := m.tab.CardOf(e.Group)
 	switch e.Op {
 	case memo.TableScan:
 		rel := e.Scan.Rel
@@ -99,8 +76,8 @@ func (m *Model) Local(e *memo.Expr) (float64, error) {
 			visit*float64(len(rel.Filters))*p.CPUEval, nil
 
 	case memo.HashJoin:
-		build := m.CardOf(e.Children[0])
-		probe := m.CardOf(e.Children[1])
+		build := m.tab.CardOf(e.Children[0])
+		probe := m.tab.CardOf(e.Children[1])
 		cost := build*p.CPUBuild + probe*p.CPUProbe + out*p.CPUTuple
 		if res := len(e.Join.Residual); res > 0 {
 			cost += probe * float64(res) * p.CPUEval
@@ -111,7 +88,7 @@ func (m *Model) Local(e *memo.Expr) (float64, error) {
 		return cost, nil
 
 	case memo.MergeJoin:
-		l, r := m.CardOf(e.Children[0]), m.CardOf(e.Children[1])
+		l, r := m.tab.CardOf(e.Children[0]), m.tab.CardOf(e.Children[1])
 		cost := (l+r)*p.CPUCompare + out*p.CPUTuple
 		if res := len(e.Join.Residual); res > 0 {
 			cost += out * float64(res) * p.CPUEval
@@ -119,7 +96,7 @@ func (m *Model) Local(e *memo.Expr) (float64, error) {
 		return cost, nil
 
 	case memo.NestedLoopJoin:
-		l, r := m.CardOf(e.Children[0]), m.CardOf(e.Children[1])
+		l, r := m.tab.CardOf(e.Children[0]), m.tab.CardOf(e.Children[1])
 		preds := 1
 		if e.Join != nil {
 			preds = len(e.Join.Equi) + len(e.Join.Residual)
@@ -133,27 +110,27 @@ func (m *Model) Local(e *memo.Expr) (float64, error) {
 		// One random page probe per outer row plus the matched inner
 		// rows. Beats hash joins for small outers over large inners and
 		// loses badly for large outers — the classic crossover.
-		outer := m.CardOf(e.Children[0])
+		outer := m.tab.CardOf(e.Children[0])
 		matched := out
 		inner := float64(e.Lookup.Rel.Table.RowCount)
 		probe := p.RandPageCost + math.Log2(inner+2)*p.CPUCompare
 		return outer*probe + matched*p.CPUTuple + matched*p.CPUEval, nil
 
 	case memo.HashAgg:
-		in := m.CardOf(e.Children[0])
-		aggs := float64(len(m.Est.Q.Aggs) + len(m.Est.Q.GroupBy))
+		in := m.tab.CardOf(e.Children[0])
+		aggs := float64(len(m.est.q.Aggs) + len(m.est.q.GroupBy))
 		return in*p.CPUBuild + in*aggs*p.CPUEval + out*p.CPUTuple, nil
 
 	case memo.StreamAgg:
-		in := m.CardOf(e.Children[0])
-		aggs := float64(len(m.Est.Q.Aggs) + len(m.Est.Q.GroupBy))
+		in := m.tab.CardOf(e.Children[0])
+		aggs := float64(len(m.est.q.Aggs) + len(m.est.q.GroupBy))
 		return in*p.CPUCompare + in*aggs*p.CPUEval + out*p.CPUTuple, nil
 
 	case memo.Sort:
-		return m.sortCost(m.CardOf(e.Children[0]), e.Children[0]), nil
+		return m.sortCost(m.tab.CardOf(e.Children[0]), e.Children[0]), nil
 
 	case memo.Result:
-		proj := float64(len(m.Est.Q.Projections))
+		proj := float64(len(m.est.q.Projections))
 		cost := out*proj*p.CPUEval + out*p.CPUTuple
 		if !e.SortOrder.IsNone() {
 			cost += m.sortCost(out, e.Group)
@@ -165,8 +142,8 @@ func (m *Model) Local(e *memo.Expr) (float64, error) {
 	}
 }
 
-func (m *Model) sortCost(n float64, g *memo.Group) float64 {
-	p := m.P
+func (m *model) sortCost(n float64, g *memo.Group) float64 {
+	p := m.p
 	if n < 1 {
 		n = 1
 	}
@@ -178,12 +155,12 @@ func (m *Model) sortCost(n float64, g *memo.Group) float64 {
 }
 
 // pages estimates the page footprint of a group's output.
-func (m *Model) pages(g *memo.Group) float64 { return m.pagesFor(m.CardOf(g), g) }
+func (m *model) pages(g *memo.Group) float64 { return m.pagesFor(m.tab.CardOf(g), g) }
 
-func (m *Model) pagesFor(card float64, g *memo.Group) float64 {
+func (m *model) pagesFor(card float64, g *memo.Group) float64 {
 	width := 0.0
 	for i := range g.RelSet.All() {
-		w := m.Est.Q.Rels[i].Table.AvgRowBytes
+		w := m.est.q.Rels[i].Table.AvgRowBytes
 		if w <= 0 {
 			w = 64
 		}
@@ -192,7 +169,7 @@ func (m *Model) pagesFor(card float64, g *memo.Group) float64 {
 	if width == 0 {
 		width = 32
 	}
-	pg := card * width / float64(m.P.PageBytes)
+	pg := card * width / float64(m.p.PageBytes)
 	if pg < 1 {
 		return 1
 	}
@@ -202,7 +179,7 @@ func (m *Model) pagesFor(card float64, g *memo.Group) float64 {
 // indexMatchFrac estimates the fraction of an index that must be visited
 // given the relation's pushed-down filters: predicates constraining the
 // index's leading key column shrink the scanned range.
-func (m *Model) indexMatchFrac(rel *algebra.BaseRel, idx *catalog.Index) float64 {
+func (m *model) indexMatchFrac(rel *algebra.BaseRel, idx *catalog.Index) float64 {
 	if idx == nil || len(idx.KeyCols) == 0 {
 		return 1
 	}
@@ -217,7 +194,7 @@ func (m *Model) indexMatchFrac(rel *algebra.BaseRel, idx *catalog.Index) float64
 		if _, ok := cols[leadID]; !ok {
 			continue
 		}
-		frac *= m.Est.PredSelectivity(f)
+		frac *= m.est.predSelectivity(f)
 	}
 	return frac
 }

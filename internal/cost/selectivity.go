@@ -4,7 +4,7 @@ import (
 	"repro/internal/algebra"
 	"repro/internal/catalog"
 	"repro/internal/data"
-	"sync"
+	"repro/internal/memo"
 )
 
 // Selectivity constants for predicates the statistics cannot resolve.
@@ -17,60 +17,59 @@ const (
 	minSelectivity  = 1e-9
 )
 
-// Correction maps a relation subset to a multiplicative cardinality
-// correction factor (1 = no correction). The adaptive feedback loop
-// derives these from observed execution cardinalities: a factor f for
-// set s means "the statistics-based estimate for s should be scaled by
-// f". The function must be safe for concurrent calls and deterministic
-// for the lifetime of the estimator.
-type Correction func(s algebra.RelSet) float64
-
-// Estimator derives cardinalities for every group of a query's memo from
+// estimator derives cardinalities for every group of a query's memo from
 // base-table statistics. Estimates are properties of a relation subset —
 // independent of join order — so every operator of a group sees the same
-// output cardinality, as the MEMO requires. The SetCard memo table is
-// mutex-guarded: cached plan spaces are costed from many goroutines at
-// once by the plan-space server.
-type Estimator struct {
-	Q *algebra.Query
-	P Params
+// output cardinality, as the MEMO requires. An estimator lives only
+// inside one Fill call.
+type estimator struct {
+	q *algebra.Query
 
-	corr Correction // nil: statistics only
-
-	mu     sync.Mutex
-	byCard map[algebra.RelSet]float64
+	// factors maps a relation subset to a multiplicative cardinality
+	// correction (absent: 1). The adaptive feedback loop derives them
+	// from observed execution cardinalities: a factor f for set s means
+	// "the statistics-based estimate for s should be scaled by f".
+	factors map[algebra.RelSet]float64
 }
-
-// NewEstimator returns an estimator over a bound query.
-func NewEstimator(q *algebra.Query, p Params) *Estimator {
-	return &Estimator{Q: q, P: p, byCard: make(map[algebra.RelSet]float64)}
-}
-
-// SetCorrection installs feedback correction factors. It must be called
-// before the estimator is used (corrected values are memoized); the
-// costing layer installs it at overlay-build time.
-func (e *Estimator) SetCorrection(c Correction) { e.corr = c }
 
 // factor returns the correction for a relation subset (1 when none is
-// installed).
-func (e *Estimator) factor(s algebra.RelSet) float64 {
-	if e.corr == nil {
-		return 1
-	}
-	if f := e.corr(s); f > 0 {
+// recorded).
+func (e *estimator) factor(s algebra.RelSet) float64 {
+	if f := e.factors[s]; f > 0 {
 		return f
 	}
 	return 1
 }
 
-// BaseCard is the estimated row count of base relation i after its
-// pushed-down filters, scaled by the feedback correction for {i} when
-// one is installed.
-func (e *Estimator) BaseCard(i int) float64 {
-	rel := e.Q.Rels[i]
+// groupCard is a group's estimated output cardinality. Cards are
+// properties of the group (relation subset plus operator layer), so
+// every alternative in a group shares them — the invariant the MEMO's
+// costing relies on.
+func (e *estimator) groupCard(g *memo.Group) float64 {
+	switch g.Kind {
+	case memo.GroupScan:
+		return e.baseCard(g.RelSet.First())
+	case memo.GroupJoin:
+		return e.setCard(g.RelSet)
+	case memo.GroupAgg:
+		return e.aggCard(e.setCard(g.RelSet))
+	case memo.GroupRoot:
+		// The root projects its child without changing cardinality.
+		if e.q.HasAgg() {
+			return e.aggCard(e.setCard(g.RelSet))
+		}
+		return e.setCard(g.RelSet)
+	}
+	return 0
+}
+
+// baseCard is the estimated row count of base relation i after its
+// pushed-down filters, scaled by the feedback correction for {i}.
+func (e *estimator) baseCard(i int) float64 {
+	rel := e.q.Rels[i]
 	card := float64(rel.Table.RowCount)
 	for _, f := range rel.Filters {
-		card *= e.PredSelectivity(f)
+		card *= e.predSelectivity(f)
 	}
 	// Floor before correcting: the feedback loop records ratios against
 	// the floored estimate it actually served (CardOf), so the factor
@@ -86,31 +85,25 @@ func (e *Estimator) BaseCard(i int) float64 {
 	return card
 }
 
-// SetCard is the estimated cardinality of joining the relations in s:
+// setCard is the estimated cardinality of joining the relations in s:
 // the product of filtered base cardinalities and the selectivities of all
 // join predicates applicable within s, scaled by the feedback correction
 // recorded for exactly s (single-relation corrections propagate through
-// the BaseCard factors). Memoized per subset.
-func (e *Estimator) SetCard(s algebra.RelSet) float64 {
-	e.mu.Lock()
-	c, ok := e.byCard[s]
-	e.mu.Unlock()
-	if ok {
-		return c
-	}
+// the baseCard factors).
+func (e *estimator) setCard(s algebra.RelSet) float64 {
 	card := 1.0
 	for i := range s.All() {
-		card *= e.BaseCard(i)
+		card *= e.baseCard(i)
 	}
-	for _, p := range e.Q.Preds {
+	for _, p := range e.q.Preds {
 		if p.Refs.SubsetOf(s) {
-			card *= e.PredSelectivity(p.Expr)
+			card *= e.predSelectivity(p.Expr)
 		}
 	}
-	// Floor, then correct, then floor again — mirrors BaseCard so the
+	// Floor, then correct, then floor again — mirrors baseCard so the
 	// set-level factor composes with the estimate the feedback loop
 	// observed (single-relation corrections already propagated through
-	// the BaseCard product above).
+	// the baseCard product above).
 	if card < 1 {
 		card = 1
 	}
@@ -120,22 +113,19 @@ func (e *Estimator) SetCard(s algebra.RelSet) float64 {
 	if card < 1 {
 		card = 1
 	}
-	e.mu.Lock()
-	e.byCard[s] = card
-	e.mu.Unlock()
 	return card
 }
 
-// AggCard estimates the number of groups the aggregation produces from
+// aggCard estimates the number of groups the aggregation produces from
 // inCard input rows: the product of the grouping keys' distinct counts,
 // capped by the input cardinality.
-func (e *Estimator) AggCard(inCard float64) float64 {
-	if len(e.Q.GroupBy) == 0 {
+func (e *estimator) aggCard(inCard float64) float64 {
+	if len(e.q.GroupBy) == 0 {
 		return 1 // scalar aggregate
 	}
 	groups := 1.0
-	for i := range e.Q.GroupBy {
-		groups *= e.keyNDV(&e.Q.GroupBy[i])
+	for i := range e.q.GroupBy {
+		groups *= e.keyNDV(&e.q.GroupBy[i])
 	}
 	if groups > inCard {
 		groups = inCard
@@ -146,7 +136,7 @@ func (e *Estimator) AggCard(inCard float64) float64 {
 	return groups
 }
 
-func (e *Estimator) keyNDV(g *algebra.GroupExpr) float64 {
+func (e *estimator) keyNDV(g *algebra.GroupExpr) float64 {
 	switch expr := g.Expr.(type) {
 	case *algebra.ColRefExpr:
 		if st, ok := e.colStats(expr.Col); ok && st.NDV > 0 {
@@ -166,21 +156,21 @@ func (e *Estimator) keyNDV(g *algebra.GroupExpr) float64 {
 	return 10 // unknown computed key
 }
 
-func (e *Estimator) colStats(c algebra.Column) (catalog.ColumnStats, bool) {
-	if c.Rel < 0 || c.Rel >= len(e.Q.Rels) {
+func (e *estimator) colStats(c algebra.Column) (catalog.ColumnStats, bool) {
+	if c.Rel < 0 || c.Rel >= len(e.q.Rels) {
 		return catalog.ColumnStats{}, false
 	}
-	rel := e.Q.Rels[c.Rel]
+	rel := e.q.Rels[c.Rel]
 	if c.ColIdx < 0 || c.ColIdx >= len(rel.Table.Columns) {
 		return catalog.ColumnStats{}, false
 	}
 	return rel.Table.Columns[c.ColIdx].Stats, true
 }
 
-// PredSelectivity estimates the fraction of rows a boolean expression
+// predSelectivity estimates the fraction of rows a boolean expression
 // keeps. Conjunctions multiply, disjunctions use inclusion-exclusion, and
 // leaf comparisons consult NDV and min/max statistics.
-func (e *Estimator) PredSelectivity(s algebra.Scalar) float64 {
+func (e *estimator) predSelectivity(s algebra.Scalar) float64 {
 	sel := e.predSel(s)
 	if sel < minSelectivity {
 		sel = minSelectivity
@@ -191,7 +181,7 @@ func (e *Estimator) PredSelectivity(s algebra.Scalar) float64 {
 	return sel
 }
 
-func (e *Estimator) predSel(s algebra.Scalar) float64 {
+func (e *estimator) predSel(s algebra.Scalar) float64 {
 	switch t := s.(type) {
 	case *algebra.BinaryExpr:
 		switch t.Op {
@@ -239,7 +229,7 @@ func likeSel(pattern string) float64 {
 	}
 }
 
-func (e *Estimator) eqSel(t *algebra.BinaryExpr) float64 {
+func (e *estimator) eqSel(t *algebra.BinaryExpr) float64 {
 	lc, lok := t.L.(*algebra.ColRefExpr)
 	rc, rok := t.R.(*algebra.ColRefExpr)
 	switch {
@@ -269,7 +259,7 @@ func (e *Estimator) eqSel(t *algebra.BinaryExpr) float64 {
 	return defaultEqSel
 }
 
-func (e *Estimator) yearEqSel(yr *algebra.YearExpr) float64 {
+func (e *estimator) yearEqSel(yr *algebra.YearExpr) float64 {
 	if cr, ok := yr.X.(*algebra.ColRefExpr); ok {
 		if st, ok := e.colStats(cr.Col); ok && !st.Min.IsNull() && !st.Max.IsNull() {
 			years := float64(data.Year(st.Max.Int())-data.Year(st.Min.Int())) + 1
@@ -281,7 +271,7 @@ func (e *Estimator) yearEqSel(yr *algebra.YearExpr) float64 {
 	return defaultEqSel
 }
 
-func (e *Estimator) colEqConstSel(c algebra.Column) float64 {
+func (e *estimator) colEqConstSel(c algebra.Column) float64 {
 	n := e.ndvOf(c)
 	if n < 1 {
 		return defaultEqSel
@@ -289,7 +279,7 @@ func (e *Estimator) colEqConstSel(c algebra.Column) float64 {
 	return 1 / n
 }
 
-func (e *Estimator) ndvOf(c algebra.Column) float64 {
+func (e *estimator) ndvOf(c algebra.Column) float64 {
 	if st, ok := e.colStats(c); ok && st.NDV > 0 {
 		return float64(st.NDV)
 	}
@@ -298,7 +288,7 @@ func (e *Estimator) ndvOf(c algebra.Column) float64 {
 
 // rangeSel estimates col <op> const selectivity by linear interpolation
 // between the column's min and max.
-func (e *Estimator) rangeSel(t *algebra.BinaryExpr) float64 {
+func (e *estimator) rangeSel(t *algebra.BinaryExpr) float64 {
 	col, cref := t.L.(*algebra.ColRefExpr)
 	cst, cons := t.R.(*algebra.ConstExpr)
 	op := t.Op

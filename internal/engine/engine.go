@@ -42,6 +42,7 @@ import (
 	"errors"
 	"fmt"
 	"math/big"
+	"sync"
 
 	"repro/internal/algebra"
 	"repro/internal/core"
@@ -191,6 +192,9 @@ type StructureSpace struct {
 	Fingerprint Fingerprint
 	Canonical   string // normalized SQL the fingerprint was computed from
 	Space       *core.Space
+
+	keysOnce sync.Once
+	keys     []string // by group ID: feedbackKey of scan and join groups, "" otherwise
 }
 
 // buildStructure runs the structure-miss stages: bind, expand, count.
@@ -218,7 +222,7 @@ func (s *Session) buildStructure(canonical string, stmt *sql.SelectStmt, fp Fing
 // path a statistics refresh, cost-parameter change, or feedback
 // application pays instead of a full Prepare.
 func (s *Session) recost(ss *StructureSpace, ofp Fingerprint, epoch uint64, view map[string]float64) (*CostOverlay, error) {
-	costing, err := ss.Cost(s.opts.Params, corrector(ss.Query, view))
+	costing, err := ss.Cost(s.opts.Params, ss.factors(view))
 	if err != nil {
 		return nil, err
 	}
@@ -367,7 +371,7 @@ func (p *Prepared) ScaledCost(n *plan.Node) (float64, error) {
 // allocation, which is what keeps batched sampling loops allocation-free
 // per plan.
 func (p *Prepared) ScaledCostWith(n *plan.Node, buf *plan.CostBuf) (float64, error) {
-	c, err := n.CostWith(p.Opt.Model, buf)
+	c, err := n.CostWith(p.Opt.Tables, buf)
 	if err != nil {
 		return 0, err
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"math/big"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -250,7 +251,7 @@ func TestExplainRendersCostsAndCards(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := p.Explain(p.OptimalPlan())
+	out, total, err := p.Explain(p.OptimalPlan())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,16 +260,15 @@ func TestExplainRendersCostsAndCards(t *testing.T) {
 			t.Errorf("explain missing %q:\n%s", want, out)
 		}
 	}
-	// The root line's cumulative cost equals the plan cost.
-	cost, err := p.OptimalPlan().Cost(p.Opt.Model)
-	if err != nil {
-		t.Fatal(err)
+	// The returned total is the optimal plan's cost, and the root
+	// line's cumulative cost prints it.
+	if total != p.OptimalCost() {
+		t.Errorf("explain total %g, optimal cost %g", total, p.OptimalCost())
 	}
-	if !strings.Contains(out, strings.Split(strings.TrimSpace(
-		strings.SplitAfter(out, "cost=")[1]), " ")[0]) {
-		t.Fatal("unparseable explain output")
+	rootCost := strings.Fields(strings.SplitAfter(out, "cost=")[1])[0]
+	if want := strconv.FormatFloat(total, 'f', 2, 64); rootCost != want {
+		t.Errorf("root line cost=%s, want %s", rootCost, want)
 	}
-	_ = cost
 	// Sampled plans explain too.
 	smp, err := p.Sampler(3)
 	if err != nil {
@@ -278,7 +278,7 @@ func TestExplainRendersCostsAndCards(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.Explain(pl); err != nil {
+	if _, _, err := p.Explain(pl); err != nil {
 		t.Errorf("explaining sampled plan: %v", err)
 	}
 }

@@ -27,15 +27,15 @@ func (p *Prepared) ExportJSON() ([]byte, error) {
 // Explain renders a plan as an EXPLAIN-style tree: one line per operator
 // with the operator's paper-style name, its estimated output rows (a
 // property of its group), the cost of the subtree rooted there, and the
-// operator's own cost contribution. The cumulative cost of the root line
-// equals the plan's Cost under the overlay's model.
-func (p *Prepared) Explain(n *plan.Node) (string, error) {
+// operator's own cost contribution. It also returns the plan's total
+// cost under the overlay — the cumulative cost of the root line.
+func (p *Prepared) Explain(n *plan.Node) (string, float64, error) {
 	costs, err := p.subtreeCosts(nil, n)
 	if err != nil {
-		return "", err
+		return "", 0, err
 	}
 	next := 0
-	return string(p.appendExplain(nil, n, 0, costs, &next)), nil
+	return string(p.appendExplain(nil, n, 0, costs, &next)), costs[0], nil
 }
 
 // subtreeCosts appends the cost of every subtree of n to costs in
@@ -54,7 +54,7 @@ func (p *Prepared) subtreeCosts(costs []float64, n *plan.Node) ([]float64, error
 		}
 		children = append(children, costs[ci])
 	}
-	total, err := p.Opt.Model.Combine(n.Expr, children)
+	total, err := p.Opt.Tables.Combine(n.Expr, children)
 	if err != nil {
 		return nil, err
 	}
@@ -74,7 +74,7 @@ func (p *Prepared) appendExplain(b []byte, n *plan.Node, depth int, costs []floa
 	start = len(b) + 1
 	b = padRight(e.AppendDescribe(append(b, ' ')), start, 32)
 	start = len(b) + len(" rows=")
-	b = padRight(strconv.AppendFloat(append(b, " rows="...), p.Opt.Model.CardOf(e.Group), 'f', 0, 64), start, 10)
+	b = padRight(strconv.AppendFloat(append(b, " rows="...), p.Opt.Tables.CardOf(e.Group), 'f', 0, 64), start, 10)
 	start = len(b) + len(" cost=")
 	b = padRight(strconv.AppendFloat(append(b, " cost="...), costs[*next], 'f', 2, 64), start, 12)
 	b = strconv.AppendFloat(append(b, " self="...), p.Opt.Tables.Locals[e.ID], 'f', 2, 64)

@@ -3,10 +3,8 @@ package engine
 import (
 	"sort"
 	"strings"
-	"sync"
 
 	"repro/internal/algebra"
-	"repro/internal/cost"
 	"repro/internal/exec"
 	"repro/internal/memo"
 )
@@ -55,41 +53,46 @@ func feedbackKey(q *algebra.Query, s algebra.RelSet) string {
 	return sb.String()
 }
 
-// corrector builds the cost.Correction the overlay builder installs in
-// its estimator: relation subset → factor from the given immutable
-// epoch view (feedback.Store.EpochView). Returns nil for an empty view
-// — then every factor is 1 and rendering keys per relation subset
-// would be pure overhead on the re-cost hot path. The view, not the
-// live store, is consulted, so an overlay is costed with exactly the
-// factors of the epoch baked into its fingerprint even when a
+// feedbackKeys returns the structure's feedback key of every scan and
+// join group, by group ID, rendering them on first use. Keys depend
+// only on the group, so one rendering serves every re-cost and every
+// recorded execution over the structure; a structure that is never
+// re-costed under feedback nor executed never renders them.
+func (ss *StructureSpace) feedbackKeys() []string {
+	ss.keysOnce.Do(func() {
+		keys := make([]string, len(ss.Memo.Groups)+1)
+		for _, g := range ss.Memo.Groups {
+			if g.Kind == memo.GroupScan || g.Kind == memo.GroupJoin {
+				keys[g.ID] = feedbackKey(ss.Query, g.RelSet)
+			}
+		}
+		ss.keys = keys
+	})
+	return ss.keys
+}
+
+// factors turns an immutable epoch view (feedback.Store.EpochView) into
+// the relation-subset correction factors cost.Fill applies. The
+// estimator corrects exactly the relation subsets of the memo's scan
+// and join groups, so looking up their keys finds every factor that
+// applies. An empty view gives nil and renders no keys. The view, not
+// the live store, is consulted, so an overlay is costed with exactly
+// the factors of the epoch baked into its fingerprint even when a
 // concurrent ApplyFeedback advances the store mid-build.
-func corrector(q *algebra.Query, view map[string]float64) cost.Correction {
+func (ss *StructureSpace) factors(view map[string]float64) map[algebra.RelSet]float64 {
 	if len(view) == 0 {
 		return nil
 	}
-	// Key rendering (sorted filter/predicate strings) is the expensive
-	// part, and the estimator asks for the same subsets repeatedly
-	// (every BaseCard term of every SetCard product), so factors are
-	// memoized per subset. The estimator may be consulted from
-	// concurrent readers after the overlay is built, hence the lock.
-	var mu sync.Mutex
-	memoized := make(map[algebra.RelSet]float64)
-	return func(s algebra.RelSet) float64 {
-		mu.Lock()
-		f, ok := memoized[s]
-		mu.Unlock()
-		if ok {
-			return f
+	keys := ss.feedbackKeys()
+	factors := make(map[algebra.RelSet]float64)
+	for _, g := range ss.Memo.Groups {
+		if k := keys[g.ID]; k != "" {
+			if f, ok := view[k]; ok {
+				factors[g.RelSet] = f
+			}
 		}
-		f = 1
-		if v, ok := view[feedbackKey(q, s)]; ok {
-			f = v
-		}
-		mu.Lock()
-		memoized[s] = f
-		mu.Unlock()
-		return f
 	}
+	return factors
 }
 
 // recordExecution harvests (estimated, observed) cardinality pairs from
@@ -114,6 +117,7 @@ func (e *Engine) recordExecution(p *Prepared, res *exec.Result) {
 		return
 	}
 	m := p.Shared.Memo
+	keys := p.Shared.feedbackKeys()
 	groupOf := func(op *exec.OpStats) *memo.Group {
 		if op.Group <= 0 || op.Group > len(m.Groups) || op.Opens == 0 {
 			return nil
@@ -164,7 +168,7 @@ func (e *Engine) recordExecution(p *Prepared, res *exec.Result) {
 		// the new factors).
 		switch g.Kind {
 		case memo.GroupScan:
-			e.fb.Record(feedbackKey(p.Shared.Query, g.RelSet), est, obs, p.Overlay.Epoch)
+			e.fb.Record(keys[g.ID], est, obs, p.Overlay.Epoch)
 		case memo.GroupJoin:
 			baseline := est
 			for rel := range g.RelSet.All() {
@@ -172,7 +176,7 @@ func (e *Engine) recordExecution(p *Prepared, res *exec.Result) {
 					baseline *= r
 				}
 			}
-			e.fb.Record(feedbackKey(p.Shared.Query, g.RelSet), baseline, obs, p.Overlay.Epoch)
+			e.fb.Record(keys[g.ID], baseline, obs, p.Overlay.Epoch)
 		}
 	}
 }

@@ -132,7 +132,7 @@ func renderGolden(t *testing.T, sb *strings.Builder, db *storage.DB, name, query
 		t.Fatal(err)
 	}
 	render := func(label string, pl *plan.Node) {
-		tree, err := p.Explain(pl)
+		tree, _, err := p.Explain(pl)
 		if err != nil {
 			t.Fatalf("%s %s: explain: %v", name, label, err)
 		}

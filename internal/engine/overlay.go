@@ -8,10 +8,10 @@ import (
 
 // CostOverlay is the cheap, cost-bearing layer over a cached
 // StructureSpace: the per-group cardinalities and per-operator local
-// costs (opt.Costing wraps cost.Tables), the estimator/model bound to
-// them, the optimal plan, and its rank in the counted space. One
-// overlay is immutable after build and safe for any number of
-// concurrent readers; it is cached in its structure's cache entry.
+// costs (opt.Costing wraps cost.Tables), the optimal plan, and its rank
+// in the counted space. One overlay is immutable after build and safe
+// for any number of concurrent readers; it is cached in its structure's
+// cache entry.
 //
 // A structure hit with a stale overlay re-costs in place: the memo,
 // counts, and unrank tables are reused and only this layer is rebuilt —

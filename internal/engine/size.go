@@ -7,7 +7,7 @@ package engine
 // tables and winner memo.
 const (
 	structureOverhead = 8 << 10 // bound query + bookkeeping
-	overlayOverhead   = 2 << 10 // estimator, model, costing headers
+	overlayOverhead   = 2 << 10 // costing headers and the optimal plan
 	winnerEntryBytes  = 96      // one (group, ordering) winner memo entry
 )
 

@@ -66,12 +66,10 @@ func (s *Structure) skeletonOf() *skeleton {
 }
 
 // Costing is the cost overlay over one structure: per-group estimated
-// cardinalities and per-operator local costs (cost.Tables), the
-// model bound to them (which carries the estimator and its parameters),
-// and the optimal plan. A Costing is immutable after Structure.Cost
-// returns and safe for concurrent readers.
+// cardinalities and per-operator local costs (cost.Tables) and the
+// optimal plan. A Costing is immutable after Structure.Cost returns and
+// safe for concurrent readers.
 type Costing struct {
-	Model  *cost.Model
 	Tables *cost.Tables
 
 	Best     *plan.Node
@@ -82,27 +80,21 @@ type Costing struct {
 }
 
 // Cost computes an overlay for the structure under the given parameters
-// and (optionally nil) feedback correction factors: fill the
-// cardinality table, fill the local-cost table, then solve for the
+// and feedback correction factors (relation subset → factor, nil for
+// none): fill the cardinality and local-cost tables, then solve for the
 // cheapest plan per (group, ordering context) and extract the optimum
 // from the root group. The shared memo is only read, never written, and
 // the structure's context skeleton is reused across costings.
-func (s *Structure) Cost(params cost.Params, corr cost.Correction) (*Costing, error) {
+func (s *Structure) Cost(params cost.Params, factors map[algebra.RelSet]float64) (*Costing, error) {
 	m, sk := s.Memo, s.skeletonOf()
-	est := cost.NewEstimator(s.Query, params)
-	if corr != nil {
-		est.SetCorrection(corr)
-	}
-	tab := cost.NewTables(m)
-	fillCards(m, est, tab)
-	model := cost.NewModelWith(est, tab)
-	if err := model.FillLocals(m); err != nil {
+	tab, err := cost.Fill(m, s.Query, params, factors)
+	if err != nil {
 		return nil, err
 	}
 
 	c := &Costing{
-		Model: model, Tables: tab,
-		Memo: m,
+		Tables: tab,
+		Memo:   m,
 		sol: &solution{
 			sk:     sk,
 			cost:   make([]float64, sk.maxExpr+1),
@@ -122,30 +114,4 @@ func (s *Structure) Cost(params cost.Params, corr cost.Correction) (*Costing, er
 	c.Best = c.nodeOf(best)
 	c.BestCost = c.sol.cost[best.ID]
 	return c, nil
-}
-
-// fillCards sets every group's estimated output cardinality in the
-// overlay table. Cards are properties of the group (relation subset plus
-// operator layer), so every alternative in a group shares them — the
-// invariant the MEMO's costing relies on.
-func fillCards(m *memo.Memo, est *cost.Estimator, tab *cost.Tables) {
-	for _, g := range m.Groups {
-		var card float64
-		switch g.Kind {
-		case memo.GroupScan:
-			card = est.BaseCard(g.RelSet.First())
-		case memo.GroupJoin:
-			card = est.SetCard(g.RelSet)
-		case memo.GroupAgg:
-			card = est.AggCard(est.SetCard(g.RelSet))
-		case memo.GroupRoot:
-			// The root projects its child without changing cardinality.
-			if m.Query.HasAgg() {
-				card = est.AggCard(est.SetCard(g.RelSet))
-			} else {
-				card = est.SetCard(g.RelSet)
-			}
-		}
-		tab.Cards[g.ID] = card
-	}
 }

@@ -77,8 +77,9 @@ func TestOptimalIsBruteForceMinimum(t *testing.T) {
 	}
 	best := -1.0
 	var bestPlan *plan.Node
+	var buf plan.CostBuf
 	err = s.Enumerate(func(_ *big.Int, p *plan.Node) bool {
-		c, err := p.Cost(res.Model)
+		c, err := p.CostWith(res.Tables, &buf)
 		if err != nil {
 			t.Fatalf("costing enumerated plan: %v", err)
 		}

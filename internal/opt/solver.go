@@ -174,7 +174,7 @@ func (c *Costing) solve() error {
 			if !feasible {
 				continue
 			}
-			total, err := c.Model.Combine(e, cc[:len(e.Children)])
+			total, err := c.Tables.Combine(e, cc[:len(e.Children)])
 			if err != nil {
 				return err
 			}
@@ -200,7 +200,7 @@ func (c *Costing) solve() error {
 					continue
 				}
 				cc[0] = sol.cost[neBest.ID]
-				total, err := c.Model.Combine(e, cc[:1])
+				total, err := c.Tables.Combine(e, cc[:1])
 				if err != nil {
 					return err
 				}

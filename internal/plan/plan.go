@@ -23,13 +23,6 @@ type Node struct {
 	Children []*Node
 }
 
-// Cost computes the plan's total cost under the model, recursively; the
-// nested-loop join multiplies its inner child's cost by the outer
-// cardinality inside Model.Combine.
-func (n *Node) Cost(m *cost.Model) (float64, error) {
-	return n.CostWith(m, &CostBuf{})
-}
-
 // CostBuf is a reusable value stack for CostWith. The zero value is
 // ready; after it has grown to a plan's depth×fanout it is never
 // reallocated, so steady-state costing of sampled plans performs no
@@ -38,21 +31,24 @@ type CostBuf struct {
 	stack []float64
 }
 
-// CostWith evaluates child costs on buf's shared stack instead of
-// allocating a slice per node — the costing path for hot sampling
-// loops (experiments, the plan-space server) that cost and discard
-// thousands of plans; Cost is CostWith on a fresh buffer.
-func (n *Node) CostWith(m *cost.Model, buf *CostBuf) (float64, error) {
+// CostWith computes the plan's total cost under the overlay t,
+// recursively: Tables.Combine folds each node's child costs, and the
+// nested-loop join multiplies its inner child's cost by the outer
+// cardinality there. Child costs are evaluated on buf's shared stack
+// instead of a slice per node, so hot sampling loops (experiments, the
+// plan-space server) cost and discard thousands of plans without
+// allocating.
+func (n *Node) CostWith(t *cost.Tables, buf *CostBuf) (float64, error) {
 	base := len(buf.stack)
 	for _, c := range n.Children {
-		cc, err := c.CostWith(m, buf)
+		cc, err := c.CostWith(t, buf)
 		if err != nil {
 			buf.stack = buf.stack[:base]
 			return 0, err
 		}
 		buf.stack = append(buf.stack, cc)
 	}
-	total, err := m.Combine(n.Expr, buf.stack[base:])
+	total, err := t.Combine(n.Expr, buf.stack[base:])
 	buf.stack = buf.stack[:base]
 	return total, err
 }

@@ -153,17 +153,12 @@ func TestCostMonotoneInChildren(t *testing.T) {
 	p, n := appendix(t)
 	// Cost the appendix plan; then replace a child with a Sort-wrapped
 	// variant, which must never be cheaper.
-	q := p.Query
-	est := cost.NewEstimator(q, cost.Default())
-	tab := cost.NewTables(p.Memo)
-	for _, g := range p.Memo.Groups {
-		tab.Cards[g.ID] = 100
-	}
-	model := cost.NewModelWith(est, tab)
-	if err := model.FillLocals(p.Memo); err != nil {
+	tab, err := cost.Fill(p.Memo, p.Query, cost.Default(), nil)
+	if err != nil {
 		t.Fatal(err)
 	}
-	base, err := n.Cost(model)
+	var buf plan.CostBuf
+	base, err := n.CostWith(tab, &buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +170,7 @@ func TestCostMonotoneInChildren(t *testing.T) {
 		Expr:     p.Op("1.4"),
 		Children: []*plan.Node{{Expr: p.Op("1.3")}},
 	}
-	withSort, err := wrapped.Cost(model)
+	withSort, err := wrapped.CostWith(tab, &buf)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -512,12 +512,7 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 		s.writeErr(w, http.StatusUnprocessableEntity, "explain: %v", err)
 		return
 	}
-	cost, err := pl.Cost(p.Opt.Model)
-	if err != nil {
-		s.writeErr(w, http.StatusInternalServerError, "costing: %v", err)
-		return
-	}
-	tree, err := p.Explain(pl)
+	tree, cost, err := p.Explain(pl)
 	if err != nil {
 		s.writeErr(w, http.StatusInternalServerError, "explain: %v", err)
 		return
@@ -603,15 +598,44 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
+// Connection timeouts of the listening server. A request's headers and
+// its body (at most 1 MiB) must arrive within readTimeout, so a client
+// that trickles bytes cannot hold a handler goroutine; an idle
+// keep-alive connection closes after idleTimeout.
+const (
+	readHeaderTimeout = 5 * time.Second
+	readTimeout       = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+	// writeMargin is what a response may take beyond the longest
+	// execution the limits allow: reading the body, preparing (a cold
+	// structure build included) and encoding.
+	writeMargin = 30 * time.Second
+)
+
+// httpServer is the http.Server ListenAndServe runs. Its WriteTimeout
+// follows the execution limits: the longest request an ExecLimits
+// allows is a whole /execute_batch (MaxBatchTime) or one /execute
+// (MaxTimeout), plus writeMargin; with no batch ceiling there is no
+// write timeout either.
+func (s *Server) httpServer(addr string) *http.Server {
+	var write time.Duration
+	if l := s.execLimits; l.MaxBatchTime > 0 {
+		write = max(l.MaxBatchTime, l.MaxTimeout) + writeMargin
+	}
+	return &http.Server{
+		Addr:              addr,
+		Handler:           s.Handler(),
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		WriteTimeout:      write,
+		IdleTimeout:       idleTimeout,
+	}
+}
+
 // ListenAndServe runs the server on addr until the listener fails. It
 // exists for cmd/planserved; tests drive Handler through httptest.
 func (s *Server) ListenAndServe(addr string) error {
-	srv := &http.Server{
-		Addr:              addr,
-		Handler:           s.Handler(),
-		ReadHeaderTimeout: 5 * time.Second,
-	}
-	err := srv.ListenAndServe()
+	err := s.httpServer(addr).ListenAndServe()
 	if err != nil && !errors.Is(err, http.ErrServerClosed) {
 		return err
 	}

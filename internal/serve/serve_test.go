@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/engine"
 	"repro/internal/storage"
@@ -577,5 +578,29 @@ func TestSampleGoldenStream(t *testing.T) {
 					tc.req.Query, i, resp.Ranks[i], resp.ScaledCosts[i], tc.ranks[i], tc.costs[i])
 			}
 		}
+	}
+}
+
+// TestHTTPServerTimeouts: the listening server bounds how long a client
+// may take to send a request, how long an idle connection stays open,
+// and — from the execution limits — how long a response may take.
+func TestHTTPServerTimeouts(t *testing.T) {
+	e := engine.New(testDB(t))
+	srv := New(e).httpServer("127.0.0.1:0")
+	if srv.ReadHeaderTimeout != readHeaderTimeout || srv.ReadTimeout != readTimeout || srv.IdleTimeout != idleTimeout {
+		t.Errorf("read header %v, read %v, idle %v; want %v, %v, %v", srv.ReadHeaderTimeout, srv.ReadTimeout, srv.IdleTimeout,
+			readHeaderTimeout, readTimeout, idleTimeout)
+	}
+	if want := DefaultExecLimits().MaxBatchTime + writeMargin; srv.WriteTimeout != want {
+		t.Errorf("default write timeout %v, want %v", srv.WriteTimeout, want)
+	}
+	l := DefaultExecLimits()
+	l.MaxBatchTime, l.MaxTimeout = 5*time.Second, 20*time.Second
+	if got, want := New(e, WithExecLimits(l)).httpServer("").WriteTimeout, l.MaxTimeout+writeMargin; got != want {
+		t.Errorf("write timeout %v under a single-plan ceiling above the batch ceiling, want %v", got, want)
+	}
+	l.MaxBatchTime = 0
+	if got := New(e, WithExecLimits(l)).httpServer("").WriteTimeout; got != 0 {
+		t.Errorf("write timeout %v with no batch ceiling, want none", got)
 	}
 }
