@@ -8,8 +8,8 @@ import (
 )
 
 // Tables is a cost overlay over a shared memo: the per-group estimated
-// cardinalities and per-operator local costs, built by Fill. Keeping them out of the
-// memo lets any number of costings — different cost
+// cardinalities and per-operator local costs, built by Fill. Keeping
+// them out of the memo lets any number of costings — different cost
 // parameters, different statistics versions, different feedback epochs
 // — coexist over one immutable counted structure without mutating it.
 //

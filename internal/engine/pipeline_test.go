@@ -1,10 +1,13 @@
 package engine_test
 
 import (
+	"context"
 	"sync"
 	"testing"
 
+	"repro/internal/cost"
 	"repro/internal/engine"
+	"repro/internal/exec"
 	"repro/internal/storage"
 	"repro/internal/tpch"
 )
@@ -121,6 +124,52 @@ func TestConcurrentPrepareSingleCount(t *testing.T) {
 	}
 	if after.Hits != before.Hits+goroutines-1 {
 		t.Errorf("overlay hits %d -> %d, want +%d", before.Hits, after.Hits, goroutines-1)
+	}
+}
+
+// TestConcurrentFeedbackKeys: a structure's feedback keys are rendered
+// on first use, which concurrent executions recording feedback and
+// concurrent re-costs under a live feedback view race to (run under
+// -race). Every re-cost of one cost-parameter set sees the same
+// corrections, so they agree on the optimal plan.
+func TestConcurrentFeedbackKeys(t *testing.T) {
+	e := engine.New(tinyTPCH(t))
+	doubled := cost.Default()
+	doubled.CPUTuple *= 2
+	sessions := []*engine.Session{e.Session(), e.Session(engine.WithCostParams(doubled))}
+	const goroutines = 8
+	run := func(f func(i int) error) {
+		var wg sync.WaitGroup
+		for i := 0; i < goroutines; i++ {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				if err := f(i); err != nil {
+					t.Error(err)
+				}
+			}(i)
+		}
+		wg.Wait()
+	}
+	run(func(i int) error {
+		_, err := sessions[0].Execute(context.Background(), smallJoin, nil, exec.Options{})
+		return err
+	})
+	if folded, _ := e.ApplyFeedback(); folded == 0 {
+		t.Fatal("executions recorded no feedback")
+	}
+	ranks := make([]string, goroutines)
+	run(func(i int) error {
+		exe, err := sessions[i%2].Execute(context.Background(), smallJoin, nil, exec.Options{})
+		if err == nil {
+			ranks[i] = exe.Rank.String()
+		}
+		return err
+	})
+	for i := 2; i < goroutines; i++ {
+		if ranks[i] != ranks[i%2] {
+			t.Errorf("goroutine %d chose rank %s, goroutine %d of the same session rank %s", i, ranks[i], i%2, ranks[i%2])
+		}
 	}
 }
 

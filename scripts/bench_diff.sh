@@ -23,7 +23,9 @@
 #     front end (parse, canonical rendering, fingerprints) every request
 #     pays; the cold Prepares and the coldprepare row are structure
 #     builds (memo construction and counting), cross10 the 10-way
-#     Cartesian one; the recost row is the overlay rebuild. Like
+#     Cartesian one; the recost row is the overlay rebuild, and
+#     recost_feedback the same rebuild under live feedback
+#     corrections. Like
 #     allocation counts, bytes allocated do not depend on the host.
 #  3. Speedups. The production tiers are timed against the /big rows
 #     (the reference oracle) and the recorded speedups must not regress
