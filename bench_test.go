@@ -626,6 +626,41 @@ func BenchmarkExecute(b *testing.B) {
 		b.Logf("merge-join sampled plan: rank %s, scaled cost %.2f", merge.rank, merge.cost)
 		run(b, p, mergePlan)
 	})
+
+	// The sampled sweep: 40 seeded uniform ranks of each query under
+	// the execute-governed workload's 16,000-row work budget, which cuts
+	// most of them. internal/engine's TestSampledSweepGolden pins the
+	// same plans' counters.
+	type sweepPlan struct {
+		p  *engine.Prepared
+		pl *plan.Node
+	}
+	var sweep []sweepPlan
+	for _, q := range []string{"Q3", "Q5", "Q9", "Q10"} {
+		p := prepare(b, q, false)
+		smp, err := p.Sampler(23)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for range 40 {
+			_, pl, err := smp.Next()
+			if err != nil {
+				b.Fatal(err)
+			}
+			sweep = append(sweep, sweepPlan{p, pl})
+		}
+	}
+	b.Run("sweep/sampled", func(b *testing.B) {
+		b.ReportAllocs()
+		governed := exec.Options{MaxIntermediateRows: 16_000}
+		for i := 0; i < b.N; i++ {
+			for _, s := range sweep {
+				if _, err := s.p.ExecuteWith(context.Background(), s.pl, governed); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	})
 }
 
 // BenchmarkVerifySampled measures the Section 4 harness (E8): execute a

@@ -3,12 +3,14 @@ package exec_test
 import (
 	"math"
 	"math/big"
+	"slices"
 	"sort"
 	"testing"
 
 	"repro/internal/catalog"
 	"repro/internal/data"
 	"repro/internal/engine"
+	"repro/internal/exec"
 	"repro/internal/memo"
 	"repro/internal/plan"
 	"repro/internal/storage"
@@ -226,4 +228,66 @@ func TestMultiColumnKeysKeepIntAndZeroRules(t *testing.T) {
 	allPlansReturn(t, db, "SELECT pk, pf, SUM(pv) AS s FROM p GROUP BY pk, pf", []string{
 		"9007199254740992|0|1", "9007199254740993|0|2", "9007199254740992|1.5|4", "NULL|0|8",
 	})
+}
+
+// TestHashJoinSharedBucketChargesNothing: distinct keys that share a
+// hash bucket. A probe passes the other keys' rows by their words and
+// charges nothing for them, so with an equality-only join predicate no
+// plan examines a row it does not emit: RowsExamined is the sum of the
+// operators' rows, as it was when every key had a bucket of its own.
+func TestHashJoinSharedBucketChargesNothing(t *testing.T) {
+	const n = 4 // build rows on either side: a table of 4 buckets
+	keys := []int64{1}
+	for k := int64(2); len(keys) < 3; k++ {
+		if exec.HashBucket(n, uint64(k)) == exec.HashBucket(n, 1) {
+			keys = append(keys, k)
+		}
+	}
+	a, b, c := keys[0], keys[1], keys[2]
+	intTable := func(name string, ks ...int64) keyTable {
+		kt := keyTable{name: name, cols: []catalog.Column{
+			{Name: name + "k", Kind: data.KindInt}, {Name: name + "id", Kind: data.KindInt},
+		}}
+		for i, k := range ks {
+			kt.rows = append(kt.rows, []any{k, int64(i)})
+		}
+		return kt
+	}
+	db := keyDB(t, intTable("l", a, b, c, b), intTable("r", c, a, a, 99))
+	p, err := engine.New(db).Prepare("SELECT lid, rid FROM l, r WHERE lk = rk")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"0|1", "0|2", "2|0"}
+	hashPlans := 0
+	err = p.Space.Enumerate(func(r *big.Int, pl *plan.Node) bool {
+		ops := pl.Operators()
+		if !slices.ContainsFunc(ops, func(e *memo.Expr) bool { return e.Op == memo.HashJoin }) {
+			return true
+		}
+		hashPlans++
+		res, err := p.Execute(pl)
+		if err != nil {
+			t.Fatalf("plan %s: %v", r, err)
+		}
+		got := rowStrings(res)
+		sort.Strings(got)
+		if !slices.Equal(got, want) {
+			t.Fatalf("plan %s returned %v, want %v:\n%s", r, got, want, pl)
+		}
+		var emitted int64
+		for _, op := range res.Stats.Operators {
+			emitted += op.Rows
+		}
+		if res.Stats.RowsExamined != emitted {
+			t.Errorf("plan %s examined %d rows but its operators emitted %d:\n%s", r, res.Stats.RowsExamined, emitted, pl)
+		}
+		return true
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hashPlans == 0 {
+		t.Error("plan space lacks a hash join")
+	}
 }

@@ -3,6 +3,7 @@ package exec
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"repro/internal/data"
 	"repro/internal/memo"
@@ -37,17 +38,13 @@ func (b *builder) buildJoin(e *memo.Expr, left Iterator, ls schema, right Iterat
 				return nil, nil, fmt.Errorf("exec: join key missing from child schema in %s", e.Name())
 			}
 		}
-		keys := make([]data.Value, len(lKeys))
 		if e.Op == memo.HashJoin {
-			// Join keys are base columns, whose stored values all have
-			// the declared kind (Table.Insert checks), so one kind on
-			// both sides keeps wordKey a superset of equality.
-			word := len(lKeys) == 1 && wordKeyed(lKeys[0].Kind, rKeys[0].Kind)
-			return &hashJoinIter{left: left, right: right, lPos: lPos, rPos: rPos, pred: pred,
-				keys: keys, word: word, enc: newJoinKeyEncoder(lKeys, rKeys), out: newJoinRow(ls, rs)}, out, nil
+			viaFloat, apart := joinKeyRules(lKeys, rKeys)
+			return &hashJoinIter{left: left, right: right, lPos: lPos, rPos: rPos, viaFloat: viaFloat, apart: apart,
+				pred: pred, out: newJoinRow(ls, rs), key: make([]uint64, len(lKeys))}, out, nil
 		}
 		return &mergeJoinIter{left: left, right: right, lPos: lPos, rPos: rPos, pred: pred,
-			lkey: keys, strs: b.strs, out: newJoinRow(ls, rs)}, out, nil
+			lkey: make([]data.Value, len(lKeys)), strs: b.strs, out: newJoinRow(ls, rs)}, out, nil
 	default:
 		return nil, nil, fmt.Errorf("exec: %s is not a join", e.Op)
 	}
@@ -143,49 +140,66 @@ func extractKey(keys []data.Value, r data.Row, pos []int) (null bool) {
 	return null
 }
 
-// hashTable is a hash join's build side: rows chained per key in
-// insertion order, so probes emit matches in the order the build input
-// produced them. A single-column key of one kind is chained by its
-// 8-byte wordKey in words, any other key by its encoding in chains.
-// Each chain is circular: its tail links back to its head.
+// hashTable is a hash join's build side: its rows, k key words per row
+// (keyWords), and bucket chains over them. It is sized from the rows
+// already materialized, so it never grows: heads has a power-of-two
+// length of at least the row count, and next links each bucket's rows
+// in build order. The rows of one bucket whose words equal a probe
+// key's are therefore the probe's matches in the order the build input
+// produced them.
 type hashTable struct {
-	words  map[uint64]int32 // wordKey -> chain
-	chains map[string]int32 // encoded key -> chain
-	tails  []int32          // per chain: its last row
-	rows   []chainedRow
-	store  rowStore
+	rows  []data.Row
+	words []uint64
+	heads []int32 // per bucket: its first row, or -1
+	next  []int32 // per row: the next row of its bucket, or -1
+	shift uint    // 64 - log2(len(heads))
 }
 
-type chainedRow struct {
-	row  data.Row
-	next int32 // the next row of its chain; the tail's is the head
-}
-
-// add appends r to chain c, or to a new chain when found is false, and
-// returns the chain.
-func (h *hashTable) add(c int32, found bool, r data.Row) int32 {
-	ri := int32(len(h.rows))
-	next := ri
-	if found {
-		t := h.tails[c]
-		next, h.rows[t].next = h.rows[t].next, ri
-		h.tails[c] = ri
-	} else {
-		c = int32(len(h.tails))
-		h.tails = append(h.tails, ri)
+// index chains the rows into buckets.
+func (h *hashTable) index(k int) {
+	n := len(h.rows)
+	bits := 0
+	for 1<<bits < n {
+		bits++
 	}
-	h.rows = append(h.rows, chainedRow{row: h.store.keep(r), next: next})
-	return c
+	h.shift = uint(64 - bits)
+	h.heads = make([]int32, 1<<bits)
+	for b := range h.heads {
+		h.heads[b] = -1
+	}
+	h.next = make([]int32, n)
+	for i := n - 1; i >= 0; i-- {
+		b := h.bucket(h.words[i*k : i*k+k])
+		h.next[i], h.heads[b] = h.heads[b], int32(i)
+	}
 }
 
-// span returns the first and last rows of chain c, or -1, -1 when found
-// is false.
-func (h *hashTable) span(c int32, found bool) (first, last int32) {
-	if !found {
-		return -1, -1
+// bucket hashes key words by Fibonacci hashing: the product's top bits
+// depend on every bit of every word.
+func (h *hashTable) bucket(key []uint64) int {
+	var x uint64
+	for _, w := range key {
+		x = (x ^ w) * 0x9e3779b97f4a7c15
 	}
-	last = h.tails[c]
-	return h.rows[last].next, last
+	return int(x >> h.shift)
+}
+
+// seek returns the first row from i on along its bucket's chain whose
+// key words equal key, or -1. Rows with other words share the bucket
+// only by their hash and are passed over unexamined.
+func (h *hashTable) seek(i int32, key []uint64) int32 {
+	if k := len(key); k > 1 {
+		for ; i >= 0; i = h.next[i] {
+			if slices.Equal(h.words[int(i)*k:int(i)*k+k], key) {
+				return i
+			}
+		}
+		return -1
+	}
+	for i >= 0 && h.words[i] != key[0] {
+		i = h.next[i]
+	}
+	return i
 }
 
 // hashJoinIter builds a hash table on the left child (as the cost model
@@ -196,15 +210,14 @@ type hashJoinIter struct {
 	opNode
 	left, right Iterator
 	lPos, rPos  []int
+	viaFloat    []bool // per key position: hash as float64; nil = none
+	apart       bool   // the key kinds never compare equal
 	pred        conjunction
-	keys        []data.Value
-	word        bool // single-column key of one kind: hash by wordKey
-	enc         keyEncoder
 	out         joinRow
+	key         []uint64 // the key words of the row being added or probed
 
 	table *hashTable
 	cand  int32 // next build row matching the current probe row, or -1
-	last  int32 // the last build row matching it
 }
 
 func (j *hashJoinIter) Open(ctx context.Context) error {
@@ -216,12 +229,8 @@ func (j *hashJoinIter) Open(ctx context.Context) error {
 		if err := j.left.Open(ctx); err != nil {
 			return err
 		}
-		h := &hashTable{store: newRowStore(j.left)}
-		if j.word {
-			h.words = make(map[uint64]int32)
-		} else {
-			h.chains = make(map[string]int32)
-		}
+		h := &hashTable{}
+		store := newRowStore(j.left)
 		for {
 			lr, ok, err := j.left.Next()
 			if err != nil {
@@ -230,63 +239,28 @@ func (j *hashJoinIter) Open(ctx context.Context) error {
 			if !ok {
 				break
 			}
-			if j.word {
-				v := lr[j.lPos[0]]
-				if v.IsNull() {
-					continue // NULL keys never join
-				}
-				k := wordKey(v)
-				c, found := h.words[k]
-				if c = h.add(c, found, lr); !found {
-					h.words[k] = c
-				}
-				continue
+			if j.apart || !keyWords(j.key, lr, j.lPos, j.viaFloat) {
+				continue // the row can never join
 			}
-			if extractKey(j.keys, lr, j.lPos) {
-				continue
-			}
-			k := j.enc.encode(j.keys)
-			c, found := h.chains[string(k)]
-			if c = h.add(c, found, lr); !found {
-				h.chains[string(k)] = c
-			}
+			h.rows = append(h.rows, store.keep(lr))
+			h.words = append(h.words, j.key...)
 		}
 		if err := j.left.Close(); err != nil {
 			return err
 		}
+		h.index(len(j.key))
 		j.table = h
 	}
 	return j.right.Open(ctx)
 }
 
-// probe returns the first and last build rows whose key matches rr's,
-// or -1, -1.
-func (j *hashJoinIter) probe(rr data.Row) (int32, int32) {
-	if j.word {
-		v := rr[j.rPos[0]]
-		if v.IsNull() {
-			return -1, -1
-		}
-		c, found := j.table.words[wordKey(v)]
-		return j.table.span(c, found)
-	}
-	if extractKey(j.keys, rr, j.rPos) {
-		return -1, -1
-	}
-	c, found := j.table.chains[string(j.enc.encode(j.keys))]
-	return j.table.span(c, found)
-}
-
 func (j *hashJoinIter) Next() (data.Row, bool, error) {
+	t := j.table
 	for {
 		if j.cand >= 0 {
-			cr := &j.table.rows[j.cand]
-			j.out.setLeft(cr.row)
-			if j.cand == j.last {
-				j.cand = -1
-			} else {
-				j.cand = cr.next
-			}
+			i := j.cand
+			j.out.setLeft(t.rows[i])
+			j.cand = t.seek(t.next[i], j.key)
 			keep, err := j.pred.keep(j.out.row)
 			if err != nil {
 				return nil, false, err
@@ -308,7 +282,10 @@ func (j *hashJoinIter) Next() (data.Row, bool, error) {
 		if err != nil || !ok {
 			return nil, false, err
 		}
-		if j.cand, j.last = j.probe(rr); j.cand >= 0 {
+		if !keyWords(j.key, rr, j.rPos, j.viaFloat) {
+			continue
+		}
+		if j.cand = t.seek(t.heads[t.bucket(j.key)], j.key); j.cand >= 0 {
 			j.out.setRight(rr)
 		}
 	}

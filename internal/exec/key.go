@@ -8,41 +8,21 @@ import (
 	"repro/internal/data"
 )
 
-// keyEncoder renders multi-column key tuples, and single-column keys
-// that mix an int and a float side, for hash joins and hash aggregation
+// keyEncoder renders multi-column group keys, and single-column ones
+// whose values do not all have the declared kind, for hash aggregation
 // as fixed-width binary into one reused buffer: a kind tag, then 8 bytes
 // for a number or a string code. Looking a key up with m[string(buf)]
 // allocates nothing; only inserting a new key does. Every other
 // single-column key is its 8-byte payload (wordKey).
 //
-// Buckets must be a superset of data.Compare equality, which the join
-// predicate re-checks on every candidate pair:
+// Equal encodings are exactly data.Compare equality between values of
+// one kind:
 //   - integers (and dates and booleans) encode exactly, so distinct
-//     int64 keys above 2^53 never share a bucket;
+//     int64 keys above 2^53 never share a group;
 //   - floats encode their bits, with -0 normalized to 0;
-//   - strings encode their code: equal texts share one code;
-//   - a key position that equates an integer column with a float column
-//     encodes both sides through float64, because data.Compare compares
-//     such a pair as float64 values.
+//   - strings encode their code: equal texts share one code.
 type keyEncoder struct {
-	viaFloat []bool // per key position; nil = no mixed positions
-	buf      []byte
-}
-
-// newJoinKeyEncoder flags the key positions whose two sides have
-// different numeric kinds.
-func newJoinKeyEncoder(l, r []algebra.Column) keyEncoder {
-	var enc keyEncoder
-	for i := range l {
-		lk, rk := l[i].Kind, r[i].Kind
-		if lk != rk && lk.Numeric() && rk.Numeric() {
-			if enc.viaFloat == nil {
-				enc.viaFloat = make([]bool, len(l))
-			}
-			enc.viaFloat[i] = true
-		}
-	}
-	return enc
+	buf []byte
 }
 
 const (
@@ -56,7 +36,7 @@ const (
 // encode call.
 func (e *keyEncoder) encode(vals []data.Value) []byte {
 	b := e.buf[:0]
-	for i, v := range vals {
+	for _, v := range vals {
 		switch v.K {
 		case data.KindNull:
 			b = append(b, tagNull)
@@ -66,11 +46,7 @@ func (e *keyEncoder) encode(vals []data.Value) []byte {
 		case data.KindFloat:
 			b = appendFloatKey(b, v.Float())
 		default: // KindInt, KindDate, KindBool
-			if e.viaFloat != nil && e.viaFloat[i] {
-				b = appendFloatKey(b, float64(v.Int()))
-			} else {
-				b = appendIntKey(b, v.Int())
-			}
+			b = appendIntKey(b, v.Int())
 		}
 	}
 	e.buf = b
@@ -102,6 +78,64 @@ func wordKey(v data.Value) uint64 {
 	return v.Bits()
 }
 
-// wordKeyed reports whether a single key position whose sides are
-// declared l and r takes the 8-byte path: one kind on both sides.
-func wordKeyed(l, r data.Kind) bool { return l == r && l != data.KindNull }
+// joinKeyRules decides how each key position of a hash join whose sides
+// are declared l and r turns a value into its word. Equal words must be
+// a superset of data.Compare equality, which the join predicate
+// re-checks on every candidate pair; they are exactly the byte
+// encoder's equal keys:
+//   - one kind on both sides, or kinds the encoder tags alike (int,
+//     date, bool): wordKey, the payload;
+//   - an int side against a float side (viaFloat): the value's float64
+//     bits, because data.Compare compares such a pair as float64
+//     values, so 2^53+1 equals 2^53.0;
+//   - kinds the encoder tags apart, such as a string against a number:
+//     no pair is equal, and apart reports that the join matches nothing.
+//
+// Join keys are base columns, whose stored values all have the declared
+// kind (Table.Insert checks).
+func joinKeyRules(l, r []algebra.Column) (viaFloat []bool, apart bool) {
+	for i := range l {
+		lk, rk := l[i].Kind, r[i].Kind
+		switch {
+		case lk == rk:
+		case lk.Numeric() && rk.Numeric():
+			if viaFloat == nil {
+				viaFloat = make([]bool, len(l))
+			}
+			viaFloat[i] = true
+		case keyTag(lk) != keyTag(rk):
+			apart = true
+		}
+	}
+	return viaFloat, apart
+}
+
+// keyTag is the tag the byte encoder writes for a non-NULL value of kind
+// k.
+func keyTag(k data.Kind) byte {
+	switch k {
+	case data.KindString:
+		return tagString
+	case data.KindFloat:
+		return tagFloat
+	default:
+		return tagInt
+	}
+}
+
+// keyWords writes the words of r's key columns pos into dst, under the
+// rules joinKeyRules chose, and reports false when a key is NULL: NULL
+// keys never join.
+func keyWords(dst []uint64, r data.Row, pos []int, viaFloat []bool) bool {
+	for i, p := range pos {
+		v := r[p]
+		if v.IsNull() {
+			return false
+		}
+		if viaFloat != nil && viaFloat[i] {
+			v = data.NewFloat(v.Float())
+		}
+		dst[i] = wordKey(v)
+	}
+	return true
+}

@@ -1,9 +1,12 @@
 package exec
 
 import (
+	"cmp"
 	"context"
 	"fmt"
-	"sort"
+	"math"
+	"slices"
+	"strings"
 
 	"repro/internal/algebra"
 	"repro/internal/data"
@@ -95,24 +98,311 @@ func (s *sortIter) Close() error {
 // sortRows stably sorts rows by the given key positions and directions,
 // strings by their text in strs. NULLs sort first on ascending keys
 // (matching data.Compare), last on descending ones.
+//
+// It sorts a permutation of row indices, with the original index as the
+// last key, which is exactly a stable sort's order at O(n log n), and
+// then permutes the rows in place. The comparator reads the words
+// decorate wrote, never a row. Keys without such words (a position that
+// mixes ints and floats, which data.Compare orders through a lossy
+// float64 comparison, or a NaN, which it orders partially) are compared
+// with data.Compare by the stable merge sort sort.SliceStable runs,
+// which keeps its order even where the comparison is not transitive.
 func sortRows(rows []data.Row, keyPos []int, desc []bool, strs *data.Strings) error {
-	var sortErr error
-	sort.SliceStable(rows, func(i, j int) bool {
-		a, b := rows[i], rows[j]
-		for k, p := range keyPos {
-			c, err := data.Compare(strs, a[p], b[p])
-			if err != nil && sortErr == nil {
-				sortErr = err
+	if len(rows) < 2 {
+		return nil
+	}
+	keys, err := decorate(rows, keyPos, desc, strs)
+	if err != nil {
+		return err
+	}
+	if keys != nil && keys.pack() {
+		slices.Sort(keys.words)
+		for i := range keys.words {
+			keys.words[i] &= 1<<32 - 1
+		}
+		permute(rows, keys.words)
+		return nil
+	}
+	perm := make([]int32, len(rows))
+	for i := range perm {
+		perm[i] = int32(i)
+	}
+	if keys == nil {
+		slices.SortStableFunc(perm, func(a, b int32) int {
+			return compareRows(rows[a], rows[b], keyPos, desc, strs)
+		})
+	} else {
+		slices.SortFunc(perm, keys.compare)
+	}
+	permute(rows, perm)
+	return nil
+}
+
+// compareRows orders a before b as the sort does, through data.Compare.
+// decorate has ruled out the pairs it cannot compare.
+func compareRows(a, b data.Row, keyPos []int, desc []bool, strs *data.Strings) int {
+	for k, p := range keyPos {
+		c, _ := data.Compare(strs, a[p], b[p])
+		if c == 0 {
+			continue
+		}
+		if desc[k] {
+			return -c
+		}
+		return c
+	}
+	return 0
+}
+
+// sortKeys holds a sort buffer's keys as flat, order-preserving words:
+// k per row, row-major, so that comparing two rows' keys compares
+// unsigned words.
+//   - ints, dates and bools: the payload with its sign bit flipped;
+//   - floats: sign-magnitude flipped, -0 folded into 0;
+//   - strings: the rank of their text among the buffer's distinct codes;
+//   - a descending key: the complement.
+//
+// A NULL key is flagged in nulls, which stays nil when no key is NULL.
+type sortKeys struct {
+	k     int
+	words []uint64
+	nulls []uint64 // bitmap over words
+	desc  []bool
+}
+
+// decorate checks that data.Compare orders every key position of rows
+// and returns the decorated keys, or nil when data.Compare must compare
+// them. It reports the first pair data.Compare rejects, scanning
+// positions in order and rows in buffer order, so the error does not
+// depend on the sort's comparison order.
+func decorate(rows []data.Row, keyPos []int, desc []bool, strs *data.Strings) (*sortKeys, error) {
+	exact := true
+	for _, p := range keyPos {
+		var first data.Value // the position's first non-NULL key
+		ints, floats := false, false
+		for _, r := range rows {
+			v := r[p]
+			switch v.K {
+			case data.KindNull:
+				continue
+			case data.KindInt:
+				ints = true
+			case data.KindFloat:
+				floats = true
+				if f := v.Float(); f != f {
+					exact = false
+				}
 			}
-			if c == 0 {
+			if first.IsNull() {
+				first = v
+			}
+			if !orderable(strs, first, v) {
+				_, err := data.Compare(strs, first, v)
+				return nil, err
+			}
+		}
+		exact = exact && !(ints && floats)
+	}
+	if !exact {
+		return nil, nil
+	}
+
+	k, n := len(keyPos), len(rows)
+	s := &sortKeys{k: k, words: make([]uint64, n*k), desc: desc}
+	for i, p := range keyPos {
+		ranked := false
+		for r, row := range rows {
+			var w uint64
+			switch v := row[p]; v.K {
+			case data.KindNull:
+				if s.nulls == nil {
+					s.nulls = make([]uint64, (n*k+63)/64)
+				}
+				j := r*k + i
+				s.nulls[j/64] |= 1 << (j % 64)
+			case data.KindFloat:
+				w = floatWord(v.Float())
+			case data.KindString:
+				ranked = true // below
+			default:
+				w = v.Bits() ^ 1<<63
+			}
+			s.words[r*k+i] = w
+		}
+		if ranked {
+			s.rankStrings(rows, p, i, strs)
+		}
+		if desc[i] {
+			for j := i; j < len(s.words); j += k {
+				s.words[j] = ^s.words[j]
+			}
+		}
+	}
+	return s, nil
+}
+
+// orderable reports whether data.Compare orders a against b without an
+// error.
+func orderable(strs *data.Strings, a, b data.Value) bool {
+	if a.K.Numeric() && b.K.Numeric() {
+		return true
+	}
+	if a.K != b.K {
+		return false
+	}
+	switch a.K {
+	case data.KindBool, data.KindDate:
+		return true
+	case data.KindString:
+		return strs != nil || a.Code() == b.Code()
+	}
+	return false
+}
+
+// floatWord maps a non-NaN float to a word that orders as the float
+// does, -0 and 0 to one word.
+func floatWord(f float64) uint64 {
+	if f == 0 {
+		f = 0 // -0 == 0
+	}
+	b := math.Float64bits(f)
+	if b>>63 != 0 {
+		return ^b
+	}
+	return b | 1<<63
+}
+
+// rankStrings sets the word of every string key at position i (column p
+// of rows) to the rank of its text among the position's distinct codes.
+// Only the distinct codes are ordered through strs, once each sort.
+func (s *sortKeys) rankStrings(rows []data.Row, p, i int, strs *data.Strings) {
+	code := func(r int32) uint64 { return rows[r][p].Code() }
+	byCode := make([]int32, 0, len(rows))
+	for r, row := range rows {
+		if row[p].K == data.KindString {
+			byCode = append(byCode, int32(r))
+		}
+	}
+	slices.SortFunc(byCode, func(a, b int32) int { return cmp.Compare(code(a), code(b)) })
+	var distinct []int32 // one row per code
+	for j, r := range byCode {
+		if j == 0 || code(r) != code(byCode[j-1]) {
+			distinct = append(distinct, r)
+		}
+	}
+	slices.SortFunc(distinct, func(a, b int32) int {
+		return strings.Compare(strs.Text(rows[a][p]), strs.Text(rows[b][p]))
+	})
+	for rank, r := range distinct {
+		s.words[int(r)*s.k+i] = uint64(rank)
+	}
+	for j := 1; j < len(byCode); j++ {
+		if r, prev := byCode[j], byCode[j-1]; code(r) == code(prev) {
+			s.words[int(r)*s.k+i] = s.words[int(prev)*s.k+i]
+		}
+	}
+}
+
+// null reports whether word j is a NULL key.
+func (s *sortKeys) null(j int) bool {
+	return s.nulls != nil && s.nulls[j/64]&(1<<(j%64)) != 0
+}
+
+// maxPacked is the most key positions pack combines.
+const maxPacked = 4
+
+// pack rewrites the keys of every row as one word, rank<<32 | row
+// index, when the ranks fit in 32 bits: the rank is the row's keys in
+// mixed radix, each position's non-NULL words less their minimum plus
+// one, and NULL in the slot below or above them. Join keys, dates and
+// string ranks usually span few values. Sorting the packed words as
+// integers then sorts the rows, stably, with no comparator and no
+// permutation buffer; words keeps one packed word per row. pack
+// reports whether it did.
+func (s *sortKeys) pack() bool {
+	k, n := s.k, len(s.words)/s.k
+	if k > maxPacked || n > 1<<32 {
+		return false
+	}
+	var lo, radix [maxPacked]uint64
+	space := uint64(1) // the number of ranks
+	for i := range k {
+		l, h := uint64(math.MaxUint64), uint64(0)
+		for j := i; j < len(s.words); j += k {
+			if !s.null(j) {
+				l, h = min(l, s.words[j]), max(h, s.words[j])
+			}
+		}
+		if l > h { // all NULL
+			l, h = 0, 0
+		}
+		if h-l > 1<<32 {
+			return false
+		}
+		lo[i], radix[i] = l, h-l+3
+		if space *= radix[i]; space > 1<<32 {
+			return false
+		}
+	}
+	for r := range n {
+		var rank uint64
+		for i := range k {
+			j := r*k + i
+			slot := s.words[j] - lo[i] + 1
+			switch {
+			case !s.null(j):
+			case s.desc[i]:
+				slot = radix[i] - 1
+			default:
+				slot = 0
+			}
+			rank = rank*radix[i] + slot
+		}
+		s.words[r] = rank<<32 | uint64(r) // row r's words are at r*k and on
+	}
+	s.words = s.words[:n]
+	return true
+}
+
+// compare orders rows a and b by their words, NULL first on an
+// ascending key and last on a descending one, then by index.
+func (s *sortKeys) compare(a, b int32) int {
+	k := s.k
+	ia, ib := int(a)*k, int(b)*k
+	for i := range k {
+		if na, nb := s.null(ia+i), s.null(ib+i); na || nb {
+			if na == nb {
 				continue
 			}
-			if desc[k] {
-				return c > 0
+			if na != s.desc[i] {
+				return -1
 			}
-			return c < 0
+			return 1
 		}
-		return false
-	})
-	return sortErr
+		if c := cmp.Compare(s.words[ia+i], s.words[ib+i]); c != 0 {
+			return c
+		}
+	}
+	return cmp.Compare(a, b)
+}
+
+// permute moves rows[perm[i]] to position i in place, one cycle of perm
+// at a time, and leaves perm the identity.
+func permute[P int32 | uint64](rows []data.Row, perm []P) {
+	for i := range perm {
+		if int(perm[i]) == i {
+			continue
+		}
+		first := rows[i]
+		for j := i; ; {
+			src := int(perm[j])
+			perm[j] = P(j)
+			if src == i {
+				rows[j] = first
+				break
+			}
+			rows[j] = rows[src]
+			j = src
+		}
+	}
 }
