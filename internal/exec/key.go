@@ -66,11 +66,11 @@ func appendFloatKey(b []byte, f float64) []byte {
 	return binary.LittleEndian.AppendUint64(b, math.Float64bits(f))
 }
 
-// wordKey is the hash key of a non-NULL value of a single-column key
-// whose positions all hold one kind: its payload, with -0 folded into 0.
-// Payloads are equal exactly when data.Compare says the values are
-// (ints, dates and booleans exactly, strings by code), save NaN, which
-// the byte encoder keys by its bits too.
+// wordKey is the hash key of a non-NULL value among values of its kind
+// (a single-column group key, a hash-join key position): its payload,
+// with -0 folded into 0. Payloads are equal exactly when data.Compare
+// says the values are (ints, dates and booleans exactly, strings by
+// code), save NaN, which the byte encoder keys by its bits too.
 func wordKey(v data.Value) uint64 {
 	if v.K == data.KindFloat && v.Float() == 0 {
 		return 0

@@ -99,14 +99,17 @@ func (s *sortIter) Close() error {
 // strings by their text in strs. NULLs sort first on ascending keys
 // (matching data.Compare), last on descending ones.
 //
-// It sorts a permutation of row indices, with the original index as the
-// last key, which is exactly a stable sort's order at O(n log n), and
-// then permutes the rows in place. The comparator reads the words
-// decorate wrote, never a row. Keys without such words (a position that
-// mixes ints and floats, which data.Compare orders through a lossy
-// float64 comparison, or a NaN, which it orders partially) are compared
-// with data.Compare by the stable merge sort sort.SliceStable runs,
-// which keeps its order even where the comparison is not transitive.
+// It sorts row indices, with the original index as the last key, which
+// is exactly a stable sort's order at O(n log n), and then permutes the
+// rows in place. decorate first writes every key as an order-preserving
+// word. When a buffer's keys fit 32 bits of rank, pack folds each row's
+// words and index into one word, sorted as plain integers; otherwise the
+// comparator reads the words, never a row. Keys without such words (a
+// position that mixes ints and floats, which data.Compare orders through
+// a lossy float64 comparison, or a NaN, which it orders partially) are
+// compared with data.Compare by slices.SortStableFunc, the insertion
+// and symmerge sort the sort package's stable sorts share, which keeps
+// their order even where the comparison is not transitive.
 func sortRows(rows []data.Row, keyPos []int, desc []bool, strs *data.Strings) error {
 	if len(rows) < 2 {
 		return nil
@@ -223,7 +226,7 @@ func decorate(rows []data.Row, keyPos []int, desc []bool, strs *data.Strings) (*
 			case data.KindFloat:
 				w = floatWord(v.Float())
 			case data.KindString:
-				ranked = true // below
+				ranked = true // the column is ranked after it is read
 			default:
 				w = v.Bits() ^ 1<<63
 			}

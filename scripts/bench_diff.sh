@@ -12,14 +12,17 @@
 #     gate is absolute.
 #  2. Allocation ceilings. BenchmarkExecute/*/optimal,
 #     BenchmarkExecute/Q5/median_sampled,
-#     BenchmarkExecute/Q5/merge_sampled, BenchmarkPrepare/Q9/cached,
+#     BenchmarkExecute/Q5/merge_sampled,
+#     BenchmarkExecute/sweep/sampled, BenchmarkPrepare/Q9/cached,
 #     BenchmarkPrepare/Q9/cold, BenchmarkPrepare/cross10/cold and
 #     BenchmarkRecost/Q9/* allocs/op must stay within 10% of the value
 #     BENCH_core.json records, and so must the B/op of those
 #     BenchmarkExecute rows. The median sampled plan runs three
 #     nested-loop joins that re-open their inner sides once per outer
 #     row, a path the optimal plans barely touch; the merge sampled plan
-#     is the only row with a merge join; the cached Prepare is the SQL
+#     is the only row with a merge join; the sweep runs 160 seeded
+#     uniform plans of Q3/Q5/Q9/Q10 under a 16,000-row work budget,
+#     most of which it cuts; the cached Prepare is the SQL
 #     front end (parse, canonical rendering, fingerprints) every request
 #     pays; the cold Prepares and the coldprepare row are structure
 #     builds (memo construction and counting), cross10 the 10-way
@@ -54,7 +57,7 @@ for i in $(seq 1 "$COUNT"); do
 		"$TMP/repro.test" -test.run '^$' -test.benchmem -test.count 1 -test.benchtime "$BENCHTIME" \
 			-test.bench '^(BenchmarkUnrank|BenchmarkSample|BenchmarkSampleRanks|BenchmarkRecost)$'
 		"$TMP/repro.test" -test.run '^$' -test.benchmem -test.count 1 -test.benchtime "$BENCHTIME" \
-			-test.bench '^BenchmarkExecute$/^Q[0-9]+$/^(optimal|median_sampled|merge_sampled)$'
+			-test.bench '^BenchmarkExecute$/^(Q[0-9]+|sweep)$/^(optimal|median_sampled|merge_sampled|sampled)$'
 		"$TMP/repro.test" -test.run '^$' -test.benchmem -test.count 1 -test.benchtime "$BENCHTIME" \
 			-test.bench '^BenchmarkPrepare$/^(Q9|cross10)$/^(cached|cold)$'
 		"$TMP/repro.test" -test.run '^$' -test.benchmem -test.count 1 -test.benchtime "$BENCHTIME" \
@@ -115,7 +118,7 @@ print(f"\nbench_diff: allocs/op ceilings (recorded + 10%)")
 print(f"{'row':28} {'recorded':>9} {'fresh':>9}")
 for row in core["results"]:
     name = row["name"]
-    if not re.fullmatch(r'BenchmarkExecute/(\S+/optimal|Q5/(median|merge)_sampled)|BenchmarkPrepare/(Q9/cached|Q9/cold|cross10/cold)|BenchmarkRecost/Q9/\S+', name):
+    if not re.fullmatch(r'BenchmarkExecute/(\S+/optimal|Q5/(median|merge)_sampled|sweep/sampled)|BenchmarkPrepare/(Q9/cached|Q9/cold|cross10/cold)|BenchmarkRecost/Q9/\S+', name):
         continue
     want = row["allocs_per_op"]
     got = [rows[name][1] for rows in runs if name in rows]
@@ -132,7 +135,7 @@ print(f"\nbench_diff: B/op ceilings (recorded + 10%)")
 print(f"{'row':28} {'recorded':>9} {'fresh':>9}")
 for row in core["results"]:
     name = row["name"]
-    if not re.fullmatch(r'BenchmarkExecute/(\S+/optimal|Q5/(median|merge)_sampled)', name):
+    if not re.fullmatch(r'BenchmarkExecute/(\S+/optimal|Q5/(median|merge)_sampled|sweep/sampled)', name):
         continue
     want = row["bytes_per_op"]
     got = [rows[name][2] for rows in runs if name in rows]
