@@ -139,14 +139,28 @@ func TestSortRowsMatchesSliceStable(t *testing.T) {
 		cases = append(cases, c)
 	}
 
-	// Keys whose ranks fit 32 bits one by one but not combined, around
-	// pack's limit.
+	// Two int keys of wide spans: 2^12 to 2^21 values each, or two
+	// values each, 2^32-3, 2^32 or 2^62 apart, whose spans multiply to
+	// 2^64 and beyond.
 	for i := range 20 {
 		c := genCase(rng, "wide", 100, [][]data.Kind{{data.KindInt}, {data.KindInt}}, codes, i%2 == 0)
 		for _, r := range c.rows {
 			for col := range 2 {
 				if !r[col].IsNull() {
 					r[col] = data.NewInt(rng.Int63n(1<<(12+i%10)) - 5)
+				}
+			}
+		}
+		cases = append(cases, c)
+	}
+	for i := range 24 {
+		span := []int64{1<<32 - 3, 1 << 32, 1 << 62}[i%3]
+		c := genCase(rng, "two-valued", 40, [][]data.Kind{{data.KindInt}, {data.KindInt}}, codes, i%6 >= 3)
+		c.desc = []bool{i%4 == 1 || i%4 == 3, i%4 >= 2}
+		for _, r := range c.rows {
+			for col := range 2 {
+				if !r[col].IsNull() {
+					r[col] = data.NewInt(span * rng.Int63n(2))
 				}
 			}
 		}
