@@ -1,9 +1,10 @@
 package core
 
 // chunked is the shared chunked-arena mechanism behind WideArena and
-// candArena: carve slices out of backing chunks whose memory never
-// moves (growing the arena does not invalidate earlier slices), with
-// geometric chunk growth and an O(1) reset. One implementation, two
+// the candidate lists' operator indices (Space.listOps): carve slices
+// out of backing chunks whose memory never moves (growing the arena
+// does not invalidate earlier slices), with geometric chunk growth and
+// an O(1) reset. One implementation, two
 // element types — the carve and growth logic must not diverge.
 type chunked[T any] struct {
 	chunks [][]T

@@ -7,7 +7,12 @@
 // space. After optimization the MEMO is frozen; Prepare materializes, for
 // every physical operator v and child slot i, the list of candidate child
 // operators w(v)[i] — the operators of the child's group whose delivered
-// ordering satisfies what v requires of that slot (Section 3.1). Counting
+// ordering satisfies what v requires of that slot (Section 3.1). The list
+// depends only on the child group and that ordering, so the count table
+// holds one list per distinct (child group, required ordering), shared by
+// every slot that asks for it, and links everything by index: each
+// operator is a flat record whose slots name lists, and each list names
+// its candidates as operator indices beside their prefix sums. Counting
 // is then a bottom-up product-of-sums (Section 3.2):
 //
 //	b_v(i) = Σ_j N(w(v)[i][j])      alternatives for child i
@@ -46,6 +51,7 @@ import (
 	"math/big"
 	"math/bits"
 
+	"repro/internal/algebra"
 	"repro/internal/memo"
 	"repro/internal/plan"
 )
@@ -65,55 +71,47 @@ func WithFilter(keep func(*memo.Expr) bool) Option {
 	return func(c *config) { c.keep = keep }
 }
 
-// exprInfo is the materialized link structure of one operator: the
-// candidate lists per child slot, the per-slot alternative counts b_v(i)
-// with their prefix sums (for rank/unrank selection), and N(v), in the
-// representation of whichever tier serves the node.
-type exprInfo struct {
+// opRec is one kept physical operator, a flat record the unrank lanes
+// read by index: the operator itself (which they only store into plan
+// nodes), its count N(v), and its child slots
+// Space.slots[first : first+nslot], each the index of the shared
+// candidate list that slot draws from.
+type opRec struct {
 	expr  *memo.Expr
-	cands [][]*memo.Expr
-
-	// uint64 tables, computed by the overflow-checked bottom-up pass.
-	// fits means the node's own count and its entire subtree fit in 64
-	// bits (every base and prefix sum divides or bounds N(v), so they
-	// fit too). Per-slot b64/prefix64 entries stay valid on non-fitting
-	// nodes for every slot whose own sums fit — the wide decomposer's
-	// single-limb fast lane.
-	fits     bool
-	n64      uint64
-	b64      []uint64
-	div64    []magicDiv // precomputed reciprocals of b64 (valid where b64[i] > 0)
-	prefix64 [][]uint64
-
-	// wide tables — present on nodes whose subtree overflows uint64
-	// (and on every node of a space forced onto the wide tier). Per
-	// slot i, bW[i] == nil means the slot fits uint64 and is served by
-	// b64[i]/prefix64[i]; otherwise bW[i]/prefixW[i] hold canonical
-	// little-endian limbs carved from the space's WideArena.
-	nW      []uint64
-	bW      [][]uint64
-	prefixW [][][]uint64
+	n64   uint64 // N(v) when fits
+	first int32  // first slot in Space.slots
+	nslot int32  // slot count (see slotCount)
+	wide  int32  // N(v) is Space.wideN[wide] when !fits
+	// fits means the operator's count and its entire subtree fit in 64
+	// bits (while N(v) > 0 every base divides it and every prefix sum
+	// is bounded by a base, so its lists fit too), so the native lanes
+	// serve it.
+	fits bool
 }
 
-// isZero reports N(v) == 0 in whichever representation the node carries.
-func (info *exprInfo) isZero() bool {
-	if info.fits {
-		return info.n64 == 0
-	}
-	return len(info.nW) == 0
+// candList is one candidate list w(v)[i] of Section 3.1. The list
+// depends only on the child group and the ordering v requires of it, so
+// the space stores it once per distinct (child group, required
+// ordering) and every slot asking for it names it by index. ops holds
+// the group's kept operators whose delivered ordering satisfies the
+// requirement (for an enforcer's slot, its own group's non-enforcers),
+// as operator indices in group order.
+type candList struct {
+	ops []int32
+	// prefix[j] = Σ_{k<j} N(ops[k]), so prefix[len(ops)] = b, the
+	// slot's base b_v(i); prefix, b and div are valid when wide is nil,
+	// i.e. when the list's sums fit uint64.
+	prefix []uint64
+	b      uint64
+	div    magicDiv // reciprocal of b (set when b > 0)
+	wide   *wideList
 }
 
-// wideCount returns N(v) as canonical limbs (valid on the uint64 and
-// wide tiers). The returned slice must not be mutated.
-func (info *exprInfo) wideCount(scratch *[1]uint64) []uint64 {
-	if !info.fits {
-		return info.nW
-	}
-	if info.n64 == 0 {
-		return nil
-	}
-	scratch[0] = info.n64
-	return scratch[:1]
+// wideList holds the base and prefix sums of a list whose sums overflow
+// uint64, as canonical limbs carved from the space's arena.
+type wideList struct {
+	b      []uint64
+	prefix [][]uint64
 }
 
 // Space is a frozen, counted search space. It is immutable after Prepare
@@ -122,11 +120,13 @@ func (info *exprInfo) wideCount(scratch *[1]uint64) []uint64 {
 type Space struct {
 	Memo *memo.Memo
 
-	info    []*exprInfo // indexed by memo.Expr.ID
-	slab    []exprInfo  // backing store: one contiguous block, no per-node allocation
-	slots   slotSlabs   // backing store for every node's per-slot tables
-	cands   candArena   // backing store for every candidate list
-	rootOps []*memo.Expr
+	ops     []opRec        // every kept physical operator, in group order
+	index   []int32        // memo.Expr.ID -> operator index + 1 (0: not in the space)
+	slots   []int32        // every operator's child slots, as candidate list indices
+	lists   []candList     // one per distinct (child group, required ordering)
+	listOps chunked[int32] // backing store of every list's operator indices
+	wideN   [][]uint64     // N(v) of the operators whose count overflows uint64
+	rootOps []int32        // root operators that cover ranks, in rank order
 
 	total  *big.Int // N, synthesized on every tier for the API surface
 	totalW []uint64 // N as canonical limbs on every tier: the sampler's and unranker's range bound
@@ -157,40 +157,56 @@ func Prepare(m *memo.Memo, opts ...Option) (*Space, error) {
 	if m.Root == nil {
 		return nil, fmt.Errorf("core: memo has no root group")
 	}
-	maxID := 0
-	kept, slots := 0, 0
+	maxID, maxGroup, kept, nslots, widest := 0, 0, 0, 0, 0
 	for _, g := range m.Groups {
+		maxGroup = max(maxGroup, g.ID)
+		widest = max(widest, len(g.Physical))
 		for _, e := range g.Exprs {
-			if e.ID > maxID {
-				maxID = e.ID
-			}
+			maxID = max(maxID, e.ID)
 		}
 		for _, e := range g.Physical {
 			if cfg.keep(e) {
 				kept++
-				slots += slotCount(e)
+				nslots += slotCount(e)
 			}
 		}
 	}
-	// One contiguous slab for every node's link structure: the unrank
-	// hot loop chases info pointers once per operator, and packing them
-	// (like the limb arena packs the count tables) is worth real
-	// latency on memos with tens of thousands of operators. The per-slot
-	// tables come from slabs sized the same way.
-	s := &Space{Memo: m, info: make([]*exprInfo, maxID+1), slab: make([]exprInfo, 0, kept), slots: newSlotSlabs(slots)}
-
-	// Count every kept physical operator (bottom-up via memoized
-	// recursion; the structure is acyclic because enforcers take only
-	// non-enforcers of their own group and all other operators reference
-	// strictly earlier layers).
+	// First pass: every kept operator gets its index and its slots, and
+	// each slot the index of its candidate list, found by key, so lists
+	// can name operators before they are counted and the list table is
+	// allocated once at its final size.
+	s := &Space{Memo: m, ops: make([]opRec, 0, kept), index: make([]int32, maxID+1), slots: make([]int32, nslots)}
+	b := builder{
+		s: s, cfg: &cfg,
+		head:    make([]int32, maxGroup+1),
+		keys:    make([]listKey, 0, nslots),
+		state:   make([]uint8, kept),
+		scratch: make([]int32, 0, widest),
+	}
+	first := int32(0)
 	for _, g := range m.Groups {
 		for _, e := range g.Physical {
 			if !cfg.keep(e) {
 				continue
 			}
-			if err := s.countFast(e, &cfg); err != nil {
-				return nil, err
+			k, n := int32(len(s.ops)), int32(slotCount(e))
+			s.ops = append(s.ops, opRec{expr: e, first: first, nslot: n})
+			s.index[e.ID] = k + 1
+			for i := int32(0); i < n; i++ {
+				s.slots[first+i] = b.key(k, i)
 			}
+			first += n
+		}
+	}
+	s.lists = make([]candList, len(b.keys))
+
+	// Second pass: count every kept operator (bottom-up via memoized
+	// recursion, building each list on first use; the structure is
+	// acyclic because enforcers take only non-enforcers of their own
+	// group and all other operators reference strictly earlier layers).
+	for k := range s.ops {
+		if err := b.countOp(int32(k)); err != nil {
+			return nil, err
 		}
 	}
 
@@ -204,23 +220,24 @@ func Prepare(m *memo.Memo, opts ...Option) (*Space, error) {
 	prefixW := [][]uint64{nil} // prefixW[0] = 0
 	var scratch [1]uint64
 	for _, e := range m.Root.Physical {
-		if !cfg.keep(e) {
+		k, ok := s.opOf(e)
+		if !ok {
 			continue
 		}
-		info := s.info[e.ID]
-		if info.isZero() {
+		n := s.count(k, &scratch)
+		if len(n) == 0 {
 			continue // cannot form a complete plan; covers no ranks
 		}
-		s.rootOps = append(s.rootOps, e)
-		if fits && info.fits {
+		s.rootOps = append(s.rootOps, k)
+		if op := &s.ops[k]; fits && op.fits {
 			var carry uint64
-			total64, carry = bits.Add64(total64, info.n64, 0)
+			total64, carry = bits.Add64(total64, op.n64, 0)
 			fits = carry == 0
 		} else {
 			fits = false
 		}
 		prefix64 = append(prefix64, total64)
-		totalW = wideAdd(totalW, info.wideCount(&scratch))
+		totalW = wideAdd(totalW, n)
 		prefixW = append(prefixW, totalW)
 	}
 	s.totalW = s.tab.put(totalW)
@@ -236,18 +253,6 @@ func Prepare(m *memo.Memo, opts ...Option) (*Space, error) {
 	return s, nil
 }
 
-// candArena packs candidate lists into stable chunked backing arrays
-// (the same mechanism as WideArena — see chunked in arena.go), so the
-// unrank hot loop's cands[i][j] loads land in a handful of contiguous
-// blocks instead of one heap object per slot.
-type candArena struct {
-	a chunked[*memo.Expr]
-}
-
-func (a *candArena) put(xs []*memo.Expr) []*memo.Expr { return a.a.put(xs, 512) }
-
-func (a *candArena) memoryBytes() int64 { return int64(a.a.elems()) * 8 }
-
 // slotCount is the number of child slots an operator's tables have: one
 // for an enforcer (its own group's non-enforcers), else one per child.
 func slotCount(e *memo.Expr) int {
@@ -257,198 +262,226 @@ func slotCount(e *memo.Expr) int {
 	return len(e.Children)
 }
 
-// slotSlabs backs the per-slot tables of every kept operator: candidate
-// list headers, prefix-sum row headers and base reciprocals. Prepare
-// sizes each slab to the kept operators' total slot count, so counting
-// carves every operator's tables from three allocations in all.
-type slotSlabs struct {
-	cands  [][]*memo.Expr
-	prefix [][]uint64
-	div    []magicDiv
-	n      int // total slots, for MemoryFootprint
-}
-
-func newSlotSlabs(n int) slotSlabs {
-	return slotSlabs{
-		cands:  make([][]*memo.Expr, n),
-		prefix: make([][]uint64, n),
-		div:    make([]magicDiv, n),
-		n:      n,
+// opOf returns the index of e's operator record, and false when e is
+// not an operator of this space (filtered out, logical, or from another
+// memo).
+func (s *Space) opOf(e *memo.Expr) (int32, bool) {
+	if e.ID < 0 || e.ID >= len(s.index) {
+		return 0, false
 	}
-}
-
-// take carves the next n slots' tables. Prepare sized the slabs from
-// the same kept operators counting visits, so they never run short.
-func (sl *slotSlabs) take(n int) (cands [][]*memo.Expr, prefix [][]uint64, div []magicDiv) {
-	cands, sl.cands = sl.cands[:n:n], sl.cands[n:]
-	prefix, sl.prefix = sl.prefix[:n:n], sl.prefix[n:]
-	div, sl.div = sl.div[:n:n], sl.div[n:]
-	return cands, prefix, div
-}
-
-// fillSlots materializes the candidate lists of one operator (Section
-// 3.1) into out, backed by the space's candidate arena. Enforcers draw
-// from the non-enforcer operators of their own group with no ordering
-// demand; everything else draws from each child group's operators
-// filtered by the prefix-satisfaction test on delivered vs required
-// orderings.
-func (s *Space) fillSlots(e *memo.Expr, cfg *config, out [][]*memo.Expr) {
-	var scratch [64]*memo.Expr
-	if e.IsEnforcer() {
-		cands := scratch[:0]
-		for _, c := range e.Group.Physical {
-			if !c.IsEnforcer() && cfg.keep(c) {
-				cands = append(cands, c)
-			}
-		}
-		out[0] = s.cands.put(cands)
-		return
+	k := s.index[e.ID] - 1
+	if k < 0 || s.ops[k].expr != e {
+		return 0, false
 	}
-	for i, cg := range e.Children {
-		req := plan.RequiredOf(e, i)
-		cands := scratch[:0]
-		for _, c := range cg.Physical {
-			if cfg.keep(c) && c.Delivered.Satisfies(req) {
-				cands = append(cands, c)
-			}
-		}
-		out[i] = s.cands.put(cands)
-	}
+	return k, true
 }
 
-// countFast is the production counting pass: N(v) = Π b_v(i) with
-// b_v(i) = Σ N(w), run in overflow-checked uint64 with a wide-limb
-// spill. A node (or a single slot) that overflows 64 bits switches to
-// exact []uint64 accumulation seeded from the checked prefix run, so
-// spaces of any size are counted exactly without math/big — and nodes
-// (or slots) that fit keep their native tables for the fast lanes.
-func (s *Space) countFast(e *memo.Expr, cfg *config) error {
-	if s.info[e.ID] != nil {
+// count returns N(v) of operator k as canonical limbs (valid on the
+// uint64 and wide tiers). The returned slice must not be mutated.
+func (s *Space) count(k int32, scratch *[1]uint64) []uint64 {
+	op := &s.ops[k]
+	if !op.fits {
+		return s.wideN[op.wide]
+	}
+	if op.n64 == 0 {
 		return nil
 	}
-	info := s.newInfo(e) // leaves have N=1 set below; set early is safe (acyclic)
-	info.cands, info.prefix64, info.div64 = s.slots.take(slotCount(e))
-	s.fillSlots(e, cfg, info.cands)
+	scratch[0] = op.n64
+	return scratch[:1]
+}
 
-	info.fits = true
-	info.n64 = 1
-	// The uint64 tables are carved from the space's limb arena: every
-	// base and prefix-sum row of the whole space lands in a handful of
-	// contiguous chunks, which is worth real latency on large memos
-	// whose tables would otherwise scatter across the heap.
-	info.b64 = s.tab.Alloc(len(info.cands))
+// builder holds Prepare's counting state: the key of each candidate
+// list and which operators are counted.
+type builder struct {
+	s   *Space
+	cfg *config
+
+	// head[g] is 1 + the index of group g's most recent candidate list
+	// (0: none yet); keys[l] names the slot that first asked for list l
+	// and, through next, the group's earlier lists. A group is asked for
+	// only a few orderings, so a scan with Ordering.Equal finds a key.
+	head []int32
+	keys []listKey
+
+	state   []uint8 // per operator: unvisited, counting, counted
+	scratch []int32 // one list's operator indices while it is filtered
+}
+
+// listKey identifies a candidate list by the first slot that asked for
+// it (slot i of operator op); see slotKey.
+type listKey struct {
+	op, slot int32
+	next     int32 // 1 + the index of the group's previous list
+}
+
+const (
+	unvisited uint8 = iota
+	counting
+	counted
+)
+
+// slotKey is what slot i of e draws from: the child group, the
+// ordering required of it (nil: any), and whether the slot is an
+// enforcer's, which draws its own group's non-enforcers. The candidate
+// list depends on nothing else.
+func slotKey(e *memo.Expr, i int32) (g *memo.Group, req algebra.Ordering, enforcer bool) {
+	if e.IsEnforcer() {
+		return e.Group, nil, true
+	}
+	return e.Children[i], plan.RequiredOf(e, int(i)), false
+}
+
+// key returns the index of the candidate list slot i of operator k
+// draws from, registering a new key on first use.
+func (b *builder) key(k, i int32) int32 {
+	ops := b.s.ops
+	g, req, enforcer := slotKey(ops[k].expr, i)
+	for l := b.head[g.ID]; l != 0; l = b.keys[l-1].next {
+		have := &b.keys[l-1]
+		if _, r, enf := slotKey(ops[have.op].expr, have.slot); enf == enforcer && r.Equal(req) {
+			return l - 1
+		}
+	}
+	b.keys = append(b.keys, listKey{op: k, slot: i, next: b.head[g.ID]})
+	b.head[g.ID] = int32(len(b.keys))
+	return int32(len(b.keys) - 1)
+}
+
+// countOp is the production counting pass for one operator:
+// N(v) = Π b_v(i), run in overflow-checked uint64 with a wide-limb
+// spill. A node that overflows 64 bits switches to exact []uint64
+// accumulation seeded from the checked prefix run, so spaces of any
+// size are counted exactly without math/big — and nodes that fit keep
+// their native tables for the fast lanes.
+func (b *builder) countOp(k int32) error {
+	switch b.state[k] {
+	case counted:
+		return nil
+	case counting:
+		return fmt.Errorf("core: operator %s is its own descendant", b.s.ops[k].expr.Name())
+	}
+	b.state[k] = counting
+	s := b.s
+	op := &s.ops[k] // s.ops never grows after the first pass
+	fits, n64 := true, uint64(1)
 	var nW []uint64 // product accumulator once the node overflows
-	var scratch [1]uint64
-	for i, cands := range info.cands {
-		var b64 uint64
-		prefix64 := s.tab.Alloc(len(cands) + 1)[:1]
-		slotFits := true
-		var bW []uint64
-		var prefixW [][]uint64
-		for _, c := range cands {
-			if err := s.countFast(c, cfg); err != nil {
+	for _, li := range s.slots[op.first : op.first+op.nslot] {
+		l := &s.lists[li]
+		if !l.built() {
+			if err := b.build(li); err != nil {
 				return err
 			}
-			ci := s.info[c.ID]
-			if slotFits && ci.fits {
-				sum, carry := bits.Add64(b64, ci.n64, 0)
-				if carry == 0 {
-					b64 = sum
-					prefix64 = append(prefix64, b64)
-					continue
-				}
-			}
-			if slotFits {
-				// Spill: seed the exact wide accumulators from the
-				// checked uint64 prefix run, which is exact so far.
-				slotFits = false
-				prefixW = make([][]uint64, 0, len(cands)+1)
-				for _, p := range prefix64 {
-					prefixW = append(prefixW, wideFromU64(p))
-				}
-				bW = wideFromU64(b64)
-			}
-			bW = wideAdd(bW, ci.wideCount(&scratch))
-			prefixW = append(prefixW, bW)
 		}
-
-		var baseW []uint64
-		if slotFits {
-			info.b64[i] = b64
-			info.prefix64[i] = prefix64
-		} else {
-			frozen := make([][]uint64, len(prefixW))
-			for k, p := range prefixW {
-				frozen[k] = s.tab.put(p)
-			}
-			info.wideSlot(i, s.tab.put(bW), frozen)
-			baseW = bW
-		}
-
 		// N(v) accumulation: checked uint64 while it lasts, exact wide
 		// afterwards.
-		if info.fits && slotFits {
-			hi, lo := bits.Mul64(info.n64, b64)
+		if fits && l.wide == nil {
+			hi, lo := bits.Mul64(n64, l.b)
 			if hi == 0 {
-				info.n64 = lo
+				n64 = lo
 				continue
 			}
 		}
-		if info.fits {
-			info.fits = false
-			nW = wideFromU64(info.n64)
-			info.n64 = 0
+		if fits {
+			fits = false
+			nW = wideFromU64(n64)
+			n64 = 0
 		}
-		if baseW == nil {
-			baseW = wideFromU64(b64)
+		base := wideFromU64(l.b)
+		if l.wide != nil {
+			base = l.wide.b
 		}
-		nW = wideMul(nW, baseW)
+		nW = wideMul(nW, base)
 	}
-	// Freeze the per-slot reciprocals: the decomposition divides by
-	// these bases on every unrank.
-	for i, b := range info.b64 {
-		if b > 0 {
-			info.div64[i] = newMagicDiv(b)
-		}
-	}
-	if !info.fits {
-		info.nW = s.tab.put(nW)
-	} else if cfg.forceWide {
+	if fits && b.cfg.forceWide {
 		// The forced wide tier treats every node as wide so the wide
-		// decomposer runs end to end; the uint64 slot tables stay — they
-		// are the wide engine's own single-limb fast lane.
-		info.nW = s.tab.put(wideFromU64(info.n64))
-		info.fits = false
-		info.n64 = 0
+		// decomposer runs end to end; lists that fit keep their uint64
+		// tables — they are the wide engine's own single-limb fast lane.
+		fits, nW, n64 = false, wideFromU64(n64), 0
 	}
+	op.fits, op.n64 = fits, n64
+	if !fits {
+		op.wide = int32(len(s.wideN))
+		s.wideN = append(s.wideN, s.tab.put(nW))
+	}
+	b.state[k] = counted
 	return nil
 }
 
-// newInfo hands out the next slab slot for an operator. The slab was
-// sized to the kept-operator count, so append never reallocates and
-// the returned pointer is stable; should an unexpected operator surface
-// anyway, it falls back to a heap node rather than dangling the slab.
-func (s *Space) newInfo(e *memo.Expr) *exprInfo {
-	var info *exprInfo
-	if len(s.slab) < cap(s.slab) {
-		s.slab = append(s.slab, exprInfo{expr: e})
-		info = &s.slab[len(s.slab)-1]
-	} else {
-		info = &exprInfo{expr: e}
-	}
-	s.info[e.ID] = info
-	return info
-}
+// built reports whether the counting pass has filled the list: a list
+// that fits always holds its prefix row (at least the leading 0), one
+// that overflows its wide rows.
+func (l *candList) built() bool { return l.prefix != nil || l.wide != nil }
 
-// wideSlot freezes one overflowing slot's base and prefix table into
-// the space's arena.
-func (info *exprInfo) wideSlot(i int, bW []uint64, prefixW [][]uint64) {
-	if info.bW == nil {
-		info.bW = make([][]uint64, len(info.cands))
-		info.prefixW = make([][][]uint64, len(info.cands))
+// build fills candidate list li (Section 3.1). An enforcer's list holds
+// the non-enforcer operators of its own group; every other list holds
+// the child group's operators whose delivered ordering satisfies the
+// required one (the prefix-satisfaction test). The base and prefix sums
+// are counted in overflow-checked uint64; a list whose sums overflow
+// spills to exact limbs seeded from the checked prefix run.
+func (b *builder) build(li int32) error {
+	s := b.s
+	key := b.keys[li]
+	g, req, enforcer := slotKey(s.ops[key.op].expr, key.slot)
+	ops := b.scratch[:0]
+	for _, c := range g.Physical {
+		k, ok := s.opOf(c)
+		if ok && (enforcer && !c.IsEnforcer() || !enforcer && c.Delivered.Satisfies(req)) {
+			ops = append(ops, k)
+		}
 	}
-	info.bW[i] = bW
-	info.prefixW[i] = prefixW
+	ops = s.listOps.put(ops, 512)
+
+	// The prefix row is carved from the space's limb arena: every list
+	// of the whole space lands in a handful of contiguous chunks.
+	var sum uint64
+	prefix := s.tab.Alloc(len(ops) + 1)[:1]
+	listFits := true
+	var (
+		sumW    []uint64
+		prefixW [][]uint64
+		scratch [1]uint64
+	)
+	for _, c := range ops {
+		if err := b.countOp(c); err != nil {
+			return err
+		}
+		if co := &s.ops[c]; listFits && co.fits {
+			next, carry := bits.Add64(sum, co.n64, 0)
+			if carry == 0 {
+				sum = next
+				prefix = append(prefix, sum)
+				continue
+			}
+		}
+		if listFits {
+			// Spill: seed the exact wide accumulators from the checked
+			// uint64 prefix run, which is exact so far.
+			listFits = false
+			prefixW = make([][]uint64, 0, len(ops)+1)
+			for _, p := range prefix {
+				prefixW = append(prefixW, wideFromU64(p))
+			}
+			sumW = wideFromU64(sum)
+		}
+		sumW = wideAdd(sumW, s.count(c, &scratch))
+		prefixW = append(prefixW, sumW)
+	}
+
+	l := &s.lists[li]
+	l.ops = ops
+	if listFits {
+		l.prefix, l.b = prefix, sum
+		if sum > 0 {
+			l.div = newMagicDiv(sum)
+		}
+		return nil
+	}
+	frozen := make([][]uint64, len(prefixW))
+	for k, p := range prefixW {
+		frozen[k] = s.tab.put(p)
+	}
+	l.wide = &wideList{b: s.tab.put(sumW), prefix: frozen}
+	return nil
 }
 
 // wideFromU64 lifts a native value to canonical limbs.
@@ -486,12 +519,10 @@ func (s *Space) RankLimbs() int { return max(len(s.totalW), 1) }
 // rooted in it (Figure 3's per-operator annotations). Zero for operators
 // filtered out of the space.
 func (s *Space) CountFor(e *memo.Expr) *big.Int {
-	if e.ID >= len(s.info) || s.info[e.ID] == nil {
+	k, ok := s.opOf(e)
+	if !ok {
 		return new(big.Int)
 	}
-	info := s.info[e.ID]
-	if info.fits {
-		return new(big.Int).SetUint64(info.n64)
-	}
-	return limbsToBig(info.nW)
+	var scratch [1]uint64
+	return limbsToBig(s.count(k, &scratch))
 }

@@ -123,14 +123,8 @@ func TestCountMatchesExhaustiveDistinctness(t *testing.T) {
 func TestCountingVisitsEachOperatorOnce(t *testing.T) {
 	s, res := prepared(t, starQuery)
 	want := res.Memo.Stats().PhysicalOps
-	got := 0
-	for _, info := range s.info {
-		if info != nil {
-			got++
-		}
-	}
-	if got != want {
-		t.Errorf("counted %d operators, memo has %d physical", got, want)
+	if got := len(s.ops); got != want {
+		t.Errorf("counted %d operators, memo has %d physical", len(s.ops), want)
 	}
 }
 

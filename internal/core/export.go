@@ -60,8 +60,8 @@ func (s *Space) ExportJSONAnnotated(cardOf func(*memo.Group) float64, localOf fu
 			Root:   g == s.Memo.Root,
 		}
 		for _, e := range g.Physical {
-			info := s.infoFor(e)
-			if info == nil {
+			k, ok := s.opOf(e)
+			if !ok {
 				continue // filtered out of this space
 			}
 			op := ExportOp{
@@ -81,10 +81,12 @@ func (s *Space) ExportJSONAnnotated(cardOf func(*memo.Group) float64, localOf fu
 			for _, r := range e.Required {
 				op.Required = append(op.Required, r.String())
 			}
-			for _, slot := range info.cands {
+			rec := &s.ops[k]
+			for _, li := range s.slots[rec.first : rec.first+rec.nslot] {
+				slot := s.lists[li].ops
 				names := make([]string, len(slot))
 				for i, c := range slot {
-					names[i] = c.Name()
+					names[i] = s.ops[c].expr.Name()
 				}
 				op.Candidates = append(op.Candidates, names)
 			}
@@ -93,11 +95,4 @@ func (s *Space) ExportJSONAnnotated(cardOf func(*memo.Group) float64, localOf fu
 		out.Groups = append(out.Groups, eg)
 	}
 	return json.MarshalIndent(out, "", "  ")
-}
-
-func (s *Space) infoFor(e *memo.Expr) *exprInfo {
-	if e.ID < len(s.info) {
-		return s.info[e.ID]
-	}
-	return nil
 }

@@ -13,7 +13,7 @@ import (
 // Prepare establishes with overflow-checked counting; within that
 // regime the mixed-radix decomposition cannot overflow (every
 // intermediate value is bounded by the total). Below the root, the
-// per-node lanes unrankExpr64 and rankExpr64 serve every subtree whose
+// per-operator lanes unrankOp64 and rankOp64 serve every subtree whose
 // count fits uint64, on either tier.
 
 // Arena is a reusable allocation buffer for unranking. Plan nodes and
@@ -84,57 +84,56 @@ func (s *Space) unrank64(r uint64, a *Arena) (*plan.Node, error) {
 		return nil, fmt.Errorf("core: rank %d out of range [0, %d)", r, s.total64)
 	}
 	k := selectByPrefix64(s.prefix64, r)
-	return s.unrankExpr64(s.rootOps[k], r-s.prefix64[k], a)
+	return s.unrankOp64(s.rootOps[k], r-s.prefix64[k], a)
 }
 
-// unrankExpr64 builds the plan rooted at e with local rank rl in
-// [0, N(e)): a little-endian mixed-radix decomposition,
+// unrankOp64 builds the plan rooted at operator k with local rank rl in
+// [0, N(k)): a little-endian mixed-radix decomposition,
 // rl = Σ_i s(i)·B_v(i-1) with B_v(0) = 1, which is exactly the paper's
 // s(i) = ⌊R(i)/B(i-1)⌋, R(i) = R(i+1) mod B(i) computed iteratively.
-// a == nil means heap-allocate each node.
-func (s *Space) unrankExpr64(e *memo.Expr, rl uint64, a *Arena) (*plan.Node, error) {
-	info := s.info[e.ID]
-	if info == nil {
-		return nil, fmt.Errorf("core: operator %s is not part of this space", e.Name())
-	}
+// It reads only the index-linked tables; the operator's *memo.Expr is
+// stored into the node, not dereferenced. a == nil means heap-allocate
+// each node.
+func (s *Space) unrankOp64(k int32, rl uint64, a *Arena) (*plan.Node, error) {
+	op := &s.ops[k]
 	var node *plan.Node
 	if a != nil {
-		node = a.newNode(e)
+		node = a.newNode(op.expr)
 	} else {
-		node = &plan.Node{Expr: e}
+		node = &plan.Node{Expr: op.expr}
 	}
-	if len(info.cands) == 0 {
+	if op.nslot == 0 {
 		if rl != 0 {
-			return nil, fmt.Errorf("core: leaf operator %s given non-zero local rank %d", e.Name(), rl)
+			return nil, fmt.Errorf("core: leaf operator %s given non-zero local rank %d", op.expr.Name(), rl)
 		}
 		return node, nil
 	}
 	if a != nil {
-		node.Children = a.newChildren(len(info.cands))
+		node.Children = a.newChildren(int(op.nslot))
 	} else {
-		node.Children = make([]*plan.Node, len(info.cands))
+		node.Children = make([]*plan.Node, op.nslot)
 	}
 	rem := rl
-	for i := range info.cands {
-		b := info.b64[i]
+	for i, li := range s.slots[op.first : op.first+op.nslot] {
+		l := &s.lists[li]
+		b := l.b
 		if b == 0 {
-			return nil, fmt.Errorf("core: operator %s has no candidates for child %d", e.Name(), i)
+			return nil, fmt.Errorf("core: operator %s has no candidates for child %d", op.expr.Name(), i)
 		}
 		// Division by the slot base rides the precomputed reciprocal: a
 		// multiply-high instead of a hardware DIV, per slot, per unrank.
-		q := info.div64[i].quo(rem)
+		q := l.div.quo(rem)
 		sub := rem - q*b
 		rem = q
-		prefix := info.prefix64[i]
-		j := selectByPrefix64(prefix, sub)
-		child, err := s.unrankExpr64(info.cands[i][j], sub-prefix[j], a)
+		j := selectByPrefix64(l.prefix, sub)
+		child, err := s.unrankOp64(l.ops[j], sub-l.prefix[j], a)
 		if err != nil {
 			return nil, err
 		}
 		node.Children[i] = child
 	}
 	if rem != 0 {
-		return nil, fmt.Errorf("core: local rank overflow at operator %s", e.Name())
+		return nil, fmt.Errorf("core: local rank overflow at operator %s", op.expr.Name())
 	}
 	return node, nil
 }
@@ -174,37 +173,46 @@ func selectByPrefix64(prefix []uint64, r uint64) int {
 	return base
 }
 
-// rankExpr64 is the inverse of unrankExpr64: the local rank of the
-// plan rooted at n, for an operator whose subtree count fits uint64.
-func (s *Space) rankExpr64(n *plan.Node) (uint64, error) {
-	info := s.info[n.Expr.ID]
-	if info == nil {
-		return 0, fmt.Errorf("core: operator %s is not part of this space", n.Expr.Name())
+// rankOp64 is the inverse of unrankOp64: the local rank of the plan
+// rooted at n, whose operator is k and whose subtree count fits uint64.
+func (s *Space) rankOp64(k int32, n *plan.Node) (uint64, error) {
+	op := &s.ops[k]
+	if op.n64 == 0 {
+		return 0, fmt.Errorf("core: operator %s roots no complete plan of this space", n.Expr.Name())
 	}
-	if len(n.Children) != len(info.cands) {
+	if len(n.Children) != int(op.nslot) {
 		return 0, fmt.Errorf("core: operator %s has %d child slots, plan node has %d",
-			n.Expr.Name(), len(info.cands), len(n.Children))
+			n.Expr.Name(), op.nslot, len(n.Children))
 	}
 	var rl uint64
 	base := uint64(1)
 	for i, child := range n.Children {
-		j := -1
-		for idx, c := range info.cands[i] {
-			if c == child.Expr {
-				j = idx
-				break
-			}
-		}
-		if j < 0 {
-			return 0, fmt.Errorf("core: %s is not a valid child %d of %s in this space",
-				child.Expr.Name(), i, n.Expr.Name())
-		}
-		childLocal, err := s.rankExpr64(child)
+		l := &s.lists[s.slots[op.first+int32(i)]]
+		j, ck, err := s.candidate(l, n, i)
 		if err != nil {
 			return 0, err
 		}
-		rl += (info.prefix64[i][j] + childLocal) * base
-		base *= info.b64[i]
+		childLocal, err := s.rankOp64(ck, child)
+		if err != nil {
+			return 0, err
+		}
+		rl += (l.prefix[j] + childLocal) * base
+		base *= l.b
 	}
 	return rl, nil
+}
+
+// candidate finds child i of plan node n in list l: its position and
+// its operator index.
+func (s *Space) candidate(l *candList, n *plan.Node, i int) (int, int32, error) {
+	child := n.Children[i].Expr
+	if k, ok := s.opOf(child); ok {
+		for j, c := range l.ops {
+			if c == k {
+				return j, k, nil
+			}
+		}
+	}
+	return 0, 0, fmt.Errorf("core: %s is not a valid child %d of %s in this space",
+		child.Name(), i, n.Expr.Name())
 }

@@ -69,18 +69,20 @@ func (s *Space) unrankLimbs(r []uint64, a *Arena, wa *WideArena) (*plan.Node, er
 // answer the paper's "what number did the optimizer's own choice get?".
 // One path serves every tier: the root operator's rank range comes
 // from the limb prefix sums, and every subtree whose count fits uint64
-// ranks on the native lane (rankExpr64), as unranking does. It
+// ranks on the native lane (rankOp64), as unranking does. It
 // allocates (ranking is an API operation, not the sampling hot loop).
 func (s *Space) Rank(n *plan.Node) (*big.Int, error) {
-	for k, e := range s.rootOps {
-		if e != n.Expr {
-			continue
+	if k, ok := s.opOf(n.Expr); ok {
+		for r, root := range s.rootOps {
+			if root != k {
+				continue
+			}
+			local, err := s.rankOpWide(k, n)
+			if err != nil {
+				return nil, err
+			}
+			return limbsToBig(wideAdd(local, s.prefixW[r])), nil
 		}
-		local, err := s.rankExprWide(n)
-		if err != nil {
-			return nil, err
-		}
-		return limbsToBig(wideAdd(local, s.prefixW[k])), nil
 	}
 	return nil, fmt.Errorf("core: plan root %s is not a root-group operator of this space", n.Expr.Name())
 }

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 
-	"repro/internal/memo"
 	"repro/internal/plan"
 )
 
@@ -19,54 +18,52 @@ import (
 func (s *Space) unrankWide(r []uint64, a *Arena, wa *WideArena) (*plan.Node, error) {
 	k := selectByPrefixWide(s.prefixW, r)
 	local := wideSubInPlace(wa.put(r), s.prefixW[k])
-	e := s.rootOps[k]
-	if info := s.info[e.ID]; info.fits {
+	op := s.rootOps[k]
+	if s.ops[op].fits {
 		v, _ := wideToU64(local)
-		return s.unrankExpr64(e, v, a)
+		return s.unrankOp64(op, v, a)
 	}
-	return s.unrankExprWide(e, local, a, wa)
+	return s.unrankOpWide(op, local, a, wa)
 }
 
-// unrankExprWide mirrors unrankExpr64 with limb arithmetic. rl is owned
-// scratch (mutated in place); slots whose bases fit uint64 decompose on
+// unrankOpWide mirrors unrankOp64 with limb arithmetic. rl is owned
+// scratch (mutated in place); lists whose sums fit uint64 decompose on
 // the single-limb lane, and the recursion drops to the native uint64
 // decomposer the moment a child's whole subtree fits — for TPC-H-scale
 // wide spaces that is almost immediately, so the wide work stays
 // confined to the top of the plan.
-func (s *Space) unrankExprWide(e *memo.Expr, rl []uint64, a *Arena, wa *WideArena) (*plan.Node, error) {
-	info := s.info[e.ID]
-	if info == nil {
-		return nil, fmt.Errorf("core: operator %s is not part of this space", e.Name())
-	}
+func (s *Space) unrankOpWide(k int32, rl []uint64, a *Arena, wa *WideArena) (*plan.Node, error) {
+	op := &s.ops[k]
 	var node *plan.Node
 	if a != nil {
-		node = a.newNode(e)
+		node = a.newNode(op.expr)
 	} else {
-		node = &plan.Node{Expr: e}
+		node = &plan.Node{Expr: op.expr}
 	}
-	if len(info.cands) == 0 {
+	if op.nslot == 0 {
 		if len(rl) != 0 {
-			return nil, fmt.Errorf("core: leaf operator %s given non-zero local rank %s", e.Name(), limbsToBig(rl))
+			return nil, fmt.Errorf("core: leaf operator %s given non-zero local rank %s", op.expr.Name(), limbsToBig(rl))
 		}
 		return node, nil
 	}
 	if a != nil {
-		node.Children = a.newChildren(len(info.cands))
+		node.Children = a.newChildren(int(op.nslot))
 	} else {
-		node.Children = make([]*plan.Node, len(info.cands))
+		node.Children = make([]*plan.Node, op.nslot)
 	}
 	rem := rl
-	for i := range info.cands {
+	for i, li := range s.slots[op.first : op.first+op.nslot] {
+		l := &s.lists[li]
 		var (
-			child      *memo.Expr
+			child      int32
 			childLocal []uint64
 		)
-		if info.bW == nil || info.bW[i] == nil {
-			// Single-limb lane: the slot's base and prefix sums fit
+		if l.wide == nil {
+			// Single-limb lane: the list's base and prefix sums fit
 			// uint64 even though the node as a whole does not.
-			b := info.b64[i]
+			b := l.b
 			if b == 0 {
-				return nil, fmt.Errorf("core: operator %s has no candidates for child %d", e.Name(), i)
+				return nil, fmt.Errorf("core: operator %s has no candidates for child %d", op.expr.Name(), i)
 			}
 			var sub uint64
 			if len(rem) <= 1 {
@@ -76,7 +73,7 @@ func (s *Space) unrankExprWide(e *memo.Expr, rl []uint64, a *Arena, wa *WideAren
 				if len(rem) == 1 {
 					r0 = rem[0]
 				}
-				q := info.div64[i].quo(r0)
+				q := l.div.quo(r0)
 				sub = r0 - q*b
 				r0 = q
 				if r0 == 0 {
@@ -88,34 +85,28 @@ func (s *Space) unrankExprWide(e *memo.Expr, rl []uint64, a *Arena, wa *WideAren
 			} else {
 				rem, sub = wideDivModU64(rem, b)
 			}
-			prefix := info.prefix64[i]
-			j := selectByPrefix64(prefix, sub)
-			child = info.cands[i][j]
+			j := selectByPrefix64(l.prefix, sub)
+			child = l.ops[j]
 			buf := wa.Alloc(1)
-			buf[0] = sub - prefix[j]
+			buf[0] = sub - l.prefix[j]
 			childLocal = wideNorm(buf)
 		} else {
-			bw := info.bW[i]
-			if len(bw) == 0 {
-				return nil, fmt.Errorf("core: operator %s has no candidates for child %d", e.Name(), i)
-			}
 			var sub []uint64
-			rem, sub = wideDivMod(rem, bw, wa)
-			pw := info.prefixW[i]
+			rem, sub = wideDivMod(rem, l.wide.b, wa)
+			pw := l.wide.prefix
 			j := selectByPrefixWide(pw, sub)
-			child = info.cands[i][j]
+			child = l.ops[j]
 			childLocal = wideSubInPlace(sub, pw[j])
 		}
-		ci := s.info[child.ID]
 		var (
 			ch  *plan.Node
 			err error
 		)
-		if ci != nil && ci.fits {
+		if s.ops[child].fits {
 			v, _ := wideToU64(childLocal)
-			ch, err = s.unrankExpr64(child, v, a)
+			ch, err = s.unrankOp64(child, v, a)
 		} else {
-			ch, err = s.unrankExprWide(child, childLocal, a, wa)
+			ch, err = s.unrankOpWide(child, childLocal, a, wa)
 		}
 		if err != nil {
 			return nil, err
@@ -123,55 +114,44 @@ func (s *Space) unrankExprWide(e *memo.Expr, rl []uint64, a *Arena, wa *WideAren
 		node.Children[i] = ch
 	}
 	if len(rem) != 0 {
-		return nil, fmt.Errorf("core: local rank overflow at operator %s", e.Name())
+		return nil, fmt.Errorf("core: local rank overflow at operator %s", op.expr.Name())
 	}
 	return node, nil
 }
 
-// rankExprWide is the inverse of unrankExprWide: the local rank of the
-// plan rooted at n as canonical limbs, dropping to rankExpr64 on any
-// operator whose subtree fits uint64.
-func (s *Space) rankExprWide(n *plan.Node) ([]uint64, error) {
-	info := s.info[n.Expr.ID]
-	if info == nil {
-		return nil, fmt.Errorf("core: operator %s is not part of this space", n.Expr.Name())
-	}
-	if info.fits {
-		r, err := s.rankExpr64(n)
+// rankOpWide is the inverse of unrankOpWide: the local rank of the plan
+// rooted at n, whose operator is k, as canonical limbs, dropping to
+// rankOp64 on any operator whose subtree fits uint64.
+func (s *Space) rankOpWide(k int32, n *plan.Node) ([]uint64, error) {
+	op := &s.ops[k]
+	if op.fits {
+		r, err := s.rankOp64(k, n)
 		if err != nil {
 			return nil, err
 		}
 		return wideFromU64(r), nil
 	}
-	if len(n.Children) != len(info.cands) {
+	if len(n.Children) != int(op.nslot) {
 		return nil, fmt.Errorf("core: operator %s has %d child slots, plan node has %d",
-			n.Expr.Name(), len(info.cands), len(n.Children))
+			n.Expr.Name(), op.nslot, len(n.Children))
 	}
 	var rl []uint64
 	base := []uint64{1}
 	for i, child := range n.Children {
-		j := -1
-		for idx, c := range info.cands[i] {
-			if c == child.Expr {
-				j = idx
-				break
-			}
+		l := &s.lists[s.slots[op.first+int32(i)]]
+		j, ck, err := s.candidate(l, n, i)
+		if err != nil {
+			return nil, err
 		}
-		if j < 0 {
-			return nil, fmt.Errorf("core: %s is not a valid child %d of %s in this space",
-				child.Expr.Name(), i, n.Expr.Name())
-		}
-		childLocal, err := s.rankExprWide(child)
+		childLocal, err := s.rankOpWide(ck, child)
 		if err != nil {
 			return nil, err
 		}
 		var prefixVal, bVal []uint64
-		if info.bW == nil || info.bW[i] == nil {
-			prefixVal = wideFromU64(info.prefix64[i][j])
-			bVal = wideFromU64(info.b64[i])
+		if l.wide == nil {
+			prefixVal, bVal = wideFromU64(l.prefix[j]), wideFromU64(l.b)
 		} else {
-			prefixVal = info.prefixW[i][j]
-			bVal = info.bW[i]
+			prefixVal, bVal = l.wide.prefix[j], l.wide.b
 		}
 		rl = wideAdd(rl, wideMul(wideAdd(prefixVal, childLocal), base))
 		base = wideMul(base, bVal)
