@@ -280,6 +280,37 @@ func BenchmarkSample(b *testing.B) {
 	b.Run("Q8cross/big", func(b *testing.B) {
 		benchOracleSample(b, oracle.New(prepare(b, "Q8", true).Opt.Memo))
 	})
+
+	// The five spaces of the sample-warm service workload in turn, 1000
+	// plans from each through Sampler.Each into one arena, as /sample
+	// serves them: the single-space rows above keep one space's tables
+	// hot in cache, here the five compete for it. One op is one plan;
+	// Each's rank buffer, one per 1000 plans, stays below one
+	// allocation per op.
+	b.Run("five_spaces/mixed", func(b *testing.B) {
+		var smps []*core.Sampler
+		for _, sp := range []struct {
+			q     string
+			cross bool
+		}{{"Q5", false}, {"Q7", false}, {"Q9", false}, {"Q8", false}, {"Q8", true}} {
+			smp, err := prepare(b, sp.q, sp.cross).Space.NewSampler(2)
+			if err != nil {
+				b.Fatal(err)
+			}
+			smps = append(smps, smp)
+		}
+		var arena core.Arena
+		yield := func(int, []uint64, *plan.Node) error { return nil }
+		b.ReportAllocs()
+		b.ResetTimer()
+		for done, i := 0, 0; done < b.N; i++ {
+			k := min(1000, b.N-done)
+			if err := smps[i%len(smps)].Each(k, &arena, yield); err != nil {
+				b.Fatal(err)
+			}
+			done += k
+		}
+	})
 }
 
 // BenchmarkSampleRanks measures pure rank generation on the batched

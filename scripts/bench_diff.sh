@@ -5,10 +5,11 @@
 # Three gates, all against BENCH_core.json:
 #
 #  1. Zero allocations. Every production-tier row of BenchmarkUnrank
-#     and BenchmarkSample (the /uint64 and /wide rows),
-#     BenchmarkSampleRanks and BenchmarkRender/AppendTo (plan trees
-#     rendered into a reused buffer) must report exactly 0 allocs/op on
-#     every run. Allocation counts do not depend on the host, so this
+#     and BenchmarkSample (the /uint64 and /wide rows, and
+#     BenchmarkSample/five_spaces/mixed: sample-warm's five spaces in
+#     turn into one arena), BenchmarkSampleRanks and
+#     BenchmarkRender/AppendTo (plan trees rendered into a reused
+#     buffer) must report exactly 0 allocs/op on every run. Allocation counts do not depend on the host, so this
 #     gate is absolute.
 #  2. Allocation ceilings. BenchmarkExecute/*/optimal,
 #     BenchmarkExecute/Q5/median_sampled,
@@ -103,7 +104,7 @@ failed = []
 print(f"\nbench_diff: zero-allocation rows ({count} runs)")
 print(f"{'row':28} {'max allocs/op':>14}")
 zero = [r["name"] for r in core["results"]
-        if re.fullmatch(r'Benchmark(Unrank|Sample)/\S+/(uint64|wide)|BenchmarkSampleRanks|BenchmarkRender/AppendTo', r["name"])]
+        if re.fullmatch(r'Benchmark(Unrank|Sample)/\S+/(uint64|wide)|BenchmarkSample/five_spaces/mixed|BenchmarkSampleRanks|BenchmarkRender/AppendTo', r["name"])]
 for name in zero:
     got = [rows[name][1] for rows in runs if name in rows]
     if len(got) != count:
