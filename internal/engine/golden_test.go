@@ -148,6 +148,32 @@ func renderGolden(t *testing.T, sb *strings.Builder, db *storage.DB, name, query
 	}
 }
 
+// TestOptimumGolden pins the optimizer's choice for every TPC-H query,
+// with and without Cartesian products: the optimal plan's rank, its
+// cost to the last bit, its rendering, and how many operators a pruning
+// optimizer would retain. Ties between equally cheap operators go to
+// the first in group order, so this also pins the winner search's
+// tie-breaking.
+func TestOptimumGolden(t *testing.T) {
+	db, err := tpch.NewDB(0.0004, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sb strings.Builder
+	for _, name := range tpch.QueryNames() {
+		sqlText, _ := tpch.Query(name)
+		for _, cross := range []bool{false, true} {
+			p, err := New(db, WithCartesian(cross)).Prepare(sqlText)
+			if err != nil {
+				t.Fatalf("%s cross=%v: %v", name, cross, err)
+			}
+			fmt.Fprintf(&sb, "== %s cross=%v rank=%s cost=%.17g retained=%d\n%s", name, cross,
+				p.Overlay.OptimalRank, p.OptimalCost(), len(p.Opt.RetainedExprs()), p.OptimalPlan())
+		}
+	}
+	checkGolden(t, "optimum.golden", sb.String())
+}
+
 // TestFeedbackKeyGolden pins feedbackKey for every relation subset of
 // Q3, Q5, Q7 and Q10. The keys render filter constants (strings, dates
 // and numbers) and name the corrections feedback stores, so a change
