@@ -22,7 +22,9 @@
 //
 // and unranking decomposes a rank into a root-operator choice plus one
 // sub-rank per child slot in the mixed-radix system with digit bases
-// b_v(i) (Section 3.3).
+// b_v(i) (Section 3.3). A list's key is also the key of the optimizer's
+// winner, so Cheapest runs the winner search as the same fold with
+// (min, combine) in place of (sum, product).
 //
 // Each operation has one path: Count; Unrank (UnrankWideInto for limb
 // ranks into a reused Arena); Rank; Enumerate/EnumerateRange; and

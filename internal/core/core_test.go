@@ -7,11 +7,12 @@ import (
 
 	"repro/internal/algebra"
 	"repro/internal/catalog"
+	"repro/internal/cost"
 	"repro/internal/data"
 	"repro/internal/fixture"
 	"repro/internal/memo"
-	"repro/internal/opt"
 	"repro/internal/plan"
+	"repro/internal/rules"
 	"repro/internal/sql"
 )
 
@@ -37,7 +38,9 @@ func starSchema() *catalog.Catalog {
 	return c
 }
 
-func prepared(t *testing.T, text string) (*Space, *opt.Costing) {
+// prepared counts the space of text over the star schema and folds its
+// default costs for the optimal plan.
+func prepared(t *testing.T, text string) (*Space, *plan.Node) {
 	t.Helper()
 	stmt, err := sql.Parse(text)
 	if err != nil {
@@ -47,20 +50,23 @@ func prepared(t *testing.T, text string) (*Space, *opt.Costing) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := opt.DefaultOptions()
-	st, err := opt.BuildStructure(q, opts.Rules)
+	m, err := rules.BuildMemo(q, rules.Default())
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := st.Cost(opts.Params, nil)
+	s, err := Prepare(m)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := Prepare(c.Memo)
+	tab, err := cost.Fill(m, q, cost.Default(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return s, c
+	best, _, err := s.Cheapest(tab.Combine)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s, best
 }
 
 const starQuery = "SELECT v1 FROM fact, d1, d2, d3 WHERE f1 = k1 AND f2 = k2 AND f3 = k3"
@@ -121,8 +127,8 @@ func TestCountMatchesExhaustiveDistinctness(t *testing.T) {
 // counting is linear in MEMO size. The operators counted must equal the
 // number of physical operators.
 func TestCountingVisitsEachOperatorOnce(t *testing.T) {
-	s, res := prepared(t, starQuery)
-	want := res.Memo.Stats().PhysicalOps
+	s, _ := prepared(t, starQuery)
+	want := s.Memo.Stats().PhysicalOps
 	if got := len(s.ops); got != want {
 		t.Errorf("counted %d operators, memo has %d physical", len(s.ops), want)
 	}
@@ -304,8 +310,8 @@ func TestSampleBatch(t *testing.T) {
 // must be rejected, not mis-ranked.
 func TestRankRejectsForeignPlan(t *testing.T) {
 	s1, _ := prepared(t, "SELECT v1 FROM fact, d1 WHERE f1 = k1")
-	_, res2 := prepared(t, "SELECT v2 FROM fact, d2 WHERE f2 = k2")
-	if _, err := s1.Rank(res2.Best); err == nil {
+	_, best2 := prepared(t, "SELECT v2 FROM fact, d2 WHERE f2 = k2")
+	if _, err := s1.Rank(best2); err == nil {
 		t.Error("ranking a foreign plan succeeded")
 	}
 }
@@ -314,8 +320,8 @@ func TestRankRejectsForeignPlan(t *testing.T) {
 // that rank reproduces the plan exactly — "what number is the plan the
 // optimizer chose?"
 func TestOptimalRankRoundTrip(t *testing.T) {
-	s, res := prepared(t, starQuery)
-	r, err := s.Rank(res.Best)
+	s, best := prepared(t, starQuery)
+	r, err := s.Rank(best)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -323,7 +329,7 @@ func TestOptimalRankRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !plan.Equal(p, res.Best) {
+	if !plan.Equal(p, best) {
 		t.Error("Unrank(Rank(best)) != best")
 	}
 }

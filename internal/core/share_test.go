@@ -7,13 +7,13 @@ import (
 
 	"repro/internal/algebra"
 	"repro/internal/memo"
-	"repro/internal/opt"
 	"repro/internal/plan"
+	"repro/internal/rules"
 	"repro/internal/sql"
 	"repro/internal/tpch"
 )
 
-// tpchMemo builds the sealed memo of one TPC-H query's search space,
+// tpchMemo builds the memo of one TPC-H query's search space,
 // with or without Cartesian products. Memo structure depends on the
 // schema and the rules, not on statistics or data.
 func tpchMemo(t testing.TB, name string, cross bool) *memo.Memo {
@@ -30,13 +30,13 @@ func tpchMemo(t testing.TB, name string, cross bool) *memo.Memo {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := opt.DefaultOptions().Rules
+	cfg := rules.Default()
 	cfg.AllowCartesian = cross
-	st, err := opt.BuildStructure(q, cfg)
+	m, err := rules.BuildMemo(q, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return st.Memo
+	return m
 }
 
 // sharingCases are the spaces the sharing contract is pinned on: lists
@@ -127,7 +127,7 @@ func TestCandidateListsShared(t *testing.T) {
 // TestFootprintAgainstHeap checks MemoryFootprint against the memory a
 // space really holds: the Q8+cross space (~19k physical operators) must
 // price below 10 MB, and the count-table part of the footprint must be
-// within ±30% of the live-heap growth across Prepare on an
+// within ±10% of the live-heap growth across Prepare on an
 // already-built memo, so the structure cache's byte accounting rests on
 // a measurement.
 func TestFootprintAgainstHeap(t *testing.T) {
@@ -147,7 +147,7 @@ func TestFootprintAgainstHeap(t *testing.T) {
 			tables := s.tableBytes()
 			runtime.KeepAlive(s)
 			t.Logf("footprint %d B, count tables %d B, live heap grew %d B", s.MemoryFootprint(), tables, grown)
-			if d := float64(tables-grown) / float64(grown); d < -0.3 || d > 0.3 {
+			if d := float64(tables-grown) / float64(grown); d < -0.1 || d > 0.1 {
 				t.Errorf("count tables priced at %d B, live heap grew %d B across Prepare (%+.0f%%)", tables, grown, 100*d)
 			}
 			if tc.cross && s.MemoryFootprint() >= 10<<20 {

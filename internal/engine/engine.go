@@ -177,11 +177,11 @@ func (s *Session) Engine() *Engine { return s.engine }
 func (s *Session) Options() opt.Options { return s.opts }
 
 // StructureSpace is the shared, immutable product of the expensive
-// pipeline stages: the opt-layer structure (the bound query, the
-// expanded MEMO, and the shared costing skeleton, so every re-cost over
-// this space skips the ordering-context analysis) and the counted space
-// with its unrank tables — everything that depends only on the
-// canonical SQL, the rules, and the catalog schema. One StructureSpace
+// pipeline stages: the opt-layer structure (the bound query and the
+// expanded MEMO) and the counted space with its unrank tables, whose
+// candidate lists every re-cost's winner search folds over —
+// everything that depends only on the canonical SQL, the rules, and
+// the catalog schema. One StructureSpace
 // is safe for any number of concurrent readers (counting, unranking,
 // ranking, enumerating); it carries NO costs — those live in the
 // CostOverlay attached on demand — so any number of costings can share
@@ -222,7 +222,7 @@ func (s *Session) buildStructure(canonical string, stmt *sql.SelectStmt, fp Fing
 // path a statistics refresh, cost-parameter change, or feedback
 // application pays instead of a full Prepare.
 func (s *Session) recost(ss *StructureSpace, ofp Fingerprint, epoch uint64, view map[string]float64) (*CostOverlay, error) {
-	costing, err := ss.Cost(s.opts.Params, ss.factors(view))
+	costing, err := ss.Cost(ss.Space, s.opts.Params, ss.factors(view))
 	if err != nil {
 		return nil, err
 	}

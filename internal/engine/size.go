@@ -4,11 +4,11 @@ package engine
 // cache's byte accounting needs consistent, monotone estimates, and
 // crucially the two layers must not double-count: the structure prices
 // the memo and the counted space, the overlay prices only its own cost
-// tables and winner memo.
+// tables and optimal plan.
 const (
 	structureOverhead = 8 << 10 // bound query + bookkeeping
-	overlayOverhead   = 2 << 10 // costing headers and the optimal plan
-	winnerEntryBytes  = 96      // one (group, ordering) winner memo entry
+	overlayOverhead   = 2 << 10 // costing headers
+	planNodeBytes     = 64      // one optimal-plan node with its child pointer
 )
 
 // SizeBytes estimates the resident bytes this StructureSpace pins while
@@ -31,10 +31,11 @@ func (ss *StructureSpace) SizeBytes() int64 {
 }
 
 // SizeBytes estimates the resident bytes of a cost overlay: the
-// cardinality and local-cost tables plus the optimal plan's rank. It
-// deliberately excludes the structure it points to — that is priced by
-// StructureSpace.SizeBytes — so the structure and overlay byte counters
-// add up without double-counting.
+// cardinality and local-cost tables, the optimal plan and its rank.
+// The winner search's tables live only while the overlay is built, so
+// they are not priced. It deliberately excludes the structure it
+// points to — that is priced by StructureSpace.SizeBytes — so the
+// structure and overlay byte counters add up without double-counting.
 func (ov *CostOverlay) SizeBytes() int64 {
 	if ov == nil {
 		return 0
@@ -42,7 +43,7 @@ func (ov *CostOverlay) SizeBytes() int64 {
 	var n int64 = overlayOverhead
 	if ov.Costing != nil {
 		n += ov.Costing.Tables.MemoryBytes()
-		n += int64(ov.Costing.WinnerCount()) * winnerEntryBytes
+		n += int64(len(ov.Costing.Best.Operators())) * planNodeBytes
 	}
 	if ov.OptimalRank != nil {
 		n += 32 + int64(len(ov.OptimalRank.Bits()))*8

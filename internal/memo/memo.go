@@ -225,11 +225,10 @@ func (g *Group) RegisterInterestingOrder(o algebra.Ordering) bool {
 	return true
 }
 
-// Memo is the full structure: groups in creation order plus lookup
-// indexes used during construction and, until Seal, the dedup index.
-// Construction is deterministic, so plan numbering (Section 3) is stable
-// across runs — a requirement for the USEPLAN interface to be usable in
-// regression scripts.
+// Memo is the full structure: groups in creation order plus the lookup
+// indexes construction uses. Construction is deterministic, so plan
+// numbering (Section 3) is stable across runs — a requirement for the
+// USEPLAN interface to be usable in regression scripts.
 type Memo struct {
 	Query  *algebra.Query
 	Groups []*Group
@@ -240,7 +239,6 @@ type Memo struct {
 	AggGroup   *Group
 
 	exprSeq int
-	build   *builder // nil once sealed
 }
 
 // New returns an empty memo for a query.
@@ -249,7 +247,6 @@ func New(q *algebra.Query) *Memo {
 		Query:      q,
 		byJoinSet:  make(map[algebra.RelSet]*Group),
 		scanGroups: make([]*Group, len(q.Rels)),
-		build:      &builder{dedup: make(map[exprKey]*Expr)},
 	}
 }
 
@@ -280,113 +277,22 @@ func (m *Memo) JoinGroup(s algebra.RelSet) (*Group, bool) {
 	return g, ok
 }
 
-// AddExpr creates an operator in a group. Duplicate operators (same kind,
-// children, payload, and property contract) are detected and the existing
-// operator returned, mirroring the MEMO's duplicate elimination the paper
-// mentions in Section 2. Operators have at most two child slots and two
-// Required entries. AddExpr panics on a sealed memo.
+// AddExpr appends an operator to a group and returns it. It does not
+// look for an equal operator already there: the rules generate each
+// operator once (every ordered partition is enumerated once with its own
+// JoinSpec, and RegisterInterestingOrder dedups enforcers), which
+// rules.TestBuildMemoHasNoDuplicateOperators checks.
 func (m *Memo) AddExpr(g *Group, e Expr) *Expr {
-	if m.build == nil {
-		panic("memo: AddExpr on a sealed memo")
-	}
-	key := m.build.keyOf(g, &e)
-	if existing, ok := m.build.dedup[key]; ok {
-		return existing
-	}
 	ex := &e
 	m.exprSeq++
 	ex.ID = m.exprSeq
 	ex.Group = g
 	ex.Local = len(g.Exprs) + 1
 	g.Exprs = append(g.Exprs, ex)
-	m.build.dedup[key] = ex
 	if ex.Op.Physical() {
 		g.Physical = append(g.Physical, ex)
 	}
 	return ex
-}
-
-// Seal ends construction: it drops the dedup index, so a memo kept in a
-// cache pins no construction state, and makes further AddExpr calls
-// panic. rules.BuildMemo seals every memo it returns.
-func (m *Memo) Seal() { m.build = nil }
-
-// builder is the construction-only state of a memo: the dedup index over
-// every operator and the orderings its keys refer to by ID.
-type builder struct {
-	dedup  map[exprKey]*Expr
-	orders []algebra.Ordering // interned: ID i+1 names orders[i]; aliases operators' orderings
-}
-
-// maxSlots bounds the child slots and Required entries an operator may
-// have, so the dedup key stays a fixed-size comparable struct. Every
-// operator the rules generate has at most two (joins).
-const maxSlots = 2
-
-// exprKey identifies an operator for duplicate elimination. Scans and
-// lookups compare by relation, index and key count; join specs by
-// identity; orderings by content, through their interned IDs (0 = none).
-type exprKey struct {
-	group      *Group
-	kids       [maxSlots]*Group
-	scanIdx    *catalog.Index
-	join       *JoinSpec
-	lookupIdx  *catalog.Index
-	scanRel    int32 // Rel.Idx+1; 0 = no scan
-	lookupRel  int32 // Rel.Idx+1; 0 = no lookup
-	lookupKeys int32
-	sortOrder  uint32
-	delivered  uint32
-	req        [maxSlots]uint32
-	op         OpKind
-	nKids      uint8
-	nReq       uint8
-}
-
-func (b *builder) keyOf(g *Group, e *Expr) exprKey {
-	if len(e.Children) > maxSlots || len(e.Required) > maxSlots {
-		panic(fmt.Sprintf("memo: %s operator with %d children and %d required orderings; at most %d each",
-			e.Op, len(e.Children), len(e.Required), maxSlots))
-	}
-	k := exprKey{
-		group:     g,
-		join:      e.Join,
-		op:        e.Op,
-		nKids:     uint8(len(e.Children)),
-		nReq:      uint8(len(e.Required)),
-		sortOrder: b.orderID(e.SortOrder),
-		delivered: b.orderID(e.Delivered),
-	}
-	copy(k.kids[:], e.Children)
-	for i, r := range e.Required {
-		k.req[i] = b.orderID(r)
-	}
-	if e.Scan != nil {
-		k.scanRel = int32(e.Scan.Rel.Idx) + 1
-		k.scanIdx = e.Scan.Index
-	}
-	if e.Lookup != nil {
-		k.lookupRel = int32(e.Lookup.Rel.Idx) + 1
-		k.lookupIdx = e.Lookup.Index
-		k.lookupKeys = int32(len(e.Lookup.OuterKeys))
-	}
-	return k
-}
-
-// orderID interns an ordering by content. A memo holds few distinct
-// orderings (index key orders, join keys, grouping and ORDER BY keys),
-// so a scan beats hashing them.
-func (b *builder) orderID(o algebra.Ordering) uint32 {
-	if o.IsNone() {
-		return 0
-	}
-	for i, have := range b.orders {
-		if have.Equal(o) {
-			return uint32(i + 1)
-		}
-	}
-	b.orders = append(b.orders, o)
-	return uint32(len(b.orders))
 }
 
 // Stats summarizes the memo's size.

@@ -9,14 +9,17 @@
 // Structure.Cost attaches the latter as an immutable overlay
 // (cost.Tables) without mutating the shared memo, so any number of
 // costings — different parameters, different statistics, different
-// feedback epochs — can coexist over one counted structure.
+// feedback epochs — can coexist over one counted structure. The winner
+// search itself is core.Space.Cheapest: a winner's key, (group,
+// required ordering), is the key of the counted space's candidate
+// lists, so costing folds over the same tables counting built.
 package opt
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/algebra"
+	"repro/internal/core"
 	"repro/internal/cost"
 	"repro/internal/memo"
 	"repro/internal/plan"
@@ -35,17 +38,11 @@ func DefaultOptions() Options {
 }
 
 // Structure is the costless half of an optimization: the bound query
-// and the expanded MEMO, plus the lazily built costing skeleton (the
-// ordering-context layout of the winner search, which depends only on
-// the memo). It is immutable once built and safe to share across any
-// number of concurrent costings — the skeleton is built exactly once,
-// so re-costing a cached structure skips all of the context analysis.
+// and the expanded MEMO. It is immutable once built and safe to share
+// across any number of concurrent costings.
 type Structure struct {
 	Query *algebra.Query
 	Memo  *memo.Memo
-
-	skOnce sync.Once
-	sk     *skeleton
 }
 
 // BuildStructure expands the search space for q under the given rule
@@ -56,13 +53,6 @@ func BuildStructure(q *algebra.Query, cfg rules.Config) (*Structure, error) {
 		return nil, err
 	}
 	return &Structure{Query: q, Memo: m}, nil
-}
-
-// skeletonOf returns the structure's costing skeleton, building it on
-// first use.
-func (s *Structure) skeletonOf() *skeleton {
-	s.skOnce.Do(func() { s.sk = buildSkeleton(s.Memo) })
-	return s.sk
 }
 
 // Costing is the cost overlay over one structure: per-group estimated
@@ -76,42 +66,39 @@ type Costing struct {
 	BestCost float64
 
 	Memo *memo.Memo // the structure's memo, shared and never written
-	sol  *solution
 }
 
 // Cost computes an overlay for the structure under the given parameters
 // and feedback correction factors (relation subset → factor, nil for
-// none): fill the cardinality and local-cost tables, then solve for the
-// cheapest plan per (group, ordering context) and extract the optimum
-// from the root group. The shared memo is only read, never written, and
-// the structure's context skeleton is reused across costings.
-func (s *Structure) Cost(params cost.Params, factors map[algebra.RelSet]float64) (*Costing, error) {
-	m, sk := s.Memo, s.skeletonOf()
-	tab, err := cost.Fill(m, s.Query, params, factors)
+// none): fill the cardinality and local-cost tables, then fold them
+// over space — the structure's counted space, core.Prepare of its memo
+// — for the cheapest plan. Neither the memo nor the space is written.
+func (s *Structure) Cost(space *core.Space, params cost.Params, factors map[algebra.RelSet]float64) (*Costing, error) {
+	if space.Memo != s.Memo {
+		return nil, fmt.Errorf("opt: space was counted over another memo")
+	}
+	tab, err := cost.Fill(s.Memo, s.Query, params, factors)
 	if err != nil {
 		return nil, err
 	}
-
-	c := &Costing{
-		Tables: tab,
-		Memo:   m,
-		sol: &solution{
-			sk:     sk,
-			cost:   make([]float64, sk.maxExpr+1),
-			ok:     make([]bool, sk.maxExpr+1),
-			node:   make([]*plan.Node, sk.maxExpr+1),
-			win:    make([][]*memo.Expr, len(sk.ctxs)),
-			neBest: make([]*memo.Expr, len(sk.ctxs)),
-		},
-	}
-	if err := c.solve(); err != nil {
+	best, bestCost, err := space.Cheapest(tab.Combine)
+	if err != nil {
 		return nil, err
 	}
-	best := c.sol.win[m.Root.ID][0]
-	if best == nil {
-		return nil, fmt.Errorf("opt: no plan found for root group")
+	return &Costing{Tables: tab, Best: best, BestCost: bestCost, Memo: s.Memo}, nil
+}
+
+// RetainedExprs simulates the paper's remark that "some optimizers by
+// default discard suboptimal expressions": it returns the set of
+// operators a pruning optimizer would retain. For every (group,
+// ordering) reachable from the root only the winning operator survives,
+// and those winners are exactly the operators of the optimal plan.
+// Counting plans over this filtered MEMO quantifies how much of the
+// space pruning hides from testing (ablation E9).
+func (c *Costing) RetainedExprs() map[*memo.Expr]bool {
+	retained := make(map[*memo.Expr]bool)
+	for _, e := range c.Best.Operators() {
+		retained[e] = true
 	}
-	c.Best = c.nodeOf(best)
-	c.BestCost = c.sol.cost[best.ID]
-	return c, nil
+	return retained
 }

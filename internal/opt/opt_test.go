@@ -53,7 +53,11 @@ func optimize(t *testing.T, text string, opts Options) *Costing {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := st.Cost(opts.Params, nil)
+	space, err := core.Prepare(st.Memo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := st.Cost(space, opts.Params, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

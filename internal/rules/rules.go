@@ -51,8 +51,9 @@ func Default() Config {
 	}
 }
 
-// BuildMemo expands the complete search space for q into a fresh MEMO,
-// sealed: its dedup index is dropped and no operator can be added.
+// BuildMemo expands the complete search space for q into a fresh MEMO.
+// Each operator is generated exactly once, so the memo needs no
+// duplicate elimination.
 func BuildMemo(q *algebra.Query, cfg Config) (*memo.Memo, error) {
 	if len(q.Rels) == 0 {
 		return nil, fmt.Errorf("rules: query has no relations")
@@ -75,7 +76,6 @@ func BuildMemo(q *algebra.Query, cfg Config) (*memo.Memo, error) {
 	}
 
 	addEnforcers(m)
-	m.Seal()
 	return m, nil
 }
 

@@ -8,6 +8,7 @@ import (
 	"repro/internal/data"
 	"repro/internal/memo"
 	"repro/internal/sql"
+	"repro/internal/tpch"
 )
 
 // chainSchema: a - b - c joined in a chain, each with one index.
@@ -67,19 +68,108 @@ func TestMemoShapeChain(t *testing.T) {
 	}
 }
 
-// TestBuildMemoSeals pins that construction state does not outlive
-// BuildMemo: the returned memo refuses new operators.
-func TestBuildMemoSeals(t *testing.T) {
-	m, err := BuildMemo(buildQuery(t, chainQuery), Default())
-	if err != nil {
-		t.Fatal(err)
+// TestBuildMemoHasNoDuplicateOperators is the contract memo.AddExpr
+// relies on instead of a dedup index: for every TPC-H query, with and
+// without Cartesian products, under the default rules and with each
+// implementation toggle switched off alone, no group holds two
+// operators that agree on kind, children, property contract, scan,
+// join spec and lookup.
+func TestBuildMemoHasNoDuplicateOperators(t *testing.T) {
+	toggles := []struct {
+		name string
+		off  func(*Config)
+	}{
+		{"default", func(*Config) {}},
+		{"no-hash", func(c *Config) { c.EnableHashJoin = false }},
+		{"no-merge", func(c *Config) { c.EnableMergeJoin = false }},
+		{"no-nl", func(c *Config) { c.EnableNLJoin = false }},
+		{"no-indexnl", func(c *Config) { c.EnableIndexNLJoin = false }},
+		{"no-indexscan", func(c *Config) { c.EnableIndexScan = false }},
+		{"no-streamagg", func(c *Config) { c.EnableStreamAgg = false }},
 	}
-	defer func() {
-		if recover() == nil {
-			t.Error("AddExpr on a memo returned by BuildMemo did not panic")
+	for _, name := range tpch.QueryNames() {
+		text, _ := tpch.Query(name)
+		stmt, err := sql.Parse(text)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}()
-	m.AddExpr(m.Root, memo.Expr{Op: memo.Result, Children: []*memo.Group{m.Root}})
+		q, err := algebra.Build(stmt, tpch.Schema())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, cross := range []bool{false, true} {
+			for _, tg := range toggles {
+				cfg := Default()
+				cfg.AllowCartesian = cross
+				tg.off(&cfg)
+				m, err := BuildMemo(q, cfg)
+				if err != nil {
+					t.Fatalf("%s cross=%v %s: %v", name, cross, tg.name, err)
+				}
+				if dup := firstDuplicate(m); dup != nil {
+					t.Errorf("%s cross=%v %s: operators %s and %s are the same operator (%s)",
+						name, cross, tg.name, dup[0].Name(), dup[1].Name(), dup[0].Describe())
+				}
+			}
+		}
+	}
+}
+
+// firstDuplicate returns the first pair of operators of one group that
+// agree on every field that tells operators apart, or nil.
+func firstDuplicate(m *memo.Memo) []*memo.Expr {
+	type bucket struct {
+		op    memo.OpKind
+		first *memo.Group
+		join  *memo.JoinSpec
+	}
+	for _, g := range m.Groups {
+		seen := make(map[bucket][]*memo.Expr)
+		for _, e := range g.Exprs {
+			var first *memo.Group
+			if len(e.Children) > 0 {
+				first = e.Children[0]
+			}
+			k := bucket{e.Op, first, e.Join}
+			for _, have := range seen[k] {
+				if sameOperator(have, e) {
+					return []*memo.Expr{have, e}
+				}
+			}
+			seen[k] = append(seen[k], e)
+		}
+	}
+	return nil
+}
+
+// sameOperator compares what makes two operators of one group distinct:
+// kind, children, orderings by content, scans by relation and index,
+// join specs by identity, and lookups by relation, index and key count.
+func sameOperator(a, b *memo.Expr) bool {
+	if a.Op != b.Op || a.Join != b.Join || len(a.Children) != len(b.Children) || len(a.Required) != len(b.Required) {
+		return false
+	}
+	for i := range a.Children {
+		if a.Children[i] != b.Children[i] {
+			return false
+		}
+	}
+	for i := range a.Required {
+		if !a.Required[i].Equal(b.Required[i]) {
+			return false
+		}
+	}
+	if !a.Delivered.Equal(b.Delivered) || !a.SortOrder.Equal(b.SortOrder) {
+		return false
+	}
+	if (a.Scan == nil) != (b.Scan == nil) || a.Scan != nil && (a.Scan.Rel != b.Scan.Rel || a.Scan.Index != b.Scan.Index) {
+		return false
+	}
+	if (a.Lookup == nil) != (b.Lookup == nil) {
+		return false
+	}
+	return a.Lookup == nil || a.Lookup.Rel == b.Lookup.Rel && a.Lookup.Index == b.Lookup.Index &&
+		len(a.Lookup.OuterKeys) == len(b.Lookup.OuterKeys)
 }
 
 func TestCartesianExpandsSpace(t *testing.T) {
