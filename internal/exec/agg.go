@@ -2,6 +2,7 @@ package exec
 
 import (
 	"context"
+	"slices"
 
 	"repro/internal/algebra"
 	"repro/internal/data"
@@ -12,12 +13,12 @@ import (
 type aggAcc struct {
 	fn    algebra.AggFunc
 	kind  data.Kind
+	seen  bool
 	count int64
 	sumI  int64
 	sumF  float64
 	minV  data.Value
 	maxV  data.Value
-	seen  bool
 }
 
 func (a *aggAcc) add(strs *data.Strings, v data.Value) error {
@@ -57,8 +58,6 @@ func (a *aggAcc) add(strs *data.Strings, v data.Value) error {
 	return nil
 }
 
-func (a *aggAcc) addCountStar() { a.count++ }
-
 func (a *aggAcc) final() data.Value {
 	switch a.fn {
 	case algebra.AggCount:
@@ -90,49 +89,40 @@ func (a *aggAcc) final() data.Value {
 	return data.Null()
 }
 
-// aggIter implements both hash and stream aggregation. The stream variant
-// relies on its input being sorted on the grouping keys (the operator's
-// required ordering) and emits a group whenever the key changes; the hash
-// variant accumulates all groups in a table. Results are identical — the
-// verification harness depends on that.
+// aggIter implements hash, stream and scalar aggregation. The stream
+// variant relies on its input being sorted on the grouping keys (the
+// operator's required ordering) and emits a group whenever the key
+// changes; the hash variant accumulates all groups in a table. Both
+// tell groups apart by their groupWords, so their results are
+// identical — the verification harness depends on that.
+//
+// Groups live in one flat store: group g's key values are gkeys[g*k:]
+// and its accumulators accs[g*n:], for k keys and n aggregates. Hash
+// aggregation finds group g as entry g of its hashTable; the stream
+// variant holds one group at a time, whose words are cur; the scalar
+// aggregate (no GROUP BY) is one keyless group.
 type aggIter struct {
 	opNode
 	child   Iterator
 	stream  bool
+	scalar  bool
 	keyFns  []evalFunc
 	argFns  []evalFunc // nil entry = COUNT(*)
 	aggs    []*algebra.AggExpr
 	outCols int
 	keys    []data.Value  // the current input row's group key
+	key     []uint64      // its words
+	cur     []uint64      // the stream variant's current group's words
 	strs    *data.Strings // orders MIN/MAX strings by text
 
-	// hash state: a single key of declared kind wordKind groups by
-	// wordKey (NULL in nullGroup); other keys, and values of another
-	// kind, group by their encoding
-	wordKind  data.Kind // KindNull: no 8-byte path
-	words     map[uint64]int
-	nullGroup int
-	enc       keyEncoder
-	groups    map[string]int
-	order     []data.Row // group key values per group, insertion order
-	accs      [][]aggAcc
-	emitPos   int
-	prepared  bool
+	table   hashTable
+	gkeys   []data.Value
+	accs    []aggAcc
+	groups  int
+	emitPos int
+	done    bool // the input is consumed
 
-	// rows holds group keys and output rows; accSlab the accumulators
-	rows    rowStore
-	accSlab []aggAcc
-
-	// stream state
-	curKey  []data.Value
-	curAccs []aggAcc
-	haveCur bool
-	done    bool
-
-	// scalar aggregate (no GROUP BY): exactly one output row
-	scalar      bool
-	scalarDone  bool
-	scalarEmpty bool
+	rows rowStore // output rows
 }
 
 func (b *builder) buildAgg(e *memo.Expr, child Iterator, cs schema) (Iterator, schema, error) {
@@ -160,41 +150,75 @@ func (b *builder) buildAgg(e *memo.Expr, child Iterator, cs schema) (Iterator, s
 		}
 		out = append(out, a.Out.ID)
 	}
-	it := &aggIter{
+	w := groupWidth(len(keyFns))
+	words := make([]uint64, 2*w)
+	return &aggIter{
 		child:   child,
-		stream:  e.Op == memo.StreamAgg,
+		stream:  e.Op == memo.StreamAgg && len(q.GroupBy) > 0,
+		scalar:  len(q.GroupBy) == 0,
 		keyFns:  keyFns,
 		argFns:  argFns,
 		aggs:    q.Aggs,
 		outCols: len(out),
 		keys:    make([]data.Value, len(keyFns)),
+		key:     words[:w:w],
+		cur:     words[w:],
 		strs:    b.strs,
-		scalar:  len(q.GroupBy) == 0,
-	}
-	if len(q.GroupBy) == 1 {
-		it.wordKind = q.GroupBy[0].Expr.Kind()
-	}
-	return it, out, nil
+	}, out, nil
 }
 
-// newAccs returns one group's accumulators, carved from a slab.
-func (a *aggIter) newAccs() []aggAcc {
+func (a *aggIter) Open(ctx context.Context) error {
+	a.gkeys, a.accs = a.gkeys[:0], a.accs[:0]
+	a.groups, a.emitPos, a.done = 0, 0, false
+	if !a.stream && !a.scalar {
+		a.table = hashTable{k: len(a.key)}
+		a.table.index()
+	}
+	if err := a.enter(); err != nil {
+		return err
+	}
+	return a.child.Open(ctx)
+}
+
+// groupKey evaluates row's group key into keys and its words into key.
+func (a *aggIter) groupKey(row data.Row) error {
+	for i, f := range a.keyFns {
+		v, err := f(row)
+		if err != nil {
+			return err
+		}
+		a.keys[i] = v
+	}
+	groupWords(a.key, a.keys)
+	return nil
+}
+
+// newGroup adds a group holding the current key, with fresh
+// accumulators.
+func (a *aggIter) newGroup() {
+	a.gkeys = append(a.gkeys, a.keys...)
+	for _, agg := range a.aggs {
+		a.accs = append(a.accs, aggAcc{fn: agg.Fn, kind: agg.Out.Kind})
+	}
+	a.groups++
+}
+
+// groupOf returns the hash group of the current key, adding it when
+// new.
+func (a *aggIter) groupOf() int {
+	if g := a.table.find(a.key); g >= 0 {
+		return int(g)
+	}
+	a.newGroup()
+	return int(a.table.add(a.key))
+}
+
+func (a *aggIter) accumulate(g int, row data.Row) error {
 	n := len(a.aggs)
-	if len(a.accSlab) < n {
-		a.accSlab = make([]aggAcc, 16*n)
-	}
-	accs := a.accSlab[:n:n]
-	a.accSlab = a.accSlab[n:]
-	for i, agg := range a.aggs {
-		accs[i] = aggAcc{fn: agg.Fn, kind: agg.Out.Kind}
-	}
-	return accs
-}
-
-func (a *aggIter) accumulate(accs []aggAcc, row data.Row) error {
+	accs := a.accs[g*n : g*n+n]
 	for i := range accs {
 		if a.argFns[i] == nil {
-			accs[i].addCountStar()
+			accs[i].count++ // COUNT(*)
 			continue
 		}
 		v, err := a.argFns[i](row)
@@ -208,74 +232,28 @@ func (a *aggIter) accumulate(accs []aggAcc, row data.Row) error {
 	return nil
 }
 
-func (a *aggIter) emitRow(keys []data.Value, accs []aggAcc) data.Row {
+// emitRow returns group g's output row and charges it.
+func (a *aggIter) emitRow(g int) (data.Row, error) {
+	if err := a.emit(); err != nil {
+		return nil, err
+	}
+	k, n := len(a.keys), len(a.aggs)
 	row := a.rows.alloc(a.outCols)
-	copy(row, keys)
-	for i := range accs {
-		row[len(keys)+i] = accs[i].final()
+	copy(row, a.gkeys[g*k:g*k+k])
+	for i := range n {
+		row[k+i] = a.accs[g*n+i].final()
 	}
-	return row
-}
-
-// keepKeys returns a copy of keys that outlives the next input row.
-func (a *aggIter) keepKeys(keys []data.Value) data.Row {
-	k := a.rows.alloc(len(keys))
-	copy(k, keys)
-	return k
-}
-
-func (a *aggIter) Open(ctx context.Context) error {
-	a.words, a.groups, a.order, a.accs = nil, nil, nil, nil
-	a.nullGroup = -1
-	a.emitPos, a.prepared = 0, false
-	a.curKey, a.curAccs, a.haveCur, a.done = nil, nil, false, false
-	a.scalarDone, a.scalarEmpty = false, false
-	if err := a.enter(); err != nil {
-		return err
-	}
-	return a.child.Open(ctx)
+	return row, nil
 }
 
 func (a *aggIter) Next() (data.Row, bool, error) {
-	if a.scalar {
-		return a.nextScalar()
-	}
 	if a.stream {
 		return a.nextStream()
 	}
-	return a.nextHash()
-}
-
-func (a *aggIter) nextScalar() (data.Row, bool, error) {
-	if a.scalarDone {
-		return nil, false, nil
-	}
-	accs := a.newAccs()
-	for {
-		row, ok, err := a.child.Next()
-		if err != nil {
-			return nil, false, err
+	if !a.done {
+		if a.scalar {
+			a.newGroup() // exactly one output row, even over no input
 		}
-		if !ok {
-			break
-		}
-		if err := a.accumulate(accs, row); err != nil {
-			return nil, false, err
-		}
-	}
-	a.scalarDone = true
-	if err := a.emit(); err != nil {
-		return nil, false, err
-	}
-	return a.emitRow(nil, accs), true, nil
-}
-
-func (a *aggIter) nextHash() (data.Row, bool, error) {
-	if !a.prepared {
-		if a.wordKind != data.KindNull {
-			a.words = make(map[uint64]int)
-		}
-		keys := a.keys
 		for {
 			row, ok, err := a.child.Next()
 			if err != nil {
@@ -284,129 +262,65 @@ func (a *aggIter) nextHash() (data.Row, bool, error) {
 			if !ok {
 				break
 			}
-			for i, f := range a.keyFns {
-				v, err := f(row)
-				if err != nil {
+			g := 0
+			if !a.scalar {
+				if err := a.groupKey(row); err != nil {
 					return nil, false, err
 				}
-				keys[i] = v
+				g = a.groupOf()
 			}
-			if err := a.accumulate(a.accs[a.groupOf(keys)], row); err != nil {
+			if err := a.accumulate(g, row); err != nil {
 				return nil, false, err
 			}
 		}
-		a.prepared = true
-		a.emitPos = 0
+		a.done = true
 	}
-	if a.emitPos >= len(a.order) {
+	if a.emitPos >= a.groups {
 		return nil, false, nil
 	}
-	row := a.emitRow(a.order[a.emitPos], a.accs[a.emitPos])
+	row, err := a.emitRow(a.emitPos)
 	a.emitPos++
-	if err := a.emit(); err != nil {
-		return nil, false, err
-	}
-	return row, true, nil
-}
-
-// groupOf returns the hash group of keys, adding it when new.
-func (a *aggIter) groupOf(keys []data.Value) int {
-	if v := keys[0]; a.wordKind != data.KindNull && (v.K == a.wordKind || v.IsNull()) {
-		if v.IsNull() {
-			if a.nullGroup < 0 {
-				a.nullGroup = a.newGroup(keys)
-			}
-			return a.nullGroup
-		}
-		k := wordKey(v)
-		gi, ok := a.words[k]
-		if !ok {
-			gi = a.newGroup(keys)
-			a.words[k] = gi
-		}
-		return gi
-	}
-	if a.groups == nil {
-		a.groups = make(map[string]int)
-	}
-	k := a.enc.encode(keys)
-	gi, ok := a.groups[string(k)]
-	if !ok {
-		gi = a.newGroup(keys)
-		a.groups[string(k)] = gi
-	}
-	return gi
-}
-
-func (a *aggIter) newGroup(keys []data.Value) int {
-	a.order = append(a.order, a.keepKeys(keys))
-	a.accs = append(a.accs, a.newAccs())
-	return len(a.order) - 1
+	return row, err == nil, err
 }
 
 func (a *aggIter) nextStream() (data.Row, bool, error) {
-	if a.done {
-		return nil, false, nil
-	}
-	keys := a.keys
-	for {
+	for !a.done {
 		row, ok, err := a.child.Next()
 		if err != nil {
 			return nil, false, err
 		}
 		if !ok {
 			a.done = true
-			if a.haveCur {
-				if err := a.emit(); err != nil {
-					return nil, false, err
-				}
-				return a.emitRow(a.curKey, a.curAccs), true, nil
-			}
-			return nil, false, nil
+			break
 		}
-		for i, f := range a.keyFns {
-			v, err := f(row)
-			if err != nil {
-				return nil, false, err
-			}
-			keys[i] = v
-		}
-		if !a.haveCur {
-			a.curKey = a.keepKeys(keys)
-			a.curAccs = a.newAccs()
-			a.haveCur = true
-		} else if !sameKeys(a.curKey, keys) {
-			out := a.emitRow(a.curKey, a.curAccs)
-			a.curKey = a.keepKeys(keys)
-			a.curAccs = a.newAccs()
-			if err := a.accumulate(a.curAccs, row); err != nil {
-				return nil, false, err
-			}
-			if err := a.emit(); err != nil {
-				return nil, false, err
-			}
-			return out, true, nil
-		}
-		if err := a.accumulate(a.curAccs, row); err != nil {
+		if err := a.groupKey(row); err != nil {
 			return nil, false, err
 		}
-	}
-}
-
-func sameKeys(a, b []data.Value) bool {
-	for i := range a {
-		an, bn := a[i].IsNull(), b[i].IsNull()
-		if an || bn {
-			if an != bn {
-				return false
+		var out data.Row
+		if a.groups > 0 && !slices.Equal(a.cur, a.key) {
+			// The key changed: emit the finished group, start the next.
+			if out, err = a.emitRow(0); err != nil {
+				return nil, false, err
 			}
-			continue // grouping treats NULLs as equal
+			a.gkeys, a.accs, a.groups = a.gkeys[:0], a.accs[:0], 0
 		}
-		if !data.Equal(a[i], b[i]) {
-			return false
+		if a.groups == 0 {
+			a.newGroup()
+			a.cur, a.key = a.key, a.cur
+		}
+		if err := a.accumulate(0, row); err != nil {
+			return nil, false, err
+		}
+		if out != nil {
+			return out, true, nil
 		}
 	}
-	return true
+	if a.groups == 0 {
+		return nil, false, nil
+	}
+	a.groups = 0
+	row, err := a.emitRow(0)
+	return row, err == nil, err
 }
 
 func (a *aggIter) Close() error {

@@ -129,14 +129,19 @@ func (r *Result) Digest() string {
 }
 
 // appendRowKey appends a row's digest line: its values separated by
-// 0x1f, floats rounded to 6 significant digits.
+// 0x1f, floats rounded to 6 significant digits with -0 written as 0
+// (a group holding both keeps whichever its plan read first).
 func appendRowKey(b []byte, row data.Row, strs *data.Strings) []byte {
 	for j, v := range row {
 		if j > 0 {
 			b = append(b, 0x1f)
 		}
 		if v.K == data.KindFloat {
-			b = strconv.AppendFloat(b, v.Float(), 'g', 6, 64)
+			f := v.Float()
+			if f == 0 {
+				f = 0 // -0 == 0
+			}
+			b = strconv.AppendFloat(b, f, 'g', 6, 64)
 		} else {
 			b = strs.Append(b, v)
 		}

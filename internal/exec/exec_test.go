@@ -2,6 +2,7 @@ package exec_test
 
 import (
 	"context"
+	"math"
 	"math/big"
 	"strings"
 	"testing"
@@ -292,6 +293,62 @@ func TestDigestIgnoresRowOrder(t *testing.T) {
 	desc := runSQL(t, db, "SELECT oid FROM ord ORDER BY oid DESC")
 	if asc.Digest() != desc.Digest() {
 		t.Error("unordered digest should ignore row order")
+	}
+}
+
+// TestNegativeZeroGroupDigest: -0 and 0 are one group key, and whichever
+// of them a plan's group keeps, every plan must give the row one digest
+// and pass Prepared.Check against the optimal plan, with one key and
+// with two, over both aggregate implementations.
+func TestNegativeZeroGroupDigest(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	db := keyDB(t, keyTable{
+		name: "z",
+		cols: []catalog.Column{
+			{Name: "zid", Kind: data.KindInt}, {Name: "zf", Kind: data.KindFloat},
+			{Name: "zg", Kind: data.KindInt}, {Name: "zv", Kind: data.KindInt},
+		},
+		// An index scan on zid reads 0 first, a table scan -0.
+		rows: [][]any{{2, negZero, 1, 1}, {1, 0.0, 1, 2}, {3, negZero, 1, 4}, {4, 1.5, 1, 8}},
+	})
+	for _, q := range []string{
+		"SELECT zf, SUM(zv) AS s FROM z GROUP BY zf",
+		"SELECT zf, zg, SUM(zv) AS s FROM z GROUP BY zf, zg",
+	} {
+		p, err := engine.New(db).Prepare(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref, err := p.Execute(p.OptimalPlan())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(ref.Rows) != 2 {
+			t.Fatalf("%s: %d groups, want 2: %v", q, len(ref.Rows), rowStrings(ref))
+		}
+		used := map[memo.OpKind]int{}
+		err = p.Space.Enumerate(func(r *big.Int, pl *plan.Node) bool {
+			res, err := p.Execute(pl)
+			if err != nil {
+				t.Fatalf("plan %s: %v", r, err)
+			}
+			if err := p.Check(res, ref); err != nil {
+				t.Errorf("%s plan %s: %v", q, r, err)
+			}
+			if res.Digest() != ref.Digest() {
+				t.Errorf("%s plan %s digests %v apart from the optimal plan's %v", q, r, rowStrings(res), rowStrings(ref))
+			}
+			for _, op := range pl.Operators() {
+				used[op.Op]++
+			}
+			return true
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if used[memo.HashAgg] == 0 || used[memo.StreamAgg] == 0 {
+			t.Errorf("%s: plan space lacks an aggregate implementation: %v", q, used)
+		}
 	}
 }
 

@@ -164,10 +164,9 @@ func TestHashJoinIntFloatKeys(t *testing.T) {
 	}
 }
 
-// TestHashKeysStringCodes: a string join key hashes by its 8-byte code
-// when it is the only key and through the byte encoder beside another
-// key; both must find every equal-text pair, never join NULL keys, and
-// group NULL keys together.
+// TestHashKeysStringCodes: a string key hashes by its 8-byte code, as
+// the only key and beside another key; both must find every equal-text
+// pair, never join NULL keys, and group NULL keys together.
 func TestHashKeysStringCodes(t *testing.T) {
 	db := keyDB(t,
 		keyTable{name: "a", cols: []catalog.Column{
@@ -181,21 +180,22 @@ func TestHashKeysStringCodes(t *testing.T) {
 			{"x", int64(1)}, {nil, int64(3)}, {"y", int64(9)}, {"w", int64(2)},
 		}},
 	)
-	// One key: the word path.
+	// One key: one word.
 	used := allPlansReturn(t, db, "SELECT ai, bi FROM a, b WHERE sa = sb", []string{
 		"1|1", "4|1", "2|9",
 	})
 	if used[memo.HashJoin] == 0 {
 		t.Errorf("plan space lacks a hash join: %v", used)
 	}
-	// Two keys: the byte encoder.
+	// Two keys: a word each.
 	used = allPlansReturn(t, db, "SELECT ai, bi FROM a, b WHERE sa = sb AND ai = bi", []string{
 		"1|1",
 	})
 	if used[memo.HashJoin] == 0 {
 		t.Errorf("plan space lacks a hash join: %v", used)
 	}
-	// Grouping by a string: NULL keys form one group on both paths.
+	// Grouping by a string: NULL keys form one group, alone and beside
+	// another key.
 	allPlansReturn(t, db, "SELECT sa, COUNT(ai) AS n FROM a GROUP BY sa", []string{
 		"NULL|1", "x|2", "y|1", "zz|1",
 	})
@@ -205,9 +205,9 @@ func TestHashKeysStringCodes(t *testing.T) {
 }
 
 // TestMultiColumnKeysKeepIntAndZeroRules runs the 2^53 and -0 cases
-// through the byte encoder, next to the single-key tests above that take
-// the 8-byte path: 2^53 and 2^53+1 stay apart as int64 group and join
-// keys, and -0 joins 0 as a float key.
+// through two-column keys, next to the single-key tests above: 2^53 and
+// 2^53+1 stay apart as int64 group and join keys, and -0 joins 0 as a
+// float key.
 func TestMultiColumnKeysKeepIntAndZeroRules(t *testing.T) {
 	const k = int64(1) << 53
 	db := keyDB(t,

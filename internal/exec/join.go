@@ -140,24 +140,25 @@ func extractKey(keys []data.Value, r data.Row, pos []int) (null bool) {
 	return null
 }
 
-// hashTable is a hash join's build side: its rows, k key words per row
-// (keyWords), and bucket chains over them. It is sized from the rows
-// already materialized, so it never grows: heads has a power-of-two
-// length of at least the row count, and next links each bucket's rows
-// in build order. The rows of one bucket whose words equal a probe
-// key's are therefore the probe's matches in the order the build input
-// produced them.
+// hashTable is the executor's one hash index: entries of k key words
+// each, chained into buckets by Fibonacci hashing. A hash join appends
+// its materialized build side's words and indexes them once, so heads
+// has a power-of-two length of at least the entry count and each chain
+// lists its bucket's rows in build order: the entries of one bucket
+// whose words equal a probe key's are the probe's matches in the order
+// the build input produced them. Hash aggregation adds one entry per
+// group, and the buckets double whenever entries would outnumber them.
 type hashTable struct {
-	rows  []data.Row
-	words []uint64
-	heads []int32 // per bucket: its first row, or -1
-	next  []int32 // per row: the next row of its bucket, or -1
-	shift uint    // 64 - log2(len(heads))
+	k     int      // key words per entry
+	words []uint64 // entry i's key: words[i*k : i*k+k]
+	heads []int32  // per bucket: its first entry, or -1
+	next  []int32  // per entry: the next entry of its bucket, or -1
+	shift uint     // 64 - log2(len(heads))
 }
 
-// index chains the rows into buckets.
-func (h *hashTable) index(k int) {
-	n := len(h.rows)
+// index chains every entry into buckets, at least as many as entries.
+func (h *hashTable) index() {
+	n := len(h.words) / h.k
 	bits := 0
 	for 1<<bits < n {
 		bits++
@@ -167,11 +168,30 @@ func (h *hashTable) index(k int) {
 	for b := range h.heads {
 		h.heads[b] = -1
 	}
-	h.next = make([]int32, n)
+	h.next = slices.Grow(h.next[:0], n)[:n]
 	for i := n - 1; i >= 0; i-- {
-		b := h.bucket(h.words[i*k : i*k+k])
+		b := h.bucket(h.words[i*h.k : i*h.k+h.k])
 		h.next[i], h.heads[b] = h.heads[b], int32(i)
 	}
+}
+
+// add appends an entry with key's words and returns it.
+func (h *hashTable) add(key []uint64) int32 {
+	i := int32(len(h.next))
+	h.words = append(h.words, key...)
+	if len(h.next) >= len(h.heads) {
+		h.index()
+		return i
+	}
+	b := h.bucket(key)
+	h.next = append(h.next, h.heads[b])
+	h.heads[b] = i
+	return i
+}
+
+// find returns the first entry whose key words equal key, or -1.
+func (h *hashTable) find(key []uint64) int32 {
+	return h.seek(h.heads[h.bucket(key)], key)
 }
 
 // bucket hashes key words by Fibonacci hashing: the product's top bits
@@ -184,8 +204,8 @@ func (h *hashTable) bucket(key []uint64) int {
 	return int(x >> h.shift)
 }
 
-// seek returns the first row from i on along its bucket's chain whose
-// key words equal key, or -1. Rows with other words share the bucket
+// seek returns the first entry from i on along its bucket's chain whose
+// key words equal key, or -1. Entries with other words share the bucket
 // only by their hash and are passed over unexamined.
 func (h *hashTable) seek(i int32, key []uint64) int32 {
 	if k := len(key); k > 1 {
@@ -216,6 +236,7 @@ type hashJoinIter struct {
 	out         joinRow
 	key         []uint64 // the key words of the row being added or probed
 
+	rows  []data.Row // the build side: entry i of table is rows[i]
 	table *hashTable
 	cand  int32 // next build row matching the current probe row, or -1
 }
@@ -229,7 +250,8 @@ func (j *hashJoinIter) Open(ctx context.Context) error {
 		if err := j.left.Open(ctx); err != nil {
 			return err
 		}
-		h := &hashTable{}
+		h := &hashTable{k: len(j.key)}
+		var rows []data.Row
 		store := newRowStore(j.left)
 		for {
 			lr, ok, err := j.left.Next()
@@ -242,14 +264,14 @@ func (j *hashJoinIter) Open(ctx context.Context) error {
 			if j.apart || !keyWords(j.key, lr, j.lPos, j.viaFloat) {
 				continue // the row can never join
 			}
-			h.rows = append(h.rows, store.keep(lr))
+			rows = append(rows, store.keep(lr))
 			h.words = append(h.words, j.key...)
 		}
 		if err := j.left.Close(); err != nil {
 			return err
 		}
-		h.index(len(j.key))
-		j.table = h
+		h.index()
+		j.rows, j.table = rows, h
 	}
 	return j.right.Open(ctx)
 }
@@ -259,7 +281,7 @@ func (j *hashJoinIter) Next() (data.Row, bool, error) {
 	for {
 		if j.cand >= 0 {
 			i := j.cand
-			j.out.setLeft(t.rows[i])
+			j.out.setLeft(j.rows[i])
 			j.cand = t.seek(t.next[i], j.key)
 			keep, err := j.pred.keep(j.out.row)
 			if err != nil {
@@ -285,7 +307,7 @@ func (j *hashJoinIter) Next() (data.Row, bool, error) {
 		if !keyWords(j.key, rr, j.rPos, j.viaFloat) {
 			continue
 		}
-		if j.cand = t.seek(t.heads[t.bucket(j.key)], j.key); j.cand >= 0 {
+		if j.cand = t.find(j.key); j.cand >= 0 {
 			j.out.setRight(rr)
 		}
 	}
