@@ -103,17 +103,17 @@ func (a *aggAcc) final() data.Value {
 // aggregate (no GROUP BY) is one keyless group.
 type aggIter struct {
 	opNode
-	child   Iterator
-	stream  bool
-	scalar  bool
-	keyFns  []evalFunc
-	argFns  []evalFunc // nil entry = COUNT(*)
-	aggs    []*algebra.AggExpr
-	outCols int
-	keys    []data.Value  // the current input row's group key
-	key     []uint64      // its words
-	cur     []uint64      // the stream variant's current group's words
-	strs    *data.Strings // orders MIN/MAX strings by text
+	child  Iterator
+	stream bool
+	scalar bool
+	keyFns []evalFunc
+	argFns []evalFunc // nil entry = COUNT(*)
+	aggs   []*algebra.AggExpr
+	keys   []data.Value  // the current input row's group key
+	key    []uint64      // its words
+	cur    []uint64      // the stream variant's current group's words
+	strs   *data.Strings // orders MIN/MAX strings by text
+	out    data.Row      // reused output row
 
 	table   hashTable
 	gkeys   []data.Value
@@ -121,8 +121,6 @@ type aggIter struct {
 	groups  int
 	emitPos int
 	done    bool // the input is consumed
-
-	rows rowStore // output rows
 }
 
 func (b *builder) buildAgg(e *memo.Expr, child Iterator, cs schema) (Iterator, schema, error) {
@@ -153,17 +151,17 @@ func (b *builder) buildAgg(e *memo.Expr, child Iterator, cs schema) (Iterator, s
 	w := groupWidth(len(keyFns))
 	words := make([]uint64, 2*w)
 	return &aggIter{
-		child:   child,
-		stream:  e.Op == memo.StreamAgg && len(q.GroupBy) > 0,
-		scalar:  len(q.GroupBy) == 0,
-		keyFns:  keyFns,
-		argFns:  argFns,
-		aggs:    q.Aggs,
-		outCols: len(out),
-		keys:    make([]data.Value, len(keyFns)),
-		key:     words[:w:w],
-		cur:     words[w:],
-		strs:    b.strs,
+		child:  child,
+		stream: e.Op == memo.StreamAgg && len(q.GroupBy) > 0,
+		scalar: len(q.GroupBy) == 0,
+		keyFns: keyFns,
+		argFns: argFns,
+		aggs:   q.Aggs,
+		keys:   make([]data.Value, len(keyFns)),
+		key:    words[:w:w],
+		cur:    words[w:],
+		strs:   b.strs,
+		out:    make(data.Row, len(out)),
 	}, out, nil
 }
 
@@ -232,18 +230,18 @@ func (a *aggIter) accumulate(g int, row data.Row) error {
 	return nil
 }
 
-// emitRow returns group g's output row and charges it.
+// emitRow writes group g's output row into out, returns it and charges
+// it.
 func (a *aggIter) emitRow(g int) (data.Row, error) {
 	if err := a.emit(); err != nil {
 		return nil, err
 	}
 	k, n := len(a.keys), len(a.aggs)
-	row := a.rows.alloc(a.outCols)
-	copy(row, a.gkeys[g*k:g*k+k])
+	copy(a.out, a.gkeys[g*k:g*k+k])
 	for i := range n {
-		row[k+i] = a.accs[g*n+i].final()
+		a.out[k+i] = a.accs[g*n+i].final()
 	}
-	return row, nil
+	return a.out, nil
 }
 
 func (a *aggIter) Next() (data.Row, bool, error) {

@@ -181,36 +181,52 @@ func TestOperatorCountersRecorded(t *testing.T) {
 // the tree remains open — the Governor audits each Open/Close
 // transition. Before the close-cascade fix, plans materializing inputs
 // inside Open (hash build, merge/sort loads) leaked their children on
-// exactly this path.
+// exactly this path. The ordered variant sorts on the failing
+// projection, which no child holds, so every plan's Result self-sorts
+// and the error comes from a projection inside the sort's load.
 func TestNoIteratorLeaksOnErrorPaths(t *testing.T) {
 	db := buildDB(t)
-	p, err := engine.New(db).Prepare("SELECT amount / (qty - qty) AS boom FROM ord, item WHERE oid = ioid")
-	if err != nil {
-		t.Fatal(err)
+	const query = "SELECT amount / (qty - qty) AS boom FROM ord, item WHERE oid = ioid"
+	for _, tc := range []struct {
+		name, sql string
+		selfSort  bool
+	}{
+		{"streaming", query, false},
+		{"self_sorting", query + " ORDER BY boom", true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			p, err := engine.New(db).Prepare(tc.sql)
+			if err != nil {
+				t.Fatal(err)
+			}
+			n := p.Count()
+			if !n.IsInt64() || n.Int64() > 100000 {
+				t.Fatalf("space too large for exhaustive leak check: %s", n)
+			}
+			checked := 0
+			err = p.Space.Enumerate(func(r *big.Int, pl *plan.Node) bool {
+				if selfSort := pl.Expr.Op == memo.Result && !pl.Expr.SortOrder.IsNone(); selfSort != tc.selfSort {
+					t.Fatalf("plan %s: self-sorting Result %v, want %v:\n%s", r, selfSort, tc.selfSort, pl)
+				}
+				_, runErr, gov := govern(t, p, pl, exec.Options{})
+				if runErr == nil || !strings.Contains(runErr.Error(), "division by zero") {
+					t.Fatalf("plan %s: expected division-by-zero, got %v", r, runErr)
+				}
+				if gov.OpenIterators() != 0 {
+					t.Fatalf("plan %s leaked %d open iterators:\n%s", r, gov.OpenIterators(), pl)
+				}
+				if gov.Opens() == 0 {
+					t.Fatalf("plan %s: lifecycle audit saw no opens", r)
+				}
+				checked++
+				return true
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Logf("leak-checked %d plans on the error path", checked)
+		})
 	}
-	n := p.Count()
-	if !n.IsInt64() || n.Int64() > 100000 {
-		t.Fatalf("space too large for exhaustive leak check: %s", n)
-	}
-	checked := 0
-	err = p.Space.Enumerate(func(r *big.Int, pl *plan.Node) bool {
-		_, runErr, gov := govern(t, p, pl, exec.Options{})
-		if runErr == nil || !strings.Contains(runErr.Error(), "division by zero") {
-			t.Fatalf("plan %s: expected division-by-zero, got %v", r, runErr)
-		}
-		if gov.OpenIterators() != 0 {
-			t.Fatalf("plan %s leaked %d open iterators:\n%s", r, gov.OpenIterators(), pl)
-		}
-		if gov.Opens() == 0 {
-			t.Fatalf("plan %s: lifecycle audit saw no opens", r)
-		}
-		checked++
-		return true
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("leak-checked %d plans on the error path", checked)
 }
 
 // TestNoIteratorLeaksOnTruncation: the same audit across every plan

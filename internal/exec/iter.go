@@ -27,8 +27,9 @@ type Iterator interface {
 	// Next returns the next row. ok is false at end of stream.
 	//
 	// The row is valid until the next Next or Close on the same
-	// iterator: joins write every output row into one reused buffer.
-	// A caller that keeps rows beyond that copies them (see rowStore);
+	// iterator: joins and aggregates write every output row into one
+	// reused buffer. A caller that keeps rows beyond that goes through
+	// load, which copies them when the child reuses its rows;
 	// RunWithOptions copies every row it returns.
 	Next() (row data.Row, ok bool, err error)
 	Close() error
@@ -111,7 +112,7 @@ func (b *builder) buildOp(n *plan.Node) (Iterator, schema, error) {
 		if err != nil {
 			return nil, nil, err
 		}
-		it, err := newSortIter(child, cs, e.SortOrder, b.strs)
+		it, err := newSortIter(child, cs, e.SortOrder, b.strs, nil)
 		return it, cs, err
 
 	case memo.Result:
@@ -128,37 +129,57 @@ func (b *builder) buildOp(n *plan.Node) (Iterator, schema, error) {
 
 // reusesRows reports whether it, as the child of another operator,
 // overwrites the row returned by one Next call on the next one. Joins
-// do; scans return stored table rows, and sorts and aggregates return
-// rows they never modify again. (The streaming Result reuses its row
-// too, but it is always the plan root.)
+// and aggregates do; scans return stored table rows, and sorts rows
+// they never modify again. (The streaming Result reuses its row too,
+// but it is always the plan root.)
 func reusesRows(it Iterator) bool {
 	switch it.(type) {
-	case *nlJoinIter, *hashJoinIter, *mergeJoinIter, *lookupJoinIter:
+	case *nlJoinIter, *hashJoinIter, *mergeJoinIter, *lookupJoinIter, *aggIter:
 		return true
 	}
 	return false
 }
 
-// rowStore holds the rows a materializing operator keeps (a hash
-// join's build side, a merge join's right input, a sort buffer). Rows
-// whose producer reuses them are copied into slabs that grow with the
-// input, so keeping n rows costs O(log n) allocations, not n.
-type rowStore struct {
-	copy bool // the producer reuses its rows: keep copies
-	slab []data.Value
-	size int // values in the last slab allocated
+// load opens child, appends every row it produces to rows and closes
+// it: the one way a materializing operator (a sort, a hash join's build
+// side, a merge join's right input) keeps its input. A kept row is
+// copied only when the child reuses its rows or proj is non-empty; the
+// copy is then the child's values followed by the projections' values
+// over them, carved from a rowStore.
+func load(ctx context.Context, child Iterator, rows []data.Row, proj []evalFunc) ([]data.Row, error) {
+	if err := child.Open(ctx); err != nil {
+		return rows, err
+	}
+	copied := len(proj) > 0 || reusesRows(child)
+	var store rowStore
+	for {
+		row, ok, err := child.Next()
+		if err != nil {
+			return rows, err
+		}
+		if !ok {
+			break
+		}
+		if copied {
+			kept := store.alloc(len(row) + len(proj))
+			copy(kept, row)
+			for i, f := range proj {
+				if kept[len(row)+i], err = f(row); err != nil {
+					return rows, err
+				}
+			}
+			row = kept
+		}
+		rows = append(rows, row)
+	}
+	return rows, child.Close()
 }
 
-func newRowStore(child Iterator) rowStore { return rowStore{copy: reusesRows(child)} }
-
-// keep returns r itself, or a copy of it when the producer reuses rows.
-func (s *rowStore) keep(r data.Row) data.Row {
-	if !s.copy {
-		return r
-	}
-	out := s.alloc(len(r))
-	copy(out, r)
-	return out
+// rowStore carves rows from slabs that grow with the rows carved, so
+// carving n rows costs O(log n) allocations, not n.
+type rowStore struct {
+	slab []data.Value
+	size int // values in the last slab allocated
 }
 
 // alloc returns a fresh row of n values carved from the current slab.

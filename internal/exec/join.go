@@ -247,31 +247,23 @@ func (j *hashJoinIter) Open(ctx context.Context) error {
 		return err
 	}
 	if j.table == nil {
-		if err := j.left.Open(ctx); err != nil {
+		rows, err := load(ctx, j.left, nil, nil)
+		if err != nil {
 			return err
 		}
 		h := &hashTable{k: len(j.key)}
-		var rows []data.Row
-		store := newRowStore(j.left)
-		for {
-			lr, ok, err := j.left.Next()
-			if err != nil {
-				return err
+		kept := rows[:0]
+		if !j.apart {
+			h.words = make([]uint64, 0, len(rows)*len(j.key))
+			for _, lr := range rows {
+				if keyWords(j.key, lr, j.lPos, j.viaFloat) { // else it can never join
+					kept = append(kept, lr)
+					h.words = append(h.words, j.key...)
+				}
 			}
-			if !ok {
-				break
-			}
-			if j.apart || !keyWords(j.key, lr, j.lPos, j.viaFloat) {
-				continue // the row can never join
-			}
-			rows = append(rows, store.keep(lr))
-			h.words = append(h.words, j.key...)
-		}
-		if err := j.left.Close(); err != nil {
-			return err
 		}
 		h.index()
-		j.rows, j.table = rows, h
+		j.rows, j.table = kept, h
 	}
 	return j.right.Open(ctx)
 }
@@ -348,21 +340,8 @@ func (j *mergeJoinIter) Open(ctx context.Context) error {
 		return err
 	}
 	if !j.loaded {
-		if err := j.right.Open(ctx); err != nil {
-			return err
-		}
-		store := newRowStore(j.right)
-		for {
-			rr, ok, err := j.right.Next()
-			if err != nil {
-				return err
-			}
-			if !ok {
-				break
-			}
-			j.rightRows = append(j.rightRows, store.keep(rr))
-		}
-		if err := j.right.Close(); err != nil {
+		var err error
+		if j.rightRows, err = load(ctx, j.right, nil, nil); err != nil {
 			return err
 		}
 		j.loaded = true

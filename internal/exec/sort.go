@@ -13,22 +13,30 @@ import (
 )
 
 // sortIter materializes its input and emits it ordered. It implements
-// the Sort enforcer. The sorted buffer is cached across re-Opens (the
-// input is deterministic within one execution), so a nested-loop parent
-// pays the sort once.
+// the Sort enforcer and the self-sorting Result. A Result's sort keys may
+// be computed output columns (ORDER BY revenue over SUM(...)), so its
+// sortIter keeps each input row followed by the projections' values
+// over it, sorts on that extended row and emits the projections only.
+// The sorted buffer is cached across re-Opens (the input is
+// deterministic within one execution), so a nested-loop parent pays the
+// sort once.
 type sortIter struct {
 	opNode
 	child  Iterator
 	keyPos []int
 	desc   []bool
 	strs   *data.Strings
+	proj   []evalFunc // the self-sorting Result's projections; nil for Sort
 
 	rows   []data.Row
 	loaded bool
 	pos    int
 }
 
-func newSortIter(child Iterator, in schema, order algebra.Ordering, strs *data.Strings) (Iterator, error) {
+// newSortIter returns a sortIter ordering child's rows by order. in is
+// the schema of the rows it keeps: the child's columns followed by the
+// columns proj computes.
+func newSortIter(child Iterator, in schema, order algebra.Ordering, strs *data.Strings, proj []evalFunc) (Iterator, error) {
 	keyPos := make([]int, len(order))
 	desc := make([]bool, len(order))
 	for i, oc := range order {
@@ -39,39 +47,25 @@ func newSortIter(child Iterator, in schema, order algebra.Ordering, strs *data.S
 		keyPos[i] = p
 		desc[i] = oc.Desc
 	}
-	return &sortIter{child: child, keyPos: keyPos, desc: desc, strs: strs}, nil
+	return &sortIter{child: child, keyPos: keyPos, desc: desc, strs: strs, proj: proj}, nil
 }
 
 func (s *sortIter) Open(ctx context.Context) error {
+	s.pos = 0
 	if err := s.enter(); err != nil {
 		return err
 	}
 	if s.loaded {
-		s.pos = 0
 		return nil
 	}
-	if err := s.child.Open(ctx); err != nil {
-		return err
-	}
-	store := newRowStore(s.child)
-	for {
-		row, ok, err := s.child.Next()
-		if err != nil {
-			return err
-		}
-		if !ok {
-			break
-		}
-		s.rows = append(s.rows, store.keep(row))
-	}
-	if err := s.child.Close(); err != nil {
+	var err error
+	if s.rows, err = load(ctx, s.child, s.rows, s.proj); err != nil {
 		return err
 	}
 	if err := sortRows(s.rows, s.keyPos, s.desc, s.strs); err != nil {
 		return err
 	}
 	s.loaded = true
-	s.pos = 0
 	return nil
 }
 
@@ -83,6 +77,9 @@ func (s *sortIter) Next() (data.Row, bool, error) {
 	s.pos++
 	if err := s.emit(); err != nil {
 		return nil, false, err
+	}
+	if n := len(s.proj); n > 0 {
+		row = row[len(row)-n:]
 	}
 	return row, true, nil
 }

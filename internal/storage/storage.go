@@ -107,7 +107,7 @@ func (t *Table) Insert(cells ...any) error {
 	}
 	t.Rows = append(t.Rows, row)
 	t.mu.Lock()
-	t.orders = make(map[string][]int32) // invalidate cached orderings
+	clear(t.orders) // invalidate cached orderings
 	t.mu.Unlock()
 	return nil
 }

@@ -302,12 +302,11 @@ func genOrdersAndLineitem(db *storage.DB, rows Rows, seed int64) error {
 	}
 	r := newRNG(uint64(seed) ^ 0x05)
 	nParts := len(part.Rows)
-	nSupp := RowsFor(0).Supplier // floor; recompute properly below
 	supplier, err := db.Table("supplier")
 	if err != nil {
 		return err
 	}
-	nSupp = len(supplier.Rows)
+	nSupp := len(supplier.Rows)
 	dateSpan := int(orderDateHi - orderDateLo)
 
 	for k := 1; k <= rows.Orders; k++ {
