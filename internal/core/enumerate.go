@@ -58,31 +58,3 @@ func wideIncInPlace(x []uint64) []uint64 {
 	}
 	return append(x, 1)
 }
-
-// All collects every plan of the space; callers must check Count first —
-// this is intended for the small spaces of unit tests and exhaustive
-// verification runs.
-func (s *Space) All() ([]*plan.Node, error) {
-	if !s.total.IsInt64() {
-		return nil, errTooLarge(s.total)
-	}
-	out := make([]*plan.Node, 0, s.total.Int64())
-	err := s.Enumerate(func(_ *big.Int, p *plan.Node) bool {
-		out = append(out, p)
-		return true
-	})
-	return out, err
-}
-
-func errTooLarge(n *big.Int) error {
-	return &SpaceTooLargeError{N: new(big.Int).Set(n)}
-}
-
-// SpaceTooLargeError reports an attempt to materialize a space whose size
-// exceeds what exhaustive enumeration can handle; callers should fall
-// back to sampling, which is the paper's point.
-type SpaceTooLargeError struct{ N *big.Int }
-
-func (e *SpaceTooLargeError) Error() string {
-	return "core: space holds " + e.N.String() + " plans; enumerate a range or sample instead"
-}

@@ -101,10 +101,7 @@ func MustParseDate(s string) int64 {
 	return d
 }
 
-// FormatDate renders a day number as an ISO 'YYYY-MM-DD' string.
-func FormatDate(days int64) string { return string(appendDate(nil, days)) }
-
-// appendDate appends FormatDate(days) to b.
+// appendDate appends a day number as an ISO 'YYYY-MM-DD' string to b.
 func appendDate(b []byte, days int64) []byte {
 	y, m, d := YMDFromDate(days)
 	b = appendPadded(b, y, 4)

@@ -6,6 +6,9 @@ import (
 	"testing/quick"
 )
 
+// FormatDate renders a day number as an ISO 'YYYY-MM-DD' string.
+func FormatDate(days int64) string { return string(appendDate(nil, days)) }
+
 func TestDateKnownValues(t *testing.T) {
 	cases := []struct {
 		s    string

@@ -4,6 +4,8 @@ import (
 	"container/list"
 	"fmt"
 	"sync"
+
+	"repro/internal/opt"
 )
 
 // DefaultCacheCapacity is the entry cap of the cache an Engine creates
@@ -38,7 +40,7 @@ type CacheStats struct {
 
 // flight is one singleflight build slot, the mechanism both cache tiers
 // share. It is published under the cache lock before its build runs, so
-// concurrent callers for the same fingerprint find it and wait on ready
+// concurrent callers for the same key find it and wait on ready
 // instead of building a second time. After ready closes, val and err
 // are immutable.
 type flight[T any] struct {
@@ -91,16 +93,16 @@ func (f *flight[T]) run(c *SpaceCache, fp Fingerprint, build func() (T, error), 
 }
 
 // cacheEntry is one structure fingerprint's slot. Its overlays map
-// holds the cost overlays built over the structure, keyed by overlay
-// fingerprint and guarded by the cache lock; they live exactly as long
-// as the entry.
+// holds the cost overlays built over the structure, keyed by overlayKey
+// and guarded by the cache lock; they live exactly as long as the
+// entry.
 type cacheEntry struct {
 	flight[*StructureSpace]
 	fp       Fingerprint
 	version  uint64 // catalog schema version the space was built against
 	bytes    int64  // estimated structure size, set when the build completes
 	elem     *list.Element
-	overlays map[Fingerprint]*overlayEntry
+	overlays map[overlayKey]*flight[*opt.Costing]
 }
 
 // SpaceCache is a concurrency-safe LRU of counted plan spaces keyed by
@@ -199,7 +201,7 @@ func (c *SpaceCache) entry(fp Fingerprint, version uint64, build func() (*Struct
 		flight:   newFlight[*StructureSpace](),
 		fp:       fp,
 		version:  version,
-		overlays: make(map[Fingerprint]*overlayEntry),
+		overlays: make(map[overlayKey]*flight[*opt.Costing]),
 	}
 	e.elem = c.lru.PushFront(e)
 	c.entries[fp] = e

@@ -21,7 +21,9 @@ func fp(b byte) Fingerprint {
 // tier drives one of the cache's two singleflight tiers through a
 // common shape, so one test body covers both: get looks up slot b and
 // runs build on a miss; stats reads the tier's counters. The overlay
-// tier's slots live in the entry of one resident structure.
+// tier's slots live in the entry of one resident structure, keyed by
+// overlayKey{store: b}: overlays of distinct stores never supersede
+// each other.
 type tier struct {
 	name  string
 	get   func(c *SpaceCache, b byte, build func() error) (any, bool, error)
@@ -52,11 +54,11 @@ var tiers = []tier{
 			if err != nil {
 				return nil, false, err
 			}
-			return c.overlay(e, fp(b), overlayKey{}, func() (*CostOverlay, error) {
+			return c.overlay(e, overlayKey{store: uint64(b)}, func() (*opt.Costing, error) {
 				if err := build(); err != nil {
 					return nil, err
 				}
-				return &CostOverlay{}, nil
+				return &opt.Costing{}, nil
 			})
 		},
 		stats: func(c *SpaceCache) (uint64, uint64, int) {
@@ -272,23 +274,23 @@ func TestOverlayBuildOutlivesEvictedStructure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := &CostOverlay{}
+	want := &opt.Costing{}
 	started, release := make(chan struct{}), make(chan struct{})
-	got := make(chan *CostOverlay, 2) // the builder and one waiter
-	lookup := func(build func() (*CostOverlay, error)) {
-		ov, _, err := c.overlay(e, fp(9), overlayKey{}, build)
+	got := make(chan *opt.Costing, 2) // the builder and one waiter
+	lookup := func(build func() (*opt.Costing, error)) {
+		ov, _, err := c.overlay(e, overlayKey{store: 9}, build)
 		if err != nil {
 			t.Error(err)
 		}
 		got <- ov
 	}
-	go lookup(func() (*CostOverlay, error) {
+	go lookup(func() (*opt.Costing, error) {
 		close(started)
 		<-release
 		return want, nil
 	})
 	<-started
-	go lookup(func() (*CostOverlay, error) {
+	go lookup(func() (*opt.Costing, error) {
 		t.Error("a waiter rebuilt an overlay already in flight")
 		return nil, errors.New("second build")
 	})

@@ -8,18 +8,18 @@
 // ONE cache — each SpaceCache entry carries its structure's overlays:
 //
 //	parse → structure fingerprint → SpaceCache entry      → [bind → expand → count]
-//	      → overlay  fingerprint  → the entry's overlays → [re-cost in place]
+//	      → overlay key           → the entry's overlays → [re-cost in place]
 //
 // The structure layer — the bound query, the expanded MEMO, and the
 // counted space with its unrank tables — depends only on the canonical
 // SQL, the rule configuration, and the catalog schema, so it survives
-// every cost-side change. The overlay layer — per-group cardinalities,
-// per-operator costs, the optimal plan and its rank — depends
-// additionally on the cost parameters, the catalog statistics version,
-// and the feedback store and its epoch. A statistics refresh or an
-// applied feedback round therefore re-costs a cached structure in place
-// (milliseconds) instead of re-preparing it (parse, bind, optimize,
-// count).
+// every cost-side change. The overlay layer — an opt.Costing: per-group
+// cardinalities, per-operator costs, the optimal plan and its rank —
+// depends additionally on the catalog statistics version and the
+// feedback store and its epoch, the three fields of the overlay key it
+// is cached under. A statistics refresh or an applied feedback round
+// therefore re-costs a cached structure in place (milliseconds) instead
+// of re-preparing it (parse, bind, optimize, count).
 //
 // The feedback epoch is what closes the adaptive re-optimization loop:
 // executions record (operator, estimated vs. observed cardinality)
@@ -31,7 +31,7 @@
 //
 // Sessions are the unit of configuration: an Engine owns the database,
 // the shared cache, and the feedback store, a Session owns one
-// rule/cost configuration, and Session.Prepare is the single
+// rule configuration, and Session.Prepare is the single
 // preparation path in the codebase — Engine.Prepare, the experiments,
 // the CLIs, and the plan-space server all go through it; Prepared.Select
 // and Prepared.Check are likewise the one plan selection and result check.
@@ -46,7 +46,6 @@ import (
 
 	"repro/internal/algebra"
 	"repro/internal/core"
-	"repro/internal/cost"
 	"repro/internal/exec"
 	"repro/internal/feedback"
 	"repro/internal/opt"
@@ -77,17 +76,12 @@ func WithRules(cfg rules.Config) Option {
 	return func(s *settings) { s.opts.Rules = cfg }
 }
 
-// WithCostParams replaces the cost model constants.
-func WithCostParams(p cost.Params) Option {
-	return func(s *settings) { s.opts.Params = p }
-}
-
 // WithCache makes the engine serve prepared structures and their cost
 // overlays out of c instead of a private cache — the way several engines
 // over one database (or one database under several rule configs) share
 // counting work. Overlays stay per engine where they must: each engine
-// has its own feedback store, and an overlay's fingerprint names the
-// store whose corrections it was costed with. Ignored by
+// has its own feedback store, and an overlay's key names the store
+// whose corrections it was costed with. Ignored by
 // Engine.Session, where the engine's cache is already fixed.
 func WithCache(c *SpaceCache) Option {
 	return func(s *settings) { s.cache = c }
@@ -163,7 +157,7 @@ func (e *Engine) Prepare(sqlText string) (*Prepared, error) {
 	return e.Session().Prepare(sqlText)
 }
 
-// Session is one rule/cost configuration over an engine's database and
+// Session is one rule configuration over an engine's database and
 // caches. Its Prepare method is the codebase's single preparation path.
 type Session struct {
 	engine *Engine
@@ -184,8 +178,8 @@ func (s *Session) Options() opt.Options { return s.opts }
 // the catalog schema. One StructureSpace
 // is safe for any number of concurrent readers (counting, unranking,
 // ranking, enumerating); it carries NO costs — those live in the
-// CostOverlay attached on demand — so any number of costings can share
-// it. It is what the SpaceCache stores and what every Prepared
+// opt.Costing overlays attached on demand — so any number of costings
+// can share it. It is what the SpaceCache stores and what every Prepared
 // statement for the same structure fingerprint shares.
 type StructureSpace struct {
 	*opt.Structure
@@ -214,32 +208,14 @@ func (s *Session) buildStructure(canonical string, stmt *sql.SelectStmt, fp Fing
 	return &StructureSpace{Structure: st, Fingerprint: fp, Canonical: canonical, Space: space}, nil
 }
 
-// recost runs the overlay-miss stage over an existing structure:
-// estimate cardinalities (under the given immutable feedback view —
-// the one whose epoch is baked into ofp, NOT the store's live factors,
-// which a concurrent Apply may already have advanced), derive operator
-// costs, solve for the optimal plan, and rank it. This is the cheap
-// path a statistics refresh, cost-parameter change, or feedback
-// application pays instead of a full Prepare.
-func (s *Session) recost(ss *StructureSpace, ofp Fingerprint, epoch uint64, view map[string]float64) (*CostOverlay, error) {
-	costing, err := ss.Cost(ss.Space, s.opts.Params, ss.factors(view))
-	if err != nil {
-		return nil, err
-	}
-	rank, err := ss.Space.Rank(costing.Best)
-	if err != nil {
-		return nil, err
-	}
-	return &CostOverlay{Fingerprint: ofp, Costing: costing, Epoch: epoch, OptimalRank: rank}, nil
-}
-
 // Prepare runs the staged pipeline. Parsing and fingerprinting always
 // run; binding, expansion, and counting run only when the structure
 // fingerprint misses the SpaceCache, and costing runs only when the
-// overlay fingerprint misses the structure entry's overlays. Concurrent
-// calls for one fingerprint share a single build at each layer, and all
-// Prepared statements for it share one StructureSpace and one
-// CostOverlay.
+// overlay key misses the structure entry's overlays. Costing is the
+// cheap re-cost a statistics refresh or a feedback application pays
+// instead of a full Prepare. Concurrent calls for one fingerprint and
+// key share a single build at each layer, and all Prepared statements
+// for them share one StructureSpace and one opt.Costing.
 func (s *Session) Prepare(sqlText string) (*Prepared, error) {
 	stmt, err := sql.Parse(sqlText)
 	if err != nil {
@@ -268,25 +244,24 @@ func (s *Session) Prepare(sqlText string) (*Prepared, error) {
 	// Same single-read discipline for the overlay's inputs. The epoch
 	// and its factor view come out of the store atomically: costing
 	// with the live factors instead would let an ApplyFeedback that
-	// lands mid-build cache a costing under a fingerprint whose epoch
-	// it does not match.
+	// lands mid-build cache a costing under a key whose epoch it does
+	// not match.
 	epoch, view := s.engine.fb.EpochView()
 	key := overlayKey{store: s.engine.fb.ID(), statsVersion: cat.StatsVersion(), epoch: epoch}
-	ofp := overlayFingerprintOf(sfp, s.opts.Params, key)
-	ov, oCached, err := s.engine.cache.overlay(ent, ofp, key, func() (*CostOverlay, error) {
-		return s.recost(ss, ofp, epoch, view)
+	costing, oCached, err := s.engine.cache.overlay(ent, key, func() (*opt.Costing, error) {
+		return ss.Cost(ss.Space, ss.factors(view))
 	})
 	if err != nil {
 		return nil, err
 	}
 
 	p := &Prepared{
-		Opt:           ov.Costing,
+		Opt:           costing,
 		Space:         ss.Space,
 		Shared:        ss,
-		Overlay:       ov,
 		Cached:        sCached,
 		OverlayCached: oCached,
+		epoch:         epoch,
 		engine:        s.engine,
 	}
 	if stmt.Option != nil {
@@ -305,26 +280,30 @@ func (s *Session) Prepare(sqlText string) (*Prepared, error) {
 // Prepared is a parsed, optimized, and counted query: the frozen search
 // space plus the optimal plan, ready for counting, unranking, sampling,
 // and execution. Space aliases the shared StructureSpace's; Opt is the
-// shared CostOverlay's costing (its Memo is the structure's) — both
-// layers are immutable and may be shared with every other Prepared of
-// the same fingerprints.
+// cached cost overlay attached to it (its Memo is the structure's) —
+// both layers are immutable and may be shared with every other Prepared
+// of the same fingerprint and overlay key.
 type Prepared struct {
 	Opt   *opt.Costing
 	Space *core.Space
 
-	// Shared is the cached StructureSpace this statement runs against;
-	// Overlay is the cached cost overlay attached to it. Cached reports
-	// whether Prepare found the structure in the cache (false when this
-	// call built it); OverlayCached the same for the overlay — a
-	// (Cached, !OverlayCached) statement paid a cheap re-cost, not a
+	// Shared is the cached StructureSpace this statement runs against.
+	// Cached reports whether Prepare found the structure in the cache
+	// (false when this call built it); OverlayCached the same for Opt —
+	// a (Cached, !OverlayCached) statement paid a cheap re-cost, not a
 	// full Prepare.
 	Shared        *StructureSpace
-	Overlay       *CostOverlay
 	Cached        bool
 	OverlayCached bool
 
 	// UsePlan is the plan number from OPTION (USEPLAN n), nil if absent.
 	UsePlan *big.Int
+
+	// epoch is the feedback epoch whose correction view Opt was costed
+	// with. Executions tag their recorded observations with it, so
+	// ratios measured against Opt's estimates are never folded on top
+	// of corrections from a newer epoch.
+	epoch uint64
 
 	engine *Engine
 }
@@ -350,7 +329,7 @@ func (p *Prepared) OptimalCost() float64 { return p.Opt.BestCost }
 // OptimalRank answers "what number does the optimizer's own choice
 // carry?". The rank is precomputed at overlay build; callers must not
 // mutate it.
-func (p *Prepared) OptimalRank() (*big.Int, error) { return p.Overlay.OptimalRank, nil }
+func (p *Prepared) OptimalRank() (*big.Int, error) { return p.Opt.OptimalRank, nil }
 
 // Unrank returns plan number r.
 func (p *Prepared) Unrank(r *big.Int) (*plan.Node, error) { return p.Space.Unrank(r) }
@@ -407,7 +386,7 @@ func (p *Prepared) ExecuteWith(ctx context.Context, n *plan.Node, opts exec.Opti
 func (p *Prepared) Select(rank *big.Int) (*big.Int, *plan.Node, error) {
 	if rank == nil {
 		if p.UsePlan == nil {
-			return p.Overlay.OptimalRank, p.Opt.Best, nil
+			return p.Opt.OptimalRank, p.Opt.Best, nil
 		}
 		rank = p.UsePlan
 	}

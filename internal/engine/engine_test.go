@@ -108,8 +108,8 @@ func TestRunWithoutOptionUsesOptimal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if exe.Rank.Cmp(exe.Prepared.Overlay.OptimalRank) != 0 {
-		t.Errorf("ran plan %s, want the optimal %s", exe.Rank, exe.Prepared.Overlay.OptimalRank)
+	if exe.Rank.Cmp(exe.Prepared.Opt.OptimalRank) != 0 {
+		t.Errorf("ran plan %s, want the optimal %s", exe.Rank, exe.Prepared.Opt.OptimalRank)
 	}
 	res := exe.Result
 	if len(res.Rows) != 5 || res.Strings.Text(res.Rows[0][0]) != "AFRICA" {

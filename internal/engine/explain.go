@@ -12,7 +12,7 @@ import (
 // overlay's cost annotations (cards and local costs live in the cost
 // overlay, not in the shared memo).
 func (p *Prepared) ExportJSON() ([]byte, error) {
-	c := p.Overlay.Costing
+	c := p.Opt
 	return p.Space.ExportJSONAnnotated(
 		c.Tables.CardOf,
 		func(e *memo.Expr) float64 {
@@ -30,41 +30,25 @@ func (p *Prepared) ExportJSON() ([]byte, error) {
 // operator's own cost contribution. It also returns the plan's total
 // cost under the overlay — the cumulative cost of the root line.
 func (p *Prepared) Explain(n *plan.Node) (string, float64, error) {
-	costs, err := p.subtreeCosts(nil, n)
+	var buf plan.CostBuf
+	total, err := n.CostWith(p.Opt.Tables, &buf)
 	if err != nil {
 		return "", 0, err
 	}
-	next := 0
-	return string(p.appendExplain(nil, n, 0, costs, &next)), costs[0], nil
+	b, err := p.appendExplain(nil, n, 0, &buf)
+	if err != nil {
+		return "", 0, err
+	}
+	return string(b), total, nil
 }
 
-// subtreeCosts appends the cost of every subtree of n to costs in
-// preorder, so costs[i] belongs to the tree's i-th line. One post-order
-// pass combines each node's cost from its children's.
-func (p *Prepared) subtreeCosts(costs []float64, n *plan.Node) ([]float64, error) {
-	at := len(costs)
-	costs = append(costs, 0)
-	var buf [2]float64
-	children := buf[:0]
-	for _, c := range n.Children {
-		ci := len(costs)
-		var err error
-		if costs, err = p.subtreeCosts(costs, c); err != nil {
-			return nil, err
-		}
-		children = append(children, costs[ci])
-	}
-	total, err := p.Opt.Tables.Combine(n.Expr, children)
+// appendExplain appends the lines of the subtree rooted at n, costing
+// each line's subtree on buf.
+func (p *Prepared) appendExplain(b []byte, n *plan.Node, depth int, buf *plan.CostBuf) ([]byte, error) {
+	cost, err := n.CostWith(p.Opt.Tables, buf)
 	if err != nil {
 		return nil, err
 	}
-	costs[at] = total
-	return costs, nil
-}
-
-// appendExplain appends the lines of the subtree rooted at n; *next is
-// the preorder index of n's line in costs.
-func (p *Prepared) appendExplain(b []byte, n *plan.Node, depth int, costs []float64, next *int) []byte {
 	e := n.Expr
 	for i := 0; i < depth; i++ {
 		b = append(b, "  "...)
@@ -76,17 +60,18 @@ func (p *Prepared) appendExplain(b []byte, n *plan.Node, depth int, costs []floa
 	start = len(b) + len(" rows=")
 	b = padRight(strconv.AppendFloat(append(b, " rows="...), p.Opt.Tables.CardOf(e.Group), 'f', 0, 64), start, 10)
 	start = len(b) + len(" cost=")
-	b = padRight(strconv.AppendFloat(append(b, " cost="...), costs[*next], 'f', 2, 64), start, 12)
+	b = padRight(strconv.AppendFloat(append(b, " cost="...), cost, 'f', 2, 64), start, 12)
 	b = strconv.AppendFloat(append(b, " self="...), p.Opt.Tables.Locals[e.ID], 'f', 2, 64)
 	if !e.Delivered.IsNone() {
 		b = e.Delivered.AppendTo(append(b, " delivers="...))
 	}
 	b = append(b, '\n')
-	*next++
 	for _, c := range n.Children {
-		b = p.appendExplain(b, c, depth+1, costs, next)
+		if b, err = p.appendExplain(b, c, depth+1, buf); err != nil {
+			return nil, err
+		}
 	}
-	return b
+	return b, nil
 }
 
 // padRight left-justifies b[start:] in a field of width characters, as

@@ -77,7 +77,7 @@ func (ss *StructureSpace) feedbackKeys() []string {
 // and join groups, so looking up their keys finds every factor that
 // applies. An empty view gives nil and renders no keys. The view, not
 // the live store, is consulted, so an overlay is costed with exactly
-// the factors of the epoch baked into its fingerprint even when a
+// the factors of the epoch in its overlay key even when a
 // concurrent ApplyFeedback advances the store mid-build.
 func (ss *StructureSpace) factors(view map[string]float64) map[algebra.RelSet]float64 {
 	if len(view) == 0 {
@@ -145,7 +145,7 @@ func (e *Engine) recordExecution(p *Prepared, res *exec.Result) {
 		if g == nil || g.Kind != memo.GroupScan {
 			continue
 		}
-		est := p.Overlay.Costing.Tables.CardOf(g)
+		est := p.Opt.Tables.CardOf(g)
 		if est <= 0 {
 			continue
 		}
@@ -160,7 +160,7 @@ func (e *Engine) recordExecution(p *Prepared, res *exec.Result) {
 		if g == nil {
 			continue
 		}
-		est := p.Overlay.Costing.Tables.CardOf(g)
+		est := p.Opt.Tables.CardOf(g)
 		obs := observed(op)
 		// Observations carry the overlay's epoch: the store drops them
 		// if a fold landed while this execution was in flight (their
@@ -168,7 +168,7 @@ func (e *Engine) recordExecution(p *Prepared, res *exec.Result) {
 		// the new factors).
 		switch g.Kind {
 		case memo.GroupScan:
-			e.fb.Record(keys[g.ID], est, obs, p.Overlay.Epoch)
+			e.fb.Record(keys[g.ID], est, obs, p.epoch)
 		case memo.GroupJoin:
 			baseline := est
 			for rel := range g.RelSet.All() {
@@ -176,7 +176,7 @@ func (e *Engine) recordExecution(p *Prepared, res *exec.Result) {
 					baseline *= r
 				}
 			}
-			e.fb.Record(keys[g.ID], baseline, obs, p.Overlay.Epoch)
+			e.fb.Record(keys[g.ID], baseline, obs, p.epoch)
 		}
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/catalog"
-	"repro/internal/cost"
 	"repro/internal/data"
 	"repro/internal/engine"
 	"repro/internal/exec"
@@ -25,27 +24,6 @@ func TestOverlayInvalidationTiers(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	t.Run("cost params recost only", func(t *testing.T) {
-		p := cost.Default()
-		p.CPUTuple *= 2
-		pp, err := e.Session(engine.WithCostParams(p)).Prepare(smallJoin)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !pp.Cached || pp.Shared != base.Shared {
-			t.Error("cost-parameter change rebuilt the structure")
-		}
-		if pp.OverlayCached || pp.Overlay == base.Overlay {
-			t.Error("cost-parameter change reused the old overlay")
-		}
-		if pp.Fingerprint() != base.Fingerprint() {
-			t.Error("structure fingerprint depends on cost params")
-		}
-		if pp.Overlay.Fingerprint == base.Overlay.Fingerprint {
-			t.Error("overlay fingerprint ignores cost params")
-		}
-	})
-
 	t.Run("feedback epoch recosts only", func(t *testing.T) {
 		invBefore := e.Overlays().Stats().Invalidations
 		if _, epoch := e.ApplyFeedback(); epoch == 0 {
@@ -58,7 +36,7 @@ func TestOverlayInvalidationTiers(t *testing.T) {
 		if !pp.Cached || pp.Shared != base.Shared {
 			t.Error("feedback application rebuilt the structure")
 		}
-		if pp.OverlayCached || pp.Overlay == base.Overlay {
+		if pp.OverlayCached || pp.Opt == base.Opt {
 			t.Error("feedback application reused the stale overlay")
 		}
 		if e.Overlays().Stats().Invalidations <= invBefore {
@@ -248,8 +226,8 @@ func TestFeedbackStoresDoNotShareOverlays(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if corrected.Overlay.OptimalRank.Cmp(before.Overlay.OptimalRank) == 0 {
-		t.Fatalf("e1's corrections did not change the plan (rank %s); the fixture no longer tells the stores apart", before.Overlay.OptimalRank)
+	if corrected.Opt.OptimalRank.Cmp(before.Opt.OptimalRank) == 0 {
+		t.Fatalf("e1's corrections did not change the plan (rank %s); the fixture no longer tells the stores apart", before.Opt.OptimalRank)
 	}
 
 	after, err := e2.Prepare(q)
@@ -259,7 +237,7 @@ func TestFeedbackStoresDoNotShareOverlays(t *testing.T) {
 	if after.OverlayCached {
 		t.Error("e2 was served a cached overlay costed with another store's corrections")
 	}
-	if after.Overlay.OptimalRank.Cmp(before.Overlay.OptimalRank) != 0 {
-		t.Errorf("e2's optimal rank moved %s -> %s with no corrections of its own", before.Overlay.OptimalRank, after.Overlay.OptimalRank)
+	if after.Opt.OptimalRank.Cmp(before.Opt.OptimalRank) != 0 {
+		t.Errorf("e2's optimal rank moved %s -> %s with no corrections of its own", before.Opt.OptimalRank, after.Opt.OptimalRank)
 	}
 }

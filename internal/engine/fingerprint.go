@@ -8,29 +8,24 @@ import (
 	"hash"
 	"sync"
 
-	"repro/internal/cost"
 	"repro/internal/rules"
 )
 
-// Fingerprint is a canonical SHA-256 identity. The engine uses two
-// layers of them, mirroring the two cached layers of a prepared query:
+// Fingerprint is the canonical SHA-256 identity of a structure: it
+// digests everything that determines the counted search space — the
+// normalized query text, the rule configuration (which operators
+// exist), and the catalog identity + schema version (which tables,
+// columns, and indexes exist). Statistics and feedback deliberately do
+// NOT participate: the paper's counting/unranking machinery depends
+// only on query shape and rules, so a cost-side change must not rebuild
+// the space. What determines costing over a structure — the catalog
+// statistics version and the feedback store's identity and epoch — is
+// the overlayKey its costings are cached under inside the structure's
+// cache entry; a statistics refresh or a feedback application changes
+// only that key, and the structure (memo, counts, unrank tables)
+// survives and is re-costed in place.
 //
-//   - The structure fingerprint digests everything that determines the
-//     counted search space — the normalized query text, the rule
-//     configuration (which operators exist), and the catalog identity +
-//     schema version (which tables, columns, and indexes exist). Cost
-//     parameters and statistics deliberately do NOT participate: the
-//     paper's counting/unranking machinery depends only on query shape
-//     and rules, so a cost-model change must not rebuild the space.
-//
-//   - The overlay fingerprint digests the structure fingerprint plus
-//     everything that determines costing over that structure — cost
-//     parameters, the catalog statistics version, and the feedback
-//     store's identity and epoch. A statistics refresh or a feedback
-//     application changes only this layer; the structure (memo,
-//     counts, unrank tables) survives and is re-costed in place.
-//
-// Two Prepare calls with equal fingerprints at both layers are
+// Two Prepare calls with an equal fingerprint and overlay key are
 // guaranteed to produce the same space and the same costing, which is
 // what makes caching both layers sound.
 type Fingerprint [sha256.Size]byte
@@ -65,7 +60,7 @@ func (w *hashWriter) sum() Fingerprint {
 }
 
 // reprCache memoizes the %#v renderings of a flat, comparable config
-// struct that enters fingerprints. Rendering with fmt on every Prepare
+// struct that enters the fingerprint. Rendering with fmt on every Prepare
 // was a visible slice of the re-cost path; the distinct config count in
 // a process is tiny, so an unbounded map is safe. Keying by the typed
 // value, not an interface, keeps the lookup allocation-free.
@@ -92,11 +87,8 @@ func (c *reprCache[K]) of(v K) []byte {
 }
 
 var (
-	rulesRepr  reprCache[rules.Config]
-	paramsRepr reprCache[cost.Params]
-
+	rulesRepr    reprCache[rules.Config]
 	structureTag = []byte("fps1")
-	overlayTag   = []byte("fpo2")
 )
 
 // structureFingerprintOf digests the inputs of the structure layer:
@@ -115,20 +107,5 @@ func structureFingerprintOf(canonical []byte, r rules.Config, catalogID, schemaV
 	w.bytes(rulesRepr.of(r))
 	w.u64(catalogID)
 	w.u64(schemaVersion)
-	return w.sum()
-}
-
-// overlayFingerprintOf digests the inputs of the costing layer on top
-// of a structure fingerprint ("fpo2"). The feedback store's ID takes
-// part because epochs are per-store counters: two engines sharing one
-// cache may both be at epoch 1 with different corrections.
-func overlayFingerprintOf(structure Fingerprint, p cost.Params, k overlayKey) Fingerprint {
-	w := newHashWriter()
-	w.bytes(overlayTag)
-	w.h.Write(structure[:])
-	w.bytes(paramsRepr.of(p))
-	w.u64(k.statsVersion)
-	w.u64(k.store)
-	w.u64(k.epoch)
 	return w.sum()
 }

@@ -138,7 +138,7 @@ func renderGolden(t *testing.T, sb *strings.Builder, db *storage.DB, name, query
 		}
 		sb.WriteString("== " + name + " " + label + "\n-- String\n" + pl.String() + "-- Explain\n" + tree)
 	}
-	render("optimal rank "+p.Overlay.OptimalRank.String(), p.OptimalPlan())
+	render("optimal rank "+p.Opt.OptimalRank.String(), p.OptimalPlan())
 	for i := 0; i < 8; i++ {
 		rank, pl, err := smp.Next()
 		if err != nil {
@@ -168,7 +168,7 @@ func TestOptimumGolden(t *testing.T) {
 				t.Fatalf("%s cross=%v: %v", name, cross, err)
 			}
 			fmt.Fprintf(&sb, "== %s cross=%v rank=%s cost=%.17g retained=%d\n%s", name, cross,
-				p.Overlay.OptimalRank, p.OptimalCost(), len(p.Opt.RetainedExprs()), p.OptimalPlan())
+				p.Opt.OptimalRank, p.OptimalCost(), len(p.Opt.RetainedExprs()), p.OptimalPlan())
 		}
 	}
 	checkGolden(t, "optimum.golden", sb.String())
@@ -230,7 +230,7 @@ func TestCorrectedOverlayGolden(t *testing.T) {
 			t.Fatalf("%s: re-prepare after feedback: cached=%v overlay_cached=%v, want a re-cost", name, p.Cached, p.OverlayCached)
 		}
 		fmt.Fprintf(&sb, "== %s folded=%d epoch=%d rank=%s cost=%s\n", name, folded, epoch,
-			p.Overlay.OptimalRank, strconv.FormatFloat(p.OptimalCost(), 'g', -1, 64))
+			p.Opt.OptimalRank, strconv.FormatFloat(p.OptimalCost(), 'g', -1, 64))
 		for _, g := range p.Shared.Memo.Groups {
 			fmt.Fprintf(&sb, "g%d %s %s\n", g.ID, g.RelSet, strconv.FormatFloat(p.Opt.Tables.CardOf(g), 'g', -1, 64))
 		}

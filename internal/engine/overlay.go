@@ -1,36 +1,6 @@
 package engine
 
-import (
-	"math/big"
-
-	"repro/internal/opt"
-)
-
-// CostOverlay is the cheap, cost-bearing layer over a cached
-// StructureSpace: the per-group cardinalities and per-operator local
-// costs (opt.Costing wraps cost.Tables), the optimal plan, and its rank
-// in the counted space. One overlay is immutable after build and safe
-// for any number of concurrent readers; it is cached in its structure's
-// cache entry.
-//
-// A structure hit with a stale overlay re-costs in place: the memo,
-// counts, and unrank tables are reused and only this layer is rebuilt —
-// the operation BenchmarkRecost measures against a cold Prepare.
-type CostOverlay struct {
-	Fingerprint Fingerprint
-	Costing     *opt.Costing
-
-	// Epoch is the feedback epoch whose correction view this overlay
-	// was costed with. Executions tag their recorded observations with
-	// it, so ratios measured against this overlay's estimates are never
-	// folded on top of corrections from a newer epoch.
-	Epoch uint64
-
-	// OptimalRank is the plan number of Costing.Best in the structure's
-	// counted space — precomputed because every /prepare, /explain, and
-	// re-optimized /execute asks for it. Callers must not mutate it.
-	OptimalRank *big.Int
-}
+import "repro/internal/opt"
 
 // OverlayCacheStats is a point-in-time snapshot of the overlay counters
 // of a SpaceCache.
@@ -42,10 +12,11 @@ type OverlayCacheStats struct {
 	BytesCached   int64  `json:"bytes_cached"`
 }
 
-// overlayKey is what an overlay's staleness is judged by: the feedback
-// store that supplied its corrections, the catalog statistics version,
-// and the store's epoch. Epochs of different stores are unrelated
-// counters, so only overlays of the same store are compared.
+// overlayKey identifies an overlay within its structure's entry and is
+// what its staleness is judged by: the feedback store that supplied its
+// corrections, the catalog statistics version, and the store's epoch.
+// Epochs of different stores are unrelated counters, so only overlays
+// of the same store are compared.
 type overlayKey struct {
 	store        uint64
 	statsVersion uint64
@@ -58,39 +29,35 @@ func (k overlayKey) supersedes(old overlayKey) bool {
 	return old.store == k.store && (old.statsVersion < k.statsVersion || old.epoch < k.epoch)
 }
 
-// overlayEntry is one overlay fingerprint's slot in a structure entry.
-type overlayEntry struct {
-	flight[*CostOverlay]
-	key overlayKey
-}
-
-// overlay returns the cost overlay ofp over the structure of entry e,
-// building it on a miss with the same singleflight runner the structure
-// tier uses: exactly one caller runs build, concurrent callers share
-// its result, and a failed or panicking build is not cached. First it
+// overlay returns the cost overlay (an immutable opt.Costing) under key
+// over the structure of entry e, building it on a miss with the same
+// singleflight runner the structure tier uses: exactly one caller runs
+// build, concurrent callers share its result, and a failed or panicking
+// build is not cached. A miss on a cached structure is the re-cost in
+// place that BenchmarkRecost measures against a cold Prepare. First it
 // drops the completed overlays of e that key supersedes. An entry that
 // was evicted or invalidated after the caller found it still serves its
 // overlays to the callers that hold it, and disappears with them.
-func (c *SpaceCache) overlay(e *cacheEntry, ofp Fingerprint, key overlayKey, build func() (*CostOverlay, error)) (*CostOverlay, bool, error) {
+func (c *SpaceCache) overlay(e *cacheEntry, key overlayKey, build func() (*opt.Costing, error)) (*opt.Costing, bool, error) {
 	c.mu.Lock()
 	if c.residentLocked(e) {
 		c.dropStaleLocked(e, key)
 	}
-	if o, ok := e.overlays[ofp]; ok {
+	if o, ok := e.overlays[key]; ok {
 		c.ovHits++
 		c.mu.Unlock()
 		ov, err := o.wait()
 		return ov, true, err
 	}
-	o := &overlayEntry{flight: newFlight[*CostOverlay](), key: key}
-	e.overlays[ofp] = o
+	o := newFlight[*opt.Costing]()
+	e.overlays[key] = &o
 	c.ovMisses++
 	c.mu.Unlock()
 
-	ov, err := o.run(c, ofp, build, func(_ *CostOverlay, err error) {
+	ov, err := o.run(c, e.fp, build, func(_ *opt.Costing, err error) {
 		switch {
 		case err != nil:
-			delete(e.overlays, ofp) // failed builds are not cached
+			delete(e.overlays, key) // failed builds are not cached
 		case !c.residentLocked(e):
 			// The structure was dropped mid-build: the waiters have the
 			// overlay, and it goes with the orphaned entry.
@@ -104,9 +71,9 @@ func (c *SpaceCache) overlay(e *cacheEntry, ofp Fingerprint, key overlayKey, bui
 // supersedes. Builds still in flight are left to finish for their
 // waiters.
 func (c *SpaceCache) dropStaleLocked(e *cacheEntry, key overlayKey) {
-	for fp, o := range e.overlays {
-		if o.done() && key.supersedes(o.key) {
-			delete(e.overlays, fp)
+	for k, o := range e.overlays {
+		if o.done() && key.supersedes(k) {
+			delete(e.overlays, k)
 			c.ovInvalidations++
 		}
 	}
@@ -140,7 +107,7 @@ func (v OverlayView) Stats() OverlayCacheStats {
 		for _, o := range e.overlays {
 			st.Entries++
 			if o.done() {
-				st.BytesCached += o.val.SizeBytes()
+				st.BytesCached += overlayBytes(o.val)
 			}
 		}
 	}

@@ -5,7 +5,6 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/cost"
 	"repro/internal/engine"
 	"repro/internal/exec"
 	"repro/internal/storage"
@@ -98,7 +97,7 @@ func TestConcurrentPrepareSingleCount(t *testing.T) {
 		}
 		wg.Wait()
 		for i := 1; i < goroutines; i++ {
-			if prepared[i] == nil || prepared[i].Space != prepared[0].Space || prepared[i].Overlay != prepared[0].Overlay {
+			if prepared[i] == nil || prepared[i].Space != prepared[0].Space || prepared[i].Opt != prepared[0].Opt {
 				t.Fatalf("goroutine %d does not share the space and its overlay", i)
 			}
 		}
@@ -130,13 +129,13 @@ func TestConcurrentPrepareSingleCount(t *testing.T) {
 // TestConcurrentFeedbackKeys: a structure's feedback keys are rendered
 // on first use, which concurrent executions recording feedback and
 // concurrent re-costs under a live feedback view race to (run under
-// -race). Every re-cost of one cost-parameter set sees the same
+// -race). Two engines share one cache, so their distinct re-costs of
+// the one structure race too. Every re-cost of one engine sees the same
 // corrections, so they agree on the optimal plan.
 func TestConcurrentFeedbackKeys(t *testing.T) {
-	e := engine.New(tinyTPCH(t))
-	doubled := cost.Default()
-	doubled.CPUTuple *= 2
-	sessions := []*engine.Session{e.Session(), e.Session(engine.WithCostParams(doubled))}
+	db := tinyTPCH(t)
+	shared := engine.NewSpaceCache(8)
+	engines := []*engine.Engine{engine.New(db, engine.WithCache(shared)), engine.New(db, engine.WithCache(shared))}
 	const goroutines = 8
 	run := func(f func(i int) error) {
 		var wg sync.WaitGroup
@@ -152,15 +151,17 @@ func TestConcurrentFeedbackKeys(t *testing.T) {
 		wg.Wait()
 	}
 	run(func(i int) error {
-		_, err := sessions[0].Execute(context.Background(), smallJoin, nil, exec.Options{})
+		_, err := engines[i%2].Session().Execute(context.Background(), smallJoin, nil, exec.Options{})
 		return err
 	})
-	if folded, _ := e.ApplyFeedback(); folded == 0 {
-		t.Fatal("executions recorded no feedback")
+	for _, e := range engines {
+		if folded, _ := e.ApplyFeedback(); folded == 0 {
+			t.Fatal("executions recorded no feedback")
+		}
 	}
 	ranks := make([]string, goroutines)
 	run(func(i int) error {
-		exe, err := sessions[i%2].Execute(context.Background(), smallJoin, nil, exec.Options{})
+		exe, err := engines[i%2].Session().Execute(context.Background(), smallJoin, nil, exec.Options{})
 		if err == nil {
 			ranks[i] = exe.Rank.String()
 		}
@@ -168,7 +169,7 @@ func TestConcurrentFeedbackKeys(t *testing.T) {
 	})
 	for i := 2; i < goroutines; i++ {
 		if ranks[i] != ranks[i%2] {
-			t.Errorf("goroutine %d chose rank %s, goroutine %d of the same session rank %s", i, ranks[i], i%2, ranks[i%2])
+			t.Errorf("goroutine %d chose rank %s, goroutine %d of the same engine rank %s", i, ranks[i], i%2, ranks[i%2])
 		}
 	}
 }
@@ -197,11 +198,8 @@ func TestCatalogBumpInvalidatesTiers(t *testing.T) {
 	if !p2.Cached || p1.Space != p2.Space || p1.Shared != p2.Shared {
 		t.Error("stats bump rebuilt the structure; it should only re-cost")
 	}
-	if p2.OverlayCached || p1.Overlay == p2.Overlay {
+	if p2.OverlayCached || p1.Opt == p2.Opt {
 		t.Error("stats bump served the stale cost overlay")
-	}
-	if p1.Overlay.Fingerprint == p2.Overlay.Fingerprint {
-		t.Error("overlay fingerprint ignores the statistics version")
 	}
 	if st := e.Overlays().Stats(); st.Invalidations != 1 {
 		t.Errorf("overlay invalidations = %d, want 1", st.Invalidations)

@@ -1,5 +1,7 @@
 package engine
 
+import "repro/internal/opt"
+
 // Per-layer fixed overheads. Exact sizeofs are not the point — the
 // cache's byte accounting needs consistent, monotone estimates, and
 // crucially the two layers must not double-count: the structure prices
@@ -30,23 +32,23 @@ func (ss *StructureSpace) SizeBytes() int64 {
 	return n
 }
 
-// SizeBytes estimates the resident bytes of a cost overlay: the
+// overlayBytes estimates the resident bytes of a cost overlay: the
 // cardinality and local-cost tables, the optimal plan and its rank.
 // The winner search's tables live only while the overlay is built, so
-// they are not priced. It deliberately excludes the structure it
-// points to — that is priced by StructureSpace.SizeBytes — so the
-// structure and overlay byte counters add up without double-counting.
-func (ov *CostOverlay) SizeBytes() int64 {
-	if ov == nil {
+// they are not priced. It deliberately excludes the structure the
+// overlay points to — that is priced by StructureSpace.SizeBytes — so
+// the structure and overlay byte counters add up without
+// double-counting.
+func overlayBytes(c *opt.Costing) int64 {
+	if c == nil {
 		return 0
 	}
-	var n int64 = overlayOverhead
-	if ov.Costing != nil {
-		n += ov.Costing.Tables.MemoryBytes()
-		n += int64(len(ov.Costing.Best.Operators())) * planNodeBytes
+	n := overlayOverhead + c.Tables.MemoryBytes()
+	if c.Best != nil {
+		n += int64(len(c.Best.Operators())) * planNodeBytes
 	}
-	if ov.OptimalRank != nil {
-		n += 32 + int64(len(ov.OptimalRank.Bits()))*8
+	if c.OptimalRank != nil {
+		n += 32 + int64(len(c.OptimalRank.Bits()))*8
 	}
 	return n
 }

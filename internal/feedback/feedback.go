@@ -18,8 +18,8 @@
 // Apply folds pending observations into the active factors — each new
 // ratio is measured against estimates that already included the old
 // factor, so factors compose multiplicatively — and bumps the feedback
-// epoch. Cost overlays embed the store's ID and epoch in their
-// fingerprint: a bump makes every costing cached under this store stale
+// epoch. Cost overlays are cached under a key holding the store's ID
+// and epoch: a bump makes every costing cached under this store stale
 // while leaving structures untouched.
 package feedback
 

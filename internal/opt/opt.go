@@ -4,19 +4,20 @@
 // schema, and the rule configuration, while *costing* (cardinalities,
 // per-operator costs, and the winner computation — "for every group we
 // keep track of the best physical operator for each set of physical
-// properties") depends additionally on cost parameters, statistics, and
-// feedback corrections. BuildStructure produces the former;
-// Structure.Cost attaches the latter as an immutable overlay
-// (cost.Tables) without mutating the shared memo, so any number of
-// costings — different parameters, different statistics, different
-// feedback epochs — can coexist over one counted structure. The winner
-// search itself is core.Space.Cheapest: a winner's key, (group,
-// required ordering), is the key of the counted space's candidate
-// lists, so costing folds over the same tables counting built.
+// properties") depends additionally on statistics and feedback
+// corrections. BuildStructure produces the former; Structure.Cost
+// attaches the latter as an immutable overlay, a Costing, without
+// mutating the shared memo, so any number of costings — different
+// statistics, different feedback epochs — can coexist over one counted
+// structure. The winner search itself is core.Space.Cheapest: a
+// winner's key, (group, required ordering), is the key of the counted
+// space's candidate lists, so costing folds over the same tables
+// counting built.
 package opt
 
 import (
 	"fmt"
+	"math/big"
 
 	"repro/internal/algebra"
 	"repro/internal/core"
@@ -28,13 +29,12 @@ import (
 
 // Options configures an optimization run.
 type Options struct {
-	Rules  rules.Config
-	Params cost.Params
+	Rules rules.Config
 }
 
-// DefaultOptions returns the full rule set with default cost parameters.
+// DefaultOptions returns the full rule set.
 func DefaultOptions() Options {
-	return Options{Rules: rules.Default(), Params: cost.Default()}
+	return Options{Rules: rules.Default()}
 }
 
 // Structure is the costless half of an optimization: the bound query
@@ -56,28 +56,32 @@ func BuildStructure(q *algebra.Query, cfg rules.Config) (*Structure, error) {
 }
 
 // Costing is the cost overlay over one structure: per-group estimated
-// cardinalities and per-operator local costs (cost.Tables) and the
-// optimal plan. A Costing is immutable after Structure.Cost returns and
-// safe for concurrent readers.
+// cardinalities and per-operator local costs (cost.Tables), the optimal
+// plan and its rank. A Costing is immutable after Structure.Cost
+// returns and safe for concurrent readers.
 type Costing struct {
 	Tables *cost.Tables
 
 	Best     *plan.Node
 	BestCost float64
 
+	// OptimalRank is Best's plan number in the counted space, which
+	// every /prepare, /explain and /execute asks for. Do not mutate it.
+	OptimalRank *big.Int
+
 	Memo *memo.Memo // the structure's memo, shared and never written
 }
 
-// Cost computes an overlay for the structure under the given parameters
-// and feedback correction factors (relation subset → factor, nil for
-// none): fill the cardinality and local-cost tables, then fold them
-// over space — the structure's counted space, core.Prepare of its memo
-// — for the cheapest plan. Neither the memo nor the space is written.
-func (s *Structure) Cost(space *core.Space, params cost.Params, factors map[algebra.RelSet]float64) (*Costing, error) {
+// Cost computes an overlay for the structure under cost.Default() and
+// the given feedback correction factors (relation subset → factor, nil
+// for none): fill the cardinality and local-cost tables, fold them over
+// space — the structure's counted space, core.Prepare of its memo — for
+// the cheapest plan, and rank it. Neither memo nor space is written.
+func (s *Structure) Cost(space *core.Space, factors map[algebra.RelSet]float64) (*Costing, error) {
 	if space.Memo != s.Memo {
 		return nil, fmt.Errorf("opt: space was counted over another memo")
 	}
-	tab, err := cost.Fill(s.Memo, s.Query, params, factors)
+	tab, err := cost.Fill(s.Memo, s.Query, cost.Default(), factors)
 	if err != nil {
 		return nil, err
 	}
@@ -85,7 +89,11 @@ func (s *Structure) Cost(space *core.Space, params cost.Params, factors map[alge
 	if err != nil {
 		return nil, err
 	}
-	return &Costing{Tables: tab, Best: best, BestCost: bestCost, Memo: s.Memo}, nil
+	rank, err := space.Rank(best)
+	if err != nil {
+		return nil, err
+	}
+	return &Costing{Tables: tab, Best: best, BestCost: bestCost, OptimalRank: rank, Memo: s.Memo}, nil
 }
 
 // RetainedExprs simulates the paper's remark that "some optimizers by

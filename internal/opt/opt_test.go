@@ -57,7 +57,7 @@ func optimize(t *testing.T, text string, opts Options) *Costing {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := st.Cost(space, opts.Params, nil)
+	c, err := st.Cost(space, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

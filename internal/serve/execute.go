@@ -246,7 +246,7 @@ func (s *Server) handleExecuteBatch(w http.ResponseWriter, r *http.Request) {
 		defer cancel()
 	}
 
-	reference, optimal := s.executeOne(ctx, p, p.Overlay.OptimalRank, opts)
+	reference, optimal := s.executeOne(ctx, p, p.Opt.OptimalRank, opts)
 	optimal.MatchesOptimal = reference != nil && !optimal.Truncated // trivially true when it completed
 	resp := ExecuteBatchResponse{
 		SpaceInfo: spaceInfo(p),

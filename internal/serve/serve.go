@@ -25,9 +25,8 @@
 //
 // The server fronts one plan-space cache with two tiers: the structure
 // tier (counted spaces, keyed by canonical SQL + rules + schema) and,
-// inside each structure's entry, the overlay tier (costings, keyed
-// additionally by cost params + statistics version + feedback store
-// and epoch). Executions record per-operator observed vs.
+// inside each structure's entry, the overlay tier (costings, keyed by
+// statistics version + feedback store and epoch). Executions record per-operator observed vs.
 // estimated cardinalities; POST /feedback/apply folds them and bumps
 // the feedback epoch, after which the same query may execute a
 // different, better-informed plan — the adaptive re-optimization loop
@@ -228,8 +227,7 @@ func (s *Server) parseRank(w http.ResponseWriter, text string) (*big.Int, bool) 
 // embeds it. cached reports a structure-cache hit (the counted space
 // was reused); overlay_cached a costing-cache hit — a cached=true,
 // overlay_cached=false response paid only a cheap re-cost (statistics
-// refresh, cost-parameter change, or feedback application since the
-// last request).
+// refresh or feedback application since the last request).
 type SpaceInfo struct {
 	Fingerprint   string `json:"fingerprint"`
 	Count         string `json:"count"`
@@ -279,7 +277,7 @@ func (s *Server) handlePrepare(w http.ResponseWriter, r *http.Request) {
 		PhysicalOps: st.PhysicalOps,
 		EnforcerOps: st.EnforcerOps,
 		OptimalCost: p.OptimalCost(),
-		OptimalRank: p.Overlay.OptimalRank.String(),
+		OptimalRank: p.Opt.OptimalRank.String(),
 		PrepareMs:   float64(time.Since(start).Microseconds()) / 1000,
 	})
 }
@@ -522,7 +520,7 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 		Rank:       rank.String(),
 		Cost:       cost,
 		ScaledCost: cost / p.OptimalCost(),
-		Optimal:    rank.Cmp(p.Overlay.OptimalRank) == 0,
+		Optimal:    rank.Cmp(p.Opt.OptimalRank) == 0,
 		Tree:       tree,
 	})
 }

@@ -62,9 +62,6 @@ type Lexer struct {
 	pos int
 }
 
-// NewLexer returns a lexer over src.
-func NewLexer(src string) *Lexer { return &Lexer{src: src} }
-
 // Next returns the next token. Errors (unterminated strings, stray bytes)
 // are returned rather than panicking so the engine can report bad queries.
 func (l *Lexer) Next() (Token, error) {

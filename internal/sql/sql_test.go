@@ -5,10 +5,10 @@ import (
 	"testing"
 )
 
-// lexAll drives NewLexer(src).Next to EOF, returning every token
+// lexAll drives a Lexer over src to EOF, returning every token
 // including the trailing EOF token.
 func lexAll(src string) ([]Token, error) {
-	l := NewLexer(src)
+	l := &Lexer{src: src}
 	var out []Token
 	for {
 		t, err := l.Next()

@@ -79,11 +79,10 @@ print("smoke: feedback round-trip ok: epoch", fb["epoch"], "with", fb["folded"],
 PY
 
 # The round-trip dropped the stale overlays. This run is sequential,
-# over one engine with one feedback store and one set of cost
-# parameters, so each resident structure holds at most one current
-# overlay and overlays cannot outnumber structures. That bound is
-# specific to this sequence: in general one entry can hold several
-# overlays (one per cost-parameter set or feedback store sharing the
+# over one engine with one feedback store, so each resident structure
+# holds at most one current overlay and overlays cannot outnumber
+# structures. That bound is specific to this sequence: in general one
+# entry can hold several overlays (one per feedback store sharing the
 # cache, or a re-cost that finished after ApplyFeedback's sweep).
 python3 - "$(curl -sf "http://$ADDR/stats")" <<'PY'
 import json, sys
