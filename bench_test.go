@@ -630,8 +630,9 @@ func BenchmarkExecute(b *testing.B) {
 		b.Fatal(err)
 	}
 
-	// Cheapest of the same draws with a merge join: none of the other
-	// rows reaches mergeJoinIter.
+	// Cheapest of the same draws with a merge join: the only row with a
+	// merge join. The optimal Q5 and Q9 plans reach the same range join
+	// through IndexNLJoin.
 	var merge draw
 	var mergePlan *plan.Node
 	for _, d := range draws {

@@ -184,15 +184,15 @@ func TestHashKeysStringCodes(t *testing.T) {
 	used := allPlansReturn(t, db, "SELECT ai, bi FROM a, b WHERE sa = sb", []string{
 		"1|1", "4|1", "2|9",
 	})
-	if used[memo.HashJoin] == 0 {
-		t.Errorf("plan space lacks a hash join: %v", used)
+	if used[memo.HashJoin] == 0 || used[memo.MergeJoin] == 0 || used[memo.IndexNLJoin] == 0 {
+		t.Errorf("plan space lacks a hash, merge or index nested-loop join: %v", used)
 	}
 	// Two keys: a word each.
 	used = allPlansReturn(t, db, "SELECT ai, bi FROM a, b WHERE sa = sb AND ai = bi", []string{
 		"1|1",
 	})
-	if used[memo.HashJoin] == 0 {
-		t.Errorf("plan space lacks a hash join: %v", used)
+	if used[memo.HashJoin] == 0 || used[memo.MergeJoin] == 0 || used[memo.IndexNLJoin] == 0 {
+		t.Errorf("plan space lacks a hash, merge or index nested-loop join: %v", used)
 	}
 	// Grouping by a string: NULL keys form one group, alone and beside
 	// another key.
@@ -222,9 +222,12 @@ func TestMultiColumnKeysKeepIntAndZeroRules(t *testing.T) {
 			{k, math.Copysign(0, -1), int64(10)}, {k + 1, 0.0, int64(20)}, {k + 1, 1.5, int64(40)},
 		}},
 	)
-	allPlansReturn(t, db, "SELECT pv, qv FROM p, q WHERE pk = qk AND pf = qf", []string{
+	used := allPlansReturn(t, db, "SELECT pv, qv FROM p, q WHERE pk = qk AND pf = qf", []string{
 		"1|10", "2|20",
 	})
+	if used[memo.MergeJoin] == 0 || used[memo.IndexNLJoin] == 0 {
+		t.Errorf("plan space lacks a merge or index nested-loop join: %v", used)
+	}
 	allPlansReturn(t, db, "SELECT pk, pf, SUM(pv) AS s FROM p GROUP BY pk, pf", []string{
 		"9007199254740992|0|1", "9007199254740993|0|2", "9007199254740992|1.5|4", "NULL|0|8",
 	})
@@ -232,9 +235,12 @@ func TestMultiColumnKeysKeepIntAndZeroRules(t *testing.T) {
 
 // TestHashJoinSharedBucketChargesNothing: distinct keys that share a
 // hash bucket. A probe passes the other keys' rows by their words and
-// charges nothing for them, so with an equality-only join predicate no
-// plan examines a row it does not emit: RowsExamined is the sum of the
-// operators' rows, as it was when every key had a bucket of its own.
+// charges nothing for them, and the range join of merge and index
+// nested-loop join plans charges nothing for the inner rows its key
+// search passes over. So with an equality-only join predicate no plan of
+// the space examines a row it does not emit: RowsExamined is the sum of
+// the operators' rows, as it was when every key had a bucket of its own.
+// The space must hold hash, merge and index nested-loop join plans.
 func TestHashJoinSharedBucketChargesNothing(t *testing.T) {
 	const n = 4 // build rows on either side: a table of 4 buckets
 	keys := []int64{1}
@@ -259,13 +265,11 @@ func TestHashJoinSharedBucketChargesNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := []string{"0|1", "0|2", "2|0"}
-	hashPlans := 0
+	used := map[memo.OpKind]int{}
 	err = p.Space.Enumerate(func(r *big.Int, pl *plan.Node) bool {
-		ops := pl.Operators()
-		if !slices.ContainsFunc(ops, func(e *memo.Expr) bool { return e.Op == memo.HashJoin }) {
-			return true
+		for _, op := range pl.Operators() {
+			used[op.Op]++
 		}
-		hashPlans++
 		res, err := p.Execute(pl)
 		if err != nil {
 			t.Fatalf("plan %s: %v", r, err)
@@ -287,7 +291,7 @@ func TestHashJoinSharedBucketChargesNothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if hashPlans == 0 {
-		t.Error("plan space lacks a hash join")
+	if used[memo.HashJoin] == 0 || used[memo.MergeJoin] == 0 || used[memo.IndexNLJoin] == 0 {
+		t.Errorf("plan space lacks a hash, merge or index nested-loop join: %v", used)
 	}
 }

@@ -134,7 +134,7 @@ func (b *builder) buildOp(n *plan.Node) (Iterator, schema, error) {
 // but it is always the plan root.)
 func reusesRows(it Iterator) bool {
 	switch it.(type) {
-	case *nlJoinIter, *hashJoinIter, *mergeJoinIter, *lookupJoinIter, *aggIter:
+	case *nlJoinIter, *hashJoinIter, *rangeJoinIter, *aggIter:
 		return true
 	}
 	return false

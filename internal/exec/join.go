@@ -9,10 +9,10 @@ import (
 	"repro/internal/memo"
 )
 
-// buildJoin compiles one of the three join implementations. All three
-// re-check the full predicate conjunction on each candidate pair, through
-// the kernels compileConjunction chose for it, so hash buckets and merge
-// blocks act purely as accelerators — semantics are identical across
+// buildJoin compiles a nested-loop, hash or merge join. Every join
+// re-checks the full predicate conjunction on each candidate pair, through
+// the kernels compileConjunction chose for it, so hash buckets and key
+// runs act purely as accelerators — semantics are identical across
 // implementations, which is exactly what multi-plan verification checks.
 func (b *builder) buildJoin(e *memo.Expr, left Iterator, ls schema, right Iterator, rs schema) (Iterator, schema, error) {
 	out := ls.concat(rs)
@@ -43,8 +43,8 @@ func (b *builder) buildJoin(e *memo.Expr, left Iterator, ls schema, right Iterat
 			return &hashJoinIter{left: left, right: right, lPos: lPos, rPos: rPos, viaFloat: viaFloat, apart: apart,
 				pred: pred, out: newJoinRow(ls, rs), key: make([]uint64, len(lKeys))}, out, nil
 		}
-		return &mergeJoinIter{left: left, right: right, lPos: lPos, rPos: rPos, pred: pred,
-			lkey: make([]data.Value, len(lKeys)), strs: b.strs, out: newJoinRow(ls, rs)}, out, nil
+		return &rangeJoinIter{outer: left, inner: right, outerPos: lPos, innerPos: rPos, pred: pred,
+			key: make([]data.Value, len(lKeys)), strs: b.strs, out: newJoinRow(ls, rs)}, out, nil
 	default:
 		return nil, nil, fmt.Errorf("exec: %s is not a join", e.Op)
 	}
@@ -128,16 +128,6 @@ func (j *nlJoinIter) Close() error {
 	err := closeAll(j.left, j.right)
 	j.leave()
 	return err
-}
-
-// extractKey copies the key columns of r into keys and reports whether
-// any of them is NULL (NULL keys never join).
-func extractKey(keys []data.Value, r data.Row, pos []int) (null bool) {
-	for i, p := range pos {
-		keys[i] = r[p]
-		null = null || r[p].IsNull()
-	}
-	return null
 }
 
 // hashTable is the executor's one hash index: entries of k key words
@@ -309,145 +299,6 @@ func (j *hashJoinIter) Close() error {
 	// The left child is normally closed at the end of the build phase,
 	// but an error mid-build leaves it open — Close cascades to both
 	// sides unconditionally (children track their own open state).
-	err := closeAll(j.left, j.right)
-	j.leave()
-	return err
-}
-
-// mergeJoinIter merges two inputs sorted on the join keys (guaranteed by
-// the operator's required orderings). The right input is materialized so
-// duplicate-key blocks can be re-scanned per matching left row.
-type mergeJoinIter struct {
-	opNode
-	left, right Iterator
-	lPos, rPos  []int
-	pred        conjunction
-	lkey        []data.Value
-	strs        *data.Strings // orders string keys by text
-	out         joinRow
-
-	rightRows []data.Row
-	loaded    bool
-
-	inBlock  bool
-	bstart   int
-	blockEnd int
-	blockPos int
-}
-
-func (j *mergeJoinIter) Open(ctx context.Context) error {
-	if err := j.enter(); err != nil {
-		return err
-	}
-	if !j.loaded {
-		var err error
-		if j.rightRows, err = load(ctx, j.right, nil, nil); err != nil {
-			return err
-		}
-		j.loaded = true
-	}
-	j.inBlock = false
-	j.bstart, j.blockEnd, j.blockPos = 0, 0, 0
-	return j.left.Open(ctx)
-}
-
-func (j *mergeJoinIter) rightKeyCmp(idx int, lkey []data.Value) (int, error) {
-	rr := j.rightRows[idx]
-	for i, p := range j.rPos {
-		c, err := data.Compare(j.strs, rr[p], lkey[i])
-		if err != nil {
-			return 0, err
-		}
-		if c != 0 {
-			return c, nil
-		}
-	}
-	return 0, nil
-}
-
-func (j *mergeJoinIter) Next() (data.Row, bool, error) {
-	lkey := j.lkey
-	for {
-		if !j.inBlock {
-			lr, ok, err := j.left.Next()
-			if err != nil || !ok {
-				return nil, false, err
-			}
-			if extractKey(lkey, lr, j.lPos) {
-				continue
-			}
-			// Advance to the first right row with key >= left key; rows
-			// with NULL key components sort first and are stepped over.
-			for j.bstart < len(j.rightRows) {
-				if j.rightHasNullKey(j.bstart) {
-					j.bstart++
-					continue
-				}
-				c, err := j.rightKeyCmp(j.bstart, lkey)
-				if err != nil {
-					return nil, false, err
-				}
-				if c >= 0 {
-					break
-				}
-				j.bstart++
-			}
-			// Extend the block of equal keys.
-			j.blockEnd = j.bstart
-			for j.blockEnd < len(j.rightRows) {
-				c, err := j.rightKeyCmp(j.blockEnd, lkey)
-				if err != nil {
-					return nil, false, err
-				}
-				if c != 0 {
-					break
-				}
-				j.blockEnd++
-			}
-			if j.blockEnd == j.bstart {
-				continue // no matches for this left row
-			}
-			j.out.setLeft(lr)
-			j.inBlock = true
-			j.blockPos = j.bstart
-		}
-		for j.blockPos < j.blockEnd {
-			j.out.setRight(j.rightRows[j.blockPos])
-			j.blockPos++
-			keep, err := j.pred.keep(j.out.row)
-			if err != nil {
-				return nil, false, err
-			}
-			if !keep {
-				// Re-scanned block candidates are materialized rows;
-				// rejected pairs charge the work budget here.
-				if err := j.examine(); err != nil {
-					return nil, false, err
-				}
-				continue
-			}
-			if err := j.emit(); err != nil {
-				return nil, false, err
-			}
-			return j.out.row, true, nil
-		}
-		j.inBlock = false
-	}
-}
-
-func (j *mergeJoinIter) rightHasNullKey(idx int) bool {
-	rr := j.rightRows[idx]
-	for _, p := range j.rPos {
-		if rr[p].IsNull() {
-			return true
-		}
-	}
-	return false
-}
-
-func (j *mergeJoinIter) Close() error {
-	// The right child is normally closed after materialization, but an
-	// error mid-load leaves it open — cascade to both sides.
 	err := closeAll(j.left, j.right)
 	j.leave()
 	return err

@@ -345,10 +345,12 @@ func likeKernel(strs *data.Strings, p int, pattern string, negate bool) kernel {
 
 // compileJoinPreds compiles every predicate a join applies, equi first.
 func compileJoinPreds(strs *data.Strings, j *memo.JoinSpec, out schema) (conjunction, error) {
-	preds := j.AllPreds()
-	exprs := make([]algebra.Scalar, len(preds))
-	for i, p := range preds {
-		exprs[i] = p.Expr
+	exprs := make([]algebra.Scalar, 0, len(j.Equi)+len(j.Residual))
+	for _, p := range j.Equi {
+		exprs = append(exprs, p.Expr)
+	}
+	for _, p := range j.Residual {
+		exprs = append(exprs, p.Expr)
 	}
 	return compileConjunction(strs, exprs, out)
 }

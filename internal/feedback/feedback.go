@@ -96,8 +96,8 @@ type Store struct {
 	// epoch. Apply and Reset REPLACE it (copy-on-write, never mutate),
 	// so EpochView hands out an (epoch, factors) pair that stays
 	// internally consistent no matter how many folds land afterwards —
-	// the property cost overlays rely on to be cacheable under an
-	// epoch-bearing fingerprint.
+	// the property cost overlays rely on to be cacheable under their
+	// overlay key (the store's ID, the statistics version and the epoch).
 	view map[string]float64
 
 	recorded     uint64
@@ -235,10 +235,11 @@ func (s *Store) publishViewLocked() {
 
 // EpochView returns the current epoch together with the immutable
 // factor map published at that epoch (nil when no corrections are
-// active). The pair is read atomically: costing layers fingerprint
-// overlays by the epoch and MUST cost with exactly this view — reading
-// the epoch and then consulting live factors would let a concurrent
-// Apply slip different factors under an already-chosen fingerprint.
+// active). The pair is read atomically: an overlay is cached under an
+// overlay key that holds the epoch (beside the store's ID and the
+// statistics version), so costing layers MUST cost with exactly this
+// view — reading the epoch and then consulting live factors would let a
+// concurrent Apply slip different factors under an already-chosen key.
 // The returned map must not be mutated.
 func (s *Store) EpochView() (uint64, map[string]float64) {
 	s.mu.Lock()

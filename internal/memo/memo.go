@@ -109,13 +109,6 @@ func (s *JoinSpec) Keys(leftSet algebra.RelSet) (l, r []algebra.Column) {
 	return l, r
 }
 
-// AllPreds returns every predicate the join must apply, equi first.
-func (s *JoinSpec) AllPreds() []*algebra.PredInfo {
-	out := make([]*algebra.PredInfo, 0, len(s.Equi)+len(s.Residual))
-	out = append(out, s.Equi...)
-	return append(out, s.Residual...)
-}
-
 // LookupSpec is the payload of an index nested-loop join: for each outer
 // row, the values of OuterKeys are looked up in Index on the inner base
 // relation, whose leading key columns are InnerKeys. The operator has a
