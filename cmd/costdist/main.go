@@ -19,6 +19,7 @@ import (
 	"os"
 	"strings"
 
+	"repro/internal/engine"
 	"repro/internal/experiments"
 	"repro/internal/rules"
 	"repro/internal/tpch"
@@ -54,6 +55,7 @@ func run(sf float64, seed int64, samples int, sseed int64, table1, figure4, prun
 	if err != nil {
 		return err
 	}
+	e := engine.New(db)
 	cfg := experiments.Config{SampleSize: samples, Seed: sseed}
 	if noLookup {
 		rc := rules.Default()
@@ -64,7 +66,7 @@ func run(sf float64, seed int64, samples int, sseed int64, table1, figure4, prun
 
 	if table1 {
 		fmt.Println("\n=== Table 1: parameters of search spaces of TPC-H join queries ===")
-		rows, err := experiments.Table1All(db, names, &cfg)
+		rows, err := experiments.Table1All(e, names, &cfg)
 		if err != nil {
 			return err
 		}
@@ -83,7 +85,7 @@ func run(sf float64, seed int64, samples int, sseed int64, table1, figure4, prun
 	if figure4 {
 		fmt.Println("\n=== Figure 4: cost distributions (lower 50% of sampled costs) ===")
 		for _, q := range names {
-			plot, err := experiments.Figure4(db, q, cross, buckets, &cfg)
+			plot, err := experiments.Figure4(e, q, cross, buckets, &cfg)
 			if err != nil {
 				return err
 			}
@@ -99,7 +101,7 @@ func run(sf float64, seed int64, samples int, sseed int64, table1, figure4, prun
 			if !ok {
 				return fmt.Errorf("unknown query %q", q)
 			}
-			ab, err := experiments.Prune(db, sqlText, cross)
+			ab, err := experiments.Prune(e, sqlText, cross)
 			if err != nil {
 				return err
 			}

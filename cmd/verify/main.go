@@ -11,6 +11,7 @@ import (
 	"os"
 	"strings"
 
+	"repro/internal/engine"
 	"repro/internal/experiments"
 	"repro/internal/tpch"
 )
@@ -37,6 +38,7 @@ func run(sf float64, seed int64, queries string, exhaustive, samples int, sseed 
 	if err != nil {
 		return err
 	}
+	e := engine.New(db)
 	names := strings.Split(queries, ",")
 	if queries == "all" {
 		names = tpch.QueryNames()
@@ -48,7 +50,7 @@ func run(sf float64, seed int64, queries string, exhaustive, samples int, sseed 
 		if !ok {
 			return fmt.Errorf("unknown query %q; available: %s", name, strings.Join(tpch.QueryNames(), ", "))
 		}
-		report, err := experiments.Verify(db, sqlText, exhaustive, samples, sseed)
+		report, err := experiments.Verify(e, sqlText, exhaustive, samples, sseed)
 		if err != nil {
 			return fmt.Errorf("%s: %w", name, err)
 		}

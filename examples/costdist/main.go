@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"log"
 
+	"repro/internal/engine"
 	"repro/internal/experiments"
 	"repro/internal/histogram"
 	"repro/internal/tpch"
@@ -24,10 +25,11 @@ func run() error {
 	if err != nil {
 		return err
 	}
+	e := engine.New(db)
 	cfg := experiments.Config{SampleSize: 3000, Seed: 1}
 
 	sqlText, _ := tpch.Query("Q5")
-	costs, p, err := experiments.ScaledCosts(db, sqlText, false, &cfg)
+	costs, p, err := experiments.ScaledCosts(e, sqlText, false, &cfg)
 	if err != nil {
 		return err
 	}
@@ -39,7 +41,7 @@ func run() error {
 	fmt.Printf("within 2x of optimum: %.2f%%   within 10x: %.2f%%\n\n",
 		100*sum.WithinTwo, 100*sum.WithinTen)
 
-	plot, err := experiments.Figure4(db, "Q5", false, 30, &cfg)
+	plot, err := experiments.Figure4(e, "Q5", false, 30, &cfg)
 	if err != nil {
 		return err
 	}
@@ -48,7 +50,7 @@ func run() error {
 	// The same query with Cartesian products admitted: the space grows by
 	// orders of magnitude and the tail stretches much further.
 	crossCfg := experiments.Config{SampleSize: 1000, Seed: 1}
-	crossRow, err := experiments.Table1(db, "Q5", true, &crossCfg)
+	crossRow, err := experiments.Table1(e, "Q5", true, &crossCfg)
 	if err != nil {
 		return err
 	}

@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"log"
 
+	"repro/internal/engine"
 	"repro/internal/experiments"
 	"repro/internal/tpch"
 )
@@ -25,6 +26,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
+	e := engine.New(db)
 
 	// Exhaustive: a 2-way join with a small space.
 	small := `
@@ -32,7 +34,7 @@ func run() error {
 		FROM nation, region
 		WHERE n_regionkey = r_regionkey AND r_name <> 'EUROPE'
 		ORDER BY n_name`
-	report, err := experiments.Verify(db, small, 100000, 0, 7)
+	report, err := experiments.Verify(e, small, 100000, 0, 7)
 	if err != nil {
 		return err
 	}
@@ -41,7 +43,7 @@ func run() error {
 
 	// Sampled: TPC-H Q10's space is ~10^8 plans; execute a uniform sample.
 	q10, _ := tpch.Query("Q10")
-	report, err = experiments.Verify(db, q10, 2000, 25, 7)
+	report, err = experiments.Verify(e, q10, 2000, 25, 7)
 	if err != nil {
 		return err
 	}

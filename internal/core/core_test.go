@@ -58,7 +58,7 @@ func prepared(t *testing.T, text string) (*Space, *plan.Node) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tab, err := cost.Fill(m, q, cost.Default(), nil)
+	tab, err := cost.Fill(m, q, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -283,7 +283,7 @@ func TestCombineFormulas(t *testing.T) {
 	hj := m.AddExpr(gj, memo.Expr{Op: memo.HashJoin, Children: children, Join: spec})
 	nl := m.AddExpr(gj, memo.Expr{Op: memo.NestedLoopJoin, Children: children, Join: spec})
 
-	tab, err := Fill(m, q, Default(), nil)
+	tab, err := Fill(m, q, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -311,8 +311,7 @@ func TestCombineFormulas(t *testing.T) {
 
 	// Scan cost charges pages + per-row CPU.
 	sc := tab.Locals[scan1.ID]
-	p := Default()
-	wantMin := q.Rels[0].Table.Pages(p.PageBytes) * p.SeqPageCost
+	wantMin := q.Rels[0].Table.Pages(pageBytes) * seqPageCost
 	if sc < wantMin {
 		t.Errorf("scan cost %g below its I/O floor %g", sc, wantMin)
 	}
@@ -356,7 +355,7 @@ func TestLookupJoinCostCrossover(t *testing.T) {
 	tab := newTables(m)
 	tab.Cards[gInner.ID] = est.baseCard(1)
 	tab.Cards[gj.ID] = est.setCard(algebra.SetOf(0, 1))
-	md := &model{p: Default(), est: est, tab: tab}
+	md := &model{est: est, tab: tab}
 
 	costAt := func(outerCard float64) (lkC, hjC float64) {
 		tab.Cards[gOuter.ID] = outerCard
@@ -403,7 +402,7 @@ func TestSortSpillPenalty(t *testing.T) {
 		Delivered: algebra.Ordering{{Col: q.Rels[0].Cols[0].ID}},
 	})
 	tab := newTables(m)
-	md := &model{p: Default(), est: est, tab: tab}
+	md := &model{est: est, tab: tab}
 	tab.Cards[g.ID] = 1000
 	small, err := md.local(sortExpr)
 	if err != nil {

@@ -9,19 +9,19 @@ import (
 	"repro/internal/memo"
 )
 
-// Fill computes the cost overlay of query q's memo m under params p and
-// the feedback correction factors (relation subset → multiplicative
-// factor, nil for none): every group's estimated cardinality, then every
+// Fill computes the cost overlay of query q's memo m under the feedback
+// correction factors (relation subset → multiplicative factor, nil for
+// none): every group's estimated cardinality, then every
 // physical operator's local cost from those cardinalities. The estimator
 // and model that derive them live only for the call; the returned Tables
 // are all a costing keeps.
-func Fill(m *memo.Memo, q *algebra.Query, p Params, factors map[algebra.RelSet]float64) (*Tables, error) {
+func Fill(m *memo.Memo, q *algebra.Query, factors map[algebra.RelSet]float64) (*Tables, error) {
 	est := estimator{q: q, factors: factors}
 	tab := newTables(m)
 	for _, g := range m.Groups {
 		tab.Cards[g.ID] = est.groupCard(g)
 	}
-	md := model{p: p, est: &est, tab: tab}
+	md := model{est: &est, tab: tab}
 	if err := md.fillLocals(m); err != nil {
 		return nil, err
 	}
@@ -31,7 +31,6 @@ func Fill(m *memo.Memo, q *algebra.Query, p Params, factors map[algebra.RelSet]f
 // model turns memo operators into local costs, reading cardinalities
 // from the overlay it fills.
 type model struct {
-	p   Params
 	est *estimator
 	tab *Tables
 }
@@ -55,43 +54,42 @@ func (m *model) fillLocals(mem *memo.Memo) error {
 // local returns the operator's own cost contribution assuming each child
 // executes once (the nested-loop rescan multiplier lives in Combine).
 func (m *model) local(e *memo.Expr) (float64, error) {
-	p := m.p
 	out := m.tab.CardOf(e.Group)
 	switch e.Op {
 	case memo.TableScan:
 		rel := e.Scan.Rel
 		rows := float64(rel.Table.RowCount)
-		return rel.Table.Pages(p.PageBytes)*p.SeqPageCost +
-			rows*p.CPUTuple +
-			rows*float64(len(rel.Filters))*p.CPUEval, nil
+		return rel.Table.Pages(pageBytes)*seqPageCost +
+			rows*cpuTuple +
+			rows*float64(len(rel.Filters))*cpuEval, nil
 
 	case memo.IndexScan:
 		rel := e.Scan.Rel
 		rows := float64(rel.Table.RowCount)
 		frac := m.indexMatchFrac(rel, e.Scan.Index)
 		visit := math.Max(1, rows*frac)
-		pages := math.Max(1, rel.Table.Pages(p.PageBytes)*frac)
-		return pages*p.RandPageCost +
-			visit*p.CPUTuple +
-			visit*float64(len(rel.Filters))*p.CPUEval, nil
+		pages := math.Max(1, rel.Table.Pages(pageBytes)*frac)
+		return pages*randPageCost +
+			visit*cpuTuple +
+			visit*float64(len(rel.Filters))*cpuEval, nil
 
 	case memo.HashJoin:
 		build := m.tab.CardOf(e.Children[0])
 		probe := m.tab.CardOf(e.Children[1])
-		cost := build*p.CPUBuild + probe*p.CPUProbe + out*p.CPUTuple
+		cost := build*cpuBuild + probe*cpuProbe + out*cpuTuple
 		if res := len(e.Join.Residual); res > 0 {
-			cost += probe * float64(res) * p.CPUEval
+			cost += probe * float64(res) * cpuEval
 		}
-		if bp := m.pages(e.Children[0]); bp > p.MemoryPages {
-			cost += 2 * (bp + m.pages(e.Children[1])) * p.SeqPageCost
+		if bp := m.pages(e.Children[0]); bp > memoryPages {
+			cost += 2 * (bp + m.pages(e.Children[1])) * seqPageCost
 		}
 		return cost, nil
 
 	case memo.MergeJoin:
 		l, r := m.tab.CardOf(e.Children[0]), m.tab.CardOf(e.Children[1])
-		cost := (l+r)*p.CPUCompare + out*p.CPUTuple
+		cost := (l+r)*cpuCompare + out*cpuTuple
 		if res := len(e.Join.Residual); res > 0 {
-			cost += out * float64(res) * p.CPUEval
+			cost += out * float64(res) * cpuEval
 		}
 		return cost, nil
 
@@ -104,7 +102,7 @@ func (m *model) local(e *memo.Expr) (float64, error) {
 				preds = 1
 			}
 		}
-		return l*r*float64(preds)*p.CPUEval + out*p.CPUTuple, nil
+		return l*r*float64(preds)*cpuEval + out*cpuTuple, nil
 
 	case memo.IndexNLJoin:
 		// One random page probe per outer row plus the matched inner
@@ -113,25 +111,25 @@ func (m *model) local(e *memo.Expr) (float64, error) {
 		outer := m.tab.CardOf(e.Children[0])
 		matched := out
 		inner := float64(e.Lookup.Rel.Table.RowCount)
-		probe := p.RandPageCost + math.Log2(inner+2)*p.CPUCompare
-		return outer*probe + matched*p.CPUTuple + matched*p.CPUEval, nil
+		probe := randPageCost + math.Log2(inner+2)*cpuCompare
+		return outer*probe + matched*cpuTuple + matched*cpuEval, nil
 
 	case memo.HashAgg:
 		in := m.tab.CardOf(e.Children[0])
 		aggs := float64(len(m.est.q.Aggs) + len(m.est.q.GroupBy))
-		return in*p.CPUBuild + in*aggs*p.CPUEval + out*p.CPUTuple, nil
+		return in*cpuBuild + in*aggs*cpuEval + out*cpuTuple, nil
 
 	case memo.StreamAgg:
 		in := m.tab.CardOf(e.Children[0])
 		aggs := float64(len(m.est.q.Aggs) + len(m.est.q.GroupBy))
-		return in*p.CPUCompare + in*aggs*p.CPUEval + out*p.CPUTuple, nil
+		return in*cpuCompare + in*aggs*cpuEval + out*cpuTuple, nil
 
 	case memo.Sort:
 		return m.sortCost(m.tab.CardOf(e.Children[0]), e.Children[0]), nil
 
 	case memo.Result:
 		proj := float64(len(m.est.q.Projections))
-		cost := out*proj*p.CPUEval + out*p.CPUTuple
+		cost := out*proj*cpuEval + out*cpuTuple
 		if !e.SortOrder.IsNone() {
 			cost += m.sortCost(out, e.Group)
 		}
@@ -143,13 +141,12 @@ func (m *model) local(e *memo.Expr) (float64, error) {
 }
 
 func (m *model) sortCost(n float64, g *memo.Group) float64 {
-	p := m.p
 	if n < 1 {
 		n = 1
 	}
-	cost := n*math.Log2(n+1)*p.CPUCompare + n*p.CPUTuple
-	if pg := m.pagesFor(n, g); pg > p.MemoryPages {
-		cost += 2 * pg * p.SeqPageCost
+	cost := n*math.Log2(n+1)*cpuCompare + n*cpuTuple
+	if pg := m.pagesFor(n, g); pg > memoryPages {
+		cost += 2 * pg * seqPageCost
 	}
 	return cost
 }
@@ -169,7 +166,7 @@ func (m *model) pagesFor(card float64, g *memo.Group) float64 {
 	if width == 0 {
 		width = 32
 	}
-	pg := card * width / float64(m.p.PageBytes)
+	pg := card * width / pageBytes
 	if pg < 1 {
 		return 1
 	}

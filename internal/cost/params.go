@@ -13,33 +13,18 @@
 // Table 1.
 package cost
 
-// Params holds the tunable constants of the cost model.
-type Params struct {
-	PageBytes int // storage page size
+// The constants of the cost model.
+const (
+	pageBytes = 8192 // storage page size
 
-	SeqPageCost  float64 // sequential page read
-	RandPageCost float64 // random page read (index traversal)
+	seqPageCost  = 1.0 // sequential page read
+	randPageCost = 4.0 // random page read (index traversal)
 
-	CPUTuple   float64 // producing/copying one tuple
-	CPUEval    float64 // evaluating one predicate or projection on a row
-	CPUBuild   float64 // inserting one row into a hash table
-	CPUProbe   float64 // probing a hash table with one row
-	CPUCompare float64 // one comparison during sorting or merging
+	cpuTuple   = 0.01   // producing/copying one tuple
+	cpuEval    = 0.0025 // evaluating one predicate or projection on a row
+	cpuBuild   = 0.02   // inserting one row into a hash table
+	cpuProbe   = 0.01   // probing a hash table with one row
+	cpuCompare = 0.015  // one comparison during sorting or merging
 
-	MemoryPages float64 // working memory before hash/sort spill penalties
-}
-
-// Default returns the parameter set used throughout the experiments.
-func Default() Params {
-	return Params{
-		PageBytes:    8192,
-		SeqPageCost:  1.0,
-		RandPageCost: 4.0,
-		CPUTuple:     0.01,
-		CPUEval:      0.0025,
-		CPUBuild:     0.02,
-		CPUProbe:     0.01,
-		CPUCompare:   0.015,
-		MemoryPages:  1024,
-	}
-}
+	memoryPages = 1024 // working memory before hash/sort spill penalties
+)

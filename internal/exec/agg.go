@@ -1,7 +1,6 @@
 package exec
 
 import (
-	"context"
 	"slices"
 
 	"repro/internal/algebra"
@@ -165,7 +164,7 @@ func (b *builder) buildAgg(e *memo.Expr, child Iterator, cs schema) (Iterator, s
 	}, out, nil
 }
 
-func (a *aggIter) Open(ctx context.Context) error {
+func (a *aggIter) Open() error {
 	a.gkeys, a.accs = a.gkeys[:0], a.accs[:0]
 	a.groups, a.emitPos, a.done = 0, 0, false
 	if !a.stream && !a.scalar {
@@ -175,7 +174,7 @@ func (a *aggIter) Open(ctx context.Context) error {
 	if err := a.enter(); err != nil {
 		return err
 	}
-	return a.child.Open(ctx)
+	return a.child.Open()
 }
 
 // groupKey evaluates row's group key into keys and its words into key.

@@ -48,9 +48,6 @@ type Result struct {
 // like division by zero) return a non-nil error. The iterator tree is
 // fully closed on every path — success, truncation, and failure alike.
 func RunWithOptions(ctx context.Context, p *plan.Node, db *storage.DB, q *algebra.Query, opts Options) (*Result, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	gov := NewGovernor(ctx, opts)
 	b := newBuilder(db, q, gov)
 	it, _, err := b.build(p)
@@ -61,7 +58,7 @@ func RunWithOptions(ctx context.Context, p *plan.Node, db *storage.DB, q *algebr
 	res := &Result{Columns: q.OutputNames(), Strings: b.strs}
 	var store rowStore
 	runErr := func() error {
-		if err := it.Open(ctx); err != nil {
+		if err := it.Open(); err != nil {
 			return err
 		}
 		for {

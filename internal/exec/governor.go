@@ -226,12 +226,6 @@ type opNode struct {
 	open bool
 }
 
-// binder is how Build hands each freshly constructed iterator its
-// governor and operator identity.
-type binder interface {
-	bind(gov *Governor, e *memo.Expr)
-}
-
 func (o *opNode) bind(gov *Governor, e *memo.Expr) {
 	o.gov = gov
 	o.stat = gov.register(e)

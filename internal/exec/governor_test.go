@@ -18,15 +18,14 @@ import (
 // the governor for lifecycle assertions. It always closes the tree.
 func govern(t *testing.T, p *engine.Prepared, pl *plan.Node, opts exec.Options) (int, error, *exec.Governor) {
 	t.Helper()
-	ctx := context.Background()
-	gov := exec.NewGovernor(ctx, opts)
+	gov := exec.NewGovernor(context.Background(), opts)
 	it, err := exec.Build(pl, p.Engine().DB(), p.Shared.Query, gov)
 	if err != nil {
 		t.Fatalf("build: %v", err)
 	}
 	rows := 0
 	runErr := func() error {
-		if err := it.Open(ctx); err != nil {
+		if err := it.Open(); err != nil {
 			return err
 		}
 		for {

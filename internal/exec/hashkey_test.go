@@ -240,7 +240,9 @@ func TestMultiColumnKeysKeepIntAndZeroRules(t *testing.T) {
 // search passes over. So with an equality-only join predicate no plan of
 // the space examines a row it does not emit: RowsExamined is the sum of
 // the operators' rows, as it was when every key had a bucket of its own.
-// The space must hold hash, merge and index nested-loop join plans.
+// Each table also holds a row with a NULL key, which joins nothing and
+// so must be examined by no join either. The space must hold hash,
+// merge and index nested-loop join plans.
 func TestHashJoinSharedBucketChargesNothing(t *testing.T) {
 	const n = 4 // build rows on either side: a table of 4 buckets
 	keys := []int64{1}
@@ -257,6 +259,7 @@ func TestHashJoinSharedBucketChargesNothing(t *testing.T) {
 		for i, k := range ks {
 			kt.rows = append(kt.rows, []any{k, int64(i)})
 		}
+		kt.rows = append(kt.rows, []any{nil, int64(len(ks))})
 		return kt
 	}
 	db := keyDB(t, intTable("l", a, b, c, b), intTable("r", c, a, a, 99))

@@ -16,6 +16,8 @@ import (
 // row, so every iterator must support repeated Open calls; materializing
 // iterators (sort, hash structures) may cache their state across re-Opens
 // because a sub-plan always produces the same rows within one execution.
+// Open takes no context: the Governor the tree shares holds it and
+// polls it on every Open and every DefaultCheckEvery rows.
 //
 // Close must be safe to call at any point after Build — before Open,
 // mid-stream after an error from Next, or repeatedly — and must cascade
@@ -23,7 +25,7 @@ import (
 // root Close tears the whole tree down, which the Governor's lifecycle
 // audit (OpenIterators == 0) verifies.
 type Iterator interface {
-	Open(ctx context.Context) error
+	Open() error
 	// Next returns the next row. ok is false at end of stream.
 	//
 	// The row is valid until the next Next or Close on the same
@@ -33,6 +35,10 @@ type Iterator interface {
 	// RunWithOptions copies every row it returns.
 	Next() (row data.Row, ok bool, err error)
 	Close() error
+
+	// bind hands a freshly built iterator its governor and operator
+	// identity; every iterator gets it by embedding opNode.
+	bind(gov *Governor, e *memo.Expr)
 }
 
 // Build compiles a physical plan into an iterator tree over db. Every
@@ -63,16 +69,11 @@ func newBuilder(db *storage.DB, q *algebra.Query, gov *Governor) *builder {
 }
 
 func (b *builder) build(n *plan.Node) (Iterator, schema, error) {
-	e := n.Expr
 	it, sch, err := b.buildOp(n)
 	if err != nil {
 		return nil, nil, err
 	}
-	if bi, ok := it.(binder); ok {
-		bi.bind(b.gov, e)
-	} else {
-		return nil, nil, fmt.Errorf("exec: iterator for %s does not embed opNode", e.Name())
-	}
+	it.bind(b.gov, n.Expr)
 	return it, sch, nil
 }
 
@@ -146,8 +147,8 @@ func reusesRows(it Iterator) bool {
 // copied only when the child reuses its rows or proj is non-empty; the
 // copy is then the child's values followed by the projections' values
 // over them, carved from a rowStore.
-func load(ctx context.Context, child Iterator, rows []data.Row, proj []evalFunc) ([]data.Row, error) {
-	if err := child.Open(ctx); err != nil {
+func load(child Iterator, rows []data.Row, proj []evalFunc) ([]data.Row, error) {
+	if err := child.Open(); err != nil {
 		return rows, err
 	}
 	copied := len(proj) > 0 || reusesRows(child)

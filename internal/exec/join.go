@@ -1,7 +1,6 @@
 package exec
 
 import (
-	"context"
 	"fmt"
 	"slices"
 
@@ -73,17 +72,15 @@ type nlJoinIter struct {
 	pred        conjunction
 	out         joinRow
 
-	ctx     context.Context
 	hasLeft bool
 }
 
-func (j *nlJoinIter) Open(ctx context.Context) error {
-	j.ctx = ctx
+func (j *nlJoinIter) Open() error {
 	j.hasLeft = false
 	if err := j.enter(); err != nil {
 		return err
 	}
-	return j.left.Open(ctx)
+	return j.left.Open()
 }
 
 func (j *nlJoinIter) Next() (data.Row, bool, error) {
@@ -95,7 +92,7 @@ func (j *nlJoinIter) Next() (data.Row, bool, error) {
 			}
 			j.out.setLeft(lr)
 			j.hasLeft = true
-			if err := j.right.Open(j.ctx); err != nil {
+			if err := j.right.Open(); err != nil {
 				return nil, false, err
 			}
 		}
@@ -231,13 +228,13 @@ type hashJoinIter struct {
 	cand  int32 // next build row matching the current probe row, or -1
 }
 
-func (j *hashJoinIter) Open(ctx context.Context) error {
+func (j *hashJoinIter) Open() error {
 	j.cand = -1
 	if err := j.enter(); err != nil {
 		return err
 	}
 	if j.table == nil {
-		rows, err := load(ctx, j.left, nil, nil)
+		rows, err := load(j.left, nil, nil)
 		if err != nil {
 			return err
 		}
@@ -255,7 +252,7 @@ func (j *hashJoinIter) Open(ctx context.Context) error {
 		h.index()
 		j.rows, j.table = kept, h
 	}
-	return j.right.Open(ctx)
+	return j.right.Open()
 }
 
 func (j *hashJoinIter) Next() (data.Row, bool, error) {

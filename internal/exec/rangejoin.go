@@ -1,7 +1,6 @@
 package exec
 
 import (
-	"context"
 	"fmt"
 
 	"repro/internal/data"
@@ -76,19 +75,19 @@ func (b *builder) buildLookupJoin(e *memo.Expr, outer Iterator, os schema) (Iter
 	return it, out, nil
 }
 
-func (j *rangeJoinIter) Open(ctx context.Context) error {
+func (j *rangeJoinIter) Open() error {
 	j.lo, j.hi = 0, 0
 	if err := j.enter(); err != nil {
 		return err
 	}
 	if !j.loaded {
 		var err error
-		if j.rows, err = load(ctx, j.inner, nil, nil); err != nil {
+		if j.rows, err = load(j.inner, nil, nil); err != nil {
 			return err
 		}
 		j.loaded = true
 	}
-	return j.outer.Open(ctx)
+	return j.outer.Open()
 }
 
 // at returns the inner sequence's i-th row.

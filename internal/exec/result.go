@@ -1,8 +1,6 @@
 package exec
 
 import (
-	"context"
-
 	"repro/internal/data"
 	"repro/internal/memo"
 )
@@ -38,11 +36,11 @@ func (b *builder) buildResult(e *memo.Expr, child Iterator, cs schema) (Iterator
 	return &resultIter{child: child, projFns: projFns, out: make(data.Row, len(projFns))}, out, nil
 }
 
-func (r *resultIter) Open(ctx context.Context) error {
+func (r *resultIter) Open() error {
 	if err := r.enter(); err != nil {
 		return err
 	}
-	return r.child.Open(ctx)
+	return r.child.Open()
 }
 
 func (r *resultIter) Next() (data.Row, bool, error) {

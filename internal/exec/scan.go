@@ -1,7 +1,6 @@
 package exec
 
 import (
-	"context"
 	"fmt"
 
 	"repro/internal/data"
@@ -46,7 +45,7 @@ func (b *builder) buildScan(e *memo.Expr) (Iterator, schema, error) {
 	return it, out, nil
 }
 
-func (s *scanIter) Open(ctx context.Context) error {
+func (s *scanIter) Open() error {
 	s.pos = 0
 	return s.enter()
 }

@@ -2,7 +2,6 @@ package exec
 
 import (
 	"cmp"
-	"context"
 	"fmt"
 	"math"
 	"slices"
@@ -50,7 +49,7 @@ func newSortIter(child Iterator, in schema, order algebra.Ordering, strs *data.S
 	return &sortIter{child: child, keyPos: keyPos, desc: desc, strs: strs, proj: proj}, nil
 }
 
-func (s *sortIter) Open(ctx context.Context) error {
+func (s *sortIter) Open() error {
 	s.pos = 0
 	if err := s.enter(); err != nil {
 		return err
@@ -59,7 +58,7 @@ func (s *sortIter) Open(ctx context.Context) error {
 		return nil
 	}
 	var err error
-	if s.rows, err = load(ctx, s.child, s.rows, s.proj); err != nil {
+	if s.rows, err = load(s.child, s.rows, s.proj); err != nil {
 		return err
 	}
 	if err := sortRows(s.rows, s.keyPos, s.desc, s.strs); err != nil {

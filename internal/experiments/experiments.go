@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"math/big"
 	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/core"
@@ -18,7 +17,6 @@ import (
 	"repro/internal/memo"
 	"repro/internal/plan"
 	"repro/internal/rules"
-	"repro/internal/storage"
 	"repro/internal/tpch"
 )
 
@@ -37,7 +35,7 @@ type Table1Row struct {
 	WithinTwo float64 // fraction of sampled plans with cost <= 2x optimum
 	WithinTen float64 // fraction <= 10x optimum
 
-	// Cached reports that the space came out of the config's shared
+	// Cached reports that the space came out of the engine's
 	// fingerprint cache; CountTime is then the cache-hit latency, not a
 	// cold parse+optimize+count.
 	Cached     bool
@@ -45,11 +43,10 @@ type Table1Row struct {
 	SampleTime time.Duration
 }
 
-// Config parameterizes the experiments. Pass one *Config through a
-// whole experiment run: it lazily builds one engine (and with it one
-// fingerprint-keyed space cache) per database, so repeated Table1 and
-// Figure4 calls over the same query reuse the counted space instead of
-// re-optimizing.
+// Config parameterizes the experiments. Every experiment prepares on
+// the engine its caller passes, so calls that share an engine share its
+// fingerprint-keyed space cache: repeated Table1 and Figure4 calls over
+// the same query reuse the counted space instead of re-optimizing.
 type Config struct {
 	SampleSize int // paper: 10,000
 
@@ -58,55 +55,27 @@ type Config struct {
 	// depends on (Seed, SampleSize) only, never on the host.
 	Seed int64
 
-	// Rules overrides the rule configuration (nil: the full default
-	// set). The Cartesian flag of each experiment is applied on top.
+	// Rules overrides the rule configuration (nil: the engine's own).
+	// The Cartesian flag of each experiment is applied on top.
 	Rules *rules.Config
-
-	// state is created on first use and shared by every copy of this
-	// config made afterwards.
-	state *configState
 }
 
-type configState struct {
-	mu      sync.Mutex
-	engines map[*storage.DB]*engine.Engine
-}
-
-var stateInit sync.Mutex
-
-func (c *Config) runtime() *configState {
-	stateInit.Lock()
-	defer stateInit.Unlock()
-	if c.state == nil {
-		c.state = &configState{engines: make(map[*storage.DB]*engine.Engine)}
+// session returns a session over e under the config's rules (the
+// engine's when nil), with Cartesian products allowed exactly when
+// cross is set.
+func (c *Config) session(e *engine.Engine, cross bool) *engine.Session {
+	if c.Rules == nil {
+		return e.Session(engine.WithCartesian(cross))
 	}
-	return c.state
+	cfg := *c.Rules
+	cfg.AllowCartesian = cross
+	return e.Session(engine.WithRules(cfg))
 }
 
-// sessionFor returns a session over the config's per-database engine:
-// one engine — and one space cache — per database, however many
-// (query, cross) combinations the experiment sweeps.
-func (c *Config) sessionFor(db *storage.DB, cross bool) *engine.Session {
-	st := c.runtime()
-	st.mu.Lock()
-	eng, ok := st.engines[db]
-	if !ok {
-		eng = engine.New(db)
-		st.engines[db] = eng
-	}
-	st.mu.Unlock()
-	if c.Rules != nil {
-		cfg := *c.Rules
-		cfg.AllowCartesian = cross
-		return eng.Session(engine.WithRules(cfg))
-	}
-	return eng.Session(engine.WithCartesian(cross))
-}
-
-// ScaledCosts prepares a query, samples cfg.SampleSize plans uniformly,
+// ScaledCosts prepares a query on e, samples cfg.SampleSize plans uniformly,
 // and returns their costs scaled to the optimum, plus the prepared query.
-func ScaledCosts(db *storage.DB, sqlText string, cross bool, cfg *Config) ([]float64, *engine.Prepared, error) {
-	p, err := cfg.sessionFor(db, cross).Prepare(sqlText)
+func ScaledCosts(e *engine.Engine, sqlText string, cross bool, cfg *Config) ([]float64, *engine.Prepared, error) {
+	p, err := cfg.session(e, cross).Prepare(sqlText)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -143,15 +112,15 @@ func sampleScaledCosts(p *engine.Prepared, cfg *Config) ([]float64, error) {
 	return costs, nil
 }
 
-// Table1 computes one row of Table 1 for a named TPC-H query.
-func Table1(db *storage.DB, query string, cross bool, cfg *Config) (Table1Row, error) {
+// Table1 computes one row of Table 1 for a named TPC-H query on e.
+func Table1(e *engine.Engine, query string, cross bool, cfg *Config) (Table1Row, error) {
 	sqlText, ok := tpch.Query(query)
 	if !ok {
 		return Table1Row{}, fmt.Errorf("experiments: unknown query %q", query)
 	}
 
 	countStart := time.Now()
-	p, err := cfg.sessionFor(db, cross).Prepare(sqlText)
+	p, err := cfg.session(e, cross).Prepare(sqlText)
 	if err != nil {
 		return Table1Row{}, err
 	}
@@ -184,11 +153,11 @@ func Table1(db *storage.DB, query string, cross bool, cfg *Config) (Table1Row, e
 
 // Table1All computes the full table: the named queries (the paper's are
 // tpch.PaperQueries) without and then with Cartesian products.
-func Table1All(db *storage.DB, names []string, cfg *Config) ([]Table1Row, error) {
+func Table1All(e *engine.Engine, names []string, cfg *Config) ([]Table1Row, error) {
 	var rows []Table1Row
 	for _, cross := range []bool{false, true} {
 		for _, q := range names {
-			row, err := Table1(db, q, cross, cfg)
+			row, err := Table1(e, q, cross, cfg)
 			if err != nil {
 				return nil, fmt.Errorf("experiments: %s (cross=%v): %w", q, cross, err)
 			}
@@ -229,13 +198,13 @@ type Figure4Plot struct {
 	Clipped int
 }
 
-// Figure4 builds one panel with the given bucket count.
-func Figure4(db *storage.DB, query string, cross bool, buckets int, cfg *Config) (*Figure4Plot, error) {
+// Figure4 builds one panel on e with the given bucket count.
+func Figure4(e *engine.Engine, query string, cross bool, buckets int, cfg *Config) (*Figure4Plot, error) {
 	sqlText, ok := tpch.Query(query)
 	if !ok {
 		return nil, fmt.Errorf("experiments: unknown query %q", query)
 	}
-	costs, _, err := ScaledCosts(db, sqlText, cross, cfg)
+	costs, _, err := ScaledCosts(e, sqlText, cross, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -274,12 +243,13 @@ type VerifyReport struct {
 	Mismatches []string // plan ranks whose results differed
 }
 
-// Verify executes either the whole space (when it has at most maxExhaustive
-// plans) or sampleSize uniformly sampled plans, and checks every result
-// against the optimal plan's result with Prepared.Check (same rows
-// within a float tolerance, and the ORDER BY order).
-func Verify(db *storage.DB, sqlText string, maxExhaustive int, sampleSize int, seed int64) (*VerifyReport, error) {
-	e := engine.New(db)
+// Verify prepares sqlText on e under its default options and executes
+// either the whole space (when it has at most maxExhaustive plans) or
+// sampleSize uniformly sampled plans, and checks every result against
+// the optimal plan's result with Prepared.Check (same rows within a
+// float tolerance, and the ORDER BY order). Every executed plan records
+// its observations in e's feedback store, as any execution on e does.
+func Verify(e *engine.Engine, sqlText string, maxExhaustive int, sampleSize int, seed int64) (*VerifyReport, error) {
 	p, err := e.Prepare(sqlText)
 	if err != nil {
 		return nil, err
@@ -342,10 +312,10 @@ type PruningAblation struct {
 	Retained *big.Int
 }
 
-// Prune computes the ablation for one query.
-func Prune(db *storage.DB, sqlText string, cross bool) (*PruningAblation, error) {
-	e := engine.New(db, engine.WithCartesian(cross))
-	p, err := e.Prepare(sqlText)
+// Prune computes the ablation for one query on e, with Cartesian
+// products allowed exactly when cross is set.
+func Prune(e *engine.Engine, sqlText string, cross bool) (*PruningAblation, error) {
+	p, err := e.Session(engine.WithCartesian(cross)).Prepare(sqlText)
 	if err != nil {
 		return nil, err
 	}

@@ -20,7 +20,10 @@ func bigInt(v int64) *big.Int { return big.NewInt(v) }
 
 func contains(s, sub string) bool { return strings.Contains(s, sub) }
 
-var dbCache *storage.DB
+var (
+	dbCache  *storage.DB
+	engCache *engine.Engine
+)
 
 func expDB(t *testing.T) *storage.DB {
 	t.Helper()
@@ -34,6 +37,15 @@ func expDB(t *testing.T) *storage.DB {
 	return dbCache
 }
 
+// expEngine is the one engine the tests share over expDB.
+func expEngine(t *testing.T) *engine.Engine {
+	t.Helper()
+	if engCache == nil {
+		engCache = engine.New(expDB(t))
+	}
+	return engCache
+}
+
 // quickCfg keeps test runtime low; the full 10k-sample runs live in the
 // benchmark harness and cmd/costdist.
 var quickCfg = Config{SampleSize: 400, Seed: 1}
@@ -42,7 +54,7 @@ var quickCfg = Config{SampleSize: 400, Seed: 1}
 // reduced sample size: enormous plan counts, sampled minimum close to the
 // optimum, mean far above it, and a nontrivial fraction within 10x.
 func TestTable1Shape(t *testing.T) {
-	row, err := Table1(expDB(t), "Q5", false, &quickCfg)
+	row, err := Table1(expEngine(t), "Q5", false, &quickCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,11 +84,11 @@ func TestTable1Shape(t *testing.T) {
 // TestTable1CrossLarger: the Cartesian rows of Table 1 always dominate
 // the restricted rows in space size.
 func TestTable1CrossLarger(t *testing.T) {
-	base, err := Table1(expDB(t), "Q5", false, &quickCfg)
+	base, err := Table1(expEngine(t), "Q5", false, &quickCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cross, err := Table1(expDB(t), "Q5", true, &quickCfg)
+	cross, err := Table1(expEngine(t), "Q5", true, &quickCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +101,7 @@ func TestTable1CrossLarger(t *testing.T) {
 // front-loaded — the first quarter of buckets holds more mass than the
 // last quarter (the exponential-like shape of Figure 4).
 func TestFigure4Shape(t *testing.T) {
-	plot, err := Figure4(expDB(t), "Q5", false, 20, &quickCfg)
+	plot, err := Figure4(expEngine(t), "Q5", false, 20, &quickCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +129,7 @@ func TestFigure4Shape(t *testing.T) {
 // the "random noise" case the paper contrasts with the join queries.
 func TestSmallQueryDistribution(t *testing.T) {
 	q6, _ := tpch.Query("Q6")
-	costs, p, err := ScaledCosts(expDB(t), q6, false, &Config{SampleSize: 50, Seed: 1})
+	costs, p, err := ScaledCosts(expEngine(t), q6, false, &Config{SampleSize: 50, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +149,7 @@ func TestSmallQueryDistribution(t *testing.T) {
 // TestVerifyExhaustiveAndSampled (E8).
 func TestVerifyExhaustiveAndSampled(t *testing.T) {
 	small := "SELECT n_name FROM nation, region WHERE n_regionkey = r_regionkey ORDER BY n_name"
-	report, err := Verify(expDB(t), small, 100000, 0, 3)
+	report, err := Verify(expEngine(t), small, 100000, 0, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +164,7 @@ func TestVerifyExhaustiveAndSampled(t *testing.T) {
 	}
 
 	q10, _ := tpch.Query("Q10")
-	report, err = Verify(expDB(t), q10, 100, 10, 3)
+	report, err = Verify(expEngine(t), q10, 100, 10, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +180,7 @@ func TestVerifyExhaustiveAndSampled(t *testing.T) {
 // smaller space.
 func TestPruneAblation(t *testing.T) {
 	q5, _ := tpch.Query("Q5")
-	ab, err := Prune(expDB(t), q5, false)
+	ab, err := Prune(expEngine(t), q5, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +223,7 @@ func TestScaledCostsIndependentOfGOMAXPROCS(t *testing.T) {
 		t.Helper()
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 		cfg := Config{SampleSize: 300, Seed: 9}
-		costs, p, err := ScaledCosts(expDB(t), q5, false, &cfg)
+		costs, p, err := ScaledCosts(expEngine(t), q5, false, &cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -248,19 +260,20 @@ func TestScaledCostsIndependentOfGOMAXPROCS(t *testing.T) {
 	}
 }
 
-// TestConfigReusesEngineAndCache: repeated Table1/Figure4 calls through
-// one config share a single engine and space cache — the second call
-// for a (query, cross) pair must be served from the cache.
+// TestConfigReusesEngineAndCache: repeated Table1/Figure4 calls on one
+// engine share its space cache — the second call for a (query, cross)
+// pair must be served from the cache.
 func TestConfigReusesEngineAndCache(t *testing.T) {
 	cfg := Config{SampleSize: 50, Seed: 1}
-	first, err := Table1(expDB(t), "Q7", false, &cfg)
+	e := engine.New(expDB(t))
+	first, err := Table1(e, "Q7", false, &cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if first.Cached {
 		t.Error("first Table1 call reported a cache hit")
 	}
-	second, err := Table1(expDB(t), "Q7", false, &cfg)
+	second, err := Table1(e, "Q7", false, &cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,10 +288,10 @@ func TestConfigReusesEngineAndCache(t *testing.T) {
 		t.Errorf("sampled summary differs across cache hit: %+v vs %+v", first, second)
 	}
 	// Figure4 over the same pair rides the same cached space.
-	if _, err := Figure4(expDB(t), "Q7", false, 10, &cfg); err != nil {
+	if _, err := Figure4(e, "Q7", false, 10, &cfg); err != nil {
 		t.Fatal(err)
 	}
-	st := cfg.sessionFor(expDB(t), false).Engine().Cache().Stats()
+	st := e.Cache().Stats()
 	if st.Misses != 1 {
 		t.Errorf("cache misses = %d, want 1 (one cold build for Q7)", st.Misses)
 	}

@@ -72,7 +72,7 @@ type Costing struct {
 	Memo *memo.Memo // the structure's memo, shared and never written
 }
 
-// Cost computes an overlay for the structure under cost.Default() and
+// Cost computes an overlay for the structure under the cost model and
 // the given feedback correction factors (relation subset → factor, nil
 // for none): fill the cardinality and local-cost tables, fold them over
 // space — the structure's counted space, core.Prepare of its memo — for
@@ -81,7 +81,7 @@ func (s *Structure) Cost(space *core.Space, factors map[algebra.RelSet]float64) 
 	if space.Memo != s.Memo {
 		return nil, fmt.Errorf("opt: space was counted over another memo")
 	}
-	tab, err := cost.Fill(s.Memo, s.Query, cost.Default(), factors)
+	tab, err := cost.Fill(s.Memo, s.Query, factors)
 	if err != nil {
 		return nil, err
 	}

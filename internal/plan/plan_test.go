@@ -153,7 +153,7 @@ func TestCostMonotoneInChildren(t *testing.T) {
 	p, n := appendix(t)
 	// Cost the appendix plan; then replace a child with a Sort-wrapped
 	// variant, which must never be cheaper.
-	tab, err := cost.Fill(p.Memo, p.Query, cost.Default(), nil)
+	tab, err := cost.Fill(p.Memo, p.Query, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -20,8 +20,9 @@
 #     BENCH_core.json records, and so must the B/op of those
 #     BenchmarkExecute rows. The median sampled plan runs three
 #     nested-loop joins that re-open their inner sides once per outer
-#     row, a path the optimal plans barely touch; the merge sampled plan
-#     is the only row with a merge join; the sweep runs 160 seeded
+#     row, a path the optimal plans barely touch; the merge sampled plan,
+#     the one of the same draws whose merge joins emit the most rows, is
+#     the only row with a merge join; the sweep runs 160 seeded
 #     uniform plans of Q3/Q5/Q9/Q10 under a 16,000-row work budget,
 #     most of which it cuts; the cached Prepare is the SQL
 #     front end (parse, canonical rendering, fingerprints) every request
