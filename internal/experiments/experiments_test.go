@@ -223,7 +223,8 @@ func TestScaledCostsIndependentOfGOMAXPROCS(t *testing.T) {
 		t.Helper()
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 		cfg := Config{SampleSize: 300, Seed: 9}
-		costs, p, err := ScaledCosts(expEngine(t), q5, false, &cfg)
+		// A fresh engine per setting, so each one prepares Q5 cold.
+		costs, p, err := ScaledCosts(engine.New(expDB(t)), q5, false, &cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
