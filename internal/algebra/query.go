@@ -125,6 +125,10 @@ func (q *Query) NewBaseColumn(name string, kind data.Kind, rel, colIdx int) Colu
 	return c
 }
 
+// NumColumns returns the number of column IDs allocated so far: every
+// column of the query has an ID below it.
+func (q *Query) NumColumns() int { return int(q.nextCol) }
+
 // HasAgg reports whether the query aggregates.
 func (q *Query) HasAgg() bool { return len(q.Aggs) > 0 || len(q.GroupBy) > 0 }
 

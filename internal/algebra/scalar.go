@@ -205,31 +205,31 @@ func AndAll(preds []Scalar) Scalar {
 	return out
 }
 
-// ColumnsIn accumulates the IDs of all columns referenced by s.
-func ColumnsIn(s Scalar, into map[ColID]Column) {
+// ColumnsIn calls visit once for every column reference in s, in
+// left-to-right order; a column referenced twice is visited twice.
+func ColumnsIn(s Scalar, visit func(Column)) {
 	switch e := s.(type) {
 	case *ColRefExpr:
-		into[e.Col.ID] = e.Col
-	case *ConstExpr:
+		visit(e.Col)
 	case *BinaryExpr:
-		ColumnsIn(e.L, into)
-		ColumnsIn(e.R, into)
+		ColumnsIn(e.L, visit)
+		ColumnsIn(e.R, visit)
 	case *NotExpr:
-		ColumnsIn(e.X, into)
+		ColumnsIn(e.X, visit)
 	case *NegExpr:
-		ColumnsIn(e.X, into)
+		ColumnsIn(e.X, visit)
 	case *LikeExpr:
-		ColumnsIn(e.X, into)
+		ColumnsIn(e.X, visit)
 	case *CaseExpr:
 		for _, w := range e.Whens {
-			ColumnsIn(w.Cond, into)
-			ColumnsIn(w.Then, into)
+			ColumnsIn(w.Cond, visit)
+			ColumnsIn(w.Then, visit)
 		}
 		if e.Else != nil {
-			ColumnsIn(e.Else, into)
+			ColumnsIn(e.Else, visit)
 		}
 	case *YearExpr:
-		ColumnsIn(e.X, into)
+		ColumnsIn(e.X, visit)
 	}
 }
 

@@ -183,15 +183,14 @@ func (m *model) indexMatchFrac(rel *algebra.BaseRel, idx *catalog.Index) float64
 	leadID := rel.Cols[idx.KeyCols[0]].ID
 	frac := 1.0
 	for _, f := range rel.Filters {
-		cols := make(map[algebra.ColID]algebra.Column)
-		algebra.ColumnsIn(f, cols)
-		if len(cols) != 1 {
-			continue
+		refs, onlyLead := 0, true // the filter reads the lead column and no other
+		algebra.ColumnsIn(f, func(c algebra.Column) {
+			refs++
+			onlyLead = onlyLead && c.ID == leadID
+		})
+		if refs > 0 && onlyLead {
+			frac *= m.est.predSelectivity(f)
 		}
-		if _, ok := cols[leadID]; !ok {
-			continue
-		}
-		frac *= m.est.predSelectivity(f)
 	}
 	return frac
 }

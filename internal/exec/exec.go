@@ -49,7 +49,7 @@ type Result struct {
 // fully closed on every path — success, truncation, and failure alike.
 func RunWithOptions(ctx context.Context, p *plan.Node, db *storage.DB, q *algebra.Query, opts Options) (*Result, error) {
 	gov := NewGovernor(ctx, opts)
-	b := newBuilder(db, q, gov)
+	b := newBuilder(db, q, gov, p)
 	it, _, err := b.build(p)
 	if err != nil {
 		return nil, err

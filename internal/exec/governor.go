@@ -108,7 +108,14 @@ type Governor struct {
 	stopErr    error
 
 	opens, closes int64
-	stats         []*OpStats
+	ops           [][]opSlot // one slab per Build, in build order
+}
+
+// opSlot is one registered operator: its counters, and the memo
+// operator whose name and description Stats renders.
+type opSlot struct {
+	stat OpStats
+	e    *memo.Expr
 }
 
 // NewGovernor returns a governor enforcing opts under ctx. A nil ctx is
@@ -180,21 +187,49 @@ func (g *Governor) OpenIterators() int64 { return g.opens - g.closes }
 // Opens returns the cumulative count of iterator Open transitions.
 func (g *Governor) Opens() int64 { return g.opens }
 
-// Stats returns the per-operator counters, in plan build order.
+// Stats returns the per-operator counters, in plan build order. The
+// operators' names and descriptions are rendered here, into one string.
 func (g *Governor) Stats() []OpStats {
-	out := make([]OpStats, len(g.stats))
-	for i, s := range g.stats {
-		out[i] = *s
+	n := 0
+	for _, slab := range g.ops {
+		n += len(slab)
+	}
+	out := make([]OpStats, 0, n)
+	ends := make([]int, 0, 2*n) // the end of each Name, then of each Op, in text
+	var text []byte
+	for _, slab := range g.ops {
+		for i := range slab {
+			out = append(out, slab[i].stat)
+			text = slab[i].e.AppendName(text)
+			ends = append(ends, len(text))
+			text = slab[i].e.AppendDescribe(text)
+			ends = append(ends, len(text))
+		}
+	}
+	all, start := string(text), 0
+	for i := range out {
+		out[i].Name, out[i].Op = all[start:ends[2*i]], all[ends[2*i]:ends[2*i+1]]
+		start = ends[2*i+1]
 	}
 	return out
 }
 
+// reserve starts a slab for the n operators of the next Build, so that
+// registering them allocates nothing and the counters of trees built
+// before stay where their iterators point.
+func (g *Governor) reserve(n int) {
+	g.ops = append(g.ops, make([]opSlot, 0, n))
+}
+
 // register creates the operator counter for one iterator (called by
-// Build for every node in the tree).
+// Build for every node in the tree) in the last slab reserve started.
 func (g *Governor) register(e *memo.Expr) *OpStats {
-	s := &OpStats{Name: e.Name(), Op: e.Describe(), Group: e.Group.ID}
-	g.stats = append(g.stats, s)
-	return s
+	if n := len(g.ops); n == 0 || len(g.ops[n-1]) == cap(g.ops[n-1]) {
+		g.reserve(1)
+	}
+	slab := &g.ops[len(g.ops)-1]
+	*slab = append(*slab, opSlot{stat: OpStats{Group: e.Group.ID}, e: e})
+	return &(*slab)[len(*slab)-1].stat
 }
 
 // truncationReason classifies an error from the iterator tree: a

@@ -3,6 +3,7 @@ package exec_test
 import (
 	"context"
 	"math/big"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -298,5 +299,70 @@ func TestNestedLoopReopenLifecycle(t *testing.T) {
 	}
 	if !found {
 		t.Fatal("no nested-loop plan in the space")
+	}
+}
+
+// TestSharedGovernorKeepsBothTrees: two trees built on one Governor
+// each count into their own operators' counters, even when the second
+// is built before the first runs, and Stats lists the first tree's
+// operators, then the second's, each as a Governor of its own reports
+// them.
+func TestSharedGovernorKeepsBothTrees(t *testing.T) {
+	db := buildDB(t)
+	p, err := engine.New(db).Prepare("SELECT cname, amount FROM cust, ord WHERE cid = ocid ORDER BY amount")
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b := p.OptimalPlan(), (*plan.Node)(nil)
+	err = p.Space.Enumerate(func(r *big.Int, pl *plan.Node) bool {
+		if !plan.Equal(pl, a) && len(pl.Operators()) != len(a.Operators()) {
+			b = pl
+		}
+		return b == nil
+	})
+	if err != nil || b == nil {
+		t.Fatalf("no second plan of another size: %v", err)
+	}
+	drain := func(it exec.Iterator) {
+		t.Helper()
+		if err := it.Open(); err != nil {
+			t.Fatal(err)
+		}
+		for {
+			_, ok, err := it.Next()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !ok {
+				break
+			}
+		}
+		if err := it.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var want []exec.OpStats
+	for _, pl := range []*plan.Node{a, b} {
+		_, err, gov := govern(t, p, pl, exec.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, gov.Stats()...)
+	}
+
+	gov := exec.NewGovernor(context.Background(), exec.Options{})
+	var its []exec.Iterator
+	for _, pl := range []*plan.Node{a, b} {
+		it, err := exec.Build(pl, db, p.Shared.Query, gov)
+		if err != nil {
+			t.Fatal(err)
+		}
+		its = append(its, it)
+	}
+	for _, it := range its {
+		drain(it)
+	}
+	if got := gov.Stats(); !slices.Equal(got, want) {
+		t.Fatalf("shared governor stats\n got %+v\nwant %+v", got, want)
 	}
 }

@@ -30,8 +30,10 @@ type Iterator interface {
 	//
 	// The row is valid until the next Next or Close on the same
 	// iterator: joins and aggregates write every output row into one
-	// reused buffer. A caller that keeps rows beyond that goes through
-	// load, which copies them when the child reuses its rows;
+	// reused buffer. A join's row holds only the columns its
+	// predicates or an operator above it read, while a scan returns
+	// its stored rows whole. A caller that keeps rows beyond that goes
+	// through load, which copies them when the child reuses its rows;
 	// RunWithOptions copies every row it returns.
 	Next() (row data.Row, ok bool, err error)
 	Close() error
@@ -46,35 +48,90 @@ type Iterator interface {
 // against the caller's budgets and audits Open/Close transitions. The
 // string constants the plan materializes are coded in a table private
 // to the tree; RunWithOptions returns that table as Result.Strings.
+// p is a whole plan, rooted at its Result: each join keeps only the
+// columns the operators above it read.
 func Build(p *plan.Node, db *storage.DB, q *algebra.Query, gov *Governor) (Iterator, error) {
-	it, _, err := newBuilder(db, q, gov).build(p)
+	it, _, err := newBuilder(db, q, gov, p).build(p)
 	return it, err
 }
 
 // builder compiles one plan. Its iterators share the Governor and one
 // string table, strs: an overlay of the DB's table, so that string
 // constants the plan materializes get codes without growing the DB's.
+//
+// reads counts, per column ID, the reads of that column by the
+// operators on the path from the root to the operator being built, its
+// own reads included. A join keeps in its output row exactly the
+// columns of its inputs with a count.
 type builder struct {
-	db   *storage.DB
-	q    *algebra.Query
-	gov  *Governor
-	strs *data.Strings
+	db    *storage.DB
+	q     *algebra.Query
+	gov   *Governor
+	strs  *data.Strings
+	reads []int32
 }
 
-func newBuilder(db *storage.DB, q *algebra.Query, gov *Governor) *builder {
+// newBuilder returns a builder for plan p, with a Governor slab reserved
+// for p's operators.
+func newBuilder(db *storage.DB, q *algebra.Query, gov *Governor, p *plan.Node) *builder {
 	if gov == nil {
 		gov = NewGovernor(context.Background(), Options{})
 	}
-	return &builder{db: db, q: q, gov: gov, strs: db.Strings().Overlay()}
+	gov.reserve(countOps(p))
+	return &builder{db: db, q: q, gov: gov, strs: db.Strings().Overlay(), reads: make([]int32, q.NumColumns())}
+}
+
+func countOps(n *plan.Node) int {
+	c := 1
+	for _, ch := range n.Children {
+		c += countOps(ch)
+	}
+	return c
 }
 
 func (b *builder) build(n *plan.Node) (Iterator, schema, error) {
+	b.markReads(n.Expr, 1)
 	it, sch, err := b.buildOp(n)
+	b.markReads(n.Expr, -1)
 	if err != nil {
 		return nil, nil, err
 	}
 	it.bind(b.gov, n.Expr)
 	return it, sch, nil
+}
+
+// markReads adds d to the read count of every input column e reads: a
+// Result's projections and ORDER BY, an aggregate's group keys and
+// arguments, a sort's keys, a join's predicates (which hold its keys).
+func (b *builder) markReads(e *memo.Expr, d int32) {
+	read := func(x algebra.Scalar) {
+		algebra.ColumnsIn(x, func(c algebra.Column) { b.reads[c.ID] += d })
+	}
+	switch e.Op {
+	case memo.Result:
+		for _, p := range b.q.Projections {
+			read(p.Expr)
+		}
+	case memo.HashAgg, memo.StreamAgg:
+		for _, g := range b.q.GroupBy {
+			read(g.Expr)
+		}
+		for _, a := range b.q.Aggs {
+			if a.Arg != nil {
+				read(a.Arg)
+			}
+		}
+	case memo.HashJoin, memo.MergeJoin, memo.NestedLoopJoin, memo.IndexNLJoin:
+		for _, p := range e.Join.Equi {
+			read(p.Expr)
+		}
+		for _, p := range e.Join.Residual {
+			read(p.Expr)
+		}
+	}
+	for _, oc := range e.SortOrder {
+		b.reads[oc.Col] += d
+	}
 }
 
 func (b *builder) buildOp(n *plan.Node) (Iterator, schema, error) {
@@ -146,7 +203,9 @@ func reusesRows(it Iterator) bool {
 // side, a merge join's right input) keeps its input. A kept row is
 // copied only when the child reuses its rows or proj is non-empty; the
 // copy is then the child's values followed by the projections' values
-// over them, carved from a rowStore.
+// over them, carved from a rowStore. A join child's rows are already
+// narrowed to the columns read above it, so load copies those only;
+// scans' and sorts' rows are kept by reference.
 func load(child Iterator, rows []data.Row, proj []evalFunc) ([]data.Row, error) {
 	if err := child.Open(); err != nil {
 		return rows, err

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"slices"
 
+	"repro/internal/algebra"
 	"repro/internal/data"
 	"repro/internal/memo"
 )
@@ -14,7 +15,7 @@ import (
 // runs act purely as accelerators — semantics are identical across
 // implementations, which is exactly what multi-plan verification checks.
 func (b *builder) buildJoin(e *memo.Expr, left Iterator, ls schema, right Iterator, rs schema) (Iterator, schema, error) {
-	out := ls.concat(rs)
+	row, out := b.newJoinRow(e.Join, ls, rs)
 	pred, err := compileJoinPreds(b.strs, e.Join, out)
 	if err != nil {
 		return nil, nil, err
@@ -22,7 +23,7 @@ func (b *builder) buildJoin(e *memo.Expr, left Iterator, ls schema, right Iterat
 
 	switch e.Op {
 	case memo.NestedLoopJoin:
-		return &nlJoinIter{left: left, right: right, pred: pred, out: newJoinRow(ls, rs)}, out, nil
+		return &nlJoinIter{left: left, right: right, pred: pred, out: row}, out, nil
 	case memo.HashJoin, memo.MergeJoin:
 		lKeys, rKeys := e.Join.Keys(e.Children[0].RelSet)
 		if len(lKeys) == 0 {
@@ -40,30 +41,89 @@ func (b *builder) buildJoin(e *memo.Expr, left Iterator, ls schema, right Iterat
 		if e.Op == memo.HashJoin {
 			viaFloat, apart := joinKeyRules(lKeys, rKeys)
 			return &hashJoinIter{left: left, right: right, lPos: lPos, rPos: rPos, viaFloat: viaFloat, apart: apart,
-				pred: pred, out: newJoinRow(ls, rs), key: make([]uint64, len(lKeys))}, out, nil
+				pred: pred, out: row, key: make([]uint64, len(lKeys))}, out, nil
 		}
 		return &rangeJoinIter{outer: left, inner: right, outerPos: lPos, innerPos: rPos, pred: pred,
-			key: make([]data.Value, len(lKeys)), strs: b.strs, out: newJoinRow(ls, rs)}, out, nil
+			key: make([]data.Value, len(lKeys)), strs: b.strs, out: row}, out, nil
 	default:
 		return nil, nil, fmt.Errorf("exec: %s is not a join", e.Op)
 	}
 }
 
-// joinRow is a join's reused output row: the left input's columns
-// followed by the right input's. A join copies the side that stays fixed
-// across several output rows (the outer row of a nested loop, the probe
-// row of a hash join) once, and only the other side per candidate pair.
+// joinRow is a join's reused output row: the columns it keeps of its
+// left input followed by those of its right input. Each input fills its
+// block through a gather map. A join gathers the side that stays fixed
+// across several output rows (the outer row of a nested loop or range
+// join, the probe row of a hash join) once. Of the other side's
+// candidate row it gathers the predicate columns, and the rest only
+// when the predicates accept the pair.
 type joinRow struct {
-	row   data.Row
-	split int // number of left columns
+	row         data.Row
+	left, right gather
 }
 
-func newJoinRow(ls, rs schema) joinRow {
-	return joinRow{row: make(data.Row, len(ls)+len(rs)), split: len(ls)}
+// gather copies the columns a join keeps of one input row into that
+// input's block of the output row: out[i] = in[src[i]]. The first npred
+// of them are the columns the join's predicates read.
+type gather struct {
+	out   data.Row
+	src   []int
+	npred int
 }
 
-func (o joinRow) setLeft(r data.Row)  { copy(o.row[:o.split], r) }
-func (o joinRow) setRight(r data.Row) { copy(o.row[o.split:], r) }
+func (g *gather) all(in data.Row) {
+	g.preds(in)
+	g.rest(in)
+}
+
+func (g *gather) preds(in data.Row) {
+	out := g.out[:g.npred]
+	for i, p := range g.src[:g.npred] {
+		out[i] = in[p]
+	}
+}
+
+func (g *gather) rest(in data.Row) {
+	out := g.out[g.npred:len(g.src)]
+	for i, p := range g.src[g.npred:] {
+		out[i] = in[p]
+	}
+}
+
+// newJoinRow lays out the output row of a join applying j to rows of
+// schemas ls and rs, and returns it with its schema. Of each input it
+// keeps the columns j's predicates read, first, and then the columns an
+// operator above the join reads. Scans return stored rows whole, so
+// this is where the columns nothing reads fall away.
+func (b *builder) newJoinRow(j *memo.JoinSpec, ls, rs schema) (joinRow, schema) {
+	out := make(schema, 0, len(ls)+len(rs))
+	src := make([]int, 0, len(ls)+len(rs))
+	side := func(in schema) gather {
+		start := len(out)
+		keep := func(c algebra.Column) {
+			if p := in.pos(c.ID); p >= 0 && !slices.Contains(out[start:], c.ID) {
+				out, src = append(out, c.ID), append(src, p)
+			}
+		}
+		for _, p := range j.Equi {
+			algebra.ColumnsIn(p.Expr, keep)
+		}
+		for _, p := range j.Residual {
+			algebra.ColumnsIn(p.Expr, keep)
+		}
+		npred := len(out) - start
+		for p, id := range in {
+			if b.reads[id] > 0 && !slices.Contains(out[start:start+npred], id) {
+				out, src = append(out, id), append(src, p)
+			}
+		}
+		return gather{src: src[start:], npred: npred}
+	}
+	r := joinRow{left: side(ls), right: side(rs)}
+	r.row = make(data.Row, len(out))
+	r.left.out, r.right.out = r.row[:len(r.left.src)], r.row[len(r.left.src):]
+	return r, out
+}
 
 // nlJoinIter re-executes its inner (right) child once per outer row.
 type nlJoinIter struct {
@@ -90,7 +150,7 @@ func (j *nlJoinIter) Next() (data.Row, bool, error) {
 			if err != nil || !ok {
 				return nil, false, err
 			}
-			j.out.setLeft(lr)
+			j.out.left.all(lr)
 			j.hasLeft = true
 			if err := j.right.Open(); err != nil {
 				return nil, false, err
@@ -104,7 +164,7 @@ func (j *nlJoinIter) Next() (data.Row, bool, error) {
 			j.hasLeft = false
 			continue
 		}
-		j.out.setRight(rr)
+		j.out.right.preds(rr)
 		keep, err := j.pred.keep(j.out.row)
 		if err != nil {
 			return nil, false, err
@@ -114,6 +174,7 @@ func (j *nlJoinIter) Next() (data.Row, bool, error) {
 			// inner child's emission; no extra work tick here.
 			continue
 		}
+		j.out.right.rest(rr)
 		if err := j.emit(); err != nil {
 			return nil, false, err
 		}
@@ -260,7 +321,7 @@ func (j *hashJoinIter) Next() (data.Row, bool, error) {
 	for {
 		if j.cand >= 0 {
 			i := j.cand
-			j.out.setLeft(j.rows[i])
+			j.out.left.preds(j.rows[i])
 			j.cand = t.seek(t.next[i], j.key)
 			keep, err := j.pred.keep(j.out.row)
 			if err != nil {
@@ -274,6 +335,7 @@ func (j *hashJoinIter) Next() (data.Row, bool, error) {
 				}
 				continue
 			}
+			j.out.left.rest(j.rows[i])
 			if err := j.emit(); err != nil {
 				return nil, false, err
 			}
@@ -287,7 +349,7 @@ func (j *hashJoinIter) Next() (data.Row, bool, error) {
 			continue
 		}
 		if j.cand = t.find(j.key); j.cand >= 0 {
-			j.out.setRight(rr)
+			j.out.right.all(rr)
 		}
 	}
 }

@@ -53,10 +53,10 @@ func (b *builder) buildLookupJoin(e *memo.Expr, outer Iterator, os schema) (Iter
 	for i, c := range lk.Rel.Cols {
 		innerSchema[i] = c.ID
 	}
-	out := os.concat(innerSchema)
+	row, out := b.newJoinRow(e.Join, os, innerSchema)
 
 	it := &rangeJoinIter{outer: outer, rows: table.Rows, perm: perm, loaded: true,
-		key: make([]data.Value, len(lk.OuterKeys)), strs: b.strs, out: newJoinRow(os, innerSchema)}
+		key: make([]data.Value, len(lk.OuterKeys)), strs: b.strs, out: row}
 	for i, oc := range lk.OuterKeys {
 		p := os.pos(oc.ID)
 		if p < 0 {
@@ -154,7 +154,7 @@ func (j *rangeJoinIter) Next() (data.Row, bool, error) {
 			j.lo++
 			keep, err := j.innerFilter.keep(inner)
 			if err == nil && keep {
-				j.out.setRight(inner)
+				j.out.right.preds(inner)
 				keep, err = j.pred.keep(j.out.row)
 			}
 			if err != nil {
@@ -168,6 +168,7 @@ func (j *rangeJoinIter) Next() (data.Row, bool, error) {
 				}
 				continue
 			}
+			j.out.right.rest(inner)
 			if err := j.emit(); err != nil {
 				return nil, false, err
 			}
@@ -181,7 +182,7 @@ func (j *rangeJoinIter) Next() (data.Row, bool, error) {
 			return nil, false, err
 		}
 		if j.lo < j.hi {
-			j.out.setLeft(or)
+			j.out.left.all(or)
 		}
 	}
 }

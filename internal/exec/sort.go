@@ -99,13 +99,14 @@ func (s *sortIter) Close() error {
 // is exactly a stable sort's order at O(n log n), and then permutes the
 // rows in place. decorate first writes every key as an order-preserving
 // word. When a buffer's keys fit 32 bits of rank, pack folds each row's
-// words and index into one word, sorted as plain integers; otherwise the
-// comparator reads the words, never a row. Keys without such words (a
-// position that mixes ints and floats, which data.Compare orders through
-// a lossy float64 comparison, or a NaN, which it orders partially) are
-// compared with data.Compare by slices.SortStableFunc, the insertion
-// and symmerge sort the sort package's stable sorts share, which keeps
-// their order even where the comparison is not transitive.
+// words and index into one word, and sortPacked radix-sorts those words
+// on their rank bits; otherwise the comparator reads the words, never a
+// row. Keys without such words (a position that mixes ints and floats,
+// which data.Compare orders through a lossy float64 comparison, or a
+// NaN, which it orders partially) are compared with data.Compare by
+// slices.SortStableFunc, the insertion and symmerge sort the sort
+// package's stable sorts share, which keeps their order even where the
+// comparison is not transitive.
 func sortRows(rows []data.Row, keyPos []int, desc []bool, strs *data.Strings) error {
 	if len(rows) < 2 {
 		return nil
@@ -114,8 +115,8 @@ func sortRows(rows []data.Row, keyPos []int, desc []bool, strs *data.Strings) er
 	if err != nil {
 		return err
 	}
-	if keys != nil && keys.pack() {
-		slices.Sort(keys.words)
+	if space, ok := keys.pack(); ok {
+		sortPacked(keys.words, space)
 		for i := range keys.words {
 			keys.words[i] &= 1<<32 - 1
 		}
@@ -312,39 +313,53 @@ const maxPacked = 4
 
 // pack rewrites the keys of every row as one word, rank<<32 | row
 // index, when the ranks fit in 32 bits: the rank is the row's keys in
-// mixed radix, each position's non-NULL words less their minimum plus
-// one, and NULL in the slot below or above them. Sorting the packed
-// words as integers then sorts the rows, stably, with no comparator and
-// no permutation buffer; words keeps one packed word per row. pack
-// reports whether it did. The product of the radixes is checked before
-// it is formed, so that it cannot wrap.
+// mixed radix, each position's non-NULL words less their minimum, and
+// NULL, when the position holds one, in a slot below or above them.
+// Sorting the packed words as integers then sorts the rows, stably, with
+// no comparator and no permutation buffer; words keeps one packed word
+// per row. pack returns the number of ranks, the product of the radixes,
+// and reports whether it packed; a nil s does not. The product is
+// checked before it is formed, so that it cannot wrap.
 //
 // On the 160 sampled plans of BenchmarkExecute/sweep/sampled, 539 of
 // 597 sorts, holding 99.6% of the sorted rows, pack, and the sweep runs
 // 1.3x faster than with the word comparator alone.
-func (s *sortKeys) pack() bool {
+func (s *sortKeys) pack() (uint64, bool) {
+	if s == nil {
+		return 0, false
+	}
 	k, n := s.k, len(s.words)/s.k
 	if k > maxPacked || n > 1<<32 {
-		return false
+		return 0, false
 	}
-	var lo, radix [maxPacked]uint64
-	space := uint64(1) // the number of ranks
+	var lo, radix, nullSlot [maxPacked]uint64
+	space := uint64(1)
 	for i := range k {
-		l, h := uint64(math.MaxUint64), uint64(0)
+		l, h, nulls := uint64(math.MaxUint64), uint64(0), false
 		for j := i; j < len(s.words); j += k {
-			if !s.null(j) {
+			if s.null(j) {
+				nulls = true
+			} else {
 				l, h = min(l, s.words[j]), max(h, s.words[j])
 			}
 		}
 		if l > h { // all NULL
 			l, h = 0, 0
 		}
-		if h-l > 1<<32 {
-			return false
+		if h-l >= 1<<32 {
+			return 0, false
 		}
-		lo[i], radix[i] = l, h-l+3
+		lo[i], radix[i] = l, h-l+1
+		if nulls {
+			radix[i]++
+			if s.desc[i] {
+				nullSlot[i] = radix[i] - 1
+			} else {
+				lo[i]-- // the values take slots 1 and up, NULL slot 0
+			}
+		}
 		if radix[i] > 1<<32/space {
-			return false
+			return 0, false
 		}
 		space *= radix[i]
 	}
@@ -352,20 +367,68 @@ func (s *sortKeys) pack() bool {
 		var rank uint64
 		for i := range k {
 			j := r*k + i
-			slot := s.words[j] - lo[i] + 1
-			switch {
-			case !s.null(j):
-			case s.desc[i]:
-				slot = radix[i] - 1
-			default:
-				slot = 0
+			slot := nullSlot[i]
+			if !s.null(j) {
+				slot = s.words[j] - lo[i]
 			}
 			rank = rank*radix[i] + slot
 		}
 		s.words[r] = rank<<32 | uint64(r) // row r's words are at r*k and on
 	}
 	s.words = s.words[:n]
-	return true
+	return space, true
+}
+
+// radixMin is the fewest packed words sortPacked radix-sorts. Below it
+// the fixed cost of each radix pass, clearing and summing 256 counters,
+// outweighs the comparisons it saves (BenchmarkSortPacked).
+const radixMin = 128
+
+// sortPacked sorts packed words, rank<<32 | index with every rank below
+// space and the indexes in increasing order, into the order slices.Sort
+// gives them.
+func sortPacked(words []uint64, space uint64) {
+	if len(words) < radixMin {
+		slices.Sort(words)
+		return
+	}
+	radixSort(words, space)
+}
+
+// radixSort is sortPacked's least-significant-digit radix sort over the
+// rank bits only, one byte per pass. Each pass is stable, so rows of
+// equal rank keep their index order, and a pass whose byte all words
+// share is skipped. The scatter buffer is the spare capacity decorate
+// left behind words when the buffer had more than one key position.
+func radixSort(words []uint64, space uint64) {
+	n := len(words)
+	buf := words[n:cap(words)]
+	if len(buf) < n {
+		buf = make([]uint64, n)
+	}
+	src, dst := words, buf[:n]
+	for shift := uint(32); (space-1)>>(shift-32) != 0; shift += 8 {
+		var start [256]int
+		for _, w := range src {
+			start[byte(w>>shift)]++
+		}
+		if start[byte(src[0]>>shift)] == n {
+			continue
+		}
+		sum := 0
+		for d, c := range start {
+			start[d], sum = sum, sum+c
+		}
+		for _, w := range src {
+			d := byte(w >> shift)
+			dst[start[d]] = w
+			start[d]++
+		}
+		src, dst = dst, src
+	}
+	if &src[0] != &words[0] {
+		copy(words, src)
+	}
 }
 
 // compare orders rows a and b by their words, NULL first on an

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
@@ -205,5 +206,123 @@ func TestSortRowsKindErrorIsDeterministic(t *testing.T) {
 	err := sortRows(slices.Clone(rows), []int{0, 1}, []bool{false, false}, strs)
 	if err == nil || err.Error() != want {
 		t.Fatalf("sortRows error %v, want %q", err, want)
+	}
+}
+
+// digits returns the number of radix passes, one per byte, a packed
+// rank space needs.
+func digits(space uint64) int {
+	d := 0
+	for r := space - 1; r != 0; r >>= 8 {
+		d++
+	}
+	return d
+}
+
+// TestSortRowsRadixDigits checks sortRows on buffers above radixMin,
+// whose packed ranks take from 0 radix digits (a single rank) to 4,
+// against slices.SortStableFunc over data.Compare. Each key draws from
+// a few dozen values spanning its range, so ranks repeat; keys are
+// ascending or descending, and some cases hold NULLs.
+func TestSortRowsRadixDigits(t *testing.T) {
+	strs := data.NewStrings()
+	rng := rand.New(rand.NewSource(7))
+	// spans lists, per digit count, the value spans of each case's keys.
+	spans := [][][]int64{
+		{{1}},
+		{{200}, {10, 20}, {1}},
+		{{5000}, {200, 300}},
+		{{3000, 3000}, {200, 200, 200}},
+		{{1 << 13, 1 << 13}, {100, 100, 100, 100}},
+	}
+	cases := 0
+	for want, shapes := range spans {
+		for si, keySpans := range shapes {
+			for _, n := range []int{256, 1000, 5000} {
+				nulls := want > 0 && (si+n)%2 == 0
+				k := len(keySpans)
+				pools := make([][]int64, k)
+				for i, span := range keySpans {
+					pools[i] = []int64{-5, span - 6} // the span's ends
+					for range 40 {
+						pools[i] = append(pools[i], rng.Int63n(span)-5)
+					}
+				}
+				rows := make([]data.Row, n)
+				for r := range rows {
+					row := make(data.Row, k+1)
+					for i, pool := range pools {
+						if nulls && rng.Intn(6) == 0 {
+							continue
+						}
+						v := pool[rng.Intn(len(pool))]
+						if i%2 == 0 {
+							row[i] = data.NewInt(v)
+						} else {
+							row[i] = data.NewDate(v)
+						}
+					}
+					row[k] = data.NewInt(int64(r))
+					rows[r] = row
+				}
+				keyPos, desc := make([]int, k), make([]bool, k)
+				for i := range keyPos {
+					keyPos[i], desc[i] = i, rng.Intn(2) == 0
+				}
+				keys, err := decorate(rows, keyPos, desc, strs)
+				if err != nil {
+					t.Fatal(err)
+				}
+				space, ok := keys.pack()
+				if !ok || digits(space) != want {
+					t.Fatalf("spans %v, nulls %v: packed %v, space %d (%d digits), want %d digits",
+						keySpans, nulls, ok, space, digits(space), want)
+				}
+
+				ref := slices.Clone(rows)
+				slices.SortStableFunc(ref, func(a, b data.Row) int {
+					return compareRows(a, b, keyPos, desc, strs)
+				})
+				got := slices.Clone(rows)
+				if err := sortRows(got, keyPos, desc, strs); err != nil {
+					t.Fatal(err)
+				}
+				if w, g := order(ref), order(got); !slices.Equal(w, g) {
+					t.Fatalf("spans %v, %d rows, desc %v, nulls %v: sortRows order differs from slices.SortStableFunc",
+						keySpans, n, desc, nulls)
+				}
+				cases++
+			}
+		}
+	}
+	t.Logf("%d buffers", cases)
+}
+
+// BenchmarkSortPacked times the two sorts of packed words on either side
+// of radixMin, over ranks of 2^16 values, which radixSort sorts in two
+// passes.
+func BenchmarkSortPacked(b *testing.B) {
+	const space = 1 << 16
+	for _, n := range []int{32, radixMin, 1024} {
+		rng := rand.New(rand.NewSource(1))
+		base := make([]uint64, n)
+		for i := range base {
+			base[i] = uint64(rng.Int63n(space))<<32 | uint64(i)
+		}
+		words := make([]uint64, n, 2*n)
+		for _, s := range []struct {
+			name string
+			sort func([]uint64)
+		}{
+			{"radix", func(w []uint64) { radixSort(w, space) }},
+			{"slices", slices.Sort[[]uint64]},
+		} {
+			b.Run(fmt.Sprintf("n=%d/%s", n, s.name), func(b *testing.B) {
+				for range b.N {
+					copy(words, base)
+					s.sort(words)
+				}
+			})
+		}
 	}
 }
