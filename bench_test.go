@@ -394,8 +394,12 @@ func BenchmarkOptimize(b *testing.B) {
 
 // BenchmarkPrepare prices the space cache: cold runs the full pipeline
 // (parse, bind, optimize, count) against a fresh cache every iteration;
-// cached hits the fingerprint cache and pays only parse + digest + map
-// lookup. The ratio is the repeated-query speedup the plan-space
+// cached repeats one text, which the cache answers through its
+// statement-text alias without parsing; reparse cycles through 64
+// whitespace and comment variants of the same query, more than an
+// entry keeps aliases for, so every op parses, renders and hashes its
+// text and hits the fingerprint: the SQL front end a new text pays.
+// The cold/cached ratio is the repeated-query speedup the plan-space
 // service is built around (acceptance: >= 50x on a TPC-H query).
 // cross10/cold is the structure-build stress row: a 10-way Cartesian
 // self-join of region, whose memo holds 2^10 groups (skipped under
@@ -433,6 +437,31 @@ func BenchmarkPrepare(b *testing.B) {
 			if !p.Cached {
 				b.Fatal("expected a cache hit")
 			}
+		}
+	})
+	b.Run("Q9/reparse", func(b *testing.B) {
+		e := engine.New(db(b))
+		variants := make([]string, 64)
+		for i := range variants {
+			variants[i] = fmt.Sprintf("-- variant %d\n%s%s", i, sqlText, strings.Repeat(" ", i%8))
+		}
+		if _, err := e.Prepare(sqlText); err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			p, err := e.Prepare(variants[i%len(variants)])
+			if err != nil {
+				b.Fatal(err)
+			}
+			if !p.Cached {
+				b.Fatal("expected a cache hit")
+			}
+		}
+		b.StopTimer()
+		if st := e.Cache().Stats(); st.TextHits != 0 {
+			b.Fatalf("%d of the variants were answered by their alias; want every op to parse", st.TextHits)
 		}
 	})
 	// Cached Prepares of four queries from every P goroutine at once:

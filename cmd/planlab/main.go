@@ -84,7 +84,7 @@ func run(sf float64, seed int64, query, sqlText string, cross, count, dump, expl
 		return err
 	}
 
-	st := p.Opt.Memo.Stats()
+	st := p.Shared.MemoStats
 	fmt.Printf("space: %s plans | %d groups, %d logical + %d physical operators (%d enforcers) | arithmetic: %s\n",
 		p.Count(), st.Groups, st.LogicalOps, st.PhysicalOps, st.EnforcerOps, p.Space.Arithmetic())
 	fmt.Printf("fingerprint: %s\n", p.Fingerprint())

@@ -3,9 +3,12 @@ package engine
 import (
 	"container/list"
 	"fmt"
+	"math/big"
+	"strings"
 	"sync"
 
 	"repro/internal/opt"
+	"repro/internal/rules"
 )
 
 // DefaultCacheCapacity is the entry cap of the cache an Engine creates
@@ -21,15 +24,23 @@ const DefaultCacheCapacity = 64
 // the entry cap as a secondary bound.
 const DefaultCacheBytes = 512 << 20
 
+// maxAliases is the number of statement texts one entry answers without
+// parsing them (see SpaceCache.text); a further text replaces the
+// oldest. Whitespace, comment and USEPLAN variants of one structure
+// beyond it keep the parse path.
+const maxAliases = 4
+
 // CacheStats is a point-in-time snapshot of a SpaceCache's counters.
 type CacheStats struct {
 	Hits          uint64 `json:"hits"`
+	TextHits      uint64 `json:"text_hits"` // the hits answered by a statement-text alias, unparsed
 	Misses        uint64 `json:"misses"`
 	Evictions     uint64 `json:"evictions"`     // LRU pressure (entry cap or byte budget)
 	Invalidations uint64 `json:"invalidations"` // catalog schema-version bumps
 	Entries       int    `json:"entries"`
+	Aliases       int    `json:"aliases"` // statement texts resident entries answer
 	Capacity      int    `json:"capacity"`
-	BytesCached   int64  `json:"bytes_cached"` // estimated bytes pinned by ready entries
+	BytesCached   int64  `json:"bytes_cached"` // estimated bytes pinned by ready entries, alias texts included
 	ByteBudget    int64  `json:"byte_budget"`  // 0 = unlimited
 
 	// Arithmetic counts resident spaces by the tier serving them
@@ -93,41 +104,70 @@ func (f *flight[T]) run(c *SpaceCache, fp Fingerprint, build func() (T, error), 
 }
 
 // cacheEntry is one structure fingerprint's slot. Its overlays map
-// holds the cost overlays built over the structure, keyed by overlayKey
-// and guarded by the cache lock; they live exactly as long as the
+// holds the cost overlays built over the structure, keyed by overlayKey,
+// and aliases the statement texts that resolve to it, oldest first;
+// both are guarded by the cache lock and live exactly as long as the
 // entry.
 type cacheEntry struct {
 	flight[*StructureSpace]
 	fp       Fingerprint
 	version  uint64 // catalog schema version the space was built against
-	bytes    int64  // estimated structure size, set when the build completes
+	bytes    int64  // estimated structure and alias size, set when the build completes
 	elem     *list.Element
 	overlays map[overlayKey]*flight[*opt.Costing]
+	aliases  []textKey
+}
+
+// textKey is a statement text with everything else its structure
+// fingerprint encodes: the rule configuration, the catalog identity and
+// its schema version. Equal keys parse to one statement and fingerprint
+// alike, so a key names one entry.
+type textKey struct {
+	text          string
+	rules         rules.Config
+	catalogID     uint64
+	schemaVersion uint64
+}
+
+// textAlias is what a statement text resolved to: its entry and the
+// OPTION (USEPLAN n) number it carries, validated against the entry's
+// space (nil when it has none). The number is shared by every Prepared
+// of the text and must not be mutated.
+type textAlias struct {
+	e       *cacheEntry
+	usePlan *big.Int
 }
 
 // SpaceCache is a concurrency-safe LRU of counted plan spaces keyed by
 // query fingerprint. One mutex guards everything: the entry map, the
-// exact LRU list, the byte accounting, the counters, and the overlay
-// map inside each entry. Concurrent misses for one fingerprint collapse
-// into a single build (the lock is never held while building), the
-// least-recently-used spaces beyond the entry cap or byte budget are
-// evicted, and every stale space is dropped the moment a newer catalog
-// schema version is observed (table/column/index changes — a statistics
+// statement-text aliases, the exact LRU list, the byte accounting, the
+// counters, and the overlay map inside each entry. Concurrent misses
+// for one fingerprint collapse into a single build (the lock is never
+// held while building), the least-recently-used spaces beyond the entry
+// cap or byte budget are evicted, and every stale space is dropped the
+// moment a newer catalog schema version is observed
+// (table/column/index changes — a statistics
 // refresh only invalidates cost overlays, never structures). Each entry
 // also carries the cost overlays of its structure (see overlay.go), so
 // an overlay never outlives, and never pins, an evicted structure. A
 // single cache may be shared by any number of Engines and Sessions.
+//
+// Beside the fingerprint map, texts maps a statement text a Prepare has
+// resolved to its entry, so a repeated text skips parsing, canonical
+// rendering and hashing. An entry holds at most maxAliases texts, and
+// they go with it.
 type SpaceCache struct {
 	mu       sync.Mutex
 	cap      int
 	maxBytes int64 // 0 = unlimited
-	bytes    int64 // estimated structure bytes of ready entries
+	bytes    int64 // estimated structure and alias bytes of ready entries
 	entries  map[Fingerprint]*cacheEntry
+	texts    map[textKey]textAlias
 	lru      *list.List // front = most recently used; values are *cacheEntry
 	version  uint64     // newest catalog schema version observed
 
-	hits, misses, evictions, invalidations uint64
-	ovHits, ovMisses, ovInvalidations      uint64 // overlay lookups in the entries
+	hits, textHits, misses, evictions, invalidations uint64
+	ovHits, ovMisses, ovInvalidations                uint64 // overlay lookups in the entries
 }
 
 // NewSpaceCache returns a cache holding at most capacity counted spaces
@@ -139,6 +179,7 @@ func NewSpaceCache(capacity int) *SpaceCache {
 		cap:      max(capacity, 1),
 		maxBytes: DefaultCacheBytes,
 		entries:  make(map[Fingerprint]*cacheEntry),
+		texts:    make(map[textKey]textAlias),
 		lru:      list.New(),
 	}
 }
@@ -158,10 +199,12 @@ func (c *SpaceCache) Stats() CacheStats {
 	defer c.mu.Unlock()
 	st := CacheStats{
 		Hits:          c.hits,
+		TextHits:      c.textHits,
 		Misses:        c.misses,
 		Evictions:     c.evictions,
 		Invalidations: c.invalidations,
 		Entries:       len(c.entries),
+		Aliases:       len(c.texts),
 		Capacity:      c.cap,
 		BytesCached:   c.bytes,
 		ByteBudget:    c.maxBytes,
@@ -226,6 +269,51 @@ func (c *SpaceCache) entry(fp Fingerprint, version uint64, build func() (*Struct
 	return e, false, err
 }
 
+// text returns the entry and USEPLAN number statement text k resolved
+// to when it was last prepared, while that entry is resident. A hit
+// counts as a structure hit and as a text hit. Only entries whose build
+// succeeded hold aliases, so a hit never waits.
+func (c *SpaceCache) text(k textKey) (*cacheEntry, *big.Int, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	a, ok := c.texts[k]
+	if !ok {
+		return nil, nil, false
+	}
+	c.hits++
+	c.textHits++
+	c.lru.MoveToFront(a.e.elem)
+	return a.e, a.usePlan, true
+}
+
+// alias records that statement text k resolved to entry e with plan
+// number usePlan, for text to answer next time. Only a resident entry
+// whose build succeeded takes aliases; one already holding maxAliases
+// drops its oldest. The alias's bytes are charged to the entry.
+func (c *SpaceCache) alias(e *cacheEntry, k textKey, usePlan *big.Int) {
+	k.text = strings.Clone(k.text) // the caller's string may share a larger buffer
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if !c.residentLocked(e) || !e.done() || e.err != nil {
+		return
+	}
+	if _, ok := c.texts[k]; ok {
+		return // a concurrent Prepare of the same text recorded it
+	}
+	if len(e.aliases) == maxAliases {
+		old := e.aliases[0]
+		delete(c.texts, old)
+		e.bytes -= aliasBytes(old)
+		c.bytes -= aliasBytes(old)
+		e.aliases = append(e.aliases[:0], e.aliases[1:]...)
+	}
+	e.aliases = append(e.aliases, k)
+	c.texts[k] = textAlias{e: e, usePlan: usePlan}
+	e.bytes += aliasBytes(k)
+	c.bytes += aliasBytes(k)
+	c.evictLocked()
+}
+
 // invalidateLocked removes every cached space built against a catalog
 // version older than version. The fingerprint already embeds the
 // version, so stale entries could never be returned — invalidation
@@ -254,12 +342,16 @@ func (c *SpaceCache) residentLocked(e *cacheEntry) bool { return c.entries[e.fp]
 
 // removeLocked drops an entry from the map, the LRU, and the byte
 // accounting (in-flight entries carry zero bytes until they complete).
-// Its completed overlays go with it and count as overlay
-// invalidations; overlays still building count when they complete.
+// Its aliases go with it. Its completed overlays go too and count as
+// overlay invalidations; overlays still building count when they
+// complete.
 func (c *SpaceCache) removeLocked(e *cacheEntry) {
 	delete(c.entries, e.fp)
 	c.lru.Remove(e.elem)
 	c.bytes -= e.bytes
+	for _, k := range e.aliases {
+		delete(c.texts, k)
+	}
 	for _, o := range e.overlays {
 		if o.done() {
 			c.ovInvalidations++

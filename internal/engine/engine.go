@@ -5,10 +5,17 @@
 // sampling (Section 5).
 //
 // Preparation is a staged, cache-aware pipeline over two layers held in
-// ONE cache — each SpaceCache entry carries its structure's overlays:
+// ONE cache — each SpaceCache entry carries its structure's overlays
+// and the statement texts that resolved to it:
 //
-//	parse → structure fingerprint → SpaceCache entry      → [bind → expand → count]
-//	      → overlay key           → the entry's overlays → [re-cost in place]
+//	text key ──── alias hit ─────────────────→ SpaceCache entry
+//	   └─ miss → parse → structure fingerprint → SpaceCache entry     → [bind → expand → count], record alias
+//	overlay key ─────────────────────────────→ the entry's overlays → [re-cost in place]
+//
+// A repeated statement text (the exact bytes, under the same rules,
+// catalog and schema version) finds its entry through its alias without
+// parsing, canonical rendering or hashing; each entry answers the last
+// few texts that resolved to it (maxAliases).
 //
 // The structure layer — the bound query, the expanded MEMO, and the
 // counted space with its unrank tables — depends only on the canonical
@@ -48,6 +55,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/exec"
 	"repro/internal/feedback"
+	"repro/internal/memo"
 	"repro/internal/opt"
 	"repro/internal/plan"
 	"repro/internal/rules"
@@ -150,8 +158,9 @@ func (e *Engine) Session(options ...Option) *Session {
 	return &Session{engine: e, opts: s.opts}
 }
 
-// Prepare parses, fingerprints, and — on a cache miss — binds,
-// optimizes, and counts a query under the engine's default options.
+// Prepare parses and fingerprints a text the cache has not seen and —
+// on a structure miss — binds, optimizes, and counts it, under the
+// engine's default options.
 // It is shorthand for e.Session().Prepare(sqlText).
 func (e *Engine) Prepare(sqlText string) (*Prepared, error) {
 	return e.Session().Prepare(sqlText)
@@ -186,6 +195,7 @@ type StructureSpace struct {
 	Fingerprint Fingerprint
 	Canonical   string // normalized SQL the fingerprint was computed from
 	Space       *core.Space
+	MemoStats   memo.Stats // the memo's size, counted once at build
 
 	keysOnce sync.Once
 	keys     []string // by group ID: feedbackKey of scan and join groups, "" otherwise
@@ -205,39 +215,33 @@ func (s *Session) buildStructure(canonical string, stmt *sql.SelectStmt, fp Fing
 	if err != nil {
 		return nil, err
 	}
-	return &StructureSpace{Structure: st, Fingerprint: fp, Canonical: canonical, Space: space}, nil
+	return &StructureSpace{Structure: st, Fingerprint: fp, Canonical: canonical, Space: space, MemoStats: st.Memo.Stats()}, nil
 }
 
-// Prepare runs the staged pipeline. Parsing and fingerprinting always
-// run; binding, expansion, and counting run only when the structure
-// fingerprint misses the SpaceCache, and costing runs only when the
-// overlay key misses the structure entry's overlays. Costing is the
-// cheap re-cost a statistics refresh or a feedback application pays
-// instead of a full Prepare. Concurrent calls for one fingerprint and
-// key share a single build at each layer, and all Prepared statements
-// for them share one StructureSpace and one opt.Costing.
+// Prepare runs the staged pipeline. A statement text the cache has
+// resolved before goes straight to its structure entry; any other text
+// is parsed and fingerprinted first (resolve). Binding, expansion, and
+// counting run only when the structure fingerprint misses the
+// SpaceCache, and costing runs only when the overlay key misses the
+// structure entry's overlays. Costing is the cheap re-cost a statistics
+// refresh or a feedback application pays instead of a full Prepare.
+// Concurrent calls for one fingerprint and key share a single build at
+// each layer, and all Prepared statements for them share one
+// StructureSpace and one opt.Costing.
 func (s *Session) Prepare(sqlText string) (*Prepared, error) {
-	stmt, err := sql.Parse(sqlText)
-	if err != nil {
-		return nil, err
-	}
-	// The canonical text goes into one buffer sized from the SQL text:
-	// the rendering drops indentation but parenthesizes every operator
-	// application, so it is rarely much longer. The fingerprint hashes
-	// its bytes; only a structure miss copies them into a string.
-	canonical := stmt.AppendCanonical(make([]byte, 0, len(sqlText)+len(sqlText)/4+16), false)
 	cat := s.engine.db.Catalog()
-	// One version read serves both the fingerprint and the cache entry:
-	// reading twice could race a concurrent bump and record the entry
-	// under a version newer than its fingerprint encodes, pinning a
-	// dead space in the LRU (no future caller recomputes that key).
-	schemaV := cat.SchemaVersion()
-	sfp := structureFingerprintOf(canonical, s.opts.Rules, cat.ID(), schemaV)
-	ent, sCached, err := s.engine.cache.entry(sfp, schemaV, func() (*StructureSpace, error) {
-		return s.buildStructure(string(canonical), stmt, sfp)
-	})
-	if err != nil {
-		return nil, err
+	// One version read serves the text key, the fingerprint and the
+	// cache entry: reading twice could race a concurrent bump and record
+	// the entry under a version newer than its fingerprint encodes,
+	// pinning a dead space in the LRU (no future caller recomputes that
+	// key).
+	key := textKey{text: sqlText, rules: s.opts.Rules, catalogID: cat.ID(), schemaVersion: cat.SchemaVersion()}
+	ent, usePlan, sCached := s.engine.cache.text(key)
+	if !sCached {
+		var err error
+		if ent, usePlan, sCached, err = s.resolve(key); err != nil {
+			return nil, err
+		}
 	}
 	ss := ent.val
 
@@ -247,34 +251,59 @@ func (s *Session) Prepare(sqlText string) (*Prepared, error) {
 	// lands mid-build cache a costing under a key whose epoch it does
 	// not match.
 	epoch, view := s.engine.fb.EpochView()
-	key := overlayKey{store: s.engine.fb.ID(), statsVersion: cat.StatsVersion(), epoch: epoch}
-	costing, oCached, err := s.engine.cache.overlay(ent, key, func() (*opt.Costing, error) {
+	okey := overlayKey{store: s.engine.fb.ID(), statsVersion: cat.StatsVersion(), epoch: epoch}
+	costing, oCached, err := s.engine.cache.overlay(ent, okey, func() (*opt.Costing, error) {
 		return ss.Cost(ss.Space, ss.factors(view))
 	})
 	if err != nil {
 		return nil, err
 	}
-
-	p := &Prepared{
+	return &Prepared{
 		Opt:           costing,
 		Space:         ss.Space,
 		Shared:        ss,
 		Cached:        sCached,
 		OverlayCached: oCached,
+		UsePlan:       usePlan,
 		epoch:         epoch,
 		engine:        s.engine,
+	}, nil
+}
+
+// resolve is the path of a text the cache has no alias for: parse,
+// fingerprint, find or build the structure entry, and check the
+// statement's USEPLAN number against the space. It then records the
+// text as an alias of the entry, so the next Prepare of the same text
+// skips all of this.
+func (s *Session) resolve(key textKey) (ent *cacheEntry, usePlan *big.Int, cached bool, err error) {
+	stmt, err := sql.Parse(key.text)
+	if err != nil {
+		return nil, nil, false, err
+	}
+	// The canonical text goes into one buffer sized from the SQL text:
+	// the rendering drops indentation but parenthesizes every operator
+	// application, so it is rarely much longer. The fingerprint hashes
+	// its bytes; only a structure miss copies them into a string.
+	canonical := stmt.AppendCanonical(make([]byte, 0, len(key.text)+len(key.text)/4+16), false)
+	sfp := structureFingerprintOf(canonical, key.rules, key.catalogID, key.schemaVersion)
+	ent, cached, err = s.engine.cache.entry(sfp, key.schemaVersion, func() (*StructureSpace, error) {
+		return s.buildStructure(string(canonical), stmt, sfp)
+	})
+	if err != nil {
+		return nil, nil, false, err
 	}
 	if stmt.Option != nil {
 		n, ok := new(big.Int).SetString(stmt.Option.UsePlan, 10)
 		if !ok {
-			return nil, fmt.Errorf("engine: invalid USEPLAN number %q", stmt.Option.UsePlan)
+			return nil, nil, false, fmt.Errorf("engine: invalid USEPLAN number %q", stmt.Option.UsePlan)
 		}
-		if n.Sign() < 0 || n.Cmp(ss.Space.Count()) >= 0 {
-			return nil, fmt.Errorf("engine: USEPLAN %s out of range: query has %s plans", n, ss.Space.Count())
+		if count := ent.val.Space.Count(); n.Sign() < 0 || n.Cmp(count) >= 0 {
+			return nil, nil, false, fmt.Errorf("engine: USEPLAN %s out of range: query has %s plans", n, count)
 		}
-		p.UsePlan = n
+		usePlan = n
 	}
-	return p, nil
+	s.engine.cache.alias(ent, key, usePlan)
+	return ent, usePlan, cached, nil
 }
 
 // Prepared is a parsed, optimized, and counted query: the frozen search
@@ -297,6 +326,8 @@ type Prepared struct {
 	OverlayCached bool
 
 	// UsePlan is the plan number from OPTION (USEPLAN n), nil if absent.
+	// It is shared by every Prepared of the same text and must not be
+	// mutated.
 	UsePlan *big.Int
 
 	// epoch is the feedback epoch whose correction view Opt was costed
@@ -430,9 +461,10 @@ type Execution struct {
 	Result     *exec.Result
 }
 
-// Execute parses, prepares (through the structure and overlay tiers —
-// repeated executions of one query pay optimization and counting once,
-// and re-costing only when statistics or feedback moved), resolves the
+// Execute prepares (through the structure and overlay tiers —
+// repeated executions of one query pay parsing, optimization and
+// counting once, and re-costing only when statistics or feedback
+// moved), resolves the
 // plan with Prepared.Select(rank), and runs it under opts (zero limits
 // mean unlimited). Completed executions feed observed cardinalities
 // back into the engine's feedback store.

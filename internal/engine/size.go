@@ -11,6 +11,7 @@ const (
 	structureOverhead = 8 << 10 // bound query + bookkeeping
 	overlayOverhead   = 2 << 10 // costing headers
 	planNodeBytes     = 64      // one optimal-plan node with its child pointer
+	aliasOverhead     = 128     // a statement-text alias's map slot and entry list slot
 )
 
 // SizeBytes estimates the resident bytes this StructureSpace pins while
@@ -52,3 +53,8 @@ func overlayBytes(c *opt.Costing) int64 {
 	}
 	return n
 }
+
+// aliasBytes estimates the resident bytes of a statement-text alias:
+// its text and a fixed overhead. They are charged to the entry the
+// text resolves to, in the structure byte budget.
+func aliasBytes(k textKey) int64 { return aliasOverhead + int64(len(k.text)) }

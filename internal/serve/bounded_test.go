@@ -95,3 +95,57 @@ func TestDistinctLiteralsKeepStateBounded(t *testing.T) {
 		t.Errorf("10k distinct literals should fill the active map and evict: %+v", st)
 	}
 }
+
+// TestDistinctTextsKeepAliasesBounded sends 10k /prepare requests, each
+// a distinct text of one structure (a comment and trailing blanks
+// differ). Every request parses and hits the one cached structure; the
+// cache keeps at most four statement-text aliases of it, and the bytes
+// charged for them stay bounded. The last texts sent are then answered
+// through their aliases, and the first is not.
+func TestDistinctTextsKeepAliasesBounded(t *testing.T) {
+	srv, _ := newTestServer(t)
+	h := srv.Handler()
+	stats := func() StatsResponse {
+		t.Helper()
+		var st StatsResponse
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/stats", nil))
+		if err := json.Unmarshal(w.Body.Bytes(), &st); err != nil {
+			t.Fatal(err)
+		}
+		return st
+	}
+	const body = "SELECT n_name, r_name FROM nation, region WHERE n_regionkey = r_regionkey ORDER BY n_name"
+	text := func(i int) string { return fmt.Sprintf("-- client %d\n%s%s", i, body, strings.Repeat(" ", i%5)) }
+	prepare := func(i int) PrepareResponse {
+		t.Helper()
+		var pr PrepareResponse
+		post(t, h, "/prepare", QueryRequest{SQL: text(i)}, http.StatusOK, &pr)
+		return pr
+	}
+
+	first := prepare(0)
+	bound := stats().Cache.BytesCached + 3*int64(len(text(0))+1024) // the structure and four aliases
+	const n = 10_000
+	for i := 1; i < n; i++ {
+		if pr := prepare(i); !pr.Cached || pr.Fingerprint != first.Fingerprint {
+			t.Fatalf("text %d: cached %v, fingerprint %s; want the first text's structure %s", i, pr.Cached, pr.Fingerprint, first.Fingerprint)
+		}
+		if i%500 == 499 {
+			st := stats()
+			if st.Cache.Aliases > 4 || st.Cache.Entries != 1 || st.Cache.BytesCached > bound || st.Cache.TextHits != 0 {
+				t.Fatalf("after %d texts: %+v (byte bound %d)", i+1, st.Cache, bound)
+			}
+		}
+	}
+	for i := n - 4; i < n; i++ {
+		prepare(i)
+	}
+	if st := stats(); st.Cache.TextHits != 4 {
+		t.Errorf("the last 4 texts sent again: %d text hits, want 4", st.Cache.TextHits)
+	}
+	prepare(0)
+	if st := stats(); st.Cache.TextHits != 4 || st.Cache.Aliases != 4 {
+		t.Errorf("the first text sent again: %+v, want it parsed and 4 aliases kept", st.Cache)
+	}
+}

@@ -269,7 +269,7 @@ func (s *Server) handlePrepare(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	st := p.Opt.Memo.Stats()
+	st := p.Shared.MemoStats
 	writeJSON(w, PrepareResponse{
 		SpaceInfo:   spaceInfo(p),
 		Canonical:   p.Shared.Canonical,
@@ -552,10 +552,12 @@ func (s *Server) handleFeedbackApply(w http.ResponseWriter, r *http.Request) {
 }
 
 // StatsResponse reports service health: both cache tiers' effectiveness
-// and resident bytes (structure_bytes prices counted spaces,
-// overlay_bytes the cost overlays — disjoint by construction, so they
-// add up), the feedback loop's counters, request counts, and the
-// catalog versions the tiers are keyed on.
+// and resident bytes (structure_bytes prices counted spaces and the
+// statement-text aliases charged to them, overlay_bytes the cost
+// overlays — disjoint by construction, so they add up), the feedback
+// loop's counters, request counts, and the catalog versions the tiers
+// are keyed on. cache.text_hits counts the structure hits answered by a
+// statement-text alias without parsing.
 type StatsResponse struct {
 	UptimeSeconds  float64                  `json:"uptime_seconds"`
 	Cache          engine.CacheStats        `json:"cache"`

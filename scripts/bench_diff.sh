@@ -15,7 +15,8 @@
 #     BenchmarkExecute/Q5/median_sampled,
 #     BenchmarkExecute/Q5/merge_sampled,
 #     BenchmarkExecute/sweep/sampled, BenchmarkPrepare/Q9/cached,
-#     BenchmarkPrepare/Q9/cold, BenchmarkPrepare/cross10/cold and
+#     BenchmarkPrepare/Q9/reparse, BenchmarkPrepare/Q9/cold,
+#     BenchmarkPrepare/cross10/cold and
 #     BenchmarkRecost/Q9/* allocs/op must stay within 10% of the value
 #     BENCH_core.json records, and so must the B/op of those
 #     BenchmarkExecute rows. The median sampled plan runs three
@@ -24,9 +25,10 @@
 #     the one of the same draws whose merge joins emit the most rows, is
 #     the only row with a merge join; the sweep runs 160 seeded
 #     uniform plans of Q3/Q5/Q9/Q10 under a 16,000-row work budget,
-#     most of which it cuts; the cached Prepare is the SQL
-#     front end (parse, canonical rendering, fingerprints) every request
-#     pays; the cold Prepares and the coldprepare row are structure
+#     most of which it cuts; the cached Prepare is a repeated text,
+#     answered through its statement-text alias, and the reparse
+#     Prepare the SQL front end (parse, canonical rendering,
+#     fingerprints) every new text pays; the cold Prepares and the coldprepare row are structure
 #     builds (memo construction and counting), cross10 the 10-way
 #     Cartesian one; the recost row is the overlay rebuild, and
 #     recost_feedback the same rebuild under live feedback
@@ -84,7 +86,7 @@ for i in $(seq 1 "$COUNT"); do
 		"$TMP/repro.test" -test.run '^$' -test.benchmem -test.count 1 -test.benchtime "$BENCHTIME" \
 			-test.bench '^BenchmarkExecute$/^(Q[0-9]+|sweep)$/^(optimal|median_sampled|merge_sampled|sampled)$'
 		"$TMP/repro.test" -test.run '^$' -test.benchmem -test.count 1 -test.benchtime "$BENCHTIME" \
-			-test.bench '^BenchmarkPrepare$/^(Q9|cross10)$/^(cached|cold)$'
+			-test.bench '^BenchmarkPrepare$/^(Q9|cross10)$/^(cached|reparse|cold)$'
 		"$TMP/repro.test" -test.run '^$' -test.benchmem -test.count 1 -test.benchtime "$BENCHTIME" \
 			-test.bench '^BenchmarkRender$/^AppendTo$'
 	} | tee "$TMP/run$i.txt"
@@ -143,7 +145,7 @@ print(f"\nbench_diff: allocs/op ceilings (recorded + 10%)")
 print(f"{'row':28} {'recorded':>9} {'fresh':>9}")
 for row in core["results"]:
     name = row["name"]
-    if not re.fullmatch(r'BenchmarkExecute/(\S+/optimal|Q5/(median|merge)_sampled|sweep/sampled)|BenchmarkPrepare/(Q9/cached|Q9/cold|cross10/cold)|BenchmarkRecost/Q9/\S+', name):
+    if not re.fullmatch(r'BenchmarkExecute/(\S+/optimal|Q5/(median|merge)_sampled|sweep/sampled)|BenchmarkPrepare/(Q9/cached|Q9/reparse|Q9/cold|cross10/cold)|BenchmarkRecost/Q9/\S+', name):
         continue
     want = row["allocs_per_op"]
     got = [rows[name][1] for rows in runs if name in rows]
