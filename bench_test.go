@@ -393,7 +393,8 @@ func BenchmarkOptimize(b *testing.B) {
 }
 
 // BenchmarkPrepare prices the space cache: cold runs the full pipeline
-// (parse, bind, optimize, count) against a fresh cache every iteration;
+// (parse, bind, optimize, count) on a fresh engine, whose cache is
+// empty, every iteration;
 // cached repeats one text, which the cache answers through its
 // statement-text alias without parsing; reparse cycles through 64
 // whitespace and comment variants of the same query, more than an
@@ -409,7 +410,7 @@ func BenchmarkPrepare(b *testing.B) {
 	cold := func(b *testing.B, sqlText string, opts ...engine.Option) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			e := engine.New(db(b), append(opts, engine.WithCache(engine.NewSpaceCache(1)))...)
+			e := engine.New(db(b), opts...)
 			if _, err := e.Prepare(sqlText); err != nil {
 				b.Fatal(err)
 			}
@@ -563,7 +564,7 @@ func BenchmarkRecost(b *testing.B) {
 	b.Run("Q9/coldprepare", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			e := engine.New(db(b), engine.WithCache(engine.NewSpaceCache(1)))
+			e := engine.New(db(b))
 			if _, err := e.Prepare(sqlText); err != nil {
 				b.Fatal(err)
 			}

@@ -6,7 +6,9 @@
 // for a query pays for optimization and counting and every later one is
 // served from the cache; execution runs under server-enforced Governor
 // limits (wall clock, output rows, intermediate rows), so even a
-// pathological sampled plan cannot hang the server.
+// pathological sampled plan cannot hang the server. SIGINT or SIGTERM
+// stops it gracefully: it accepts no new connections, lets the requests
+// in flight finish and exits 0; a second signal stops it at once.
 //
 // Examples:
 //
@@ -21,10 +23,13 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
 	"os"
+	"os/signal"
+	"syscall"
 	"time"
 
 	"repro/internal/engine"
@@ -62,11 +67,12 @@ func run(addr string, sf float64, seed int64, cacheCap int, cacheBytes int64, li
 		return err
 	}
 	log.Printf("database ready in %v", time.Since(start).Round(time.Millisecond))
-	cache := engine.NewSpaceCache(cacheCap)
-	cache.SetByteBudget(cacheBytes)
-	e := engine.New(db, engine.WithCache(cache))
+	e := engine.New(db, engine.WithCacheLimits(cacheCap, cacheBytes))
 	srv := serve.New(e, serve.WithQueryResolver(tpch.Query), serve.WithExecLimits(lim))
 	log.Printf("serving plan spaces on %s (cache: %d structures / %d MB, exec: %v timeout, %d rows, %d work)",
 		addr, cacheCap, cacheBytes>>20, lim.DefaultTimeout, lim.DefaultMaxRows, lim.DefaultMaxWork)
-	return srv.ListenAndServe(addr)
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	context.AfterFunc(ctx, stop) // a second signal during the drain kills at once
+	return srv.ListenAndServe(ctx, addr)
 }

@@ -31,8 +31,8 @@ var churnLiterals = map[string][]string{
 func TestCacheAccountingIsDeterministic(t *testing.T) {
 	db := tinyTPCH(t)
 	engines := [2]*engine.Engine{
-		engine.New(db, engine.WithCache(engine.NewSpaceCache(4))),
-		engine.New(db, engine.WithCache(engine.NewSpaceCache(4))),
+		engine.New(db, engine.WithCacheLimits(4, engine.DefaultCacheBytes)),
+		engine.New(db, engine.WithCacheLimits(4, engine.DefaultCacheBytes)),
 	}
 	templates := []string{"Q3", "Q5", "Q10"}
 	executed := map[string]bool{}

@@ -134,7 +134,7 @@ func TestAliasGoesWithItsEntry(t *testing.T) {
 		checkAliases(t, e.Cache())
 	})
 	t.Run("eviction", func(t *testing.T) {
-		e := New(aliasDB(t), WithCache(NewSpaceCache(1)))
+		e := New(aliasDB(t), WithCacheLimits(1, DefaultCacheBytes))
 		mustPrepare(t, e.Session(), aliasQuery)
 		mustPrepare(t, e.Session(), "SELECT r_name FROM region") // evicts aliasQuery's entry
 		if st := e.Cache().Stats(); st.Evictions != 1 || st.Aliases != 1 {
@@ -160,7 +160,7 @@ func TestAliasGoesWithItsEntry(t *testing.T) {
 		}
 		// The cache never aliases an entry whose build failed, nor one
 		// that is no longer resident.
-		c := NewSpaceCache(2)
+		c := newSpaceCache(2, DefaultCacheBytes)
 		k := textKey{text: "q"}
 		failed, _, _ := c.entry(fp(1), 1, func() (*StructureSpace, error) { return nil, errors.New("boom") })
 		c.alias(failed, k, nil)
@@ -177,39 +177,29 @@ func TestAliasGoesWithItsEntry(t *testing.T) {
 	})
 }
 
-// TestAliasNotShared: sessions with different rule configurations, and
-// engines over different databases that share one cache, never answer
-// one another's texts.
+// TestAliasNotShared: sessions of one engine with different rule
+// configurations never answer one another's texts.
 func TestAliasNotShared(t *testing.T) {
-	e := New(aliasDB(t))
-	shared := NewSpaceCache(8)
-	for _, tc := range []struct {
-		name string
-		a, b *Session
-	}{
-		{"rules", e.Session(), e.Session(WithCartesian(true))},
-		{"catalog", New(aliasDB(t), WithCache(shared)).Session(), New(aliasDB(t), WithCache(shared)).Session()},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			pa := mustPrepare(t, tc.a, aliasQuery)
-			pb := mustPrepare(t, tc.b, aliasQuery)
-			if pb.Cached || pb.Shared == pa.Shared {
-				t.Fatal("the second session was answered by the first one's alias")
+	t.Run("rules", func(t *testing.T) {
+		e := New(aliasDB(t))
+		a, b := e.Session(), e.Session(WithCartesian(true))
+		pa := mustPrepare(t, a, aliasQuery)
+		pb := mustPrepare(t, b, aliasQuery)
+		if pb.Cached || pb.Shared == pa.Shared {
+			t.Fatal("the second session was answered by the first one's alias")
+		}
+		again := func(s *Session, first *Prepared) {
+			if p := mustPrepare(t, s, aliasQuery); !p.Cached || p.Shared != first.Shared {
+				t.Error("a repeated text resolved to another structure than its first Prepare")
 			}
-			again := func(s *Session, first *Prepared) {
-				if p := mustPrepare(t, s, aliasQuery); !p.Cached || p.Shared != first.Shared {
-					t.Error("a repeated text resolved to another structure than its first Prepare")
-				}
-			}
-			again(tc.a, pa)
-			again(tc.b, pb)
-			c := tc.a.Engine().Cache()
-			if st := c.Stats(); st.TextHits != 2 || st.Aliases != 2 {
-				t.Errorf("stats %+v, want 2 text hits over 2 aliases", st)
-			}
-			checkAliases(t, c)
-		})
-	}
+		}
+		again(a, pa)
+		again(b, pb)
+		if st := e.Cache().Stats(); st.TextHits != 2 || st.Aliases != 2 {
+			t.Errorf("stats %+v, want 2 text hits over 2 aliases", st)
+		}
+		checkAliases(t, e.Cache())
+	})
 }
 
 // TestAliasKeepsItsUsePlan: two texts of one structure with different
@@ -297,7 +287,7 @@ func TestFifthTextReplacesOldest(t *testing.T) {
 // to its own text's structure and USEPLAN number.
 func TestAliasConcurrent(t *testing.T) {
 	db := aliasDB(t)
-	e := New(db, WithCache(NewSpaceCache(2)))
+	e := New(db, WithCacheLimits(2, DefaultCacheBytes))
 	texts := []string{
 		aliasQuery,
 		aliasQuery + " OPTION (USEPLAN 5)",

@@ -11,12 +11,11 @@ import (
 	"repro/internal/rules"
 )
 
-// DefaultCacheCapacity is the entry cap of the cache an Engine creates
-// when none is injected: a hard ceiling on cached spaces regardless of
-// their size.
+// DefaultCacheCapacity is the default entry cap of an Engine's cache: a
+// hard ceiling on cached spaces regardless of their size.
 const DefaultCacheCapacity = 64
 
-// DefaultCacheBytes is the default byte budget of a new SpaceCache.
+// DefaultCacheBytes is the default byte budget of an Engine's cache.
 // Counted spaces pin their whole MEMO plus the per-operator count
 // tables, and their sizes vary by orders of magnitude (a single-table
 // query's space is a few KB; Q8 with Cartesian products is MBs), so
@@ -103,29 +102,29 @@ func (f *flight[T]) run(c *SpaceCache, fp Fingerprint, build func() (T, error), 
 	return val, err
 }
 
-// cacheEntry is one structure fingerprint's slot. Its overlays map
-// holds the cost overlays built over the structure, keyed by overlayKey,
-// and aliases the statement texts that resolve to it, oldest first;
-// both are guarded by the cache lock and live exactly as long as the
-// entry.
+// cacheEntry is one structure fingerprint's slot. Its overlay slot
+// holds the cost overlay of the newest overlay key looked up over the
+// structure, and aliases the statement texts that resolve to it, oldest
+// first; both are guarded by the cache lock and live exactly as long as
+// the entry.
 type cacheEntry struct {
 	flight[*StructureSpace]
-	fp       Fingerprint
-	version  uint64 // catalog schema version the space was built against
-	bytes    int64  // estimated structure and alias size, set when the build completes
-	elem     *list.Element
-	overlays map[overlayKey]*flight[*opt.Costing]
-	aliases  []textKey
+	fp      Fingerprint
+	version uint64 // catalog schema version the space was built against
+	bytes   int64  // estimated structure and alias size, set when the build completes
+	elem    *list.Element
+	overlay *flight[*opt.Costing] // nil until the first overlay lookup, or after a drop
+	okey    overlayKey            // the overlay's key
+	aliases []textKey
 }
 
-// textKey is a statement text with everything else its structure
-// fingerprint encodes: the rule configuration, the catalog identity and
-// its schema version. Equal keys parse to one statement and fingerprint
-// alike, so a key names one entry.
+// textKey is a statement text with what else its structure fingerprint
+// encodes that varies within one engine's cache: the rule configuration
+// and the schema version. Equal keys parse to one statement and
+// fingerprint alike, so a key names one entry.
 type textKey struct {
 	text          string
 	rules         rules.Config
-	catalogID     uint64
 	schemaVersion uint64
 }
 
@@ -141,7 +140,7 @@ type textAlias struct {
 // SpaceCache is a concurrency-safe LRU of counted plan spaces keyed by
 // query fingerprint. One mutex guards everything: the entry map, the
 // statement-text aliases, the exact LRU list, the byte accounting, the
-// counters, and the overlay map inside each entry. Concurrent misses
+// counters, and the overlay slot inside each entry. Concurrent misses
 // for one fingerprint collapse into a single build (the lock is never
 // held while building), the least-recently-used spaces beyond the entry
 // cap or byte budget are evicted, and every stale space is dropped the
@@ -150,7 +149,7 @@ type textAlias struct {
 // refresh only invalidates cost overlays, never structures). Each entry
 // also carries the cost overlays of its structure (see overlay.go), so
 // an overlay never outlives, and never pins, an evicted structure. A
-// single cache may be shared by any number of Engines and Sessions.
+// cache belongs to one Engine, whose feedback store costs its overlays.
 //
 // Beside the fingerprint map, texts maps a statement text a Prepare has
 // resolved to its entry, so a repeated text skips parsing, canonical
@@ -170,27 +169,17 @@ type SpaceCache struct {
 	ovHits, ovMisses, ovInvalidations                uint64 // overlay lookups in the entries
 }
 
-// NewSpaceCache returns a cache holding at most capacity counted spaces
-// and at most DefaultCacheBytes of estimated space memory; capacities
-// below one are clamped to one. Adjust or disable the byte budget with
-// SetByteBudget.
-func NewSpaceCache(capacity int) *SpaceCache {
+// newSpaceCache returns a cache holding at most capacity counted spaces
+// (below one is clamped to one) and at most maxBytes of estimated space
+// memory (0 disables byte-based eviction).
+func newSpaceCache(capacity int, maxBytes int64) *SpaceCache {
 	return &SpaceCache{
 		cap:      max(capacity, 1),
-		maxBytes: DefaultCacheBytes,
+		maxBytes: maxBytes,
 		entries:  make(map[Fingerprint]*cacheEntry),
 		texts:    make(map[textKey]textAlias),
 		lru:      list.New(),
 	}
-}
-
-// SetByteBudget replaces the cache's byte budget (0 disables byte-based
-// eviction entirely) and immediately evicts down to the new budget.
-func (c *SpaceCache) SetByteBudget(n int64) {
-	c.mu.Lock()
-	c.maxBytes = n
-	c.evictLocked()
-	c.mu.Unlock()
 }
 
 // Stats returns a snapshot of the cache's counters.
@@ -240,12 +229,7 @@ func (c *SpaceCache) entry(fp Fingerprint, version uint64, build func() (*Struct
 		_, err := e.wait()
 		return e, true, err
 	}
-	e := &cacheEntry{
-		flight:   newFlight[*StructureSpace](),
-		fp:       fp,
-		version:  version,
-		overlays: make(map[overlayKey]*flight[*opt.Costing]),
-	}
+	e := &cacheEntry{flight: newFlight[*StructureSpace](), fp: fp, version: version}
 	e.elem = c.lru.PushFront(e)
 	c.entries[fp] = e
 	c.misses++
@@ -342,9 +326,9 @@ func (c *SpaceCache) residentLocked(e *cacheEntry) bool { return c.entries[e.fp]
 
 // removeLocked drops an entry from the map, the LRU, and the byte
 // accounting (in-flight entries carry zero bytes until they complete).
-// Its aliases go with it. Its completed overlays go too and count as
-// overlay invalidations; overlays still building count when they
-// complete.
+// Its aliases go with it. Its overlay goes too and counts as an
+// overlay invalidation if completed; one still building counts when it
+// completes.
 func (c *SpaceCache) removeLocked(e *cacheEntry) {
 	delete(c.entries, e.fp)
 	c.lru.Remove(e.elem)
@@ -352,10 +336,8 @@ func (c *SpaceCache) removeLocked(e *cacheEntry) {
 	for _, k := range e.aliases {
 		delete(c.texts, k)
 	}
-	for _, o := range e.overlays {
-		if o.done() {
-			c.ovInvalidations++
-		}
+	if e.overlay != nil && e.overlay.done() {
+		c.ovInvalidations++
 	}
 }
 

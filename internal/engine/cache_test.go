@@ -21,9 +21,8 @@ func fp(b byte) Fingerprint {
 // tier drives one of the cache's two singleflight tiers through a
 // common shape, so one test body covers both: get looks up slot b and
 // runs build on a miss; stats reads the tier's counters. The overlay
-// tier's slots live in the entry of one resident structure, keyed by
-// overlayKey{store: b}: overlays of distinct stores never supersede
-// each other.
+// tier's slot is the one of a resident structure's entry, looked up
+// under overlayKey{epoch: b}.
 type tier struct {
 	name  string
 	get   func(c *SpaceCache, b byte, build func() error) (any, bool, error)
@@ -54,12 +53,13 @@ var tiers = []tier{
 			if err != nil {
 				return nil, false, err
 			}
-			return c.overlay(e, overlayKey{store: uint64(b)}, func() (*opt.Costing, error) {
+			ov, _, cached, err := c.overlay(e, overlayKey{epoch: uint64(b)}, func() (*opt.Costing, error) {
 				if err := build(); err != nil {
 					return nil, err
 				}
 				return &opt.Costing{}, nil
 			})
+			return ov, cached, err
 		},
 		stats: func(c *SpaceCache) (uint64, uint64, int) {
 			st := OverlayView{c}.Stats()
@@ -73,7 +73,7 @@ var tiers = []tier{
 func TestCacheSingleflight(t *testing.T) {
 	for _, tr := range tiers {
 		t.Run(tr.name, func(t *testing.T) {
-			c := NewSpaceCache(4)
+			c := newSpaceCache(4, DefaultCacheBytes)
 			var builds atomic.Int64
 			const goroutines = 32
 
@@ -115,7 +115,7 @@ func TestCacheSingleflight(t *testing.T) {
 // TestCacheLRUEviction: beyond the capacity the least-recently-used
 // space is dropped; touching an entry protects it.
 func TestCacheLRUEviction(t *testing.T) {
-	c := NewSpaceCache(2)
+	c := newSpaceCache(2, DefaultCacheBytes)
 	get := func(b byte) (*StructureSpace, bool) {
 		t.Helper()
 		e, cached, err := c.entry(fp(b), 1, func() (*StructureSpace, error) {
@@ -153,7 +153,7 @@ func TestCacheLRUEviction(t *testing.T) {
 func TestCacheErrorNotCached(t *testing.T) {
 	for _, tr := range tiers {
 		t.Run(tr.name, func(t *testing.T) {
-			c := NewSpaceCache(2)
+			c := newSpaceCache(2, DefaultCacheBytes)
 			boom := errors.New("build failed")
 			var builds int
 			_, _, err := tr.get(c, 9, func() error {
@@ -183,7 +183,7 @@ func TestCacheErrorNotCached(t *testing.T) {
 // TestCacheInvalidation: observing a newer catalog version drops every
 // space built against an older one.
 func TestCacheInvalidation(t *testing.T) {
-	c := NewSpaceCache(8)
+	c := newSpaceCache(8, DefaultCacheBytes)
 	build := func() (*StructureSpace, error) { return &StructureSpace{}, nil }
 	if _, _, err := c.entry(fp(1), 1, build); err != nil {
 		t.Fatal(err)
@@ -222,7 +222,7 @@ func TestCacheInvalidation(t *testing.T) {
 func TestCachePanicDoesNotWedge(t *testing.T) {
 	for _, tr := range tiers {
 		t.Run(tr.name, func(t *testing.T) {
-			c := NewSpaceCache(2)
+			c := newSpaceCache(2, DefaultCacheBytes)
 			release := make(chan struct{})
 			waiterErr := make(chan error, 1)
 			go func() {
@@ -268,7 +268,7 @@ func TestCachePanicDoesNotWedge(t *testing.T) {
 // waiters, and neither the structure nor the overlay is put back in
 // the cache.
 func TestOverlayBuildOutlivesEvictedStructure(t *testing.T) {
-	c := NewSpaceCache(1)
+	c := newSpaceCache(1, DefaultCacheBytes)
 	newStructure := func() (*StructureSpace, error) { return &StructureSpace{}, nil }
 	e, _, err := c.entry(fp(1), 1, newStructure)
 	if err != nil {
@@ -278,7 +278,7 @@ func TestOverlayBuildOutlivesEvictedStructure(t *testing.T) {
 	started, release := make(chan struct{}), make(chan struct{})
 	got := make(chan *opt.Costing, 2) // the builder and one waiter
 	lookup := func(build func() (*opt.Costing, error)) {
-		ov, _, err := c.overlay(e, overlayKey{store: 9}, build)
+		ov, _, _, err := c.overlay(e, overlayKey{epoch: 9}, build)
 		if err != nil {
 			t.Error(err)
 		}
@@ -324,7 +324,8 @@ func TestOverlayBuildOutlivesEvictedStructure(t *testing.T) {
 // canonical SQL length (SizeBytes = fixed overhead + len(Canonical) for
 // a space-less StructureSpace).
 func TestCacheByteBudgetEviction(t *testing.T) {
-	c := NewSpaceCache(100)
+	one := (&StructureSpace{}).SizeBytes() // size of a zero-canonical entry
+	c := newSpaceCache(100, 2*one+one/2)   // room for two, not three
 	entry := func(b byte, canonLen int) (*StructureSpace, bool) {
 		t.Helper()
 		e, cached, err := c.entry(fp(b), 1, func() (*StructureSpace, error) {
@@ -335,9 +336,6 @@ func TestCacheByteBudgetEviction(t *testing.T) {
 		}
 		return e.val, cached
 	}
-	one := (&StructureSpace{}).SizeBytes() // size of a zero-canonical entry
-	c.SetByteBudget(2*one + one/2)         // room for two, not three
-
 	entry(1, 0)
 	entry(2, 0)
 	if st := c.Stats(); st.Entries != 2 || st.BytesCached != 2*one || st.Evictions != 0 {
@@ -363,13 +361,12 @@ func TestCacheByteBudgetEviction(t *testing.T) {
 		t.Error("oversized MRU entry was evicted; it should stay cached alone")
 	}
 
-	// Tightening the budget evicts immediately; 0 disables byte-based
-	// eviction entirely.
-	entry(5, 0)
-	c.SetByteBudget(0)
-	entry(6, 0)
+	// A budget of 0 disables byte-based eviction entirely.
+	c = newSpaceCache(100, 0)
+	entry(5, int(3*one))
+	entry(6, int(3*one))
 	entry(7, 0)
-	if st := c.Stats(); st.Entries < 3 {
+	if st := c.Stats(); st.Entries != 3 || st.Evictions != 0 {
 		t.Errorf("byte eviction ran with budget disabled: %+v", st)
 	}
 }
@@ -377,7 +374,7 @@ func TestCacheByteBudgetEviction(t *testing.T) {
 // TestCacheBytesAccounting: invalidation and failed builds release
 // their bytes; in-flight entries carry none.
 func TestCacheBytesAccounting(t *testing.T) {
-	c := NewSpaceCache(8)
+	c := newSpaceCache(8, DefaultCacheBytes)
 	for b := byte(1); b <= 3; b++ {
 		c.entry(fp(b), 1, func() (*StructureSpace, error) { return &StructureSpace{}, nil })
 	}
@@ -403,7 +400,7 @@ func TestCacheBytesAccounting(t *testing.T) {
 func TestCacheExactLRUAtAnyGOMAXPROCS(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	runtime.GOMAXPROCS(8)
-	c := NewSpaceCache(8)
+	c := newSpaceCache(8, DefaultCacheBytes)
 	get := func(i int) bool {
 		t.Helper()
 		f := structureFingerprintOf(fmt.Appendf(nil, "SELECT %d", i), opt.DefaultOptions().Rules, 1, 1)
@@ -432,8 +429,8 @@ func TestCacheExactLRUAtAnyGOMAXPROCS(t *testing.T) {
 	for _, capacity := range []int{1, 3, 8, 64} {
 		for procs := 1; procs <= 8; procs++ {
 			runtime.GOMAXPROCS(procs)
-			if got := NewSpaceCache(capacity).Stats().Capacity; got != capacity {
-				t.Errorf("GOMAXPROCS %d: NewSpaceCache(%d) capacity = %d", procs, capacity, got)
+			if got := newSpaceCache(capacity, DefaultCacheBytes).Stats().Capacity; got != capacity {
+				t.Errorf("GOMAXPROCS %d: newSpaceCache(%d) capacity = %d", procs, capacity, got)
 			}
 		}
 	}
@@ -443,7 +440,7 @@ func TestCacheExactLRUAtAnyGOMAXPROCS(t *testing.T) {
 // through entry drops every stale space, not just the one it looks up —
 // even when that lookup's own build fails.
 func TestCacheInvalidationDropsEveryStaleSpace(t *testing.T) {
-	c := NewSpaceCache(64)
+	c := newSpaceCache(64, DefaultCacheBytes)
 	var fps []Fingerprint
 	for i := 0; i < 24; i++ {
 		fps = append(fps, structureFingerprintOf(fmt.Appendf(nil, "SELECT %d", i), opt.DefaultOptions().Rules, 1, 1))
@@ -476,7 +473,7 @@ func TestCacheInvalidationDropsEveryStaleSpace(t *testing.T) {
 // TestCacheSingleflightManyFingerprints: concurrent misses for many
 // fingerprints still build each space exactly once.
 func TestCacheSingleflightManyFingerprints(t *testing.T) {
-	c := NewSpaceCache(64)
+	c := newSpaceCache(64, DefaultCacheBytes)
 	var builds atomic.Int64
 	var wg sync.WaitGroup
 	for i := 0; i < 16; i++ {
@@ -506,9 +503,8 @@ func TestCacheSingleflightManyFingerprints(t *testing.T) {
 // budget smaller than the entry cap holds exactly the six entries that
 // fit; zero disables byte eviction.
 func TestCacheByteBudgetManyFingerprints(t *testing.T) {
-	c := NewSpaceCache(100)
 	one := (&StructureSpace{}).SizeBytes()
-	c.SetByteBudget(6*one + one/2) // room for six entries, not seven
+	c := newSpaceCache(100, 6*one+one/2) // room for six entries, not seven
 	var fps []Fingerprint
 	for i := 0; i < 40; i++ {
 		f := structureFingerprintOf(fmt.Appendf(nil, "SELECT %d", i), opt.DefaultOptions().Rules, 1, 1)
@@ -522,12 +518,11 @@ func TestCacheByteBudgetManyFingerprints(t *testing.T) {
 	if st.Entries != 6 || st.BytesCached > st.ByteBudget {
 		t.Fatalf("%d entries, %d bytes resident under a %d-byte budget, want 6 within it", st.Entries, st.BytesCached, st.ByteBudget)
 	}
-	c.SetByteBudget(0)
-	before := c.Stats().Evictions
-	for _, f := range fps[:8] {
+	c = newSpaceCache(100, 0)
+	for _, f := range fps {
 		c.entry(f, 1, func() (*StructureSpace, error) { return &StructureSpace{}, nil })
 	}
-	if after := c.Stats().Evictions; after != before {
-		t.Fatalf("byte eviction ran with budget disabled: %d -> %d", before, after)
+	if st := c.Stats(); st.Evictions != 0 || st.Entries != len(fps) {
+		t.Fatalf("byte eviction ran with budget disabled: %+v", st)
 	}
 }

@@ -5,15 +5,15 @@
 // sampling (Section 5).
 //
 // Preparation is a staged, cache-aware pipeline over two layers held in
-// ONE cache — each SpaceCache entry carries its structure's overlays
+// ONE cache — each SpaceCache entry carries its structure's overlay
 // and the statement texts that resolved to it:
 //
 //	text key ──── alias hit ─────────────────→ SpaceCache entry
 //	   └─ miss → parse → structure fingerprint → SpaceCache entry     → [bind → expand → count], record alias
-//	overlay key ─────────────────────────────→ the entry's overlays → [re-cost in place]
+//	overlay key ─────────────────────────────→ the entry's overlay  → [re-cost in place]
 //
-// A repeated statement text (the exact bytes, under the same rules,
-// catalog and schema version) finds its entry through its alias without
+// A repeated statement text (the exact bytes, under the same rules and
+// schema version) finds its entry through its alias without
 // parsing, canonical rendering or hashing; each entry answers the last
 // few texts that resolved to it (maxAliases).
 //
@@ -23,8 +23,9 @@
 // every cost-side change. The overlay layer — an opt.Costing: per-group
 // cardinalities, per-operator costs, the optimal plan and its rank —
 // depends additionally on the catalog statistics version and the
-// feedback store and its epoch, the three fields of the overlay key it
-// is cached under. A statistics refresh or an applied feedback round
+// epoch of the engine's feedback store, the two fields of the overlay
+// key it is cached under. Each entry keeps the overlay of the newest
+// key. A statistics refresh or an applied feedback round
 // therefore re-costs a cached structure in place (milliseconds) instead
 // of re-preparing it (parse, bind, optimize, count).
 //
@@ -37,7 +38,7 @@
 // re-enumerating the space.
 //
 // Sessions are the unit of configuration: an Engine owns the database,
-// the shared cache, and the feedback store, a Session owns one
+// its cache, and the feedback store, a Session owns one
 // rule configuration, and Session.Prepare is the single
 // preparation path in the codebase — Engine.Prepare, the experiments,
 // the CLIs, and the plan-space server all go through it; Prepared.Select
@@ -65,8 +66,9 @@ import (
 
 // settings collects everything Options can configure.
 type settings struct {
-	opts  opt.Options
-	cache *SpaceCache
+	opts       opt.Options
+	cacheCap   int
+	cacheBytes int64
 }
 
 // Option configures an Engine (and, for the optimizer-facing options,
@@ -84,20 +86,18 @@ func WithRules(cfg rules.Config) Option {
 	return func(s *settings) { s.opts.Rules = cfg }
 }
 
-// WithCache makes the engine serve prepared structures and their cost
-// overlays out of c instead of a private cache — the way several engines
-// over one database (or one database under several rule configs) share
-// counting work. Overlays stay per engine where they must: each engine
-// has its own feedback store, and an overlay's key names the store
-// whose corrections it was costed with. Ignored by
-// Engine.Session, where the engine's cache is already fixed.
-func WithCache(c *SpaceCache) Option {
-	return func(s *settings) { s.cache = c }
+// WithCacheLimits bounds the engine's plan-space cache to at most
+// entries counted structures (below one is clamped to one) and maxBytes
+// of their estimated memory (0 disables byte-based eviction). The
+// defaults are DefaultCacheCapacity and DefaultCacheBytes. Ignored by
+// Engine.Session, where the engine's cache is already built.
+func WithCacheLimits(entries int, maxBytes int64) Option {
+	return func(s *settings) { s.cacheCap, s.cacheBytes = entries, maxBytes }
 }
 
 // Engine plans and executes queries over one database. It owns the
 // plan-space cache and the feedback store shared by all sessions
-// derived from it.
+// derived from it; no other engine shares them.
 type Engine struct {
 	db    *storage.DB
 	opts  opt.Options
@@ -105,18 +105,14 @@ type Engine struct {
 	fb    *feedback.Store
 }
 
-// New returns an engine over db with the default full rule set, a
-// private cache (inject a shared one with WithCache), and a private
-// feedback store.
+// New returns an engine over db with the default full rule set, its
+// own cache (bounded by WithCacheLimits), and its own feedback store.
 func New(db *storage.DB, options ...Option) *Engine {
-	s := settings{opts: opt.DefaultOptions()}
+	s := settings{opts: opt.DefaultOptions(), cacheCap: DefaultCacheCapacity, cacheBytes: DefaultCacheBytes}
 	for _, o := range options {
 		o(&s)
 	}
-	if s.cache == nil {
-		s.cache = NewSpaceCache(DefaultCacheCapacity)
-	}
-	return &Engine{db: db, opts: s.opts, cache: s.cache, fb: feedback.NewStore()}
+	return &Engine{db: db, opts: s.opts, cache: newSpaceCache(s.cacheCap, s.cacheBytes), fb: feedback.NewStore()}
 }
 
 // DB returns the engine's database.
@@ -135,19 +131,19 @@ func (e *Engine) Feedback() *feedback.Store { return e.fb }
 
 // ApplyFeedback folds all recorded execution observations into active
 // correction factors and bumps the feedback epoch, dropping every cost
-// overlay costed under an older epoch of the engine's store (structures
-// survive untouched). It returns the
-// number of correction keys folded and the new epoch. The next Prepare
-// or Execute of any query re-costs its cached structure under the new
-// corrections and may select a different optimal plan.
+// overlay costed under an older epoch (structures survive untouched).
+// It returns the number of correction keys folded and the new epoch.
+// The next Prepare or Execute of any query re-costs its cached
+// structure under the new corrections and may select a different
+// optimal plan.
 func (e *Engine) ApplyFeedback() (folded int, epoch uint64) {
 	folded, epoch = e.fb.Apply()
-	e.cache.dropStaleOverlays(overlayKey{store: e.fb.ID(), statsVersion: e.db.Catalog().StatsVersion(), epoch: epoch})
+	e.cache.dropStaleOverlays(overlayKey{statsVersion: e.db.Catalog().StatsVersion(), epoch: epoch})
 	return folded, epoch
 }
 
 // Session derives a session from the engine: the engine's options plus
-// the given overrides, sharing the engine's database and caches.
+// the given overrides, sharing the engine's database and cache.
 // Sessions are cheap value holders — create one per client, request, or
 // experiment configuration.
 func (e *Engine) Session(options ...Option) *Session {
@@ -167,7 +163,7 @@ func (e *Engine) Prepare(sqlText string) (*Prepared, error) {
 }
 
 // Session is one rule configuration over an engine's database and
-// caches. Its Prepare method is the codebase's single preparation path.
+// cache. Its Prepare method is the codebase's single preparation path.
 type Session struct {
 	engine *Engine
 	opts   opt.Options
@@ -223,8 +219,9 @@ func (s *Session) buildStructure(canonical string, stmt *sql.SelectStmt, fp Fing
 // is parsed and fingerprinted first (resolve). Binding, expansion, and
 // counting run only when the structure fingerprint misses the
 // SpaceCache, and costing runs only when the overlay key misses the
-// structure entry's overlays. Costing is the cheap re-cost a statistics
-// refresh or a feedback application pays instead of a full Prepare.
+// structure entry's overlay slot. Costing is the cheap re-cost a
+// statistics refresh or a feedback application pays instead of a full
+// Prepare.
 // Concurrent calls for one fingerprint and key share a single build at
 // each layer, and all Prepared statements for them share one
 // StructureSpace and one opt.Costing.
@@ -235,7 +232,7 @@ func (s *Session) Prepare(sqlText string) (*Prepared, error) {
 	// the entry under a version newer than its fingerprint encodes,
 	// pinning a dead space in the LRU (no future caller recomputes that
 	// key).
-	key := textKey{text: sqlText, rules: s.opts.Rules, catalogID: cat.ID(), schemaVersion: cat.SchemaVersion()}
+	key := textKey{text: sqlText, rules: s.opts.Rules, schemaVersion: cat.SchemaVersion()}
 	ent, usePlan, sCached := s.engine.cache.text(key)
 	if !sCached {
 		var err error
@@ -243,31 +240,34 @@ func (s *Session) Prepare(sqlText string) (*Prepared, error) {
 			return nil, err
 		}
 	}
-	ss := ent.val
-
 	// Same single-read discipline for the overlay's inputs. The epoch
 	// and its factor view come out of the store atomically: costing
 	// with the live factors instead would let an ApplyFeedback that
 	// lands mid-build cache a costing under a key whose epoch it does
 	// not match.
 	epoch, view := s.engine.fb.EpochView()
-	okey := overlayKey{store: s.engine.fb.ID(), statsVersion: cat.StatsVersion(), epoch: epoch}
-	costing, oCached, err := s.engine.cache.overlay(ent, okey, func() (*opt.Costing, error) {
+	p, err := s.engine.costed(ent, overlayKey{statsVersion: cat.StatsVersion(), epoch: epoch}, view)
+	if err != nil {
+		return nil, err
+	}
+	p.Cached, p.UsePlan = sCached, usePlan
+	return p, nil
+}
+
+// costed returns a statement over the structure of entry ent with the
+// overlay the cache holds for key, which on a miss is costed with the
+// epoch view of key. The lookup may serve the overlay of a newer key;
+// the statement then records feedback under that key's epoch, the one
+// whose estimates it executes against.
+func (e *Engine) costed(ent *cacheEntry, key overlayKey, view map[string]float64) (*Prepared, error) {
+	ss := ent.val
+	costing, key, cached, err := e.cache.overlay(ent, key, func() (*opt.Costing, error) {
 		return ss.Cost(ss.Space, ss.factors(view))
 	})
 	if err != nil {
 		return nil, err
 	}
-	return &Prepared{
-		Opt:           costing,
-		Space:         ss.Space,
-		Shared:        ss,
-		Cached:        sCached,
-		OverlayCached: oCached,
-		UsePlan:       usePlan,
-		epoch:         epoch,
-		engine:        s.engine,
-	}, nil
+	return &Prepared{Opt: costing, Space: ss.Space, Shared: ss, OverlayCached: cached, epoch: key.epoch, engine: e}, nil
 }
 
 // resolve is the path of a text the cache has no alias for: parse,
@@ -285,7 +285,7 @@ func (s *Session) resolve(key textKey) (ent *cacheEntry, usePlan *big.Int, cache
 	// application, so it is rarely much longer. The fingerprint hashes
 	// its bytes; only a structure miss copies them into a string.
 	canonical := stmt.AppendCanonical(make([]byte, 0, len(key.text)+len(key.text)/4+16), false)
-	sfp := structureFingerprintOf(canonical, key.rules, key.catalogID, key.schemaVersion)
+	sfp := structureFingerprintOf(canonical, key.rules, s.engine.db.Catalog().ID(), key.schemaVersion)
 	ent, cached, err = s.engine.cache.entry(sfp, key.schemaVersion, func() (*StructureSpace, error) {
 		return s.buildStructure(string(canonical), stmt, sfp)
 	})

@@ -197,47 +197,3 @@ func TestFeedbackRecordingSkipsTruncated(t *testing.T) {
 		t.Errorf("truncated run recorded %d observations, want 0", st.Recorded)
 	}
 }
-
-// TestFeedbackStoresDoNotShareOverlays: two engines share one cache but
-// each has its own feedback store, and both stores reach epoch 1. The
-// engine whose store holds no corrections must keep costing without
-// them, not be served the other engine's corrected overlay.
-func TestFeedbackStoresDoNotShareOverlays(t *testing.T) {
-	db := skewedDB(t)
-	shared := engine.NewSpaceCache(8)
-	e1 := engine.New(db, engine.WithCache(shared))
-	e2 := engine.New(db, engine.WithCache(shared))
-	const q = "SELECT u_name FROM events, users WHERE ev_user = u_id AND ev_kind = 1"
-
-	before, err := e2.Prepare(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := e1.Session().Execute(context.Background(), q, nil, exec.Options{}); err != nil {
-		t.Fatal(err)
-	}
-	if folded, epoch := e1.ApplyFeedback(); folded == 0 || epoch != 1 {
-		t.Fatalf("e1 folded %d corrections at epoch %d, want >0 at 1", folded, epoch)
-	}
-	if folded, epoch := e2.ApplyFeedback(); folded != 0 || epoch != 1 {
-		t.Fatalf("e2 folded %d corrections at epoch %d, want 0 at 1", folded, epoch)
-	}
-	corrected, err := e1.Prepare(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if corrected.Opt.OptimalRank.Cmp(before.Opt.OptimalRank) == 0 {
-		t.Fatalf("e1's corrections did not change the plan (rank %s); the fixture no longer tells the stores apart", before.Opt.OptimalRank)
-	}
-
-	after, err := e2.Prepare(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if after.OverlayCached {
-		t.Error("e2 was served a cached overlay costed with another store's corrections")
-	}
-	if after.Opt.OptimalRank.Cmp(before.Opt.OptimalRank) != 0 {
-		t.Errorf("e2's optimal rank moved %s -> %s with no corrections of its own", before.Opt.OptimalRank, after.Opt.OptimalRank)
-	}
-}

@@ -19,8 +19,8 @@ import (
 // NOT participate: the paper's counting/unranking machinery depends
 // only on query shape and rules, so a cost-side change must not rebuild
 // the space. What determines costing over a structure — the catalog
-// statistics version and the feedback store's identity and epoch — is
-// the overlayKey its costings are cached under inside the structure's
+// statistics version and the epoch of the engine's feedback store — is
+// the overlayKey its costing is cached under inside the structure's
 // cache entry; a statistics refresh or a feedback application changes
 // only that key, and the structure (memo, counts, unrank tables)
 // survives and is re-costed in place.

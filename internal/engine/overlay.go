@@ -13,12 +13,10 @@ type OverlayCacheStats struct {
 }
 
 // overlayKey identifies an overlay within its structure's entry and is
-// what its staleness is judged by: the feedback store that supplied its
-// corrections, the catalog statistics version, and the store's epoch.
-// Epochs of different stores are unrelated counters, so only overlays
-// of the same store are compared.
+// what its staleness is judged by: the catalog statistics version and
+// the epoch of the engine's feedback store. Both only grow, so a key
+// read later supersedes one read before a refresh or a fold.
 type overlayKey struct {
-	store        uint64
 	statsVersion uint64
 	epoch        uint64
 }
@@ -26,66 +24,65 @@ type overlayKey struct {
 // supersedes reports whether an overlay costed under old is outdated
 // by k.
 func (k overlayKey) supersedes(old overlayKey) bool {
-	return old.store == k.store && (old.statsVersion < k.statsVersion || old.epoch < k.epoch)
+	return old.statsVersion < k.statsVersion || old.epoch < k.epoch
 }
 
-// overlay returns the cost overlay (an immutable opt.Costing) under key
-// over the structure of entry e, building it on a miss with the same
-// singleflight runner the structure tier uses: exactly one caller runs
-// build, concurrent callers share its result, and a failed or panicking
-// build is not cached. A miss on a cached structure is the re-cost in
-// place that BenchmarkRecost measures against a cold Prepare. First it
-// drops the completed overlays of e that key supersedes. An entry that
-// was evicted or invalidated after the caller found it still serves its
-// overlays to the callers that hold it, and disappears with them.
-func (c *SpaceCache) overlay(e *cacheEntry, key overlayKey, build func() (*opt.Costing, error)) (*opt.Costing, bool, error) {
+// overlay returns the cost overlay (an immutable opt.Costing) over the
+// structure of entry e for key, and the key it was costed under. The
+// entry keeps one overlay slot. A key that does not supersede the
+// slot's hits it, and an older one is served the newer overlay and its
+// key: it was read before a statistics refresh or an ApplyFeedback that
+// a later lookup has seen. A key that supersedes the slot's misses, and
+// its overlay replaces the slot, built with the structure tier's
+// singleflight runner: one caller builds, concurrent callers share the
+// result, and a failed or panicking build is not cached. A miss on a
+// cached structure is the re-cost in place BenchmarkRecost measures. An
+// entry evicted or invalidated after the caller found it still serves
+// its overlay to the callers that hold it, and disappears with them.
+func (c *SpaceCache) overlay(e *cacheEntry, key overlayKey, build func() (*opt.Costing, error)) (*opt.Costing, overlayKey, bool, error) {
 	c.mu.Lock()
-	if c.residentLocked(e) {
-		c.dropStaleLocked(e, key)
-	}
-	if o, ok := e.overlays[key]; ok {
+	if o := e.overlay; o != nil && !key.supersedes(e.okey) {
+		key = e.okey
 		c.ovHits++
 		c.mu.Unlock()
 		ov, err := o.wait()
-		return ov, true, err
+		return ov, key, true, err
+	}
+	if e.overlay != nil && e.overlay.done() && c.residentLocked(e) {
+		c.ovInvalidations++ // superseded; a removed entry counted it already
 	}
 	o := newFlight[*opt.Costing]()
-	e.overlays[key] = &o
+	e.overlay, e.okey = &o, key
 	c.ovMisses++
 	c.mu.Unlock()
 
 	ov, err := o.run(c, e.fp, build, func(_ *opt.Costing, err error) {
 		switch {
 		case err != nil:
-			delete(e.overlays, key) // failed builds are not cached
-		case !c.residentLocked(e):
-			// The structure was dropped mid-build: the waiters have the
-			// overlay, and it goes with the orphaned entry.
+			if e.overlay == &o {
+				e.overlay = nil // failed builds are not cached
+			}
+		case e.overlay != &o || !c.residentLocked(e):
+			// Replaced by a newer key's overlay, or its structure was
+			// dropped, mid-build: the waiters have it, and it goes
+			// with them.
 			c.ovInvalidations++
 		}
 	})
-	return ov, false, err
+	return ov, key, false, err
 }
 
-// dropStaleLocked deletes the completed overlays of e that key
-// supersedes. Builds still in flight are left to finish for their
-// waiters.
-func (c *SpaceCache) dropStaleLocked(e *cacheEntry, key overlayKey) {
-	for k, o := range e.overlays {
-		if o.done() && key.supersedes(k) {
-			delete(e.overlays, k)
-			c.ovInvalidations++
-		}
-	}
-}
-
-// dropStaleOverlays drops, in every resident entry, the completed
-// overlays that key supersedes — ApplyFeedback's prompt release of the
-// costings its new epoch makes unreachable.
+// dropStaleOverlays drops, in every resident entry, a completed overlay
+// that key supersedes — ApplyFeedback's prompt release of the costings
+// its new epoch makes unreachable. A build still in flight is left to
+// finish for its waiters; the next lookup replaces it.
 func (c *SpaceCache) dropStaleOverlays(key overlayKey) {
 	c.mu.Lock()
 	for _, e := range c.entries {
-		c.dropStaleLocked(e, key)
+		if o := e.overlay; o != nil && o.done() && key.supersedes(e.okey) {
+			e.overlay = nil
+			c.ovInvalidations++
+		}
 	}
 	c.mu.Unlock()
 }
@@ -104,7 +101,7 @@ func (v OverlayView) Stats() OverlayCacheStats {
 	defer c.mu.Unlock()
 	st := OverlayCacheStats{Hits: c.ovHits, Misses: c.ovMisses, Invalidations: c.ovInvalidations}
 	for _, e := range c.entries {
-		for _, o := range e.overlays {
+		if o := e.overlay; o != nil {
 			st.Entries++
 			if o.done() {
 				st.BytesCached += overlayBytes(o.val)

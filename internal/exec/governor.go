@@ -96,7 +96,7 @@ func (s *OpStats) ObservedRows() float64 {
 // It also audits the iterator lifecycle: Build registers every operator,
 // Open/Close transitions are counted, and OpenIterators reports how many
 // registered iterators are open right now — the leak check the error
-// paths are tested against.
+// paths are tested against. A Governor governs one Build.
 type Governor struct {
 	ctx         context.Context
 	deadline    time.Time
@@ -108,7 +108,7 @@ type Governor struct {
 	stopErr    error
 
 	opens, closes int64
-	ops           [][]opSlot // one slab per Build, in build order
+	ops           []opSlot // sized by Build for its plan's operators, in build order
 }
 
 // opSlot is one registered operator: its counters, and the memo
@@ -190,21 +190,15 @@ func (g *Governor) Opens() int64 { return g.opens }
 // Stats returns the per-operator counters, in plan build order. The
 // operators' names and descriptions are rendered here, into one string.
 func (g *Governor) Stats() []OpStats {
-	n := 0
-	for _, slab := range g.ops {
-		n += len(slab)
-	}
-	out := make([]OpStats, 0, n)
-	ends := make([]int, 0, 2*n) // the end of each Name, then of each Op, in text
+	out := make([]OpStats, 0, len(g.ops))
+	ends := make([]int, 0, 2*len(g.ops)) // the end of each Name, then of each Op, in text
 	var text []byte
-	for _, slab := range g.ops {
-		for i := range slab {
-			out = append(out, slab[i].stat)
-			text = slab[i].e.AppendName(text)
-			ends = append(ends, len(text))
-			text = slab[i].e.AppendDescribe(text)
-			ends = append(ends, len(text))
-		}
+	for i := range g.ops {
+		out = append(out, g.ops[i].stat)
+		text = g.ops[i].e.AppendName(text)
+		ends = append(ends, len(text))
+		text = g.ops[i].e.AppendDescribe(text)
+		ends = append(ends, len(text))
 	}
 	all, start := string(text), 0
 	for i := range out {
@@ -214,22 +208,15 @@ func (g *Governor) Stats() []OpStats {
 	return out
 }
 
-// reserve starts a slab for the n operators of the next Build, so that
-// registering them allocates nothing and the counters of trees built
-// before stay where their iterators point.
-func (g *Governor) reserve(n int) {
-	g.ops = append(g.ops, make([]opSlot, 0, n))
-}
-
 // register creates the operator counter for one iterator (called by
-// Build for every node in the tree) in the last slab reserve started.
+// Build for every node in the tree) in the next slot of ops. Build
+// sized ops for its plan, so the slots never move under the iterators
+// that point into them; a slot past the size panics instead.
 func (g *Governor) register(e *memo.Expr) *OpStats {
-	if n := len(g.ops); n == 0 || len(g.ops[n-1]) == cap(g.ops[n-1]) {
-		g.reserve(1)
-	}
-	slab := &g.ops[len(g.ops)-1]
-	*slab = append(*slab, opSlot{stat: OpStats{Group: e.Group.ID}, e: e})
-	return &(*slab)[len(*slab)-1].stat
+	n := len(g.ops)
+	g.ops = g.ops[:n+1]
+	g.ops[n] = opSlot{stat: OpStats{Group: e.Group.ID}, e: e}
+	return &g.ops[n].stat
 }
 
 // truncationReason classifies an error from the iterator tree: a

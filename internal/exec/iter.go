@@ -2,6 +2,7 @@ package exec
 
 import (
 	"context"
+	"errors"
 	"fmt"
 
 	"repro/internal/algebra"
@@ -49,8 +50,12 @@ type Iterator interface {
 // string constants the plan materializes are coded in a table private
 // to the tree; RunWithOptions returns that table as Result.Strings.
 // p is a whole plan, rooted at its Result: each join keeps only the
-// columns the operators above it read.
+// columns the operators above it read. gov must not have governed a
+// Build before (nil gives a fresh, unlimited one).
 func Build(p *plan.Node, db *storage.DB, q *algebra.Query, gov *Governor) (Iterator, error) {
+	if gov != nil && gov.ops != nil {
+		return nil, errors.New("exec: the Governor has governed a Build already")
+	}
 	it, _, err := newBuilder(db, q, gov, p).build(p)
 	return it, err
 }
@@ -71,13 +76,13 @@ type builder struct {
 	reads []int32
 }
 
-// newBuilder returns a builder for plan p, with a Governor slab reserved
-// for p's operators.
+// newBuilder returns a builder for plan p, sizing the operator slots of
+// gov, a Governor that has governed no Build, for p's operators.
 func newBuilder(db *storage.DB, q *algebra.Query, gov *Governor, p *plan.Node) *builder {
 	if gov == nil {
 		gov = NewGovernor(context.Background(), Options{})
 	}
-	gov.reserve(countOps(p))
+	gov.ops = make([]opSlot, 0, countOps(p))
 	return &builder{db: db, q: q, gov: gov, strs: db.Strings().Overlay(), reads: make([]int32, q.NumColumns())}
 }
 

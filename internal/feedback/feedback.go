@@ -18,9 +18,10 @@
 // Apply folds pending observations into the active factors — each new
 // ratio is measured against estimates that already included the old
 // factor, so factors compose multiplicatively — and bumps the feedback
-// epoch. Cost overlays are cached under a key holding the store's ID
-// and epoch: a bump makes every costing cached under this store stale
-// while leaving structures untouched.
+// epoch. Cost overlays are cached under a key holding the epoch: a bump
+// makes every costing cached under an older epoch stale while leaving
+// structures untouched. An engine owns one store, so the epoch alone
+// says which corrections an overlay was costed with.
 package feedback
 
 import (
@@ -28,7 +29,6 @@ import (
 	"math"
 	"sort"
 	"sync"
-	"sync/atomic"
 )
 
 // Factor clamps: a single feedback round never scales an estimate by
@@ -75,15 +75,8 @@ type Stats struct {
 	Evicted      uint64 `json:"evicted"`  // keys dropped at the cap, both maps
 }
 
-// nextStoreID hands every Store a process-unique identity. Epochs are
-// per-store counters, so two stores both at epoch 1 hold different
-// corrections; cost overlays key on (store ID, epoch), never on the
-// epoch alone.
-var nextStoreID atomic.Uint64
-
 // Store is a concurrency-safe feedback store for one catalog.
 type Store struct {
-	id    uint64
 	mu    sync.Mutex
 	epoch uint64
 	// pending and active index their lists, which run from the most to
@@ -97,7 +90,7 @@ type Store struct {
 	// so EpochView hands out an (epoch, factors) pair that stays
 	// internally consistent no matter how many folds land afterwards —
 	// the property cost overlays rely on to be cacheable under their
-	// overlay key (the store's ID, the statistics version and the epoch).
+	// overlay key (the statistics version and the epoch).
 	view map[string]float64
 
 	recorded     uint64
@@ -109,7 +102,6 @@ type Store struct {
 // NewStore returns an empty store at epoch 0.
 func NewStore() *Store {
 	return &Store{
-		id:      nextStoreID.Add(1),
 		pending: make(map[string]*list.Element),
 		active:  make(map[string]*list.Element),
 	}
@@ -140,9 +132,6 @@ func keyOf(e *list.Element) string {
 	}
 	return e.Value.(*Correction).Key
 }
-
-// ID returns the store's process-unique identity.
-func (s *Store) ID() uint64 { return s.id }
 
 // Epoch returns the current feedback epoch. It advances only on Apply,
 // so recording observations never invalidates anything by itself.
@@ -236,10 +225,10 @@ func (s *Store) publishViewLocked() {
 // EpochView returns the current epoch together with the immutable
 // factor map published at that epoch (nil when no corrections are
 // active). The pair is read atomically: an overlay is cached under an
-// overlay key that holds the epoch (beside the store's ID and the
-// statistics version), so costing layers MUST cost with exactly this
-// view — reading the epoch and then consulting live factors would let a
-// concurrent Apply slip different factors under an already-chosen key.
+// overlay key that holds the epoch (beside the statistics version), so
+// costing layers MUST cost with exactly this view — reading the epoch
+// and then consulting live factors would let a concurrent Apply slip
+// different factors under an already-chosen key.
 // The returned map must not be mutated.
 func (s *Store) EpochView() (uint64, map[string]float64) {
 	s.mu.Lock()

@@ -25,8 +25,8 @@
 //
 // The server fronts one plan-space cache with two tiers: the structure
 // tier (counted spaces, keyed by canonical SQL + rules + schema) and,
-// inside each structure's entry, the overlay tier (costings, keyed by
-// statistics version + feedback store and epoch). Executions record per-operator observed vs.
+// inside each structure's entry, the overlay tier (the costing of the
+// newest statistics version and feedback epoch). Executions record per-operator observed vs.
 // estimated cardinalities; POST /feedback/apply folds them and bumps
 // the feedback epoch, after which the same query may execute a
 // different, better-informed plan — the adaptive re-optimization loop
@@ -37,7 +37,8 @@
 // every plan (clients may tighten or loosen within server ceilings —
 // see ExecLimits), so a pathological sampled plan terminates with a
 // structured truncated/deadline_exceeded response instead of hanging
-// the service.
+// the service. On shutdown the server drains: ListenAndServe stops
+// accepting connections and lets the requests in flight finish.
 //
 // Plan numbers cross the wire as decimal strings: spaces beyond 2^53
 // (Table 1 tops out at 4.4·10^12, Cartesian variants at 2.7·10^22)
@@ -45,10 +46,11 @@
 package serve
 
 import (
+	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"math/big"
+	"net"
 	"net/http"
 	"sync/atomic"
 	"time"
@@ -632,12 +634,40 @@ func (s *Server) httpServer(addr string) *http.Server {
 	}
 }
 
-// ListenAndServe runs the server on addr until the listener fails. It
-// exists for cmd/planserved; tests drive Handler through httptest.
-func (s *Server) ListenAndServe(addr string) error {
-	err := s.httpServer(addr).ListenAndServe()
-	if err != nil && !errors.Is(err, http.ErrServerClosed) {
+// ListenAndServe runs the server on addr until the listener fails or
+// ctx ends (see serve). It exists for cmd/planserved; tests drive
+// Handler through httptest, and serve through a listener of their own.
+func (s *Server) ListenAndServe(ctx context.Context, addr string) error {
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
 		return err
+	}
+	return s.serve(ctx, ln)
+}
+
+// serve runs the server on ln until the listener fails or ctx ends.
+// When ctx ends, it stops accepting connections, waits for the requests
+// in flight to finish and returns nil. The wait is bounded by the write
+// timeout, the longest a response may take (unbounded when there is
+// none); requests still running then are cut off and the error says so.
+func (s *Server) serve(ctx context.Context, ln net.Listener) error {
+	srv := s.httpServer(ln.Addr().String())
+	served := make(chan error, 1)
+	go func() { served <- srv.Serve(ln) }()
+	select {
+	case err := <-served:
+		return err
+	case <-ctx.Done():
+	}
+	drain := context.WithoutCancel(ctx)
+	if srv.WriteTimeout > 0 {
+		var cancel context.CancelFunc
+		drain, cancel = context.WithTimeout(drain, srv.WriteTimeout)
+		defer cancel()
+	}
+	if err := srv.Shutdown(drain); err != nil {
+		srv.Close()
+		return fmt.Errorf("serve: drain: %w", err)
 	}
 	return nil
 }

@@ -2,7 +2,9 @@
 # Smoke test of cmd/planserved: build and start the server, then drive
 # the real client loop — prepare → sample → execute_batch → a governed
 # pathological /execute — failing on any non-200 response or any
-# truncated result that carries no reason. CI runs this on every push.
+# truncated result that carries no reason. The server runs with
+# non-default cache limits, which /stats must report, and must exit 0
+# on SIGTERM. CI runs this on every push.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -10,7 +12,7 @@ ADDR=127.0.0.1:18080
 BIN=$(mktemp -d)/planserved
 
 go build -o "$BIN" ./cmd/planserved
-"$BIN" -addr "$ADDR" -sf 0.0004 &
+"$BIN" -addr "$ADDR" -sf 0.0004 -cache 7 -cache-bytes 33554432 &
 PID=$!
 trap 'kill $PID 2>/dev/null || true' EXIT
 
@@ -19,6 +21,14 @@ for _ in $(seq 1 100); do
   sleep 0.2
 done
 curl -sf "http://$ADDR/stats" >/dev/null || { echo "FAIL: server did not come up"; exit 1; }
+
+python3 - "$(curl -sf "http://$ADDR/stats")" <<'PY'
+import json, sys
+cache = json.loads(sys.argv[1])["cache"]
+assert cache["capacity"] == 7, f"-cache 7 not applied: {cache}"
+assert cache["byte_budget"] == 33554432, f"-cache-bytes 33554432 not applied: {cache}"
+print("smoke: cache limits ok:", cache["capacity"], "structures,", cache["byte_budget"], "bytes")
+PY
 
 # post PATH BODY — POST and require HTTP 200, echo the body.
 post() {
@@ -78,12 +88,8 @@ assert ex2["digest"] == ex1["digest"], "re-optimized plan changed the result"
 print("smoke: feedback round-trip ok: epoch", fb["epoch"], "with", fb["folded"], "corrections folded")
 PY
 
-# The round-trip dropped the stale overlays. This run is sequential,
-# over one engine with one feedback store, so each resident structure
-# holds at most one current overlay and overlays cannot outnumber
-# structures. That bound is specific to this sequence: in general one
-# entry can hold several overlays (one per feedback store sharing the
-# cache, or a re-cost that finished after ApplyFeedback's sweep).
+# The round-trip dropped the stale overlays. Each cached structure holds
+# at most one overlay, so overlays cannot outnumber structures.
 python3 - "$(curl -sf "http://$ADDR/stats")" <<'PY'
 import json, sys
 st = json.loads(sys.argv[1])
@@ -108,5 +114,13 @@ echo "$stats" | grep -q '"structure_bytes"' || { echo "FAIL: stats missing struc
 echo "$stats" | grep -q '"overlay_bytes"' || { echo "FAIL: stats missing overlay_bytes: $stats"; exit 1; }
 echo "$stats" | grep -q '"feedback"' || { echo "FAIL: stats missing feedback block: $stats"; exit 1; }
 echo "smoke: stats ok"
+
+# SIGTERM drains the server, which then exits 0.
+kill -TERM "$PID"
+status=0
+wait "$PID" || status=$?
+trap - EXIT
+[ "$status" = 0 ] || { echo "FAIL: planserved exited $status on SIGTERM"; exit 1; }
+echo "smoke: SIGTERM exit ok"
 
 echo "planserved smoke OK"
