@@ -286,31 +286,54 @@ func BenchmarkSample(b *testing.B) {
 	// serves them: the single-space rows above keep one space's tables
 	// hot in cache, here the five compete for it. One op is one plan;
 	// Each's rank buffer, one per 1000 plans, stays below one
-	// allocation per op.
-	b.Run("five_spaces/mixed", func(b *testing.B) {
+	// allocation per op. The costed row also costs every plan with
+	// ScaledCostWith, which is sample-warm's loop without the wire.
+	var five []*engine.Prepared
+	for _, sp := range []struct {
+		q     string
+		cross bool
+	}{{"Q5", false}, {"Q7", false}, {"Q9", false}, {"Q8", false}, {"Q8", true}} {
+		five = append(five, prepare(b, sp.q, sp.cross))
+	}
+	fiveSpaces := func(b *testing.B, costed bool) {
 		var smps []*core.Sampler
-		for _, sp := range []struct {
-			q     string
-			cross bool
-		}{{"Q5", false}, {"Q7", false}, {"Q9", false}, {"Q8", false}, {"Q8", true}} {
-			smp, err := prepare(b, sp.q, sp.cross).Space.NewSampler(2)
+		for _, p := range five {
+			smp, err := p.Space.NewSampler(2)
 			if err != nil {
 				b.Fatal(err)
 			}
 			smps = append(smps, smp)
 		}
-		var arena core.Arena
-		yield := func(int, []uint64, *plan.Node) error { return nil }
+		var (
+			arena   core.Arena
+			costBuf plan.CostBuf
+			p       *engine.Prepared
+			sum     float64
+		)
+		yield := func(_ int, _ []uint64, pl *plan.Node) error {
+			if !costed {
+				return nil
+			}
+			sc, err := p.ScaledCostWith(pl, &costBuf)
+			sum += sc
+			return err
+		}
 		b.ReportAllocs()
 		b.ResetTimer()
 		for done, i := 0, 0; done < b.N; i++ {
 			k := min(1000, b.N-done)
+			p = five[i%len(five)]
 			if err := smps[i%len(smps)].Each(k, &arena, yield); err != nil {
 				b.Fatal(err)
 			}
 			done += k
 		}
-	})
+		if costed && !(sum > 0) {
+			b.Fatalf("scaled costs sum to %v", sum)
+		}
+	}
+	b.Run("five_spaces/mixed", func(b *testing.B) { fiveSpaces(b, false) })
+	b.Run("five_spaces/costed", func(b *testing.B) { fiveSpaces(b, true) })
 }
 
 // BenchmarkSampleRanks measures pure rank generation on the batched

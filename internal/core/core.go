@@ -22,7 +22,11 @@
 //
 // and unranking decomposes a rank into a root-operator choice plus one
 // sub-rank per child slot in the mixed-radix system with digit bases
-// b_v(i) (Section 3.3). A list's key is also the key of the optimizer's
+// b_v(i) (Section 3.3). Each choice selects the candidate whose range
+// of cumulative counts holds the sub-rank; a cutpoint guide table per
+// list whose sums fit uint64, and one for the root, make that one
+// multiply-high, one load and a short forward scan (guide.go). A
+// list's key is also the key of the optimizer's
 // winner, so Cheapest runs the winner search as the same fold with
 // (min, combine) in place of (sum, product).
 //
@@ -106,6 +110,7 @@ type candList struct {
 	prefix []uint64
 	b      uint64
 	div    magicDiv // reciprocal of b (set when b > 0)
+	guide  guide    // selects a rank's candidate in prefix (set when b > 0)
 	wide   *wideList
 }
 
@@ -126,7 +131,7 @@ type Space struct {
 	index   []int32        // memo.Expr.ID -> operator index + 1 (0: not in the space)
 	slots   []int32        // every operator's child slots, as candidate list indices
 	lists   []candList     // one per distinct (child group, required ordering)
-	listOps chunked[int32] // backing store of every list's operator indices
+	listOps chunked[int32] // backing store of every list's operator indices and guide tables
 	wideN   [][]uint64     // N(v) of the operators whose count overflows uint64
 	rootOps []int32        // root operators that cover ranks, in rank order
 
@@ -146,6 +151,7 @@ type Space struct {
 	fits     bool
 	total64  uint64
 	prefix64 []uint64
+	guide64  guide // selects a rank's root operator in prefix64
 }
 
 // Prepare materializes links and counts the space. It is the
@@ -202,6 +208,15 @@ func Prepare(m *memo.Memo, opts ...Option) (*Space, error) {
 	}
 	s.lists = make([]candList, len(b.keys))
 
+	// The list slab (listOps) holds every list's operator indices, each
+	// followed by its guide table, and the root's guide table. Sized
+	// exactly here, it is one allocation with no spare capacity.
+	b.slab = guideSize(len(m.Root.Physical))
+	for li := range b.keys {
+		n := len(b.candidates(int32(li)))
+		b.slab += n + guideSize(n)
+	}
+
 	// Second pass: count every kept operator (bottom-up via memoized
 	// recursion, building each list on first use; the structure is
 	// acyclic because enforcers take only non-enforcers of their own
@@ -251,6 +266,7 @@ func Prepare(m *memo.Memo, opts ...Option) (*Space, error) {
 	if fits {
 		s.fits = true
 		s.total64, s.prefix64 = total64, prefix64
+		s.guide64 = newGuide(prefix64, s.listOps.alloc(guideSize(len(s.rootOps)), b.slab))
 	}
 	return s, nil
 }
@@ -307,6 +323,7 @@ type builder struct {
 
 	state   []uint8 // per operator: unvisited, counting, counted
 	scratch []int32 // one list's operator indices while it is filtered
+	slab    int     // the list slab's exact size (see Prepare)
 }
 
 // listKey identifies a candidate list by the first slot that asked for
@@ -414,13 +431,12 @@ func (b *builder) countOp(k int32) error {
 // that overflows its wide rows.
 func (l *candList) built() bool { return l.prefix != nil || l.wide != nil }
 
-// build fills candidate list li (Section 3.1). An enforcer's list holds
-// the non-enforcer operators of its own group; every other list holds
-// the child group's operators whose delivered ordering satisfies the
-// required one (the prefix-satisfaction test). The base and prefix sums
-// are counted in overflow-checked uint64; a list whose sums overflow
-// spills to exact limbs seeded from the checked prefix run.
-func (b *builder) build(li int32) error {
+// candidates returns the operators of candidate list li (Section 3.1)
+// in b.scratch, as operator indices in group order. An enforcer's list
+// holds the non-enforcer operators of its own group; every other list
+// holds the child group's operators whose delivered ordering satisfies
+// the required one (the prefix-satisfaction test).
+func (b *builder) candidates(li int32) []int32 {
 	s := b.s
 	key := b.keys[li]
 	g, req, enforcer := slotKey(s.ops[key.op].expr, key.slot)
@@ -431,7 +447,21 @@ func (b *builder) build(li int32) error {
 			ops = append(ops, k)
 		}
 	}
-	ops = s.listOps.put(ops, 512)
+	return ops
+}
+
+// build fills candidate list li. The base and prefix sums are counted
+// in overflow-checked uint64; a list whose sums overflow spills to
+// exact limbs seeded from the checked prefix run.
+func (b *builder) build(li int32) error {
+	s := b.s
+	ops := b.candidates(li)
+	// The list's guide table follows its operator indices in one carve,
+	// so the selection's table load brings in the indices it reads next.
+	// A list whose sums overflow uint64 leaves the table unused.
+	idx := s.listOps.alloc(len(ops)+guideSize(len(ops)), b.slab)
+	copy(idx, ops)
+	ops, at := idx[:len(ops):len(ops)], idx[len(ops):]
 
 	// The prefix row is carved from the space's limb arena: every list
 	// of the whole space lands in a handful of contiguous chunks.
@@ -475,6 +505,7 @@ func (b *builder) build(li int32) error {
 		l.prefix, l.b = prefix, sum
 		if sum > 0 {
 			l.div = newMagicDiv(sum)
+			l.guide = newGuide(prefix, at)
 		}
 		return nil
 	}

@@ -83,7 +83,7 @@ func (s *Space) unrank64(r uint64, a *Arena) (*plan.Node, error) {
 	if r >= s.total64 {
 		return nil, fmt.Errorf("core: rank %d out of range [0, %d)", r, s.total64)
 	}
-	k := selectByPrefix64(s.prefix64, r)
+	k := s.guide64.pick(s.prefix64, r)
 	return s.unrankOp64(s.rootOps[k], r-s.prefix64[k], a)
 }
 
@@ -125,7 +125,7 @@ func (s *Space) unrankOp64(k int32, rl uint64, a *Arena) (*plan.Node, error) {
 		q := l.div.quo(rem)
 		sub := rem - q*b
 		rem = q
-		j := selectByPrefix64(l.prefix, sub)
+		j := l.guide.pick(l.prefix, sub)
 		child, err := s.unrankOp64(l.ops[j], sub-l.prefix[j], a)
 		if err != nil {
 			return nil, err
@@ -136,41 +136,6 @@ func (s *Space) unrankOp64(k int32, rl uint64, a *Arena) (*plan.Node, error) {
 		return nil, fmt.Errorf("core: local rank overflow at operator %s", op.expr.Name())
 	}
 	return node, nil
-}
-
-// selectByPrefix64 returns the index k with prefix[k] <= r <
-// prefix[k+1] (prefix[0] = 0, the last entry is the total). Short candidate lists take a
-// linear scan; wide lists take a galloping probe (rank mass is often
-// front-loaded) that brackets the answer, then a branch-free binary
-// search inside the bracket — the compiler turns the conditional
-// advance into a CMOV, so wide candidate lists stop paying one
-// mispredicted branch per entry.
-func selectByPrefix64(prefix []uint64, r uint64) int {
-	n := len(prefix) - 1 // bucket count
-	if n <= 8 {
-		k := 0
-		for k+1 < n && prefix[k+1] <= r {
-			k++
-		}
-		return k
-	}
-	hi := 1
-	for hi < n && prefix[hi] <= r {
-		hi <<= 1
-	}
-	if hi > n {
-		hi = n
-	}
-	base := hi >> 1 // prefix[base] <= r by the gallop invariant
-	cnt := hi - base
-	for cnt > 1 {
-		half := cnt >> 1
-		if prefix[base+half] <= r {
-			base += half
-		}
-		cnt -= half
-	}
-	return base
 }
 
 // rankOp64 is the inverse of unrankOp64: the local rank of the plan

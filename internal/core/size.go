@@ -35,8 +35,10 @@ func (s *Space) MemoryFootprint() int64 {
 
 // tableBytes is the count tables' share of MemoryFootprint: the
 // operator records, slots and ID index, each shared candidate list once
-// (its record, operator indices and prefix sums), and the limb arena
-// that backs every count, base and prefix sum of either tier.
+// (its record, operator indices, guide table and prefix sums), the
+// root's guide table, and the limb arena that backs every count, base
+// and prefix sum of either tier. The operator indices and every guide
+// table share one slab (listOps), charged whole.
 func (s *Space) tableBytes() int64 {
 	n := spaceBytes
 	n += int64(cap(s.ops)) * opRecBytes

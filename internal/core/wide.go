@@ -370,9 +370,10 @@ func appendUintPadded(dst []byte, v uint64, pad bool) []byte {
 	return append(dst, buf[i:]...)
 }
 
-// selectByPrefixWide is selectByPrefix64's wide-limb analogue: the
-// index k with prefix[k] <= r < prefix[k+1], by the same galloping +
-// branch-minimized binary hybrid over canonical limb slices.
+// selectByPrefixWide is guide.pick's wide-limb analogue: the index k
+// with prefix[k] <= r < prefix[k+1] over canonical limb slices, for the
+// lists whose sums overflow uint64 and the wide tier's root. It gallops
+// to bracket the answer, then binary-searches inside the bracket.
 func selectByPrefixWide(prefix [][]uint64, r []uint64) int {
 	n := len(prefix) - 1 // bucket count
 	if n <= 4 {

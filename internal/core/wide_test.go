@@ -158,50 +158,6 @@ func TestWideArenaStability(t *testing.T) {
 	}
 }
 
-// TestSelectByPrefix64Hybrid: the galloping/branch-free hybrid agrees
-// with the linear reference on every in-range rank, across list shapes
-// including zero-count candidates (equal adjacent prefix entries).
-func TestSelectByPrefix64Hybrid(t *testing.T) {
-	ref := func(prefix []uint64, r uint64) int {
-		k := 0
-		for k+1 < len(prefix)-1 && prefix[k+1] <= r {
-			k++
-		}
-		return k
-	}
-	rng := rand.New(rand.NewSource(3))
-	for trial := 0; trial < 500; trial++ {
-		n := 1 + rng.Intn(40)
-		prefix := make([]uint64, n+1)
-		for i := 1; i <= n; i++ {
-			step := uint64(rng.Intn(5)) // zeros allowed: empty candidates
-			if trial%3 == 0 {
-				step = uint64(rng.Intn(1000))
-			}
-			prefix[i] = prefix[i-1] + step
-		}
-		total := prefix[n]
-		if total == 0 {
-			continue
-		}
-		for r := uint64(0); r < total; r++ {
-			if got, want := selectByPrefix64(prefix, r), ref(prefix, r); got != want {
-				t.Fatalf("prefix %v rank %d: hybrid %d, linear %d", prefix, r, got, want)
-			}
-		}
-		// The wide analogue must agree on the same table.
-		wp := make([][]uint64, len(prefix))
-		for i, p := range prefix {
-			wp[i] = wideFromU64(p)
-		}
-		for r := uint64(0); r < total; r++ {
-			if got, want := selectByPrefixWide(wp, wideFromU64(r)), ref(prefix, r); got != want {
-				t.Fatalf("wide prefix %v rank %d: hybrid %d, linear %d", prefix, r, got, want)
-			}
-		}
-	}
-}
-
 // TestTriPathDifferentialFixture runs the differential suite on the
 // paper fixture across both tiers and the oracle: identical counts,
 // identical plans for every rank, bit-identical sampler streams, and

@@ -85,7 +85,7 @@ func (s *Space) unrankOpWide(k int32, rl []uint64, a *Arena, wa *WideArena) (*pl
 			} else {
 				rem, sub = wideDivModU64(rem, b)
 			}
-			j := selectByPrefix64(l.prefix, sub)
+			j := l.guide.pick(l.prefix, sub)
 			child = l.ops[j]
 			buf := wa.Alloc(1)
 			buf[0] = sub - l.prefix[j]

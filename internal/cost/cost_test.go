@@ -1,6 +1,7 @@
 package cost
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -319,6 +320,71 @@ func TestCombineFormulas(t *testing.T) {
 	// Combine must reject arity mismatches.
 	if _, err := tab.Combine(hj, []float64{1}); err == nil {
 		t.Error("arity mismatch accepted")
+	}
+}
+
+// TestAffineForm pins each operator's affine cost form: its local cost,
+// and an inner coefficient of max(1, outer card) on a nested-loop join
+// and 1 elsewhere; Combine sums exactly (local + c0) + inner·c1, and an
+// operator outside the overlay's memo is an error.
+func TestAffineForm(t *testing.T) {
+	stmt, err := sql.Parse("SELECT rk FROM r, s WHERE rk = sk")
+	if err != nil {
+		t.Fatal(err)
+	}
+	q, err := algebra.Build(stmt, costSchema())
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := memo.New(q)
+	g1 := m.NewGroup(memo.GroupScan, algebra.SetOf(0))
+	g2 := m.NewGroup(memo.GroupScan, algebra.SetOf(1))
+	gj := m.NewGroup(memo.GroupJoin, algebra.SetOf(0, 1))
+	scan := m.AddExpr(g1, memo.Expr{Op: memo.TableScan, Scan: &memo.ScanSpec{Rel: q.Rels[0]}})
+	spec := &memo.JoinSpec{Equi: q.Preds}
+	children := []*memo.Group{g1, g2}
+	hj := m.AddExpr(gj, memo.Expr{Op: memo.HashJoin, Children: children, Join: spec})
+	nl := m.AddExpr(gj, memo.Expr{Op: memo.NestedLoopJoin, Children: children, Join: spec})
+	tab, err := Fill(m, q, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		e         *memo.Expr
+		wantInner float64
+	}{
+		{scan, 1},
+		{hj, 1},
+		{nl, math.Max(1, tab.Cards[g1.ID])},
+	} {
+		local, inner, ok := tab.Affine(tc.e)
+		if !ok {
+			t.Fatalf("%s: outside the overlay", tc.e.Name())
+		}
+		if local != tab.Locals[tc.e.ID] || inner != tc.wantInner {
+			t.Errorf("%s: affine (%g, %g), want (%g, %g)", tc.e.Name(), local, inner, tab.Locals[tc.e.ID], tc.wantInner)
+		}
+		cc := []float64{100.25, 50.5}[:len(tc.e.Children)]
+		want := local
+		if len(cc) > 0 {
+			want += cc[0]
+		}
+		if len(cc) > 1 {
+			want += inner * cc[1]
+		}
+		if got, err := tab.Combine(tc.e, cc); err != nil || math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("%s: Combine = %v (%v), want %v", tc.e.Name(), got, err, want)
+		}
+	}
+	if tab.Inner[nl.ID] <= 1 {
+		t.Errorf("nested-loop inner coefficient %g: the outer group should hold more than one row", tab.Inner[nl.ID])
+	}
+	outside := &memo.Expr{ID: len(tab.Locals), Op: memo.TableScan, Group: g1}
+	if _, _, ok := tab.Affine(outside); ok {
+		t.Error("operator outside the overlay's memo accepted")
+	}
+	if _, err := tab.Combine(outside, nil); err == nil {
+		t.Error("Combine accepted an operator outside the overlay's memo")
 	}
 }
 

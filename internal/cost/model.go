@@ -35,9 +35,10 @@ type model struct {
 	tab *Tables
 }
 
-// fillLocals computes every physical operator's local cost in mem into
-// the overlay, from the overlay's cardinalities; Tables.Combine reads
-// them back instead of re-deriving them for every plan it costs.
+// fillLocals computes every physical operator's affine cost form in mem
+// into the overlay — its local cost and its inner child's coefficient —
+// from the overlay's cardinalities; Tables.Affine reads them back
+// instead of re-deriving them for every plan it costs.
 func (m *model) fillLocals(mem *memo.Memo) error {
 	for _, g := range mem.Groups {
 		for _, e := range g.Physical {
@@ -46,13 +47,15 @@ func (m *model) fillLocals(mem *memo.Memo) error {
 				return err
 			}
 			m.tab.Locals[e.ID] = lc
+			m.tab.Inner[e.ID] = m.tab.innerCoef(e)
 		}
 	}
 	return nil
 }
 
 // local returns the operator's own cost contribution assuming each child
-// executes once (the nested-loop rescan multiplier lives in Combine).
+// executes once (the nested-loop rescan multiplier is the inner
+// coefficient of its affine form, see Tables.Affine).
 func (m *model) local(e *memo.Expr) (float64, error) {
 	out := m.tab.CardOf(e.Group)
 	switch e.Op {

@@ -372,20 +372,19 @@ func (p *Prepared) Sampler(seed int64) (*core.Sampler, error) {
 
 // ScaledCost returns a plan's cost as a factor of the optimal plan's cost
 // (1.0 = the optimum), the normalization used in Table 1 and Figure 4.
+// It costs through plan.CostWith and performs no heap allocation, which
+// keeps batched sampling loops allocation-free per plan.
 func (p *Prepared) ScaledCost(n *plan.Node) (float64, error) {
-	return p.ScaledCostWith(n, &plan.CostBuf{})
-}
-
-// ScaledCostWith is ScaledCost evaluating on a reused cost stack — with
-// a warmed CostBuf (and an arena-built plan) the call performs no heap
-// allocation, which is what keeps batched sampling loops allocation-free
-// per plan.
-func (p *Prepared) ScaledCostWith(n *plan.Node, buf *plan.CostBuf) (float64, error) {
-	c, err := n.CostWith(p.Opt.Tables, buf)
+	c, err := n.CostWith(p.Opt.Tables)
 	if err != nil {
 		return 0, err
 	}
 	return c / p.Opt.BestCost, nil
+}
+
+// ScaledCostWith is ScaledCost; buf is unused (see plan.CostBuf).
+func (p *Prepared) ScaledCostWith(n *plan.Node, buf *plan.CostBuf) (float64, error) {
+	return p.ScaledCost(n)
 }
 
 // Execute runs a specific plan from this query's space to completion

@@ -30,12 +30,11 @@ func (p *Prepared) ExportJSON() ([]byte, error) {
 // operator's own cost contribution. It also returns the plan's total
 // cost under the overlay — the cumulative cost of the root line.
 func (p *Prepared) Explain(n *plan.Node) (string, float64, error) {
-	var buf plan.CostBuf
-	total, err := n.CostWith(p.Opt.Tables, &buf)
+	total, err := n.CostWith(p.Opt.Tables)
 	if err != nil {
 		return "", 0, err
 	}
-	b, err := p.appendExplain(nil, n, 0, &buf)
+	b, err := p.appendExplain(nil, n, 0)
 	if err != nil {
 		return "", 0, err
 	}
@@ -43,9 +42,9 @@ func (p *Prepared) Explain(n *plan.Node) (string, float64, error) {
 }
 
 // appendExplain appends the lines of the subtree rooted at n, costing
-// each line's subtree on buf.
-func (p *Prepared) appendExplain(b []byte, n *plan.Node, depth int, buf *plan.CostBuf) ([]byte, error) {
-	cost, err := n.CostWith(p.Opt.Tables, buf)
+// each line's subtree.
+func (p *Prepared) appendExplain(b []byte, n *plan.Node, depth int) ([]byte, error) {
+	cost, err := n.CostWith(p.Opt.Tables)
 	if err != nil {
 		return nil, err
 	}
@@ -67,7 +66,7 @@ func (p *Prepared) appendExplain(b []byte, n *plan.Node, depth int, buf *plan.Co
 	}
 	b = append(b, '\n')
 	for _, c := range n.Children {
-		if b, err = p.appendExplain(b, c, depth+1, buf); err != nil {
+		if b, err = p.appendExplain(b, c, depth+1); err != nil {
 			return nil, err
 		}
 	}

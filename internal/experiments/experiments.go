@@ -89,7 +89,7 @@ func ScaledCosts(e *engine.Engine, sqlText string, cross bool, cfg *Config) ([]f
 // sampleScaledCosts draws cfg.SampleSize uniform plans under cfg.Seed —
 // the stream /sample returns for that seed — and returns their scaled
 // costs in draw order. It runs the one sampling loop (Sampler.Each)
-// with one reused arena and cost stack: each sampled plan is costed
+// with one reused arena: each sampled plan is costed
 // and discarded, so on the uint64 and wide tiers the loop is
 // allocation-free after warm-up. All tiers see the same plans for the
 // same seed.
@@ -100,9 +100,8 @@ func sampleScaledCosts(p *engine.Prepared, cfg *Config) ([]float64, error) {
 	}
 	costs := make([]float64, cfg.SampleSize)
 	var arena core.Arena
-	var costBuf plan.CostBuf
 	err = smp.Each(len(costs), &arena, func(i int, _ []uint64, pl *plan.Node) error {
-		sc, err := p.ScaledCostWith(pl, &costBuf)
+		sc, err := p.ScaledCost(pl)
 		costs[i] = sc
 		return err
 	})

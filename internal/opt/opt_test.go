@@ -81,9 +81,8 @@ func TestOptimalIsBruteForceMinimum(t *testing.T) {
 	}
 	best := -1.0
 	var bestPlan *plan.Node
-	var buf plan.CostBuf
 	err = s.Enumerate(func(_ *big.Int, p *plan.Node) bool {
-		c, err := p.CostWith(res.Tables, &buf)
+		c, err := p.CostWith(res.Tables)
 		if err != nil {
 			t.Fatalf("costing enumerated plan: %v", err)
 		}

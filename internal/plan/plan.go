@@ -23,34 +23,41 @@ type Node struct {
 	Children []*Node
 }
 
-// CostBuf is a reusable value stack for CostWith. The zero value is
-// ready; after it has grown to a plan's depth×fanout it is never
-// reallocated, so steady-state costing of sampled plans performs no
-// heap allocation. A CostBuf must not be shared across goroutines.
-type CostBuf struct {
-	stack []float64
-}
+// CostBuf is unused: CostWith folds a plan by direct recursion and
+// needs no buffer. It remains only as the parameter type of
+// engine.Prepared.ScaledCostWith, which the perfbench mirror compiles
+// against, and goes with the mirror.
+type CostBuf struct{}
 
-// CostWith computes the plan's total cost under the overlay t,
-// recursively: Tables.Combine folds each node's child costs, and the
-// nested-loop join multiplies its inner child's cost by the outer
-// cardinality there. Child costs are evaluated on buf's shared stack
-// instead of a slice per node, so hot sampling loops (experiments, the
-// plan-space server) cost and discard thousands of plans without
-// allocating.
-func (n *Node) CostWith(t *cost.Tables, buf *CostBuf) (float64, error) {
-	base := len(buf.stack)
-	for _, c := range n.Children {
-		cc, err := c.CostWith(t, buf)
+// CostWith computes the plan's total cost under the overlay t: each
+// node's affine form (cost.Tables.Affine) folded over its children's
+// costs by direct recursion, (local + c0) + inner·c1 in child order,
+// exactly as Tables.Combine sums it, so the two agree bit for bit. The
+// fold keeps its partial sums in registers and allocates nothing, so
+// hot sampling loops (experiments, the plan-space server) cost and
+// discard thousands of plans for free. A node whose operator lies
+// outside t's memo, or whose child count differs from its operator's,
+// is an error.
+func (n *Node) CostWith(t *cost.Tables) (float64, error) {
+	e := n.Expr
+	if len(n.Children) != len(e.Children) {
+		return 0, fmt.Errorf("plan: operator %s has %d children, node has %d", e.Name(), len(e.Children), len(n.Children))
+	}
+	total, inner, ok := t.Affine(e)
+	if !ok {
+		return 0, fmt.Errorf("plan: operator %s (expr %d) is outside the cost overlay's memo", e.Name(), e.ID)
+	}
+	for i, c := range n.Children {
+		cc, err := c.CostWith(t)
 		if err != nil {
-			buf.stack = buf.stack[:base]
 			return 0, err
 		}
-		buf.stack = append(buf.stack, cc)
+		if i == 1 {
+			cc = inner * cc
+		}
+		total += cc
 	}
-	total, err := t.Combine(n.Expr, buf.stack[base:])
-	buf.stack = buf.stack[:base]
-	return total, err
+	return total, nil
 }
 
 // Operators returns the plan's operators in preorder — the form the

@@ -157,8 +157,7 @@ func TestCostMonotoneInChildren(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf plan.CostBuf
-	base, err := n.CostWith(tab, &buf)
+	base, err := n.CostWith(tab)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +169,7 @@ func TestCostMonotoneInChildren(t *testing.T) {
 		Expr:     p.Op("1.4"),
 		Children: []*plan.Node{{Expr: p.Op("1.3")}},
 	}
-	withSort, err := wrapped.CostWith(tab, &buf)
+	withSort, err := wrapped.CostWith(tab)
 	if err != nil {
 		t.Fatal(err)
 	}

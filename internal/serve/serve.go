@@ -49,9 +49,11 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"log"
 	"math/big"
 	"net"
 	"net/http"
+	"runtime/debug"
 	"sync/atomic"
 	"time"
 
@@ -83,7 +85,7 @@ func WithQueryResolver(resolve func(name string) (string, bool)) Option {
 
 // Server serves one engine's database and space cache over HTTP. All
 // handlers are safe for concurrent use: prepared spaces are immutable
-// and shared, and per-request state (samplers, arenas, cost stacks)
+// and shared, and per-request state (samplers, arenas, rank buffers)
 // stays request-local.
 type Server struct {
 	engine     *engine.Engine
@@ -94,6 +96,9 @@ type Server struct {
 
 	reqs     [endpointCount]atomic.Uint64
 	errCount atomic.Uint64
+	panics   atomic.Uint64
+
+	logf func(format string, args ...any) // where a recovered panic is logged
 }
 
 // endpoint indexes the request counters.
@@ -116,7 +121,7 @@ var endpointNames = [endpointCount]string{"prepare", "count", "unrank", "sample"
 
 // New returns a server over e.
 func New(e *engine.Engine, opts ...Option) *Server {
-	s := &Server{engine: e, start: time.Now(), mux: http.NewServeMux(), execLimits: DefaultExecLimits()}
+	s := &Server{engine: e, start: time.Now(), mux: http.NewServeMux(), execLimits: DefaultExecLimits(), logf: log.Printf}
 	for _, o := range opts {
 		o(s)
 	}
@@ -132,8 +137,49 @@ func New(e *engine.Engine, opts ...Option) *Server {
 	return s
 }
 
-// Handler returns the root handler.
-func (s *Server) Handler() http.Handler { return s.mux }
+// Handler returns the root handler: the endpoints behind a recover. A
+// handler that panics costs its own request only. The panic is counted
+// in /stats (panics and errors) and its stack logged once, and when the
+// handler had written nothing yet the client gets a 500 with the JSON
+// error body; otherwise the response it began is all it gets.
+func (s *Server) Handler() http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		tw := &trackingWriter{ResponseWriter: w}
+		defer func() {
+			v := recover()
+			if v == nil {
+				return
+			}
+			if v == http.ErrAbortHandler {
+				panic(v) // net/http's sentinel: abort the response silently
+			}
+			s.panics.Add(1)
+			s.logf("serve: panic serving %s %s: %v\n%s", r.Method, r.URL.Path, v, debug.Stack())
+			if tw.wrote {
+				s.errCount.Add(1)
+				return
+			}
+			s.writeErr(w, http.StatusInternalServerError, "internal error; the server logged it")
+		}()
+		s.mux.ServeHTTP(tw, r)
+	})
+}
+
+// trackingWriter records whether a handler has begun its response.
+type trackingWriter struct {
+	http.ResponseWriter
+	wrote bool
+}
+
+func (w *trackingWriter) WriteHeader(code int) {
+	w.wrote = true
+	w.ResponseWriter.WriteHeader(code)
+}
+
+func (w *trackingWriter) Write(b []byte) (int, error) {
+	w.wrote = true
+	return w.ResponseWriter.Write(b)
+}
 
 // QueryRequest is the common request envelope: the query (SQL text, or a
 // name when a resolver is installed) plus the session configuration.
@@ -161,7 +207,13 @@ func writeJSON(w http.ResponseWriter, v any) {
 
 // decode reads a JSON body into v.
 func (s *Server) decode(w http.ResponseWriter, r *http.Request, v any) bool {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	lw := w
+	if tw, ok := w.(*trackingWriter); ok {
+		// MaxBytesReader closes the connection after an oversized body
+		// through a hook only net/http's own writer has.
+		lw = tw.ResponseWriter
+	}
+	dec := json.NewDecoder(http.MaxBytesReader(lw, r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
 		s.writeErr(w, http.StatusBadRequest, "invalid request body: %v", err)
@@ -335,7 +387,6 @@ func (s *Server) handleUnrank(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	resp := UnrankResponse{SpaceInfo: spaceInfo(p), Plans: make([]PlanResponse, 0, len(req.Ranks))}
-	var costBuf plan.CostBuf
 	var arena core.Arena
 	var tree []byte // each plan renders here before its string is taken
 	for _, text := range req.Ranks {
@@ -355,7 +406,7 @@ func (s *Server) handleUnrank(w http.ResponseWriter, r *http.Request) {
 			s.writeErr(w, http.StatusUnprocessableEntity, "unrank %s: %v", rank, err)
 			return
 		}
-		sc, err := p.ScaledCostWith(pl, &costBuf)
+		sc, err := p.ScaledCost(pl)
 		if err != nil {
 			s.writeErr(w, http.StatusInternalServerError, "costing plan %s: %v", rank, err)
 			return
@@ -446,8 +497,9 @@ func (s *Server) handleSample(w http.ResponseWriter, r *http.Request) {
 }
 
 // sampleLoop draws len(ranks) plans through Sampler.Each on whichever
-// tier serves the space: one reused arena for unranking, one reused
-// cost stack, and allocation-free decimal rendering of each rank.
+// tier serves the space: one reused arena for unranking, the
+// allocation-free cost fold, and allocation-free decimal rendering of
+// each rank.
 // ranks and costs are the response payload; beyond them the loop
 // allocates nothing per plan after warm-up. When plans is non-nil
 // (same length as ranks) each plan's tree is rendered too, into one
@@ -455,11 +507,10 @@ func (s *Server) handleSample(w http.ResponseWriter, r *http.Request) {
 func sampleLoop(p *engine.Prepared, smp *core.Sampler, ranks []string, costs []float64, plans []string) error {
 	var arena core.Arena
 	var dec core.WideArena
-	var costBuf plan.CostBuf
 	var numBuf [64]byte // any rank of a space a process can count
 	var tree []byte
 	return smp.Each(len(ranks), &arena, func(i int, rk []uint64, pl *plan.Node) error {
-		sc, err := p.ScaledCostWith(pl, &costBuf)
+		sc, err := p.ScaledCost(pl)
 		if err != nil {
 			return err
 		}
@@ -559,7 +610,8 @@ func (s *Server) handleFeedbackApply(w http.ResponseWriter, r *http.Request) {
 // overlays — disjoint by construction, so they add up), the feedback
 // loop's counters, request counts, and the catalog versions the tiers
 // are keyed on. cache.text_hits counts the structure hits answered by a
-// statement-text alias without parsing.
+// statement-text alias without parsing; panics counts the handler
+// panics the server recovered from, each also counted in errors.
 type StatsResponse struct {
 	UptimeSeconds  float64                  `json:"uptime_seconds"`
 	Cache          engine.CacheStats        `json:"cache"`
@@ -569,6 +621,7 @@ type StatsResponse struct {
 	Feedback       feedback.Stats           `json:"feedback"`
 	Requests       map[string]uint64        `json:"requests"`
 	Errors         uint64                   `json:"errors"`
+	Panics         uint64                   `json:"panics"`
 	CatalogID      uint64                   `json:"catalog_id"`
 	CatalogVersion uint64                   `json:"catalog_version"`
 	SchemaVersion  uint64                   `json:"catalog_schema_version"`
@@ -593,6 +646,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		Feedback:       s.engine.Feedback().Snapshot(),
 		Requests:       reqs,
 		Errors:         s.errCount.Load(),
+		Panics:         s.panics.Load(),
 		CatalogID:      cat.ID(),
 		CatalogVersion: cat.Version(),
 		SchemaVersion:  cat.SchemaVersion(),

@@ -5,9 +5,11 @@
 # Three gates, all against BENCH_core.json:
 #
 #  1. Zero allocations. Every production-tier row of BenchmarkUnrank
-#     and BenchmarkSample (the /uint64 and /wide rows, and
+#     and BenchmarkSample (the /uint64 and /wide rows,
 #     BenchmarkSample/five_spaces/mixed: sample-warm's five spaces in
-#     turn into one arena), BenchmarkSampleRanks and
+#     turn into one arena, and BenchmarkSample/five_spaces/costed: the
+#     same loop costing every plan with ScaledCostWith, sample-warm's
+#     loop without the wire), BenchmarkSampleRanks and
 #     BenchmarkRender/AppendTo (plan trees rendered into a reused
 #     buffer) must report exactly 0 allocs/op on every run. Allocation counts do not depend on the host, so this
 #     gate is absolute.
@@ -62,7 +64,7 @@ all)
 	;;
 allocs)
 	COUNT="${COUNT:-1}"
-	CORE_BENCH=('^(BenchmarkUnrank|BenchmarkSample)$/./^(uint64|wide|mixed)$' '^(BenchmarkSampleRanks|BenchmarkRecost)$')
+	CORE_BENCH=('^(BenchmarkUnrank|BenchmarkSample)$/./^(uint64|wide|mixed|costed)$' '^(BenchmarkSampleRanks|BenchmarkRecost)$')
 	;;
 *)
 	echo "bench_diff: GATES must be all or allocs, not $GATES" >&2
@@ -130,7 +132,7 @@ failed = []
 print(f"\nbench_diff: zero-allocation rows ({count} runs)")
 print(f"{'row':28} {'max allocs/op':>14}")
 zero = [r["name"] for r in core["results"]
-        if re.fullmatch(r'Benchmark(Unrank|Sample)/\S+/(uint64|wide)|BenchmarkSample/five_spaces/mixed|BenchmarkSampleRanks|BenchmarkRender/AppendTo', r["name"])]
+        if re.fullmatch(r'Benchmark(Unrank|Sample)/\S+/(uint64|wide)|BenchmarkSample/five_spaces/(mixed|costed)|BenchmarkSampleRanks|BenchmarkRender/AppendTo', r["name"])]
 for name in zero:
     got = [rows[name][1] for rows in runs if name in rows]
     if len(got) != count:
