@@ -654,6 +654,26 @@ func BenchmarkExecute(b *testing.B) {
 		b.Run(q+"/optimal", func(b *testing.B) { run(b, p, p.OptimalPlan()) })
 	}
 
+	// Q10's optimal plan as the first execution of its structure: each
+	// op gets fresh Selections, so its scans evaluate their filters row
+	// by row and record the bitmaps the optimal row then walks. It
+	// calls exec.RunWithOptions directly, so it skips the feedback
+	// recording Prepared.ExecuteWith adds.
+	q10 := prepare(b, "Q10", false)
+	b.Run("Q10/optimal_cold", func(b *testing.B) {
+		b.ReportAllocs()
+		db, q, pl := q10.Engine().DB(), q10.Shared.Query, q10.OptimalPlan()
+		for i := 0; i < b.N; i++ {
+			res, err := exec.RunWithOptions(context.Background(), pl, db, q, exec.NewSelections(db, q), opts)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if res.Stats.Truncated {
+				b.Fatalf("benchmark plan truncated: %+v", res.Stats)
+			}
+		}
+	})
+
 	p := prepare(b, "Q5", false)
 
 	// Median sampled plan by scaled cost among 101 seeded draws.

@@ -193,6 +193,12 @@ type StructureSpace struct {
 	Space       *core.Space
 	MemoStats   memo.Stats // the memo's size, counted once at build
 
+	// sel holds the selection bitmaps of the query's filtered
+	// relations, recorded by the first full scan of each and read by
+	// every later execution of any plan of the space. It goes with the
+	// structure's cache entry.
+	sel *exec.Selections
+
 	keysOnce sync.Once
 	keys     []string // by group ID: feedbackKey of scan and join groups, "" otherwise
 }
@@ -211,7 +217,8 @@ func (s *Session) buildStructure(canonical string, stmt *sql.SelectStmt, fp Fing
 	if err != nil {
 		return nil, err
 	}
-	return &StructureSpace{Structure: st, Fingerprint: fp, Canonical: canonical, Space: space, MemoStats: st.Memo.Stats()}, nil
+	return &StructureSpace{Structure: st, Fingerprint: fp, Canonical: canonical, Space: space, MemoStats: st.Memo.Stats(),
+		sel: exec.NewSelections(s.engine.db, q)}, nil
 }
 
 // Prepare runs the staged pipeline. A statement text the cache has
@@ -396,12 +403,14 @@ func (p *Prepared) Execute(n *plan.Node) (*exec.Result, error) {
 
 // ExecuteWith runs a specific plan from this query's space under ctx
 // and the given Governor limits. Limit terminations come back as a
-// truncated Result with nil error (see exec.RunWithOptions). Completed
-// (non-truncated) executions record their observed per-operator
-// cardinalities into the engine's feedback store; the corrections take
-// effect only when ApplyFeedback folds them.
+// truncated Result with nil error (see exec.RunWithOptions). Its scans
+// read and record the structure's selection bitmaps, which change no
+// result and no counter. Completed (non-truncated) executions record
+// their observed per-operator cardinalities into the engine's feedback
+// store; the corrections take effect only when ApplyFeedback folds
+// them.
 func (p *Prepared) ExecuteWith(ctx context.Context, n *plan.Node, opts exec.Options) (*exec.Result, error) {
-	res, err := exec.RunWithOptions(ctx, n, p.engine.db, p.Shared.Query, opts)
+	res, err := exec.RunWithOptions(ctx, n, p.engine.db, p.Shared.Query, p.Shared.sel, opts)
 	if err == nil {
 		p.engine.recordExecution(p, res)
 	}

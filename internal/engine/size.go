@@ -16,11 +16,13 @@ const (
 
 // SizeBytes estimates the resident bytes this StructureSpace pins while
 // cached: the counted space's link structure and MEMO (the dominant
-// term — see core.Space.MemoryFootprint) plus the canonical SQL and a
-// fixed overhead for the query object. The SpaceCache's byte-budget
-// eviction runs on this estimate; overlay bytes are reported apart
-// (the /stats endpoint shows structure_bytes and overlay_bytes side by
-// side).
+// term — see core.Space.MemoryFootprint), the canonical SQL, a fixed
+// overhead for the query object, and the selection bitmaps of its
+// filtered relations, charged from build time whether recorded yet or
+// not, so the byte budget bounds them before they exist. The
+// SpaceCache's byte-budget eviction runs on this estimate; overlay
+// bytes are reported apart (the /stats endpoint shows structure_bytes
+// and overlay_bytes side by side).
 func (ss *StructureSpace) SizeBytes() int64 {
 	if ss == nil {
 		return 0
@@ -30,7 +32,7 @@ func (ss *StructureSpace) SizeBytes() int64 {
 	if ss.Space != nil {
 		n += ss.Space.MemoryFootprint()
 	}
-	return n
+	return n + ss.sel.SizeBytes()
 }
 
 // overlayBytes estimates the resident bytes of a cost overlay: the

@@ -47,9 +47,14 @@ type Result struct {
 // a nil error; only genuine execution faults (bad plan, runtime errors
 // like division by zero) return a non-nil error. The iterator tree is
 // fully closed on every path — success, truncation, and failure alike.
-func RunWithOptions(ctx context.Context, p *plan.Node, db *storage.DB, q *algebra.Query, opts Options) (*Result, error) {
+// Filtered scans read and record their selection bitmaps in sel (see
+// Build); nil caches nothing.
+func RunWithOptions(ctx context.Context, p *plan.Node, db *storage.DB, q *algebra.Query, sel *Selections, opts Options) (*Result, error) {
 	gov := NewGovernor(ctx, opts)
-	b := newBuilder(db, q, gov, p)
+	b, err := newBuilder(db, q, sel, gov, p)
+	if err != nil {
+		return nil, err
+	}
 	it, _, err := b.build(p)
 	if err != nil {
 		return nil, err

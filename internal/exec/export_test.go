@@ -35,7 +35,7 @@ type JoinLayout struct {
 // rows, a sort's its child's, and a join's the columns its gather maps
 // pick from its inputs' rows.
 func JoinLayouts(p *plan.Node, db *storage.DB, q *algebra.Query) ([]JoinLayout, error) {
-	it, err := Build(p, db, q, nil)
+	it, err := Build(p, db, q, nil, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -84,4 +84,13 @@ func JoinLayouts(p *plan.Node, db *storage.DB, q *algebra.Query) ([]JoinLayout, 
 	}
 	walk(it, p)
 	return out, nil
+}
+
+// Published returns the table size the bitmap published for relation
+// rel covers, or -1 when none is published.
+func (s *Selections) Published(rel int) int {
+	if sel := s.slots[rel].Load(); sel != nil {
+		return sel.rows
+	}
+	return -1
 }

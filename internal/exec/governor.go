@@ -157,6 +157,38 @@ func (g *Governor) tick() error {
 	return g.checkpoint()
 }
 
+// charge charges n intermediate rows at once, exactly as n calls of
+// tick would: the same work, a budget trip at the same row (leaving
+// work at maxWork+1), a checkpoint at every DefaultCheckEvery boundary
+// it crosses, stopping at the first that fails, and a sticky error
+// returned unchanged. It costs one step per boundary, not per row.
+func (g *Governor) charge(n int64) error {
+	for n > 0 {
+		if g.stopErr != nil {
+			return g.stopErr
+		}
+		step := min(n, g.sinceCheck)
+		if g.maxWork > 0 && g.work+step > g.maxWork {
+			// The row past the budget lies in this step, before its
+			// boundary: the rows up to it tick without a checkpoint.
+			g.sinceCheck -= g.maxWork - g.work
+			g.work = g.maxWork + 1
+			g.stopErr = ErrWorkBudgetExceeded
+			return g.stopErr
+		}
+		g.work += step
+		g.sinceCheck -= step
+		n -= step
+		if g.sinceCheck == 0 {
+			g.sinceCheck = DefaultCheckEvery
+			if err := g.checkpoint(); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
 // checkpoint polls the clock and the context. It runs every
 // DefaultCheckEvery ticks and once per iterator Open, so even a plan
 // that produces no rows at all (a build phase grinding inside Open)
@@ -286,6 +318,10 @@ func (o *opNode) emit() error {
 // row, a candidate join pair rejected by the predicate) to the work
 // budget only.
 func (o *opNode) examine() error { return o.gov.tick() }
+
+// skip charges n examined-but-not-emitted rows at once, exactly as n
+// calls of examine would.
+func (o *opNode) skip(n int) error { return o.gov.charge(int64(n)) }
 
 // closeAll closes every child, returning the first error but never
 // skipping a sibling: the mid-stream error contract is that the root

@@ -20,7 +20,7 @@ import (
 func govern(t *testing.T, p *engine.Prepared, pl *plan.Node, opts exec.Options) (int, error, *exec.Governor) {
 	t.Helper()
 	gov := exec.NewGovernor(context.Background(), opts)
-	it, err := exec.Build(pl, p.Engine().DB(), p.Shared.Query, gov)
+	it, err := exec.Build(pl, p.Engine().DB(), p.Shared.Query, nil, gov)
 	if err != nil {
 		t.Fatalf("build: %v", err)
 	}
@@ -318,11 +318,11 @@ func TestGovernorGovernsOneBuild(t *testing.T) {
 	}
 
 	gov := exec.NewGovernor(context.Background(), exec.Options{})
-	it, err := exec.Build(pl, db, p.Shared.Query, gov)
+	it, err := exec.Build(pl, db, p.Shared.Query, nil, gov)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := exec.Build(pl, db, p.Shared.Query, gov); err == nil {
+	if _, err := exec.Build(pl, db, p.Shared.Query, nil, gov); err == nil {
 		t.Fatal("a second Build on one Governor succeeded")
 	}
 	if err := it.Open(); err != nil {

@@ -50,13 +50,19 @@ type Iterator interface {
 // string constants the plan materializes are coded in a table private
 // to the tree; RunWithOptions returns that table as Result.Strings.
 // p is a whole plan, rooted at its Result: each join keeps only the
-// columns the operators above it read. gov must not have governed a
-// Build before (nil gives a fresh, unlimited one).
-func Build(p *plan.Node, db *storage.DB, q *algebra.Query, gov *Governor) (Iterator, error) {
+// columns the operators above it read. The tree's filtered scans read
+// and record their selection bitmaps in sel, which must have been made
+// for q; nil caches nothing. gov must not have governed a Build before
+// (nil gives a fresh, unlimited one).
+func Build(p *plan.Node, db *storage.DB, q *algebra.Query, sel *Selections, gov *Governor) (Iterator, error) {
 	if gov != nil && gov.ops != nil {
 		return nil, errors.New("exec: the Governor has governed a Build already")
 	}
-	it, _, err := newBuilder(db, q, gov, p).build(p)
+	b, err := newBuilder(db, q, sel, gov, p)
+	if err != nil {
+		return nil, err
+	}
+	it, _, err := b.build(p)
 	return it, err
 }
 
@@ -71,6 +77,7 @@ func Build(p *plan.Node, db *storage.DB, q *algebra.Query, gov *Governor) (Itera
 type builder struct {
 	db    *storage.DB
 	q     *algebra.Query
+	sel   *Selections
 	gov   *Governor
 	strs  *data.Strings
 	reads []int32
@@ -78,12 +85,15 @@ type builder struct {
 
 // newBuilder returns a builder for plan p, sizing the operator slots of
 // gov, a Governor that has governed no Build, for p's operators.
-func newBuilder(db *storage.DB, q *algebra.Query, gov *Governor, p *plan.Node) *builder {
+func newBuilder(db *storage.DB, q *algebra.Query, sel *Selections, gov *Governor, p *plan.Node) (*builder, error) {
+	if sel != nil && sel.q != q {
+		return nil, errors.New("exec: the Selections were made for another query")
+	}
 	if gov == nil {
 		gov = NewGovernor(context.Background(), Options{})
 	}
 	gov.ops = make([]opSlot, 0, countOps(p))
-	return &builder{db: db, q: q, gov: gov, strs: db.Strings().Overlay(), reads: make([]int32, q.NumColumns())}
+	return &builder{db: db, q: q, sel: sel, gov: gov, strs: db.Strings().Overlay(), reads: make([]int32, q.NumColumns())}, nil
 }
 
 func countOps(n *plan.Node) int {

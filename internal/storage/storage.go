@@ -17,7 +17,11 @@ import (
 	"repro/internal/data"
 )
 
-// Table is stored rows plus lazily computed index orderings.
+// Table is stored rows plus lazily computed index orderings. Insert
+// only appends, and nothing else writes stored rows: a row id names the
+// same row for the table's lifetime, and the row count tells whether
+// anything changed since a derived structure was computed. Cached index
+// orderings and the executor's selection bitmaps rely on that.
 type Table struct {
 	Def  *catalog.Table
 	Rows []data.Row
@@ -234,13 +238,18 @@ func columnStats(t *Table, ci int) (catalog.ColumnStats, error) {
 
 // equiDepthBounds returns the upper bounds of an equi-depth histogram:
 // bounds[i] is the value at quantile (i+1)/buckets of the sorted values.
+// It sorts vals in place, and not stably: values that compare equal are
+// interchangeable as bounds. The one exception is a float column
+// holding NaN, which data.Compare finds equal to every value, or both
+// -0 and 0: the bound picked among values that compare equal may then
+// differ from a stable sort's.
 func equiDepthBounds(strs *data.Strings, vals []data.Value, buckets int) ([]data.Value, error) {
 	if len(vals) < 2*buckets {
 		return nil, nil // too few rows for the histogram to add signal
 	}
-	sorted := append([]data.Value(nil), vals...)
+	sorted := vals
 	var sortErr error
-	slices.SortStableFunc(sorted, func(a, b data.Value) int {
+	slices.SortFunc(sorted, func(a, b data.Value) int {
 		c, err := data.Compare(strs, a, b)
 		if err != nil && sortErr == nil {
 			sortErr = err

@@ -14,6 +14,7 @@
 #     buffer) must report exactly 0 allocs/op on every run. Allocation counts do not depend on the host, so this
 #     gate is absolute.
 #  2. Allocation ceilings. BenchmarkExecute/*/optimal,
+#     BenchmarkExecute/Q10/optimal_cold,
 #     BenchmarkExecute/Q5/median_sampled,
 #     BenchmarkExecute/Q5/merge_sampled,
 #     BenchmarkExecute/sweep/sampled, BenchmarkPrepare/Q9/cached,
@@ -21,7 +22,9 @@
 #     BenchmarkPrepare/cross10/cold and
 #     BenchmarkRecost/Q9/* allocs/op must stay within 10% of the value
 #     BENCH_core.json records, and so must the B/op of those
-#     BenchmarkExecute rows. The median sampled plan runs three
+#     BenchmarkExecute rows. The cold row runs Q10's optimal plan with
+#     fresh selection bitmaps per op, so its scans evaluate their
+#     filters row by row and record them. The median sampled plan runs three
 #     nested-loop joins that re-open their inner sides once per outer
 #     row, a path the optimal plans barely touch; the merge sampled plan,
 #     the one of the same draws whose merge joins emit the most rows, is
@@ -86,7 +89,7 @@ for i in $(seq 1 "$COUNT"); do
 				-test.bench "$pat"
 		done
 		"$TMP/repro.test" -test.run '^$' -test.benchmem -test.count 1 -test.benchtime "$BENCHTIME" \
-			-test.bench '^BenchmarkExecute$/^(Q[0-9]+|sweep)$/^(optimal|median_sampled|merge_sampled|sampled)$'
+			-test.bench '^BenchmarkExecute$/^(Q[0-9]+|sweep)$/^(optimal|optimal_cold|median_sampled|merge_sampled|sampled)$'
 		"$TMP/repro.test" -test.run '^$' -test.benchmem -test.count 1 -test.benchtime "$BENCHTIME" \
 			-test.bench '^BenchmarkPrepare$/^(Q9|cross10)$/^(cached|reparse|cold)$'
 		"$TMP/repro.test" -test.run '^$' -test.benchmem -test.count 1 -test.benchtime "$BENCHTIME" \
@@ -147,7 +150,7 @@ print(f"\nbench_diff: allocs/op ceilings (recorded + 10%)")
 print(f"{'row':28} {'recorded':>9} {'fresh':>9}")
 for row in core["results"]:
     name = row["name"]
-    if not re.fullmatch(r'BenchmarkExecute/(\S+/optimal|Q5/(median|merge)_sampled|sweep/sampled)|BenchmarkPrepare/(Q9/cached|Q9/reparse|Q9/cold|cross10/cold)|BenchmarkRecost/Q9/\S+', name):
+    if not re.fullmatch(r'BenchmarkExecute/(\S+/optimal|Q10/optimal_cold|Q5/(median|merge)_sampled|sweep/sampled)|BenchmarkPrepare/(Q9/cached|Q9/reparse|Q9/cold|cross10/cold)|BenchmarkRecost/Q9/\S+', name):
         continue
     want = row["allocs_per_op"]
     got = [rows[name][1] for rows in runs if name in rows]
@@ -164,7 +167,7 @@ print(f"\nbench_diff: B/op ceilings (recorded + 10%)")
 print(f"{'row':28} {'recorded':>9} {'fresh':>9}")
 for row in core["results"]:
     name = row["name"]
-    if not re.fullmatch(r'BenchmarkExecute/(\S+/optimal|Q5/(median|merge)_sampled|sweep/sampled)', name):
+    if not re.fullmatch(r'BenchmarkExecute/(\S+/optimal|Q10/optimal_cold|Q5/(median|merge)_sampled|sweep/sampled)', name):
         continue
     want = row["bytes_per_op"]
     got = [rows[name][2] for rows in runs if name in rows]
