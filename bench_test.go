@@ -427,7 +427,9 @@ func BenchmarkOptimize(b *testing.B) {
 // service is built around (acceptance: >= 50x on a TPC-H query).
 // cross10/cold is the structure-build stress row: a 10-way Cartesian
 // self-join of region, whose memo holds 2^10 groups (skipped under
-// -short).
+// -short). Q3/shape_cold is the structure miss of a literal variant
+// whose shape the cache holds: bind, copy the resident memo, share its
+// count tables, and cost.
 func BenchmarkPrepare(b *testing.B) {
 	sqlText, _ := tpch.Query("Q9")
 	cold := func(b *testing.B, sqlText string, opts ...engine.Option) {
@@ -445,6 +447,38 @@ func BenchmarkPrepare(b *testing.B) {
 			b.Skip("10-way Cartesian join: ~0.3 s per cold Prepare")
 		}
 		cold(b, crossJoinSQL(10), engine.WithCartesian(true))
+	})
+	// Each op prepares a literal variant of Q3 that misses the cache: 64
+	// variants cycle through a 4-entry cache, so each was evicted
+	// before it comes round again, while the newest entry of the shape
+	// stays resident for the next variant to copy.
+	b.Run("Q3/shape_cold", func(b *testing.B) {
+		q3, _ := tpch.Query("Q3")
+		segments := []string{"'AUTOMOBILE'", "'FURNITURE'", "'HOUSEHOLD'", "'MACHINERY'"}
+		variants := make([]string, 64)
+		for i := range variants {
+			variants[i] = strings.NewReplacer("'BUILDING'", segments[i%len(segments)],
+				"'1995-03-15'", fmt.Sprintf("'1995-03-%02d'", 1+i/len(segments))).Replace(q3)
+		}
+		e := engine.New(db(b), engine.WithCacheLimits(4, engine.DefaultCacheBytes))
+		if _, err := e.Prepare(q3); err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			p, err := e.Prepare(variants[i%len(variants)])
+			if err != nil {
+				b.Fatal(err)
+			}
+			if p.Cached {
+				b.Fatal("expected a structure miss")
+			}
+		}
+		b.StopTimer()
+		if st := e.Cache().Stats(); st.ShapeHits != uint64(b.N) {
+			b.Fatalf("%d of %d misses answered from the resident shape", st.ShapeHits, b.N)
+		}
 	})
 	b.Run("Q9/cached", func(b *testing.B) {
 		e := engine.New(db(b))

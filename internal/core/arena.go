@@ -40,6 +40,19 @@ func (a *chunked[T]) alloc(n, minChunk int) []T {
 	return s
 }
 
+// reserve appends a chunk of exactly n elements, from which the next
+// allocations carve; what the active chunk had left is abandoned.
+// Callers that know their total size reserve it, so the arena holds no
+// spare capacity.
+func (a *chunked[T]) reserve(n int) {
+	if n <= 0 {
+		return
+	}
+	a.chunks = append(a.chunks, make([]T, n))
+	a.total += n
+	a.used = 0
+}
+
 // put stores a copy of xs in the arena and returns it.
 func (a *chunked[T]) put(xs []T, minChunk int) []T {
 	if len(xs) == 0 {

@@ -210,12 +210,17 @@ func Prepare(m *memo.Memo, opts ...Option) (*Space, error) {
 
 	// The list slab (listOps) holds every list's operator indices, each
 	// followed by its guide table, and the root's guide table. Sized
-	// exactly here, it is one allocation with no spare capacity.
+	// exactly here, it is one allocation with no spare capacity. So is
+	// the limb arena's first chunk, which holds every list's uint64
+	// prefix row (see freezeWide for the rest).
 	b.slab = guideSize(len(m.Root.Physical))
+	rows := 0
 	for li := range b.keys {
 		n := len(b.candidates(int32(li)))
 		b.slab += n + guideSize(n)
+		rows += n + 1
 	}
+	s.tab.a.reserve(rows)
 
 	// Second pass: count every kept operator (bottom-up via memoized
 	// recursion, building each list on first use; the structure is
@@ -257,11 +262,8 @@ func Prepare(m *memo.Memo, opts ...Option) (*Space, error) {
 		totalW = wideAdd(totalW, n)
 		prefixW = append(prefixW, totalW)
 	}
-	s.totalW = s.tab.put(totalW)
-	s.prefixW = make([][]uint64, len(prefixW))
-	for i, p := range prefixW {
-		s.prefixW[i] = s.tab.put(p)
-	}
+	s.totalW, s.prefixW = totalW, prefixW
+	s.freezeWide()
 	s.total = limbsToBig(s.totalW)
 	if fits {
 		s.fits = true
@@ -420,7 +422,7 @@ func (b *builder) countOp(k int32) error {
 	op.fits, op.n64 = fits, n64
 	if !fits {
 		op.wide = int32(len(s.wideN))
-		s.wideN = append(s.wideN, s.tab.put(nW))
+		s.wideN = append(s.wideN, nW)
 	}
 	b.state[k] = counted
 	return nil
@@ -509,12 +511,44 @@ func (b *builder) build(li int32) error {
 		}
 		return nil
 	}
-	frozen := make([][]uint64, len(prefixW))
-	for k, p := range prefixW {
-		frozen[k] = s.tab.put(p)
-	}
-	l.wide = &wideList{b: s.tab.put(sumW), prefix: frozen}
+	l.wide = &wideList{b: sumW, prefix: prefixW}
 	return nil
+}
+
+// freezeWide moves every limb row counting left on the heap — the
+// counts that overflow uint64, the rows of lists whose sums do, and the
+// root's total and prefix sums — into one exactly sized chunk of the
+// limb arena, after the uint64 prefix rows.
+func (s *Space) freezeWide() {
+	n := len(s.totalW)
+	for _, rows := range [][][]uint64{s.wideN, s.prefixW} {
+		for _, x := range rows {
+			n += len(x)
+		}
+	}
+	for _, l := range s.lists {
+		if w := l.wide; w != nil {
+			n += len(w.b)
+			for _, x := range w.prefix {
+				n += len(x)
+			}
+		}
+	}
+	s.tab.a.reserve(n)
+	put := func(rows [][]uint64) {
+		for i, x := range rows {
+			rows[i] = s.tab.put(x)
+		}
+	}
+	s.totalW = s.tab.put(s.totalW)
+	put(s.wideN)
+	put(s.prefixW)
+	for _, l := range s.lists {
+		if w := l.wide; w != nil {
+			w.b = s.tab.put(w.b)
+			put(w.prefix)
+		}
+	}
 }
 
 // wideFromU64 lifts a native value to canonical limbs.
@@ -558,4 +592,39 @@ func (s *Space) CountFor(e *memo.Expr) *big.Int {
 	}
 	var scratch [1]uint64
 	return limbsToBig(s.count(k, &scratch))
+}
+
+// Share returns the space of m, a copy of s.Memo (memo.Memo.CloneOnto),
+// without counting it: the new space has its own operator records, over
+// m's operators, and shares s's count tables, which name operators only
+// by index (slots, lists, guides, prefix rows and the limb arena). Both
+// spaces are immutable and number their plans alike. It fails when m's
+// physical operators do not match s's one for one by ID, group and
+// local index.
+func (s *Space) Share(m *memo.Memo) (*Space, error) {
+	if m.Root == nil || s.Memo.Root == nil || m.Root.ID != s.Memo.Root.ID {
+		return nil, fmt.Errorf("core: memo does not have the space's root group")
+	}
+	t := *s
+	t.Memo = m
+	t.ops = make([]opRec, len(s.ops))
+	copy(t.ops, s.ops)
+	mapped := 0
+	for _, g := range m.Groups {
+		for _, e := range g.Physical {
+			if e.ID < 0 || e.ID >= len(s.index) || s.index[e.ID] == 0 {
+				continue
+			}
+			op := &t.ops[s.index[e.ID]-1]
+			if was := op.expr; was.ID != e.ID || was.Op != e.Op || was.Local != e.Local || was.Group.ID != g.ID || len(was.Children) != len(e.Children) {
+				return nil, fmt.Errorf("core: operator %s of the memo does not match the space's %s", e.Name(), was.Name())
+			}
+			op.expr = e
+			mapped++
+		}
+	}
+	if mapped != len(t.ops) {
+		return nil, fmt.Errorf("core: memo holds %d of the space's %d operators", mapped, len(t.ops))
+	}
+	return &t, nil
 }

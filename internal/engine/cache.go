@@ -7,6 +7,7 @@ import (
 	"strings"
 	"sync"
 
+	"repro/internal/algebra"
 	"repro/internal/opt"
 	"repro/internal/rules"
 )
@@ -34,6 +35,7 @@ type CacheStats struct {
 	Hits          uint64 `json:"hits"`
 	TextHits      uint64 `json:"text_hits"` // the hits answered by a statement-text alias, unparsed
 	Misses        uint64 `json:"misses"`
+	ShapeHits     uint64 `json:"shape_hits"`    // the misses answered by copying a resident structure of the query's shape
 	Evictions     uint64 `json:"evictions"`     // LRU pressure (entry cap or byte budget)
 	Invalidations uint64 `json:"invalidations"` // catalog schema-version bumps
 	Entries       int    `json:"entries"`
@@ -128,6 +130,16 @@ type textKey struct {
 	schemaVersion uint64
 }
 
+// shapeKey keys the shape index: the hash of the inputs BuildMemo reads
+// (rules.ShapeHash) with what else decides the memo, the rule
+// configuration and the catalog's identity and schema version. Equal
+// keys are confirmed with rules.SameShape.
+type shapeKey struct {
+	hash                     uint64
+	rules                    rules.Config
+	catalogID, schemaVersion uint64
+}
+
 // textAlias is what a statement text resolved to: its entry and the
 // OPTION (USEPLAN n) number it carries, validated against the entry's
 // space (nil when it has none). The number is shared by every Prepared
@@ -155,6 +167,12 @@ type textAlias struct {
 // resolved to its entry, so a repeated text skips parsing, canonical
 // rendering and hashing. An entry holds at most maxAliases texts, and
 // they go with it.
+//
+// shapes maps a query shape to the newest resident entry of that shape
+// whose build succeeded, so a structure miss of a literal variant
+// copies that entry's memo and shares its count tables instead of
+// expanding and counting (Session.buildStructure). An entry leaves the
+// index when it leaves the cache, so the index pins nothing evicted.
 type SpaceCache struct {
 	mu       sync.Mutex
 	cap      int
@@ -162,11 +180,12 @@ type SpaceCache struct {
 	bytes    int64 // estimated structure and alias bytes of ready entries
 	entries  map[Fingerprint]*cacheEntry
 	texts    map[textKey]textAlias
+	shapes   map[shapeKey]*cacheEntry
 	lru      *list.List // front = most recently used; values are *cacheEntry
 	version  uint64     // newest catalog schema version observed
 
-	hits, textHits, misses, evictions, invalidations uint64
-	ovHits, ovMisses, ovInvalidations                uint64 // overlay lookups in the entries
+	hits, textHits, misses, shapeHits, evictions, invalidations uint64
+	ovHits, ovMisses, ovInvalidations                           uint64 // overlay lookups in the entries
 }
 
 // newSpaceCache returns a cache holding at most capacity counted spaces
@@ -178,6 +197,7 @@ func newSpaceCache(capacity int, maxBytes int64) *SpaceCache {
 		maxBytes: maxBytes,
 		entries:  make(map[Fingerprint]*cacheEntry),
 		texts:    make(map[textKey]textAlias),
+		shapes:   make(map[shapeKey]*cacheEntry),
 		lru:      list.New(),
 	}
 }
@@ -190,6 +210,7 @@ func (c *SpaceCache) Stats() CacheStats {
 		Hits:          c.hits,
 		TextHits:      c.textHits,
 		Misses:        c.misses,
+		ShapeHits:     c.shapeHits,
 		Evictions:     c.evictions,
 		Invalidations: c.invalidations,
 		Entries:       len(c.entries),
@@ -237,6 +258,9 @@ func (c *SpaceCache) entry(fp Fingerprint, version uint64, build func() (*Struct
 	c.mu.Unlock()
 
 	_, err := e.run(c, fp, build, func(space *StructureSpace, err error) {
+		if err == nil && space.fromShape {
+			c.shapeHits++
+		}
 		switch {
 		case !c.residentLocked(e):
 			// Evicted or invalidated while building; nothing to settle.
@@ -247,10 +271,26 @@ func (c *SpaceCache) entry(fp Fingerprint, version uint64, build func() (*Struct
 			// it and shed colder entries if the budget is blown.
 			e.bytes = space.SizeBytes()
 			c.bytes += e.bytes
+			if space.Structure != nil {
+				c.shapes[space.shape] = e
+			}
 			c.evictLocked()
 		}
 	})
 	return e, false, err
+}
+
+// shape returns the structure of the resident entry the shape index
+// holds for key when its query has q's shape, else nil. The structure
+// is immutable, so the caller may copy it after the entry goes.
+func (c *SpaceCache) shape(key shapeKey, q *algebra.Query) *StructureSpace {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	e, ok := c.shapes[key]
+	if !ok || !rules.SameShape(e.val.Query, q) {
+		return nil
+	}
+	return e.val
 }
 
 // text returns the entry and USEPLAN number statement text k resolved
@@ -324,17 +364,20 @@ func (c *SpaceCache) invalidateLocked(version uint64) {
 // (it may have been evicted or invalidated since it was found).
 func (c *SpaceCache) residentLocked(e *cacheEntry) bool { return c.entries[e.fp] == e }
 
-// removeLocked drops an entry from the map, the LRU, and the byte
-// accounting (in-flight entries carry zero bytes until they complete).
-// Its aliases go with it. Its overlay goes too and counts as an
-// overlay invalidation if completed; one still building counts when it
-// completes.
+// removeLocked drops an entry from the map, the LRU, the shape index
+// and the byte accounting (in-flight entries carry zero bytes until
+// they complete). Its aliases go with it. Its overlay goes too and
+// counts as an overlay invalidation if completed; one still building
+// counts when it completes.
 func (c *SpaceCache) removeLocked(e *cacheEntry) {
 	delete(c.entries, e.fp)
 	c.lru.Remove(e.elem)
 	c.bytes -= e.bytes
 	for _, k := range e.aliases {
 		delete(c.texts, k)
+	}
+	if e.done() && e.val != nil && c.shapes[e.val.shape] == e {
+		delete(c.shapes, e.val.shape)
 	}
 	if e.overlay != nil && e.overlay.done() {
 		c.ovInvalidations++

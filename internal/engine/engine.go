@@ -10,7 +10,13 @@
 //
 //	text key ──── alias hit ─────────────────→ SpaceCache entry
 //	   └─ miss → parse → structure fingerprint → SpaceCache entry     → [bind → expand → count], record alias
+//	                                              (resident shape: [bind → copy its memo, share its counts])
 //	overlay key ─────────────────────────────→ the entry's overlay  → [re-cost in place]
+//
+// A fingerprint miss whose bound query has the shape of a resident
+// structure (rules.SameShape: a literal variant) copies that
+// structure's memo and shares its count tables instead of expanding
+// and counting.
 //
 // A repeated statement text (the exact bytes, under the same rules and
 // schema version) finds its entry through its alias without
@@ -201,24 +207,45 @@ type StructureSpace struct {
 
 	keysOnce sync.Once
 	keys     []string // by group ID: feedbackKey of scan and join groups, "" otherwise
+
+	// shape keys the structure in its cache's shape index; fromShape
+	// reports that it was copied from a resident structure of that
+	// shape instead of expanded and counted.
+	shape     shapeKey
+	fromShape bool
 }
 
-// buildStructure runs the structure-miss stages: bind, expand, count.
-func (s *Session) buildStructure(canonical string, stmt *sql.SelectStmt, fp Fingerprint) (*StructureSpace, error) {
-	q, err := algebra.Build(stmt, s.engine.db.Catalog())
+// buildStructure runs the structure-miss stages: bind, then expand
+// and count, unless the cache holds a structure of the bound query's
+// shape (rules.SameShape), whose memo it copies onto the query and
+// whose count tables it shares (memo.Memo.CloneOnto, core.Space.Share).
+func (s *Session) buildStructure(canonical string, stmt *sql.SelectStmt, fp Fingerprint, schemaVersion uint64) (*StructureSpace, error) {
+	cat := s.engine.db.Catalog()
+	q, err := algebra.Build(stmt, cat)
 	if err != nil {
 		return nil, err
 	}
-	st, err := opt.BuildStructure(q, s.opts.Rules)
-	if err != nil {
+	ss := &StructureSpace{Fingerprint: fp, Canonical: canonical, sel: exec.NewSelections(s.engine.db, q),
+		shape: shapeKey{hash: rules.ShapeHash(q), rules: s.opts.Rules, catalogID: cat.ID(), schemaVersion: schemaVersion}}
+	if t := s.engine.cache.shape(ss.shape, q); t != nil {
+		m, err := t.Memo.CloneOnto(q)
+		if err != nil {
+			return nil, err
+		}
+		if ss.Space, err = t.Space.Share(m); err != nil {
+			return nil, err
+		}
+		ss.Structure, ss.MemoStats, ss.fromShape = &opt.Structure{Query: q, Memo: m}, t.MemoStats, true
+		return ss, nil
+	}
+	if ss.Structure, err = opt.BuildStructure(q, s.opts.Rules); err != nil {
 		return nil, err
 	}
-	space, err := core.Prepare(st.Memo)
-	if err != nil {
+	if ss.Space, err = core.Prepare(ss.Memo); err != nil {
 		return nil, err
 	}
-	return &StructureSpace{Structure: st, Fingerprint: fp, Canonical: canonical, Space: space, MemoStats: st.Memo.Stats(),
-		sel: exec.NewSelections(s.engine.db, q)}, nil
+	ss.MemoStats = ss.Memo.Stats()
+	return ss, nil
 }
 
 // Prepare runs the staged pipeline. A statement text the cache has
@@ -294,7 +321,7 @@ func (s *Session) resolve(key textKey) (ent *cacheEntry, usePlan *big.Int, cache
 	canonical := stmt.AppendCanonical(make([]byte, 0, len(key.text)+len(key.text)/4+16), false)
 	sfp := structureFingerprintOf(canonical, key.rules, s.engine.db.Catalog().ID(), key.schemaVersion)
 	ent, cached, err = s.engine.cache.entry(sfp, key.schemaVersion, func() (*StructureSpace, error) {
-		return s.buildStructure(string(canonical), stmt, sfp)
+		return s.buildStructure(string(canonical), stmt, sfp, key.schemaVersion)
 	})
 	if err != nil {
 		return nil, nil, false, err

@@ -28,6 +28,14 @@ import (
 // Two Prepare calls with an equal fingerprint and overlay key are
 // guaranteed to produce the same space and the same costing, which is
 // what makes caching both layers sound.
+//
+// The fingerprint hashes the literals, so each literal variant of a
+// query is its own structure, with its own selection bitmaps and
+// costing. Its memo and counts, though, depend only on the bound
+// query's shape (rules.SameShape), so the cache also keys its entries
+// by shape (shapeKey): a fingerprint miss whose shape is resident
+// copies that entry's memo and shares its count tables instead of
+// expanding and counting, and counts in CacheStats.ShapeHits.
 type Fingerprint [sha256.Size]byte
 
 // String renders the fingerprint as hex — the form served by the HTTP

@@ -19,10 +19,12 @@ const (
 // term — see core.Space.MemoryFootprint), the canonical SQL, a fixed
 // overhead for the query object, and the selection bitmaps of its
 // filtered relations, charged from build time whether recorded yet or
-// not, so the byte budget bounds them before they exist. The
-// SpaceCache's byte-budget eviction runs on this estimate; overlay
-// bytes are reported apart (the /stats endpoint shows structure_bytes
-// and overlay_bytes side by side).
+// not, so the byte budget bounds them before they exist. A structure
+// copied from a resident one of its shape is charged the count tables
+// it shares in full: it keeps them alive when the entry it was copied
+// from goes. The SpaceCache's byte-budget eviction runs on this
+// estimate; overlay bytes are reported apart (the /stats endpoint shows
+// structure_bytes and overlay_bytes side by side).
 func (ss *StructureSpace) SizeBytes() int64 {
 	if ss == nil {
 		return 0

@@ -9,6 +9,7 @@ package memo
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -286,6 +287,252 @@ func (m *Memo) AddExpr(g *Group, e Expr) *Expr {
 		g.Physical = append(g.Physical, ex)
 	}
 	return ex
+}
+
+// CloneOnto returns a copy of m over q, a query of m's shape
+// (rules.SameShape): the same groups and operators, with the same IDs
+// and local indices, whose payloads point into q instead of m.Query.
+// Scan and lookup specs name their relation by index, lookup keys are
+// re-read from q's relations, and join specs name their predicates by
+// index into q.Preds. The copy keeps one spec per spec of m. Orderings
+// hold only column IDs and are shared with m, which is never written.
+// It fails when q cannot hold m's payloads.
+func (m *Memo) CloneOnto(q *algebra.Query) (*Memo, error) {
+	if len(m.scanGroups) != len(q.Rels) {
+		return nil, fmt.Errorf("memo: copy onto a query of %d relations, memo has %d", len(q.Rels), len(m.scanGroups))
+	}
+	c := &Memo{
+		Query:      q,
+		Groups:     make([]*Group, len(m.Groups)),
+		byJoinSet:  make(map[algebra.RelSet]*Group, len(m.byJoinSet)),
+		scanGroups: make([]*Group, len(q.Rels)),
+		exprSeq:    m.exprSeq,
+	}
+	groups := make([]Group, len(m.Groups))
+	for i, g := range m.Groups {
+		ng := &groups[i]
+		*ng = Group{ID: g.ID, Kind: g.Kind, RelSet: g.RelSet, InterestingOrders: slices.Clip(g.InterestingOrders)}
+		c.Groups[i] = ng
+		switch g.Kind {
+		case GroupScan:
+			c.scanGroups[g.RelSet.First()] = ng
+		case GroupJoin:
+			c.byJoinSet[g.RelSet] = ng
+		case GroupAgg:
+			c.AggGroup = ng
+		case GroupRoot:
+			c.Root = ng
+		}
+	}
+	cl := newCloner(m, c)
+	for i, g := range m.Groups {
+		ng := c.Groups[i]
+		ng.Exprs = carve(&cl.ptrs, len(g.Exprs))
+		for j, e := range g.Exprs {
+			ne := &cl.exprs[j]
+			*ne = *e
+			ne.Group = ng
+			ng.Exprs[j] = ne
+			ne.Children = cl.children(e.Children)
+			var err error
+			if ne.Scan, err = cl.scan(e.Scan); err != nil {
+				return nil, err
+			}
+			if ne.Join, err = cl.join(e.Join); err != nil {
+				return nil, err
+			}
+			if ne.Lookup, err = cl.lookup(e.Lookup); err != nil {
+				return nil, err
+			}
+		}
+		cl.exprs = cl.exprs[len(g.Exprs):]
+		ng.Physical = carve(&cl.ptrs, len(g.Physical))[:0]
+		for _, e := range ng.Exprs {
+			if e.Op.Physical() {
+				ng.Physical = append(ng.Physical, e)
+			}
+		}
+	}
+	return c, nil
+}
+
+// cloner re-points one memo's payloads into a copy (see CloneOnto),
+// carving the copy from slabs sized to it. The rules give the
+// operators that share a children slice or a spec consecutive IDs, so
+// remembering the last template slice and spec of each kind, with its
+// copy, keeps one copy per template slice and spec.
+type cloner struct {
+	c        *Memo
+	from, to []*algebra.PredInfo // the template's and the copy's join predicates
+
+	exprs    []Expr
+	ptrs     []*Expr // groups' Exprs and Physical
+	kids     []*Group
+	scans    []ScanSpec
+	joins    []JoinSpec
+	predSlab []*algebra.PredInfo
+	lookups  []LookupSpec
+	cols     []algebra.Column
+
+	lastKids, newKids []*Group
+	lastScan, newScan *ScanSpec
+	lastJoin, newJoin *JoinSpec
+}
+
+// newCloner sizes the slabs of a copy of m into c: one pass over m's
+// operators with the same one-entry memory the copy keeps.
+func newCloner(m, c *Memo) *cloner {
+	var nexpr, nptr, nkid, nscan, njoin, npred, nlookup, ncol int
+	var kids []*Group
+	var scan *ScanSpec
+	var join *JoinSpec
+	for _, g := range m.Groups {
+		nexpr += len(g.Exprs)
+		nptr += len(g.Exprs) + len(g.Physical)
+		for _, e := range g.Exprs {
+			if len(e.Children) > 0 && !sameSlice(e.Children, kids) {
+				nkid += len(e.Children)
+				kids = e.Children
+			}
+			if e.Scan != nil && e.Scan != scan {
+				nscan++
+				scan = e.Scan
+			}
+			if e.Join != nil && e.Join != join {
+				njoin++
+				npred += len(e.Join.Equi) + len(e.Join.Residual)
+				join = e.Join
+			}
+			if e.Lookup != nil {
+				nlookup++
+				ncol += len(e.Lookup.OuterKeys) + len(e.Lookup.InnerKeys)
+			}
+		}
+	}
+	return &cloner{
+		c: c, from: m.Query.Preds, to: c.Query.Preds,
+		exprs: make([]Expr, nexpr), ptrs: make([]*Expr, nptr), kids: make([]*Group, nkid),
+		scans: make([]ScanSpec, nscan), joins: make([]JoinSpec, njoin), predSlab: make([]*algebra.PredInfo, npred),
+		lookups: make([]LookupSpec, nlookup), cols: make([]algebra.Column, ncol),
+	}
+}
+
+// carve takes the next n elements of a slab sized by newCloner.
+func carve[T any](slab *[]T, n int) []T {
+	s := (*slab)[:n:n]
+	*slab = (*slab)[n:]
+	return s
+}
+
+// sameSlice reports whether a and b are the same slice.
+func sameSlice[T any](a, b []T) bool { return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0]) }
+
+// rel returns the copy's relation standing for template relation r.
+func (cl *cloner) rel(r *algebra.BaseRel) (*algebra.BaseRel, error) {
+	if r.Idx < 0 || r.Idx >= len(cl.c.Query.Rels) {
+		return nil, fmt.Errorf("memo: relation %d is not in the query", r.Idx)
+	}
+	return cl.c.Query.Rels[r.Idx], nil
+}
+
+func (cl *cloner) children(gs []*Group) []*Group {
+	if len(gs) == 0 {
+		return nil
+	}
+	if sameSlice(gs, cl.lastKids) {
+		return cl.newKids
+	}
+	out := carve(&cl.kids, len(gs))
+	for i, g := range gs {
+		out[i] = cl.c.Groups[g.ID-1]
+	}
+	cl.lastKids, cl.newKids = gs, out
+	return out
+}
+
+func (cl *cloner) scan(s *ScanSpec) (*ScanSpec, error) {
+	if s == nil {
+		return nil, nil
+	}
+	if s == cl.lastScan {
+		return cl.newScan, nil
+	}
+	rel, err := cl.rel(s.Rel)
+	if err != nil {
+		return nil, err
+	}
+	ns := &carve(&cl.scans, 1)[0]
+	*ns = ScanSpec{Rel: rel, Index: s.Index}
+	cl.lastScan, cl.newScan = s, ns
+	return ns, nil
+}
+
+func (cl *cloner) join(s *JoinSpec) (*JoinSpec, error) {
+	if s == nil {
+		return nil, nil
+	}
+	if s == cl.lastJoin {
+		return cl.newJoin, nil
+	}
+	ns := &carve(&cl.joins, 1)[0]
+	var err error
+	if ns.Equi, err = cl.preds(s.Equi); err != nil {
+		return nil, err
+	}
+	if ns.Residual, err = cl.preds(s.Residual); err != nil {
+		return nil, err
+	}
+	cl.lastJoin, cl.newJoin = s, ns
+	return ns, nil
+}
+
+// preds returns the copy's predicates standing for template predicates
+// ps: each the one at its template predicate's index in the query.
+func (cl *cloner) preds(ps []*algebra.PredInfo) ([]*algebra.PredInfo, error) {
+	if len(ps) == 0 {
+		return nil, nil
+	}
+	out := carve(&cl.predSlab, len(ps))
+	for i, p := range ps {
+		j := slices.Index(cl.from, p)
+		if j < 0 || j >= len(cl.to) {
+			return nil, fmt.Errorf("memo: join predicate %v has no counterpart in the query", p.Expr)
+		}
+		out[i] = cl.to[j]
+	}
+	return out, nil
+}
+
+func (cl *cloner) lookup(s *LookupSpec) (*LookupSpec, error) {
+	if s == nil {
+		return nil, nil
+	}
+	rel, err := cl.rel(s.Rel)
+	if err != nil {
+		return nil, err
+	}
+	ns := &carve(&cl.lookups, 1)[0]
+	*ns = LookupSpec{Rel: rel, Index: s.Index, OuterKeys: carve(&cl.cols, len(s.OuterKeys)), InnerKeys: carve(&cl.cols, len(s.InnerKeys))}
+	for i, k := range s.OuterKeys {
+		if ns.OuterKeys[i], err = cl.col(k); err != nil {
+			return nil, err
+		}
+	}
+	for i, k := range s.InnerKeys {
+		if ns.InnerKeys[i], err = cl.col(k); err != nil {
+			return nil, err
+		}
+	}
+	return ns, nil
+}
+
+// col returns the copy's base column standing for template column k.
+func (cl *cloner) col(k algebra.Column) (algebra.Column, error) {
+	rels := cl.c.Query.Rels
+	if k.Rel < 0 || k.Rel >= len(rels) || k.ColIdx < 0 || k.ColIdx >= len(rels[k.Rel].Cols) {
+		return algebra.Column{}, fmt.Errorf("memo: column %s is not in the query", k.Name)
+	}
+	return rels[k.Rel].Cols[k.ColIdx], nil
 }
 
 // Stats summarizes the memo's size.

@@ -13,6 +13,16 @@
 // winner's key, (group, required ordering), is the key of the counted
 // space's candidate lists, so costing folds over the same tables
 // counting built.
+//
+// "Query shape" is exact: the memo depends only on the inputs
+// rules.BuildMemo reads (rules.SameShape), which leave out literals,
+// filters and aliases. So every literal variant of one query has the
+// same memo up to which query its payloads point into, and the engine's
+// structure cache keeps a shape index: a structure miss whose bound
+// query has the shape of a resident structure copies that memo onto the
+// new query (memo.Memo.CloneOnto) and shares its counted space's tables
+// (core.Space.Share) instead of expanding and counting again. Its
+// costing is its own, as its literals are.
 package opt
 
 import (

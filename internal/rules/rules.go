@@ -79,6 +79,107 @@ func BuildMemo(q *algebra.Query, cfg Config) (*memo.Memo, error) {
 	return m, nil
 }
 
+// SameShape reports whether BuildMemo, under one configuration, expands
+// a and b into the same MEMO: equal groups and operators in the same
+// order, whose payloads differ only in which query they point into. It
+// compares every input BuildMemo reads, exactly:
+//   - each relation's table and column IDs;
+//   - each join predicate's Refs, IsEqui and key columns, in order;
+//   - whether each GROUP BY key is a column reference, its column and
+//     its Out column;
+//   - every aggregate's Out column;
+//   - the ORDER BY.
+//
+// Filters, literals, aliases and projections are not read, so literal
+// variants of one query share a shape (engine.SpaceCache builds them by
+// memo.Memo.CloneOnto). ShapeHash digests the same fields.
+func SameShape(a, b *algebra.Query) bool {
+	if len(a.Rels) != len(b.Rels) || len(a.Preds) != len(b.Preds) ||
+		len(a.GroupBy) != len(b.GroupBy) || len(a.Aggs) != len(b.Aggs) || !a.OrderBy.Equal(b.OrderBy) {
+		return false
+	}
+	for i, ra := range a.Rels {
+		rb := b.Rels[i]
+		if ra.Table != rb.Table || len(ra.Cols) != len(rb.Cols) {
+			return false
+		}
+		for j := range ra.Cols {
+			if ra.Cols[j].ID != rb.Cols[j].ID {
+				return false
+			}
+		}
+	}
+	for i, pa := range a.Preds {
+		pb := b.Preds[i]
+		if pa.Refs != pb.Refs || pa.IsEqui != pb.IsEqui ||
+			pa.IsEqui && (!sameCol(pa.LCol, pb.LCol) || !sameCol(pa.RCol, pb.RCol)) {
+			return false
+		}
+	}
+	for i := range a.GroupBy {
+		ca, oka := a.GroupBy[i].IsColRef()
+		cb, okb := b.GroupBy[i].IsColRef()
+		if oka != okb || oka && !sameCol(ca, cb) || a.GroupBy[i].Out.ID != b.GroupBy[i].Out.ID {
+			return false
+		}
+	}
+	for i := range a.Aggs {
+		if a.Aggs[i].Out.ID != b.Aggs[i].Out.ID {
+			return false
+		}
+	}
+	return true
+}
+
+// sameCol compares the fields of a base column BuildMemo reads.
+func sameCol(a, b algebra.Column) bool { return a.ID == b.ID && a.Rel == b.Rel && a.ColIdx == b.ColIdx }
+
+// ShapeHash digests the fields SameShape compares (tables by name), so
+// queries of one shape hash alike. It is a cache key, not an identity:
+// equal hashes must be confirmed with SameShape.
+func ShapeHash(q *algebra.Query) uint64 {
+	h := shapeHash(14695981039346656037)
+	h.add(uint64(len(q.Rels)), uint64(len(q.Preds)), uint64(len(q.GroupBy)), uint64(len(q.Aggs)), uint64(len(q.OrderBy)))
+	for _, r := range q.Rels {
+		for i := 0; i < len(r.Table.Name); i++ {
+			h.add(uint64(r.Table.Name[i]))
+		}
+		h.add(uint64(len(r.Cols)))
+		if len(r.Cols) > 0 {
+			h.add(uint64(r.Cols[0].ID)) // a table's columns take consecutive IDs
+		}
+	}
+	for _, p := range q.Preds {
+		h.add(uint64(p.Refs), uint64(p.LCol.ID)<<32|uint64(uint32(p.RCol.ID)))
+	}
+	for i := range q.GroupBy {
+		c, ok := q.GroupBy[i].IsColRef()
+		if !ok {
+			c.ID = -1
+		}
+		h.add(uint64(c.ID), uint64(q.GroupBy[i].Out.ID))
+	}
+	for _, a := range q.Aggs {
+		h.add(uint64(a.Out.ID))
+	}
+	for _, o := range q.OrderBy {
+		h.add(uint64(o.Col))
+		if o.Desc {
+			h.add(1)
+		}
+	}
+	return uint64(h)
+}
+
+// shapeHash is an FNV-1a-style mixer over 64-bit words.
+type shapeHash uint64
+
+func (h *shapeHash) add(vs ...uint64) {
+	for _, v := range vs {
+		*h = (*h ^ shapeHash(v)) * 1099511628211
+	}
+}
+
 // buildScanGroups creates one group per base relation holding the logical
 // Get, a TableScan, and one IndexScan per index (delivering its key
 // order) — the paper's Figure 2 pattern of TableScan + SortedIDXScan.

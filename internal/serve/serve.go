@@ -610,7 +610,9 @@ func (s *Server) handleFeedbackApply(w http.ResponseWriter, r *http.Request) {
 // overlays — disjoint by construction, so they add up), the feedback
 // loop's counters, request counts, and the catalog versions the tiers
 // are keyed on. cache.text_hits counts the structure hits answered by a
-// statement-text alias without parsing; panics counts the handler
+// statement-text alias without parsing, and cache.shape_hits the
+// structure misses answered by copying a resident structure of the
+// query's shape; panics counts the handler
 // panics the server recovered from, each also counted in errors.
 type StatsResponse struct {
 	UptimeSeconds  float64                  `json:"uptime_seconds"`

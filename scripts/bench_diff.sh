@@ -19,7 +19,7 @@
 #     BenchmarkExecute/Q5/merge_sampled,
 #     BenchmarkExecute/sweep/sampled, BenchmarkPrepare/Q9/cached,
 #     BenchmarkPrepare/Q9/reparse, BenchmarkPrepare/Q9/cold,
-#     BenchmarkPrepare/cross10/cold and
+#     BenchmarkPrepare/Q3/shape_cold, BenchmarkPrepare/cross10/cold and
 #     BenchmarkRecost/Q9/* allocs/op must stay within 10% of the value
 #     BENCH_core.json records, and so must the B/op of those
 #     BenchmarkExecute rows. The cold row runs Q10's optimal plan with
@@ -35,10 +35,11 @@
 #     Prepare the SQL front end (parse, canonical rendering,
 #     fingerprints) every new text pays; the cold Prepares and the coldprepare row are structure
 #     builds (memo construction and counting), cross10 the 10-way
-#     Cartesian one; the recost row is the overlay rebuild, and
-#     recost_feedback the same rebuild under live feedback
-#     corrections. Like
-#     allocation counts, bytes allocated do not depend on the host.
+#     Cartesian one; shape_cold is the structure miss of a literal
+#     variant whose shape is resident (a memo copy, shared counts);
+#     the recost row is the overlay rebuild, and recost_feedback the
+#     same rebuild under live feedback corrections. Like allocation
+#     counts, bytes allocated do not depend on the host.
 #  3. Speedups. The production tiers are timed against the /big rows
 #     (the reference oracle) and the recorded speedups must not regress
 #     by more than 20%. Absolute ns/op shift with the host; the ratios
@@ -91,7 +92,7 @@ for i in $(seq 1 "$COUNT"); do
 		"$TMP/repro.test" -test.run '^$' -test.benchmem -test.count 1 -test.benchtime "$BENCHTIME" \
 			-test.bench '^BenchmarkExecute$/^(Q[0-9]+|sweep)$/^(optimal|optimal_cold|median_sampled|merge_sampled|sampled)$'
 		"$TMP/repro.test" -test.run '^$' -test.benchmem -test.count 1 -test.benchtime "$BENCHTIME" \
-			-test.bench '^BenchmarkPrepare$/^(Q9|cross10)$/^(cached|reparse|cold)$'
+			-test.bench '^BenchmarkPrepare$/^(Q3|Q9|cross10)$/^(cached|reparse|cold|shape_cold)$'
 		"$TMP/repro.test" -test.run '^$' -test.benchmem -test.count 1 -test.benchtime "$BENCHTIME" \
 			-test.bench '^BenchmarkRender$/^AppendTo$'
 	} | tee "$TMP/run$i.txt"
@@ -150,7 +151,7 @@ print(f"\nbench_diff: allocs/op ceilings (recorded + 10%)")
 print(f"{'row':28} {'recorded':>9} {'fresh':>9}")
 for row in core["results"]:
     name = row["name"]
-    if not re.fullmatch(r'BenchmarkExecute/(\S+/optimal|Q10/optimal_cold|Q5/(median|merge)_sampled|sweep/sampled)|BenchmarkPrepare/(Q9/cached|Q9/reparse|Q9/cold|cross10/cold)|BenchmarkRecost/Q9/\S+', name):
+    if not re.fullmatch(r'BenchmarkExecute/(\S+/optimal|Q10/optimal_cold|Q5/(median|merge)_sampled|sweep/sampled)|BenchmarkPrepare/(Q9/cached|Q9/reparse|Q9/cold|Q3/shape_cold|cross10/cold)|BenchmarkRecost/Q9/\S+', name):
         continue
     want = row["allocs_per_op"]
     got = [rows[name][1] for rows in runs if name in rows]
